@@ -1,15 +1,19 @@
 """Exact desk-scale engine for chamber-walk chains.
 
-Builds dense transition matrices over subgraph states, evaluates the
-closed-form stationary law and eigenvectors of the per-edge update chain,
-computes spectra of compound chains through the support lattice, and
-derives mixing bounds, total-variation decay, and hitting/commute times.
-Every closed-form path is paired with an independent numeric oracle
-(dense eigensolve or first-step linear solve).
+Builds transition matrices over subgraph states, evaluates the closed-form
+stationary law and eigenvectors of the per-edge update chain, computes
+spectra of compound chains through the support lattice, and derives mixing
+bounds, total-variation decay, and hitting/commute times. Every
+closed-form path is paired with an independent numeric oracle (dense
+eigensolve or first-step linear solve).
+
+A chain is kept as its nonzero cells: one step applies one weighted edit,
+so N states have at most (edits * N) cells, all found in one vectorized
+pass over the edits. The dense float64 matrix for the solvers is derived
+on first request; the dense exact matrix only when something reads it.
 
 Two numeric modes coexist: exact rationals whenever the driving weights
-and edge probabilities are Fractions (matrices become object arrays), and
-float64 otherwise.
+and edge probabilities are Fractions, and float64 otherwise.
 """
 
 from __future__ import annotations
@@ -56,15 +60,36 @@ SOLVE_RESIDUAL_TOL = 1e-8
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Row-stochastic matrix over an ordered list of subgraph states."""
+    """Row-stochastic matrix over an ordered list of subgraph states, kept as
+    its nonzero cells in row-major order: cell k sits at (rows[k], cols[k])
+    and holds numerators[k] / denominator. Exact chains hold Python-int
+    numerators over a common denominator, float chains float64 values over 1.
+
+    Derived on first use and cached: `values` (Fractions when exact),
+    `to_float()` (the dense float64 matrix) and `entries` (the dense matrix
+    in the chain's own arithmetic). The dense views are read-only."""
 
     states: tuple[EdgeSet, ...]
-    entries: np.ndarray  # float64, or object dtype holding Fractions
-    exact: bool
+    rows: np.ndarray
+    cols: np.ndarray
+    numerators: np.ndarray
+    denominator: int = 1
+
+    @classmethod
+    def from_dense(cls, states, entries, exact: bool) -> "TransitionMatrix":
+        """Chain given by a dense matrix (of Fractions when exact)."""
+        rows, cols = np.nonzero(entries)
+        values = np.asarray(entries)[rows, cols]
+        cells = _common_denominator(values) if exact else (values.astype(float),)
+        return cls(tuple(states), rows, cols, *cells)
 
     @property
     def size(self) -> int:
         return len(self.states)
+
+    @property
+    def exact(self) -> bool:
+        return self.numerators.dtype == object
 
     @cached_property
     def _index(self) -> dict[int, int]:
@@ -77,34 +102,64 @@ class TransitionMatrix:
         except KeyError:
             raise ValidationError(f"state {mask:#x} is not in this chain") from None
 
-    def to_float(self) -> np.ndarray:
-        if self.exact:
-            return np.array(
-                [[float(v) for v in row] for row in self.entries], dtype=float
-            )
-        return self.entries
+    @cached_property
+    def values(self) -> np.ndarray:
+        if not self.exact:
+            return self.numerators
+        return np.array([Fraction(v, self.denominator) for v in self.numerators], dtype=object)
 
-    def row_sum_residual(self) -> float:
+    def _dense(self, zero, values: np.ndarray) -> np.ndarray:
+        dense = np.full((self.size, self.size), zero, dtype=values.dtype)
+        dense[self.rows, self.cols] = values
+        dense.flags.writeable = False
+        return dense
+
+    @cached_property
+    def _dense_float(self) -> np.ndarray:
+        # int / int division rounds correctly, as float(Fraction) does
+        return self._dense(0.0, (self.numerators / self.denominator).astype(float))
+
+    def to_float(self) -> np.ndarray:
+        return self._dense_float
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        return self._dense(Fraction(0), self.values) if self.exact else self._dense_float
+
+    def row_sum_residual(self):
         if self.exact:
-            return max(abs(sum(row) - 1) for row in self.entries)
-        return float(np.abs(self.entries.sum(axis=1) - 1.0).max())
+            sums = np.zeros(self.size, dtype=object)
+            np.add.at(sums, self.rows, self.numerators)
+            return Fraction(max(abs(s - self.denominator) for s in sums), self.denominator)
+        return float(np.abs(self.to_float().sum(axis=1) - 1.0).max())
+
+    def left_apply(self, vectors) -> np.ndarray:
+        """vectors @ P for one row vector or a stack of them, summed over the
+        nonzero cells; exact when both the vectors and the chain are."""
+        terms = np.asarray(vectors)[..., self.rows] * self.values
+        out = np.zeros(terms.shape[:-1] + (self.size,), dtype=terms.dtype)
+        np.add.at(out.T, self.cols, terms.T)
+        return out
 
     def reorder(self, masks: Sequence[int]) -> "TransitionMatrix":
         """Same chain with states permuted into the given mask order."""
         perm = [self.index_of(mask) for mask in masks]
         if len(perm) != self.size or len(set(perm)) != self.size:
             raise ValidationError("reorder needs a permutation of all states")
-        if self.exact:
-            entries = np.empty((self.size, self.size), dtype=object)
-            for a, i in enumerate(perm):
-                for b, j in enumerate(perm):
-                    entries[a, b] = self.entries[i, j]
-        else:
-            idx = np.array(perm)
-            entries = self.entries[np.ix_(idx, idx)]
+        position = np.empty(self.size, dtype=np.int64)
+        position[perm] = np.arange(self.size)
+        rows, cols = position[self.rows], position[self.cols]
+        order = np.lexsort((cols, rows))
         return TransitionMatrix(
-            tuple(self.states[i] for i in perm), entries, self.exact
+            tuple(self.states[i] for i in perm), rows[order], cols[order],
+            self.numerators[order], self.denominator,
         )
+
+
+def _common_denominator(values) -> tuple[np.ndarray, int]:
+    """Exact values as Python-int numerators over their least common denominator."""
+    den = math.lcm(*(Fraction(v).denominator for v in values))
+    return np.array([int(v * den) for v in values], dtype=object), den
 
 
 def sign_lex_order(m: int) -> list[int]:
@@ -146,8 +201,8 @@ def build_chain(
 
     restrict="all" enumerates every subset of host edges in ascending mask
     order; restrict="recurrent" first computes the closed communicating
-    class and builds the matrix on it. Exact rational entries are produced
-    whenever every weight is rational.
+    class and builds the matrix on it. Each cell sums its edits' weights:
+    exactly when every weight is rational, else in float64 in edit order.
     """
     if dist.m != g.m:
         raise ValidationError(f"distribution edge count {dist.m} != host {g.m}")
@@ -161,25 +216,20 @@ def build_chain(
     else:
         raise ValidationError(f"restrict must be 'all' or 'recurrent', got {restrict!r}")
 
-    index = {s.mask: i for i, s in enumerate(states)}
     n = len(states)
-    if dist.is_exact:
-        entries = np.empty((n, n), dtype=object)
-        entries[:, :] = Fraction(0)
-        for edit, w in dist.items:
-            for i, s in enumerate(states):
-                j = index[(s.mask | edit.plus) & ~edit.minus]
-                entries[i, j] += w
-        return TransitionMatrix(states, entries, True)
-
-    masks = np.array([s.mask for s in states], dtype=np.int64)
-    entries = np.zeros((n, n))
-    rows = np.arange(n)
-    for edit, w in dist.items:
-        dest_masks = (masks | edit.plus) & ~edit.minus
-        cols = np.array([index[int(d)] for d in dest_masks])
-        np.add.at(entries, (rows, cols), float(w))
-    return TransitionMatrix(states, entries, False)
+    masks = np.array([s.mask for s in states], dtype=np.uint64 if g.m <= 64 else object)
+    edits, weights = zip(*dist.items)
+    plus = np.array([e.plus for e in edits], dtype=masks.dtype)[:, None]
+    keep = np.array([((1 << g.m) - 1) ^ e.minus for e in edits], dtype=masks.dtype)[:, None]
+    dest = ((masks | plus) & keep).ravel()  # edit-major: edit k, state i at k * n + i
+    cols = np.searchsorted(masks, dest)
+    if not np.array_equal(masks[np.minimum(cols, n - 1)], dest):
+        raise ValidationError("an edit leaves the state set")
+    cells, where = np.unique(np.tile(np.arange(n), len(edits)) * n + cols, return_inverse=True)
+    nums, den = _common_denominator(weights) if dist.is_exact else (np.array(weights, float), 1)
+    sums = np.zeros(len(cells), dtype=nums.dtype)
+    np.add.at(sums, where, np.repeat(nums, n))  # each cell sums in edit order
+    return TransitionMatrix(states, cells // n, cells % n, sums, den)
 
 
 def recurrent_class(
@@ -243,24 +293,7 @@ def stationary_closed_form(g: HostGraph, p):
 
     Returns a list of Fractions when p is rational, else a float array.
     """
-    probs = _per_edge_probabilities(g, p)
-    _require_enumerable(g.m, DEFAULT_STATE_CAP)
-    exact = all(_is_exact(pe) for pe in probs)
-    if exact:
-        out = []
-        for mask in range(1 << g.m):
-            val = Fraction(1)
-            for e, pe in enumerate(probs):
-                val *= pe if mask >> e & 1 else 1 - pe
-            out.append(val)
-        return out
-    size = 1 << g.m
-    masks = np.arange(size)
-    pi = np.ones(size)
-    for e, pe in enumerate(probs):
-        present = (masks >> e) & 1
-        pi *= np.where(present, float(pe), 1.0 - float(pe))
-    return pi
+    return phi(g.full_set(), g, p)
 
 
 def stationary_numeric(tm: TransitionMatrix) -> np.ndarray:
@@ -358,34 +391,34 @@ def phi(T: EdgeSet, g: HostGraph, p):
                                       * prod(1-p_e, e in T not in E)
 
     and satisfies phi_T P = (|T|/m) phi_T; at T = all edges it equals the
-    stationary law."""
+    stationary law. A list of Fractions when p is rational, else a float
+    array."""
     probs = _per_edge_probabilities(g, p)
     if T.m != g.m:
         raise ValidationError(f"subset edge count {T.m} != host {g.m}")
     _require_enumerable(g.m, DEFAULT_STATE_CAP)
     exact = all(_is_exact(pe) for pe in probs)
-    size = 1 << g.m
-    if exact:
-        out = []
-        for mask in range(size):
-            val = Fraction(1)
-            for e, pe in enumerate(probs):
-                in_state = mask >> e & 1
-                if T.mask >> e & 1:
-                    val *= pe if in_state else 1 - pe
-                elif not in_state:
-                    val = -val
-            out.append(val)
-        return out
-    masks = np.arange(size)
-    row = np.ones(size)
+    one = Fraction(1) if exact else 1.0
+    masks = np.arange(1 << g.m)
+    row = np.full(1 << g.m, one, dtype=object if exact else float)
     for e, pe in enumerate(probs):
+        pe = pe if exact else float(pe)
         present = (masks >> e) & 1
         if T.mask >> e & 1:
-            row *= np.where(present, float(pe), 1.0 - float(pe))
+            row *= np.where(present, pe, one - pe)
         else:
-            row *= np.where(present, 1.0, -1.0)
-    return row
+            row *= np.where(present, one, -one)
+    return list(row) if exact else row
+
+
+def _psi_rows(g: HostGraph, probs, phi_rows: np.ndarray, t_masks: np.ndarray) -> np.ndarray:
+    """Float phi rows times prod(sqrt(p_e(1-p_e)), e not in T), multiplied in
+    edge order, over the square root of the stationary law."""
+    probs = [float(pe) for pe in probs]
+    scales = np.ones(len(t_masks))
+    for e, pe in enumerate(probs):
+        scales *= np.where(t_masks >> e & 1, 1.0, math.sqrt(pe * (1.0 - pe)))
+    return phi_rows * scales[:, None] / np.sqrt(stationary_closed_form(g, probs))
 
 
 def psi(T: EdgeSet, g: HostGraph, p) -> np.ndarray:
@@ -394,13 +427,7 @@ def psi(T: EdgeSet, g: HostGraph, p) -> np.ndarray:
     left eigenvectors of the symmetrized matrix Q and form an orthonormal
     system. Always float (square roots)."""
     probs = [float(pe) for pe in _per_edge_probabilities(g, p)]
-    row = np.asarray([float(v) for v in phi(T, g, probs)], dtype=float)
-    scale = 1.0
-    for e, pe in enumerate(probs):
-        if not T.mask >> e & 1:
-            scale *= math.sqrt(pe * (1.0 - pe))
-    pi = stationary_closed_form(g, probs)
-    return row * scale / np.sqrt(pi)
+    return _psi_rows(g, probs, phi(T, g, probs)[None, :], np.array([T.mask]))[0]
 
 
 @dataclass(frozen=True)
@@ -419,7 +446,8 @@ class EigenSystem:
 
 
 def eigensystem_simple(g: HostGraph, p) -> EigenSystem:
-    """All 2^m closed-form eigenvectors at once."""
+    """All 2^m closed-form eigenvectors at once. In float mode the psi rows
+    are the phi rows rescaled, with one stationary law for all of them."""
     probs = _per_edge_probabilities(g, p)
     _require_enumerable(g.m, DEFAULT_STATE_CAP)
     exact = all(_is_exact(pe) for pe in probs)
@@ -429,13 +457,10 @@ def eigensystem_simple(g: HostGraph, p) -> EigenSystem:
         Fraction(t.mask.bit_count(), g.m) if exact else t.mask.bit_count() / g.m
         for t in subsets
     )
+    phi_rows = np.array([phi(t, g, probs) for t in subsets], dtype=object if exact else float)
     if exact:
-        phi_rows = np.empty((size, size), dtype=object)
-        for i, t in enumerate(subsets):
-            phi_rows[i, :] = phi(t, g, probs)
         return EigenSystem(subsets, values, phi_rows, None, True)
-    phi_rows = np.vstack([np.asarray(phi(t, g, probs)) for t in subsets])
-    psi_rows = np.vstack([psi(t, g, probs) for t in subsets])
+    psi_rows = _psi_rows(g, probs, phi_rows, np.arange(size))
     return EigenSystem(subsets, values, phi_rows, psi_rows, False)
 
 
@@ -446,12 +471,19 @@ def q_matrix(tm: TransitionMatrix, pi: np.ndarray) -> np.ndarray:
     return tm.to_float() * root[:, None] / root[None, :]
 
 
-def detailed_balance_residual(tm: TransitionMatrix, pi) -> float:
-    """max |pi_i P_ij - pi_j P_ji| over all state pairs."""
-    P = tm.to_float()
-    v = np.asarray([float(x) for x in pi], dtype=float)
-    flow = v[:, None] * P
-    return float(np.abs(flow - flow.T).max())
+def detailed_balance_residual(tm: TransitionMatrix, pi):
+    """max |pi_i P_ij - pi_j P_ji| over all state pairs, taken over the
+    nonzero cells (a pair with both cells zero balances). Exact when pi and
+    the chain are, else float."""
+    exact = tm.exact and all(_is_exact(x) for x in pi)
+    if exact:
+        flow = np.array(pi, dtype=object)[tm.rows] * tm.values
+    else:
+        flow = np.asarray([float(x) for x in pi])[tm.rows] * tm.to_float()[tm.rows, tm.cols]
+    keys, back_keys = tm.rows * tm.size + tm.cols, tm.cols * tm.size + tm.rows
+    at = np.minimum(np.searchsorted(keys, back_keys), len(keys) - 1)
+    residual = np.abs(flow - np.where(keys[at] == back_keys, flow[at], 0)).max()
+    return residual if exact else float(residual)
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +608,26 @@ def _ratio_to_stationary(T_mask: int, state_mask: int, probs) -> object:
     return val
 
 
+def _subset_terms(E: EdgeSet, F: EdgeSet, g: HostGraph, p):
+    """For every proper subset T of the host edges, in mask order: T's mask,
+    m/(m-|T|) * prod(p_e(1-p_e), e not in T), phi_T(E)/pi(E) and
+    phi_T(F)/pi(F). Exact Fractions when p is rational."""
+    probs = _per_edge_probabilities(g, p)
+    if E.m != g.m or F.m != g.m:
+        raise ValidationError("state edge count disagrees with host")
+    _require_enumerable(g.m, DEFAULT_STATE_CAP)
+    m = g.m
+    exact = all(_is_exact(pe) for pe in probs)
+    for t_mask in range((1 << m) - 1):  # all T except the full edge set
+        scale = Fraction(1) if exact else 1.0
+        for e, pe in enumerate(probs):
+            if not t_mask >> e & 1:
+                scale *= pe * (1 - pe)
+        coeff = Fraction(m, m - t_mask.bit_count()) if exact else m / (m - t_mask.bit_count())
+        yield (t_mask, coeff * scale, _ratio_to_stationary(t_mask, E.mask, probs),
+               _ratio_to_stationary(t_mask, F.mask, probs))
+
+
 def commute_terms(E: EdgeSet, F: EdgeSet, g: HostGraph, p) -> list[tuple[EdgeSet, object]]:
     """Per-subset contributions to the spectral commute time, for every
     proper subset T of the host edges:
@@ -586,24 +638,10 @@ def commute_terms(E: EdgeSet, F: EdgeSet, g: HostGraph, p) -> list[tuple[EdgeSet
     symmetric difference of E and F are identically zero since the two
     ratios then agree factor by factor.
     """
-    probs = _per_edge_probabilities(g, p)
-    if E.m != g.m or F.m != g.m:
-        raise ValidationError("state edge count disagrees with host")
-    _require_enumerable(g.m, DEFAULT_STATE_CAP)
-    m = g.m
-    exact = all(_is_exact(pe) for pe in probs)
-    out = []
-    for t_mask in range((1 << m) - 1):  # all T except the full edge set
-        scale = Fraction(1) if exact else 1.0
-        for e, pe in enumerate(probs):
-            if not t_mask >> e & 1:
-                scale *= pe * (1 - pe)
-        coeff = Fraction(m, m - t_mask.bit_count()) if exact else m / (m - t_mask.bit_count())
-        diff = _ratio_to_stationary(t_mask, E.mask, probs) - _ratio_to_stationary(
-            t_mask, F.mask, probs
-        )
-        out.append((EdgeSet(m, t_mask), coeff * scale * diff * diff))
-    return out
+    return [
+        (EdgeSet(g.m, t_mask), weight * (r_e - r_f) * (r_e - r_f))
+        for t_mask, weight, r_e, r_f in _subset_terms(E, F, g, p)
+    ]
 
 
 DROPPED_TERM_TOL = 1e-14
@@ -622,7 +660,7 @@ def commute_time(
     if E.mask == F.mask and E.m == F.m:
         return Fraction(0) if all(_is_exact(pe) for pe in _per_edge_probabilities(g, p)) else 0.0
     delta = E.mask ^ F.mask
-    total = None
+    total = 0  # T = {} never contains delta, so at least one term is kept
     for flat, term in commute_terms(E, F, g, p):
         dropped = delta & ~flat.mask == 0  # T contains the symmetric difference
         if dropped:
@@ -631,31 +669,16 @@ def commute_time(
                     f"term at subset {flat.hex()} was expected to vanish, got {term}"
                 )
             continue
-        total = term if total is None else total + term
-    return total if total is not None else 0.0
+        total += term
+    return total
 
 
 def hitting_time_closed(E: EdgeSet, F: EdgeSet, g: HostGraph, p):
     """Expected steps from E until first visiting F, per-edge update chain,
     via the closed-form spectral sum (exact for rational p)."""
-    probs = _per_edge_probabilities(g, p)
-    if E.m != g.m or F.m != g.m:
-        raise ValidationError("state edge count disagrees with host")
-    _require_enumerable(g.m, DEFAULT_STATE_CAP)
-    if E.mask == F.mask:
-        return Fraction(0) if all(_is_exact(pe) for pe in probs) else 0.0
-    m = g.m
-    exact = all(_is_exact(pe) for pe in probs)
-    total = Fraction(0) if exact else 0.0
-    for t_mask in range((1 << m) - 1):
-        scale = Fraction(1) if exact else 1.0
-        for e, pe in enumerate(probs):
-            if not t_mask >> e & 1:
-                scale *= pe * (1 - pe)
-        coeff = Fraction(m, m - t_mask.bit_count()) if exact else m / (m - t_mask.bit_count())
-        r_target = _ratio_to_stationary(t_mask, F.mask, probs)
-        r_source = _ratio_to_stationary(t_mask, E.mask, probs)
-        total += coeff * scale * r_target * (r_target - r_source)
+    total = 0
+    for _, weight, r_source, r_target in _subset_terms(E, F, g, p):
+        total += weight * r_target * (r_target - r_source)
     return total
 
 
@@ -744,21 +767,15 @@ def to_dot(tm: TransitionMatrix, g: HostGraph | None = None, labels: str = "hex"
     if labels == "edges" and g is None:
         raise ValidationError("labels='edges' needs the host graph")
 
-    def label(s: EdgeSet) -> str:
-        if labels == "hex":
-            return s.hex()
-        return "{" + ",".join(f"{u}-{v}" for u, v in (g.edges[e] for e in s.indices())) + "}"
-
-    P = tm.to_float()
-    lines = ["digraph states {"]
-    for s in tm.states:
-        lines.append(f'  "{label(s)}";')
-    for i in range(tm.size):
-        for j in range(tm.size):
-            if i != j and P[i, j] > 0.0:
-                w = tm.entries[i, j] if tm.exact else f"{P[i, j]:.6g}"
-                lines.append(
-                    f'  "{label(tm.states[i])}" -> "{label(tm.states[j])}" [label="{w}"];'
-                )
+    if labels == "hex":
+        names = [s.hex() for s in tm.states]
+    else:
+        names = ["{" + ",".join(f"{u}-{v}" for u, v in (g.edges[e] for e in s.indices())) + "}"
+                 for s in tm.states]
+    weights = tm.values
+    lines = ["digraph states {"] + [f'  "{name}";' for name in names]
+    for k in np.flatnonzero((tm.rows != tm.cols) & (weights > 0)):
+        w = weights[k] if tm.exact else f"{weights[k]:.6g}"
+        lines.append(f'  "{names[tm.rows[k]]}" -> "{names[tm.cols[k]]}" [label="{w}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,16 +1,15 @@
 """Self-checking oracle suite behind the CLI's verify command.
 
 Each check recomputes a quantity two independent ways (closed form vs
-dense numerics) and reports the residual. Checks return results rather
-than raising, so the CLI can print a full table and exit nonzero only at
-the end. In rational mode the residuals of the identity checks are exact
-zeros.
+dense float numerics, or vs exact sums over the chain's nonzero cells) and
+reports the residual. Checks return results rather than raising, so the
+CLI can print a full table and exit nonzero only at the end. In rational
+mode the residuals of the identity checks are exact zeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -19,6 +18,7 @@ from .hostgraph import HostGraph
 from .lattice import closure
 from .process import WeightedEdits, _is_exact, _per_edge_probabilities
 from .spectral import (
+    EigenSystem,
     TransitionMatrix,
     commute_time,
     commute_time_chain,
@@ -60,16 +60,10 @@ def check_row_stochastic(tm: TransitionMatrix, tol: float = 1e-12) -> CheckResul
 def check_stationary_fixed_point(
     tm: TransitionMatrix, pi, tol: float = 1e-12
 ) -> CheckResult:
-    if tm.exact and all(_is_exact(x) for x in pi):
-        rows = tm.entries
-        residual = max(
-            abs(sum(pi[i] * rows[i, j] for i in range(tm.size)) - pi[j])
-            for j in range(tm.size)
-        )
-        return _result("stationary_fixed_point", residual, tol, "exact")
-    v = np.asarray([float(x) for x in pi])
-    residual = np.abs(v @ tm.to_float() - v).max()
-    return _result("stationary_fixed_point", residual, tol)
+    exact = tm.exact and all(_is_exact(x) for x in pi)
+    v = np.array(pi, dtype=object) if exact else np.asarray([float(x) for x in pi])
+    residual = np.abs((tm.left_apply(v) if exact else v @ tm.to_float()) - v).max()
+    return _result("stationary_fixed_point", residual, tol, "exact" if exact else "")
 
 
 def check_stationary_vs_solve(tm: TransitionMatrix, pi, tol: float = 1e-12) -> CheckResult:
@@ -79,39 +73,23 @@ def check_stationary_vs_solve(tm: TransitionMatrix, pi, tol: float = 1e-12) -> C
 
 
 def check_detailed_balance(tm: TransitionMatrix, pi, tol: float = 1e-12) -> CheckResult:
-    if tm.exact and all(_is_exact(x) for x in pi):
-        rows = tm.entries
-        residual = max(
-            abs(pi[i] * rows[i, j] - pi[j] * rows[j, i])
-            for i in range(tm.size)
-            for j in range(tm.size)
-        )
-        return _result("detailed_balance", residual, tol, "exact")
-    return _result("detailed_balance", detailed_balance_residual(tm, pi), tol)
+    detail = "exact" if tm.exact and all(_is_exact(x) for x in pi) else ""
+    return _result("detailed_balance", detailed_balance_residual(tm, pi), tol, detail)
 
 
 def check_eigenvector_residuals(
-    g: HostGraph, p, tm: TransitionMatrix, tol: float = 1e-12
+    system: EigenSystem, tm: TransitionMatrix, tol: float = 1e-12
 ) -> CheckResult:
-    system = eigensystem_simple(g, p)
-    if system.exact and tm.exact:
-        worst = Fraction(0)
-        for i in range(tm.size):
-            row = system.phi[i]
-            lam = system.eigenvalues[i]
-            for j in range(tm.size):
-                lhs = sum(row[k] * tm.entries[k, j] for k in range(tm.size))
-                worst = max(worst, abs(lhs - lam * row[j]))
-        return _result("eigenvector_residual", worst, tol, "exact")
-    P = tm.to_float()
-    lam = np.asarray([float(v) for v in system.eigenvalues])
-    residual = np.abs(system.phi.astype(float) @ P - lam[:, None] * system.phi.astype(float)).max()
-    return _result("eigenvector_residual", residual, tol)
+    exact = system.exact and tm.exact
+    rows = system.phi if exact else system.phi.astype(float)
+    lam = np.array(system.eigenvalues, dtype=object if exact else float)
+    moved = tm.left_apply(rows) if exact else rows @ tm.to_float()
+    residual = np.abs(moved - lam[:, None] * rows).max()
+    return _result("eigenvector_residual", residual, tol, "exact" if exact else "")
 
 
-def check_orthonormality(g: HostGraph, p, tol: float = 1e-10) -> CheckResult:
-    probs = [float(pe) for pe in _per_edge_probabilities(g, p)]
-    system = eigensystem_simple(g, probs)
+def check_orthonormality(system: EigenSystem, tol: float = 1e-10) -> CheckResult:
+    """Gram matrix of the psi rows of a float eigensystem."""
     gram = system.psi @ system.psi.T
     residual = np.abs(gram - np.eye(gram.shape[0])).max()
     return _result("orthonormality", residual, tol)
@@ -171,11 +149,15 @@ def run_verification(
 
     if simple_model:
         pi = stationary_closed_form(g, p)
+        system = eigensystem_simple(g, p)
+        # psi needs square roots, so an exact system gets a float twin for it
+        floats = [float(pe) for pe in _per_edge_probabilities(g, p)]
+        float_system = eigensystem_simple(g, floats) if system.exact else system
         results.append(check_stationary_fixed_point(tm, pi))
         results.append(check_stationary_vs_solve(tm, pi))
         results.append(check_detailed_balance(tm, pi))
-        results.append(check_eigenvector_residuals(g, p, tm))
-        results.append(check_orthonormality(g, p))
+        results.append(check_eigenvector_residuals(system, tm))
+        results.append(check_orthonormality(float_system))
         results.append(check_q_symmetry(tm, pi))
         results.append(check_spectrum_multiset(eigenvalues_simple(g.m), tm))
         size = tm.size

@@ -292,7 +292,7 @@ class TestVerify:
         tm = build_chain(simple_edit_weights(g, 0.4), g)
         entries = tm.entries.copy()
         entries[0, 0] += 1e-3
-        bad = TransitionMatrix(tm.states, entries, False)
+        bad = TransitionMatrix.from_dense(tm.states, entries, False)
         result = check_row_stochastic(bad)
         assert not result.passed and result.name == "row_stochastic"
         report = eigenvalues_simple(g.m)
