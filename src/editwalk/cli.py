@@ -36,7 +36,7 @@ from .spectral import (
     build_chain,
     commute_time,
     eigenvalues_simple,
-    hitting_time,
+    hitting_times_to,
     mixing_bound_compound,
     mixing_bound_simple,
     recurrent_class,
@@ -338,6 +338,8 @@ def cmd_mixing(cfg: RunConfig, args: argparse.Namespace) -> int:
         start = cfg.initial
         if start.mask not in {s.mask for s in tm.states}:
             start = tm.states[0]  # fall back to a recurrent start
+            meta["start"] = start.hex()
+            meta["start_fallback"] = cfg.initial.hex()
         curve = tv_decay(tm, start, pi, t_max)
         rows = [(t, f"{curve[t]:.12e}", f"{bound_at(t):.12e}") for t in range(t_max + 1)]
         write_csv(cfg.out / "mixing.csv", meta, ["t", "tv", "bound"], rows)
@@ -359,9 +361,10 @@ def cmd_commute(cfg: RunConfig, args: argparse.Namespace) -> int:
                 "raise caps.commute_states to override"
             )
         states = [EdgeSet(cfg.host.m, mask) for mask in range(1 << cfg.host.m)]
-        matrix = [
-            [str(commute_time(a, b, cfg.host, cfg.p)) for b in states] for a in states
-        ]
+        matrix = [[""] * len(states) for _ in states]
+        for i, a in enumerate(states):  # commute times are symmetric
+            for j in range(i, len(states)):
+                matrix[i][j] = matrix[j][i] = str(commute_time(a, states[j], cfg.host, cfg.p))
     else:
         tm = build_chain(
             cfg.weights, cfg.host, restrict="recurrent", initial=cfg.initial,
@@ -372,11 +375,7 @@ def cmd_commute(cfg: RunConfig, args: argparse.Namespace) -> int:
                 f"{tm.size} recurrent states exceed the commute cap {cap}"
             )
         states = list(tm.states)
-        hit = np.zeros((tm.size, tm.size))
-        for j in range(tm.size):
-            for i in range(tm.size):
-                if i != j:
-                    hit[i, j] = hitting_time(tm, states[i], states[j], method="solve")
+        hit = np.column_stack([hitting_times_to(tm, s) for s in states])
         matrix = [[str(hit[i, j] + hit[j, i]) for j in range(tm.size)] for i in range(tm.size)]
     rows = [[states[i].hex()] + matrix[i] for i in range(len(states))]
     write_csv(

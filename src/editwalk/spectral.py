@@ -596,90 +596,87 @@ def intersection_mixing_bound(n: int, N: int, c: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _ratio_to_stationary(T_mask: int, state_mask: int, probs) -> object:
-    """phi_T(E) / pi(E), expanded as a product over edges outside T so no
-    division by tiny stationary masses occurs: the factor is 1/p_e when the
-    edge is present and 1/(p_e - 1) when absent."""
-    val = Fraction(1) if all(_is_exact(pe) for pe in probs) else 1.0
-    for e, pe in enumerate(probs):
-        if T_mask >> e & 1:
-            continue
-        val *= 1 / pe if state_mask >> e & 1 else 1 / (pe - 1)
-    return val
+def _times_linear(coeffs: list, scales) -> list:
+    """[c_0..c_n] of sum_k c_k t^k (1-t)^(n-k), times (1-t) + s*t for each s
+    in scales: each step only adds products, so positive inputs never cancel."""
+    for s in scales:
+        coeffs = [a + s * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
 
 
-def _subset_terms(E: EdgeSet, F: EdgeSet, g: HostGraph, p):
-    """For every proper subset T of the host edges, in mask order: T's mask,
-    m/(m-|T|) * prod(p_e(1-p_e), e not in T), phi_T(E)/pi(E) and
-    phi_T(F)/pi(F). Exact Fractions when p is rational."""
+def _spectral_sum(E: EdgeSet, F: EdgeSet, g: HostGraph, p, commute: bool):
+    """The spectral sum over edge subsets T grouped by j = m - |T|: sum_{j>=1}
+    (m/j) [t^j] C(t) Z(t) = m * integral_0^1 C(t) Z(t) dt/t. With D = E xor F
+    and a_e = (1-p_e)/p_e (edge held) or p_e/(1-p_e) (lacking), C multiplies
+    1 + t a_e = (1-t) + t(1 + a_e) over the edges outside D, X and Y over D
+    with E's and F's a_e, and Z = X + Y - 2(1-t)^|D| (commute) or
+    Y - (1-t)^|D| (hitting E -> F). In the basis t^k (1-t)^(m-k), whose k-th
+    member integrates to 1/(k C(m, k)) against dt/t, every coefficient is
+    positive ((1-t)^|D| only zeroes k = 0), so floats lose no precision."""
+    probs = _per_edge_probabilities(g, p)
+    if E.m != g.m or F.m != g.m:
+        raise ValidationError("state edge count disagrees with host")
+    exact = all(_is_exact(pe) for pe in probs)
+    one = Fraction(1) if exact else 1.0
+    scale = [(one / (one - pe), one / pe) for pe in map(type(one), probs)]  # lacking, held
+    m, delta = g.m, E.mask ^ F.mask
+    diff, shared = ([e for e in range(m) if (delta >> e & 1) == side] for side in (1, 0))
+    x, y, c = ([scale[e][mask >> e & 1] for e in edges]
+               for mask, edges in ((E.mask, diff), (F.mask, diff), (E.mask, shared)))
+    z = _times_linear([one], y)
+    if commute:
+        z = [yk + xk for yk, xk in zip(z, _times_linear([one], x))]
+    z[0] = one - one
+    b = _times_linear(z, c)  # C(t) Z(t); a float times a Fraction is a float
+    total = sum((b[k] * Fraction(m, k * math.comb(m, k)) for k in range(1, m + 1)), one - one)
+    if not exact and not math.isfinite(total):
+        kind = "commute" if commute else "hitting"
+        raise CapExceeded(f"float {kind} time overflows at m = {m} edges; use rational mode")
+    return total
+
+
+def commute_terms(E: EdgeSet, F: EdgeSet, g: HostGraph, p) -> list[tuple[EdgeSet, object]]:
+    """The spectral commute time term by term, for every proper subset T of
+    the host edges in mask order:
+
+        m/(m-|T|) * prod(p_e(1-p_e), e not in T) * (phi_T(E)/pi(E) - phi_T(F)/pi(F))^2
+
+    where phi_T/pi multiplies 1/p_e (edge present) or 1/(p_e - 1) (edge
+    absent) over the edges outside T; exact when p is rational. Terms whose
+    T contains E xor F vanish. Enumerates all 2^m - 1 subsets, so it is
+    capped like a state space; `commute_time` sums them in O(m^2)."""
     probs = _per_edge_probabilities(g, p)
     if E.m != g.m or F.m != g.m:
         raise ValidationError("state edge count disagrees with host")
     _require_enumerable(g.m, DEFAULT_STATE_CAP)
-    m = g.m
-    exact = all(_is_exact(pe) for pe in probs)
+    m, exact = g.m, all(_is_exact(pe) for pe in probs)
+    one = Fraction(1) if exact else 1.0
+    inverse = [(1 / (pe - 1), 1 / pe) for pe in probs]  # edge absent, present
+    terms = []
     for t_mask in range((1 << m) - 1):  # all T except the full edge set
-        scale = Fraction(1) if exact else 1.0
-        for e, pe in enumerate(probs):
-            if not t_mask >> e & 1:
-                scale *= pe * (1 - pe)
-        coeff = Fraction(m, m - t_mask.bit_count()) if exact else m / (m - t_mask.bit_count())
-        yield (t_mask, coeff * scale, _ratio_to_stationary(t_mask, E.mask, probs),
-               _ratio_to_stationary(t_mask, F.mask, probs))
+        outside = [e for e in range(m) if not t_mask >> e & 1]
+        scale = math.prod((probs[e] * (1 - probs[e]) for e in outside), start=one)
+        r_e, r_f = (math.prod((inverse[e][s >> e & 1] for e in outside), start=one)
+                    for s in (E.mask, F.mask))
+        coeff = Fraction(m, len(outside)) if exact else m / len(outside)
+        terms.append((EdgeSet(m, t_mask), coeff * scale * (r_e - r_f) * (r_e - r_f)))
+    return terms
 
 
-def commute_terms(E: EdgeSet, F: EdgeSet, g: HostGraph, p) -> list[tuple[EdgeSet, object]]:
-    """Per-subset contributions to the spectral commute time, for every
-    proper subset T of the host edges:
-
-        m/(m-|T|) * prod(p_e(1-p_e), e not in T) * (phi_T(E)/pi(E) - phi_T(F)/pi(F))^2
-
-    Exact Fractions when p is rational. Terms whose subset contains the
-    symmetric difference of E and F are identically zero since the two
-    ratios then agree factor by factor.
-    """
-    return [
-        (EdgeSet(g.m, t_mask), weight * (r_e - r_f) * (r_e - r_f))
-        for t_mask, weight, r_e, r_f in _subset_terms(E, F, g, p)
-    ]
-
-
-DROPPED_TERM_TOL = 1e-14
-
-
-def commute_time(
-    E: EdgeSet, F: EdgeSet, g: HostGraph, p, check_dropped: bool = False
-):
+def commute_time(E: EdgeSet, F: EdgeSet, g: HostGraph, p):
     """Expected round-trip time between two states of the per-edge update
-    chain, by the closed-form spectral sum.
-
-    Subsets containing the symmetric difference of E and F contribute
-    exactly zero and are skipped; with check_dropped=True each skipped term
-    is evaluated and must vanish below DROPPED_TERM_TOL.
-    """
-    if E.mask == F.mask and E.m == F.m:
-        return Fraction(0) if all(_is_exact(pe) for pe in _per_edge_probabilities(g, p)) else 0.0
-    delta = E.mask ^ F.mask
-    total = 0  # T = {} never contains delta, so at least one term is kept
-    for flat, term in commute_terms(E, F, g, p):
-        dropped = delta & ~flat.mask == 0  # T contains the symmetric difference
-        if dropped:
-            if check_dropped and abs(float(term)) > DROPPED_TERM_TOL:
-                raise ValidationError(
-                    f"term at subset {flat.hex()} was expected to vanish, got {term}"
-                )
-            continue
-        total += term
-    return total
+    chain: the sum of `commute_terms`, computed in O(m^2) from products of
+    per-edge linear polynomials, with no cap on m. Exact and symmetric in E
+    and F; a Fraction when p is rational. A float result that overflows
+    (it grows like 1/pi) raises CapExceeded."""
+    return _spectral_sum(E, F, g, p, commute=True)
 
 
 def hitting_time_closed(E: EdgeSet, F: EdgeSet, g: HostGraph, p):
     """Expected steps from E until first visiting F, per-edge update chain,
-    via the closed-form spectral sum (exact for rational p)."""
-    total = 0
-    for _, weight, r_source, r_target in _subset_terms(E, F, g, p):
-        total += weight * r_target * (r_target - r_source)
-    return total
+    by the closed-form spectral sum computed as in `commute_time`: O(m^2),
+    no cap on m, exact for rational p, CapExceeded on float overflow."""
+    return _spectral_sum(E, F, g, p, commute=False)
 
 
 def hitting_time(
@@ -700,14 +697,16 @@ def hitting_time(
     if i == j:
         return 0.0
     if method == "solve":
-        return _hitting_solve(tm, j)[_reduced_position(i, j)]
+        return hitting_times_to(tm, target)[i]
     if method == "spectral":
         return _hitting_spectral(tm, i, j)
     raise ValidationError(f"method must be 'solve' or 'spectral', got {method!r}")
 
 
-def _reduced_position(i: int, removed: int) -> int:
-    return i if i < removed else i - 1
+def hitting_times_to(tm: TransitionMatrix, target: EdgeSet | int) -> np.ndarray:
+    """Expected steps from every state to target (0 at it), by one first-step solve."""
+    j = tm.index_of(target)
+    return np.insert(_hitting_solve(tm, j), j, 0.0)
 
 
 def _hitting_solve(tm: TransitionMatrix, target: int) -> np.ndarray:

@@ -287,7 +287,7 @@ def test_criterion_08_commute_backends_agree():
         for _ in range(pair_count):
             i, j = rng.choice(1 << m, size=2, replace=False)
             a, b = ew.EdgeSet(m, int(i)), ew.EdgeSet(m, int(j))
-            spectral_value = float(ew.commute_time(a, b, g, p, check_dropped=True))
+            spectral_value = float(ew.commute_time(a, b, g, p))
             solved = ew.hitting_time(tm, a, b) + ew.hitting_time(tm, b, a)
             worst_rel = max(worst_rel, abs(spectral_value - solved) / abs(solved))
             delta = a.mask ^ b.mask

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from editwalk import EdgeSet, build_chain, complete_graph, simple_edit_weights
+from editwalk import EdgeSet, build_chain, complete_graph, moran_weights, simple_edit_weights
 from editwalk.cli import main
 from editwalk.serialize import read_csv, read_json, read_jsonl
 from editwalk.verify import (
@@ -169,6 +169,26 @@ def test_mixing_compound_uses_chamber_sharpening(tmp_path):
     assert float(meta["lambda_star"]) == 0.5
     assert int(meta["chambers"]) > 0
     assert float(rows[-1][1]) <= np.exp(-1.0)
+
+
+def test_mixing_records_a_moved_start(tmp_path):
+    # the Moran walk's default start, the full edge set, is transient
+    cfg = write_config(tmp_path, host={"preset": "complete", "params": [4]}, model={"name": "moran"})
+    assert main(["mixing", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    meta, _, rows = read_csv(tmp_path / "mixing.csv")
+    k4 = complete_graph(4)
+    first = build_chain(moran_weights(k4), k4, restrict="recurrent").states[0]
+    assert meta["start_fallback"] == k4.full_set().hex() == "0x3f"
+    assert meta["start"] == first.hex()
+    assert float(rows[0][1]) < 1.0  # the curve starts inside the class
+
+    recurrent = write_config(
+        tmp_path, name="recurrent.json", host={"preset": "complete", "params": [4]},
+        model={"name": "moran"}, initial={"hex": first.hex()},
+    )
+    assert main(["mixing", "--config", str(recurrent), "--out", str(tmp_path / "r")]) == 0
+    meta, _, _ = read_csv(tmp_path / "r" / "mixing.csv")
+    assert "start" not in meta and "start_fallback" not in meta
 
 
 def test_commute_matrix_matches_library(tmp_path):

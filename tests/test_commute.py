@@ -20,6 +20,7 @@ from editwalk import (
     simple_edit_weights,
 )
 from editwalk.errors import NotIrreducible, NotReversible, ValidationError
+from oracles import largest_dropped_term
 
 PATH2 = from_edge_list(3, [(0, 1), (1, 2)])
 
@@ -93,7 +94,8 @@ def test_spectral_matches_linear_solve():
         for _ in range(6):
             i, j = rng.choice(1 << m, size=2, replace=False)
             a, b = EdgeSet(m, int(i)), EdgeSet(m, int(j))
-            closed = float(commute_time(a, b, g, p, check_dropped=True))
+            closed = float(commute_time(a, b, g, p))
+            assert largest_dropped_term(a, b, g, p) <= 1e-14
             solved = commute_time_chain(tm, a, b, method="solve")
             assert abs(closed - solved) <= 1e-8 * max(1.0, abs(solved))
             h_closed = float(hitting_time_closed(a, b, g, p))
@@ -125,7 +127,8 @@ def test_terms_dropped_by_the_spectral_sum_vanish():
         if a.mask == b.mask:
             continue
         delta = a.mask ^ b.mask
-        kept_total = commute_time(a, b, g, p, check_dropped=True)
+        kept_total = commute_time(a, b, g, p)
+        assert largest_dropped_term(a, b, g, p) <= 1e-14
         full_total = Fraction(0)
         for flat, term in commute_terms(a, b, g, p):
             if delta & ~flat.mask == 0:

@@ -1,0 +1,156 @@
+"""The factorized commute and hitting times against the subset enumeration
+they replaced, plus the sizes only the factorized kernel reaches."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+import editwalk as ew
+from editwalk import spectral
+from editwalk.cli import main
+from editwalk.errors import CapExceeded
+from editwalk.serialize import read_csv
+from oracles import commute_time_enumerated, hitting_time_enumerated
+
+
+def path_host(m):
+    return ew.from_edge_list(m + 1, [(i, i + 1) for i in range(m)])
+
+
+def rational_cases():
+    """(m, p, E mask, F mask): random pairs plus E = F, E xor F = all edges
+    and single-edge differences."""
+    rng = np.random.default_rng(71)
+    cases = []
+    for k in range(24):
+        m = int(rng.integers(1, 10))
+        p = [Fraction(int(rng.integers(1, d)), int(d)) for d in rng.choice([3, 5, 7, 11, 13], m)]
+        full = (1 << m) - 1
+        a = int(rng.integers(1 << m))
+        b = [int(rng.integers(1 << m)), a, a ^ full, a ^ (1 << int(rng.integers(m)))][k % 4]
+        cases.append((m, p, a, b))
+    return cases
+
+
+@pytest.mark.parametrize("m, p, a, b", rational_cases())
+def test_exact_kernel_equals_enumeration(m, p, a, b):
+    g = path_host(m)
+    E, F = ew.EdgeSet(m, a), ew.EdgeSet(m, b)
+    kappa = ew.commute_time(E, F, g, p)
+    assert isinstance(kappa, Fraction)
+    assert kappa == commute_time_enumerated(E, F, g, p)
+    assert ew.hitting_time_closed(E, F, g, p) == hitting_time_enumerated(E, F, g, p)
+    assert ew.hitting_time_closed(F, E, g, p) == hitting_time_enumerated(F, E, g, p)
+
+
+def test_float_kernel_agrees_with_enumeration():
+    rng = np.random.default_rng(72)
+    worst = 0.0
+    for k in range(60):
+        m = int(rng.integers(1, 11))
+        if k % 3 == 0:  # factors near 1, where X + Y - 2(1-t)^|D| cancels most
+            p = list(0.5 + rng.uniform(-1e-3, 1e-3, size=m))
+        else:
+            p = list(rng.uniform(0.02, 0.98, size=m))
+        g = path_host(m)
+        E, F = ew.EdgeSet(m, int(rng.integers(1 << m))), ew.EdgeSet(m, int(rng.integers(1 << m)))
+        pairs = [
+            (ew.commute_time(E, F, g, p), commute_time_enumerated(E, F, g, p)),
+            (ew.hitting_time_closed(E, F, g, p), hitting_time_enumerated(E, F, g, p)),
+        ]
+        for fast, slow in pairs:
+            assert isinstance(fast, float)
+            worst = max(worst, abs(fast - slow) / max(abs(slow), 1e-300))
+    assert worst <= 1e-12
+
+
+def test_float_commute_is_exactly_symmetric():
+    rng = np.random.default_rng(73)
+    m = 9
+    g = path_host(m)
+    p = list(rng.uniform(0.05, 0.95, size=m))
+    for _ in range(20):
+        E, F = ew.EdgeSet(m, int(rng.integers(1 << m))), ew.EdgeSet(m, int(rng.integers(1 << m)))
+        assert ew.commute_time(E, F, g, p) == ew.commute_time(F, E, g, p)
+
+
+def test_exact_times_beyond_the_enumeration_cap():
+    m = 100
+    g = path_host(m)
+    p = [Fraction(1 + e % 5, 7) for e in range(m)]
+    E = ew.EdgeSet(m, sum(1 << e for e in range(0, m, 3)))
+    F = ew.EdgeSet(m, sum(1 << e for e in range(1, m, 2)))
+    kappa = ew.commute_time(E, F, g, p)
+    there, back = ew.hitting_time_closed(E, F, g, p), ew.hitting_time_closed(F, E, g, p)
+    assert all(isinstance(x, Fraction) for x in (kappa, there, back))
+    assert kappa == there + back
+    assert kappa > 0
+
+
+def test_float_times_keep_precision_far_past_the_cap():
+    """Hitting a likely state sums terms near 2^m with alternating signs as
+    polynomial coefficients; the float kernel must still match the exact
+    value, here and on random states and probabilities."""
+    for m in (60, 100):
+        g = path_host(m)
+        full, empty = g.full_set(), g.empty_set()
+        exact = ew.hitting_time_closed(full, empty, g, Fraction(1, 100))
+        assert ew.hitting_time_closed(full, empty, g, 0.01) == pytest.approx(float(exact), rel=1e-12)
+    rng = np.random.default_rng(74)
+    for _ in range(6):
+        m = int(rng.integers(40, 101))
+        g = path_host(m)
+        p = [Fraction(int(rng.integers(1, 20)), 20) for _ in range(m)]
+        E, F = (ew.EdgeSet(m, sum(int(b) << e for e, b in enumerate(rng.integers(2, size=m))))
+                for _ in range(2))
+        for fn in (ew.commute_time, ew.hitting_time_closed):
+            exact = fn(E, F, g, p)
+            assert fn(E, F, g, [float(pe) for pe in p]) == pytest.approx(float(exact), rel=1e-12)
+
+
+def test_float_overflow_raises_cap_exceeded():
+    m = 300
+    g = path_host(m)
+    E, F = g.empty_set(), g.full_set()
+    with pytest.raises(CapExceeded, match=r"m = 300 edges.*rational mode"):
+        ew.commute_time(E, F, g, 0.001)
+    with pytest.raises(CapExceeded, match=r"m = 300 edges.*rational mode"):
+        ew.hitting_time_closed(E, F, g, 0.001)
+    assert ew.commute_time(E, E, g, 0.001) == 0.0
+    back = ew.hitting_time_closed(F, E, g, 0.001)  # towards the likely state: finite
+    assert back == pytest.approx(float(ew.hitting_time_closed(F, E, g, Fraction(1, 1000))), rel=1e-12)
+
+
+def test_commute_terms_tests_exactness_once_per_edge(monkeypatch):
+    calls = []
+    real = spectral._is_exact
+    monkeypatch.setattr(spectral, "_is_exact", lambda x: calls.append(x) or real(x))
+    m = 6
+    g = path_host(m)
+    terms = ew.commute_terms(ew.EdgeSet(m, 5), ew.EdgeSet(m, 40), g, [Fraction(1, 3)] * m)
+    assert len(terms) == (1 << m) - 1
+    assert len(calls) == m
+
+
+def test_compound_commute_solves_once_per_target(tmp_path, monkeypatch):
+    cfg = tmp_path / "moran.json"
+    cfg.write_text('{"host": {"preset": "complete", "params": [4]}, "model": {"name": "moran"}}')
+    calls = []
+    real = spectral._hitting_solve
+    monkeypatch.setattr(spectral, "_hitting_solve", lambda tm, j: calls.append(j) or real(tm, j))
+    assert main(["commute", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 37  # one per recurrent state, not 37 * 36
+
+    _, header, rows = read_csv(tmp_path / "commute.csv")
+    k4 = ew.complete_graph(4)
+    tm = ew.build_chain(ew.moran_weights(k4), k4, restrict="recurrent")
+    assert header[1:] == [s.hex() for s in tm.states]
+    for i, row in enumerate(rows):
+        for j, cell in enumerate(row[1:]):
+            expected = 0.0
+            if i != j:
+                expected = ew.hitting_time(tm, tm.states[i], tm.states[j]) + ew.hitting_time(
+                    tm, tm.states[j], tm.states[i]
+                )
+            assert float(cell) == expected
