@@ -21,6 +21,7 @@ from .edits import parse_edit
 from .errors import CapExceeded, EditWalkError, ValidationError
 from .hostgraph import EdgeSet, HostGraph, host_from_json, is_acyclic
 from .process import (
+    SAMPLER_VERSION,
     WeightedEdits,
     block_probabilities,
     chung_lu_probabilities,
@@ -78,6 +79,22 @@ def _number(value, exact: bool):
     return float(value)
 
 
+def _integer(value, key: str, least: int = 0) -> int:
+    """A config count; integral floats such as 1e5 are read as ints."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        kind = "a non-negative integer" if least == 0 else f"an integer >= {least}"
+        raise ValidationError(f"{key}: expected {kind}, got {value!r}")
+    return value
+
+
+def _required(params: dict, key: str, model: str):
+    if key not in params:
+        raise ValidationError(f"model.{key}: required for {model}")
+    return params[key]
+
+
 def _parse_initial(spec, g: HostGraph) -> EdgeSet:
     if spec in (None, "empty"):
         return g.empty_set()
@@ -133,7 +150,8 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
     params = {k: v for k, v in model_spec.items() if k != "name"}
 
     if name == "intersection":
-        n, N = int(params["n"]), int(params["N"])
+        n = _integer(_required(params, "n", name), "model.n", least=1)
+        N = _integer(_required(params, "N", name), "model.N", least=1)
         host = intersection_host(n, N)
         if "host" in raw:
             declared = host_from_json(raw["host"])
@@ -154,10 +172,8 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
     elif name == "moran":
         weights = moran_weights(host)
     elif name == "intersection":
-        mu = [_number(x, exact) for x in params["mu"]]
-        weights = intersection_weights(
-            int(params["n"]), int(params["N"]), mu, mode=params.get("mode", "explicit")
-        )
+        mu = [_number(x, exact) for x in _required(params, "mu", name)]
+        weights = intersection_weights(n, N, mu, mode=params.get("mode", "explicit"))
     elif name == "custom":
         edits_spec = params.get("edits")
         if not edits_spec:
@@ -180,7 +196,7 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
             "explicitly to confirm"
         )
 
-    seed = overrides.seed if overrides.seed is not None else int(raw.get("seed", 0))
+    seed = _integer(overrides.seed if overrides.seed is not None else raw.get("seed", 0), "seed")
     default_initial = "full" if name == "moran" else "empty"
     initial = _parse_initial(raw.get("initial", default_initial), host)
 
@@ -190,9 +206,9 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
         params=params,
         weights=weights,
         p=p,
-        steps=int(raw.get("T", 0)),
+        steps=_integer(raw.get("T", 0), "T"),
         seed=seed,
-        thin=int(raw.get("thin", 1)),
+        thin=_integer(raw.get("thin", 1), "thin", least=1),
         initial=initial,
         mode=mode,
         caps=caps,
@@ -221,7 +237,9 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     traj = simulate(
         cfg.weights, cfg.initial, cfg.steps, seed=cfg.seed, thin=cfg.thin
     )
-    meta = artifact_meta(cfg.host, cfg.seed, model=cfg.model, T=cfg.steps, thin=cfg.thin)
+    meta = artifact_meta(
+        cfg.host, cfg.seed, model=cfg.model, T=cfg.steps, thin=cfg.thin, sampler=SAMPLER_VERSION
+    )
     cfg.out.mkdir(parents=True, exist_ok=True)
 
     summary = {

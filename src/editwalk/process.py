@@ -10,9 +10,12 @@ Built-in models:
   left vertex uniformly and redraw its whole right neighborhood, first a
   size from mu then a uniform subset of that size.
 
-Weights stay exact Fractions when the inputs are rational. Sampling uses a
-Vose alias table, so a step is O(1) regardless of how many edits there are.
-Trajectories are reproducible from (seed, stream) via numpy's PCG64.
+Weights stay exact Fractions when the inputs are rational. Edits do not
+depend on the state, so one kernel (`_walk`, behind `simulate`, `step` and
+`empirical_distribution`) draws them ahead in numpy blocks, from a Vose alias
+table or the lazy closed form, and applies them to raw bitmasks. Block sizes
+depend only on the distribution, so a trajectory is reproducible from
+(seed, stream, sampler) via numpy's PCG64; SAMPLER_VERSION names the draws.
 """
 
 from __future__ import annotations
@@ -21,15 +24,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, islice
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .edits import Edit, Sign, apply, simple_edit
+from .edits import Edit, Sign, simple_edit
 from .errors import (
     BadDistribution,
     CapExceeded,
     EmptyEdgeSet,
+    HostMismatch,
     ProbabilityOutOfRange,
     ValidationError,
 )
@@ -37,6 +42,9 @@ from .hostgraph import EdgeSet, HostGraph, complete_bipartite, neighborhood_edge
 
 WEIGHT_SUM_TOL = 1e-12
 EMPIRICAL_EDGE_CAP = 20
+SAMPLER_VERSION = 2  # block-drawn edits; version 1 drew one edit per step
+BLOCK = 4096  # edits per block draw of an explicit distribution
+LAZY_BLOCK_CELLS = 1 << 13  # bound on rows * N of a lazy intersection block
 
 
 def _is_exact(value) -> bool:
@@ -44,13 +52,17 @@ def _is_exact(value) -> bool:
 
 
 class AliasSampler:
-    """Vose alias method: O(n) setup, O(1) per draw, deterministic given rng."""
+    """Vose alias method: O(n) setup, O(1) per draw, deterministic given rng.
+
+    `draw(rng, size)` draws a block of indices with two vectorized rng calls,
+    so the indices depend on (seed, stream, sampler) and on the block sizes.
+    """
 
     def __init__(self, weights: Sequence[float]):
         n = len(weights)
         scaled = [float(w) * n for w in weights]
-        self.prob = [0.0] * n
-        self.alias = [0] * n
+        self.prob = np.ones(n)  # entries never filled below keep all their mass
+        self.alias = np.arange(n)
         small = [i for i, s in enumerate(scaled) if s < 1.0]
         large = [i for i, s in enumerate(scaled) if s >= 1.0]
         while small and large:
@@ -59,21 +71,21 @@ class AliasSampler:
             self.alias[s] = g
             scaled[g] = (scaled[g] + scaled[s]) - 1.0
             (small if scaled[g] < 1.0 else large).append(g)
-        for i in small + large:
-            self.prob[i] = 1.0
 
-    def draw(self, rng: np.random.Generator) -> int:
-        i = int(rng.integers(len(self.prob)))
-        return i if rng.random() < self.prob[i] else self.alias[i]
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        i = rng.integers(len(self.prob), size=size)
+        return np.where(rng.random(size) < self.prob[i], i, self.alias[i])
 
 
 @dataclass(frozen=True)
 class LazySpec:
-    """Closed-form sampler for distributions too large to enumerate."""
+    """Closed-form sampler for distributions too large to enumerate: `draw(rng,
+    size)` returns `size` edits as mask lists (plus, minus), at most `block`."""
 
-    sample: Callable[[np.random.Generator], Edit]
+    draw: Callable[[np.random.Generator, int], tuple[list[int], list[int]]]
     support_masses: dict[int, object]
     weight_of: Callable[[Edit], float] | None = None
+    block: int = BLOCK
 
 
 @dataclass(frozen=True)
@@ -126,10 +138,21 @@ class WeightedEdits:
     def _sampler(self) -> AliasSampler:
         return AliasSampler([w for _, w in self.items])
 
-    def sample(self, rng: np.random.Generator) -> Edit:
+    @cached_property
+    def _masks(self) -> tuple[list[int], list[int]]:
+        return [edit.plus for edit, _ in self.items], [edit.minus for edit, _ in self.items]
+
+    def _draw(self, rng: np.random.Generator, size: int) -> Iterable[tuple[int, int]]:
+        """`size` independent edits by weight, as (plus, minus) mask pairs."""
         if self.lazy is not None:
-            return self.lazy.sample(rng)
-        return self.items[self._sampler.draw(rng)][0]
+            return zip(*self.lazy.draw(rng, size))
+        index = self._sampler.draw(rng, size).tolist()
+        return zip(*(map(masks.__getitem__, index) for masks in self._masks))
+
+    def sample(self, rng: np.random.Generator) -> Edit:
+        """One edit drawn by its weight: a block draw of size 1."""
+        ((plus, minus),) = self._draw(rng, 1)
+        return Edit(self.m, plus, minus)
 
 
 def simple_edit_weights(g: HostGraph, p) -> WeightedEdits:
@@ -207,24 +230,25 @@ def intersection_weights(
     masses = {star_masks[v]: (Fraction(1, n) if all(map(_is_exact, mu)) else 1.0 / n) for v in range(n)}
 
     if mode == "lazy":
-        sizes = np.arange(N + 1)
         size_probs = np.array([float(x) for x in mu])
-        size_probs = size_probs / size_probs.sum()
+        sizes = np.flatnonzero(size_probs)  # a zero-mass size is never drawn
+        cdf = np.cumsum(size_probs[sizes]) / size_probs.sum()
+        full = (1 << N) - 1  # v joined to every right vertex
 
-        def sample(rng: np.random.Generator) -> Edit:
-            v = int(rng.integers(n))
-            k = int(rng.choice(sizes, p=size_probs))
-            chosen = rng.choice(N, size=k, replace=False)
-            plus = 0
-            for u in chosen:
-                plus |= 1 << (v * N + int(u))
-            return Edit(m, plus, star_masks[v] & ~plus)
+        def draw(rng: np.random.Generator, size: int) -> tuple[list[int], list[int]]:
+            shifts = (rng.integers(n, size=size) * N).tolist()
+            k = sizes[np.searchsorted(cdf[:-1], rng.random(size), side="right")]
+            # the k lowest-ranked of N uniforms are a uniform k-subset
+            ranks = rng.random((size, N)).argsort(axis=1).argsort(axis=1)
+            rows = np.packbits(ranks < k[:, None], axis=1, bitorder="little")
+            local = [int.from_bytes(row.tobytes(), "little") for row in rows]
+            return [a << s for a, s in zip(local, shifts)], [(full ^ a) << s for a, s in zip(local, shifts)]
 
         def weight_of(edit: Edit) -> float:
             k = edit.plus.bit_count()
             return float(mu[k]) / (n * math.comb(N, k))
 
-        return WeightedEdits(m, (), LazySpec(sample, masses, weight_of))
+        return WeightedEdits(m, (), LazySpec(draw, masses, weight_of, max(1, LAZY_BLOCK_CELLS // N)))
 
     if mode != "explicit":
         raise ValidationError(f"mode must be 'explicit' or 'lazy', got {mode!r}")
@@ -294,9 +318,29 @@ def make_rng(seed: int, stream: int | None = None) -> np.random.Generator:
     return np.random.default_rng(seed if stream is None else [seed, stream])
 
 
+def _walk(dist: WeightedEdits, initial: EdgeSet, times: Sequence[int], rng: np.random.Generator) -> list[int]:
+    """Masks of the walk from `initial` after each of the increasing step
+    counts in `times`. Edit blocks are sized by `dist` alone, so the draws do
+    not depend on `times`; in between, the state is a raw int."""
+    if initial.m != dist.m:
+        raise HostMismatch(f"edge counts differ: {dist.m} != {initial.m}")
+    steps = times[-1] if times else 0
+    block = dist.lazy.block if dist.lazy is not None else BLOCK
+    edits = chain.from_iterable(
+        dist._draw(rng, min(block, steps - t)) for t in range(0, steps, block)
+    )
+    state, t, masks = initial.mask, 0, []
+    for stop in times:
+        for plus, minus in islice(edits, stop - t):
+            state = (state | plus) & ~minus
+        masks.append(state)
+        t = stop
+    return masks
+
+
 def step(dist: WeightedEdits, state: EdgeSet, rng: np.random.Generator) -> EdgeSet:
     """Draw one edit by its weight and apply it."""
-    return apply(dist.sample(rng), state)
+    return EdgeSet(state.m, _walk(dist, state, [1], rng)[0])
 
 
 def simulate(
@@ -310,20 +354,17 @@ def simulate(
     """Run the walk for `steps` edits, recording every `thin`-th state.
 
     The initial state is always recorded, and so is the final state even
-    when `steps` is not a multiple of `thin`.
+    when `steps` is not a multiple of `thin`. The states do not depend on
+    `thin`: a thinned run records a subsequence of the unthinned one.
     """
     if steps < 0:
         raise ValidationError(f"step count must be >= 0, got {steps}")
     if thin < 1:
         raise ValidationError(f"thin must be >= 1, got {thin}")
-    rng = make_rng(seed, stream)
-    snapshots = [initial]
-    state = initial
-    for t in range(1, steps + 1):
-        state = step(dist, state, rng)
-        if t % thin == 0 or t == steps:
-            snapshots.append(state)
-    return Trajectory(initial, tuple(snapshots), seed, steps, thin)
+    times = [*range(thin, steps, thin), steps] if steps else []
+    masks = _walk(dist, initial, times, make_rng(seed, stream))
+    states = (initial, *(EdgeSet(dist.m, mask) for mask in masks))
+    return Trajectory(initial, states, seed, steps, thin)
 
 
 def empirical_distribution(
@@ -342,16 +383,9 @@ def empirical_distribution(
         raise ValidationError(f"need at least one sample, got {samples}")
     if burn_in < 0 or stride < 1:
         raise ValidationError("burn_in must be >= 0 and stride >= 1")
-    rng = make_rng(seed)
-    state = initial
-    for _ in range(burn_in):
-        state = step(dist, state, rng)
-    hist = np.zeros(1 << m)
-    for _ in range(samples):
-        for _ in range(stride):
-            state = step(dist, state, rng)
-        hist[state.mask] += 1
-    return hist / samples
+    times = range(burn_in + stride, burn_in + stride * samples + 1, stride)
+    masks = _walk(dist, initial, times, make_rng(seed))
+    return np.bincount(masks, minlength=1 << m) / samples
 
 
 def erdos_renyi_probabilities(g: HostGraph, p) -> list:

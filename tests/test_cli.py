@@ -6,6 +6,7 @@ import pytest
 
 from editwalk import EdgeSet, build_chain, complete_graph, moran_weights, simple_edit_weights
 from editwalk.cli import main
+from editwalk.process import SAMPLER_VERSION
 from editwalk.serialize import read_csv, read_json, read_jsonl
 from editwalk.verify import (
     check_row_stochastic,
@@ -84,6 +85,36 @@ def test_simulate_figure_scale_configuration(tmp_path):
     ).read_text()
     _, records = read_jsonl(out1 / "trajectory.jsonl")
     assert len(records) == 7  # t = 0, 10, ..., 60
+
+
+def test_simulate_records_the_sampler_version(tmp_path):
+    cfg = write_config(tmp_path)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    meta, _ = read_jsonl(tmp_path / "trajectory.jsonl")
+    summary_meta, _ = read_json(tmp_path / "summary.json")
+    assert meta["sampler"] == summary_meta["sampler"] == SAMPLER_VERSION == 2
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"T": "ten"}, "T: expected a non-negative integer, got 'ten'"),
+        ({"T": 2.7}, "T: expected a non-negative integer, got 2.7"),
+        ({"thin": "x"}, "thin: expected an integer >= 1, got 'x'"),
+        ({"seed": -3}, "seed: expected a non-negative integer, got -3"),
+        (
+            {"host": {"n": 4, "edges": [[0, 2], [0, 3], [1, 2], [1, 3]]},
+             "model": {"name": "intersection", "n": 2, "N": 2}},
+            "model.mu: required for intersection",
+        ),
+    ],
+    ids=["T-word", "T-fraction", "thin-word", "seed-negative", "intersection-without-mu"],
+)
+def test_bad_simulate_scalars_are_named(tmp_path, capsys, overrides, message):
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+    assert not (tmp_path / "trajectory.jsonl").exists()
 
 
 def test_missing_host_is_validation_error(tmp_path):

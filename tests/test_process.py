@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -150,14 +151,11 @@ class TestIntersectionWeights:
         explicit = intersection_weights(n, N, mu)
         rng = make_rng(123)
         draws = 100_000
-        counts: dict[Edit, int] = {}
-        for _ in range(draws):
-            e = lazy.sample(rng)
-            counts[e] = counts.get(e, 0) + 1
+        counts = Counter(zip(*lazy.lazy.draw(rng, draws)))
         for edit, w in explicit.items:
             w = float(w)
             sigma = (draws * w * (1 - w)) ** 0.5
-            assert abs(counts.get(edit, 0) - draws * w) <= 3 * sigma
+            assert abs(counts[edit.plus, edit.minus] - draws * w) <= 3 * sigma
         assert lazy.support_masses() == {
             k: pytest.approx(0.5) for k in lazy.support_masses()
         }
@@ -197,9 +195,7 @@ class TestAliasSampler:
         sampler = AliasSampler(weights)
         rng = make_rng(99)
         draws = 200_000
-        counts = np.zeros(4)
-        for _ in range(draws):
-            counts[sampler.draw(rng)] += 1
+        counts = np.bincount(sampler.draw(rng, draws), minlength=4)
         for i, w in enumerate(weights):
             sigma = (draws * w * (1 - w)) ** 0.5
             assert abs(counts[i] - draws * w) <= 4 * sigma
