@@ -57,7 +57,6 @@ DEFAULT_CAPS = {"states": 1 << 20, "commute_states": 256}
 class RunConfig:
     host: HostGraph
     model: str
-    params: dict
     weights: WeightedEdits
     p: object = None  # per-edge probabilities for the simple model
     steps: int = 0
@@ -67,16 +66,22 @@ class RunConfig:
     mode: str = "double"
     caps: dict = field(default_factory=lambda: dict(DEFAULT_CAPS))
     out: Path = Path(".")
-    fmt: str = "csv"
 
 
-def _number(value, exact: bool):
-    """Config scalars: rational mode reads decimals/'a/b' strings exactly."""
-    if exact:
-        return Fraction(str(value))
-    if isinstance(value, str):
-        return float(Fraction(value))
-    return float(value)
+def _number(value, exact: bool, key: str):
+    """Config scalars, read as the exact rational their text (a decimal or
+    'a/b') denotes, then rounded to a float unless the mode is rational."""
+    try:
+        x = Fraction(str(value))
+        return x if exact else float(x)
+    except (ValueError, ArithmeticError):
+        raise ValidationError(f"{key}: expected a number, got {value!r}") from None
+
+
+def _numbers(values, exact: bool, key: str) -> list:
+    if not isinstance(values, list):
+        raise ValidationError(f"{key}: expected a list of numbers, got {values!r}")
+    return [_number(x, exact, f"{key}[{i}]") for i, x in enumerate(values)]
 
 
 def _integer(value, key: str, least: int = 0) -> int:
@@ -101,10 +106,18 @@ def _parse_initial(spec, g: HostGraph) -> EdgeSet:
     if spec == "full":
         return g.full_set()
     if isinstance(spec, dict) and "hex" in spec:
-        return EdgeSet(g.m, int(spec["hex"], 16))
+        try:
+            mask = int(spec["hex"], 16)
+        except (ValueError, TypeError):
+            raise ValidationError(
+                f"initial.hex: expected a hex string, got {spec['hex']!r}"
+            ) from None
+        return EdgeSet(g.m, mask)
     if isinstance(spec, int):
         return EdgeSet(g.m, spec)
     if isinstance(spec, list):
+        if not all(isinstance(pair, list) and len(pair) == 2 for pair in spec):
+            raise ValidationError(f"initial: expected a list of [u, v] pairs, got {spec!r}")
         return EdgeSet.from_indices(g.m, (g.index_of(u, v) for u, v in spec))
     raise ValidationError(f"cannot parse initial state spec {spec!r}")
 
@@ -113,20 +126,25 @@ def _simple_probabilities(g: HostGraph, params: dict, exact: bool):
     if "p" in params:
         p = params["p"]
         if isinstance(p, list):
-            return [_number(x, exact) for x in p]
-        return _number(p, exact)
+            return _numbers(p, exact, "model.p")
+        return _number(p, exact, "model.p")
     preset = params.get("p_preset")
     if not preset:
         raise ValidationError('model "simple" needs "p" or "p_preset" in model params')
+    if not isinstance(preset, dict):
+        raise ValidationError(f'model.p_preset: expected an object with a "kind", got {preset!r}')
     kind = preset.get("kind")
+
+    def number(key: str):
+        return _number(preset.get(key), exact, f"model.p_preset.{key}")
+
     if kind == "erdos_renyi":
-        return erdos_renyi_probabilities(g, _number(preset["p"], exact))
+        return erdos_renyi_probabilities(g, number("p"))
     if kind == "chung_lu":
-        return chung_lu_probabilities(g, [_number(x, exact) for x in preset["degrees"]])
+        degrees = _numbers(preset.get("degrees"), exact, "model.p_preset.degrees")
+        return chung_lu_probabilities(g, degrees)
     if kind == "block":
-        return block_probabilities(
-            g, preset["block"], _number(preset["p"], exact), _number(preset["q"], exact)
-        )
+        return block_probabilities(g, preset["block"], number("p"), number("q"))
     raise ValidationError(f"unknown p_preset kind {preset!r}")
 
 
@@ -172,15 +190,16 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
     elif name == "moran":
         weights = moran_weights(host)
     elif name == "intersection":
-        mu = [_number(x, exact) for x in _required(params, "mu", name)]
+        mu = _numbers(_required(params, "mu", name), exact, "model.mu")
         weights = intersection_weights(n, N, mu, mode=params.get("mode", "explicit"))
     elif name == "custom":
         edits_spec = params.get("edits")
         if not edits_spec:
             raise ValidationError('model "custom" needs a non-empty "edits" list')
         items = tuple(
-            (parse_edit(entry["edit"], host.m), _number(entry["weight"], exact))
-            for entry in edits_spec
+            (parse_edit(entry["edit"], host.m),
+             _number(entry["weight"], exact, f"model.edits[{i}].weight"))
+            for i, entry in enumerate(edits_spec)
         )
         weights = WeightedEdits(host.m, items)
     else:
@@ -203,7 +222,6 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
     return RunConfig(
         host=host,
         model=name,
-        params=params,
         weights=weights,
         p=p,
         steps=_integer(raw.get("T", 0), "T"),
@@ -213,7 +231,6 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
         mode=mode,
         caps=caps,
         out=Path(overrides.out),
-        fmt=overrides.format,
     )
 
 
@@ -276,7 +293,7 @@ def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> int:
     by_value = "; ".join(f"{v:g}x{mult}" for v, mult in report.by_value())
     meta = artifact_meta(cfg.host, cfg.seed, model=cfg.model, by_value=by_value)
     cfg.out.mkdir(parents=True, exist_ok=True)
-    if cfg.fmt == "json":
+    if args.format == "json":
         write_json(cfg.out / "spectrum.json", meta, report.to_json_obj())
         print(f"wrote {cfg.out / 'spectrum.json'}")
     else:
@@ -307,7 +324,7 @@ def cmd_stationary(cfg: RunConfig, args: argparse.Namespace) -> int:
     meta = artifact_meta(cfg.host, cfg.seed, model=cfg.model, mode=cfg.mode)
     rows = [(s.hex(), str(v)) for s, v in zip(states, pi)]
     cfg.out.mkdir(parents=True, exist_ok=True)
-    if cfg.fmt == "json":
+    if args.format == "json":
         write_json(cfg.out / "stationary.json", meta, [
             {"state": s, "pi": v} for s, v in rows
         ])
@@ -326,7 +343,6 @@ def cmd_mixing(cfg: RunConfig, args: argparse.Namespace) -> int:
     if cfg.model == "simple":
         bound_steps = mixing_bound_simple(m, c)
         restrict = "all"
-        pi = None
         bound_at = lambda t: simple_tv_bound(m, t)
     else:
         report = _spectrum_report(cfg)
@@ -336,7 +352,6 @@ def cmd_mixing(cfg: RunConfig, args: argparse.Namespace) -> int:
         meta["lambda_star"] = lam
         meta["chambers"] = chambers
         restrict = "recurrent"
-        pi = None
         bound_at = lambda t: chambers * lam**t
     meta["bound_steps"] = bound_steps
 
@@ -347,12 +362,11 @@ def cmd_mixing(cfg: RunConfig, args: argparse.Namespace) -> int:
             cfg.weights, cfg.host, restrict=restrict, initial=cfg.initial,
             cap=cfg.caps["states"],
         )
-        if pi is None:
-            pi = (
-                stationary_closed_form(cfg.host, cfg.p)
-                if cfg.model == "simple"
-                else stationary_numeric(tm)
-            )
+        pi = (
+            stationary_closed_form(cfg.host, cfg.p)
+            if cfg.model == "simple"
+            else stationary_numeric(tm)
+        )
         start = cfg.initial
         if start.mask not in {s.mask for s in tm.states}:
             start = tm.states[0]  # fall back to a recurrent start
@@ -460,7 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--mode", choices=["rational", "double"], default=None)
         p.add_argument("--cap-states", type=int, default=None)
-        p.add_argument("--format", choices=["csv", "json", "dot"], default="csv")
+        if name in ("spectrum", "stationary"):
+            p.add_argument("--format", choices=["csv", "json"], default="csv")
         if name == "simulate":
             p.add_argument("--state-format", choices=["hex", "edges"], default="hex")
         if name == "mixing":

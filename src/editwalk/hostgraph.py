@@ -228,15 +228,18 @@ def host_from_json(obj: dict) -> HostGraph:
         raise ValidationError("host spec must be a JSON object")
     if "preset" in obj:
         preset = obj["preset"]
-        params = obj.get("params", [])
+        try:
+            params = [int(x) for x in obj.get("params", [])]
+        except (TypeError, ValueError, ArithmeticError):
+            raise ValidationError(f"host.params: expected integers, got {obj.get('params')!r}") from None
         if preset == "complete":
             if len(params) != 1:
                 raise ValidationError('host.preset "complete" takes params [n]')
-            return complete_graph(int(params[0]))
+            return complete_graph(params[0])
         if preset == "bipartite":
             if len(params) != 2:
                 raise ValidationError('host.preset "bipartite" takes params [a, b]')
-            return complete_bipartite(int(params[0]), int(params[1]))
+            return complete_bipartite(*params)
         raise ValidationError(f"unknown host preset {preset!r}")
     if "n" not in obj or "edges" not in obj:
         raise ValidationError('host spec needs "n" and "edges" (or a "preset")')

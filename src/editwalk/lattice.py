@@ -28,10 +28,6 @@ from .hostgraph import EdgeSet
 
 DEFAULT_CLOSURE_CAP = 1 << 20
 
-# Full (X, Y) Mobius tables are built eagerly only below this many flats;
-# larger lattices fill the memo on demand.
-_EAGER_MOBIUS_CAP = 256
-
 
 @dataclass(frozen=True)
 class SupportLattice:
@@ -51,9 +47,6 @@ class SupportLattice:
 
     def __post_init__(self) -> None:
         self._index.update({x.mask: i for i, x in enumerate(self.flats)})
-        if len(self.flats) <= _EAGER_MOBIUS_CAP:
-            for i in range(len(self.flats)):
-                self._mobius_row(i)
 
     @property
     def top(self) -> EdgeSet:
@@ -76,13 +69,12 @@ class SupportLattice:
 
     def _mobius_row(self, i: int) -> None:
         # mu(X, Y) for all flats Y >= X, filled in cardinality order so every
-        # strictly intermediate Z is already available.
+        # strictly intermediate Z is already available. `mobius` fills each
+        # row once, on first use.
         x = self.flats[i].mask
         above = [j for j in range(len(self.flats)) if self.flats[j].mask & x == x]
         for j in above:
             y = self.flats[j].mask
-            if (i, j) in self._mobius:
-                continue
             if y == x:
                 self._mobius[(i, j)] = 1
                 continue

@@ -51,6 +51,16 @@ def _is_exact(value) -> bool:
     return isinstance(value, (Fraction, int))
 
 
+def _kron(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """Kronecker product of per-edge factors (vectors or matrices) in which
+    factor e sets bit e of every index, so each entry multiplies its factors
+    in ascending e. Object arrays keep Fractions exact."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = np.kron(f, out)
+    return out
+
+
 class AliasSampler:
     """Vose alias method: O(n) setup, O(1) per draw, deterministic given rng.
 
@@ -257,18 +267,13 @@ def intersection_weights(
             f"{n}*2^{N} explicit edits exceed cap {cap}; use mode='lazy'"
         )
     items: list[tuple[Edit, object]] = []
+    by_size = [Fraction(x, n * math.comb(N, k)) if _is_exact(x) else float(x) / (n * math.comb(N, k))
+               for k, x in enumerate(mu)]
     for v in range(n):
         star = star_masks[v]
         for a in range(1 << N):
-            plus = 0
-            for u in range(N):
-                if a >> u & 1:
-                    plus |= 1 << (v * N + u)
-            k = a.bit_count()
-            if _is_exact(mu[k]):
-                w = Fraction(mu[k], n * math.comb(N, k))
-            else:
-                w = float(mu[k]) / (n * math.comb(N, k))
+            plus = a << (v * N)  # right vertex u is edge v*N + u
+            w = by_size[a.bit_count()]
             if w == 0:
                 continue
             items.append((Edit(m, plus, star & ~plus), w))
@@ -284,19 +289,13 @@ def intersection_stationary(n: int, N: int, mu: Sequence) -> np.ndarray:
     """Closed-form stationary law of the neighborhood-reassignment chain,
     as a vector over all 2^(nN) states in ascending mask order.
 
-    Each left vertex's neighborhood is independent with P(A) = mu(|A|)/C(N,|A|).
+    Each left vertex's neighborhood is independent with P(A) = mu(|A|)/C(N,|A|),
+    so the law is the Kronecker product of n copies of that block.
     """
-    m = n * N
-    if m > EMPIRICAL_EDGE_CAP:
-        raise CapExceeded(f"2^{m} states exceed the enumeration cap")
-    pi = np.ones(1 << m)
-    for state in range(1 << m):
-        prob = 1.0
-        for v in range(n):
-            k = (state >> (v * N) & ((1 << N) - 1)).bit_count()
-            prob *= float(mu[k]) / math.comb(N, k)
-        pi[state] = prob
-    return pi
+    if n * N > EMPIRICAL_EDGE_CAP:
+        raise CapExceeded(f"2^{n * N} states exceed the enumeration cap")
+    by_size = np.array([float(mu[k]) / math.comb(N, k) for k in range(N + 1)])
+    return _kron([by_size[np.bitwise_count(np.arange(1 << N))]] * n)
 
 
 @dataclass(frozen=True)

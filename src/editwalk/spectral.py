@@ -46,7 +46,7 @@ from .lattice import (
     multiplicities,
     representatives_for,
 )
-from .process import WeightedEdits, _per_edge_probabilities, _is_exact
+from .process import WeightedEdits, _is_exact, _kron, _per_edge_probabilities
 
 DEFAULT_STATE_CAP = 1 << 20
 REVERSIBILITY_TOL = 1e-10
@@ -383,6 +383,22 @@ def eigenvalue_multiset_residual(a: Sequence[float], b: Sequence[float]) -> floa
 # ---------------------------------------------------------------------------
 
 
+def _phi_factors(g: HostGraph, p) -> tuple[list[np.ndarray], bool]:
+    """The per-edge 2x2 factors [[-1, 1], [1-p_e, p_e]] of phi (row: is e in
+    T, column: is e in E) and whether they are exact Fractions."""
+    probs = _per_edge_probabilities(g, p)
+    _require_enumerable(g.m, DEFAULT_STATE_CAP)
+    exact = all(_is_exact(pe) for pe in probs)
+    one = Fraction(1) if exact else 1.0
+    dtype = object if exact else float
+    return [np.array([[-one, one], [one - pe, pe]], dtype) for pe in map(type(one), probs)], exact
+
+
+def _psi_scale(probs) -> np.ndarray:
+    """prod(sqrt(p_e(1-p_e)), e not in T) for every edge subset T, in mask order."""
+    return _kron([np.array([math.sqrt(pe * (1.0 - pe)), 1.0]) for pe in map(float, probs)])
+
+
 def phi(T: EdgeSet, g: HostGraph, p):
     """Left eigenvector indexed by an edge subset T, over all 2^m states in
     ascending mask order. Entry at state E is
@@ -391,34 +407,13 @@ def phi(T: EdgeSet, g: HostGraph, p):
                                       * prod(1-p_e, e in T not in E)
 
     and satisfies phi_T P = (|T|/m) phi_T; at T = all edges it equals the
-    stationary law. A list of Fractions when p is rational, else a float
-    array."""
-    probs = _per_edge_probabilities(g, p)
+    stationary law. The Kronecker product of row T_e of each per-edge
+    factor; a list of Fractions when p is rational, else a float array."""
+    factors, exact = _phi_factors(g, p)
     if T.m != g.m:
         raise ValidationError(f"subset edge count {T.m} != host {g.m}")
-    _require_enumerable(g.m, DEFAULT_STATE_CAP)
-    exact = all(_is_exact(pe) for pe in probs)
-    one = Fraction(1) if exact else 1.0
-    masks = np.arange(1 << g.m)
-    row = np.full(1 << g.m, one, dtype=object if exact else float)
-    for e, pe in enumerate(probs):
-        pe = pe if exact else float(pe)
-        present = (masks >> e) & 1
-        if T.mask >> e & 1:
-            row *= np.where(present, pe, one - pe)
-        else:
-            row *= np.where(present, one, -one)
+    row = _kron([f[T.mask >> e & 1] for e, f in enumerate(factors)])
     return list(row) if exact else row
-
-
-def _psi_rows(g: HostGraph, probs, phi_rows: np.ndarray, t_masks: np.ndarray) -> np.ndarray:
-    """Float phi rows times prod(sqrt(p_e(1-p_e)), e not in T), multiplied in
-    edge order, over the square root of the stationary law."""
-    probs = [float(pe) for pe in probs]
-    scales = np.ones(len(t_masks))
-    for e, pe in enumerate(probs):
-        scales *= np.where(t_masks >> e & 1, 1.0, math.sqrt(pe * (1.0 - pe)))
-    return phi_rows * scales[:, None] / np.sqrt(stationary_closed_form(g, probs))
 
 
 def psi(T: EdgeSet, g: HostGraph, p) -> np.ndarray:
@@ -427,18 +422,17 @@ def psi(T: EdgeSet, g: HostGraph, p) -> np.ndarray:
     left eigenvectors of the symmetrized matrix Q and form an orthonormal
     system. Always float (square roots)."""
     probs = [float(pe) for pe in _per_edge_probabilities(g, p)]
-    return _psi_rows(g, probs, phi(T, g, probs)[None, :], np.array([T.mask]))[0]
+    return phi(T, g, probs) * _psi_scale(probs)[T.mask] / np.sqrt(stationary_closed_form(g, probs))
 
 
 @dataclass(frozen=True)
 class EigenSystem:
     """Full left eigensystem of a per-edge update chain.
 
-    Rows of `phi` (and `psi`, float mode only) are indexed by edge subsets
-    in ascending mask order, columns by states in ascending mask order.
+    Row i of `phi` (and `psi`, float mode only) belongs to the edge subset
+    with mask i, column j to the state with mask j.
     """
 
-    subsets: tuple[EdgeSet, ...]
     eigenvalues: tuple
     phi: np.ndarray
     psi: np.ndarray | None
@@ -446,22 +440,18 @@ class EigenSystem:
 
 
 def eigensystem_simple(g: HostGraph, p) -> EigenSystem:
-    """All 2^m closed-form eigenvectors at once. In float mode the psi rows
-    are the phi rows rescaled, with one stationary law for all of them."""
-    probs = _per_edge_probabilities(g, p)
-    _require_enumerable(g.m, DEFAULT_STATE_CAP)
-    exact = all(_is_exact(pe) for pe in probs)
-    size = 1 << g.m
-    subsets = tuple(EdgeSet(g.m, mask) for mask in range(size))
-    values = tuple(
-        Fraction(t.mask.bit_count(), g.m) if exact else t.mask.bit_count() / g.m
-        for t in subsets
-    )
-    phi_rows = np.array([phi(t, g, probs) for t in subsets], dtype=object if exact else float)
+    """All 2^m closed-form eigenvectors at once: phi is the Kronecker product
+    of the whole per-edge factors. In float mode the psi rows are the phi
+    rows rescaled, with one stationary law (the last phi row) for all."""
+    factors, exact = _phi_factors(g, p)
+    m = g.m
+    levels = np.array([Fraction(k, m) if exact else k / m for k in range(m + 1)], dtype=object)
+    values = tuple(levels[np.bitwise_count(np.arange(1 << m))].tolist())
+    phi_rows = _kron(factors)
     if exact:
-        return EigenSystem(subsets, values, phi_rows, None, True)
-    psi_rows = _psi_rows(g, probs, phi_rows, np.arange(size))
-    return EigenSystem(subsets, values, phi_rows, psi_rows, False)
+        return EigenSystem(values, phi_rows, None, True)
+    scale = _psi_scale(f[1, 1] for f in factors)
+    return EigenSystem(values, phi_rows, phi_rows * scale[:, None] / np.sqrt(phi_rows[-1]), False)
 
 
 def q_matrix(tm: TransitionMatrix, pi: np.ndarray) -> np.ndarray:
@@ -642,25 +632,25 @@ def commute_terms(E: EdgeSet, F: EdgeSet, g: HostGraph, p) -> list[tuple[EdgeSet
         m/(m-|T|) * prod(p_e(1-p_e), e not in T) * (phi_T(E)/pi(E) - phi_T(F)/pi(F))^2
 
     where phi_T/pi multiplies 1/p_e (edge present) or 1/(p_e - 1) (edge
-    absent) over the edges outside T; exact when p is rational. Terms whose
-    T contains E xor F vanish. Enumerates all 2^m - 1 subsets, so it is
+    absent) over the edges outside T; exact when p is rational. Both
+    products are Kronecker products of [factor, 1] pairs, so terms whose
+    T contains E xor F are exactly 0. Covers all 2^m - 1 subsets, so it is
     capped like a state space; `commute_time` sums them in O(m^2)."""
     probs = _per_edge_probabilities(g, p)
     if E.m != g.m or F.m != g.m:
         raise ValidationError("state edge count disagrees with host")
     _require_enumerable(g.m, DEFAULT_STATE_CAP)
     m, exact = g.m, all(_is_exact(pe) for pe in probs)
-    one = Fraction(1) if exact else 1.0
-    inverse = [(1 / (pe - 1), 1 / pe) for pe in probs]  # edge absent, present
-    terms = []
-    for t_mask in range((1 << m) - 1):  # all T except the full edge set
-        outside = [e for e in range(m) if not t_mask >> e & 1]
-        scale = math.prod((probs[e] * (1 - probs[e]) for e in outside), start=one)
-        r_e, r_f = (math.prod((inverse[e][s >> e & 1] for e in outside), start=one)
-                    for s in (E.mask, F.mask))
-        coeff = Fraction(m, len(outside)) if exact else m / len(outside)
-        terms.append((EdgeSet(m, t_mask), coeff * scale * (r_e - r_f) * (r_e - r_f)))
-    return terms
+    one, dtype = (Fraction(1), object) if exact else (1.0, float)
+    scale = _kron([np.array([pe * (1 - pe), one], dtype) for pe in probs])
+    r_e, r_f = (_kron([np.array([1 / (pe - 1) if not s >> e & 1 else 1 / pe, one], dtype)
+                       for e, pe in enumerate(probs)]) for s in (E.mask, F.mask))
+    levels = np.array([Fraction(m, m - k) if exact else m / (m - k) for k in range(m)], dtype)
+    size = (1 << m) - 1  # all T except the full edge set
+    coeff = levels[np.bitwise_count(np.arange(size))]
+    diff = (r_e - r_f)[:size]
+    terms = coeff * scale[:size] * diff * diff
+    return list(zip((EdgeSet(m, mask) for mask in range(size)), terms.tolist()))
 
 
 def commute_time(E: EdgeSet, F: EdgeSet, g: HostGraph, p):

@@ -1,13 +1,24 @@
-"""Enumeration oracles for the per-edge commute and hitting times.
+"""Enumeration oracles for the per-edge closed forms.
 
-These are the former library implementations: explicit sums over all
-2^m - 1 proper edge subsets T, one Fraction or float term at a time.
-`commute_time` and `hitting_time_closed` now evaluate the same sums as
-polynomial coefficients; the tests compare the two.
+These are the former library implementations, one Fraction or float at a
+time:
+
+* explicit sums over all 2^m - 1 proper edge subsets T for the commute and
+  hitting times, which `commute_time` and `hitting_time_closed` now
+  evaluate as polynomial coefficients;
+* per-edge and per-state loops for phi, the psi scaling, `commute_terms`
+  and `intersection_stationary`, which the library now builds as
+  Kronecker products of per-edge (or per-vertex) factors.
+
+The tests compare the two.
 """
 
+import math
 from fractions import Fraction
 
+import numpy as np
+
+from editwalk.hostgraph import EdgeSet
 from editwalk.spectral import commute_terms
 
 
@@ -75,3 +86,60 @@ def largest_dropped_term(E, F, g, p) -> float:
         (abs(float(term)) for flat, term in commute_terms(E, F, g, p) if delta & ~flat.mask == 0),
         default=0.0,
     )
+
+
+def phi_enumerated(T, g, p):
+    """phi_T over all states, one pass over the states per edge."""
+    probs = _probabilities(g, p)
+    exact = all(_is_exact(pe) for pe in probs)
+    one = Fraction(1) if exact else 1.0
+    masks = np.arange(1 << g.m)
+    row = np.full(1 << g.m, one, dtype=object if exact else float)
+    for e, pe in enumerate(probs):
+        pe = pe if exact else float(pe)
+        present = (masks >> e) & 1
+        if T.mask >> e & 1:
+            row *= np.where(present, pe, one - pe)
+        else:
+            row *= np.where(present, one, -one)
+    return list(row) if exact else row
+
+
+def psi_rows_enumerated(g, p, t_masks: np.ndarray) -> np.ndarray:
+    """Float phi rows of the subsets in `t_masks` times prod(sqrt(p_e(1-p_e)),
+    e not in T), multiplied in edge order, over sqrt of the stationary law."""
+    probs = [float(pe) for pe in _probabilities(g, p)]
+    rows = np.array([phi_enumerated(EdgeSet(g.m, int(t)), g, probs) for t in t_masks])
+    scales = np.ones(len(t_masks))
+    for e, pe in enumerate(probs):
+        scales *= np.where(t_masks >> e & 1, 1.0, math.sqrt(pe * (1.0 - pe)))
+    return rows * scales[:, None] / np.sqrt(phi_enumerated(g.full_set(), g, probs))
+
+
+def commute_terms_enumerated(E, F, g, p) -> list:
+    """`commute_terms` one subset at a time, products over the edges outside T."""
+    probs = _probabilities(g, p)
+    m, exact = g.m, all(_is_exact(pe) for pe in probs)
+    one = Fraction(1) if exact else 1.0
+    inverse = [(1 / (pe - 1), 1 / pe) for pe in probs]  # edge absent, present
+    terms = []
+    for t_mask in range((1 << m) - 1):  # all T except the full edge set
+        outside = [e for e in range(m) if not t_mask >> e & 1]
+        scale = math.prod((probs[e] * (1 - probs[e]) for e in outside), start=one)
+        r_e, r_f = (math.prod((inverse[e][s >> e & 1] for e in outside), start=one)
+                    for s in (E.mask, F.mask))
+        coeff = Fraction(m, len(outside)) if exact else m / len(outside)
+        terms.append((EdgeSet(m, t_mask), coeff * scale * (r_e - r_f) * (r_e - r_f)))
+    return terms
+
+
+def intersection_stationary_enumerated(n, N, mu) -> np.ndarray:
+    """Product of the per-vertex laws mu(|A|)/C(N,|A|), one state at a time."""
+    pi = np.ones(1 << (n * N))
+    for state in range(1 << (n * N)):
+        prob = 1.0
+        for v in range(n):
+            k = (state >> (v * N) & ((1 << N) - 1)).bit_count()
+            prob *= float(mu[k]) / math.comb(N, k)
+        pi[state] = prob
+    return pi

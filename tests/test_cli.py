@@ -107,14 +107,59 @@ def test_simulate_records_the_sampler_version(tmp_path):
              "model": {"name": "intersection", "n": 2, "N": 2}},
             "model.mu: required for intersection",
         ),
+        ({"model": {"name": "simple", "p": "abc"}}, "model.p: expected a number, got 'abc'"),
+        (
+            {"model": {"name": "simple", "p": [0.5, "1/0"]}},
+            "model.p[1]: expected a number, got '1/0'",
+        ),
+        (
+            {"host": {"n": 2, "edges": [[0, 1]]},
+             "model": {"name": "intersection", "n": 1, "N": 1, "mu": [0.5, "half"]}},
+            "model.mu[1]: expected a number, got 'half'",
+        ),
+        (
+            {"model": {"name": "custom", "edits": [{"edit": "+0", "weight": None}]}},
+            "model.edits[0].weight: expected a number, got None",
+        ),
+        ({"initial": {"hex": "zz"}}, "initial.hex: expected a hex string, got 'zz'"),
+        ({"initial": [[0, 1, 2]]}, "initial: expected a list of [u, v] pairs, got [[0, 1, 2]]"),
+        (
+            {"model": {"name": "simple", "p_preset": "er"}},
+            'model.p_preset: expected an object with a "kind", got \'er\'',
+        ),
+        (
+            {"model": {"name": "simple", "p_preset": {"kind": "erdos_renyi", "p": "x"}}},
+            "model.p_preset.p: expected a number, got 'x'",
+        ),
+        (
+            {"host": {"preset": "complete", "params": ["x"]}},
+            "host.params: expected integers, got ['x']",
+        ),
     ],
-    ids=["T-word", "T-fraction", "thin-word", "seed-negative", "intersection-without-mu"],
+    ids=["T-word", "T-fraction", "thin-word", "seed-negative", "intersection-without-mu",
+         "p-word", "p-list-zero-denominator", "mu-word", "custom-weight-null", "initial-hex",
+         "initial-triple",
+         "p-preset-string", "p-preset-number", "host-params-word"],
 )
 def test_bad_simulate_scalars_are_named(tmp_path, capsys, overrides, message):
     cfg = write_config(tmp_path, **overrides)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.strip() == f"error: {message}"
     assert not (tmp_path / "trajectory.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["spectrum", "--format", "dot"]]
+    + [[command, "--format", "json"]
+       for command in ("simulate", "mixing", "commute", "export-dot", "verify")],
+)
+def test_format_is_only_for_spectrum_and_stationary(tmp_path, argv):
+    cfg = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", str(cfg), "--out", str(tmp_path)])
+    assert exc.value.code == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]  # nothing written
 
 
 def test_missing_host_is_validation_error(tmp_path):
