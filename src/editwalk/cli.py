@@ -14,14 +14,16 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from .edits import parse_edit
 from .errors import CapExceeded, EditWalkError, ValidationError
-from .hostgraph import EdgeSet, HostGraph, host_from_json, is_acyclic
+from .hostgraph import EdgeSet, HostGraph, host_from_json, is_acyclic, is_integer
 from .process import (
     SAMPLER_VERSION,
+    Trajectory,
     WeightedEdits,
     block_probabilities,
     chung_lu_probabilities,
@@ -86,18 +88,20 @@ def _numbers(values, exact: bool, key: str) -> list:
 
 def _integer(value, key: str, least: int = 0) -> int:
     """A config count; integral floats such as 1e5 are read as ints."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+    if not is_integer(value) or value < least:
         kind = "a non-negative integer" if least == 0 else f"an integer >= {least}"
         raise ValidationError(f"{key}: expected {kind}, got {value!r}")
-    return value
+    return int(value)
 
 
-def _required(params: dict, key: str, model: str):
-    if key not in params:
-        raise ValidationError(f"model.{key}: required for {model}")
-    return params[key]
+def _required(obj: dict, key: str, path: str, what: str):
+    if key not in obj:
+        raise ValidationError(f"{path}.{key}: required for {what}")
+    return obj[key]
+
+
+def _vertices(values) -> bool:
+    return isinstance(values, list) and all(map(is_integer, values))
 
 
 def _parse_initial(spec, g: HostGraph) -> EdgeSet:
@@ -113,10 +117,10 @@ def _parse_initial(spec, g: HostGraph) -> EdgeSet:
                 f"initial.hex: expected a hex string, got {spec['hex']!r}"
             ) from None
         return EdgeSet(g.m, mask)
-    if isinstance(spec, int):
-        return EdgeSet(g.m, spec)
+    if is_integer(spec):
+        return EdgeSet(g.m, int(spec))
     if isinstance(spec, list):
-        if not all(isinstance(pair, list) and len(pair) == 2 for pair in spec):
+        if not all(_vertices(pair) and len(pair) == 2 for pair in spec):
             raise ValidationError(f"initial: expected a list of [u, v] pairs, got {spec!r}")
         return EdgeSet.from_indices(g.m, (g.index_of(u, v) for u, v in spec))
     raise ValidationError(f"cannot parse initial state spec {spec!r}")
@@ -144,8 +148,24 @@ def _simple_probabilities(g: HostGraph, params: dict, exact: bool):
         degrees = _numbers(preset.get("degrees"), exact, "model.p_preset.degrees")
         return chung_lu_probabilities(g, degrees)
     if kind == "block":
-        return block_probabilities(g, preset["block"], number("p"), number("q"))
+        block = _required(preset, "block", "model.p_preset", 'kind "block"')
+        if not _vertices(block):
+            raise ValidationError(f"model.p_preset.block: expected a list of vertices, got {block!r}")
+        return block_probabilities(g, block, number("p"), number("q"))
     raise ValidationError(f"unknown p_preset kind {preset!r}")
+
+
+def _custom_edit(entry, m: int, exact: bool, key: str) -> tuple:
+    if not isinstance(entry, dict):
+        raise ValidationError(f'{key}: expected an object with "edit" and "weight", got {entry!r}')
+    text = _required(entry, "edit", key, "a custom edit")
+    if not isinstance(text, str):
+        raise ValidationError(f"{key}.edit: expected a string, got {text!r}")
+    try:
+        edit = parse_edit(text, m)
+    except ValidationError as exc:
+        raise ValidationError(f"{key}.edit: {exc}") from None
+    return edit, _number(_required(entry, "weight", key, "a custom edit"), exact, f"{key}.weight")
 
 
 def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
@@ -155,6 +175,8 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
         raise ValidationError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ValidationError(f"config must be a JSON object, got {raw!r}")
 
     mode = overrides.mode or raw.get("mode", "double")
     if mode not in ("rational", "double"):
@@ -168,8 +190,8 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
     params = {k: v for k, v in model_spec.items() if k != "name"}
 
     if name == "intersection":
-        n = _integer(_required(params, "n", name), "model.n", least=1)
-        N = _integer(_required(params, "N", name), "model.N", least=1)
+        n = _integer(_required(params, "n", "model", name), "model.n", least=1)
+        N = _integer(_required(params, "N", "model", name), "model.N", least=1)
         host = intersection_host(n, N)
         if "host" in raw:
             declared = host_from_json(raw["host"])
@@ -190,23 +212,25 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
     elif name == "moran":
         weights = moran_weights(host)
     elif name == "intersection":
-        mu = _numbers(_required(params, "mu", name), exact, "model.mu")
+        mu = _numbers(_required(params, "mu", "model", name), exact, "model.mu")
         weights = intersection_weights(n, N, mu, mode=params.get("mode", "explicit"))
     elif name == "custom":
         edits_spec = params.get("edits")
-        if not edits_spec:
+        if not isinstance(edits_spec, list) or not edits_spec:
             raise ValidationError('model "custom" needs a non-empty "edits" list')
-        items = tuple(
-            (parse_edit(entry["edit"], host.m),
-             _number(entry["weight"], exact, f"model.edits[{i}].weight"))
-            for i, entry in enumerate(edits_spec)
-        )
+        items = tuple(_custom_edit(entry, host.m, exact, f"model.edits[{i}]")
+                      for i, entry in enumerate(edits_spec))
         weights = WeightedEdits(host.m, items)
     else:
         raise ValidationError(f"unknown model name {name!r}")
 
     caps = dict(DEFAULT_CAPS)
-    caps.update(raw.get("caps", {}))
+    caps_spec = raw.get("caps", {})
+    if not isinstance(caps_spec, dict):
+        raise ValidationError(f"caps: expected an object, got {caps_spec!r}")
+    caps.update(caps_spec)
+    for key in DEFAULT_CAPS:
+        caps[key] = _integer(caps[key], f"caps.{key}")
     if overrides.cap_states is not None:
         caps["states"] = overrides.cap_states
     elif caps["states"] > DEFAULT_CAPS["states"]:
@@ -270,16 +294,24 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
         print(f"wrote {cfg.out / 'summary.json'} (no steps requested)")
         return 0
 
-    records = []
-    for k, state in enumerate(traj.states):
-        t = min(k * cfg.thin, cfg.steps)
-        record = {"t": t, "state": state.hex()}
-        if args.state_format == "edges":
-            record["edges"] = [list(cfg.host.edges[e]) for e in state.indices()]
-        records.append(record)
-    write_jsonl(cfg.out / "trajectory.jsonl", meta, records)
-    print(f"wrote {cfg.out / 'trajectory.jsonl'} ({len(records)} snapshots)")
+    lines = _trajectory_lines(traj, cfg.host, args.state_format == "edges")
+    write_jsonl(cfg.out / "trajectory.jsonl", meta, lines)
+    print(f"wrote {cfg.out / 'trajectory.jsonl'} ({len(traj.states)} snapshots)")
     return 0
+
+
+def _trajectory_lines(traj: Trajectory, g: HostGraph, edges: bool) -> Iterator[str]:
+    """One JSON record per recorded state, formatted as `json.dumps` writes
+    {"t": t, "state": hex} (plus "edges": [[u, v], ...]), at O(set edges)
+    per state: each edge's label is formatted once per host."""
+    labels = [f"[{u}, {v}]" for u, v in g.edges]
+    for k, state in enumerate(traj.states):
+        t = min(k * traj.thin, traj.steps)
+        if edges:
+            listed = ", ".join(map(labels.__getitem__, state.indices()))
+            yield f'{{"t": {t}, "state": "{state.hex()}", "edges": [{listed}]}}'
+        else:
+            yield f'{{"t": {t}, "state": "{state.hex()}"}}'
 
 
 def _spectrum_report(cfg: RunConfig):
@@ -496,7 +528,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceeded as exc:
         print(f"error (cap): {exc}", file=sys.stderr)
         return 2
-    except (ValidationError, EditWalkError, KeyError, TypeError) as exc:
+    except EditWalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

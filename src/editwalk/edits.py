@@ -157,7 +157,7 @@ def parse_edit(text: str, m: int) -> Edit:
     result = Edit.identity(m)
     for token in text.split():
         sign = token[0]
-        if sign not in "+-" or not token[1:].isdigit():
+        if sign not in "+-" or not (token[1:].isascii() and token[1:].isdigit()):
             raise ValidationError(f"bad edit token {token!r}, expected e.g. '+3' or '-0'")
         e = int(token[1:])
         result = compose(result, simple_edit(e, Sign.PLUS if sign == "+" else Sign.MINUS, m))

@@ -107,7 +107,13 @@ class EdgeSet:
         return self.mask != 0
 
     def indices(self) -> tuple[int, ...]:
-        return tuple(e for e in range(self.m) if self.mask >> e & 1)
+        """Set edge indices in increasing order, one step per set bit."""
+        out, mask = [], self.mask
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return tuple(out)
 
     def hex(self) -> str:
         return format(self.mask, "#x")
@@ -228,10 +234,10 @@ def host_from_json(obj: dict) -> HostGraph:
         raise ValidationError("host spec must be a JSON object")
     if "preset" in obj:
         preset = obj["preset"]
-        try:
-            params = [int(x) for x in obj.get("params", [])]
-        except (TypeError, ValueError, ArithmeticError):
-            raise ValidationError(f"host.params: expected integers, got {obj.get('params')!r}") from None
+        params = obj.get("params", [])
+        if not isinstance(params, list) or not all(map(is_integer, params)):
+            raise ValidationError(f"host.params: expected integers, got {params!r}")
+        params = [int(x) for x in params]
         if preset == "complete":
             if len(params) != 1:
                 raise ValidationError('host.preset "complete" takes params [n]')
@@ -243,7 +249,22 @@ def host_from_json(obj: dict) -> HostGraph:
         raise ValidationError(f"unknown host preset {preset!r}")
     if "n" not in obj or "edges" not in obj:
         raise ValidationError('host spec needs "n" and "edges" (or a "preset")')
-    return from_edge_list(int(obj["n"]), obj["edges"])
+    n, edges = obj["n"], obj["edges"]
+    if not is_integer(n):
+        raise ValidationError(f"host.n: expected an integer, got {n!r}")
+    if not isinstance(edges, list):
+        raise ValidationError(f"host.edges: expected a list of [u, v] pairs, got {edges!r}")
+    for i, pair in enumerate(edges):
+        if not (isinstance(pair, list) and len(pair) == 2 and all(map(is_integer, pair))):
+            raise ValidationError(f"host.edges[{i}]: expected a [u, v] pair of integers, got {pair!r}")
+    return from_edge_list(int(n), ([int(u), int(v)] for u, v in edges))
+
+
+def is_integer(value) -> bool:
+    """A config integer: integral floats such as 1e5 count, booleans do not."""
+    if isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def host_to_json(g: HostGraph) -> dict:

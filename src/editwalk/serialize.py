@@ -69,11 +69,14 @@ def read_json(path: Path | str) -> tuple[dict, object]:
     return obj["meta"], obj["data"]
 
 
-def write_jsonl(path: Path | str, meta: dict, records: Iterable[dict]) -> None:
+def write_jsonl(path: Path | str, meta: dict, records: Iterable[dict | str]) -> None:
+    """One JSON value per line after the meta record. Records are consumed
+    as they come; a dict is encoded with `json.dumps`, a str is taken as an
+    already-encoded record and written verbatim."""
     with open(path, "w") as fh:
         fh.write(json.dumps({"meta": meta}) + "\n")
         for record in records:
-            fh.write(json.dumps(record) + "\n")
+            fh.write((record if isinstance(record, str) else json.dumps(record)) + "\n")
 
 
 def read_jsonl(path: Path | str) -> tuple[dict, list[dict]]:

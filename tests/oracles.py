@@ -8,17 +8,23 @@ time:
   evaluate as polynomial coefficients;
 * per-edge and per-state loops for phi, the psi scaling, `commute_terms`
   and `intersection_stationary`, which the library now builds as
-  Kronecker products of per-edge (or per-vertex) factors.
+  Kronecker products of per-edge (or per-vertex) factors;
+* the `simulate` record path as one dict per state encoded by `json.dumps`,
+  with edge indices found by testing every host edge, where the library
+  walks the set bits and formats each record from a per-edge label table.
 
 The tests compare the two.
 """
 
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 
 from editwalk.hostgraph import EdgeSet
+from editwalk.process import SAMPLER_VERSION, simulate
+from editwalk.serialize import artifact_meta
 from editwalk.spectral import commute_terms
 
 
@@ -143,3 +149,50 @@ def intersection_stationary_enumerated(n, N, mu) -> np.ndarray:
             prob *= float(mu[k]) / math.comb(N, k)
         pi[state] = prob
     return pi
+
+
+def indices_by_shift(state: EdgeSet) -> tuple[int, ...]:
+    """Set edge indices, one shift of the mask per host edge."""
+    return tuple(e for e in range(state.m) if state.mask >> e & 1)
+
+
+def _acyclic_by_shift(g, state: EdgeSet) -> bool:
+    parent = list(range(g.n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for e in indices_by_shift(state):
+        ru, rv = find(g.edges[e][0]), find(g.edges[e][1])
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True
+
+
+def write_simulate_artifacts(cfg, state_format: str) -> None:
+    """`summary.json` and `trajectory.jsonl` of `editwalk simulate`, one
+    record dict per state encoded with `json.dumps`."""
+    traj = simulate(cfg.weights, cfg.initial, cfg.steps, seed=cfg.seed, thin=cfg.thin)
+    meta = artifact_meta(
+        cfg.host, cfg.seed, model=cfg.model, T=cfg.steps, thin=cfg.thin, sampler=SAMPLER_VERSION
+    )
+    cfg.out.mkdir(parents=True, exist_ok=True)
+    summary = {"final_state": traj.states[-1].hex(), "edge_counts": traj.edge_counts()}
+    if cfg.model == "moran":
+        summary["acyclic"] = [_acyclic_by_shift(cfg.host, s) for s in traj.states]
+    (cfg.out / "summary.json").write_text(json.dumps({"meta": meta, "data": summary}, indent=2) + "\n")
+    if cfg.steps == 0:
+        return
+    records = []
+    for k, state in enumerate(traj.states):
+        record = {"t": min(k * cfg.thin, cfg.steps), "state": state.hex()}
+        if state_format == "edges":
+            record["edges"] = [list(cfg.host.edges[e]) for e in indices_by_shift(state)]
+        records.append(record)
+    with open(cfg.out / "trajectory.jsonl", "w") as fh:
+        fh.write(json.dumps({"meta": meta}) + "\n")
+        for record in records:
+            fh.write(json.dumps(record) + "\n")

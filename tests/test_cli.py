@@ -135,17 +135,54 @@ def test_simulate_records_the_sampler_version(tmp_path):
             {"host": {"preset": "complete", "params": ["x"]}},
             "host.params: expected integers, got ['x']",
         ),
+        ({"host": {"n": "x", "edges": []}}, "host.n: expected an integer, got 'x'"),
+        (
+            {"model": {"name": "custom", "edits": [{"edit": 5, "weight": 1}]}},
+            "model.edits[0].edit: expected a string, got 5",
+        ),
+        (
+            {"model": {"name": "simple", "p_preset": {"kind": "block", "p": 0.5, "q": 0.2}}},
+            'model.p_preset.block: required for kind "block"',
+        ),
+        (
+            {"model": {"name": "custom", "edits": [{"weight": 1}]}},
+            "model.edits[0].edit: required for a custom edit",
+        ),
+        ({"caps": {"states": "x"}}, "caps.states: expected a non-negative integer, got 'x'"),
+        (
+            {"host": {"n": 3, "edges": [[1, "x"]]}},
+            "host.edges[0]: expected a [u, v] pair of integers, got [1, 'x']",
+        ),
+        (
+            {"model": {"name": "custom", "edits": [{"edit": "+0 -1 +2\u00b2", "weight": 1}]}},
+            "model.edits[0].edit: bad edit token '+2\u00b2', expected e.g. '+3' or '-0'",
+        ),
+        (
+            {"model": {"name": "simple", "p_preset": {"kind": "block", "block": 1, "p": 0.5,
+                                                      "q": 0.2}}},
+            "model.p_preset.block: expected a list of vertices, got 1",
+        ),
+        ({"caps": [1]}, "caps: expected an object, got [1]"),
     ],
     ids=["T-word", "T-fraction", "thin-word", "seed-negative", "intersection-without-mu",
          "p-word", "p-list-zero-denominator", "mu-word", "custom-weight-null", "initial-hex",
          "initial-triple",
-         "p-preset-string", "p-preset-number", "host-params-word"],
+         "p-preset-string", "p-preset-number", "host-params-word",
+         "host-n-word", "custom-edit-number", "block-without-block", "custom-without-edit",
+         "caps-word", "host-edge-word", "custom-edit-superscript", "block-number", "caps-list"],
 )
 def test_bad_simulate_scalars_are_named(tmp_path, capsys, overrides, message):
     cfg = write_config(tmp_path, **overrides)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.strip() == f"error: {message}"
     assert not (tmp_path / "trajectory.jsonl").exists()
+
+
+def test_config_that_is_not_an_object_is_named(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.strip() == "error: config must be a JSON object, got [1, 2]"
 
 
 @pytest.mark.parametrize(
@@ -463,6 +500,6 @@ def test_serialize_round_trips(tmp_path):
     m2, payload = read_json(tmp_path / "t.json")
     assert m2 == meta and payload == {"k": [1, 2]}
 
-    write_jsonl(tmp_path / "t.jsonl", meta, [{"t": 0}, {"t": 1}])
+    write_jsonl(tmp_path / "t.jsonl", meta, iter([{"t": 0}, '{"t": 1}']))  # str: pre-encoded
     m3, records = read_jsonl(tmp_path / "t.jsonl")
     assert m3 == meta and records == [{"t": 0}, {"t": 1}]
