@@ -38,7 +38,6 @@ from .lattice import (
     SupportLattice,
     closure,
     eigenvalue,
-    mobius,
     multiplicities,
     representatives_for,
 )

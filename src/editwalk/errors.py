@@ -42,10 +42,6 @@ class NotAFlat(ValidationError):
     pass
 
 
-class NotComparable(ValidationError):
-    """Mobius function requested for X that is not a subset of Y."""
-
-
 class BadRepresentative(ValidationError):
     """Representative edit's support does not equal its flat."""
 

@@ -1,12 +1,13 @@
-"""Support lattice of an edit family, its Mobius function, and multiplicities.
+"""Support lattice of an edit family, its eigenvalues, and multiplicities.
 
 The supports of a generating family of edits, closed under union and
 seeded with the empty set, form a join semilattice of "flats". Each flat X
 indexes one eigenvalue of the chamber walk: the total weight of generators
-whose support lies inside X. Eigenvalue multiplicities follow by Mobius
-inversion of chamber counts over the flat order.
+whose support lies inside X. The chamber counts satisfy
+c_X = sum over flats Y >= X of m_Y, so the multiplicities m_X follow by
+back-substitution over the flat order, from the top flat down.
 
-Mobius values and chamber counts are exact integers throughout; eigenvalues
+Chamber counts and multiplicities are exact integers throughout; eigenvalues
 stay exact rationals whenever the driving weights are rational.
 """
 
@@ -16,14 +17,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .edits import Edit, compose, leq
-from .errors import (
-    BadRepresentative,
-    ClosureTooLarge,
-    NotAFlat,
-    NotComparable,
-    ValidationError,
-)
+import numpy as np
+
+from .edits import Edit, compose
+from .errors import BadRepresentative, ClosureTooLarge, NotAChamber, NotAFlat, ValidationError
 from .hostgraph import EdgeSet
 
 DEFAULT_CLOSURE_CAP = 1 << 20
@@ -43,7 +40,6 @@ class SupportLattice:
     generator_supports: tuple[EdgeSet, ...]
     witnesses: dict[int, tuple[int, ...]]
     _index: dict[int, int] = field(repr=False, default_factory=dict)
-    _mobius: dict[tuple[int, int], int] = field(repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         self._index.update({x.mask: i for i, x in enumerate(self.flats)})
@@ -66,24 +62,6 @@ class SupportLattice:
         if x.m != self.m or x.mask not in self._index:
             raise NotAFlat(f"{x!r} is not a flat of this lattice")
         return self._index[x.mask]
-
-    def _mobius_row(self, i: int) -> None:
-        # mu(X, Y) for all flats Y >= X, filled in cardinality order so every
-        # strictly intermediate Z is already available. `mobius` fills each
-        # row once, on first use.
-        x = self.flats[i].mask
-        above = [j for j in range(len(self.flats)) if self.flats[j].mask & x == x]
-        for j in above:
-            y = self.flats[j].mask
-            if y == x:
-                self._mobius[(i, j)] = 1
-                continue
-            total = 0
-            for k in above:
-                z = self.flats[k].mask
-                if z != y and z & y == z:
-                    total += self._mobius[(i, k)]
-            self._mobius[(i, j)] = -total
 
 
 def closure(
@@ -132,18 +110,6 @@ def closure(
         generator_supports=tuple(supports),
         witnesses=witnesses,
     )
-
-
-def mobius(lat: SupportLattice, x: EdgeSet, y: EdgeSet) -> int:
-    """Mobius function of the flat order: mu(X, X) = 1 and for X < Y,
-    mu(X, Y) = -sum of mu(X, Z) over flats X <= Z < Y."""
-    i = lat.index_of(x)
-    j = lat.index_of(y)
-    if x.mask & ~y.mask:
-        raise NotComparable(f"{x!r} is not contained in {y!r}")
-    if (i, j) not in lat._mobius:
-        lat._mobius_row(i)
-    return lat._mobius[(i, j)]
 
 
 def _support_masses(dist) -> Mapping[int, object]:
@@ -258,50 +224,51 @@ def representatives_for(
     return reps
 
 
-def chamber_count_above(
-    flat: EdgeSet, representative: Edit, chambers: Sequence[Edit]
-) -> int:
-    """Number of chambers extending the representative's signs on the flat."""
-    if representative.support_mask != flat.mask:
-        raise BadRepresentative(
-            f"representative support {representative.support_mask:#x} "
-            f"!= flat {flat.mask:#x}"
-        )
-    return sum(1 for c in chambers if leq(representative, c))
-
-
 def multiplicities(
     lat: SupportLattice,
     chambers: Sequence[Edit],
     representatives: Mapping[EdgeSet, Edit],
     dist=None,
 ) -> SpectrumReport:
-    """Eigenvalue multiplicities by Mobius inversion of chamber counts.
+    """Eigenvalue multiplicities by back-substitution over the flat order.
 
     For each flat X, c_X counts chambers whose signs extend a representative
-    edit with support X; then m_X = sum over flats Y >= X of mu(X, Y) c_Y.
-    The multiplicities sum back to the chamber count (the walk's dimension).
-    When `dist` is given, each entry also carries its eigenvalue.
+    edit with support X. Since c_X = sum over flats Y >= X of m_Y, and flats
+    are sorted by size, one pass from the top gives every multiplicity:
+    m_X = c_X - sum over flats Y > X of m_Y. The multiplicities sum back to
+    the chamber count (the walk's dimension). When `dist` is given, each
+    entry also carries its eigenvalue.
     """
-    counts: dict[int, int] = {}
     for flat in lat.flats:
-        counts[flat.mask] = chamber_count_above(flat, representatives[flat], chambers)
+        rep = representatives[flat]
+        if rep.support_mask != flat.mask:
+            raise BadRepresentative(
+                f"representative support {rep.support_mask:#x} != flat {flat.mask:#x}"
+            )
+    if not all(c.m == lat.m and c.is_chamber for c in chambers):
+        raise NotAChamber(f"chambers must sign all {lat.m} host edges")
 
-    entries = []
-    for flat in lat.flats:
-        mult = 0
-        for other in lat.flats:
-            if flat.mask & ~other.mask == 0:
-                mult += mobius(lat, flat, other) * counts[other.mask]
-        if mult < 0:
+    dtype = np.uint64 if lat.m <= 64 else object
+    flats = np.array([x.mask for x in lat.flats], dtype=dtype)
+    signs = np.array([representatives[x].plus for x in lat.flats], dtype=dtype)
+    plus = np.array([c.plus for c in chambers], dtype=dtype)
+    mults = np.zeros(len(flats), dtype=np.int64)
+    for i in reversed(range(len(flats))):
+        x = flats[i]
+        # a chamber signs every edge, so it extends the representative
+        # exactly when the two agree on which edges of X are present
+        count = np.count_nonzero((plus & x) == signs[i])
+        mults[i] = count - mults[i + 1 :][(flats[i + 1 :] & x) == x].sum()
+        if mults[i] < 0:
             raise ValidationError(
-                f"negative multiplicity {mult} at flat {flat.hex()}; "
+                f"negative multiplicity {mults[i]} at flat {lat.flats[i].hex()}; "
                 "chamber list is not the full chamber set"
             )
-        lam = eigenvalue(lat, flat, dist) if dist is not None else None
-        entries.append(SpectrumEntry(flat, lam, mult))
 
-    report = SpectrumReport(tuple(entries))
+    report = SpectrumReport(tuple(
+        SpectrumEntry(flat, None if dist is None else eigenvalue(lat, flat, dist), int(mult))
+        for flat, mult in zip(lat.flats, mults)
+    ))
     if report.total_multiplicity != len(chambers):
         raise ValidationError(
             f"multiplicities sum to {report.total_multiplicity}, "

@@ -342,7 +342,7 @@ def spectrum(
 ) -> SpectrumReport:
     """Spectrum of a compound chain: one eigenvalue per flat of the support
     lattice (the weight mass inside the flat), with multiplicities obtained
-    by Mobius inversion of chamber counts over the flat order."""
+    from the chamber counts by back-substitution over the flat order."""
     if dist.is_lazy:
         raise CapExceeded("cannot enumerate a lazy distribution; use explicit mode")
     generators = [e for e, _ in dist.items]

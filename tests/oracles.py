@@ -12,6 +12,10 @@ time:
 * the `simulate` record path as one dict per state encoded by `json.dumps`,
   with edge indices found by testing every host edge, where the library
   walks the set bits and formats each record from a per-edge label table.
+* eigenvalue multiplicities by Mobius inversion of chamber counts, with
+  the Mobius function filled row by row and each chamber tested by `leq`,
+  where the library back-substitutes over the flat order and compares the
+  chambers' + masks as one array.
 
 The tests compare the two.
 """
@@ -22,6 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from editwalk.edits import leq
 from editwalk.hostgraph import EdgeSet
 from editwalk.process import SAMPLER_VERSION, simulate
 from editwalk.serialize import artifact_meta
@@ -196,3 +201,41 @@ def write_simulate_artifacts(cfg, state_format: str) -> None:
         fh.write(json.dumps({"meta": meta}) + "\n")
         for record in records:
             fh.write(json.dumps(record) + "\n")
+
+
+def _mobius_row(lat, i: int) -> dict[int, int]:
+    """mu(X, Y) for flat X = lat.flats[i] and every flat Y >= X, keyed by
+    the index of Y. Filled in lattice order, so every strictly intermediate
+    Z is already known."""
+    x = lat.flats[i].mask
+    above = [j for j, f in enumerate(lat.flats) if f.mask & x == x]
+    row: dict[int, int] = {}
+    for j in above:
+        y = lat.flats[j].mask
+        row[j] = 1 if y == x else -sum(
+            row[k] for k in above if k < j and lat.flats[k].mask & ~y == 0
+        )
+    return row
+
+
+def mobius_enumerated(lat, x: EdgeSet, y: EdgeSet) -> int:
+    """Mobius function of the flat order: mu(X, X) = 1 and for X < Y,
+    mu(X, Y) = -sum of mu(X, Z) over flats X <= Z < Y."""
+    if x.mask & ~y.mask:
+        raise ValueError(f"{x!r} is not contained in {y!r}")
+    return _mobius_row(lat, lat.index_of(x))[lat.index_of(y)]
+
+
+def chamber_count_leq(representative, chambers) -> int:
+    """Number of chambers extending the representative's signs."""
+    return sum(1 for c in chambers if leq(representative, c))
+
+
+def multiplicities_by_mobius(lat, chambers, representatives) -> list[int]:
+    """Multiplicity of every flat, in lattice order:
+    m_X = sum over flats Y >= X of mu(X, Y) c_Y."""
+    counts = [chamber_count_leq(representatives[f], chambers) for f in lat.flats]
+    return [
+        sum(mu * counts[j] for j, mu in _mobius_row(lat, i).items())
+        for i in range(len(lat.flats))
+    ]

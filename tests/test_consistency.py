@@ -31,7 +31,7 @@ def test_one_edge_host_end_to_end():
 
 def test_generic_lattice_path_reproduces_simple_closed_form():
     # running a per-edge distribution through the compound machinery
-    # (closure, chamber counts, Mobius inversion) must give multiplicity
+    # (closure, chamber counts, back-substitution) must give multiplicity
     # one per subset, the same multiset as the closed form
     g = ew.from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     dist = ew.simple_edit_weights(g, 0.3)

@@ -1,31 +1,38 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from oracles import chamber_count_leq, mobius_enumerated, multiplicities_by_mobius
 
 from editwalk import (
     EdgeSet,
     Edit,
+    WeightedEdits,
     chamber_of,
     closure,
     complete_graph,
     eigenvalue,
-    mobius,
+    from_edge_list,
+    intersection_host,
+    intersection_weights,
     moran_weights,
     multiplicities,
     neighborhood_edges,
+    parse_edit,
+    recurrent_class,
     representatives_for,
     simple_edit_weights,
+    spectrum,
     supp,
 )
 from editwalk.errors import (
     BadRepresentative,
     ClosureTooLarge,
+    NotAChamber,
     NotAFlat,
-    NotComparable,
     ValidationError,
 )
-from editwalk.lattice import chamber_count_above
 
 
 def singleton_supports(m):
@@ -76,9 +83,9 @@ def test_closure_needs_supports():
 def test_mobius_diagonal_and_chain():
     s = EdgeSet.from_indices(3, [0, 2])
     lat = closure([s])
-    assert mobius(lat, lat.bottom, lat.bottom) == 1
-    assert mobius(lat, s, s) == 1
-    assert mobius(lat, lat.bottom, s) == -1
+    assert mobius_enumerated(lat, lat.bottom, lat.bottom) == 1
+    assert mobius_enumerated(lat, s, s) == 1
+    assert mobius_enumerated(lat, lat.bottom, s) == -1
 
 
 def test_mobius_boolean_closed_form():
@@ -89,15 +96,16 @@ def test_mobius_boolean_closed_form():
             for y in lat.flats:
                 if x.issubset(y):
                     k = len(y) - len(x)
-                    assert mobius(lat, x, y) == (-1) ** k
+                    assert mobius_enumerated(lat, x, y) == (-1) ** k
 
 
-def test_mobius_errors():
-    lat = closure(singleton_supports(3))
+def test_index_of_rejects_non_flats():
+    lat = closure([EdgeSet.from_indices(3, [0, 1])])
+    assert lat.index_of(EdgeSet(3, 0b011)) == 1
     with pytest.raises(NotAFlat):
-        mobius(lat, EdgeSet(4, 1), EdgeSet(4, 3))
-    with pytest.raises(NotComparable):
-        mobius(lat, EdgeSet(3, 0b011), EdgeSet(3, 0b100))
+        lat.index_of(EdgeSet(4, 0b011))  # host size differs
+    with pytest.raises(NotAFlat):
+        lat.index_of(EdgeSet(3, 0b001))
 
 
 def test_eigenvalue_simple_distribution():
@@ -145,7 +153,7 @@ def test_multiplicities_simple_semigroup():
     reps = representatives_for(lat, generators)
     chambers = all_chambers(m)
     for flat in lat.flats:
-        assert chamber_count_above(flat, reps[flat], chambers) == 2 ** (m - len(flat))
+        assert chamber_count_leq(reps[flat], chambers) == 2 ** (m - len(flat))
     report = multiplicities(lat, chambers, reps, dist)
     assert all(e.multiplicity == 1 for e in report.entries)
     assert report.total_multiplicity == 1 << m
@@ -186,9 +194,10 @@ def test_multiplicities_representative_independence_k3_moran():
 
     chambers = [chamber_of(s) for s in recurrent_class(dist, k3)]
     for flat in lat.flats:
-        ca = chamber_count_above(flat, reps_a[flat], chambers)
-        cb = chamber_count_above(flat, reps_b[flat], chambers)
-        assert ca == cb
+        assert chamber_count_leq(reps_a[flat], chambers) == chamber_count_leq(
+            reps_b[flat], chambers
+        )
+    assert multiplicities(lat, chambers, reps_a) == multiplicities(lat, chambers, reps_b)
 
 
 def test_multiplicities_k3_moran_frozen_values():
@@ -228,13 +237,82 @@ def test_uninverted_identity():
         above = sum(
             mult[other.mask] for other in lat.flats if flat.issubset(other)
         )
-        assert above == chamber_count_above(flat, reps[flat], chambers)
+        assert above == chamber_count_leq(reps[flat], chambers)
 
 
 def test_bad_representative():
     lat = closure(singleton_supports(2))
+    reps = {flat: Edit(2, flat.mask, 0) for flat in lat.flats}
+    reps[EdgeSet(2, 0b01)] = Edit.identity(2)
     with pytest.raises(BadRepresentative):
-        chamber_count_above(EdgeSet(2, 0b01), Edit.identity(2), all_chambers(2))
+        multiplicities(lat, all_chambers(2), reps)
+
+
+def test_multiplicities_need_chambers():
+    lat = closure(singleton_supports(2))
+    reps = {flat: Edit(2, flat.mask, 0) for flat in lat.flats}
+    with pytest.raises(NotAChamber):
+        multiplicities(lat, all_chambers(2)[:3] + [Edit(2, 0b01, 0)], reps)
+    with pytest.raises(NotAChamber):
+        multiplicities(lat, [chamber_of(EdgeSet(3, 0))], reps)
+
+
+def cycle_family(m, rng):
+    """Two opposite-signed edits on each pair of adjacent edges of an
+    m-cycle, the shape of the benchmark's custom family."""
+    flip = rng.getrandbits(m)
+    raw = []
+    for i in range(m):
+        for first in (1, 0):
+            tokens = [
+                ("+" if s ^ (flip >> e & 1) else "-") + str(e)
+                for e, s in zip((i, (i + 1) % m), (first, 1 - first))
+            ]
+            raw.append((parse_edit(" ".join(tokens), m), rng.randint(1, 9)))
+    total = sum(w for _, w in raw)
+    return WeightedEdits(m, tuple((e, Fraction(w, total)) for e, w in raw))
+
+
+def _compound_cases():
+    for n in (3, 4, 5):
+        k = complete_graph(n)
+        yield pytest.param(k, moran_weights(k), id=f"moran-K{n}")
+    for n, N in ((2, 3), (3, 3)):
+        mu = [Fraction(i + 1, (N + 1) * (N + 2) // 2) for i in range(N + 1)]
+        host, dist = intersection_host(n, N), intersection_weights(n, N, mu)
+        yield pytest.param(host, dist, id=f"intersection-{n}x{N}")
+    m = 8
+    cycle = from_edge_list(m, [(i, (i + 1) % m) for i in range(m)])
+    yield pytest.param(cycle, cycle_family(m, random.Random(8)), id="custom-cycle-m8")
+
+
+@pytest.mark.parametrize("g, dist", list(_compound_cases()))
+def test_multiplicities_match_mobius_oracle(g, dist):
+    generators = [e for e, _ in dist.items]
+    lat = closure([supp(e) for e in generators])
+    reps = representatives_for(lat, generators)
+    chambers = [chamber_of(s) for s in recurrent_class(dist, g)]
+    report = multiplicities(lat, chambers, reps, dist)
+    assert [e.multiplicity for e in report.entries] == multiplicities_by_mobius(
+        lat, chambers, reps
+    )
+    assert [e.flat for e in report.entries] == list(lat.flats)
+
+
+@pytest.mark.parametrize("m", [63, 64, 65, 70])
+def test_spectrum_on_hosts_beyond_one_word(m):
+    # masks of more than 64 edges leave the uint64 path; the results must not wrap
+    path = from_edge_list(m + 1, [(i, i + 1) for i in range(m)])
+    texts = ["+0 -1", "-0 +1", " ".join(f"+{e}" for e in range(2, m))]
+    dist = WeightedEdits(m, tuple((parse_edit(t, m), Fraction(1, 3)) for t in texts))
+    report = spectrum(dist, path)
+    assert [e.multiplicity for e in report.entries] == [0, 0, 1, 1]
+    assert [len(e.flat) for e in report.entries] == [0, 2, m - 2, m]
+    generators = [e for e, _ in dist.items]
+    lat = closure([supp(e) for e in generators])
+    chambers = [chamber_of(s) for s in recurrent_class(dist, path)]
+    reps = representatives_for(lat, generators)
+    assert multiplicities_by_mobius(lat, chambers, reps) == [0, 0, 1, 1]
 
 
 def test_spectrum_report_serialization():

@@ -1,9 +1,10 @@
 """Randomized end-to-end check of the compound-chain pipeline.
 
 For arbitrary weighted edit families the support closure, chamber
-enumeration, and Mobius-inversion multiplicities must reproduce the full
-numeric spectrum of the recurrent-class matrix, entry for entry. Twenty
-seeded random families over small hosts exercise overlapping supports,
+enumeration, and multiplicities by back-substitution over the flat order
+must reproduce the full numeric spectrum of the recurrent-class matrix,
+entry for entry, and agree with Mobius inversion of the chamber counts.
+Seeded random families over small hosts exercise overlapping supports,
 identity-support mass, duplicate supports, and non-covering families
 (frozen edges) in one sweep.
 """
@@ -12,10 +13,10 @@ import warnings
 from fractions import Fraction
 
 import numpy as np
+from oracles import chamber_count_leq, multiplicities_by_mobius
 
 import editwalk as ew
 from editwalk.errors import SupportNotCovering
-from editwalk.lattice import chamber_count_above
 
 
 def random_family(rng, m, count):
@@ -42,13 +43,23 @@ def hosts_with_m_edges(rng, m):
     return ew.from_edge_list(n, [pairs[i] for i in idx])
 
 
-def test_random_compound_families_spectra():
-    rng = np.random.default_rng(424242)
-    trials = 0
-    while trials < 20:
+def seeded_families(seed, count):
+    """`count` random (host, family) pairs with 2 to 5 host edges."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
         m = int(rng.integers(2, 6))
         g = hosts_with_m_edges(rng, m)
-        dist = random_family(rng, m, int(rng.integers(2, 5)))
+        yield g, random_family(rng, m, int(rng.integers(2, 5)))
+
+
+def recurrent_chambers(dist, g):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SupportNotCovering)
+        return [ew.chamber_of(s) for s in ew.recurrent_class(dist, g)]
+
+
+def test_random_compound_families_spectra():
+    for g, dist in seeded_families(424242, 20):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SupportNotCovering)
             states = ew.recurrent_class(dist, g)
@@ -59,20 +70,25 @@ def test_random_compound_families_spectra():
             report.eigenvalue_multiset(), ew.numeric_eigenvalues(tm)
         )
         assert gap < 1e-8
-        trials += 1
+
+
+def test_random_families_multiplicities_match_mobius_oracle():
+    for g, dist in [*seeded_families(424242, 20), *seeded_families(777, 10)]:
+        generators = [e for e, _ in dist.items]
+        lat = ew.closure([ew.supp(e) for e in generators])
+        chambers = recurrent_chambers(dist, g)
+        reps = ew.representatives_for(lat, generators)
+        report = ew.multiplicities(lat, chambers, reps, dist)
+        assert [e.multiplicity for e in report.entries] == multiplicities_by_mobius(
+            lat, chambers, reps
+        )
 
 
 def test_random_families_uninverted_identity_and_representatives():
-    rng = np.random.default_rng(777)
-    for _ in range(10):
-        m = int(rng.integers(2, 6))
-        g = hosts_with_m_edges(rng, m)
-        dist = random_family(rng, m, int(rng.integers(2, 5)))
+    for g, dist in seeded_families(777, 10):
         generators = [e for e, _ in dist.items]
         lat = ew.closure([ew.supp(e) for e in generators])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", SupportNotCovering)
-            chambers = [ew.chamber_of(s) for s in ew.recurrent_class(dist, g)]
+        chambers = recurrent_chambers(dist, g)
         reps = ew.representatives_for(lat, generators)
         report = ew.multiplicities(lat, chambers, reps, dist)
         mult = {e.flat.mask: e.multiplicity for e in report.entries}
@@ -80,7 +96,7 @@ def test_random_families_uninverted_identity_and_representatives():
             above = sum(
                 mult[o.mask] for o in lat.flats if flat.issubset(o)
             )
-            assert above == chamber_count_above(flat, reps[flat], chambers)
+            assert above == chamber_count_leq(reps[flat], chambers)
         # a second representative family (reversed witness order) must give
         # identical chamber counts
         reps_b = {}
@@ -90,9 +106,10 @@ def test_random_families_uninverted_identity_and_representatives():
                 edit = ew.compose(edit, generators[i])
             reps_b[flat] = edit
         for flat in lat.flats:
-            assert chamber_count_above(
-                flat, reps[flat], chambers
-            ) == chamber_count_above(flat, reps_b[flat], chambers)
+            assert chamber_count_leq(reps[flat], chambers) == chamber_count_leq(
+                reps_b[flat], chambers
+            )
+        assert ew.multiplicities(lat, chambers, reps_b, dist) == report
 
 
 def test_chamber_counts_ignore_representative_signs():
@@ -107,8 +124,8 @@ def test_chamber_counts_ignore_representative_signs():
         plus_b = int(rng.integers(0, 1 << m)) & flat.mask
         rep_a = ew.Edit(m, plus_a, flat.mask & ~plus_a)
         rep_b = ew.Edit(m, plus_b, flat.mask & ~plus_b)
-        count_a = chamber_count_above(flat, rep_a, chambers)
-        count_b = chamber_count_above(flat, rep_b, chambers)
+        count_a = chamber_count_leq(rep_a, chambers)
+        count_b = chamber_count_leq(rep_b, chambers)
         assert count_a == count_b == 2 ** (m - len(flat))
 
 
