@@ -85,6 +85,7 @@ from .spectral import (
     simple_tv_bound,
     spectrum,
     stationary_closed_form,
+    stationary_faces,
     stationary_numeric,
     to_dot,
     tv_decay,

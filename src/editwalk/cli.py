@@ -46,7 +46,7 @@ from .spectral import (
     simple_tv_bound,
     spectrum,
     stationary_closed_form,
-    stationary_numeric,
+    stationary_faces,
     to_dot,
     tv_decay,
 )
@@ -314,10 +314,12 @@ def _trajectory_lines(traj: Trajectory, g: HostGraph, edges: bool) -> Iterator[s
             yield f'{{"t": {t}, "state": "{state.hex()}"}}'
 
 
-def _spectrum_report(cfg: RunConfig):
+def _spectrum_report(cfg: RunConfig, states=None):
     if cfg.model == "simple":
         return eigenvalues_simple(cfg.host.m)
-    return spectrum(cfg.weights, cfg.host, initial=cfg.initial, cap=cfg.caps["states"])
+    return spectrum(
+        cfg.weights, cfg.host, initial=cfg.initial, cap=cfg.caps["states"], states=states
+    )
 
 
 def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -344,11 +346,10 @@ def _stationary_pairs(cfg: RunConfig):
         pi = stationary_closed_form(cfg.host, cfg.p)
         states = [EdgeSet(cfg.host.m, mask) for mask in range(1 << cfg.host.m)]
         return states, list(pi)
-    tm = build_chain(
-        cfg.weights, cfg.host, restrict="recurrent", initial=cfg.initial,
-        cap=cfg.caps["states"],
+    return stationary_faces(
+        cfg.weights, cfg.host, initial=cfg.initial, cap=cfg.caps["states"],
+        exact=cfg.mode == "rational",
     )
-    return list(tm.states), list(stationary_numeric(tm))
 
 
 def cmd_stationary(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -371,34 +372,36 @@ def cmd_mixing(cfg: RunConfig, args: argparse.Namespace) -> int:
     c = args.c
     m = cfg.host.m
     meta = artifact_meta(cfg.host, cfg.seed, model=cfg.model, c=c)
+    simple = cfg.model == "simple"
+    tm = None
+    if (1 << m) <= cfg.caps["states"] and m <= 20:
+        tm = build_chain(
+            cfg.weights, cfg.host, restrict="all" if simple else "recurrent",
+            initial=cfg.initial, cap=cfg.caps["states"],
+        )
 
-    if cfg.model == "simple":
+    if simple:
         bound_steps = mixing_bound_simple(m, c)
-        restrict = "all"
         bound_at = lambda t: simple_tv_bound(m, t)
     else:
-        report = _spectrum_report(cfg)
+        report = _spectrum_report(cfg, None if tm is None else tm.states)
         lam = report.second_largest()
         chambers = report.total_multiplicity
         bound_steps = mixing_bound_compound(lam, m, c, chamber_count=chambers)
         meta["lambda_star"] = lam
         meta["chambers"] = chambers
-        restrict = "recurrent"
         bound_at = lambda t: chambers * lam**t
     meta["bound_steps"] = bound_steps
 
     t_max = args.t_max if args.t_max is not None else bound_steps
     cfg.out.mkdir(parents=True, exist_ok=True)
-    if (1 << m) <= cfg.caps["states"] and m <= 20:
-        tm = build_chain(
-            cfg.weights, cfg.host, restrict=restrict, initial=cfg.initial,
-            cap=cfg.caps["states"],
-        )
-        pi = (
-            stationary_closed_form(cfg.host, cfg.p)
-            if cfg.model == "simple"
-            else stationary_numeric(tm)
-        )
+    if tm is not None:
+        if simple:
+            pi = stationary_closed_form(cfg.host, cfg.p)
+        else:
+            _, pi = stationary_faces(
+                cfg.weights, cfg.host, initial=cfg.initial, cap=cfg.caps["states"], exact=False
+            )
         start = cfg.initial
         if start.mask not in {s.mask for s in tm.states}:
             start = tm.states[0]  # fall back to a recurrent start
@@ -471,6 +474,7 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
         cfg.weights,
         p=cfg.p if cfg.model == "simple" else None,
         rng=np.random.default_rng(cfg.seed),
+        exact=cfg.mode == "rational",
     )
     for result in results:
         print(result.line())

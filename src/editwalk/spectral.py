@@ -11,6 +11,9 @@ A chain is kept as its nonzero cells: one step applies one weighted edit,
 so N states have at most (edits * N) cells, all found in one vectorized
 pass over the edits. The dense float64 matrix for the solvers is derived
 on first request; the dense exact matrix only when something reads it.
+The stationary law of a compound chain needs no chain at all: it is the
+law of the backward product of drawn edits, carried face by face
+(`stationary_faces`).
 
 Two numeric modes coexist: exact rationals whenever the driving weights
 and edge probabilities are Fractions, and float64 otherwise.
@@ -51,6 +54,8 @@ from .process import WeightedEdits, _is_exact, _kron, _per_edge_probabilities
 DEFAULT_STATE_CAP = 1 << 20
 REVERSIBILITY_TOL = 1e-10
 SOLVE_RESIDUAL_TOL = 1e-8
+FACE_BLOCK = 1 << 12  # faces per vectorized step of the face recursion
+FACE_MERGE_ROWS = 1 << 18  # unmerged moves a support level holds before a merge
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +120,14 @@ class TransitionMatrix:
         return dense
 
     @cached_property
-    def _dense_float(self) -> np.ndarray:
+    def float_values(self) -> np.ndarray:
+        """The cell values as float64."""
         # int / int division rounds correctly, as float(Fraction) does
-        return self._dense(0.0, (self.numerators / self.denominator).astype(float))
+        return (self.numerators / self.denominator).astype(float)
+
+    @cached_property
+    def _dense_float(self) -> np.ndarray:
+        return self._dense(0.0, self.float_values)
 
     def to_float(self) -> np.ndarray:
         return self._dense_float
@@ -232,6 +242,27 @@ def build_chain(
     return TransitionMatrix(states, cells // n, cells % n, sums, den)
 
 
+def _covered(dist: WeightedEdits, g: HostGraph) -> int:
+    """Union of the generator supports. Warns when it misses host edges,
+    which then stay frozen at the initial state's values."""
+    if dist.m != g.m:
+        raise ValidationError(f"distribution edge count {dist.m} != host {g.m}")
+    if dist.is_lazy:
+        raise CapExceeded("cannot enumerate a lazy distribution; use explicit mode")
+    covered = 0
+    for e, _ in dist.items:
+        covered |= e.support_mask
+    full = (1 << g.m) - 1
+    if covered != full:
+        warnings.warn(
+            f"generator supports cover only {covered:#x} of {full:#x}; "
+            "uncovered edges are frozen at the initial state",
+            SupportNotCovering,
+            stacklevel=3,
+        )
+    return covered
+
+
 def recurrent_class(
     dist: WeightedEdits,
     g: HostGraph,
@@ -245,22 +276,8 @@ def recurrent_class(
     If the generator supports do not cover the host edges, a warning is
     issued and the uncovered edges stay frozen at the initial state's values.
     """
-    if dist.m != g.m:
-        raise ValidationError(f"distribution edge count {dist.m} != host {g.m}")
-    if dist.is_lazy:
-        raise CapExceeded("cannot enumerate a lazy distribution; use explicit mode")
+    _covered(dist, g)
     edits = [e for e, _ in dist.items]
-    covered = 0
-    for e in edits:
-        covered |= e.support_mask
-    full = (1 << g.m) - 1
-    if covered != full:
-        warnings.warn(
-            f"generator supports cover only {covered:#x} of {full:#x}; "
-            "uncovered edges are frozen at the initial state",
-            SupportNotCovering,
-            stacklevel=2,
-        )
     start_state = initial if initial is not None else g.empty_set()
     saturate = Edit.identity(g.m)
     for e in edits:
@@ -313,6 +330,108 @@ def stationary_numeric(tm: TransitionMatrix) -> np.ndarray:
     return np.clip(pi, 0.0, None) / pi.sum()
 
 
+def stationary_faces(
+    dist: WeightedEdits,
+    g: HostGraph,
+    initial: EdgeSet | None = None,
+    cap: int = DEFAULT_STATE_CAP,
+    exact: bool | None = None,
+) -> tuple[list[EdgeSet], object]:
+    """Stationary law of the walk on its recurrent class, as the law of the
+    infinite backward product x1 x2 x3 ... of drawn edits (Brown & Diaconis
+    1998). A face F, a product of edits with support S, stays put with
+    probability lambda_S, the weight of the edits inside S, and otherwise
+    becomes F.y, which keeps F's signs and adds y's outside S, with
+    probability w(y) / (1 - lambda_S). Supports only grow, so one pass over
+    the faces by support size carries all the mass to the chambers. No
+    chain or matrix is built, and memory is O(faces).
+
+    Returns the recurrent states in ascending mask order, as
+    `recurrent_class` lists them, with their masses: Fractions when `exact`
+    (default: whether the weights are rational), else a float64 array.
+    Uncovered edges keep the initial state's values. Raises CapExceeded
+    beyond `cap` faces."""
+    covered = _covered(dist, g)
+    exact = dist.is_exact if exact is None else exact
+    edits, weights = zip(*dist.items)
+    dtype = np.uint64 if g.m <= 64 else object
+    signs = np.array([e.plus for e in edits], dtype), np.array([e.minus for e in edits], dtype)
+    w = _common_denominator(weights)[0] if exact else np.array([float(x) for x in weights])
+    one = np.array([Fraction(1)] if exact else [1.0], dtype=w.dtype)
+    pending = {0: [(np.zeros(1, dtype), np.zeros(1, dtype), one)]}
+    top, faces = covered.bit_count(), 0
+    for size in range(top + 1):
+        if size not in pending:
+            continue
+        plus, minus, mass = _merge_faces(pending.pop(size), g.m)
+        faces += len(mass)
+        _check_face_cap(faces, cap)
+        if size == top:
+            break
+        for start in range(0, len(mass), FACE_BLOCK):
+            block = slice(start, start + FACE_BLOCK)
+            for level, chunk in _face_moves(plus[block], minus[block], mass[block], signs, w):
+                chunks = pending.setdefault(level, [])
+                chunks.append(chunk)
+                if sum(len(c[2]) for c in chunks[1:]) > max(FACE_MERGE_ROWS, len(chunks[0][2])):
+                    chunks[:] = [_merge_faces(chunks, g.m)]
+                    _check_face_cap(faces + len(chunks[0][2]), cap)  # bounds what waits
+    masks = plus | (initial.mask & ~covered if initial is not None else 0)
+    order = np.argsort(masks, kind="stable")
+    states = [EdgeSet(g.m, int(mask)) for mask in masks[order]]
+    return states, list(mass[order]) if exact else mass[order]
+
+
+def _check_face_cap(count: int, cap: int) -> None:
+    if count > cap:
+        raise CapExceeded(f"face recursion exceeds cap of {cap} faces")
+
+
+def _face_moves(plus, minus, mass, signs, w):
+    """Each face's moves to F.y over the edits y leaving its support,
+    grouped by the support size they reach: (size, (plus, minus, mass))."""
+    plus_y, minus_y = signs
+    support = plus | minus
+    f, y = np.nonzero((plus_y | minus_y) & ~support[:, None])
+    out = _sum_at(f, w[y], len(mass))
+    free = ~support[f]
+    moved = (plus[f] | plus_y[y] & free, minus[f] | minus_y[y] & free,
+             mass[f] * w[y] / out[f])  # an exact mass is a Fraction, so Fraction * int / int
+    reach = _popcount(moved[0] | moved[1])
+    order = np.argsort(reach, kind="stable")
+    levels, starts = np.unique(reach[order], return_index=True)
+    for level, part in zip(levels.tolist(), np.split(order, starts[1:])):
+        yield level, tuple(a[part] for a in moved)
+
+
+def _merge_faces(chunks, m: int):
+    """One row per distinct face, its masses summed in row order."""
+    plus, minus, mass = (np.concatenate(a) for a in zip(*chunks))
+    # np.unique gets 1-D keys only: its return_inverse changed shape for
+    # n-D input between NumPy 2.0 and 2.1
+    if plus.dtype == object:
+        keys = plus << m | minus
+    else:
+        keys = np.stack((plus, minus), axis=1).view(np.dtype((np.void, 16))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return plus[first], minus[first], _sum_at(inverse, mass, len(first))
+
+
+def _sum_at(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Sums of values by index, in row order: exact for object arrays."""
+    if values.dtype != object:
+        return np.bincount(index, values, minlength=size)
+    total = np.zeros(size, dtype=object)
+    np.add.at(total, index, values)
+    return total
+
+
+def _popcount(masks: np.ndarray) -> np.ndarray:
+    if masks.dtype == object:
+        return np.array([int(x).bit_count() for x in masks], dtype=np.int64)
+    return np.bitwise_count(masks).astype(np.int64)
+
+
 # ---------------------------------------------------------------------------
 # spectra
 # ---------------------------------------------------------------------------
@@ -339,16 +458,21 @@ def spectrum(
     lat: SupportLattice | None = None,
     initial: EdgeSet | None = None,
     cap: int = DEFAULT_STATE_CAP,
+    states: Sequence[EdgeSet] | None = None,
 ) -> SpectrumReport:
     """Spectrum of a compound chain: one eigenvalue per flat of the support
     lattice (the weight mass inside the flat), with multiplicities obtained
-    from the chamber counts by back-substitution over the flat order."""
+    from the chamber counts by back-substitution over the flat order.
+    `states` is the recurrent class when the caller already has it, such as
+    a chain's states; otherwise it is enumerated."""
     if dist.is_lazy:
         raise CapExceeded("cannot enumerate a lazy distribution; use explicit mode")
     generators = [e for e, _ in dist.items]
     if lat is None:
         lat = closure([supp(e) for e in generators], cap=cap)
-    chambers = [chamber_of(s) for s in recurrent_class(dist, g, initial, cap)]
+    if states is None:
+        states = recurrent_class(dist, g, initial, cap)
+    chambers = [chamber_of(s) for s in states]
     reps = representatives_for(lat, generators)
     return multiplicities(lat, chambers, reps, dist)
 
@@ -494,10 +618,10 @@ def tv_decay(
     tm: TransitionMatrix, initial: EdgeSet | int, pi, t_max: int
 ) -> np.ndarray:
     """Exact distance-to-stationarity curve for t = 0..t_max, starting from
-    a point mass and iterating row-vector products."""
+    a point mass and iterating row-vector products over the nonzero cells."""
     if t_max < 0:
         raise ValidationError(f"t_max must be >= 0, got {t_max}")
-    P = tm.to_float()
+    values = tm.float_values
     target = np.asarray([float(x) for x in pi], dtype=float)
     if target.shape[0] != tm.size:
         raise LengthMismatch(f"pi has {target.shape[0]} entries, chain has {tm.size}")
@@ -507,7 +631,7 @@ def tv_decay(
     for t in range(t_max + 1):
         curve[t] = 0.5 * np.abs(dist - target).sum()
         if t < t_max:
-            dist = dist @ P
+            dist = np.bincount(tm.cols, dist[tm.rows] * values, minlength=tm.size)
     return curve
 
 

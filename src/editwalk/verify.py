@@ -30,6 +30,7 @@ from .spectral import (
     q_matrix,
     spectrum,
     stationary_closed_form,
+    stationary_faces,
     stationary_numeric,
 )
 
@@ -134,8 +135,11 @@ def run_verification(
     p=None,
     tm: TransitionMatrix | None = None,
     rng: np.random.Generator | None = None,
+    exact: bool | None = None,
 ) -> list[CheckResult]:
-    """Full oracle suite for one model; p enables the per-edge closed forms."""
+    """Full oracle suite for one model; p enables the per-edge closed forms.
+    `exact` sets the arithmetic of a compound model's stationary law
+    (default: exact when the weights are rational)."""
     from .spectral import build_chain
 
     rng = rng or np.random.default_rng(0)
@@ -167,7 +171,10 @@ def run_verification(
             pairs.append((tm.states[int(i)], tm.states[int(j)]))
         results.append(check_commute_backends(g, p, tm, pairs))
     else:
-        report = spectrum(dist, g)
+        _, pi = stationary_faces(dist, g, exact=exact)
+        results.append(check_stationary_fixed_point(tm, pi))
+        results.append(check_stationary_vs_solve(tm, pi))
+        report = spectrum(dist, g, states=tm.states)
         results.append(check_spectrum_multiset(report, tm))
         results.append(
             CheckResult(

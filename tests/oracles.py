@@ -15,7 +15,9 @@ time:
 * eigenvalue multiplicities by Mobius inversion of chamber counts, with
   the Mobius function filled row by row and each chamber tested by `leq`,
   where the library back-substitutes over the flat order and compares the
-  chambers' + masks as one array.
+  chambers' + masks as one array;
+* the distance-to-stationarity curve by products with the dense float
+  matrix, where `tv_decay` sums over the chain's nonzero cells.
 
 The tests compare the two.
 """
@@ -239,3 +241,16 @@ def multiplicities_by_mobius(lat, chambers, representatives) -> list[int]:
         sum(mu * counts[j] for j, mu in _mobius_row(lat, i).items())
         for i in range(len(lat.flats))
     ]
+
+
+def tv_decay_dense(tm, initial, pi, t_max: int) -> np.ndarray:
+    P = tm.to_float()
+    target = np.asarray([float(x) for x in pi])
+    dist = np.zeros(tm.size)
+    dist[tm.index_of(initial)] = 1.0
+    curve = np.empty(t_max + 1)
+    for t in range(t_max + 1):
+        curve[t] = 0.5 * np.abs(dist - target).sum()
+        if t < t_max:
+            dist = dist @ P
+    return curve
