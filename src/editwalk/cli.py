@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterator
@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from .edits import parse_edit
-from .errors import CapExceeded, EditWalkError, ValidationError
+from .errors import STATE_CAP, CapExceeded, EditWalkError, ValidationError, check_cap
 from .hostgraph import EdgeSet, HostGraph, host_from_json, is_acyclic, is_integer
 from .process import (
     SAMPLER_VERSION,
@@ -52,21 +52,19 @@ from .spectral import (
 )
 from .verify import run_verification
 
-DEFAULT_CAPS = {"states": 1 << 20, "commute_states": 256}
-
 
 @dataclass
 class RunConfig:
     host: HostGraph
     model: str
     weights: WeightedEdits
+    caps: dict  # "states": every enumeration; "commute_states": the commute matrix
     p: object = None  # per-edge probabilities for the simple model
     steps: int = 0
     seed: int = 0
     thin: int = 1
     initial: EdgeSet | None = None
     mode: str = "double"
-    caps: dict = field(default_factory=lambda: dict(DEFAULT_CAPS))
     out: Path = Path(".")
 
 
@@ -92,6 +90,14 @@ def _integer(value, key: str, least: int = 0) -> int:
         kind = "a non-negative integer" if least == 0 else f"an integer >= {least}"
         raise ValidationError(f"{key}: expected {kind}, got {value!r}")
     return int(value)
+
+
+def _cap(value, key: str) -> int:
+    """A count cap, at most 2^63 so no 2^m enumeration reaches 64 edges."""
+    cap = _integer(value, key)
+    if not 1 <= cap <= 1 << 63:
+        raise ValidationError(f"{key}: expected a cap in [1, 2^63], got {cap}")
+    return cap
 
 
 def _required(obj: dict, key: str, path: str, what: str):
@@ -188,6 +194,18 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
         raise ValidationError('config needs a single "model" object with a "name"')
     name = model_spec["name"]
     params = {k: v for k, v in model_spec.items() if k != "name"}
+    caps_spec = raw.get("caps", {})
+    if not isinstance(caps_spec, dict):
+        raise ValidationError(f"caps: expected an object, got {caps_spec!r}")
+    caps = {key: _cap(caps_spec.get(key, default), f"caps.{key}")
+            for key, default in (("states", STATE_CAP), ("commute_states", 256))}
+    if overrides.cap_states is not None:
+        caps["states"] = _cap(overrides.cap_states, "--cap-states")
+    elif caps["states"] > STATE_CAP:
+        raise ValidationError(
+            f'config raises caps.states to {caps["states"]}; pass --cap-states '
+            "explicitly to confirm"
+        )
 
     if name == "intersection":
         n = _integer(_required(params, "n", "model", name), "model.n", least=1)
@@ -213,7 +231,9 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
         weights = moran_weights(host)
     elif name == "intersection":
         mu = _numbers(_required(params, "mu", "model", name), exact, "model.mu")
-        weights = intersection_weights(n, N, mu, mode=params.get("mode", "explicit"))
+        weights = intersection_weights(
+            n, N, mu, mode=params.get("mode", "explicit"), cap=caps["states"]
+        )
     elif name == "custom":
         edits_spec = params.get("edits")
         if not isinstance(edits_spec, list) or not edits_spec:
@@ -223,21 +243,6 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
         weights = WeightedEdits(host.m, items)
     else:
         raise ValidationError(f"unknown model name {name!r}")
-
-    caps = dict(DEFAULT_CAPS)
-    caps_spec = raw.get("caps", {})
-    if not isinstance(caps_spec, dict):
-        raise ValidationError(f"caps: expected an object, got {caps_spec!r}")
-    caps.update(caps_spec)
-    for key in DEFAULT_CAPS:
-        caps[key] = _integer(caps[key], f"caps.{key}")
-    if overrides.cap_states is not None:
-        caps["states"] = overrides.cap_states
-    elif caps["states"] > DEFAULT_CAPS["states"]:
-        raise ValidationError(
-            f'config raises caps.states to {caps["states"]}; pass --cap-states '
-            "explicitly to confirm"
-        )
 
     seed = _integer(overrides.seed if overrides.seed is not None else raw.get("seed", 0), "seed")
     default_initial = "full" if name == "moran" else "empty"
@@ -262,8 +267,8 @@ def _warn_if_transient(cfg: RunConfig) -> None:
     """Compound-model mixing statements start from the recurrent class."""
     if cfg.model == "simple" or cfg.weights.is_lazy:
         return
-    if cfg.host.m > 20 or (1 << cfg.host.m) > cfg.caps["states"]:
-        return
+    if (1 << cfg.host.m) > cfg.caps["states"]:
+        return  # a walk on a host past enumeration scale is never held up by this check
     states = recurrent_class(cfg.weights, cfg.host, initial=cfg.initial, cap=cfg.caps["states"])
     if cfg.initial.mask not in {s.mask for s in states}:
         print(
@@ -316,7 +321,7 @@ def _trajectory_lines(traj: Trajectory, g: HostGraph, edges: bool) -> Iterator[s
 
 def _spectrum_report(cfg: RunConfig, states=None):
     if cfg.model == "simple":
-        return eigenvalues_simple(cfg.host.m)
+        return eigenvalues_simple(cfg.host.m, cfg.caps["states"])
     return spectrum(
         cfg.weights, cfg.host, initial=cfg.initial, cap=cfg.caps["states"], states=states
     )
@@ -343,7 +348,7 @@ def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def _stationary_pairs(cfg: RunConfig):
     if cfg.model == "simple":
-        pi = stationary_closed_form(cfg.host, cfg.p)
+        pi = stationary_closed_form(cfg.host, cfg.p, cfg.caps["states"])
         states = [EdgeSet(cfg.host.m, mask) for mask in range(1 << cfg.host.m)]
         return states, list(pi)
     return stationary_faces(
@@ -373,12 +378,20 @@ def cmd_mixing(cfg: RunConfig, args: argparse.Namespace) -> int:
     m = cfg.host.m
     meta = artifact_meta(cfg.host, cfg.seed, model=cfg.model, c=c)
     simple = cfg.model == "simple"
-    tm = None
-    if (1 << m) <= cfg.caps["states"] and m <= 20:
+    cap = cfg.caps["states"]
+    try:  # the curve's own enumerations; beyond the cap only the bound is written
+        if simple:
+            pi = stationary_closed_form(cfg.host, cfg.p, cap)
+        else:
+            _, pi = stationary_faces(
+                cfg.weights, cfg.host, initial=cfg.initial, cap=cap, exact=False
+            )
         tm = build_chain(
             cfg.weights, cfg.host, restrict="all" if simple else "recurrent",
-            initial=cfg.initial, cap=cfg.caps["states"],
+            initial=cfg.initial, cap=cap,
         )
+    except CapExceeded as exc:
+        tm, skipped = None, str(exc)
 
     if simple:
         bound_steps = mixing_bound_simple(m, c)
@@ -396,12 +409,6 @@ def cmd_mixing(cfg: RunConfig, args: argparse.Namespace) -> int:
     t_max = args.t_max if args.t_max is not None else bound_steps
     cfg.out.mkdir(parents=True, exist_ok=True)
     if tm is not None:
-        if simple:
-            pi = stationary_closed_form(cfg.host, cfg.p)
-        else:
-            _, pi = stationary_faces(
-                cfg.weights, cfg.host, initial=cfg.initial, cap=cfg.caps["states"], exact=False
-            )
         start = cfg.initial
         if start.mask not in {s.mask for s in tm.states}:
             start = tm.states[0]  # fall back to a recurrent start
@@ -412,6 +419,7 @@ def cmd_mixing(cfg: RunConfig, args: argparse.Namespace) -> int:
         write_csv(cfg.out / "mixing.csv", meta, ["t", "tv", "bound"], rows)
         print(f"wrote {cfg.out / 'mixing.csv'} (bound_steps={bound_steps})")
     else:
+        meta["curve_skipped"] = skipped
         write_json(cfg.out / "mixing.json", meta, {"bound_steps": bound_steps})
         print(f"wrote {cfg.out / 'mixing.json'} (bound_steps={bound_steps}; curve skipped)")
     return 0
@@ -422,12 +430,10 @@ def cmd_commute(cfg: RunConfig, args: argparse.Namespace) -> int:
     meta = artifact_meta(cfg.host, cfg.seed, model=cfg.model, mode=cfg.mode)
     cfg.out.mkdir(parents=True, exist_ok=True)
     if cfg.model == "simple":
-        if (1 << cfg.host.m) > cap:
-            raise CapExceeded(
-                f"2^{cfg.host.m} states exceed the commute cap {cap}; "
-                "raise caps.commute_states to override"
-            )
-        states = [EdgeSet(cfg.host.m, mask) for mask in range(1 << cfg.host.m)]
+        m = cfg.host.m
+        check_cap(1 << m, cfg.caps["states"], f"2^{m} states")
+        check_cap(1 << m, cap, f"2^{m} commute-matrix states (caps.commute_states)")
+        states = [EdgeSet(m, mask) for mask in range(1 << m)]
         matrix = [[""] * len(states) for _ in states]
         for i, a in enumerate(states):  # commute times are symmetric
             for j in range(i, len(states)):
@@ -437,10 +443,7 @@ def cmd_commute(cfg: RunConfig, args: argparse.Namespace) -> int:
             cfg.weights, cfg.host, restrict="recurrent", initial=cfg.initial,
             cap=cfg.caps["states"],
         )
-        if tm.size > cap:
-            raise CapExceeded(
-                f"{tm.size} recurrent states exceed the commute cap {cap}"
-            )
+        check_cap(tm.size, cap, f"{tm.size} commute-matrix states (caps.commute_states)")
         states = list(tm.states)
         hit = np.column_stack([hitting_times_to(tm, s) for s in states])
         matrix = [[str(hit[i, j] + hit[j, i]) for j in range(tm.size)] for i in range(tm.size)]
@@ -475,6 +478,7 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
         p=cfg.p if cfg.model == "simple" else None,
         rng=np.random.default_rng(cfg.seed),
         exact=cfg.mode == "rational",
+        cap=cfg.caps["states"],
     )
     for result in results:
         print(result.line())

@@ -3,7 +3,10 @@
 Validation errors (bad inputs, contract violations) subclass both
 EditWalkError and ValueError so callers may catch either. Cap errors are
 kept separate because the CLI maps them to a distinct exit code.
+Every enumeration counts its items against a cap through `check_cap`.
 """
+
+STATE_CAP = 1 << 20
 
 
 class EditWalkError(Exception):
@@ -70,8 +73,14 @@ class CapExceeded(EditWalkError):
     """An enumeration would exceed the configured state/flat cap."""
 
 
-class ClosureTooLarge(CapExceeded):
-    pass
+ClosureTooLarge = CapExceeded  # every cap raises the one type; the old name stays importable
+
+
+def check_cap(count: int, cap: int, what: str) -> None:
+    """Raise CapExceeded when `count` enumerated items exceed `cap`; `what`
+    names the items, with their count when it is known ("2^21 states")."""
+    if count > cap:
+        raise CapExceeded(f"{what} exceed the cap of {cap}")
 
 
 class NotIrreducible(EditWalkError):

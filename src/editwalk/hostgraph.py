@@ -5,9 +5,9 @@ The host graph fixes a canonical edge indexing (edges sorted by
 An EdgeSet is a bitmask over those indices and doubles as a Markov chain
 state, a flat of the support lattice, or an edit support.
 
-Enumeration APIs elsewhere require m <= ENUM_EDGE_CAP so that all 2^m
-states are addressable; EdgeSet itself places no limit on m (Python ints
-are arbitrary precision), so simulation works on hosts of any size.
+Enumeration APIs elsewhere count the 2^m states against a cap
+(`errors.check_cap`); EdgeSet itself places no limit on m (Python ints are
+arbitrary precision), so simulation works on hosts of any size.
 """
 
 from __future__ import annotations
@@ -24,9 +24,6 @@ from .errors import (
     ValidationError,
     VertexOutOfRange,
 )
-
-# Hard cap for APIs that index all 2^m states densely.
-ENUM_EDGE_CAP = 63
 
 
 @dataclass(frozen=True)

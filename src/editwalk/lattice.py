@@ -20,10 +20,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .edits import Edit, compose
-from .errors import BadRepresentative, ClosureTooLarge, NotAChamber, NotAFlat, ValidationError
+from .errors import STATE_CAP, BadRepresentative, NotAChamber, NotAFlat, ValidationError, check_cap
 from .hostgraph import EdgeSet
-
-DEFAULT_CLOSURE_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -64,12 +62,10 @@ class SupportLattice:
         return self._index[x.mask]
 
 
-def closure(
-    supports: Sequence[EdgeSet], cap: int = DEFAULT_CLOSURE_CAP
-) -> SupportLattice:
+def closure(supports: Sequence[EdgeSet], cap: int = STATE_CAP) -> SupportLattice:
     """Union-closure of the given supports, seeded with the empty set.
 
-    Raises ClosureTooLarge when the closure would exceed `cap` flats.
+    Raises CapExceeded when the closure would exceed `cap` flats.
     """
     if not supports:
         raise ValidationError("need at least one generator support")
@@ -93,10 +89,7 @@ def closure(
         for i, s in enumerate(supports):
             u = x | s.mask
             if u not in witnesses:
-                if len(witnesses) >= cap:
-                    raise ClosureTooLarge(
-                        f"support closure exceeds cap of {cap} flats"
-                    )
+                check_cap(len(witnesses) + 1, cap, "support-closure flats")
                 witnesses[u] = witnesses[x] + (i,)
                 frontier.append(u)
 

@@ -31,17 +31,17 @@ import numpy as np
 
 from .edits import Edit, Sign, simple_edit
 from .errors import (
+    STATE_CAP,
     BadDistribution,
-    CapExceeded,
     EmptyEdgeSet,
     HostMismatch,
     ProbabilityOutOfRange,
     ValidationError,
+    check_cap,
 )
 from .hostgraph import EdgeSet, HostGraph, complete_bipartite, neighborhood_edges
 
 WEIGHT_SUM_TOL = 1e-12
-EMPIRICAL_EDGE_CAP = 20
 SAMPLER_VERSION = 2  # block-drawn edits; version 1 drew one edit per step
 BLOCK = 4096  # edits per block draw of an explicit distribution
 LAZY_BLOCK_CELLS = 1 << 13  # bound on rows * N of a lazy intersection block
@@ -209,7 +209,7 @@ def intersection_weights(
     N: int,
     mu: Sequence,
     mode: str = "explicit",
-    cap: int = 1 << 20,
+    cap: int = STATE_CAP,
 ) -> WeightedEdits:
     """Neighborhood reassignment on the complete bipartite host K_{n,N}.
 
@@ -262,10 +262,7 @@ def intersection_weights(
 
     if mode != "explicit":
         raise ValidationError(f"mode must be 'explicit' or 'lazy', got {mode!r}")
-    if n * (1 << N) > cap:
-        raise CapExceeded(
-            f"{n}*2^{N} explicit edits exceed cap {cap}; use mode='lazy'"
-        )
+    check_cap(n << N, cap, f"{n}*2^{N} explicit intersection edits")
     items: list[tuple[Edit, object]] = []
     by_size = [Fraction(x, n * math.comb(N, k)) if _is_exact(x) else float(x) / (n * math.comb(N, k))
                for k, x in enumerate(mu)]
@@ -292,8 +289,7 @@ def intersection_stationary(n: int, N: int, mu: Sequence) -> np.ndarray:
     Each left vertex's neighborhood is independent with P(A) = mu(|A|)/C(N,|A|),
     so the law is the Kronecker product of n copies of that block.
     """
-    if n * N > EMPIRICAL_EDGE_CAP:
-        raise CapExceeded(f"2^{n * N} states exceed the enumeration cap")
+    check_cap(1 << n * N, STATE_CAP, f"2^{n * N} states")
     by_size = np.array([float(mu[k]) / math.comb(N, k) for k in range(N + 1)])
     return _kron([by_size[np.bitwise_count(np.arange(1 << N))]] * n)
 
@@ -376,8 +372,7 @@ def empirical_distribution(
 ) -> np.ndarray:
     """Normalized histogram over all 2^m states from a thinned sample run."""
     m = dist.m
-    if m > EMPIRICAL_EDGE_CAP:
-        raise CapExceeded(f"2^{m} histogram bins exceed the cap of 2^{EMPIRICAL_EDGE_CAP}")
+    check_cap(1 << m, STATE_CAP, f"2^{m} histogram bins")
     if samples <= 0:
         raise ValidationError(f"need at least one sample, got {samples}")
     if burn_in < 0 or stride < 1:

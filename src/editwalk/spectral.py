@@ -32,6 +32,7 @@ import numpy as np
 
 from .edits import Edit, apply, chamber_of, compose, supp
 from .errors import (
+    STATE_CAP,
     CapExceeded,
     DegenerateGap,
     LengthMismatch,
@@ -39,8 +40,9 @@ from .errors import (
     NotReversible,
     SupportNotCovering,
     ValidationError,
+    check_cap,
 )
-from .hostgraph import ENUM_EDGE_CAP, EdgeSet, HostGraph
+from .hostgraph import EdgeSet, HostGraph
 from .lattice import (
     SpectrumEntry,
     SpectrumReport,
@@ -51,7 +53,6 @@ from .lattice import (
 )
 from .process import WeightedEdits, _is_exact, _kron, _per_edge_probabilities
 
-DEFAULT_STATE_CAP = 1 << 20
 REVERSIBILITY_TOL = 1e-10
 SOLVE_RESIDUAL_TOL = 1e-8
 FACE_BLOCK = 1 << 12  # faces per vectorized step of the face recursion
@@ -193,11 +194,12 @@ def permute_vector(vec, masks: Sequence[int]):
     return [vec[mask] for mask in masks]
 
 
-def _require_enumerable(m: int, cap: int) -> None:
-    if m > ENUM_EDGE_CAP:
-        raise CapExceeded(f"m = {m} exceeds the {ENUM_EDGE_CAP}-edge enumeration cap")
-    if (1 << m) > cap:
-        raise CapExceeded(f"2^{m} states exceed the cap of {cap}")
+def _explicit(dist: WeightedEdits, g: HostGraph) -> None:
+    """Enumerations need every edit listed, on the host's edges."""
+    if dist.m != g.m:
+        raise ValidationError(f"distribution edge count {dist.m} != host {g.m}")
+    if dist.is_lazy:
+        raise CapExceeded("cannot enumerate a lazy distribution; use explicit mode")
 
 
 def build_chain(
@@ -205,7 +207,7 @@ def build_chain(
     g: HostGraph,
     restrict: str = "all",
     initial: EdgeSet | None = None,
-    cap: int = DEFAULT_STATE_CAP,
+    cap: int = STATE_CAP,
 ) -> TransitionMatrix:
     """Transition matrix of the walk driven by `dist`.
 
@@ -214,12 +216,9 @@ def build_chain(
     class and builds the matrix on it. Each cell sums its edits' weights:
     exactly when every weight is rational, else in float64 in edit order.
     """
-    if dist.m != g.m:
-        raise ValidationError(f"distribution edge count {dist.m} != host {g.m}")
-    if dist.is_lazy:
-        raise CapExceeded("cannot enumerate a lazy distribution; use explicit mode")
+    _explicit(dist, g)
     if restrict == "all":
-        _require_enumerable(g.m, cap)
+        check_cap(1 << g.m, cap, f"2^{g.m} states")
         states = tuple(EdgeSet(g.m, mask) for mask in range(1 << g.m))
     elif restrict == "recurrent":
         states = tuple(recurrent_class(dist, g, initial=initial, cap=cap))
@@ -245,10 +244,7 @@ def build_chain(
 def _covered(dist: WeightedEdits, g: HostGraph) -> int:
     """Union of the generator supports. Warns when it misses host edges,
     which then stay frozen at the initial state's values."""
-    if dist.m != g.m:
-        raise ValidationError(f"distribution edge count {dist.m} != host {g.m}")
-    if dist.is_lazy:
-        raise CapExceeded("cannot enumerate a lazy distribution; use explicit mode")
+    _explicit(dist, g)
     covered = 0
     for e, _ in dist.items:
         covered |= e.support_mask
@@ -267,7 +263,7 @@ def recurrent_class(
     dist: WeightedEdits,
     g: HostGraph,
     initial: EdgeSet | None = None,
-    cap: int = DEFAULT_STATE_CAP,
+    cap: int = STATE_CAP,
 ) -> list[EdgeSet]:
     """The unique closed communicating class of the walk: states reachable
     after every edge in the covered region has been acted on at least once,
@@ -291,8 +287,7 @@ def recurrent_class(
         for e in edits:
             dest = (mask | e.plus) & ~e.minus
             if dest not in seen:
-                if len(seen) >= cap:
-                    raise CapExceeded(f"recurrent class exceeds cap of {cap} states")
+                check_cap(len(seen) + 1, cap, "recurrent-class states")
                 seen.add(dest)
                 frontier.append(dest)
     return [EdgeSet(g.m, mask) for mask in sorted(seen)]
@@ -303,14 +298,14 @@ def recurrent_class(
 # ---------------------------------------------------------------------------
 
 
-def stationary_closed_form(g: HostGraph, p):
+def stationary_closed_form(g: HostGraph, p, cap: int = STATE_CAP):
     """Product-form stationary law of the per-edge update chain over all
     2^m states in ascending mask order: each edge is independently present
     with its own probability.
 
     Returns a list of Fractions when p is rational, else a float array.
     """
-    return phi(g.full_set(), g, p)
+    return phi(g.full_set(), g, p, cap)
 
 
 def stationary_numeric(tm: TransitionMatrix) -> np.ndarray:
@@ -334,7 +329,7 @@ def stationary_faces(
     dist: WeightedEdits,
     g: HostGraph,
     initial: EdgeSet | None = None,
-    cap: int = DEFAULT_STATE_CAP,
+    cap: int = STATE_CAP,
     exact: bool | None = None,
 ) -> tuple[list[EdgeSet], object]:
     """Stationary law of the walk on its recurrent class, as the law of the
@@ -365,7 +360,7 @@ def stationary_faces(
             continue
         plus, minus, mass = _merge_faces(pending.pop(size), g.m)
         faces += len(mass)
-        _check_face_cap(faces, cap)
+        check_cap(faces, cap, "face-recursion faces")
         if size == top:
             break
         for start in range(0, len(mass), FACE_BLOCK):
@@ -375,16 +370,12 @@ def stationary_faces(
                 chunks.append(chunk)
                 if sum(len(c[2]) for c in chunks[1:]) > max(FACE_MERGE_ROWS, len(chunks[0][2])):
                     chunks[:] = [_merge_faces(chunks, g.m)]
-                    _check_face_cap(faces + len(chunks[0][2]), cap)  # bounds what waits
+                    # bounds what waits
+                    check_cap(faces + len(chunks[0][2]), cap, "face-recursion faces")
     masks = plus | (initial.mask & ~covered if initial is not None else 0)
     order = np.argsort(masks, kind="stable")
     states = [EdgeSet(g.m, int(mask)) for mask in masks[order]]
     return states, list(mass[order]) if exact else mass[order]
-
-
-def _check_face_cap(count: int, cap: int) -> None:
-    if count > cap:
-        raise CapExceeded(f"face recursion exceeds cap of {cap} faces")
 
 
 def _face_moves(plus, minus, mass, signs, w):
@@ -437,14 +428,14 @@ def _popcount(masks: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def eigenvalues_simple(m: int) -> SpectrumReport:
+def eigenvalues_simple(m: int, cap: int = STATE_CAP) -> SpectrumReport:
     """Closed-form spectrum of the per-edge update chain: one eigenvalue
     |T|/m per edge subset T, each with multiplicity one (so the value k/m
     appears C(m, k) times in the multiset), independent of the edge
     probabilities."""
     if m < 1:
         raise ValidationError("need at least one edge")
-    _require_enumerable(m, DEFAULT_STATE_CAP)
+    check_cap(1 << m, cap, f"2^{m} states")
     entries = tuple(
         SpectrumEntry(EdgeSet(m, mask), Fraction(mask.bit_count(), m), 1)
         for mask in sorted(range(1 << m), key=lambda v: (v.bit_count(), v))
@@ -457,7 +448,7 @@ def spectrum(
     g: HostGraph,
     lat: SupportLattice | None = None,
     initial: EdgeSet | None = None,
-    cap: int = DEFAULT_STATE_CAP,
+    cap: int = STATE_CAP,
     states: Sequence[EdgeSet] | None = None,
 ) -> SpectrumReport:
     """Spectrum of a compound chain: one eigenvalue per flat of the support
@@ -465,8 +456,7 @@ def spectrum(
     from the chamber counts by back-substitution over the flat order.
     `states` is the recurrent class when the caller already has it, such as
     a chain's states; otherwise it is enumerated."""
-    if dist.is_lazy:
-        raise CapExceeded("cannot enumerate a lazy distribution; use explicit mode")
+    _explicit(dist, g)
     generators = [e for e, _ in dist.items]
     if lat is None:
         lat = closure([supp(e) for e in generators], cap=cap)
@@ -507,11 +497,11 @@ def eigenvalue_multiset_residual(a: Sequence[float], b: Sequence[float]) -> floa
 # ---------------------------------------------------------------------------
 
 
-def _phi_factors(g: HostGraph, p) -> tuple[list[np.ndarray], bool]:
+def _phi_factors(g: HostGraph, p, cap: int) -> tuple[list[np.ndarray], bool]:
     """The per-edge 2x2 factors [[-1, 1], [1-p_e, p_e]] of phi (row: is e in
     T, column: is e in E) and whether they are exact Fractions."""
     probs = _per_edge_probabilities(g, p)
-    _require_enumerable(g.m, DEFAULT_STATE_CAP)
+    check_cap(1 << g.m, cap, f"2^{g.m} states")
     exact = all(_is_exact(pe) for pe in probs)
     one = Fraction(1) if exact else 1.0
     dtype = object if exact else float
@@ -523,7 +513,7 @@ def _psi_scale(probs) -> np.ndarray:
     return _kron([np.array([math.sqrt(pe * (1.0 - pe)), 1.0]) for pe in map(float, probs)])
 
 
-def phi(T: EdgeSet, g: HostGraph, p):
+def phi(T: EdgeSet, g: HostGraph, p, cap: int = STATE_CAP):
     """Left eigenvector indexed by an edge subset T, over all 2^m states in
     ascending mask order. Entry at state E is
 
@@ -533,7 +523,7 @@ def phi(T: EdgeSet, g: HostGraph, p):
     and satisfies phi_T P = (|T|/m) phi_T; at T = all edges it equals the
     stationary law. The Kronecker product of row T_e of each per-edge
     factor; a list of Fractions when p is rational, else a float array."""
-    factors, exact = _phi_factors(g, p)
+    factors, exact = _phi_factors(g, p, cap)
     if T.m != g.m:
         raise ValidationError(f"subset edge count {T.m} != host {g.m}")
     row = _kron([f[T.mask >> e & 1] for e, f in enumerate(factors)])
@@ -563,11 +553,11 @@ class EigenSystem:
     exact: bool
 
 
-def eigensystem_simple(g: HostGraph, p) -> EigenSystem:
+def eigensystem_simple(g: HostGraph, p, cap: int = STATE_CAP) -> EigenSystem:
     """All 2^m closed-form eigenvectors at once: phi is the Kronecker product
     of the whole per-edge factors. In float mode the psi rows are the phi
     rows rescaled, with one stationary law (the last phi row) for all."""
-    factors, exact = _phi_factors(g, p)
+    factors, exact = _phi_factors(g, p, cap)
     m = g.m
     levels = np.array([Fraction(k, m) if exact else k / m for k in range(m + 1)], dtype=object)
     values = tuple(levels[np.bitwise_count(np.arange(1 << m))].tolist())
@@ -763,7 +753,7 @@ def commute_terms(E: EdgeSet, F: EdgeSet, g: HostGraph, p) -> list[tuple[EdgeSet
     probs = _per_edge_probabilities(g, p)
     if E.m != g.m or F.m != g.m:
         raise ValidationError("state edge count disagrees with host")
-    _require_enumerable(g.m, DEFAULT_STATE_CAP)
+    check_cap(1 << g.m, STATE_CAP, f"2^{g.m} states")
     m, exact = g.m, all(_is_exact(pe) for pe in probs)
     one, dtype = (Fraction(1), object) if exact else (1.0, float)
     scale = _kron([np.array([pe * (1 - pe), one], dtype) for pe in probs])

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .edits import supp
+from .errors import STATE_CAP
 from .hostgraph import HostGraph
 from .lattice import closure
 from .process import WeightedEdits, _is_exact, _per_edge_probabilities
@@ -121,10 +122,10 @@ def check_commute_backends(
     return _result("commute_backends", worst, tol, f"{len(list(pairs))} pairs")
 
 
-def check_closure_idempotent(dist: WeightedEdits) -> CheckResult:
+def check_closure_idempotent(dist: WeightedEdits, cap: int = STATE_CAP) -> CheckResult:
     supports = [supp(e) for e, _ in dist.items]
-    lat = closure(supports)
-    again = closure(list(lat.flats))
+    lat = closure(supports, cap)
+    again = closure(list(lat.flats), cap)
     same = tuple(x.mask for x in lat.flats) == tuple(x.mask for x in again.flats)
     return CheckResult("closure_idempotent", 0.0 if same else 1.0, 0.0, same)
 
@@ -136,10 +137,12 @@ def run_verification(
     tm: TransitionMatrix | None = None,
     rng: np.random.Generator | None = None,
     exact: bool | None = None,
+    cap: int = STATE_CAP,
 ) -> list[CheckResult]:
     """Full oracle suite for one model; p enables the per-edge closed forms.
     `exact` sets the arithmetic of a compound model's stationary law
-    (default: exact when the weights are rational)."""
+    (default: exact when the weights are rational). Every enumeration
+    (states, faces, flats) counts against `cap`."""
     from .spectral import build_chain
 
     rng = rng or np.random.default_rng(0)
@@ -148,22 +151,22 @@ def run_verification(
 
     if tm is None:
         restrict = "all" if simple_model else "recurrent"
-        tm = build_chain(dist, g, restrict=restrict)
+        tm = build_chain(dist, g, restrict=restrict, cap=cap)
     results.append(check_row_stochastic(tm))
 
     if simple_model:
-        pi = stationary_closed_form(g, p)
-        system = eigensystem_simple(g, p)
+        pi = stationary_closed_form(g, p, cap)
+        system = eigensystem_simple(g, p, cap)
         # psi needs square roots, so an exact system gets a float twin for it
         floats = [float(pe) for pe in _per_edge_probabilities(g, p)]
-        float_system = eigensystem_simple(g, floats) if system.exact else system
+        float_system = eigensystem_simple(g, floats, cap) if system.exact else system
         results.append(check_stationary_fixed_point(tm, pi))
         results.append(check_stationary_vs_solve(tm, pi))
         results.append(check_detailed_balance(tm, pi))
         results.append(check_eigenvector_residuals(system, tm))
         results.append(check_orthonormality(float_system))
         results.append(check_q_symmetry(tm, pi))
-        results.append(check_spectrum_multiset(eigenvalues_simple(g.m), tm))
+        results.append(check_spectrum_multiset(eigenvalues_simple(g.m, cap), tm))
         size = tm.size
         pairs = []
         for _ in range(min(10, size * (size - 1) // 2)):
@@ -171,10 +174,10 @@ def run_verification(
             pairs.append((tm.states[int(i)], tm.states[int(j)]))
         results.append(check_commute_backends(g, p, tm, pairs))
     else:
-        _, pi = stationary_faces(dist, g, exact=exact)
+        _, pi = stationary_faces(dist, g, cap=cap, exact=exact)
         results.append(check_stationary_fixed_point(tm, pi))
         results.append(check_stationary_vs_solve(tm, pi))
-        report = spectrum(dist, g, states=tm.states)
+        report = spectrum(dist, g, cap=cap, states=tm.states)
         results.append(check_spectrum_multiset(report, tm))
         results.append(
             CheckResult(
@@ -185,5 +188,5 @@ def run_verification(
                 f"{tm.size} chambers",
             )
         )
-    results.append(check_closure_idempotent(dist))
+    results.append(check_closure_idempotent(dist, cap))
     return results

@@ -163,19 +163,47 @@ def test_simulate_records_the_sampler_version(tmp_path):
             "model.p_preset.block: expected a list of vertices, got 1",
         ),
         ({"caps": [1]}, "caps: expected an object, got [1]"),
+        ({"caps": {"states": 0}}, "caps.states: expected a cap in [1, 2^63], got 0"),
+        (
+            {"caps": {"commute_states": 0}},
+            "caps.commute_states: expected a cap in [1, 2^63], got 0",
+        ),
+        (
+            {"caps": {"states": (1 << 63) + 1}},
+            "caps.states: expected a cap in [1, 2^63], got 9223372036854775809",
+        ),
     ],
     ids=["T-word", "T-fraction", "thin-word", "seed-negative", "intersection-without-mu",
          "p-word", "p-list-zero-denominator", "mu-word", "custom-weight-null", "initial-hex",
          "initial-triple",
          "p-preset-string", "p-preset-number", "host-params-word",
          "host-n-word", "custom-edit-number", "block-without-block", "custom-without-edit",
-         "caps-word", "host-edge-word", "custom-edit-superscript", "block-number", "caps-list"],
+         "caps-word", "host-edge-word", "custom-edit-superscript", "block-number", "caps-list",
+         "caps-zero", "commute-caps-zero", "caps-above-2^63"],
 )
 def test_bad_simulate_scalars_are_named(tmp_path, capsys, overrides, message):
     cfg = write_config(tmp_path, **overrides)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.strip() == f"error: {message}"
     assert not (tmp_path / "trajectory.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "command, value, message",
+    [
+        ("spectrum", "-1", "--cap-states: expected a non-negative integer, got -1"),
+        ("simulate", "0", "--cap-states: expected a cap in [1, 2^63], got 0"),
+        ("stationary", str((1 << 63) + 1),
+         "--cap-states: expected a cap in [1, 2^63], got 9223372036854775809"),
+    ],
+    ids=["spectrum-negative", "simulate-zero", "stationary-above-2^63"],
+)
+def test_bad_cap_flag_is_named(tmp_path, capsys, command, value, message):
+    cfg = write_config(tmp_path)
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path), "--cap-states", value]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]  # nothing written
 
 
 def test_config_that_is_not_an_object_is_named(tmp_path, capsys):
