@@ -70,7 +70,6 @@ from .spectral import (
     eigenvalues_simple,
     hitting_time,
     hitting_time_closed,
-    hitting_times_to,
     intersection_mixing_bound,
     mixing_bound_compound,
     mixing_bound_simple,

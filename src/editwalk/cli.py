@@ -36,10 +36,10 @@ from .process import (
 )
 from .serialize import artifact_meta, write_csv, write_json, write_jsonl
 from .spectral import (
+    _hitting_columns,
     build_chain,
     commute_time,
     eigenvalues_simple,
-    hitting_times_to,
     mixing_bound_compound,
     mixing_bound_simple,
     recurrent_class,
@@ -346,26 +346,25 @@ def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _stationary_pairs(cfg: RunConfig):
+def _stationary_rows(cfg: RunConfig) -> Iterator[tuple[str, str]]:
+    """(hex state, str(pi)) per recurrent state, in ascending mask order;
+    the simple model's rows are formatted from the masks as they are read."""
     if cfg.model == "simple":
         pi = stationary_closed_form(cfg.host, cfg.p, cfg.caps["states"])
-        states = [EdgeSet(cfg.host.m, mask) for mask in range(1 << cfg.host.m)]
-        return states, list(pi)
-    return stationary_faces(
+        return ((format(mask, "#x"), str(v)) for mask, v in enumerate(pi))
+    states, pi = stationary_faces(
         cfg.weights, cfg.host, initial=cfg.initial, cap=cfg.caps["states"],
         exact=cfg.mode == "rational",
     )
+    return ((s.hex(), str(v)) for s, v in zip(states, pi))
 
 
 def cmd_stationary(cfg: RunConfig, args: argparse.Namespace) -> int:
-    states, pi = _stationary_pairs(cfg)
+    rows = _stationary_rows(cfg)
     meta = artifact_meta(cfg.host, cfg.seed, model=cfg.model, mode=cfg.mode)
-    rows = [(s.hex(), str(v)) for s, v in zip(states, pi)]
     cfg.out.mkdir(parents=True, exist_ok=True)
     if args.format == "json":
-        write_json(cfg.out / "stationary.json", meta, [
-            {"state": s, "pi": v} for s, v in rows
-        ])
+        write_json(cfg.out / "stationary.json", meta, ({"state": s, "pi": v} for s, v in rows))
         print(f"wrote {cfg.out / 'stationary.json'}")
     else:
         write_csv(cfg.out / "stationary.csv", meta, ["state", "pi"], rows)
@@ -381,15 +380,12 @@ def cmd_mixing(cfg: RunConfig, args: argparse.Namespace) -> int:
     cap = cfg.caps["states"]
     try:  # the curve's own enumerations; beyond the cap only the bound is written
         if simple:
-            pi = stationary_closed_form(cfg.host, cfg.p, cap)
+            states, pi = None, stationary_closed_form(cfg.host, cfg.p, cap)
         else:
-            _, pi = stationary_faces(
+            states, pi = stationary_faces(
                 cfg.weights, cfg.host, initial=cfg.initial, cap=cap, exact=False
             )
-        tm = build_chain(
-            cfg.weights, cfg.host, restrict="all" if simple else "recurrent",
-            initial=cfg.initial, cap=cap,
-        )
+        tm = build_chain(cfg.weights, cfg.host, cap=cap, states=states)
     except CapExceeded as exc:
         tm, skipped = None, str(exc)
 
@@ -445,7 +441,7 @@ def cmd_commute(cfg: RunConfig, args: argparse.Namespace) -> int:
         )
         check_cap(tm.size, cap, f"{tm.size} commute-matrix states (caps.commute_states)")
         states = list(tm.states)
-        hit = np.column_stack([hitting_times_to(tm, s) for s in states])
+        hit = _hitting_columns(tm, range(tm.size))
         matrix = [[str(hit[i, j] + hit[j, i]) for j in range(tm.size)] for i in range(tm.size)]
     rows = [[states[i].hex()] + matrix[i] for i in range(len(states))]
     write_csv(

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import __version__
 from .hostgraph import HostGraph, host_to_json
@@ -35,14 +34,13 @@ def artifact_meta(g: HostGraph | None = None, seed: int | None = None, **extra) 
 
 
 def write_csv(path: Path | str, meta: dict, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
-    buf = io.StringIO()
-    for key, value in meta.items():
-        buf.write(f"# {key}: {value}\n")
-    writer = csv.writer(buf)
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow(row)
-    Path(path).write_text(buf.getvalue())
+    """Rows are written as they come."""
+    with open(path, "w") as fh:
+        for key, value in meta.items():
+            fh.write(f"# {key}: {value}\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def read_csv(path: Path | str) -> tuple[dict, list[str], list[list[str]]]:
@@ -61,7 +59,19 @@ def read_csv(path: Path | str) -> tuple[dict, list[str], list[list[str]]]:
 
 
 def write_json(path: Path | str, meta: dict, payload) -> None:
-    Path(path).write_text(json.dumps({"meta": meta, "data": payload}, indent=2) + "\n")
+    """A payload that is an iterator is written element by element as a
+    JSON list, laid out as `json.dumps(..., indent=2)` lays out the list."""
+    if not isinstance(payload, Iterator):
+        Path(path).write_text(json.dumps({"meta": meta, "data": payload}, indent=2) + "\n")
+        return
+    head = json.dumps({"meta": meta, "data": None}, indent=2)
+    with open(path, "w") as fh:
+        fh.write(head[: -len("null\n}")])
+        sep = "[\n    "
+        for item in payload:
+            fh.write(sep + json.dumps(item, indent=2).replace("\n", "\n    "))
+            sep = ",\n    "
+        fh.write("[]\n}\n" if sep == "[\n    " else "\n  ]\n}\n")
 
 
 def read_json(path: Path | str) -> tuple[dict, object]:

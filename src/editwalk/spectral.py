@@ -137,6 +137,30 @@ class TransitionMatrix:
     def entries(self) -> np.ndarray:
         return self._dense(Fraction(0), self.values) if self.exact else self._dense_float
 
+    @cached_property
+    def _stationary(self) -> np.ndarray:
+        """The float stationary law by one dense solve; see `stationary_numeric`."""
+        P = self.to_float()
+        A = P.T - np.eye(self.size)
+        A[-1, :] = 1.0
+        b = np.zeros(self.size)
+        b[-1] = 1.0
+        try:
+            pi = np.linalg.solve(A, b)
+        except np.linalg.LinAlgError as exc:
+            raise NotIrreducible("stationary system is singular") from exc
+        if np.abs(A @ pi - b).max() > SOLVE_RESIDUAL_TOL or pi.min() < -SOLVE_RESIDUAL_TOL:
+            raise NotIrreducible("stationary solve left a large residual")
+        pi = np.clip(pi, 0.0, None) / pi.sum()
+        pi.flags.writeable = False
+        return pi
+
+    def _back_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """For each cell (i, j): the index of cell (j, i), and whether it exists."""
+        keys, back_keys = self.rows * self.size + self.cols, self.cols * self.size + self.rows
+        at = np.minimum(np.searchsorted(keys, back_keys), len(keys) - 1)
+        return at, keys[at] == back_keys
+
     def row_sum_residual(self):
         if self.exact:
             sums = np.zeros(self.size, dtype=object)
@@ -208,16 +232,22 @@ def build_chain(
     restrict: str = "all",
     initial: EdgeSet | None = None,
     cap: int = STATE_CAP,
+    states: Sequence[EdgeSet] | None = None,
 ) -> TransitionMatrix:
     """Transition matrix of the walk driven by `dist`.
 
     restrict="all" enumerates every subset of host edges in ascending mask
     order; restrict="recurrent" first computes the closed communicating
-    class and builds the matrix on it. Each cell sums its edits' weights:
-    exactly when every weight is rational, else in float64 in edit order.
+    class and builds the matrix on it. `states`, when the caller already
+    has them (such as the recurrent chambers `stationary_faces` returns),
+    replace that enumeration: they must be in ascending mask order and
+    closed under every edit. Each cell sums its edits' weights: exactly
+    when every weight is rational, else in float64 in edit order.
     """
     _explicit(dist, g)
-    if restrict == "all":
+    if states is not None:
+        states = tuple(states)
+    elif restrict == "all":
         check_cap(1 << g.m, cap, f"2^{g.m} states")
         states = tuple(EdgeSet(g.m, mask) for mask in range(1 << g.m))
     elif restrict == "recurrent":
@@ -227,6 +257,8 @@ def build_chain(
 
     n = len(states)
     masks = np.array([s.mask for s in states], dtype=np.uint64 if g.m <= 64 else object)
+    if not (masks[1:] > masks[:-1]).all():
+        raise ValidationError("chain states must be in ascending mask order")
     edits, weights = zip(*dist.items)
     plus = np.array([e.plus for e in edits], dtype=masks.dtype)[:, None]
     keep = np.array([((1 << g.m) - 1) ^ e.minus for e in edits], dtype=masks.dtype)[:, None]
@@ -309,20 +341,10 @@ def stationary_closed_form(g: HostGraph, p, cap: int = STATE_CAP):
 
 
 def stationary_numeric(tm: TransitionMatrix) -> np.ndarray:
-    """Left fixed vector by linear solve; independent of any closed form."""
-    P = tm.to_float()
-    n = tm.size
-    A = P.T - np.eye(n)
-    A[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise NotIrreducible("stationary system is singular") from exc
-    if np.abs(A @ pi - b).max() > SOLVE_RESIDUAL_TOL or pi.min() < -SOLVE_RESIDUAL_TOL:
-        raise NotIrreducible("stationary solve left a large residual")
-    return np.clip(pi, 0.0, None) / pi.sum()
+    """Left fixed vector by linear solve; independent of any closed form.
+    Solved once per chain: the read-only result is cached on `tm`, so the
+    checks, the hitting times and the eigensolve of one chain share it."""
+    return tm._stationary
 
 
 def stationary_faces(
@@ -470,9 +492,19 @@ def spectrum(
 def numeric_eigenvalues(tm: TransitionMatrix, imag_tol: float = 1e-8) -> np.ndarray:
     """Eigenvalue multiset of the dense matrix, sorted descending.
 
-    The chamber-walk matrices are diagonalizable with real spectrum, so any
-    significant imaginary residue is reported as an error.
+    A reversible chain with a positive stationary law is similar to the
+    symmetric D^(1/2) P D^(-1/2), so `eigvalsh` takes its spectrum. Any
+    other chain (Moran, or one whose stationary solve fails) gets the
+    general `eigvals`; the chamber-walk matrices are diagonalizable with
+    real spectrum, so any significant imaginary residue is reported as an
+    error.
     """
+    try:
+        Q = _symmetrized(tm, stationary_numeric(tm))
+    except NotIrreducible:
+        Q = None
+    if Q is not None:
+        return np.linalg.eigvalsh(Q)[::-1]
     values = np.linalg.eigvals(tm.to_float())
     if np.abs(values.imag).max() > imag_tol:
         raise ValidationError(
@@ -584,10 +616,27 @@ def detailed_balance_residual(tm: TransitionMatrix, pi):
         flow = np.array(pi, dtype=object)[tm.rows] * tm.values
     else:
         flow = np.asarray([float(x) for x in pi])[tm.rows] * tm.to_float()[tm.rows, tm.cols]
-    keys, back_keys = tm.rows * tm.size + tm.cols, tm.cols * tm.size + tm.rows
-    at = np.minimum(np.searchsorted(keys, back_keys), len(keys) - 1)
-    residual = np.abs(flow - np.where(keys[at] == back_keys, flow[at], 0)).max()
+    at, paired = tm._back_cells()
+    residual = np.abs(flow - np.where(paired, flow[at], 0)).max()
     return residual if exact else float(residual)
+
+
+def _symmetrized(tm: TransitionMatrix, pi: np.ndarray) -> np.ndarray | None:
+    """The dense symmetric D^(1/2) P D^(-1/2) when pi > 0 and the chain is
+    reversible, else None. Reversibility makes Q_ij = sqrt(P_ij P_ji), so
+    the test max |Q - Q^T| <= REVERSIBILITY_TOL is scale-free; it is taken
+    over the nonzero cells, every one of which needs its transpose."""
+    if pi.min() <= 0:
+        return None
+    root = np.sqrt(pi)
+    q = tm.float_values * root[tm.rows] / root[tm.cols]
+    at, paired = tm._back_cells()
+    if not paired.all() or np.abs(q - q[at]).max() > REVERSIBILITY_TOL:
+        return None
+    Q = np.zeros((tm.size, tm.size))
+    Q[tm.rows, tm.cols] += q / 2  # (Q + Q^T) / 2, cell by cell
+    Q[tm.cols, tm.rows] += q / 2
+    return Q
 
 
 # ---------------------------------------------------------------------------
@@ -791,60 +840,59 @@ def hitting_time(
 ) -> float:
     """Expected steps from source until first visiting target.
 
-    method="solve" uses first-step analysis: delete the target row and
-    column and solve (I - P) h = 1. method="spectral" requires a reversible
-    chain and sums the eigendecomposition of the symmetrized matrix; the
-    per-term products are insensitive to eigenvector sign choices.
+    method="solve" reads one column of the fundamental matrix
+    Z = (I - P + 1 pi)^-1; a target with pi = 0 raises NotIrreducible.
+    method="spectral" requires a reversible chain and sums the
+    eigendecomposition of the symmetrized matrix; the per-term products
+    are insensitive to eigenvector sign choices.
     """
     i = tm.index_of(source)
     j = tm.index_of(target)
     if i == j:
         return 0.0
     if method == "solve":
-        return hitting_times_to(tm, target)[i]
+        return float(_hitting_columns(tm, [j])[i, 0])
     if method == "spectral":
         return _hitting_spectral(tm, i, j)
     raise ValidationError(f"method must be 'solve' or 'spectral', got {method!r}")
 
 
-def hitting_times_to(tm: TransitionMatrix, target: EdgeSet | int) -> np.ndarray:
-    """Expected steps from every state to target (0 at it), by one first-step solve."""
-    j = tm.index_of(target)
-    return np.insert(_hitting_solve(tm, j), j, 0.0)
-
-
-def _hitting_solve(tm: TransitionMatrix, target: int) -> np.ndarray:
-    P = tm.to_float()
-    keep = [k for k in range(tm.size) if k != target]
-    A = np.eye(len(keep)) - P[np.ix_(keep, keep)]
-    b = np.ones(len(keep))
+def _hitting_columns(tm: TransitionMatrix, targets: Sequence[int]) -> np.ndarray:
+    """Expected steps from every state (rows) to each target index (columns),
+    from one solve for the target columns of the fundamental matrix
+    Z = (I - P + 1 pi)^-1: H(i -> t) = (Z_tt - Z_it) / pi_t (Kemeny & Snell,
+    Finite Markov Chains, ch. 4). A target outside the closed class
+    (pi_t = 0) is never reached from it and raises NotIrreducible."""
+    pi = stationary_numeric(tm)
+    t = np.asarray(targets, dtype=np.intp)
+    if (pi[t] <= 0).any():
+        raise NotIrreducible("a hitting target lies outside the closed class")
+    A = pi - tm.to_float()  # every row of 1 pi is pi
+    A.flat[:: tm.size + 1] += 1.0
+    columns = np.arange(len(t))
+    B = np.zeros((tm.size, len(t)))
+    B[t, columns] = 1.0
     try:
-        h = np.linalg.solve(A, b)
+        Z = np.linalg.solve(A, B)
     except np.linalg.LinAlgError as exc:
-        raise NotIrreducible("hitting-time system is singular") from exc
-    if np.abs(A @ h - b).max() > SOLVE_RESIDUAL_TOL * max(1.0, np.abs(h).max()):
-        raise NotIrreducible("hitting-time solve left a large residual")
-    return h
+        raise NotIrreducible("fundamental-matrix system is singular") from exc
+    scale = max(1.0, np.abs(Z).max(initial=0.0))
+    if np.abs(A @ Z - B).max(initial=0.0) > SOLVE_RESIDUAL_TOL * scale:
+        raise NotIrreducible("fundamental-matrix solve left a large residual")
+    return (Z[t, columns] - Z) / pi[t]
 
 
 def _hitting_spectral(tm: TransitionMatrix, i: int, j: int) -> float:
     pi = stationary_numeric(tm)
-    if detailed_balance_residual(tm, pi) > REVERSIBILITY_TOL:
+    Q = _symmetrized(tm, pi)
+    if Q is None:
         raise NotReversible("chain is not reversible; use method='solve'")
-    Q = q_matrix(tm, pi)
-    values, vectors = np.linalg.eigh((Q + Q.T) / 2.0)
-    order = np.argsort(values)[::-1]
-    values = values[order]
-    vectors = vectors[:, order]
+    values, vectors = np.linalg.eigh(Q)
+    values, vectors = values[::-1], vectors[:, ::-1]
     if tm.size > 1 and values[1] > 1.0 - 1e-12:
         raise NotIrreducible("unit eigenvalue is not simple")
-    root = np.sqrt(pi)
-    total = 0.0
-    for k in range(1, tm.size):
-        fj = vectors[j, k] / root[j]
-        fi = vectors[i, k] / root[i]
-        total += fj * (fj - fi) / (1.0 - values[k])
-    return total
+    fj, fi = vectors[[j, i], 1:] / np.sqrt(pi[[j, i], None])
+    return float(np.sum(fj * (fj - fi) / (1.0 - values[1:])))
 
 
 def commute_time_chain(
@@ -853,8 +901,13 @@ def commute_time_chain(
     y: EdgeSet | int,
     method: str = "solve",
 ) -> float:
-    """Round trip through a generic chain: hitting there plus hitting back."""
-    return hitting_time(tm, x, y, method) + hitting_time(tm, y, x, method)
+    """Round trip through a generic chain: hitting there plus hitting back,
+    both from one fundamental-matrix solve when method="solve"."""
+    i, j = tm.index_of(x), tm.index_of(y)
+    if method != "solve" or i == j:
+        return hitting_time(tm, x, y, method) + hitting_time(tm, y, x, method)
+    hit = _hitting_columns(tm, [j, i])
+    return float(hit[i, 0] + hit[j, 1])
 
 
 # ---------------------------------------------------------------------------

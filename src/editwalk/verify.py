@@ -21,8 +21,8 @@ from .process import WeightedEdits, _is_exact, _per_edge_probabilities
 from .spectral import (
     EigenSystem,
     TransitionMatrix,
+    _hitting_columns,
     commute_time,
-    commute_time_chain,
     detailed_balance_residual,
     eigensystem_simple,
     eigenvalue_multiset_residual,
@@ -114,12 +114,17 @@ def check_spectrum_multiset(
 def check_commute_backends(
     g: HostGraph, p, tm: TransitionMatrix, pairs, tol: float = 1e-8
 ) -> CheckResult:
+    """Closed-form commute times against the fundamental matrix, whose
+    columns for every pair endpoint come from one solve."""
+    pairs = list(pairs)
+    index = [tm.index_of(s) for pair in pairs for s in pair]
+    hit = _hitting_columns(tm, index)  # column 2k: times to E_k; 2k + 1: to F_k
     worst = 0.0
-    for E, F in pairs:
+    for k, (E, F) in enumerate(pairs):
         spectral_value = float(commute_time(E, F, g, p))
-        solved = commute_time_chain(tm, E, F, method="solve")
+        solved = hit[index[2 * k], 2 * k + 1] + hit[index[2 * k + 1], 2 * k]
         worst = max(worst, abs(spectral_value - solved) / max(1.0, abs(solved)))
-    return _result("commute_backends", worst, tol, f"{len(list(pairs))} pairs")
+    return _result("commute_backends", worst, tol, f"{len(pairs)} pairs")
 
 
 def check_closure_idempotent(dist: WeightedEdits, cap: int = STATE_CAP) -> CheckResult:
@@ -149,13 +154,15 @@ def run_verification(
     results = []
     simple_model = p is not None
 
+    if simple_model:
+        states, pi = None, stationary_closed_form(g, p, cap)
+    else:  # the face recursion's chambers are the recurrent class
+        states, pi = stationary_faces(dist, g, cap=cap, exact=exact)
     if tm is None:
-        restrict = "all" if simple_model else "recurrent"
-        tm = build_chain(dist, g, restrict=restrict, cap=cap)
+        tm = build_chain(dist, g, cap=cap, states=states)
     results.append(check_row_stochastic(tm))
 
     if simple_model:
-        pi = stationary_closed_form(g, p, cap)
         system = eigensystem_simple(g, p, cap)
         # psi needs square roots, so an exact system gets a float twin for it
         floats = [float(pe) for pe in _per_edge_probabilities(g, p)]
@@ -174,7 +181,6 @@ def run_verification(
             pairs.append((tm.states[int(i)], tm.states[int(j)]))
         results.append(check_commute_backends(g, p, tm, pairs))
     else:
-        _, pi = stationary_faces(dist, g, cap=cap, exact=exact)
         results.append(check_stationary_fixed_point(tm, pi))
         results.append(check_stationary_vs_solve(tm, pi))
         report = spectrum(dist, g, cap=cap, states=tm.states)

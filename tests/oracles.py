@@ -17,7 +17,10 @@ time:
   where the library back-substitutes over the flat order and compares the
   chambers' + masks as one array;
 * the distance-to-stationarity curve by products with the dense float
-  matrix, where `tv_decay` sums over the chain's nonzero cells.
+  matrix, where `tv_decay` sums over the chain's nonzero cells;
+* hitting times to one target by first-step analysis, one dense solve per
+  target, where the library reads them off one solve for the target
+  columns of the fundamental matrix.
 
 The tests compare the two.
 """
@@ -254,3 +257,12 @@ def tv_decay_dense(tm, initial, pi, t_max: int) -> np.ndarray:
         if t < t_max:
             dist = dist @ P
     return curve
+
+
+def hitting_times_first_step(tm, target: int) -> np.ndarray:
+    """Expected steps from every state to the target index (0 at it): delete
+    the target's row and column and solve (I - P) h = 1."""
+    P = tm.to_float()
+    keep = [k for k in range(tm.size) if k != target]
+    h = np.linalg.solve(np.eye(len(keep)) - P[np.ix_(keep, keep)], np.ones(len(keep)))
+    return np.insert(h, target, 0.0)

@@ -11,7 +11,7 @@ from editwalk import spectral
 from editwalk.cli import main
 from editwalk.errors import CapExceeded
 from editwalk.serialize import read_csv
-from oracles import commute_time_enumerated, hitting_time_enumerated
+from oracles import commute_time_enumerated, hitting_time_enumerated, hitting_times_first_step
 
 
 def path_host(m):
@@ -133,24 +133,21 @@ def test_commute_terms_tests_exactness_once_per_edge(monkeypatch):
     assert len(calls) == m
 
 
-def test_compound_commute_solves_once_per_target(tmp_path, monkeypatch):
+def test_compound_commute_factorizes_once(tmp_path, monkeypatch):
     cfg = tmp_path / "moran.json"
     cfg.write_text('{"host": {"preset": "complete", "params": [4]}, "model": {"name": "moran"}}')
-    calls = []
-    real = spectral._hitting_solve
-    monkeypatch.setattr(spectral, "_hitting_solve", lambda tm, j: calls.append(j) or real(tm, j))
+    solves = []
+    real = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(np.shape(b)) or real(a, b))
     assert main(["commute", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    assert len(calls) == 37  # one per recurrent state, not 37 * 36
+    # the stationary law, then all 37 columns of the fundamental matrix at once
+    assert solves == [(37,), (37, 37)]
 
     _, header, rows = read_csv(tmp_path / "commute.csv")
     k4 = ew.complete_graph(4)
     tm = ew.build_chain(ew.moran_weights(k4), k4, restrict="recurrent")
     assert header[1:] == [s.hex() for s in tm.states]
-    for i, row in enumerate(rows):
-        for j, cell in enumerate(row[1:]):
-            expected = 0.0
-            if i != j:
-                expected = ew.hitting_time(tm, tm.states[i], tm.states[j]) + ew.hitting_time(
-                    tm, tm.states[j], tm.states[i]
-                )
-            assert float(cell) == expected
+    hit = np.column_stack([hitting_times_first_step(tm, j) for j in range(tm.size)])
+    expected = hit + hit.T
+    cells = np.array([[float(cell) for cell in row[1:]] for row in rows])
+    assert np.all(np.abs(cells - expected) <= 1e-12 * expected)  # 0 on the diagonal

@@ -26,7 +26,7 @@ from test_random_families import seeded_families
 from test_spectral import random_host, random_probs
 
 import editwalk as ew
-from editwalk import cli, spectral
+from editwalk import cli, spectral, verify
 from editwalk.cli import main
 from editwalk.edits import parse_edit
 from editwalk.errors import CapExceeded, SupportNotCovering
@@ -83,6 +83,21 @@ MODELS = {
        for n, N in ((2, 3), (3, 3))},
     "custom cycle m=8": lambda: flipped_cycle_family(np.random.default_rng(5), 8),
 }
+
+
+@pytest.mark.parametrize("name", ["moran K4", "moran K5", "intersection 2x3", "custom cycle m=6"])
+def test_face_chambers_are_the_recurrent_class(name):
+    if name == "custom cycle m=6":
+        g, dist = flipped_cycle_family(np.random.default_rng(6), 6)
+    else:
+        g, dist = MODELS[name]()
+    states, _ = ew.stationary_faces(dist, g, exact=False)
+    assert [s.mask for s in states] == [s.mask for s in ew.recurrent_class(dist, g)]
+    given = ew.build_chain(dist, g, restrict="recurrent", states=states)
+    enumerated = ew.build_chain(dist, g, restrict="recurrent")
+    assert given.states == enumerated.states
+    for cells in ("rows", "cols", "numerators"):
+        assert np.array_equal(getattr(given, cells), getattr(enumerated, cells))
 
 
 @pytest.mark.parametrize("name", MODELS)
@@ -186,9 +201,10 @@ def test_compound_commands_build_no_dense_matrix(tmp_path, monkeypatch, model, m
     cfg = write_config(tmp_path, mode=mode, **COMPOUND[model])
     forbid(monkeypatch, spectral, "stationary_numeric")
     forbid(monkeypatch, TransitionMatrix, "to_float")
-    bfs = count_calls(monkeypatch, spectral, "recurrent_class")
+    forbid(monkeypatch, spectral, "recurrent_class")
+    faces = count_calls(monkeypatch, cli, "stationary_faces")
     assert main(["mixing", "--config", str(cfg), "--out", str(tmp_path / "m")]) == 0
-    assert bfs == ["recurrent_class"]  # one enumeration for chain and spectrum
+    assert faces == ["stationary_faces"]  # one enumeration for law, chain and spectrum
 
     for owner, name in ((cli, "build_chain"), (spectral, "build_chain"),
                         (spectral, "recurrent_class")):
@@ -204,9 +220,10 @@ def test_compound_commands_build_no_dense_matrix(tmp_path, monkeypatch, model, m
 def test_compound_verify_checks_the_face_law_once_enumerated(tmp_path, monkeypatch, capsys,
                                                               model, mode):
     cfg = write_config(tmp_path, mode=mode, **COMPOUND[model])
-    bfs = count_calls(monkeypatch, spectral, "recurrent_class")
+    forbid(monkeypatch, spectral, "recurrent_class")
+    faces = count_calls(monkeypatch, verify, "stationary_faces")
     assert main(["verify", "--config", str(cfg)]) == 0
-    assert bfs == ["recurrent_class"]
+    assert faces == ["stationary_faces"]
     lines = capsys.readouterr().out.splitlines()
     fixed = next(line for line in lines if "stationary_fixed_point" in line)
     assert any("stationary_vs_linear_solve" in line for line in lines)
