@@ -55,7 +55,6 @@ from .process import (
     moran_weights,
     simple_edit_weights,
     simulate,
-    step,
 )
 from .spectral import (
     EigenSystem,
@@ -75,12 +74,10 @@ from .spectral import (
     mixing_bound_simple,
     moran_complete_mixing_bound,
     numeric_eigenvalues,
-    permute_vector,
     phi,
     psi,
     q_matrix,
     recurrent_class,
-    sign_lex_order,
     simple_tv_bound,
     spectrum,
     stationary_closed_form,

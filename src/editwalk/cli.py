@@ -280,20 +280,14 @@ def _warn_if_transient(cfg: RunConfig) -> None:
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     _warn_if_transient(cfg)
-    traj = simulate(
-        cfg.weights, cfg.initial, cfg.steps, seed=cfg.seed, thin=cfg.thin
-    )
+    traj = simulate(cfg.weights, cfg.initial, cfg.steps, seed=cfg.seed, thin=cfg.thin)
     meta = artifact_meta(
         cfg.host, cfg.seed, model=cfg.model, T=cfg.steps, thin=cfg.thin, sampler=SAMPLER_VERSION
     )
     cfg.out.mkdir(parents=True, exist_ok=True)
-
-    summary = {
-        "final_state": traj.states[-1].hex(),
-        "edge_counts": traj.edge_counts(),
-    }
+    summary = {"final_state": format(traj.masks[-1], "#x"), "edge_counts": traj.edge_counts()}
     if cfg.model == "moran":
-        summary["acyclic"] = [is_acyclic(cfg.host, s) for s in traj.states]
+        summary["acyclic"] = [is_acyclic(cfg.host, EdgeSet(cfg.host.m, mask)) for mask in traj.masks]
     write_json(cfg.out / "summary.json", meta, summary)
     if cfg.steps == 0:
         print(f"wrote {cfg.out / 'summary.json'} (no steps requested)")
@@ -301,22 +295,23 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
     lines = _trajectory_lines(traj, cfg.host, args.state_format == "edges")
     write_jsonl(cfg.out / "trajectory.jsonl", meta, lines)
-    print(f"wrote {cfg.out / 'trajectory.jsonl'} ({len(traj.states)} snapshots)")
+    print(f"wrote {cfg.out / 'trajectory.jsonl'} ({len(traj.masks)} snapshots)")
     return 0
 
 
 def _trajectory_lines(traj: Trajectory, g: HostGraph, edges: bool) -> Iterator[str]:
     """One JSON record per recorded state, formatted as `json.dumps` writes
     {"t": t, "state": hex} (plus "edges": [[u, v], ...]), at O(set edges)
-    per state: each edge's label is formatted once per host."""
+    per state: each edge's label is formatted once per host, and a state's
+    EdgeSet exists only while its edges are listed."""
     labels = [f"[{u}, {v}]" for u, v in g.edges]
-    for k, state in enumerate(traj.states):
+    for k, mask in enumerate(traj.masks):
         t = min(k * traj.thin, traj.steps)
         if edges:
-            listed = ", ".join(map(labels.__getitem__, state.indices()))
-            yield f'{{"t": {t}, "state": "{state.hex()}", "edges": [{listed}]}}'
+            listed = ", ".join(map(labels.__getitem__, EdgeSet(g.m, mask).indices()))
+            yield f'{{"t": {t}, "state": "{mask:#x}", "edges": [{listed}]}}'
         else:
-            yield f'{{"t": {t}, "state": "{state.hex()}"}}'
+            yield f'{{"t": {t}, "state": "{mask:#x}"}}'
 
 
 def _spectrum_report(cfg: RunConfig, states=None):

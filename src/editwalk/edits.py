@@ -56,10 +56,6 @@ class Edit:
         return self.plus | self.minus
 
     @property
-    def is_identity(self) -> bool:
-        return self.support_mask == 0
-
-    @property
     def is_chamber(self) -> bool:
         return self.support_mask == (1 << self.m) - 1
 

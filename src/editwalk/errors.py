@@ -87,10 +87,6 @@ class NotIrreducible(EditWalkError):
     """Hitting-time system is singular; chain is not irreducible."""
 
 
-class NotReversible(EditWalkError):
-    """Detailed balance fails; spectral backend not applicable."""
-
-
 class SupportNotCovering(UserWarning):
     """Generator supports do not cover the host edge set.
 

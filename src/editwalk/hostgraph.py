@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .errors import (
     DuplicateEdge,
     EdgeOutOfRange,
@@ -24,6 +26,11 @@ from .errors import (
     ValidationError,
     VertexOutOfRange,
 )
+
+
+def mask_dtype(m: int):
+    """Array dtype of edge masks on m host edges: uint64, or Python ints past 64."""
+    return np.uint64 if m <= 64 else object
 
 
 @dataclass(frozen=True)

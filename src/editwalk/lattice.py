@@ -20,8 +20,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .edits import Edit, compose
-from .errors import STATE_CAP, BadRepresentative, NotAChamber, NotAFlat, ValidationError, check_cap
-from .hostgraph import EdgeSet
+from .errors import STATE_CAP, BadRepresentative, HostMismatch, NotAFlat, ValidationError, check_cap
+from .hostgraph import EdgeSet, mask_dtype
 
 
 @dataclass(frozen=True)
@@ -183,15 +183,8 @@ class SpectrumReport:
         ]
 
     def to_json_obj(self) -> list[dict]:
-        return [
-            {
-                "flat": e.flat.hex(),
-                "size": len(e.flat),
-                "eigenvalue": str(e.eigenvalue),
-                "multiplicity": e.multiplicity,
-            }
-            for e in self.entries
-        ]
+        keys = ("flat", "size", "eigenvalue", "multiplicity")
+        return [dict(zip(keys, row)) for row in self.to_csv_rows()]
 
 
 def representatives_for(
@@ -219,15 +212,17 @@ def representatives_for(
 
 def multiplicities(
     lat: SupportLattice,
-    chambers: Sequence[Edit],
+    states: Sequence[EdgeSet],
     representatives: Mapping[EdgeSet, Edit],
     dist=None,
 ) -> SpectrumReport:
     """Eigenvalue multiplicities by back-substitution over the flat order.
 
-    For each flat X, c_X counts chambers whose signs extend a representative
-    edit with support X. Since c_X = sum over flats Y >= X of m_Y, and flats
-    are sorted by size, one pass from the top gives every multiplicity:
+    `states` is the recurrent class. Each state is a chamber: the total
+    edit with + on the state's edges and - elsewhere. For each flat X, c_X
+    counts chambers whose signs extend a representative edit with support
+    X. Since c_X = sum over flats Y >= X of m_Y, and flats are sorted by
+    size, one pass from the top gives every multiplicity:
     m_X = c_X - sum over flats Y > X of m_Y. The multiplicities sum back to
     the chamber count (the walk's dimension). When `dist` is given, each
     entry also carries its eigenvalue.
@@ -238,33 +233,33 @@ def multiplicities(
             raise BadRepresentative(
                 f"representative support {rep.support_mask:#x} != flat {flat.mask:#x}"
             )
-    if not all(c.m == lat.m and c.is_chamber for c in chambers):
-        raise NotAChamber(f"chambers must sign all {lat.m} host edges")
+    if any(s.m != lat.m for s in states):
+        raise HostMismatch(f"states must lie on the lattice's host of {lat.m} edges")
 
-    dtype = np.uint64 if lat.m <= 64 else object
+    dtype = mask_dtype(lat.m)
     flats = np.array([x.mask for x in lat.flats], dtype=dtype)
     signs = np.array([representatives[x].plus for x in lat.flats], dtype=dtype)
-    plus = np.array([c.plus for c in chambers], dtype=dtype)
+    masks = np.array([s.mask for s in states], dtype=dtype)
     mults = np.zeros(len(flats), dtype=np.int64)
     for i in reversed(range(len(flats))):
         x = flats[i]
         # a chamber signs every edge, so it extends the representative
         # exactly when the two agree on which edges of X are present
-        count = np.count_nonzero((plus & x) == signs[i])
+        count = np.count_nonzero((masks & x) == signs[i])
         mults[i] = count - mults[i + 1 :][(flats[i + 1 :] & x) == x].sum()
         if mults[i] < 0:
             raise ValidationError(
                 f"negative multiplicity {mults[i]} at flat {lat.flats[i].hex()}; "
-                "chamber list is not the full chamber set"
+                "state list is not the full recurrent class"
             )
 
     report = SpectrumReport(tuple(
         SpectrumEntry(flat, None if dist is None else eigenvalue(lat, flat, dist), int(mult))
         for flat, mult in zip(lat.flats, mults)
     ))
-    if report.total_multiplicity != len(chambers):
+    if report.total_multiplicity != len(states):
         raise ValidationError(
             f"multiplicities sum to {report.total_multiplicity}, "
-            f"expected {len(chambers)} chambers"
+            f"expected {len(states)} chambers"
         )
     return report

@@ -10,18 +10,21 @@ Built-in models:
   left vertex uniformly and redraw its whole right neighborhood, first a
   size from mu then a uniform subset of that size.
 
-Weights stay exact Fractions when the inputs are rational. Edits do not
-depend on the state, so one kernel (`_walk`, behind `simulate`, `step` and
-`empirical_distribution`) draws them ahead in numpy blocks, from a Vose alias
-table or the lazy closed form, and applies them to raw bitmasks. Block sizes
-depend only on the distribution, so a trajectory is reproducible from
-(seed, stream, sampler) via numpy's PCG64; SAMPLER_VERSION names the draws.
+Weights stay exact Fractions when the inputs are rational. A distribution
+keeps its edits as two mask arrays, `plus` and `minus` (uint64 up to 64
+edges, Python ints above), built once when it is validated; the sampler
+and every enumeration read those arrays. Edits do not depend on the state,
+so one kernel (`_walk`, behind `simulate` and `empirical_distribution`)
+draws them ahead in numpy blocks, from a Vose alias table or the lazy
+closed form, and applies them to raw bitmasks. Block sizes depend only on
+the distribution, so a trajectory is reproducible from (seed, stream,
+sampler) via numpy's PCG64; SAMPLER_VERSION names the draws.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice
@@ -39,7 +42,7 @@ from .errors import (
     ValidationError,
     check_cap,
 )
-from .hostgraph import EdgeSet, HostGraph, complete_bipartite, neighborhood_edges
+from .hostgraph import EdgeSet, HostGraph, complete_bipartite, mask_dtype, neighborhood_edges
 
 WEIGHT_SUM_TOL = 1e-12
 SAMPLER_VERSION = 2  # block-drawn edits; version 1 drew one edit per step
@@ -94,33 +97,44 @@ class LazySpec:
 
     draw: Callable[[np.random.Generator, int], tuple[list[int], list[int]]]
     support_masses: dict[int, object]
-    weight_of: Callable[[Edit], float] | None = None
     block: int = BLOCK
 
 
 @dataclass(frozen=True)
 class WeightedEdits:
-    """Finite probability distribution over edits driving the walk."""
+    """Finite probability distribution over edits driving the walk.
+
+    `items` lists the (edit, weight) pairs. Validation also builds the one
+    representation the engine reads: the mask arrays `plus` and `minus`
+    (edit k forces plus[k] in and minus[k] out) and the `weights` in item
+    order. A lazy distribution has no items and empty arrays."""
 
     m: int
     items: tuple[tuple[Edit, object], ...]
     lazy: LazySpec | None = None
+    plus: np.ndarray = field(init=False, repr=False, compare=False)
+    minus: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.lazy is not None:
-            return
-        if not self.items:
+        if self.lazy is None and not self.items:
             raise BadDistribution("explicit distribution needs at least one edit")
-        total = 0
-        exact = True
+        plus, minus, weights = [], [], []
         for edit, w in self.items:
             if edit.m != self.m:
                 raise ValidationError("edit host size disagrees with distribution")
             if w <= 0:
                 raise BadDistribution(f"weight {w} is not strictly positive")
-            exact = exact and _is_exact(w)
-            total += w
-        if exact:
+            plus.append(edit.plus)
+            minus.append(edit.minus)
+            weights.append(w)
+        for name, masks in (("plus", plus), ("minus", minus)):
+            object.__setattr__(self, name, np.array(masks, mask_dtype(self.m)))
+        object.__setattr__(self, "weights", tuple(weights))
+        if self.lazy is not None:
+            return
+        total = sum(self.weights)
+        if self.is_exact:
             if total != 1:
                 raise BadDistribution(f"weights sum to {total}, expected exactly 1")
         elif abs(float(total) - 1.0) > WEIGHT_SUM_TOL:
@@ -132,37 +146,32 @@ class WeightedEdits:
 
     @property
     def is_exact(self) -> bool:
-        return not self.is_lazy and all(_is_exact(w) for _, w in self.items)
+        return not self.is_lazy and all(map(_is_exact, self.weights))
+
+    @property
+    def supports(self) -> np.ndarray:
+        """Support mask of every edit, in item order."""
+        return self.plus | self.minus
 
     def support_masses(self) -> dict[int, object]:
         """Total weight per distinct generator support mask."""
         if self.lazy is not None:
             return dict(self.lazy.support_masses)
         masses: dict[int, object] = {}
-        for edit, w in self.items:
-            key = edit.support_mask
+        for key, w in zip(self.supports.tolist(), self.weights):
             masses[key] = masses.get(key, 0) + w
         return masses
 
     @cached_property
     def _sampler(self) -> AliasSampler:
-        return AliasSampler([w for _, w in self.items])
-
-    @cached_property
-    def _masks(self) -> tuple[list[int], list[int]]:
-        return [edit.plus for edit, _ in self.items], [edit.minus for edit, _ in self.items]
+        return AliasSampler(self.weights)
 
     def _draw(self, rng: np.random.Generator, size: int) -> Iterable[tuple[int, int]]:
-        """`size` independent edits by weight, as (plus, minus) mask pairs."""
+        """`size` independent edits by weight, as (plus, minus) pairs of Python ints."""
         if self.lazy is not None:
             return zip(*self.lazy.draw(rng, size))
-        index = self._sampler.draw(rng, size).tolist()
-        return zip(*(map(masks.__getitem__, index) for masks in self._masks))
-
-    def sample(self, rng: np.random.Generator) -> Edit:
-        """One edit drawn by its weight: a block draw of size 1."""
-        ((plus, minus),) = self._draw(rng, 1)
-        return Edit(self.m, plus, minus)
+        index = self._sampler.draw(rng, size)
+        return zip(self.plus[index].tolist(), self.minus[index].tolist())
 
 
 def simple_edit_weights(g: HostGraph, p) -> WeightedEdits:
@@ -254,11 +263,7 @@ def intersection_weights(
             local = [int.from_bytes(row.tobytes(), "little") for row in rows]
             return [a << s for a, s in zip(local, shifts)], [(full ^ a) << s for a, s in zip(local, shifts)]
 
-        def weight_of(edit: Edit) -> float:
-            k = edit.plus.bit_count()
-            return float(mu[k]) / (n * math.comb(N, k))
-
-        return WeightedEdits(m, (), LazySpec(draw, masses, weight_of, max(1, LAZY_BLOCK_CELLS // N)))
+        return WeightedEdits(m, (), LazySpec(draw, masses, max(1, LAZY_BLOCK_CELLS // N)))
 
     if mode != "explicit":
         raise ValidationError(f"mode must be 'explicit' or 'lazy', got {mode!r}")
@@ -296,16 +301,21 @@ def intersection_stationary(n: int, N: int, mu: Sequence) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Thinned record of a simulated walk, reproducible from its seed."""
+    """Thinned record of a simulated walk, reproducible from its seed. The
+    recorded states are kept as their masks, the initial state first."""
 
     initial: EdgeSet
-    states: tuple[EdgeSet, ...]
+    masks: tuple[int, ...]
     seed: int
     steps: int
     thin: int = 1
 
+    @property
+    def states(self) -> tuple[EdgeSet, ...]:
+        return tuple(EdgeSet(self.initial.m, mask) for mask in self.masks)
+
     def edge_counts(self) -> list[int]:
-        return [len(s) for s in self.states]
+        return [mask.bit_count() for mask in self.masks]
 
 
 def make_rng(seed: int, stream: int | None = None) -> np.random.Generator:
@@ -333,11 +343,6 @@ def _walk(dist: WeightedEdits, initial: EdgeSet, times: Sequence[int], rng: np.r
     return masks
 
 
-def step(dist: WeightedEdits, state: EdgeSet, rng: np.random.Generator) -> EdgeSet:
-    """Draw one edit by its weight and apply it."""
-    return EdgeSet(state.m, _walk(dist, state, [1], rng)[0])
-
-
 def simulate(
     dist: WeightedEdits,
     initial: EdgeSet,
@@ -358,8 +363,7 @@ def simulate(
         raise ValidationError(f"thin must be >= 1, got {thin}")
     times = [*range(thin, steps, thin), steps] if steps else []
     masks = _walk(dist, initial, times, make_rng(seed, stream))
-    states = (initial, *(EdgeSet(dist.m, mask) for mask in masks))
-    return Trajectory(initial, states, seed, steps, thin)
+    return Trajectory(initial, (initial.mask, *masks), seed, steps, thin)
 
 
 def empirical_distribution(

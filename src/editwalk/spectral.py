@@ -5,12 +5,14 @@ stationary law and eigenvectors of the per-edge update chain, computes
 spectra of compound chains through the support lattice, and derives mixing
 bounds, total-variation decay, and hitting/commute times. Every
 closed-form path is paired with an independent numeric oracle (dense
-eigensolve or first-step linear solve).
+eigensolve or fundamental-matrix solve).
 
-A chain is kept as its nonzero cells: one step applies one weighted edit,
-so N states have at most (edits * N) cells, all found in one vectorized
-pass over the edits. The dense float64 matrix for the solvers is derived
-on first request; the dense exact matrix only when something reads it.
+Every enumeration reads a distribution's mask arrays (`WeightedEdits.plus`,
+`.minus`) and acts on arrays of state masks. A chain is kept as its nonzero
+cells: one step applies one weighted edit, so N states have at most
+(edits * N) cells, all found in one vectorized pass over the edits. The
+dense float64 matrix for the solvers is derived on first request; the
+dense exact matrix only when something reads it.
 The stationary law of a compound chain needs no chain at all: it is the
 law of the backward product of drawn edits, carried face by face
 (`stationary_faces`).
@@ -30,19 +32,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .edits import Edit, apply, chamber_of, compose, supp
 from .errors import (
     STATE_CAP,
     CapExceeded,
     DegenerateGap,
     LengthMismatch,
     NotIrreducible,
-    NotReversible,
     SupportNotCovering,
     ValidationError,
     check_cap,
 )
-from .hostgraph import EdgeSet, HostGraph
+from .hostgraph import EdgeSet, HostGraph, mask_dtype
 from .lattice import (
     SpectrumEntry,
     SpectrumReport,
@@ -80,14 +80,6 @@ class TransitionMatrix:
     cols: np.ndarray
     numerators: np.ndarray
     denominator: int = 1
-
-    @classmethod
-    def from_dense(cls, states, entries, exact: bool) -> "TransitionMatrix":
-        """Chain given by a dense matrix (of Fractions when exact)."""
-        rows, cols = np.nonzero(entries)
-        values = np.asarray(entries)[rows, cols]
-        cells = _common_denominator(values) if exact else (values.astype(float),)
-        return cls(tuple(states), rows, cols, *cells)
 
     @property
     def size(self) -> int:
@@ -176,46 +168,11 @@ class TransitionMatrix:
         np.add.at(out.T, self.cols, terms.T)
         return out
 
-    def reorder(self, masks: Sequence[int]) -> "TransitionMatrix":
-        """Same chain with states permuted into the given mask order."""
-        perm = [self.index_of(mask) for mask in masks]
-        if len(perm) != self.size or len(set(perm)) != self.size:
-            raise ValidationError("reorder needs a permutation of all states")
-        position = np.empty(self.size, dtype=np.int64)
-        position[perm] = np.arange(self.size)
-        rows, cols = position[self.rows], position[self.cols]
-        order = np.lexsort((cols, rows))
-        return TransitionMatrix(
-            tuple(self.states[i] for i in perm), rows[order], cols[order],
-            self.numerators[order], self.denominator,
-        )
-
 
 def _common_denominator(values) -> tuple[np.ndarray, int]:
     """Exact values as Python-int numerators over their least common denominator."""
     den = math.lcm(*(Fraction(v).denominator for v in values))
     return np.array([int(v * den) for v in values], dtype=object), den
-
-
-def sign_lex_order(m: int) -> list[int]:
-    """State masks ordered by their sign table: edge 0 is the most
-    significant digit and + sorts before -, matching the conventional
-    chamber listing (full set first, empty set last)."""
-    order = []
-    for k in range(1 << m):
-        mask = 0
-        for e in range(m):
-            if not (k >> (m - 1 - e)) & 1:
-                mask |= 1 << e
-        order.append(mask)
-    return order
-
-
-def permute_vector(vec, masks: Sequence[int]):
-    """Reindex a state vector given in ascending-mask order."""
-    if isinstance(vec, np.ndarray) and vec.dtype != object:
-        return vec[np.array(masks)]
-    return [vec[mask] for mask in masks]
 
 
 def _explicit(dist: WeightedEdits, g: HostGraph) -> None:
@@ -256,18 +213,16 @@ def build_chain(
         raise ValidationError(f"restrict must be 'all' or 'recurrent', got {restrict!r}")
 
     n = len(states)
-    masks = np.array([s.mask for s in states], dtype=np.uint64 if g.m <= 64 else object)
+    masks = np.array([s.mask for s in states], dtype=mask_dtype(g.m))
     if not (masks[1:] > masks[:-1]).all():
         raise ValidationError("chain states must be in ascending mask order")
-    edits, weights = zip(*dist.items)
-    plus = np.array([e.plus for e in edits], dtype=masks.dtype)[:, None]
-    keep = np.array([((1 << g.m) - 1) ^ e.minus for e in edits], dtype=masks.dtype)[:, None]
-    dest = ((masks | plus) & keep).ravel()  # edit-major: edit k, state i at k * n + i
+    # edit-major: edit k, state i at k * n + i
+    dest = ((masks | dist.plus[:, None]) & ~dist.minus[:, None]).ravel()
     cols = np.searchsorted(masks, dest)
     if not np.array_equal(masks[np.minimum(cols, n - 1)], dest):
         raise ValidationError("an edit leaves the state set")
-    cells, where = np.unique(np.tile(np.arange(n), len(edits)) * n + cols, return_inverse=True)
-    nums, den = _common_denominator(weights) if dist.is_exact else (np.array(weights, float), 1)
+    cells, where = np.unique(np.tile(np.arange(n), len(dist.weights)) * n + cols, return_inverse=True)
+    nums, den = _common_denominator(dist.weights) if dist.is_exact else (np.array(dist.weights, float), 1)
     sums = np.zeros(len(cells), dtype=nums.dtype)
     np.add.at(sums, where, np.repeat(nums, n))  # each cell sums in edit order
     return TransitionMatrix(states, cells // n, cells % n, sums, den)
@@ -277,9 +232,7 @@ def _covered(dist: WeightedEdits, g: HostGraph) -> int:
     """Union of the generator supports. Warns when it misses host edges,
     which then stay frozen at the initial state's values."""
     _explicit(dist, g)
-    covered = 0
-    for e, _ in dist.items:
-        covered |= e.support_mask
+    covered = int(np.bitwise_or.reduce(dist.supports))
     full = (1 << g.m) - 1
     if covered != full:
         warnings.warn(
@@ -299,30 +252,31 @@ def recurrent_class(
 ) -> list[EdgeSet]:
     """The unique closed communicating class of the walk: states reachable
     after every edge in the covered region has been acted on at least once,
-    closed under all generator applications.
+    closed under all generator applications, in ascending mask order.
+
+    The start is the product of all edits applied to `initial`, which lies
+    in the class. A breadth-first search then applies each edit to a whole
+    level; binary search in the sorted seen states drops the known ones,
+    so only new states are sorted and merged in. The cap is checked per level.
 
     If the generator supports do not cover the host edges, a warning is
     issued and the uncovered edges stay frozen at the initial state's values.
     """
     _covered(dist, g)
-    edits = [e for e, _ in dist.items]
-    start_state = initial if initial is not None else g.empty_set()
-    saturate = Edit.identity(g.m)
-    for e in edits:
-        saturate = compose(saturate, e)
-    start = apply(saturate, start_state)
-
-    seen = {start.mask}
-    frontier = [start.mask]
-    while frontier:
-        mask = frontier.pop()
-        for e in edits:
-            dest = (mask | e.plus) & ~e.minus
-            if dest not in seen:
-                check_cap(len(seen) + 1, cap, "recurrent-class states")
-                seen.add(dest)
-                frontier.append(dest)
-    return [EdgeSet(g.m, mask) for mask in sorted(seen)]
+    start = initial.mask if initial is not None else 0
+    for plus, minus in zip(dist.plus[::-1].tolist(), dist.minus[::-1].tolist()):
+        start = (start | plus) & ~minus
+    seen = frontier = np.array([start], dtype=mask_dtype(g.m))
+    while len(frontier):
+        new = []
+        for plus, keep in zip(dist.plus, ~dist.minus):
+            dest = (frontier | plus) & keep
+            at = np.minimum(np.searchsorted(seen, dest), len(seen) - 1)
+            new.append(dest[seen[at] != dest])
+        frontier = np.unique(np.concatenate(new))
+        check_cap(len(seen) + len(frontier), cap, "recurrent-class states")
+        seen = np.insert(seen, np.searchsorted(seen, frontier), frontier)
+    return [EdgeSet(g.m, mask) for mask in seen.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +324,7 @@ def stationary_faces(
     beyond `cap` faces."""
     covered = _covered(dist, g)
     exact = dist.is_exact if exact is None else exact
-    edits, weights = zip(*dist.items)
-    dtype = np.uint64 if g.m <= 64 else object
-    signs = np.array([e.plus for e in edits], dtype), np.array([e.minus for e in edits], dtype)
+    dtype, weights = mask_dtype(g.m), dist.weights
     w = _common_denominator(weights)[0] if exact else np.array([float(x) for x in weights])
     one = np.array([Fraction(1)] if exact else [1.0], dtype=w.dtype)
     pending = {0: [(np.zeros(1, dtype), np.zeros(1, dtype), one)]}
@@ -387,7 +339,7 @@ def stationary_faces(
             break
         for start in range(0, len(mass), FACE_BLOCK):
             block = slice(start, start + FACE_BLOCK)
-            for level, chunk in _face_moves(plus[block], minus[block], mass[block], signs, w):
+            for level, chunk in _face_moves(plus[block], minus[block], mass[block], dist, w):
                 chunks = pending.setdefault(level, [])
                 chunks.append(chunk)
                 if sum(len(c[2]) for c in chunks[1:]) > max(FACE_MERGE_ROWS, len(chunks[0][2])):
@@ -400,12 +352,12 @@ def stationary_faces(
     return states, list(mass[order]) if exact else mass[order]
 
 
-def _face_moves(plus, minus, mass, signs, w):
+def _face_moves(plus, minus, mass, dist, w):
     """Each face's moves to F.y over the edits y leaving its support,
     grouped by the support size they reach: (size, (plus, minus, mass))."""
-    plus_y, minus_y = signs
+    plus_y, minus_y = dist.plus, dist.minus
     support = plus | minus
-    f, y = np.nonzero((plus_y | minus_y) & ~support[:, None])
+    f, y = np.nonzero(dist.supports & ~support[:, None])
     out = _sum_at(f, w[y], len(mass))
     free = ~support[f]
     moved = (plus[f] | plus_y[y] & free, minus[f] | minus_y[y] & free,
@@ -479,14 +431,12 @@ def spectrum(
     `states` is the recurrent class when the caller already has it, such as
     a chain's states; otherwise it is enumerated."""
     _explicit(dist, g)
-    generators = [e for e, _ in dist.items]
     if lat is None:
-        lat = closure([supp(e) for e in generators], cap=cap)
+        lat = closure([EdgeSet(g.m, mask) for mask in dist.supports.tolist()], cap=cap)
     if states is None:
         states = recurrent_class(dist, g, initial, cap)
-    chambers = [chamber_of(s) for s in states]
-    reps = representatives_for(lat, generators)
-    return multiplicities(lat, chambers, reps, dist)
+    reps = representatives_for(lat, [e for e, _ in dist.items])
+    return multiplicities(lat, states, reps, dist)
 
 
 def numeric_eigenvalues(tm: TransitionMatrix, imag_tol: float = 1e-8) -> np.ndarray:
@@ -832,29 +782,12 @@ def hitting_time_closed(E: EdgeSet, F: EdgeSet, g: HostGraph, p):
     return _spectral_sum(E, F, g, p, commute=False)
 
 
-def hitting_time(
-    tm: TransitionMatrix,
-    source: EdgeSet | int,
-    target: EdgeSet | int,
-    method: str = "solve",
-) -> float:
-    """Expected steps from source until first visiting target.
-
-    method="solve" reads one column of the fundamental matrix
-    Z = (I - P + 1 pi)^-1; a target with pi = 0 raises NotIrreducible.
-    method="spectral" requires a reversible chain and sums the
-    eigendecomposition of the symmetrized matrix; the per-term products
-    are insensitive to eigenvector sign choices.
-    """
-    i = tm.index_of(source)
-    j = tm.index_of(target)
-    if i == j:
-        return 0.0
-    if method == "solve":
-        return float(_hitting_columns(tm, [j])[i, 0])
-    if method == "spectral":
-        return _hitting_spectral(tm, i, j)
-    raise ValidationError(f"method must be 'solve' or 'spectral', got {method!r}")
+def hitting_time(tm: TransitionMatrix, source: EdgeSet | int, target: EdgeSet | int) -> float:
+    """Expected steps from source until first visiting target, read off one
+    column of the fundamental matrix Z = (I - P + 1 pi)^-1; a target with
+    pi = 0 raises NotIrreducible."""
+    i, j = tm.index_of(source), tm.index_of(target)
+    return 0.0 if i == j else float(_hitting_columns(tm, [j])[i, 0])
 
 
 def _hitting_columns(tm: TransitionMatrix, targets: Sequence[int]) -> np.ndarray:
@@ -882,30 +815,12 @@ def _hitting_columns(tm: TransitionMatrix, targets: Sequence[int]) -> np.ndarray
     return (Z[t, columns] - Z) / pi[t]
 
 
-def _hitting_spectral(tm: TransitionMatrix, i: int, j: int) -> float:
-    pi = stationary_numeric(tm)
-    Q = _symmetrized(tm, pi)
-    if Q is None:
-        raise NotReversible("chain is not reversible; use method='solve'")
-    values, vectors = np.linalg.eigh(Q)
-    values, vectors = values[::-1], vectors[:, ::-1]
-    if tm.size > 1 and values[1] > 1.0 - 1e-12:
-        raise NotIrreducible("unit eigenvalue is not simple")
-    fj, fi = vectors[[j, i], 1:] / np.sqrt(pi[[j, i], None])
-    return float(np.sum(fj * (fj - fi) / (1.0 - values[1:])))
-
-
-def commute_time_chain(
-    tm: TransitionMatrix,
-    x: EdgeSet | int,
-    y: EdgeSet | int,
-    method: str = "solve",
-) -> float:
+def commute_time_chain(tm: TransitionMatrix, x: EdgeSet | int, y: EdgeSet | int) -> float:
     """Round trip through a generic chain: hitting there plus hitting back,
-    both from one fundamental-matrix solve when method="solve"."""
+    both from one fundamental-matrix solve."""
     i, j = tm.index_of(x), tm.index_of(y)
-    if method != "solve" or i == j:
-        return hitting_time(tm, x, y, method) + hitting_time(tm, y, x, method)
+    if i == j:
+        return 0.0
     hit = _hitting_columns(tm, [j, i])
     return float(hit[i, 0] + hit[j, 1])
 

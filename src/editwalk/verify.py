@@ -13,15 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edits import supp
 from .errors import STATE_CAP
-from .hostgraph import HostGraph
+from .hostgraph import EdgeSet, HostGraph
 from .lattice import closure
 from .process import WeightedEdits, _is_exact, _per_edge_probabilities
 from .spectral import (
     EigenSystem,
     TransitionMatrix,
     _hitting_columns,
+    build_chain,
     commute_time,
     detailed_balance_residual,
     eigensystem_simple,
@@ -128,11 +128,14 @@ def check_commute_backends(
 
 
 def check_closure_idempotent(dist: WeightedEdits, cap: int = STATE_CAP) -> CheckResult:
-    supports = [supp(e) for e, _ in dist.items]
-    lat = closure(supports, cap)
-    again = closure(list(lat.flats), cap)
-    same = tuple(x.mask for x in lat.flats) == tuple(x.mask for x in again.flats)
-    return CheckResult("closure_idempotent", 0.0 if same else 1.0, 0.0, same)
+    """The flats are closed: the empty set, every generator support and the
+    join flat | support of every flat with every support are flats."""
+    supports = dist.supports
+    lat = closure([EdgeSet(dist.m, mask) for mask in supports.tolist()], cap)
+    flats = np.array([x.mask for x in lat.flats], dtype=supports.dtype)
+    joins = np.concatenate([np.zeros(1, supports.dtype), supports, (flats[:, None] | supports).ravel()])
+    closed = bool(np.isin(joins, flats).all())
+    return CheckResult("closure_idempotent", 0.0 if closed else 1.0, 0.0, closed)
 
 
 def run_verification(
@@ -148,8 +151,6 @@ def run_verification(
     `exact` sets the arithmetic of a compound model's stationary law
     (default: exact when the weights are rational). Every enumeration
     (states, faces, flats) counts against `cap`."""
-    from .spectral import build_chain
-
     rng = rng or np.random.default_rng(0)
     results = []
     simple_model = p is not None
@@ -174,11 +175,9 @@ def run_verification(
         results.append(check_orthonormality(float_system))
         results.append(check_q_symmetry(tm, pi))
         results.append(check_spectrum_multiset(eigenvalues_simple(g.m, cap), tm))
-        size = tm.size
-        pairs = []
-        for _ in range(min(10, size * (size - 1) // 2)):
-            i, j = rng.choice(size, size=2, replace=False)
-            pairs.append((tm.states[int(i)], tm.states[int(j)]))
+        draws = [rng.choice(tm.size, size=2, replace=False)
+                 for _ in range(min(10, tm.size * (tm.size - 1) // 2))]
+        pairs = [(tm.states[int(i)], tm.states[int(j)]) for i, j in draws]
         results.append(check_commute_backends(g, p, tm, pairs))
     else:
         results.append(check_stationary_fixed_point(tm, pi))

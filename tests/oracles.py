@@ -20,7 +20,15 @@ time:
   matrix, where `tv_decay` sums over the chain's nonzero cells;
 * hitting times to one target by first-step analysis, one dense solve per
   target, where the library reads them off one solve for the target
-  columns of the fundamental matrix.
+  columns of the fundamental matrix;
+* hitting times of a reversible chain from the eigendecomposition of its
+  symmetrized matrix;
+* the recurrent class by a search that applies every edit to one state at
+  a time, where the library applies each edit to a whole level of states.
+
+It also keeps the helpers that only the tests use: the sign-table state
+order and permutations into it, a chain from a dense matrix, one walk step,
+one drawn edit, and the weight of one edit of the lazy intersection model.
 
 The tests compare the two.
 """
@@ -31,11 +39,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from editwalk.edits import leq
+from editwalk.edits import Edit, apply, compose, leq
+from editwalk.errors import STATE_CAP, EditWalkError, NotIrreducible, ValidationError, check_cap
 from editwalk.hostgraph import EdgeSet
-from editwalk.process import SAMPLER_VERSION, simulate
+from editwalk.process import SAMPLER_VERSION, _walk, simulate
 from editwalk.serialize import artifact_meta
-from editwalk.spectral import commute_terms
+from editwalk.spectral import (
+    TransitionMatrix,
+    _common_denominator,
+    _covered,
+    _symmetrized,
+    commute_terms,
+    stationary_numeric,
+)
 
 
 def _is_exact(value) -> bool:
@@ -266,3 +282,107 @@ def hitting_times_first_step(tm, target: int) -> np.ndarray:
     keep = [k for k in range(tm.size) if k != target]
     h = np.linalg.solve(np.eye(len(keep)) - P[np.ix_(keep, keep)], np.ones(len(keep)))
     return np.insert(h, target, 0.0)
+
+
+class NotReversible(EditWalkError):
+    """Detailed balance fails; the eigendecomposition does not apply."""
+
+
+def hitting_time_spectral(tm, i: int, j: int) -> float:
+    """Expected steps from state index i to j of a reversible chain, summed
+    over the eigendecomposition of the symmetrized matrix; the per-term
+    products are insensitive to eigenvector sign choices."""
+    pi = stationary_numeric(tm)
+    Q = _symmetrized(tm, pi)
+    if Q is None:
+        raise NotReversible("chain is not reversible")
+    values, vectors = np.linalg.eigh(Q)
+    values, vectors = values[::-1], vectors[:, ::-1]
+    if tm.size > 1 and values[1] > 1.0 - 1e-12:
+        raise NotIrreducible("unit eigenvalue is not simple")
+    fj, fi = vectors[[j, i], 1:] / np.sqrt(pi[[j, i], None])
+    return float(np.sum(fj * (fj - fi) / (1.0 - values[1:])))
+
+
+def recurrent_class_by_state(dist, g, initial=None, cap: int = STATE_CAP) -> list:
+    """The recurrent class by a depth-first search over single states: the
+    saturating product of all edits applied to the start, then every edit
+    applied to each newly found state."""
+    _covered(dist, g)
+    edits = [e for e, _ in dist.items]
+    saturate = Edit.identity(g.m)
+    for e in edits:
+        saturate = compose(saturate, e)
+    start = apply(saturate, initial if initial is not None else g.empty_set())
+    seen = {start.mask}
+    frontier = [start.mask]
+    while frontier:
+        mask = frontier.pop()
+        for e in edits:
+            dest = (mask | e.plus) & ~e.minus
+            if dest not in seen:
+                check_cap(len(seen) + 1, cap, "recurrent-class states")
+                seen.add(dest)
+                frontier.append(dest)
+    return [EdgeSet(g.m, mask) for mask in sorted(seen)]
+
+
+def sign_lex_order(m: int) -> list[int]:
+    """State masks ordered by their sign table: edge 0 is the most
+    significant digit and + sorts before -, matching the conventional
+    chamber listing (full set first, empty set last)."""
+    order = []
+    for k in range(1 << m):
+        mask = 0
+        for e in range(m):
+            if not (k >> (m - 1 - e)) & 1:
+                mask |= 1 << e
+        order.append(mask)
+    return order
+
+
+def permute_vector(vec, masks):
+    """Reindex a state vector given in ascending-mask order."""
+    if isinstance(vec, np.ndarray) and vec.dtype != object:
+        return vec[np.array(masks)]
+    return [vec[mask] for mask in masks]
+
+
+def chain_from_dense(states, entries, exact: bool) -> TransitionMatrix:
+    """Chain given by a dense matrix (of Fractions when exact)."""
+    rows, cols = np.nonzero(entries)
+    values = np.asarray(entries)[rows, cols]
+    cells = _common_denominator(values) if exact else (values.astype(float),)
+    return TransitionMatrix(tuple(states), rows, cols, *cells)
+
+
+def reorder(tm, masks) -> TransitionMatrix:
+    """Same chain with states permuted into the given mask order."""
+    perm = [tm.index_of(mask) for mask in masks]
+    if len(perm) != tm.size or len(set(perm)) != tm.size:
+        raise ValidationError("reorder needs a permutation of all states")
+    position = np.empty(tm.size, dtype=np.int64)
+    position[perm] = np.arange(tm.size)
+    rows, cols = position[tm.rows], position[tm.cols]
+    order = np.lexsort((cols, rows))
+    return TransitionMatrix(
+        tuple(tm.states[i] for i in perm), rows[order], cols[order],
+        tm.numerators[order], tm.denominator,
+    )
+
+
+def step(dist, state: EdgeSet, rng) -> EdgeSet:
+    """Draw one edit by its weight and apply it."""
+    return EdgeSet(state.m, _walk(dist, state, [1], rng)[0])
+
+
+def sample(dist, rng) -> Edit:
+    """One edit drawn by its weight: a block draw of size 1."""
+    ((plus, minus),) = dist._draw(rng, 1)
+    return Edit(dist.m, plus, minus)
+
+
+def lazy_intersection_weight(n: int, N: int, mu, edit: Edit) -> float:
+    """Weight of one edit of the intersection model: mu(|A|) / (n C(N, |A|))."""
+    k = edit.plus.bit_count()
+    return float(mu[k]) / (n * math.comb(N, k))

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import editwalk as ew
+from oracles import permute_vector, reorder, sign_lex_order
 from editwalk.errors import CapExceeded
 
 SEED = 20260810
@@ -45,11 +46,11 @@ def test_criterion_01_golden_path_on_two_edges():
     g = ew.from_edge_list(3, [(0, 1), (1, 2)])
     p = Fraction(1, 4)
     probs = [p, p]
-    order = ew.sign_lex_order(2)  # (both, first, second, empty)
+    order = sign_lex_order(2)  # (both, first, second, empty)
     states = [ew.EdgeSet(2, mask) for mask in order]
 
     dist = ew.simple_edit_weights(g, probs)
-    tm = ew.build_chain(dist, g).reorder(order)
+    tm = reorder(ew.build_chain(dist, g), order)
     assert tm.exact
     expected_matrix = [
         [p, (1 - p) / 2, (1 - p) / 2, 0],
@@ -61,12 +62,12 @@ def test_criterion_01_golden_path_on_two_edges():
         for j in range(4):
             assert tm.entries[i, j] == expected_matrix[i][j]
 
-    pi = ew.permute_vector(ew.stationary_closed_form(g, probs), order)
+    pi = permute_vector(ew.stationary_closed_form(g, probs), order)
     assert pi == [p**2, p * (1 - p), p * (1 - p), (1 - p) ** 2]
 
-    phi_a = ew.permute_vector(ew.phi(ew.EdgeSet(2, 0b01), g, probs), order)
-    phi_b = ew.permute_vector(ew.phi(ew.EdgeSet(2, 0b10), g, probs), order)
-    phi_empty = ew.permute_vector(ew.phi(ew.EdgeSet(2, 0), g, probs), order)
+    phi_a = permute_vector(ew.phi(ew.EdgeSet(2, 0b01), g, probs), order)
+    phi_b = permute_vector(ew.phi(ew.EdgeSet(2, 0b10), g, probs), order)
+    phi_empty = permute_vector(ew.phi(ew.EdgeSet(2, 0), g, probs), order)
     assert phi_a == [p, -p, 1 - p, -(1 - p)]
     assert phi_b == [p, 1 - p, -p, -(1 - p)]
     assert phi_empty == [1, -1, -1, 1]

@@ -13,7 +13,8 @@ from editwalk.verify import (
     check_spectrum_multiset,
     run_verification,
 )
-from editwalk.spectral import TransitionMatrix, eigenvalues_simple
+from editwalk.spectral import eigenvalues_simple
+from oracles import chain_from_dense
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -453,7 +454,7 @@ class TestVerify:
         tm = build_chain(simple_edit_weights(g, 0.4), g)
         entries = tm.entries.copy()
         entries[0, 0] += 1e-3
-        bad = TransitionMatrix.from_dense(tm.states, entries, False)
+        bad = chain_from_dense(tm.states, entries, False)
         result = check_row_stochastic(bad)
         assert not result.passed and result.name == "row_stochastic"
         report = eigenvalues_simple(g.m)

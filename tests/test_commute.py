@@ -16,11 +16,10 @@ from editwalk import (
     hitting_time,
     hitting_time_closed,
     moran_weights,
-    sign_lex_order,
     simple_edit_weights,
 )
-from editwalk.errors import NotIrreducible, NotReversible, ValidationError
-from oracles import largest_dropped_term
+from editwalk.errors import NotIrreducible
+from oracles import NotReversible, hitting_time_spectral, largest_dropped_term, sign_lex_order
 
 PATH2 = from_edge_list(3, [(0, 1), (1, 2)])
 
@@ -96,10 +95,10 @@ def test_spectral_matches_linear_solve():
             a, b = EdgeSet(m, int(i)), EdgeSet(m, int(j))
             closed = float(commute_time(a, b, g, p))
             assert largest_dropped_term(a, b, g, p) <= 1e-14
-            solved = commute_time_chain(tm, a, b, method="solve")
+            solved = commute_time_chain(tm, a, b)
             assert abs(closed - solved) <= 1e-8 * max(1.0, abs(solved))
             h_closed = float(hitting_time_closed(a, b, g, p))
-            h_solved = hitting_time(tm, a, b, method="solve")
+            h_solved = hitting_time(tm, a, b)
             assert abs(h_closed - h_solved) <= 1e-8 * max(1.0, abs(h_solved))
 
 
@@ -110,8 +109,8 @@ def test_hitting_spectral_backend_matches_solve():
     tm = build_chain(simple_edit_weights(g, p), g)
     for _ in range(5):
         i, j = rng.choice(16, size=2, replace=False)
-        a = hitting_time(tm, int(i), int(j), method="spectral")
-        b = hitting_time(tm, int(i), int(j), method="solve")
+        a = hitting_time_spectral(tm, int(i), int(j))
+        b = hitting_time(tm, int(i), int(j))
         assert a == pytest.approx(b, rel=1e-9, abs=1e-9)
 
 
@@ -161,13 +160,7 @@ def test_not_reversible():
     dist = moran_weights(k4)
     tm = build_chain(dist, k4, restrict="recurrent")
     with pytest.raises(NotReversible):
-        hitting_time(tm, tm.states[0], tm.states[1], method="spectral")
-    # the first-step backend still works
-    value = hitting_time(tm, tm.states[0], tm.states[1], method="solve")
+        hitting_time_spectral(tm, 0, 1)
+    # the fundamental-matrix solve still works
+    value = hitting_time(tm, tm.states[0], tm.states[1])
     assert value > 0
-
-
-def test_bad_method():
-    tm = build_chain(simple_edit_weights(PATH2, 0.5), PATH2)
-    with pytest.raises(ValidationError):
-        hitting_time(tm, 0, 1, method="guess")

@@ -16,13 +16,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import hitting_times_first_step
+from oracles import NotReversible, chain_from_dense, hitting_time_spectral, hitting_times_first_step
 from test_chain_cells import cycle_family
 
 import editwalk as ew
 from editwalk import spectral
 from editwalk.cli import main
-from editwalk.errors import NotIrreducible, NotReversible, ValidationError
+from editwalk.errors import NotIrreducible, ValidationError
 from editwalk.serialize import artifact_meta, write_json
 from editwalk.verify import run_verification
 
@@ -68,7 +68,7 @@ def test_transient_target_raises_and_recurrent_target_is_hit():
     with pytest.raises(NotIrreducible):
         spectral._hitting_columns(tm, [0, 3])
     with pytest.raises(NotReversible):  # pi = 0 off the closed class: no symmetrization
-        ew.hitting_time(tm, 0b11, 0b00, method="spectral")
+        hitting_time_spectral(tm, 3, 0)
 
 
 def test_verify_factorizes_once_per_oracle(monkeypatch):
@@ -115,14 +115,14 @@ def test_eigensolve_dispatch(monkeypatch, name, solver):
 def test_reducible_chains_keep_the_general_eigensolve(monkeypatch):
     states = [ew.EdgeSet(2, mask) for mask in range(4)]
     block = np.array([[0.5, 0.5], [0.5, 0.5]])
-    two_classes = ew.TransitionMatrix.from_dense(
+    two_classes = chain_from_dense(
         states, np.kron(np.eye(2), block), exact=False)
     with pytest.raises(NotIrreducible):
         ew.stationary_numeric(two_classes)
     calls = counted_eigensolvers(monkeypatch)
     assert ew.numeric_eigenvalues(two_classes).tolist() == pytest.approx([1, 1, 0, 0], abs=1e-12)
     # a transient state has pi = 0, so the chain is not symmetrized either
-    falls = ew.TransitionMatrix.from_dense(
+    falls = chain_from_dense(
         states[:2], np.array([[1.0, 0.0], [0.7, 0.3]]), exact=False)
     assert ew.numeric_eigenvalues(falls).tolist() == pytest.approx([1, 0.3], abs=1e-12)
     assert calls == ["eigvals", "eigvals"]

@@ -29,7 +29,7 @@ from editwalk import (
 from editwalk.errors import (
     BadRepresentative,
     ClosureTooLarge,
-    NotAChamber,
+    HostMismatch,
     NotAFlat,
     ValidationError,
 )
@@ -138,8 +138,12 @@ def test_eigenvalue_counts_identity_mass_at_bottom():
     assert eigenvalue(lat, lat.bottom, dist_like) == Fraction(1, 4)
 
 
+def all_states(m):
+    return [EdgeSet(m, mask) for mask in range(1 << m)]
+
+
 def all_chambers(m):
-    return [chamber_of(EdgeSet(m, mask)) for mask in range(1 << m)]
+    return [chamber_of(s) for s in all_states(m)]
 
 
 def test_multiplicities_simple_semigroup():
@@ -154,7 +158,7 @@ def test_multiplicities_simple_semigroup():
     chambers = all_chambers(m)
     for flat in lat.flats:
         assert chamber_count_leq(reps[flat], chambers) == 2 ** (m - len(flat))
-    report = multiplicities(lat, chambers, reps, dist)
+    report = multiplicities(lat, all_states(m), reps, dist)
     assert all(e.multiplicity == 1 for e in report.entries)
     assert report.total_multiplicity == 1 << m
     # aggregated view: eigenvalue k/m appears C(m, k) times
@@ -168,8 +172,8 @@ def test_multiplicities_single_full_support_generator():
     x = Edit(m, 0b101, 0b010)
     lat = closure([supp(x)])
     reps = representatives_for(lat, [x])
-    chambers = [chamber_of(EdgeSet(m, 0b101))]  # the one reachable state
-    report = multiplicities(lat, chambers, reps, {supp(x).mask: Fraction(1)})
+    states = [EdgeSet(m, 0b101)]  # the one reachable state
+    report = multiplicities(lat, states, reps, {supp(x).mask: Fraction(1)})
     by_flat = {e.flat.mask: e.multiplicity for e in report.entries}
     assert by_flat[(1 << m) - 1] == 1
     assert by_flat[0] == 0
@@ -192,12 +196,13 @@ def test_multiplicities_representative_independence_k3_moran():
         reps_b[flat] = edit
     from editwalk import recurrent_class
 
-    chambers = [chamber_of(s) for s in recurrent_class(dist, k3)]
+    states = recurrent_class(dist, k3)
+    chambers = [chamber_of(s) for s in states]
     for flat in lat.flats:
         assert chamber_count_leq(reps_a[flat], chambers) == chamber_count_leq(
             reps_b[flat], chambers
         )
-    assert multiplicities(lat, chambers, reps_a) == multiplicities(lat, chambers, reps_b)
+    assert multiplicities(lat, states, reps_a) == multiplicities(lat, states, reps_b)
 
 
 def test_multiplicities_k3_moran_frozen_values():
@@ -210,9 +215,10 @@ def test_multiplicities_k3_moran_frozen_values():
     reps = representatives_for(lat, generators)
     from editwalk import recurrent_class
 
-    chambers = [chamber_of(s) for s in recurrent_class(dist, k3)]
+    states = recurrent_class(dist, k3)
+    chambers = [chamber_of(s) for s in states]
     assert len(chambers) == 6
-    report = multiplicities(lat, chambers, reps, dist)
+    report = multiplicities(lat, states, reps, dist)
     by_flat = {e.flat.mask: e.multiplicity for e in report.entries}
     assert by_flat[0] == 2
     assert by_flat[lat.top.mask] == 1
@@ -230,8 +236,9 @@ def test_uninverted_identity():
     reps = representatives_for(lat, generators)
     from editwalk import recurrent_class
 
-    chambers = [chamber_of(s) for s in recurrent_class(dist, k4)]
-    report = multiplicities(lat, chambers, reps, dist)
+    states = recurrent_class(dist, k4)
+    chambers = [chamber_of(s) for s in states]
+    report = multiplicities(lat, states, reps, dist)
     mult = {e.flat.mask: e.multiplicity for e in report.entries}
     for flat in lat.flats:
         above = sum(
@@ -245,16 +252,17 @@ def test_bad_representative():
     reps = {flat: Edit(2, flat.mask, 0) for flat in lat.flats}
     reps[EdgeSet(2, 0b01)] = Edit.identity(2)
     with pytest.raises(BadRepresentative):
-        multiplicities(lat, all_chambers(2), reps)
+        multiplicities(lat, all_states(2), reps)
 
 
 def test_multiplicities_need_chambers():
+    # a state is a chamber of the lattice's host: one from another host is refused
     lat = closure(singleton_supports(2))
     reps = {flat: Edit(2, flat.mask, 0) for flat in lat.flats}
-    with pytest.raises(NotAChamber):
-        multiplicities(lat, all_chambers(2)[:3] + [Edit(2, 0b01, 0)], reps)
-    with pytest.raises(NotAChamber):
-        multiplicities(lat, [chamber_of(EdgeSet(3, 0))], reps)
+    with pytest.raises(HostMismatch):
+        multiplicities(lat, all_states(2)[:3] + [EdgeSet(3, 0b011)], reps)
+    with pytest.raises(HostMismatch):
+        multiplicities(lat, [EdgeSet(3, 0)], reps)
 
 
 def cycle_family(m, rng):
@@ -291,8 +299,9 @@ def test_multiplicities_match_mobius_oracle(g, dist):
     generators = [e for e, _ in dist.items]
     lat = closure([supp(e) for e in generators])
     reps = representatives_for(lat, generators)
-    chambers = [chamber_of(s) for s in recurrent_class(dist, g)]
-    report = multiplicities(lat, chambers, reps, dist)
+    states = recurrent_class(dist, g)
+    chambers = [chamber_of(s) for s in states]
+    report = multiplicities(lat, states, reps, dist)
     assert [e.multiplicity for e in report.entries] == multiplicities_by_mobius(
         lat, chambers, reps
     )
@@ -310,7 +319,8 @@ def test_spectrum_on_hosts_beyond_one_word(m):
     assert [len(e.flat) for e in report.entries] == [0, 2, m - 2, m]
     generators = [e for e, _ in dist.items]
     lat = closure([supp(e) for e in generators])
-    chambers = [chamber_of(s) for s in recurrent_class(dist, path)]
+    states = recurrent_class(dist, path)
+    chambers = [chamber_of(s) for s in states]
     reps = representatives_for(lat, generators)
     assert multiplicities_by_mobius(lat, chambers, reps) == [0, 0, 1, 1]
 

@@ -23,7 +23,6 @@ from editwalk import (
     neighborhood_edges,
     simple_edit_weights,
     simulate,
-    step,
     supp,
 )
 from editwalk.errors import (
@@ -34,6 +33,7 @@ from editwalk.errors import (
     ValidationError,
 )
 from editwalk.process import AliasSampler, WeightedEdits
+from oracles import sample, step
 
 PATH2 = from_edge_list(3, [(0, 1), (1, 2)])
 
@@ -232,7 +232,7 @@ class TestSimulation:
         rng = make_rng(7)
         state = EdgeSet.full(6)
         for _ in range(50):
-            edit = dist.sample(rng)
+            edit = sample(dist, rng)
             once = apply(edit, state)
             assert apply(edit, once) == once
             state = once

@@ -52,10 +52,10 @@ def seeded_families(seed, count):
         yield g, random_family(rng, m, int(rng.integers(2, 5)))
 
 
-def recurrent_chambers(dist, g):
+def recurrent_states(dist, g):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SupportNotCovering)
-        return [ew.chamber_of(s) for s in ew.recurrent_class(dist, g)]
+        return ew.recurrent_class(dist, g)
 
 
 def test_random_compound_families_spectra():
@@ -76,9 +76,10 @@ def test_random_families_multiplicities_match_mobius_oracle():
     for g, dist in [*seeded_families(424242, 20), *seeded_families(777, 10)]:
         generators = [e for e, _ in dist.items]
         lat = ew.closure([ew.supp(e) for e in generators])
-        chambers = recurrent_chambers(dist, g)
+        states = recurrent_states(dist, g)
+        chambers = [ew.chamber_of(s) for s in states]
         reps = ew.representatives_for(lat, generators)
-        report = ew.multiplicities(lat, chambers, reps, dist)
+        report = ew.multiplicities(lat, states, reps, dist)
         assert [e.multiplicity for e in report.entries] == multiplicities_by_mobius(
             lat, chambers, reps
         )
@@ -88,9 +89,10 @@ def test_random_families_uninverted_identity_and_representatives():
     for g, dist in seeded_families(777, 10):
         generators = [e for e, _ in dist.items]
         lat = ew.closure([ew.supp(e) for e in generators])
-        chambers = recurrent_chambers(dist, g)
+        states = recurrent_states(dist, g)
+        chambers = [ew.chamber_of(s) for s in states]
         reps = ew.representatives_for(lat, generators)
-        report = ew.multiplicities(lat, chambers, reps, dist)
+        report = ew.multiplicities(lat, states, reps, dist)
         mult = {e.flat.mask: e.multiplicity for e in report.entries}
         for flat in lat.flats:
             above = sum(
@@ -109,7 +111,7 @@ def test_random_families_uninverted_identity_and_representatives():
             assert chamber_count_leq(reps[flat], chambers) == chamber_count_leq(
                 reps_b[flat], chambers
             )
-        assert ew.multiplicities(lat, chambers, reps_b, dist) == report
+        assert ew.multiplicities(lat, states, reps_b, dist) == report
 
 
 def test_chamber_counts_ignore_representative_signs():

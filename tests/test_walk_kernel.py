@@ -1,4 +1,4 @@
-"""Laws of the block-drawn walk kernel behind simulate, step and
+"""Laws of the block-drawn walk kernel behind simulate and
 empirical_distribution.
 
 Edits are drawn in blocks and applied to raw masks, so no Edit is built or
@@ -19,9 +19,9 @@ from editwalk import (
     moran_weights,
     simple_edit_weights,
     simulate,
-    step,
 )
 from editwalk.process import BLOCK
+from oracles import step
 
 K4 = complete_graph(4)
 LAWS = {
