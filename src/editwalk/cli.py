@@ -20,7 +20,7 @@ import numpy as np
 
 from .edits import parse_edit
 from .errors import STATE_CAP, CapExceeded, EditWalkError, ValidationError, check_cap
-from .hostgraph import EdgeSet, HostGraph, host_from_json, is_acyclic, is_integer
+from .hostgraph import EdgeSet, HostGraph, find_mask, host_from_json, is_acyclic, is_integer
 from .process import (
     SAMPLER_VERSION,
     Trajectory,
@@ -269,8 +269,8 @@ def _warn_if_transient(cfg: RunConfig) -> None:
         return
     if (1 << cfg.host.m) > cfg.caps["states"]:
         return  # a walk on a host past enumeration scale is never held up by this check
-    states = recurrent_class(cfg.weights, cfg.host, initial=cfg.initial, cap=cfg.caps["states"])
-    if cfg.initial.mask not in {s.mask for s in states}:
+    masks = recurrent_class(cfg.weights, cfg.host, initial=cfg.initial, cap=cfg.caps["states"])
+    if find_mask(masks, cfg.initial.mask) < 0:
         print(
             "warning: initial state is outside the recurrent class; "
             "mixing-time guarantees apply after the first covering update",
@@ -314,11 +314,11 @@ def _trajectory_lines(traj: Trajectory, g: HostGraph, edges: bool) -> Iterator[s
             yield f'{{"t": {t}, "state": "{mask:#x}"}}'
 
 
-def _spectrum_report(cfg: RunConfig, states=None):
+def _spectrum_report(cfg: RunConfig, masks=None):
     if cfg.model == "simple":
         return eigenvalues_simple(cfg.host.m, cfg.caps["states"])
     return spectrum(
-        cfg.weights, cfg.host, initial=cfg.initial, cap=cfg.caps["states"], states=states
+        cfg.weights, cfg.host, initial=cfg.initial, cap=cfg.caps["states"], masks=masks
     )
 
 
@@ -342,16 +342,16 @@ def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _stationary_rows(cfg: RunConfig) -> Iterator[tuple[str, str]]:
-    """(hex state, str(pi)) per recurrent state, in ascending mask order;
-    the simple model's rows are formatted from the masks as they are read."""
+    """(hex state, str(pi)) per recurrent state, in ascending mask order,
+    formatted from the masks as they are read."""
     if cfg.model == "simple":
-        pi = stationary_closed_form(cfg.host, cfg.p, cfg.caps["states"])
-        return ((format(mask, "#x"), str(v)) for mask, v in enumerate(pi))
-    states, pi = stationary_faces(
-        cfg.weights, cfg.host, initial=cfg.initial, cap=cfg.caps["states"],
-        exact=cfg.mode == "rational",
-    )
-    return ((s.hex(), str(v)) for s, v in zip(states, pi))
+        masks, pi = range(1 << cfg.host.m), stationary_closed_form(cfg.host, cfg.p, cfg.caps["states"])
+    else:
+        masks, pi = stationary_faces(
+            cfg.weights, cfg.host, initial=cfg.initial, cap=cfg.caps["states"],
+            exact=cfg.mode == "rational",
+        )
+    return ((format(mask, "#x"), str(v)) for mask, v in zip(masks, pi))
 
 
 def cmd_stationary(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -375,12 +375,12 @@ def cmd_mixing(cfg: RunConfig, args: argparse.Namespace) -> int:
     cap = cfg.caps["states"]
     try:  # the curve's own enumerations; beyond the cap only the bound is written
         if simple:
-            states, pi = None, stationary_closed_form(cfg.host, cfg.p, cap)
+            masks, pi = None, stationary_closed_form(cfg.host, cfg.p, cap)
         else:
-            states, pi = stationary_faces(
+            masks, pi = stationary_faces(
                 cfg.weights, cfg.host, initial=cfg.initial, cap=cap, exact=False
             )
-        tm = build_chain(cfg.weights, cfg.host, cap=cap, states=states)
+        tm = build_chain(cfg.weights, cfg.host, cap=cap, masks=masks)
     except CapExceeded as exc:
         tm, skipped = None, str(exc)
 
@@ -388,7 +388,7 @@ def cmd_mixing(cfg: RunConfig, args: argparse.Namespace) -> int:
         bound_steps = mixing_bound_simple(m, c)
         bound_at = lambda t: simple_tv_bound(m, t)
     else:
-        report = _spectrum_report(cfg, None if tm is None else tm.states)
+        report = _spectrum_report(cfg, None if tm is None else tm.masks)
         lam = report.second_largest()
         chambers = report.total_multiplicity
         bound_steps = mixing_bound_compound(lam, m, c, chamber_count=chambers)
@@ -400,10 +400,10 @@ def cmd_mixing(cfg: RunConfig, args: argparse.Namespace) -> int:
     t_max = args.t_max if args.t_max is not None else bound_steps
     cfg.out.mkdir(parents=True, exist_ok=True)
     if tm is not None:
-        start = cfg.initial
-        if start.mask not in {s.mask for s in tm.states}:
-            start = tm.states[0]  # fall back to a recurrent start
-            meta["start"] = start.hex()
+        start = cfg.initial.mask
+        if find_mask(tm.masks, start) < 0:
+            start = int(tm.masks[0])  # fall back to a recurrent start
+            meta["start"] = format(start, "#x")
             meta["start_fallback"] = cfg.initial.hex()
         curve = tv_decay(tm, start, pi, t_max)
         rows = [(t, f"{curve[t]:.12e}", f"{bound_at(t):.12e}") for t in range(t_max + 1)]
@@ -424,7 +424,8 @@ def cmd_commute(cfg: RunConfig, args: argparse.Namespace) -> int:
         m = cfg.host.m
         check_cap(1 << m, cfg.caps["states"], f"2^{m} states")
         check_cap(1 << m, cap, f"2^{m} commute-matrix states (caps.commute_states)")
-        states = [EdgeSet(m, mask) for mask in range(1 << m)]
+        masks = range(1 << m)
+        states = [EdgeSet(m, mask) for mask in masks]  # commute_time takes EdgeSet pairs
         matrix = [[""] * len(states) for _ in states]
         for i, a in enumerate(states):  # commute times are symmetric
             for j in range(i, len(states)):
@@ -435,14 +436,13 @@ def cmd_commute(cfg: RunConfig, args: argparse.Namespace) -> int:
             cap=cfg.caps["states"],
         )
         check_cap(tm.size, cap, f"{tm.size} commute-matrix states (caps.commute_states)")
-        states = list(tm.states)
+        masks = tm.masks.tolist()
         hit = _hitting_columns(tm, range(tm.size))
         matrix = [[str(hit[i, j] + hit[j, i]) for j in range(tm.size)] for i in range(tm.size)]
-    rows = [[states[i].hex()] + matrix[i] for i in range(len(states))]
-    write_csv(
-        cfg.out / "commute.csv", meta, ["state"] + [s.hex() for s in states], rows
-    )
-    print(f"wrote {cfg.out / 'commute.csv'} ({len(states)} states)")
+    names = [format(mask, "#x") for mask in masks]
+    rows = [[name] + row for name, row in zip(names, matrix)]
+    write_csv(cfg.out / "commute.csv", meta, ["state"] + names, rows)
+    print(f"wrote {cfg.out / 'commute.csv'} ({len(names)} states)")
     return 0
 
 

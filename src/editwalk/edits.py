@@ -90,9 +90,7 @@ def compose(x: Edit, y: Edit) -> Edit:
 
 def apply(x: Edit, state: EdgeSet) -> EdgeSet:
     """Act on a state: force the + edges in and the - edges out."""
-    if x.m != state.m:
-        raise HostMismatch(f"edge counts differ: {x.m} != {state.m}")
-    return EdgeSet(state.m, (state.mask | x.plus) & ~x.minus)
+    return EdgeSet(state.m, (state.mask_on(x.m) | x.plus) & ~x.minus)
 
 
 def supp(x: Edit) -> EdgeSet:

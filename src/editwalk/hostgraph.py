@@ -2,8 +2,9 @@
 
 The host graph fixes a canonical edge indexing (edges sorted by
 (min endpoint, max endpoint)); every other module speaks edge indices.
-An EdgeSet is a bitmask over those indices and doubles as a Markov chain
-state, a flat of the support lattice, or an edit support.
+An EdgeSet is a bitmask over those indices: a single chain state, a flat
+of the support lattice, or an edit support. Collections of states are
+sorted mask arrays (dtype `mask_dtype(m)`), searched with `find_mask`.
 
 Enumeration APIs elsewhere count the 2^m states against a cap
 (`errors.check_cap`); EdgeSet itself places no limit on m (Python ints are
@@ -31,6 +32,12 @@ from .errors import (
 def mask_dtype(m: int):
     """Array dtype of edge masks on m host edges: uint64, or Python ints past 64."""
     return np.uint64 if m <= 64 else object
+
+
+def find_mask(masks: np.ndarray, mask: int) -> int:
+    """Index of `mask` in an ascending mask array by binary search, or -1."""
+    at = int(np.searchsorted(masks, mask))
+    return at if at < len(masks) and masks[at] == mask else -1
 
 
 @dataclass(frozen=True)
@@ -65,25 +72,23 @@ class EdgeSet:
             mask |= 1 << e
         return cls(m, mask)
 
-    def _check_host(self, other: "EdgeSet") -> None:
-        if self.m != other.m:
-            raise HostMismatch(f"edge counts differ: {self.m} != {other.m}")
+    def mask_on(self, m: int) -> int:
+        """The mask of a set on a host of m edges; another host raises HostMismatch."""
+        if self.m != m:
+            raise HostMismatch(f"edge counts differ: {self.m} != {m}")
+        return self.mask
 
     def union(self, other: "EdgeSet") -> "EdgeSet":
-        self._check_host(other)
-        return EdgeSet(self.m, self.mask | other.mask)
+        return EdgeSet(self.m, self.mask | other.mask_on(self.m))
 
     def intersection(self, other: "EdgeSet") -> "EdgeSet":
-        self._check_host(other)
-        return EdgeSet(self.m, self.mask & other.mask)
+        return EdgeSet(self.m, self.mask & other.mask_on(self.m))
 
     def difference(self, other: "EdgeSet") -> "EdgeSet":
-        self._check_host(other)
-        return EdgeSet(self.m, self.mask & ~other.mask)
+        return EdgeSet(self.m, self.mask & ~other.mask_on(self.m))
 
     def symmetric_difference(self, other: "EdgeSet") -> "EdgeSet":
-        self._check_host(other)
-        return EdgeSet(self.m, self.mask ^ other.mask)
+        return EdgeSet(self.m, self.mask ^ other.mask_on(self.m))
 
     def complement(self) -> "EdgeSet":
         return EdgeSet(self.m, ((1 << self.m) - 1) & ~self.mask)
@@ -95,8 +100,7 @@ class EdgeSet:
     __invert__ = complement
 
     def issubset(self, other: "EdgeSet") -> bool:
-        self._check_host(other)
-        return self.mask & ~other.mask == 0
+        return self.mask & ~other.mask_on(self.m) == 0
 
     def __contains__(self, e: int) -> bool:
         return 0 <= e < self.m and bool(self.mask >> e & 1)

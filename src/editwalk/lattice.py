@@ -212,13 +212,15 @@ def representatives_for(
 
 def multiplicities(
     lat: SupportLattice,
-    states: Sequence[EdgeSet],
+    masks: np.ndarray,
     representatives: Mapping[EdgeSet, Edit],
     dist=None,
 ) -> SpectrumReport:
     """Eigenvalue multiplicities by back-substitution over the flat order.
 
-    `states` is the recurrent class. Each state is a chamber: the total
+    `masks` is the recurrent class, as the mask array of dtype
+    `mask_dtype(lat.m)` that `recurrent_class` returns; a mask with bits
+    outside the host raises HostMismatch. Each state is a chamber: the total
     edit with + on the state's edges and - elsewhere. For each flat X, c_X
     counts chambers whose signs extend a representative edit with support
     X. Since c_X = sum over flats Y >= X of m_Y, and flats are sorted by
@@ -233,13 +235,12 @@ def multiplicities(
             raise BadRepresentative(
                 f"representative support {rep.support_mask:#x} != flat {flat.mask:#x}"
             )
-    if any(s.m != lat.m for s in states):
-        raise HostMismatch(f"states must lie on the lattice's host of {lat.m} edges")
+    if len(masks) and (masks.min() < 0 or int(masks.max()) >> lat.m):
+        raise HostMismatch(f"state masks must lie on the lattice's host of {lat.m} edges")
 
     dtype = mask_dtype(lat.m)
     flats = np.array([x.mask for x in lat.flats], dtype=dtype)
     signs = np.array([representatives[x].plus for x in lat.flats], dtype=dtype)
-    masks = np.array([s.mask for s in states], dtype=dtype)
     mults = np.zeros(len(flats), dtype=np.int64)
     for i in reversed(range(len(flats))):
         x = flats[i]
@@ -250,16 +251,16 @@ def multiplicities(
         if mults[i] < 0:
             raise ValidationError(
                 f"negative multiplicity {mults[i]} at flat {lat.flats[i].hex()}; "
-                "state list is not the full recurrent class"
+                "mask array is not the full recurrent class"
             )
 
     report = SpectrumReport(tuple(
         SpectrumEntry(flat, None if dist is None else eigenvalue(lat, flat, dist), int(mult))
         for flat, mult in zip(lat.flats, mults)
     ))
-    if report.total_multiplicity != len(states):
+    if report.total_multiplicity != len(masks):
         raise ValidationError(
             f"multiplicities sum to {report.total_multiplicity}, "
-            f"expected {len(states)} chambers"
+            f"expected {len(masks)} chambers"
         )
     return report

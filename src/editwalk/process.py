@@ -37,7 +37,6 @@ from .errors import (
     STATE_CAP,
     BadDistribution,
     EmptyEdgeSet,
-    HostMismatch,
     ProbabilityOutOfRange,
     ValidationError,
     check_cap,
@@ -327,14 +326,12 @@ def _walk(dist: WeightedEdits, initial: EdgeSet, times: Sequence[int], rng: np.r
     """Masks of the walk from `initial` after each of the increasing step
     counts in `times`. Edit blocks are sized by `dist` alone, so the draws do
     not depend on `times`; in between, the state is a raw int."""
-    if initial.m != dist.m:
-        raise HostMismatch(f"edge counts differ: {dist.m} != {initial.m}")
     steps = times[-1] if times else 0
     block = dist.lazy.block if dist.lazy is not None else BLOCK
     edits = chain.from_iterable(
         dist._draw(rng, min(block, steps - t)) for t in range(0, steps, block)
     )
-    state, t, masks = initial.mask, 0, []
+    state, t, masks = initial.mask_on(dist.m), 0, []
     for stop in times:
         for plus, minus in islice(edits, stop - t):
             state = (state | plus) & ~minus

@@ -8,14 +8,14 @@ closed-form path is paired with an independent numeric oracle (dense
 eigensolve or fundamental-matrix solve).
 
 Every enumeration reads a distribution's mask arrays (`WeightedEdits.plus`,
-`.minus`) and acts on arrays of state masks. A chain is kept as its nonzero
-cells: one step applies one weighted edit, so N states have at most
-(edits * N) cells, all found in one vectorized pass over the edits. The
-dense float64 matrix for the solvers is derived on first request; the
-dense exact matrix only when something reads it.
-The stationary law of a compound chain needs no chain at all: it is the
-law of the backward product of drawn edits, carried face by face
-(`stationary_faces`).
+`.minus`), and collections of states are sorted mask arrays: the recurrent
+class, the chambers of a stationary law, the states of a chain. A chain is
+kept as its nonzero cells: one step applies one weighted edit, so N states
+have at most (edits * N) cells, all found in one vectorized pass over the
+edits. The dense float64 matrix for the solvers is derived on first
+request; the dense exact matrix only when something reads it. The
+stationary law of a compound chain needs no chain at all: it is the law of
+the backward product of drawn edits, carried face by face (`stationary_faces`).
 
 Two numeric modes coexist: exact rationals whenever the driving weights
 and edge probabilities are Fractions, and float64 otherwise.
@@ -42,7 +42,7 @@ from .errors import (
     ValidationError,
     check_cap,
 )
-from .hostgraph import EdgeSet, HostGraph, mask_dtype
+from .hostgraph import EdgeSet, HostGraph, find_mask, mask_dtype
 from .lattice import (
     SpectrumEntry,
     SpectrumReport,
@@ -66,16 +66,18 @@ FACE_MERGE_ROWS = 1 << 18  # unmerged moves a support level holds before a merge
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Row-stochastic matrix over an ordered list of subgraph states, kept as
-    its nonzero cells in row-major order: cell k sits at (rows[k], cols[k])
-    and holds numerators[k] / denominator. Exact chains hold Python-int
-    numerators over a common denominator, float chains float64 values over 1.
+    """Row-stochastic matrix over the states of an m-edge host, given by
+    their ascending mask array `masks` and kept as its nonzero cells in
+    row-major order: cell k sits at (rows[k], cols[k]) and holds
+    numerators[k] / denominator. Exact chains hold Python-int numerators
+    over a common denominator, float chains float64 values over 1.
 
     Derived on first use and cached: `values` (Fractions when exact),
     `to_float()` (the dense float64 matrix) and `entries` (the dense matrix
     in the chain's own arithmetic). The dense views are read-only."""
 
-    states: tuple[EdgeSet, ...]
+    m: int
+    masks: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
     numerators: np.ndarray
@@ -83,22 +85,18 @@ class TransitionMatrix:
 
     @property
     def size(self) -> int:
-        return len(self.states)
+        return len(self.masks)
 
     @property
     def exact(self) -> bool:
         return self.numerators.dtype == object
 
-    @cached_property
-    def _index(self) -> dict[int, int]:
-        return {s.mask: i for i, s in enumerate(self.states)}
-
     def index_of(self, state: EdgeSet | int) -> int:
-        mask = state.mask if isinstance(state, EdgeSet) else int(state)
-        try:
-            return self._index[mask]
-        except KeyError:
-            raise ValidationError(f"state {mask:#x} is not in this chain") from None
+        mask = state.mask_on(self.m) if isinstance(state, EdgeSet) else int(state)
+        at = -1 if mask >> self.m else find_mask(self.masks, mask)
+        if at < 0:
+            raise ValidationError(f"state {mask:#x} is not in this chain")
+        return at
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -189,31 +187,29 @@ def build_chain(
     restrict: str = "all",
     initial: EdgeSet | None = None,
     cap: int = STATE_CAP,
-    states: Sequence[EdgeSet] | None = None,
+    masks: np.ndarray | None = None,
 ) -> TransitionMatrix:
     """Transition matrix of the walk driven by `dist`.
 
     restrict="all" enumerates every subset of host edges in ascending mask
     order; restrict="recurrent" first computes the closed communicating
-    class and builds the matrix on it. `states`, when the caller already
-    has them (such as the recurrent chambers `stationary_faces` returns),
-    replace that enumeration: they must be in ascending mask order and
+    class and builds the matrix on it. `masks`, when the caller already
+    has the states (such as the recurrent chambers `stationary_faces`
+    returns), replace that enumeration: a strictly ascending mask array,
     closed under every edit. Each cell sums its edits' weights: exactly
     when every weight is rational, else in float64 in edit order.
     """
     _explicit(dist, g)
-    if states is not None:
-        states = tuple(states)
-    elif restrict == "all":
-        check_cap(1 << g.m, cap, f"2^{g.m} states")
-        states = tuple(EdgeSet(g.m, mask) for mask in range(1 << g.m))
-    elif restrict == "recurrent":
-        states = tuple(recurrent_class(dist, g, initial=initial, cap=cap))
-    else:
+    if restrict not in ("all", "recurrent"):
         raise ValidationError(f"restrict must be 'all' or 'recurrent', got {restrict!r}")
+    if masks is None and restrict == "all":
+        check_cap(1 << g.m, cap, f"2^{g.m} states")
+        masks = np.arange(1 << g.m, dtype=mask_dtype(g.m))
+        masks.flags.writeable = False
+    elif masks is None:
+        masks = recurrent_class(dist, g, initial=initial, cap=cap)
 
-    n = len(states)
-    masks = np.array([s.mask for s in states], dtype=mask_dtype(g.m))
+    n = len(masks)
     if not (masks[1:] > masks[:-1]).all():
         raise ValidationError("chain states must be in ascending mask order")
     # edit-major: edit k, state i at k * n + i
@@ -225,7 +221,7 @@ def build_chain(
     nums, den = _common_denominator(dist.weights) if dist.is_exact else (np.array(dist.weights, float), 1)
     sums = np.zeros(len(cells), dtype=nums.dtype)
     np.add.at(sums, where, np.repeat(nums, n))  # each cell sums in edit order
-    return TransitionMatrix(states, cells // n, cells % n, sums, den)
+    return TransitionMatrix(g.m, masks, cells // n, cells % n, sums, den)
 
 
 def _covered(dist: WeightedEdits, g: HostGraph) -> int:
@@ -249,10 +245,11 @@ def recurrent_class(
     g: HostGraph,
     initial: EdgeSet | None = None,
     cap: int = STATE_CAP,
-) -> list[EdgeSet]:
+) -> np.ndarray:
     """The unique closed communicating class of the walk: states reachable
     after every edge in the covered region has been acted on at least once,
-    closed under all generator applications, in ascending mask order.
+    closed under all generator applications, as a read-only ascending mask
+    array of dtype `mask_dtype(g.m)`.
 
     The start is the product of all edits applied to `initial`, which lies
     in the class. A breadth-first search then applies each edit to a whole
@@ -261,9 +258,10 @@ def recurrent_class(
 
     If the generator supports do not cover the host edges, a warning is
     issued and the uncovered edges stay frozen at the initial state's values.
+    A start from another host raises HostMismatch.
     """
     _covered(dist, g)
-    start = initial.mask if initial is not None else 0
+    start = initial.mask_on(g.m) if initial is not None else 0
     for plus, minus in zip(dist.plus[::-1].tolist(), dist.minus[::-1].tolist()):
         start = (start | plus) & ~minus
     seen = frontier = np.array([start], dtype=mask_dtype(g.m))
@@ -276,7 +274,8 @@ def recurrent_class(
         frontier = np.unique(np.concatenate(new))
         check_cap(len(seen) + len(frontier), cap, "recurrent-class states")
         seen = np.insert(seen, np.searchsorted(seen, frontier), frontier)
-    return [EdgeSet(g.m, mask) for mask in seen.tolist()]
+    seen.flags.writeable = False
+    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +306,7 @@ def stationary_faces(
     initial: EdgeSet | None = None,
     cap: int = STATE_CAP,
     exact: bool | None = None,
-) -> tuple[list[EdgeSet], object]:
+) -> tuple[np.ndarray, object]:
     """Stationary law of the walk on its recurrent class, as the law of the
     infinite backward product x1 x2 x3 ... of drawn edits (Brown & Diaconis
     1998). A face F, a product of edits with support S, stays put with
@@ -317,12 +316,13 @@ def stationary_faces(
     the faces by support size carries all the mass to the chambers. No
     chain or matrix is built, and memory is O(faces).
 
-    Returns the recurrent states in ascending mask order, as
-    `recurrent_class` lists them, with their masses: Fractions when `exact`
+    Returns the recurrent states as `recurrent_class` does, a read-only
+    ascending mask array, with their masses: Fractions when `exact`
     (default: whether the weights are rational), else a float64 array.
     Uncovered edges keep the initial state's values. Raises CapExceeded
-    beyond `cap` faces."""
+    beyond `cap` faces, HostMismatch for a start from another host."""
     covered = _covered(dist, g)
+    frozen = (initial.mask_on(g.m) if initial is not None else 0) & ~covered
     exact = dist.is_exact if exact is None else exact
     dtype, weights = mask_dtype(g.m), dist.weights
     w = _common_denominator(weights)[0] if exact else np.array([float(x) for x in weights])
@@ -346,10 +346,11 @@ def stationary_faces(
                     chunks[:] = [_merge_faces(chunks, g.m)]
                     # bounds what waits
                     check_cap(faces + len(chunks[0][2]), cap, "face-recursion faces")
-    masks = plus | (initial.mask & ~covered if initial is not None else 0)
+    masks = plus | frozen
     order = np.argsort(masks, kind="stable")
-    states = [EdgeSet(g.m, int(mask)) for mask in masks[order]]
-    return states, list(mass[order]) if exact else mass[order]
+    masks = masks[order]
+    masks.flags.writeable = False
+    return masks, list(mass[order]) if exact else mass[order]
 
 
 def _face_moves(plus, minus, mass, dist, w):
@@ -423,20 +424,20 @@ def spectrum(
     lat: SupportLattice | None = None,
     initial: EdgeSet | None = None,
     cap: int = STATE_CAP,
-    states: Sequence[EdgeSet] | None = None,
+    masks: np.ndarray | None = None,
 ) -> SpectrumReport:
     """Spectrum of a compound chain: one eigenvalue per flat of the support
     lattice (the weight mass inside the flat), with multiplicities obtained
     from the chamber counts by back-substitution over the flat order.
-    `states` is the recurrent class when the caller already has it, such as
-    a chain's states; otherwise it is enumerated."""
+    `masks` is the recurrent class when the caller already has it, such as
+    a chain's masks; otherwise it is enumerated."""
     _explicit(dist, g)
     if lat is None:
         lat = closure([EdgeSet(g.m, mask) for mask in dist.supports.tolist()], cap=cap)
-    if states is None:
-        states = recurrent_class(dist, g, initial, cap)
+    if masks is None:
+        masks = recurrent_class(dist, g, initial, cap)
     reps = representatives_for(lat, [e for e, _ in dist.items])
-    return multiplicities(lat, states, reps, dist)
+    return multiplicities(lat, masks, reps, dist)
 
 
 def numeric_eigenvalues(tm: TransitionMatrix, imag_tol: float = 1e-8) -> np.ndarray:
@@ -506,9 +507,8 @@ def phi(T: EdgeSet, g: HostGraph, p, cap: int = STATE_CAP):
     stationary law. The Kronecker product of row T_e of each per-edge
     factor; a list of Fractions when p is rational, else a float array."""
     factors, exact = _phi_factors(g, p, cap)
-    if T.m != g.m:
-        raise ValidationError(f"subset edge count {T.m} != host {g.m}")
-    row = _kron([f[T.mask >> e & 1] for e, f in enumerate(factors)])
+    mask = T.mask_on(g.m)
+    row = _kron([f[mask >> e & 1] for e, f in enumerate(factors)])
     return list(row) if exact else row
 
 
@@ -717,12 +717,10 @@ def _spectral_sum(E: EdgeSet, F: EdgeSet, g: HostGraph, p, commute: bool):
     member integrates to 1/(k C(m, k)) against dt/t, every coefficient is
     positive ((1-t)^|D| only zeroes k = 0), so floats lose no precision."""
     probs = _per_edge_probabilities(g, p)
-    if E.m != g.m or F.m != g.m:
-        raise ValidationError("state edge count disagrees with host")
     exact = all(_is_exact(pe) for pe in probs)
     one = Fraction(1) if exact else 1.0
     scale = [(one / (one - pe), one / pe) for pe in map(type(one), probs)]  # lacking, held
-    m, delta = g.m, E.mask ^ F.mask
+    m, delta = g.m, E.mask_on(g.m) ^ F.mask_on(g.m)
     diff, shared = ([e for e in range(m) if (delta >> e & 1) == side] for side in (1, 0))
     x, y, c = ([scale[e][mask >> e & 1] for e in edges]
                for mask, edges in ((E.mask, diff), (F.mask, diff), (E.mask, shared)))
@@ -750,14 +748,12 @@ def commute_terms(E: EdgeSet, F: EdgeSet, g: HostGraph, p) -> list[tuple[EdgeSet
     T contains E xor F are exactly 0. Covers all 2^m - 1 subsets, so it is
     capped like a state space; `commute_time` sums them in O(m^2)."""
     probs = _per_edge_probabilities(g, p)
-    if E.m != g.m or F.m != g.m:
-        raise ValidationError("state edge count disagrees with host")
     check_cap(1 << g.m, STATE_CAP, f"2^{g.m} states")
     m, exact = g.m, all(_is_exact(pe) for pe in probs)
     one, dtype = (Fraction(1), object) if exact else (1.0, float)
     scale = _kron([np.array([pe * (1 - pe), one], dtype) for pe in probs])
     r_e, r_f = (_kron([np.array([1 / (pe - 1) if not s >> e & 1 else 1 / pe, one], dtype)
-                       for e, pe in enumerate(probs)]) for s in (E.mask, F.mask))
+                       for e, pe in enumerate(probs)]) for s in (E.mask_on(m), F.mask_on(m)))
     levels = np.array([Fraction(m, m - k) if exact else m / (m - k) for k in range(m)], dtype)
     size = (1 << m) - 1  # all T except the full edge set
     coeff = levels[np.bitwise_count(np.arange(size))]
@@ -839,10 +835,11 @@ def to_dot(tm: TransitionMatrix, g: HostGraph | None = None, labels: str = "hex"
         raise ValidationError("labels='edges' needs the host graph")
 
     if labels == "hex":
-        names = [s.hex() for s in tm.states]
+        names = [format(mask, "#x") for mask in tm.masks.tolist()]
     else:
-        names = ["{" + ",".join(f"{u}-{v}" for u, v in (g.edges[e] for e in s.indices())) + "}"
-                 for s in tm.states]
+        edge_names = list(enumerate(f"{u}-{v}" for u, v in g.edges))
+        names = ["{" + ",".join(name for e, name in edge_names if mask >> e & 1) + "}"
+                 for mask in tm.masks.tolist()]
     weights = tm.values
     lines = ["digraph states {"] + [f'  "{name}";' for name in names]
     for k in np.flatnonzero((tm.rows != tm.cols) & (weights > 0)):

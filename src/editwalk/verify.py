@@ -156,11 +156,11 @@ def run_verification(
     simple_model = p is not None
 
     if simple_model:
-        states, pi = None, stationary_closed_form(g, p, cap)
+        masks, pi = None, stationary_closed_form(g, p, cap)
     else:  # the face recursion's chambers are the recurrent class
-        states, pi = stationary_faces(dist, g, cap=cap, exact=exact)
+        masks, pi = stationary_faces(dist, g, cap=cap, exact=exact)
     if tm is None:
-        tm = build_chain(dist, g, cap=cap, states=states)
+        tm = build_chain(dist, g, cap=cap, masks=masks)
     results.append(check_row_stochastic(tm))
 
     if simple_model:
@@ -177,12 +177,12 @@ def run_verification(
         results.append(check_spectrum_multiset(eigenvalues_simple(g.m, cap), tm))
         draws = [rng.choice(tm.size, size=2, replace=False)
                  for _ in range(min(10, tm.size * (tm.size - 1) // 2))]
-        pairs = [(tm.states[int(i)], tm.states[int(j)]) for i, j in draws]
+        pairs = [tuple(EdgeSet(g.m, mask) for mask in tm.masks[pair].tolist()) for pair in draws]
         results.append(check_commute_backends(g, p, tm, pairs))
     else:
         results.append(check_stationary_fixed_point(tm, pi))
         results.append(check_stationary_vs_solve(tm, pi))
-        report = spectrum(dist, g, cap=cap, states=tm.states)
+        report = spectrum(dist, g, cap=cap, masks=tm.masks)
         results.append(check_spectrum_multiset(report, tm))
         results.append(
             CheckResult(

@@ -41,7 +41,7 @@ import numpy as np
 
 from editwalk.edits import Edit, apply, compose, leq
 from editwalk.errors import STATE_CAP, EditWalkError, NotIrreducible, ValidationError, check_cap
-from editwalk.hostgraph import EdgeSet
+from editwalk.hostgraph import EdgeSet, mask_dtype
 from editwalk.process import SAMPLER_VERSION, _walk, simulate
 from editwalk.serialize import artifact_meta
 from editwalk.spectral import (
@@ -304,10 +304,10 @@ def hitting_time_spectral(tm, i: int, j: int) -> float:
     return float(np.sum(fj * (fj - fi) / (1.0 - values[1:])))
 
 
-def recurrent_class_by_state(dist, g, initial=None, cap: int = STATE_CAP) -> list:
+def recurrent_class_by_state(dist, g, initial=None, cap: int = STATE_CAP) -> np.ndarray:
     """The recurrent class by a depth-first search over single states: the
     saturating product of all edits applied to the start, then every edit
-    applied to each newly found state."""
+    applied to each newly found state. Returns the ascending mask array."""
     _covered(dist, g)
     edits = [e for e, _ in dist.items]
     saturate = Edit.identity(g.m)
@@ -324,7 +324,7 @@ def recurrent_class_by_state(dist, g, initial=None, cap: int = STATE_CAP) -> lis
                 check_cap(len(seen) + 1, cap, "recurrent-class states")
                 seen.add(dest)
                 frontier.append(dest)
-    return [EdgeSet(g.m, mask) for mask in sorted(seen)]
+    return np.array(sorted(seen), dtype=mask_dtype(g.m))
 
 
 def sign_lex_order(m: int) -> list[int]:
@@ -348,26 +348,28 @@ def permute_vector(vec, masks):
     return [vec[mask] for mask in masks]
 
 
-def chain_from_dense(states, entries, exact: bool) -> TransitionMatrix:
-    """Chain given by a dense matrix (of Fractions when exact)."""
+def chain_from_dense(m: int, masks, entries, exact: bool) -> TransitionMatrix:
+    """Chain on the given state masks of an m-edge host, given by a dense
+    matrix (of Fractions when exact)."""
     rows, cols = np.nonzero(entries)
     values = np.asarray(entries)[rows, cols]
     cells = _common_denominator(values) if exact else (values.astype(float),)
-    return TransitionMatrix(tuple(states), rows, cols, *cells)
+    return TransitionMatrix(m, np.asarray(masks, dtype=mask_dtype(m)), rows, cols, *cells)
 
 
 def reorder(tm, masks) -> TransitionMatrix:
-    """Same chain with states permuted into the given mask order."""
-    perm = [tm.index_of(mask) for mask in masks]
-    if len(perm) != tm.size or len(set(perm)) != tm.size:
+    """Same chain with states permuted into the given mask order. Its masks
+    are then out of ascending order, so it is read by index, not by state."""
+    index = {mask: i for i, mask in enumerate(tm.masks.tolist())}
+    perm = [index.get(mask) for mask in masks]
+    if len(perm) != tm.size or None in perm or len(set(perm)) != tm.size:
         raise ValidationError("reorder needs a permutation of all states")
     position = np.empty(tm.size, dtype=np.int64)
     position[perm] = np.arange(tm.size)
     rows, cols = position[tm.rows], position[tm.cols]
     order = np.lexsort((cols, rows))
     return TransitionMatrix(
-        tuple(tm.states[i] for i in perm), rows[order], cols[order],
-        tm.numerators[order], tm.denominator,
+        tm.m, tm.masks[perm], rows[order], cols[order], tm.numerators[order], tm.denominator,
     )
 
 

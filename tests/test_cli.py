@@ -319,14 +319,14 @@ def test_mixing_records_a_moved_start(tmp_path):
     assert main(["mixing", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     meta, _, rows = read_csv(tmp_path / "mixing.csv")
     k4 = complete_graph(4)
-    first = build_chain(moran_weights(k4), k4, restrict="recurrent").states[0]
+    first = hex(build_chain(moran_weights(k4), k4, restrict="recurrent").masks[0])
     assert meta["start_fallback"] == k4.full_set().hex() == "0x3f"
-    assert meta["start"] == first.hex()
+    assert meta["start"] == first
     assert float(rows[0][1]) < 1.0  # the curve starts inside the class
 
     recurrent = write_config(
         tmp_path, name="recurrent.json", host={"preset": "complete", "params": [4]},
-        model={"name": "moran"}, initial={"hex": first.hex()},
+        model={"name": "moran"}, initial={"hex": first},
     )
     assert main(["mixing", "--config", str(recurrent), "--out", str(tmp_path / "r")]) == 0
     meta, _, _ = read_csv(tmp_path / "r" / "mixing.csv")
@@ -454,7 +454,7 @@ class TestVerify:
         tm = build_chain(simple_edit_weights(g, 0.4), g)
         entries = tm.entries.copy()
         entries[0, 0] += 1e-3
-        bad = chain_from_dense(tm.states, entries, False)
+        bad = chain_from_dense(tm.m, tm.masks, entries, False)
         result = check_row_stochastic(bad)
         assert not result.passed and result.name == "row_stochastic"
         report = eigenvalues_simple(g.m)

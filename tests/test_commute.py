@@ -162,5 +162,5 @@ def test_not_reversible():
     with pytest.raises(NotReversible):
         hitting_time_spectral(tm, 0, 1)
     # the fundamental-matrix solve still works
-    value = hitting_time(tm, tm.states[0], tm.states[1])
+    value = hitting_time(tm, tm.masks[0], tm.masks[1])
     assert value > 0

@@ -146,7 +146,7 @@ def test_compound_commute_factorizes_once(tmp_path, monkeypatch):
     _, header, rows = read_csv(tmp_path / "commute.csv")
     k4 = ew.complete_graph(4)
     tm = ew.build_chain(ew.moran_weights(k4), k4, restrict="recurrent")
-    assert header[1:] == [s.hex() for s in tm.states]
+    assert header[1:] == [format(mask, "#x") for mask in tm.masks.tolist()]
     hit = np.column_stack([hitting_times_first_step(tm, j) for j in range(tm.size)])
     expected = hit + hit.T
     cells = np.array([[float(cell) for cell in row[1:]] for row in rows])

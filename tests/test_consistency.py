@@ -64,7 +64,7 @@ def test_compound_decay_dominated_by_spectral_bound():
     rng = np.random.default_rng(5)
     starts = rng.choice(tm.size, size=5, replace=False)
     for s in starts:
-        curve = ew.tv_decay(tm, tm.states[int(s)], pi, 20)
+        curve = ew.tv_decay(tm, tm.masks[int(s)], pi, 20)
         for t in range(1, 21):
             assert curve[t] <= ew.brown_tv_bound(report, t) + 1e-12
 
@@ -79,7 +79,7 @@ def test_moran_empirical_matches_stationary():
     hist = ew.empirical_distribution(
         dist, k3.full_set(), burn_in=100, samples=120_000, seed=77
     )
-    sampled = np.array([hist[s.mask] for s in tm.states])
+    sampled = np.array([hist[mask] for mask in tm.masks.tolist()])
     assert hist.sum() == pytest.approx(1.0)
     assert 0.5 * np.abs(sampled - pi).sum() < 0.01
 

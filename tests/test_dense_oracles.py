@@ -55,7 +55,7 @@ def test_fundamental_matrix_matches_first_step_solves(name):
     targets = [3, 0, 3, tm.size - 1]
     assert np.allclose(spectral._hitting_columns(tm, targets), hit[:, targets], rtol=1e-12)
     i, j = 1, tm.size - 2
-    E, F = tm.states[i], tm.states[j]
+    E, F = (ew.EdgeSet(tm.m, int(tm.masks[k])) for k in (i, j))
     assert ew.hitting_time(tm, E, F) == pytest.approx(hit[i, j], rel=1e-12)
     assert ew.commute_time_chain(tm, E, F) == pytest.approx(hit[i, j] + hit[j, i], rel=1e-12)
 
@@ -113,17 +113,16 @@ def test_eigensolve_dispatch(monkeypatch, name, solver):
 
 
 def test_reducible_chains_keep_the_general_eigensolve(monkeypatch):
-    states = [ew.EdgeSet(2, mask) for mask in range(4)]
     block = np.array([[0.5, 0.5], [0.5, 0.5]])
     two_classes = chain_from_dense(
-        states, np.kron(np.eye(2), block), exact=False)
+        2, range(4), np.kron(np.eye(2), block), exact=False)
     with pytest.raises(NotIrreducible):
         ew.stationary_numeric(two_classes)
     calls = counted_eigensolvers(monkeypatch)
     assert ew.numeric_eigenvalues(two_classes).tolist() == pytest.approx([1, 1, 0, 0], abs=1e-12)
     # a transient state has pi = 0, so the chain is not symmetrized either
     falls = chain_from_dense(
-        states[:2], np.array([[1.0, 0.0], [0.7, 0.3]]), exact=False)
+        2, range(2), np.array([[1.0, 0.0], [0.7, 0.3]]), exact=False)
     assert ew.numeric_eigenvalues(falls).tolist() == pytest.approx([1, 0.3], abs=1e-12)
     assert calls == ["eigvals", "eigvals"]
 
@@ -133,7 +132,7 @@ def test_build_chain_needs_ascending_states():
     dist = ew.moran_weights(g)
     states = ew.recurrent_class(dist, g)
     with pytest.raises(ValidationError):
-        ew.build_chain(dist, g, restrict="recurrent", states=states[::-1])
+        ew.build_chain(dist, g, restrict="recurrent", masks=states[::-1])
 
 
 @pytest.mark.parametrize("mode", ["double", "rational"])

@@ -28,7 +28,7 @@ def same_class(dist, g, initial=None, cap=ew.errors.STATE_CAP):
         warnings.simplefilter("ignore", SupportNotCovering)
         states = ew.recurrent_class(dist, g, initial=initial, cap=cap)
         expected = recurrent_class_by_state(dist, g, initial=initial, cap=cap)
-    assert states == expected
+    assert states.dtype == expected.dtype and np.array_equal(states, expected)
     return states
 
 
@@ -78,7 +78,7 @@ def test_spectral_reads_no_edit_objects():
 def test_moran_class_matches_oracle(n):
     g = ew.complete_graph(n)
     assert len(same_class(ew.moran_weights(g), g)) == {4: 37, 5: 290, 6: 2931}[n]
-    assert same_class(ew.moran_weights(g), g, initial=g.empty_set())
+    assert len(same_class(ew.moran_weights(g), g, initial=g.empty_set()))
 
 
 def test_intersection_class_matches_oracle():
@@ -97,7 +97,27 @@ def test_object_masks_match_oracle():
     g, dist = wide_family()
     states = same_class(dist, g)
     assert len(states) == 1 << 7
-    assert all(s.mask >> 69 & 1 for s in states)
+    assert all(mask >> 69 & 1 for mask in states.tolist())
+
+
+@pytest.mark.parametrize("name", ["moran K4", "moran K5", "moran K6", "intersection 2x3", "wide m=70"])
+def test_every_state_collection_is_one_sorted_mask_array(name):
+    if name.startswith("moran"):
+        g = ew.complete_graph(int(name[-1]))
+        dist = ew.moran_weights(g)
+    elif name == "intersection 2x3":
+        g, dist = ew.intersection_host(2, 3), ew.intersection_weights(2, 3, [Fraction(1, 4)] * 4)
+    else:
+        g, dist = wide_family()
+    dtype = np.dtype(object) if g.m > 64 else np.dtype(np.uint64)
+    arrays = [ew.recurrent_class(dist, g), ew.stationary_faces(dist, g, exact=False)[0],
+              ew.build_chain(dist, g, restrict="recurrent").masks]
+    for masks in arrays:
+        assert isinstance(masks, np.ndarray) and masks.dtype == dtype
+        assert not masks.flags.writeable
+        assert (masks[1:] > masks[:-1]).all()  # strictly ascending
+        assert masks.tolist() == arrays[0].tolist()
+    assert np.array_equal(arrays[0], recurrent_class_by_state(dist, g))
 
 
 def test_uncovered_edges_stay_frozen():
@@ -109,13 +129,13 @@ def test_uncovered_edges_stay_frozen():
     with pytest.warns(SupportNotCovering):
         ew.recurrent_class(dist, g, initial=start)
     states = same_class(dist, g, initial=start)
-    assert {s.mask >> 3 for s in states} == {0b01}
+    assert {mask >> 3 for mask in states.tolist()} == {0b01}
     # the same frozen edges on a host past one machine word
     g, wide = wide_family()
     free = ew.WeightedEdits(70, wide.items[:-1] + ((ew.Edit(70, 1 << 2, 0), wide.items[-1][1]),))
     start = ew.EdgeSet(70, (1 << 69) | (1 << 65))
     states = same_class(free, g, initial=start)
-    assert {s.mask >> 64 for s in states} == {0b100010}
+    assert {mask >> 64 for mask in states.tolist()} == {0b100010}
 
 
 def test_cap_is_checked_per_level_with_the_same_text():

@@ -39,7 +39,7 @@ def face_law_and_solve(dist, g, initial=None):
         warnings.simplefilter("ignore", SupportNotCovering)
         states, pi = ew.stationary_faces(dist, g, initial=initial, exact=False)
         tm = ew.build_chain(dist, g, restrict="recurrent", initial=initial)
-    assert [s.mask for s in states] == [s.mask for s in tm.states]
+    assert states.tolist() == tm.masks.tolist()
     assert isinstance(pi, np.ndarray) and pi.dtype == float
     return pi, ew.stationary_numeric(tm)
 
@@ -92,10 +92,10 @@ def test_face_chambers_are_the_recurrent_class(name):
     else:
         g, dist = MODELS[name]()
     states, _ = ew.stationary_faces(dist, g, exact=False)
-    assert [s.mask for s in states] == [s.mask for s in ew.recurrent_class(dist, g)]
-    given = ew.build_chain(dist, g, restrict="recurrent", states=states)
+    assert states.tolist() == ew.recurrent_class(dist, g).tolist()
+    given = ew.build_chain(dist, g, restrict="recurrent", masks=states)
     enumerated = ew.build_chain(dist, g, restrict="recurrent")
-    assert given.states == enumerated.states
+    assert given.masks.tolist() == enumerated.masks.tolist()
     for cells in ("rows", "cols", "numerators"):
         assert np.array_equal(getattr(given, cells), getattr(enumerated, cells))
 
@@ -113,7 +113,7 @@ def test_rational_law_is_an_exact_fixed_point():
     states, pi = ew.stationary_faces(dist, k4)
     assert all(type(x) is Fraction for x in pi) and sum(pi) == 1
     tm = ew.build_chain(dist, k4, restrict="recurrent")
-    assert [s.mask for s in states] == [s.mask for s in tm.states]
+    assert states.tolist() == tm.masks.tolist()
     assert list(tm.left_apply(np.array(pi, dtype=object))) == pi
     _, floats = ew.stationary_faces(dist, k4, exact=False)
     assert np.abs(floats - [float(x) for x in pi]).max() <= 1e-15
@@ -129,7 +129,7 @@ def test_hosts_beyond_64_edges(exact):
     edits = [ew.Edit(m, a, 0), ew.Edit(m, 0, a), ew.Edit(m, b, 0), ew.Edit(m, 0, b)]
     dist = ew.WeightedEdits(m, tuple(zip(edits, w if exact else map(float, w))))
     states, pi = ew.stationary_faces(dist, g, exact=exact)
-    assert [s.mask for s in states] == [0, a, b, a | b]
+    assert states.tolist() == [0, a, b, a | b]
     want = [Fraction(3, 5) * Fraction(4, 5), Fraction(2, 5) * Fraction(4, 5),
             Fraction(3, 5) * Fraction(1, 5), Fraction(2, 5) * Fraction(1, 5)]
     if exact:
@@ -264,10 +264,10 @@ def decay_cases():
         yield tm, ew.stationary_closed_form(g, p), range(16), 42
     k4 = ew.complete_graph(4)
     tm = ew.build_chain(ew.moran_weights(k4), k4, restrict="recurrent")
-    yield tm, ew.stationary_numeric(tm), tm.states, 20
+    yield tm, ew.stationary_numeric(tm), tm.masks, 20
     g, dist = cycle_family(6, exact=True)
     tm = ew.build_chain(dist, g, restrict="recurrent")
-    yield tm, ew.stationary_faces(dist, g)[1], tm.states[:8], 30
+    yield tm, ew.stationary_faces(dist, g)[1], tm.masks[:8], 30
 
 
 def test_tv_decay_over_cells_matches_dense_products():

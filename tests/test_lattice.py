@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from oracles import chamber_count_leq, mobius_enumerated, multiplicities_by_mobius
 
@@ -138,12 +139,12 @@ def test_eigenvalue_counts_identity_mass_at_bottom():
     assert eigenvalue(lat, lat.bottom, dist_like) == Fraction(1, 4)
 
 
-def all_states(m):
-    return [EdgeSet(m, mask) for mask in range(1 << m)]
+def all_masks(m):
+    return np.arange(1 << m, dtype=np.uint64)
 
 
-def all_chambers(m):
-    return [chamber_of(s) for s in all_states(m)]
+def chambers_of(masks, m):
+    return [chamber_of(EdgeSet(m, mask)) for mask in masks.tolist()]
 
 
 def test_multiplicities_simple_semigroup():
@@ -155,10 +156,10 @@ def test_multiplicities_simple_semigroup():
     generators = [e for e, _ in dist.items]
     lat = closure([supp(e) for e in generators])
     reps = representatives_for(lat, generators)
-    chambers = all_chambers(m)
+    chambers = chambers_of(all_masks(m), m)
     for flat in lat.flats:
         assert chamber_count_leq(reps[flat], chambers) == 2 ** (m - len(flat))
-    report = multiplicities(lat, all_states(m), reps, dist)
+    report = multiplicities(lat, all_masks(m), reps, dist)
     assert all(e.multiplicity == 1 for e in report.entries)
     assert report.total_multiplicity == 1 << m
     # aggregated view: eigenvalue k/m appears C(m, k) times
@@ -172,7 +173,7 @@ def test_multiplicities_single_full_support_generator():
     x = Edit(m, 0b101, 0b010)
     lat = closure([supp(x)])
     reps = representatives_for(lat, [x])
-    states = [EdgeSet(m, 0b101)]  # the one reachable state
+    states = np.array([0b101], np.uint64)  # the one reachable state
     report = multiplicities(lat, states, reps, {supp(x).mask: Fraction(1)})
     by_flat = {e.flat.mask: e.multiplicity for e in report.entries}
     assert by_flat[(1 << m) - 1] == 1
@@ -197,7 +198,7 @@ def test_multiplicities_representative_independence_k3_moran():
     from editwalk import recurrent_class
 
     states = recurrent_class(dist, k3)
-    chambers = [chamber_of(s) for s in states]
+    chambers = chambers_of(states, lat.m)
     for flat in lat.flats:
         assert chamber_count_leq(reps_a[flat], chambers) == chamber_count_leq(
             reps_b[flat], chambers
@@ -216,7 +217,7 @@ def test_multiplicities_k3_moran_frozen_values():
     from editwalk import recurrent_class
 
     states = recurrent_class(dist, k3)
-    chambers = [chamber_of(s) for s in states]
+    chambers = chambers_of(states, lat.m)
     assert len(chambers) == 6
     report = multiplicities(lat, states, reps, dist)
     by_flat = {e.flat.mask: e.multiplicity for e in report.entries}
@@ -237,7 +238,7 @@ def test_uninverted_identity():
     from editwalk import recurrent_class
 
     states = recurrent_class(dist, k4)
-    chambers = [chamber_of(s) for s in states]
+    chambers = chambers_of(states, lat.m)
     report = multiplicities(lat, states, reps, dist)
     mult = {e.flat.mask: e.multiplicity for e in report.entries}
     for flat in lat.flats:
@@ -252,17 +253,29 @@ def test_bad_representative():
     reps = {flat: Edit(2, flat.mask, 0) for flat in lat.flats}
     reps[EdgeSet(2, 0b01)] = Edit.identity(2)
     with pytest.raises(BadRepresentative):
-        multiplicities(lat, all_states(2), reps)
+        multiplicities(lat, all_masks(2), reps)
 
 
 def test_multiplicities_need_chambers():
-    # a state is a chamber of the lattice's host: one from another host is refused
+    # a state is a chamber of the lattice's host: a mask with bits at or
+    # above m is refused, in either mask dtype
     lat = closure(singleton_supports(2))
     reps = {flat: Edit(2, flat.mask, 0) for flat in lat.flats}
     with pytest.raises(HostMismatch):
-        multiplicities(lat, all_states(2)[:3] + [EdgeSet(3, 0b011)], reps)
+        multiplicities(lat, np.array([0, 1, 2, 0b100], np.uint64), reps)
     with pytest.raises(HostMismatch):
-        multiplicities(lat, [EdgeSet(3, 0)], reps)
+        multiplicities(lat, np.array([1 << 63], np.uint64), reps)
+    with pytest.raises(HostMismatch):
+        multiplicities(lat, np.array([0, 1 << 70], object), reps)
+    wide = closure([EdgeSet(70, 1), EdgeSet(70, (1 << 70) - 2)])
+    wide_reps = {flat: Edit(70, flat.mask, 0) for flat in wide.flats}
+    with pytest.raises(HostMismatch):
+        multiplicities(wide, np.array([1, 1 << 70], object), wide_reps)
+    with pytest.raises(HostMismatch):
+        multiplicities(wide, np.array([-1, 1], object), wide_reps)
+    # in range, the same wide lattice is counted
+    report = multiplicities(wide, np.array([(1 << 70) - 1], object), wide_reps)
+    assert report.total_multiplicity == 1
 
 
 def cycle_family(m, rng):
@@ -300,7 +313,7 @@ def test_multiplicities_match_mobius_oracle(g, dist):
     lat = closure([supp(e) for e in generators])
     reps = representatives_for(lat, generators)
     states = recurrent_class(dist, g)
-    chambers = [chamber_of(s) for s in states]
+    chambers = chambers_of(states, lat.m)
     report = multiplicities(lat, states, reps, dist)
     assert [e.multiplicity for e in report.entries] == multiplicities_by_mobius(
         lat, chambers, reps
@@ -320,7 +333,7 @@ def test_spectrum_on_hosts_beyond_one_word(m):
     generators = [e for e, _ in dist.items]
     lat = closure([supp(e) for e in generators])
     states = recurrent_class(dist, path)
-    chambers = [chamber_of(s) for s in states]
+    chambers = chambers_of(states, lat.m)
     reps = representatives_for(lat, generators)
     assert multiplicities_by_mobius(lat, chambers, reps) == [0, 0, 1, 1]
 

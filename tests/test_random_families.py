@@ -77,7 +77,7 @@ def test_random_families_multiplicities_match_mobius_oracle():
         generators = [e for e, _ in dist.items]
         lat = ew.closure([ew.supp(e) for e in generators])
         states = recurrent_states(dist, g)
-        chambers = [ew.chamber_of(s) for s in states]
+        chambers = [ew.chamber_of(ew.EdgeSet(g.m, mask)) for mask in states.tolist()]
         reps = ew.representatives_for(lat, generators)
         report = ew.multiplicities(lat, states, reps, dist)
         assert [e.multiplicity for e in report.entries] == multiplicities_by_mobius(
@@ -90,7 +90,7 @@ def test_random_families_uninverted_identity_and_representatives():
         generators = [e for e, _ in dist.items]
         lat = ew.closure([ew.supp(e) for e in generators])
         states = recurrent_states(dist, g)
-        chambers = [ew.chamber_of(s) for s in states]
+        chambers = [ew.chamber_of(ew.EdgeSet(g.m, mask)) for mask in states.tolist()]
         reps = ew.representatives_for(lat, generators)
         report = ew.multiplicities(lat, states, reps, dist)
         mult = {e.flat.mask: e.multiplicity for e in report.entries}
