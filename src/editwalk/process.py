@@ -41,7 +41,7 @@ from .errors import (
     ValidationError,
     check_cap,
 )
-from .hostgraph import EdgeSet, HostGraph, complete_bipartite, mask_dtype, neighborhood_edges
+from .hostgraph import EdgeSet, HostGraph, complete_bipartite, mask_dtype
 
 WEIGHT_SUM_TOL = 1e-12
 SAMPLER_VERSION = 2  # block-drawn edits; version 1 drew one edit per step
@@ -203,13 +203,9 @@ def moran_weights(g: HostGraph) -> WeightedEdits:
     if g.m == 0:
         raise EmptyEdgeSet("host graph has no edges")
     w = Fraction(1, 2 * g.m)
-    items: list[tuple[Edit, object]] = []
-    for u, v in g.edges:
-        for src, dst in ((u, v), (v, u)):
-            star = neighborhood_edges(g, src).mask
-            keep = 1 << g.index_of(src, dst)
-            items.append((Edit(g.m, keep, star & ~keep), w))
-    return WeightedEdits(g.m, tuple(items))
+    stars = [sum(1 << e for e, edge in enumerate(g.edges) if v in edge) for v in range(g.n)]
+    return WeightedEdits(g.m, tuple((Edit(g.m, 1 << e, stars[src] & ~(1 << e)), w)
+                                    for e, edge in enumerate(g.edges) for src in edge))
 
 
 def intersection_weights(

@@ -17,8 +17,9 @@ request; the dense exact matrix only when something reads it. The
 stationary law of a compound chain needs no chain at all: it is the law of
 the backward product of drawn edits, carried face by face (`stationary_faces`).
 
-Two numeric modes coexist: exact rationals whenever the driving weights
-and edge probabilities are Fractions, and float64 otherwise.
+Two numeric modes coexist: float64, and exact rationals whenever the driving
+weights and edge probabilities are Fractions, carried as Python-int numerators
+over one denominator; a Fraction is built only for a value returned or printed.
 """
 
 from __future__ import annotations
@@ -160,8 +161,8 @@ class TransitionMatrix:
 
     def left_apply(self, vectors) -> np.ndarray:
         """vectors @ P for one row vector or a stack of them, summed over the
-        nonzero cells; exact when both the vectors and the chain are."""
-        terms = np.asarray(vectors)[..., self.rows] * self.values
+        nonzero cells and left over `denominator`, so integer vectors stay ints."""
+        terms = np.asarray(vectors)[..., self.rows] * self.numerators
         out = np.zeros(terms.shape[:-1] + (self.size,), dtype=terms.dtype)
         np.add.at(out.T, self.cols, terms.T)
         return out
@@ -480,15 +481,16 @@ def eigenvalue_multiset_residual(a: Sequence[float], b: Sequence[float]) -> floa
 # ---------------------------------------------------------------------------
 
 
-def _phi_factors(g: HostGraph, p, cap: int) -> tuple[list[np.ndarray], bool]:
-    """The per-edge 2x2 factors [[-1, 1], [1-p_e, p_e]] of phi (row: is e in
-    T, column: is e in E) and whether they are exact Fractions."""
+def _phi_factors(g: HostGraph, p, cap: int) -> tuple[list[np.ndarray], int]:
+    """The per-edge 2x2 factors of phi (row: is e in T, column: is e in E) and
+    their denominator: [[-d_e, d_e], [d_e - a_e, a_e]] in Python ints over
+    prod d_e when each p_e = a_e/d_e, else [[-1, 1], [1-p_e, p_e]] over 1."""
     probs = _per_edge_probabilities(g, p)
     check_cap(1 << g.m, cap, f"2^{g.m} states")
-    exact = all(_is_exact(pe) for pe in probs)
-    one = Fraction(1) if exact else 1.0
-    dtype = object if exact else float
-    return [np.array([[-one, one], [one - pe, pe]], dtype) for pe in map(type(one), probs)], exact
+    if not all(_is_exact(pe) for pe in probs):
+        return [np.array([[-1.0, 1.0], [1.0 - pe, pe]]) for pe in map(float, probs)], 1
+    ratios = [(pe.numerator, pe.denominator) for pe in probs]
+    return [np.array([[-d, d], [d - a, a]], object) for a, d in ratios], math.prod(d for _, d in ratios)
 
 
 def _psi_scale(probs) -> np.ndarray:
@@ -506,10 +508,10 @@ def phi(T: EdgeSet, g: HostGraph, p, cap: int = STATE_CAP):
     and satisfies phi_T P = (|T|/m) phi_T; at T = all edges it equals the
     stationary law. The Kronecker product of row T_e of each per-edge
     factor; a list of Fractions when p is rational, else a float array."""
-    factors, exact = _phi_factors(g, p, cap)
+    factors, den = _phi_factors(g, p, cap)
     mask = T.mask_on(g.m)
     row = _kron([f[mask >> e & 1] for e, f in enumerate(factors)])
-    return list(row) if exact else row
+    return [Fraction(v, den) for v in row] if row.dtype == object else row
 
 
 def psi(T: EdgeSet, g: HostGraph, p) -> np.ndarray:
@@ -523,31 +525,38 @@ def psi(T: EdgeSet, g: HostGraph, p) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Full left eigensystem of a per-edge update chain.
-
-    Row i of `phi` (and `psi`, float mode only) belongs to the edge subset
-    with mask i, column j to the state with mask j.
-    """
+    """Full left eigensystem of a per-edge update chain: row i belongs to the
+    edge subset with mask i, column j to the state with mask j. As in
+    `TransitionMatrix`, phi is held as Python-int numerators over one
+    denominator (float64 over 1 in float mode); `phi`, Fractions when exact,
+    is derived on first use and cached. `psi` is float mode only."""
 
     eigenvalues: tuple
-    phi: np.ndarray
+    numerators: np.ndarray
+    denominator: int
     psi: np.ndarray | None
-    exact: bool
+
+    @property
+    def exact(self) -> bool:
+        return self.numerators.dtype == object
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        as_fraction = np.frompyfunc(lambda v: Fraction(v, self.denominator), 1, 1)
+        return as_fraction(self.numerators) if self.exact else self.numerators
 
 
 def eigensystem_simple(g: HostGraph, p, cap: int = STATE_CAP) -> EigenSystem:
     """All 2^m closed-form eigenvectors at once: phi is the Kronecker product
     of the whole per-edge factors. In float mode the psi rows are the phi
     rows rescaled, with one stationary law (the last phi row) for all."""
-    factors, exact = _phi_factors(g, p, cap)
-    m = g.m
+    factors, den = _phi_factors(g, p, cap)
+    m, rows = g.m, _kron(factors)
+    exact = rows.dtype == object
     levels = np.array([Fraction(k, m) if exact else k / m for k in range(m + 1)], dtype=object)
     values = tuple(levels[np.bitwise_count(np.arange(1 << m))].tolist())
-    phi_rows = _kron(factors)
-    if exact:
-        return EigenSystem(values, phi_rows, None, True)
-    scale = _psi_scale(f[1, 1] for f in factors)
-    return EigenSystem(values, phi_rows, phi_rows * scale[:, None] / np.sqrt(phi_rows[-1]), False)
+    psi = None if exact else rows * _psi_scale(f[1, 1] for f in factors)[:, None] / np.sqrt(rows[-1])
+    return EigenSystem(values, rows, den, psi)
 
 
 def q_matrix(tm: TransitionMatrix, pi: np.ndarray) -> np.ndarray:
@@ -562,13 +571,14 @@ def detailed_balance_residual(tm: TransitionMatrix, pi):
     nonzero cells (a pair with both cells zero balances). Exact when pi and
     the chain are, else float."""
     exact = tm.exact and all(_is_exact(x) for x in pi)
-    if exact:
-        flow = np.array(pi, dtype=object)[tm.rows] * tm.values
+    if exact:  # flows over one denominator; one Fraction for the residual
+        nums, den = _common_denominator(pi)
+        flow = nums[tm.rows] * tm.numerators
     else:
         flow = np.asarray([float(x) for x in pi])[tm.rows] * tm.to_float()[tm.rows, tm.cols]
     at, paired = tm._back_cells()
     residual = np.abs(flow - np.where(paired, flow[at], 0)).max()
-    return residual if exact else float(residual)
+    return Fraction(residual, den * tm.denominator) if exact else float(residual)
 
 
 def _symmetrized(tm: TransitionMatrix, pi: np.ndarray) -> np.ndarray | None:
@@ -699,11 +709,11 @@ def intersection_mixing_bound(n: int, N: int, c: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _times_linear(coeffs: list, scales) -> list:
-    """[c_0..c_n] of sum_k c_k t^k (1-t)^(n-k), times (1-t) + s*t for each s
-    in scales: each step only adds products, so positive inputs never cancel."""
-    for s in scales:
-        coeffs = [a + s * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+def _times_linear(coeffs: list, pairs) -> list:
+    """[c_0..c_n] of sum_k c_k t^k (1-t)^(n-k), times q(1-t) + n*t for each
+    (q, n) in pairs: each step only adds products, so positive inputs never cancel."""
+    for q, n in pairs:
+        coeffs = [q * a + n * b for a, b in zip(coeffs + [0], [0] + coeffs)]
     return coeffs
 
 
@@ -714,23 +724,33 @@ def _spectral_sum(E: EdgeSet, F: EdgeSet, g: HostGraph, p, commute: bool):
     1 + t a_e = (1-t) + t(1 + a_e) over the edges outside D, X and Y over D
     with E's and F's a_e, and Z = X + Y - 2(1-t)^|D| (commute) or
     Y - (1-t)^|D| (hitting E -> F). In the basis t^k (1-t)^(m-k), whose k-th
-    member integrates to 1/(k C(m, k)) against dt/t, every coefficient is
-    positive ((1-t)^|D| only zeroes k = 0), so floats lose no precision."""
+    member integrates to 1/(k C(m, k)) = 1/(m C(m-1, k-1)) against dt/t, every
+    coefficient is positive ((1-t)^|D| only zeroes k = 0), so floats lose no
+    precision. Rational p_e make every factor an integer pair (q_e, n_e)."""
     probs = _per_edge_probabilities(g, p)
-    exact = all(_is_exact(pe) for pe in probs)
-    one = Fraction(1) if exact else 1.0
-    scale = [(one / (one - pe), one / pe) for pe in map(type(one), probs)]  # lacking, held
     m, delta = g.m, E.mask_on(g.m) ^ F.mask_on(g.m)
+    binomials = [math.comb(m - 1, k) for k in range(m)]
+    exact = all(_is_exact(pe) for pe in probs)
+    if exact:  # q = a (d-a): 1/(1-p) = d a / q (lacking), 1/p = d (d-a) / q (held)
+        pairs = [(a * (d - a), (d * a, d * (d - a))) for a, d in
+                 ((pe.numerator, pe.denominator) for pe in probs)]
+        lcm = math.lcm(*binomials)
+        weights = [lcm // c for c in binomials]
+    else:  # q = 1.0 changes no bit of the float sum
+        pairs = [(1.0, (1.0 / (1.0 - pe), 1.0 / pe)) for pe in map(float, probs)]
+        weights = [1 / c for c in binomials]
     diff, shared = ([e for e in range(m) if (delta >> e & 1) == side] for side in (1, 0))
-    x, y, c = ([scale[e][mask >> e & 1] for e in edges]
+    x, y, c = ([(pairs[e][0], pairs[e][1][mask >> e & 1]) for e in edges]
                for mask, edges in ((E.mask, diff), (F.mask, diff), (E.mask, shared)))
-    z = _times_linear([one], y)
+    z = _times_linear([1], y)
     if commute:
-        z = [yk + xk for yk, xk in zip(z, _times_linear([one], x))]
-    z[0] = one - one
-    b = _times_linear(z, c)  # C(t) Z(t); a float times a Fraction is a float
-    total = sum((b[k] * Fraction(m, k * math.comb(m, k)) for k in range(1, m + 1)), one - one)
-    if not exact and not math.isfinite(total):
+        z = [yk + xk for yk, xk in zip(z, _times_linear([1], x))]
+    z[0] = 0
+    b = _times_linear(z, c)  # C(t) Z(t); float from the first float q on
+    total = sum(bk * w for bk, w in zip(b[1:], weights))
+    if exact:
+        return Fraction(total, lcm * math.prod(q for q, _ in pairs))
+    if not math.isfinite(total):
         kind = "commute" if commute else "hitting"
         raise CapExceeded(f"float {kind} time overflows at m = {m} edges; use rational mode")
     return total
@@ -840,10 +860,9 @@ def to_dot(tm: TransitionMatrix, g: HostGraph | None = None, labels: str = "hex"
         edge_names = list(enumerate(f"{u}-{v}" for u, v in g.edges))
         names = ["{" + ",".join(name for e, name in edge_names if mask >> e & 1) + "}"
                  for mask in tm.masks.tolist()]
-    weights = tm.values
     lines = ["digraph states {"] + [f'  "{name}";' for name in names]
-    for k in np.flatnonzero((tm.rows != tm.cols) & (weights > 0)):
-        w = weights[k] if tm.exact else f"{weights[k]:.6g}"
+    for k in np.flatnonzero((tm.rows != tm.cols) & (tm.numerators > 0)):
+        w = Fraction(tm.numerators[k], tm.denominator) if tm.exact else f"{tm.numerators[k]:.6g}"
         lines.append(f'  "{names[tm.rows[k]]}" -> "{names[tm.cols[k]]}" [label="{w}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

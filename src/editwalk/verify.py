@@ -20,6 +20,7 @@ from .process import WeightedEdits, _is_exact, _per_edge_probabilities
 from .spectral import (
     EigenSystem,
     TransitionMatrix,
+    _common_denominator,
     _hitting_columns,
     build_chain,
     commute_time,
@@ -34,6 +35,8 @@ from .spectral import (
     stationary_faces,
     stationary_numeric,
 )
+
+ROW_BLOCK = 1 << 6  # eigenvector rows per exact residual product
 
 
 @dataclass(frozen=True)
@@ -63,8 +66,12 @@ def check_stationary_fixed_point(
     tm: TransitionMatrix, pi, tol: float = 1e-12
 ) -> CheckResult:
     exact = tm.exact and all(_is_exact(x) for x in pi)
-    v = np.array(pi, dtype=object) if exact else np.asarray([float(x) for x in pi])
-    residual = np.abs((tm.left_apply(v) if exact else v @ tm.to_float()) - v).max()
+    if exact:  # pi_num P_num = den pi_num over integers
+        nums, den = _common_denominator(pi)  # int / int rounds as float(Fraction) does
+        residual = np.abs(tm.left_apply(nums) - tm.denominator * nums).max() / (den * tm.denominator)
+    else:
+        v = np.asarray([float(x) for x in pi])
+        residual = np.abs(v @ tm.to_float() - v).max()
     return _result("stationary_fixed_point", residual, tol, "exact" if exact else "")
 
 
@@ -82,12 +89,20 @@ def check_detailed_balance(tm: TransitionMatrix, pi, tol: float = 1e-12) -> Chec
 def check_eigenvector_residuals(
     system: EigenSystem, tm: TransitionMatrix, tol: float = 1e-12
 ) -> CheckResult:
-    exact = system.exact and tm.exact
-    rows = system.phi if exact else system.phi.astype(float)
-    lam = np.array(system.eigenvalues, dtype=object if exact else float)
-    moved = tm.left_apply(rows) if exact else rows @ tm.to_float()
-    residual = np.abs(moved - lam[:, None] * rows).max()
-    return _result("eigenvector_residual", residual, tol, "exact" if exact else "")
+    """phi P = lambda phi. Exact: L (phi_num P_num) = lambda_num den phi_num
+    over integers, for eigenvalues lambda_num / L, ROW_BLOCK rows at a time."""
+    if not (system.exact and tm.exact):
+        rows, lam = system.phi.astype(float), np.array(system.eigenvalues, dtype=float)
+        residual = np.abs(rows @ tm.to_float() - lam[:, None] * rows).max()
+        return _result("eigenvector_residual", residual, tol)
+    lam, scale = _common_denominator(system.eigenvalues)
+    worst = 0
+    for start in range(0, len(lam), ROW_BLOCK):
+        rows, block = system.numerators[start:start + ROW_BLOCK], lam[start:start + ROW_BLOCK]
+        moved = scale * tm.left_apply(rows) - (block * tm.denominator)[:, None] * rows
+        worst = max(worst, np.abs(moved).max())
+    residual = worst / (scale * tm.denominator * system.denominator)
+    return _result("eigenvector_residual", residual, tol, "exact")
 
 
 def check_orthonormality(system: EigenSystem, tol: float = 1e-10) -> CheckResult:

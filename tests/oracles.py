@@ -24,7 +24,9 @@ time:
 * hitting times of a reversible chain from the eigendecomposition of its
   symmetrized matrix;
 * the recurrent class by a search that applies every edit to one state at
-  a time, where the library applies each edit to a whole level of states.
+  a time, where the library applies each edit to a whole level of states;
+* the Moran edits with one scan of the host edges per oriented edge, where
+  the library builds one star mask per vertex.
 
 It also keeps the helpers that only the tests use: the sign-table state
 order and permutations into it, a chain from a dense matrix, one walk step,
@@ -41,8 +43,8 @@ import numpy as np
 
 from editwalk.edits import Edit, apply, compose, leq
 from editwalk.errors import STATE_CAP, EditWalkError, NotIrreducible, ValidationError, check_cap
-from editwalk.hostgraph import EdgeSet, mask_dtype
-from editwalk.process import SAMPLER_VERSION, _walk, simulate
+from editwalk.hostgraph import EdgeSet, mask_dtype, neighborhood_edges
+from editwalk.process import SAMPLER_VERSION, WeightedEdits, _walk, simulate
 from editwalk.serialize import artifact_meta
 from editwalk.spectral import (
     TransitionMatrix,
@@ -325,6 +327,19 @@ def recurrent_class_by_state(dist, g, initial=None, cap: int = STATE_CAP) -> np.
                 seen.add(dest)
                 frontier.append(dest)
     return np.array(sorted(seen), dtype=mask_dtype(g.m))
+
+
+def moran_weights_per_edge(g) -> WeightedEdits:
+    """Neighborhood resampling with the star of each oriented edge's source
+    found by scanning every host edge."""
+    w = Fraction(1, 2 * g.m)
+    items = []
+    for u, v in g.edges:
+        for src, dst in ((u, v), (v, u)):
+            star = neighborhood_edges(g, src).mask
+            keep = 1 << g.index_of(src, dst)
+            items.append((Edit(g.m, keep, star & ~keep), w))
+    return WeightedEdits(g.m, tuple(items))
 
 
 def sign_lex_order(m: int) -> list[int]:

@@ -8,6 +8,7 @@ walk. Cells must reproduce them bit for bit, including the Fraction type
 of every exact entry.
 """
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import editwalk as ew
-from editwalk import spectral
+from editwalk import spectral, verify
 from editwalk.edits import parse_edit
 from editwalk.errors import SupportNotCovering, ValidationError
 from editwalk.spectral import TransitionMatrix
@@ -223,6 +224,44 @@ def test_exact_verify_residuals_match_dense_formulas(m, right):
     ]
     for result, old in zip(results, (fixed, balance, eigen)):
         assert result.detail == "exact" and result.residual == float(old)
+
+
+@pytest.mark.parametrize("block", [3, 64])
+def test_exact_eigenvector_residual_of_a_perturbed_eigenvalue(monkeypatch, block):
+    # the integer identity must report the residual the Fraction formula gives,
+    # whichever block of rows holds the wrong eigenvalue
+    monkeypatch.setattr(verify, "ROW_BLOCK", block)
+    g = _path(4)
+    p = [Fraction(e + 1, 6) for e in range(4)]
+    tm = ew.build_chain(ew.simple_edit_weights(g, p), g)
+    system = ew.eigensystem_simple(g, p)
+    values = list(system.eigenvalues)
+    values[7] += Fraction(1, 97)
+    wrong = dataclasses.replace(system, eigenvalues=tuple(values))
+    pi = ew.stationary_closed_form(g, p)
+    eigen = _old_residuals(dense_chain(ew.simple_edit_weights(g, p), g)[1], pi, system.phi, values)[2]
+    result = check_eigenvector_residuals(wrong, tm)
+    assert eigen > 0 and result.detail == "exact" and result.residual == float(eigen)
+
+
+def test_rational_verification_builds_no_fraction_views(monkeypatch):
+    g = ew.complete_graph(4)
+    p = [Fraction(k, 13) for k in (1, 2, 5, 7, 11, 12)]
+    dist = ew.simple_edit_weights(g, p)
+    tm = ew.build_chain(dist, g)
+    systems = []
+
+    def capture(*args, **kwargs):
+        systems.append(ew.eigensystem_simple(*args, **kwargs))
+        return systems[-1]
+
+    monkeypatch.setattr(verify, "eigensystem_simple", capture)
+    results = run_verification(g, dist, p=p, tm=tm)
+    assert all(r.passed for r in results), [r.line() for r in results]
+    ew.to_dot(tm)
+    exact = [s for s in systems if s.exact]
+    assert len(exact) == 1 and "phi" not in vars(exact[0])
+    assert "values" not in vars(tm) and "entries" not in vars(tm)
 
 
 def test_left_apply_matches_dense_product():

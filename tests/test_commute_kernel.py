@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import editwalk as ew
 from editwalk import spectral
@@ -40,6 +42,55 @@ def test_exact_kernel_equals_enumeration(m, p, a, b):
     kappa = ew.commute_time(E, F, g, p)
     assert isinstance(kappa, Fraction)
     assert kappa == commute_time_enumerated(E, F, g, p)
+    assert ew.hitting_time_closed(E, F, g, p) == hitting_time_enumerated(E, F, g, p)
+    assert ew.hitting_time_closed(F, E, g, p) == hitting_time_enumerated(F, E, g, p)
+
+
+# (host, p, E mask, F mask) and float.hex of commute_time(E, F),
+# hitting_time_closed(E, F) and hitting_time_closed(F, E): the float kernel
+# must keep every bit of these
+FLOAT_PINS = [
+    (path_host(5), [0.3, 0.71, 0.123, 0.5, 0.9], 0b10110, 0b01011,
+     ("0x1.6ecdd8c74bb06p+8", "0x1.fff6793dbfba5p+7", "0x1.bb4a70a1af4cdp+6")),
+    (ew.from_edge_list(9, [(i, (i + 1) % 9) for i in range(9)]),
+     [0.05 + 0.1 * e for e in range(9)], 0, 0b111111111,
+     ("0x1.ea38e89d69771p+14", "0x1.caea639372e83p+14", "0x1.f4e8509f68ee1p+10")),
+    (path_host(12), [0.02, 0.58, 0.18, 0.74, 0.34, 0.9, 0.5, 0.1, 0.66, 0.26, 0.82, 0.42],
+     0b101010101010, 0b100110011001,
+     ("0x1.5b5fe81d2a22ap+22", "0x1.59447691154d8p+22", "0x1.0db8c60a6a940p+15")),
+]
+
+
+@pytest.mark.parametrize("g, p, a, b, pins", FLOAT_PINS, ids=["path5", "cycle9", "path12"])
+def test_float_times_keep_their_bits(g, p, a, b, pins):
+    E, F = ew.EdgeSet(g.m, a), ew.EdgeSet(g.m, b)
+    got = (ew.commute_time(E, F, g, p), ew.hitting_time_closed(E, F, g, p),
+           ew.hitting_time_closed(F, E, g, p))
+    assert tuple(x.hex() for x in got) == pins
+
+
+# distinct primes, so the edge denominators are pairwise coprime and their
+# product, the kernel's common denominator, is large
+PRIMES = (1_000_003, 998_244_353, 1_000_000_007, 2_147_483_647, 999_999_937,
+          67_280_421_310_721, 170_141_183_460_469_231_731_687_303_715_884_105_727)
+
+
+@st.composite
+def coprime_rationals(draw):
+    m = draw(st.integers(1, 7))
+    denominators = draw(st.permutations(PRIMES))[:m]
+    p = [Fraction(draw(st.integers(1, d - 1)), d) for d in denominators]
+    a, b = (draw(st.integers(0, (1 << m) - 1)) for _ in range(2))
+    return path_host(m), p, ew.EdgeSet(m, a), ew.EdgeSet(m, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coprime_rationals())
+def test_exact_times_with_large_coprime_denominators(case):
+    g, p, E, F = case
+    kappa = ew.commute_time(E, F, g, p)
+    assert type(kappa) is Fraction
+    assert kappa == sum(term for _, term in ew.commute_terms(E, F, g, p))
     assert ew.hitting_time_closed(E, F, g, p) == hitting_time_enumerated(E, F, g, p)
     assert ew.hitting_time_closed(F, E, g, p) == hitting_time_enumerated(F, E, g, p)
 

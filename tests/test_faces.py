@@ -114,7 +114,8 @@ def test_rational_law_is_an_exact_fixed_point():
     assert all(type(x) is Fraction for x in pi) and sum(pi) == 1
     tm = ew.build_chain(dist, k4, restrict="recurrent")
     assert states.tolist() == tm.masks.tolist()
-    assert list(tm.left_apply(np.array(pi, dtype=object))) == pi
+    # left_apply sums the chain's numerators, so pi P = pi reads over its denominator
+    assert list(tm.left_apply(np.array(pi, dtype=object))) == [x * tm.denominator for x in pi]
     _, floats = ew.stationary_faces(dist, k4, exact=False)
     assert np.abs(floats - [float(x) for x in pi]).max() <= 1e-15
 

@@ -33,7 +33,7 @@ from editwalk.errors import (
     ValidationError,
 )
 from editwalk.process import AliasSampler, WeightedEdits
-from oracles import sample, step
+from oracles import moran_weights_per_edge, sample, step
 
 PATH2 = from_edge_list(3, [(0, 1), (1, 2)])
 
@@ -103,6 +103,14 @@ class TestMoranWeights:
     def test_requires_edges(self):
         with pytest.raises(EmptyEdgeSet):
             moran_weights(from_edge_list(2, []))
+
+    @pytest.mark.parametrize("g", [
+        complete_graph(5),
+        complete_graph(6),
+        from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (1, 5), (2, 5)]),
+    ], ids=["K5", "K6", "cycle with chords"])
+    def test_matches_per_edge_construction(self, g):
+        assert moran_weights(g).items == moran_weights_per_edge(g).items
 
 
 class TestIntersectionWeights:
