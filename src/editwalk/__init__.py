@@ -26,6 +26,7 @@ from .hostgraph import (
     HostGraph,
     complete_bipartite,
     complete_graph,
+    forest_flags,
     from_edge_list,
     host_from_json,
     host_to_json,

@@ -13,6 +13,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterator
 
@@ -20,7 +21,16 @@ import numpy as np
 
 from .edits import parse_edit
 from .errors import STATE_CAP, CapExceeded, EditWalkError, ValidationError, check_cap
-from .hostgraph import EdgeSet, HostGraph, find_mask, host_from_json, is_acyclic, is_integer
+from .hostgraph import (
+    EdgeSet,
+    HostGraph,
+    find_mask,
+    forest_flags,
+    host_from_json,
+    is_integer,
+    mask_blocks,
+    set_bits,
+)
 from .process import (
     SAMPLER_VERSION,
     Trajectory,
@@ -37,8 +47,9 @@ from .process import (
 from .serialize import artifact_meta, write_csv, write_json, write_jsonl
 from .spectral import (
     _hitting_columns,
+    _spectral_sum,
+    _sum_terms,
     build_chain,
-    commute_time,
     eigenvalues_simple,
     mixing_bound_compound,
     mixing_bound_simple,
@@ -287,7 +298,7 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     cfg.out.mkdir(parents=True, exist_ok=True)
     summary = {"final_state": format(traj.masks[-1], "#x"), "edge_counts": traj.edge_counts()}
     if cfg.model == "moran":
-        summary["acyclic"] = [is_acyclic(cfg.host, EdgeSet(cfg.host.m, mask)) for mask in traj.masks]
+        summary["acyclic"] = forest_flags(cfg.host, traj.masks).tolist()
     write_json(cfg.out / "summary.json", meta, summary)
     if cfg.steps == 0:
         print(f"wrote {cfg.out / 'summary.json'} (no steps requested)")
@@ -301,17 +312,22 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def _trajectory_lines(traj: Trajectory, g: HostGraph, edges: bool) -> Iterator[str]:
     """One JSON record per recorded state, formatted as `json.dumps` writes
-    {"t": t, "state": hex} (plus "edges": [[u, v], ...]), at O(set edges)
-    per state: each edge's label is formatted once per host, and a state's
-    EdgeSet exists only while its edges are listed."""
-    labels = [f"[{u}, {v}]" for u, v in g.edges]
-    for k, mask in enumerate(traj.masks):
-        t = min(k * traj.thin, traj.steps)
-        if edges:
-            listed = ", ".join(map(labels.__getitem__, EdgeSet(g.m, mask).indices()))
-            yield f'{{"t": {t}, "state": "{mask:#x}", "edges": [{listed}]}}'
-        else:
+    {"t": t, "state": hex} (plus "edges": [[u, v], ...]). Each edge's label
+    is formatted once per host; the edge lists are decoded by `set_bits` one
+    block of masks at a time, so memory does not grow with the walk."""
+    times = chain(range(0, traj.steps, traj.thin), [traj.steps])  # as `simulate` records
+    if not edges:
+        for t, mask in zip(times, traj.masks):
             yield f'{{"t": {t}, "state": "{mask:#x}"}}'
+        return
+    labels = np.array([f"[{u}, {v}]" for u, v in g.edges], dtype=object)
+    for block in mask_blocks(traj.masks, g.m):
+        rows, cols = set_bits(block, g.m)
+        listed, ends = labels[cols].tolist(), np.bincount(rows, minlength=len(block)).cumsum().tolist()
+        start = 0
+        for t, mask, end in zip(islice(times, len(block)), block, ends):
+            yield f'{{"t": {t}, "state": "{mask:#x}", "edges": [{", ".join(listed[start:end])}]}}'
+            start = end
 
 
 def _spectrum_report(cfg: RunConfig, masks=None):
@@ -424,12 +440,11 @@ def cmd_commute(cfg: RunConfig, args: argparse.Namespace) -> int:
         m = cfg.host.m
         check_cap(1 << m, cfg.caps["states"], f"2^{m} states")
         check_cap(1 << m, cap, f"2^{m} commute-matrix states (caps.commute_states)")
-        masks = range(1 << m)
-        states = [EdgeSet(m, mask) for mask in masks]  # commute_time takes EdgeSet pairs
-        matrix = [[""] * len(states) for _ in states]
-        for i, a in enumerate(states):  # commute times are symmetric
-            for j in range(i, len(states)):
-                matrix[i][j] = matrix[j][i] = str(commute_time(a, states[j], cfg.host, cfg.p))
+        masks, terms = range(1 << m), _sum_terms(cfg.host, cfg.p)  # one per-edge table for all pairs
+        matrix = [[""] * len(masks) for _ in masks]
+        for i in masks:  # commute times are symmetric
+            for j in range(i, len(masks)):
+                matrix[i][j] = matrix[j][i] = str(_spectral_sum(i, j, terms, commute=True))
     else:
         tm = build_chain(
             cfg.weights, cfg.host, restrict="recurrent", initial=cfg.initial,

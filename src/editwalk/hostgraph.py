@@ -5,6 +5,9 @@ The host graph fixes a canonical edge indexing (edges sorted by
 An EdgeSet is a bitmask over those indices: a single chain state, a flat
 of the support lattice, or an edit support. Collections of states are
 sorted mask arrays (dtype `mask_dtype(m)`), searched with `find_mask`.
+Sequences of masks, such as a trajectory's recorded states, are decoded
+together: `set_bits` lists their set bits and `forest_flags` tests each
+for a cycle, both in numpy, block by block.
 
 Enumeration APIs elsewhere count the 2^m states against a cap
 (`errors.check_cap`); EdgeSet itself places no limit on m (Python ints are
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,6 +30,8 @@ from .errors import (
     ValidationError,
     VertexOutOfRange,
 )
+
+DECODE_BITS = 1 << 16  # mask bits unpacked per numpy step of `set_bits`
 
 
 def mask_dtype(m: int):
@@ -211,25 +216,63 @@ def neighborhood_edges(g: HostGraph, v: int) -> EdgeSet:
     return EdgeSet.from_indices(g.m, (i for i, e in enumerate(g.edges) if v in e))
 
 
+def set_bits(masks: Sequence[int], m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every set bit of the int masks on m edges, as (rows, cols) in row-major
+    order: bit cols[i] of masks[rows[i]] is set. The masks are packed into
+    one little-endian byte string, which is unpacked at most DECODE_BITS bits
+    at a time, so the unpacked bits take O(DECODE_BITS) memory for any m."""
+    width = (m + 7) // 8
+    data = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in masks), np.uint8)
+    step = max(1, DECODE_BITS // 8)
+    hits = [np.zeros(0, np.int64)] + [
+        8 * start + np.flatnonzero(np.unpackbits(data[start:start + step], bitorder="little").view(bool))
+        for start in range(0, len(data), step)
+    ]
+    return np.divmod(np.concatenate(hits), 8 * width)
+
+
+def mask_blocks(masks: Sequence[int], m: int) -> Iterator[Sequence[int]]:
+    """Consecutive slices of `masks` of about DECODE_BITS bits (at least one
+    mask each), so that decoding many masks a slice at a time keeps memory
+    independent of their number."""
+    step = max(1, DECODE_BITS // max(m, 1))
+    return (masks[start:start + step] for start in range(0, len(masks), step))
+
+
+def forest_flags(g: HostGraph, masks: Sequence[int]) -> np.ndarray:
+    """For each int mask on g's edges, whether the subgraph it selects has no
+    cycle, i.e. its edges plus its connected components number g.n.
+
+    The components come from one hook-and-jump pass (Shiloach & Vishkin
+    1982) per block of masks over the vertex ids state * n + v: each round
+    hooks the larger root of every edge whose ends have different roots to
+    the smaller one (`np.minimum.at`), then jumps pointers until every
+    vertex points at a root. Roots only decrease, so no round makes a cycle."""
+    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    flags = [np.zeros(0, bool)]
+    for block in mask_blocks(masks, g.m):
+        rows, cols = set_bits(block, g.m)
+        u, v = ends[cols, 0] + rows * g.n, ends[cols, 1] + rows * g.n
+        root = np.arange(len(block) * g.n)
+        while True:
+            ru, rv = root[u], root[v]
+            apart = ru != rv
+            if not apart.any():
+                break
+            u, v, ru, rv = u[apart], v[apart], ru[apart], rv[apart]
+            np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+            jumped = root[root]
+            while not np.array_equal(jumped, root):
+                root, jumped = jumped, jumped[jumped]
+        roots = np.flatnonzero(root == np.arange(root.size)) // g.n
+        counts = np.bincount(rows, minlength=len(block)) + np.bincount(roots, minlength=len(block))
+        flags.append(counts == g.n)
+    return np.concatenate(flags)
+
+
 def is_acyclic(g: HostGraph, state: EdgeSet) -> bool:
     """True when the subgraph selected by `state` contains no cycle."""
-    if state.m != g.m:
-        raise HostMismatch(f"edge counts differ: {state.m} != {g.m}")
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in state.indices():
-        u, v = g.edges[e]
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+    return bool(forest_flags(g, [state.mask_on(g.m)])[0])
 
 
 def host_from_json(obj: dict) -> HostGraph:

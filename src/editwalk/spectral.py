@@ -717,8 +717,36 @@ def _times_linear(coeffs: list, pairs) -> list:
     return coeffs
 
 
-def _spectral_sum(E: EdgeSet, F: EdgeSet, g: HostGraph, p, commute: bool):
-    """The spectral sum over edge subsets T grouped by j = m - |T|: sum_{j>=1}
+@dataclass(frozen=True)
+class _SumTerms:
+    """The data of `_spectral_sum` that depends on the host and p alone: each
+    edge's factors ((q_e, n_e lacking), (q_e, n_e held)), the weight of each
+    basis member, and the common denominator when p is rational (else None)."""
+
+    factors: list
+    weights: list
+    denominator: int | None
+
+
+def _sum_terms(g: HostGraph, p) -> _SumTerms:
+    """Built once per host and p; rational p_e make every factor an integer
+    pair, q = a (d-a): 1/(1-p) = d a / q (lacking), 1/p = d (d-a) / q (held).
+    In float mode q = 1.0, which changes no bit of the sum."""
+    probs = _per_edge_probabilities(g, p)
+    binomials = [math.comb(g.m - 1, k) for k in range(g.m)]
+    if not all(_is_exact(pe) for pe in probs):
+        factors = [((1.0, 1.0 / (1.0 - pe)), (1.0, 1.0 / pe)) for pe in map(float, probs)]
+        return _SumTerms(factors, [1 / c for c in binomials], None)
+    factors = [((a * (d - a), d * a), (a * (d - a), d * (d - a))) for a, d in
+               ((pe.numerator, pe.denominator) for pe in probs)]
+    lcm = math.lcm(*binomials)
+    denominator = lcm * math.prod(lacking[0] for lacking, _ in factors)
+    return _SumTerms(factors, [lcm // c for c in binomials], denominator)
+
+
+def _spectral_sum(E: int, F: int, terms: _SumTerms, commute: bool):
+    """The spectral sum between state masks E and F over edge subsets T
+    grouped by j = m - |T|: sum_{j>=1}
     (m/j) [t^j] C(t) Z(t) = m * integral_0^1 C(t) Z(t) dt/t. With D = E xor F
     and a_e = (1-p_e)/p_e (edge held) or p_e/(1-p_e) (lacking), C multiplies
     1 + t a_e = (1-t) + t(1 + a_e) over the edges outside D, X and Y over D
@@ -726,30 +754,19 @@ def _spectral_sum(E: EdgeSet, F: EdgeSet, g: HostGraph, p, commute: bool):
     Y - (1-t)^|D| (hitting E -> F). In the basis t^k (1-t)^(m-k), whose k-th
     member integrates to 1/(k C(m, k)) = 1/(m C(m-1, k-1)) against dt/t, every
     coefficient is positive ((1-t)^|D| only zeroes k = 0), so floats lose no
-    precision. Rational p_e make every factor an integer pair (q_e, n_e)."""
-    probs = _per_edge_probabilities(g, p)
-    m, delta = g.m, E.mask_on(g.m) ^ F.mask_on(g.m)
-    binomials = [math.comb(m - 1, k) for k in range(m)]
-    exact = all(_is_exact(pe) for pe in probs)
-    if exact:  # q = a (d-a): 1/(1-p) = d a / q (lacking), 1/p = d (d-a) / q (held)
-        pairs = [(a * (d - a), (d * a, d * (d - a))) for a, d in
-                 ((pe.numerator, pe.denominator) for pe in probs)]
-        lcm = math.lcm(*binomials)
-        weights = [lcm // c for c in binomials]
-    else:  # q = 1.0 changes no bit of the float sum
-        pairs = [(1.0, (1.0 / (1.0 - pe), 1.0 / pe)) for pe in map(float, probs)]
-        weights = [1 / c for c in binomials]
+    precision."""
+    factors, m, delta = terms.factors, len(terms.factors), E ^ F
     diff, shared = ([e for e in range(m) if (delta >> e & 1) == side] for side in (1, 0))
-    x, y, c = ([(pairs[e][0], pairs[e][1][mask >> e & 1]) for e in edges]
-               for mask, edges in ((E.mask, diff), (F.mask, diff), (E.mask, shared)))
+    x, y, c = ([factors[e][mask >> e & 1] for e in edges]
+               for mask, edges in ((E, diff), (F, diff), (E, shared)))
     z = _times_linear([1], y)
     if commute:
         z = [yk + xk for yk, xk in zip(z, _times_linear([1], x))]
     z[0] = 0
     b = _times_linear(z, c)  # C(t) Z(t); float from the first float q on
-    total = sum(bk * w for bk, w in zip(b[1:], weights))
-    if exact:
-        return Fraction(total, lcm * math.prod(q for q, _ in pairs))
+    total = sum(bk * w for bk, w in zip(b[1:], terms.weights))
+    if terms.denominator is not None:
+        return Fraction(total, terms.denominator)
     if not math.isfinite(total):
         kind = "commute" if commute else "hitting"
         raise CapExceeded(f"float {kind} time overflows at m = {m} edges; use rational mode")
@@ -788,14 +805,14 @@ def commute_time(E: EdgeSet, F: EdgeSet, g: HostGraph, p):
     per-edge linear polynomials, with no cap on m. Exact and symmetric in E
     and F; a Fraction when p is rational. A float result that overflows
     (it grows like 1/pi) raises CapExceeded."""
-    return _spectral_sum(E, F, g, p, commute=True)
+    return _spectral_sum(E.mask_on(g.m), F.mask_on(g.m), _sum_terms(g, p), commute=True)
 
 
 def hitting_time_closed(E: EdgeSet, F: EdgeSet, g: HostGraph, p):
     """Expected steps from E until first visiting F, per-edge update chain,
     by the closed-form spectral sum computed as in `commute_time`: O(m^2),
     no cap on m, exact for rational p, CapExceeded on float overflow."""
-    return _spectral_sum(E, F, g, p, commute=False)
+    return _spectral_sum(E.mask_on(g.m), F.mask_on(g.m), _sum_terms(g, p), commute=False)
 
 
 def hitting_time(tm: TransitionMatrix, source: EdgeSet | int, target: EdgeSet | int) -> float:

@@ -10,8 +10,9 @@ time:
   and `intersection_stationary`, which the library now builds as
   Kronecker products of per-edge (or per-vertex) factors;
 * the `simulate` record path as one dict per state encoded by `json.dumps`,
-  with edge indices found by testing every host edge, where the library
-  walks the set bits and formats each record from a per-edge label table.
+  with edge indices found by testing every host edge and acyclicity by one
+  union-find per state, where the library decodes the set bits of a block
+  of states at once and tests all of them for cycles in one numpy pass.
 * eigenvalue multiplicities by Mobius inversion of chamber counts, with
   the Mobius function filled row by row and each chamber tested by `leq`,
   where the library back-substitutes over the flat order and compares the

@@ -1,16 +1,19 @@
 """The `simulate` record path against its per-record oracle: artifacts
-byte-equal to one `json.dumps` per state dict, and `EdgeSet.indices`
-equal to a test of every host edge."""
+byte-equal to one `json.dumps` per state dict, also when the states span
+many decode blocks; `EdgeSet.indices` and `set_bits` equal to a test of
+every host edge; and `forest_flags` equal to one union-find per state."""
 
 import json
+from operator import and_
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from editwalk import hostgraph
 from editwalk.cli import build_parser, load_config, main
-from editwalk.hostgraph import EdgeSet
-from oracles import indices_by_shift, write_simulate_artifacts
+from editwalk.hostgraph import EdgeSet, complete_graph, forest_flags, from_edge_list, set_bits
+from oracles import _acyclic_by_shift, indices_by_shift, write_simulate_artifacts
 
 MU = [0.125, 0.375, 0.375, 0.125]
 CASES = {
@@ -58,3 +61,65 @@ def edge_sets(draw):
 @example(EdgeSet(64, 1 << 63))
 def test_indices_match_the_shift_oracle(state):
     assert state.indices() == indices_by_shift(state)
+
+
+@pytest.mark.parametrize("case, state_format", [
+    ("moran K6", "hex"), ("moran K6", "edges"), ("simple K40", "edges"),
+])
+@pytest.mark.parametrize("thin", [1, 7])
+def test_artifacts_spanning_decode_blocks_match_the_oracle(tmp_path, monkeypatch, case,
+                                                           state_format, thin):
+    # 60 bits: blocks of 4 states on K6 (m = 15), unpacked 7 bytes at a time,
+    # so states straddle the unpacking steps; one state per block on K40
+    monkeypatch.setattr(hostgraph, "DECODE_BITS", 60)
+    test_artifacts_match_the_per_record_oracle(tmp_path, case, state_format, 300, thin)
+
+
+@st.composite
+def hosts_and_masks(draw):
+    """A host on 1-14 vertices (isolated vertices, n = 1 and m > 64 all
+    occur) and up to a dozen of its masks: empty, full, dense and sparse."""
+    n = draw(st.integers(1, 14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    kept = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = from_edge_list(n, [pair for pair, keep in zip(pairs, kept) if keep])
+    full = (1 << g.m) - 1
+    dense = st.integers(0, full)
+    sparse = st.builds(and_, dense, st.builds(and_, dense, dense))
+    return g, draw(st.lists(st.sampled_from([0, full]) | dense | sparse, max_size=12))
+
+
+def _spanning_path(n: int) -> tuple:
+    g = complete_graph(n)
+    return g, [EdgeSet.from_indices(g.m, (g.index_of(v, v + 1) for v in range(n - 1))).mask]
+
+
+@settings(max_examples=300, deadline=None)
+@given(hosts_and_masks(), st.sampled_from([8, 24, 56, hostgraph.DECODE_BITS]))
+@example((from_edge_list(1, []), [0]), 8)
+@example((complete_graph(13), [0, (1 << 78) - 1]), 8)  # m = 78
+@example(_spanning_path(13), 8)
+@example((from_edge_list(6, [(0, 1), (1, 2), (0, 2), (4, 5)]), [0b0111, 0b1011, 0b1111]), 8)
+def test_forest_flags_match_the_union_find_oracle(host_masks, decode_bits):
+    g, masks = host_masks
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hostgraph, "DECODE_BITS", decode_bits)
+        flags = forest_flags(g, masks)
+    assert flags.dtype == bool
+    assert flags.tolist() == [_acyclic_by_shift(g, EdgeSet(g.m, mask)) for mask in masks]
+    assert [hostgraph.is_acyclic(g, EdgeSet(g.m, mask)) for mask in masks] == flags.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(edge_sets(), max_size=8), st.sampled_from([8, 16, 24, 64]))
+@example([EdgeSet(1000, (1 << 1000) - 1), EdgeSet(1000, 1 << 999)], 8)
+@example([EdgeSet(0, 0)] * 3, 8)
+@example([], 8)
+def test_set_bits_match_the_shift_oracle(states, decode_bits):
+    m = states[0].m if states else 0
+    states = [EdgeSet(m, state.mask & ((1 << m) - 1)) for state in states]  # one host
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hostgraph, "DECODE_BITS", decode_bits)  # steps of 1-8 bytes
+        rows, cols = set_bits([state.mask for state in states], m)
+    expected = [(row, e) for row, state in enumerate(states) for e in indices_by_shift(state)]
+    assert list(zip(rows.tolist(), cols.tolist())) == expected
