@@ -254,8 +254,9 @@ def multiplicities(
                 "mask array is not the full recurrent class"
             )
 
+    masses = None if dist is None else _support_masses(dist)  # built once for every flat
     report = SpectrumReport(tuple(
-        SpectrumEntry(flat, None if dist is None else eigenvalue(lat, flat, dist), int(mult))
+        SpectrumEntry(flat, None if masses is None else eigenvalue(lat, flat, masses), int(mult))
         for flat, mult in zip(lat.flats, mults)
     ))
     if report.total_multiplicity != len(masks):

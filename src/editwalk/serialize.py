@@ -58,18 +58,39 @@ def read_csv(path: Path | str) -> tuple[dict, list[str], list[list[str]]]:
     return meta, table[0], table[1:]
 
 
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _dumps_indent2(obj, depth: int = 0) -> str:
+    """`json.dumps(obj, indent=2)` byte for byte, for a value nested `depth`
+    levels deep. `json` lays out indented values with its pure-Python
+    encoder; here every list of scalars goes through the C encoder, with
+    the newline and indent of each item as its item separator."""
+    pad = "\n" + "  " * (depth + 1)
+    if isinstance(obj, (list, tuple)) and obj:
+        if set(map(type, obj)) <= _SCALARS:
+            body = json.dumps(obj, separators=("," + pad, ": "))[1:-1]
+        else:
+            body = ("," + pad).join(_dumps_indent2(x, depth + 1) for x in obj)
+        return "[" + pad + body + pad[:-2] + "]"
+    if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+        body = ("," + pad).join(json.dumps(k) + ": " + _dumps_indent2(v, depth + 1) for k, v in obj.items())
+        return "{" + pad + body + pad[:-2] + "}"
+    return json.dumps(obj, indent=2).replace("\n", "\n" + "  " * depth)
+
+
 def write_json(path: Path | str, meta: dict, payload) -> None:
-    """A payload that is an iterator is written element by element as a
-    JSON list, laid out as `json.dumps(..., indent=2)` lays out the list."""
+    """Written as `json.dumps(..., indent=2)` lays it out. A payload that
+    is an iterator is written element by element as a JSON list."""
     if not isinstance(payload, Iterator):
-        Path(path).write_text(json.dumps({"meta": meta, "data": payload}, indent=2) + "\n")
+        Path(path).write_text(_dumps_indent2({"meta": meta, "data": payload}) + "\n")
         return
-    head = json.dumps({"meta": meta, "data": None}, indent=2)
+    head = _dumps_indent2({"meta": meta, "data": None})
     with open(path, "w") as fh:
         fh.write(head[: -len("null\n}")])
         sep = "[\n    "
         for item in payload:
-            fh.write(sep + json.dumps(item, indent=2).replace("\n", "\n    "))
+            fh.write(sep + _dumps_indent2(item, 2))
             sep = ",\n    "
         fh.write("[]\n}\n" if sep == "[\n    " else "\n  ]\n}\n")
 

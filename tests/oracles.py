@@ -27,11 +27,18 @@ time:
 * the recurrent class by a search that applies every edit to one state at
   a time, where the library applies each edit to a whole level of states;
 * the Moran edits with one scan of the host edges per oriented edge, where
-  the library builds one star mask per vertex.
+  the library builds one star mask per vertex;
+* the walk one drawn edit at a time, where the library applies only the
+  last edit on each support between two records and composes commuting
+  edits in numpy;
+* the lazy intersection draw with each row's ranks from two argsorts and
+  each edit built as a Python int, where the library scatters one sort
+  order back and hands the walk kernel star indices and bit rows.
 
 It also keeps the helpers that only the tests use: the sign-table state
 order and permutations into it, a chain from a dense matrix, one walk step,
-one drawn edit, and the weight of one edit of the lazy intersection model.
+drawn edits as masks, and the weight of one edit of the lazy intersection
+model.
 
 The tests compare the two.
 """
@@ -394,9 +401,54 @@ def step(dist, state: EdgeSet, rng) -> EdgeSet:
     return EdgeSet(state.m, _walk(dist, state, [1], rng)[0])
 
 
+def draw_masks(dist, rng, size: int) -> tuple[list[int], list[int]]:
+    """`size` edits drawn by weight as the walk kernel draws them, as (plus,
+    minus) lists of Python ints."""
+    plus, minus = [], []
+    while len(plus) < size:
+        sid, draws = dist._table.take(rng, size - len(plus))
+        p, q = dist._table.masks(sid, draws, np.arange(len(sid)))
+        plus += p
+        minus += q
+    return plus, minus
+
+
+def walk_by_step(dist, initial: EdgeSet, times, rng) -> list[int]:
+    """`_walk` one edit at a time: the same draws, every edit applied to the
+    state in step order."""
+    plus, minus = draw_masks(dist, rng, times[-1] if times else 0)
+    state, t, masks = initial.mask_on(dist.m), 0, []
+    for stop in times:
+        for p, q in zip(plus[t:stop], minus[t:stop]):
+            state = (state | p) & ~q
+        masks.append(state)
+        t = stop
+    return masks
+
+
+def lazy_draw_by_ranks(n: int, N: int, mu, rng, size: int, block: int) -> tuple[list[int], list[int]]:
+    """`size` lazy intersection edits drawn in blocks of `block`, as (plus,
+    minus) lists of Python ints: a uniform star, a size from mu, and the
+    lowest-ranked uniforms of that size."""
+    size_probs = np.array([float(x) for x in mu])
+    sizes = np.flatnonzero(size_probs)
+    cdf = np.cumsum(size_probs[sizes]) / size_probs.sum()
+    full, plus, minus = (1 << N) - 1, [], []
+    for t in range(0, size, block):
+        rows = min(block, size - t)
+        shifts = (rng.integers(n, size=rows) * N).tolist()
+        k = sizes[np.searchsorted(cdf[:-1], rng.random(rows), side="right")]
+        ranks = rng.random((rows, N)).argsort(axis=1).argsort(axis=1)
+        packed = np.packbits(ranks < k[:, None], axis=1, bitorder="little")
+        local = [int.from_bytes(row.tobytes(), "little") for row in packed]
+        plus += [a << s for a, s in zip(local, shifts)]
+        minus += [(full ^ a) << s for a, s in zip(local, shifts)]
+    return plus, minus
+
+
 def sample(dist, rng) -> Edit:
     """One edit drawn by its weight: a block draw of size 1."""
-    ((plus, minus),) = dist._draw(rng, 1)
+    (plus,), (minus,) = draw_masks(dist, rng, 1)
     return Edit(dist.m, plus, minus)
 
 

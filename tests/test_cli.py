@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from editwalk import EdgeSet, build_chain, complete_graph, moran_weights, simple_edit_weights
 from editwalk.cli import main
@@ -532,3 +534,27 @@ def test_serialize_round_trips(tmp_path):
     write_jsonl(tmp_path / "t.jsonl", meta, iter([{"t": 0}, '{"t": 1}']))  # str: pre-encoded
     m3, records = read_jsonl(tmp_path / "t.jsonl")
     assert m3 == meta and records == [{"t": 0}, {"t": 1}]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=6) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES, st.integers(0, 3))
+def test_write_json_lays_out_values_as_json_indent2(tmp_path_factory, value, depth):
+    from editwalk.serialize import _dumps_indent2, write_json
+
+    assert _dumps_indent2(value, depth) == json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+    meta = {"version": "0.1.0", "seed": 3}
+    path = tmp_path_factory.mktemp("json") / "t.json"
+    expected = json.dumps({"meta": meta, "data": value}, indent=2) + "\n"
+    write_json(path, meta, value)
+    assert path.read_text() == expected
+    items = list(value) if isinstance(value, (list, tuple)) else [value]
+    write_json(path, meta, iter(items))
+    assert path.read_text() == json.dumps({"meta": meta, "data": items}, indent=2) + "\n"

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import recurrent_class_by_state
+from oracles import draw_masks, recurrent_class_by_state
 from test_random_families import seeded_families
 
 import editwalk as ew
@@ -63,7 +63,7 @@ def test_arrays_are_built_from_the_items():
 def test_draws_are_python_ints(m):
     g = ew.from_edge_list(m, [(i, (i + 1) % m) for i in range(m)])
     dist = ew.simple_edit_weights(g, 0.5)
-    draws = list(dist._draw(ew.make_rng(3), 50))
+    draws = list(zip(*draw_masks(dist, ew.make_rng(3), 50)))
     assert all(type(plus) is int and type(minus) is int for plus, minus in draws)
     edits = {(e.plus, e.minus) for e, _ in dist.items}
     assert set(draws) <= edits

@@ -228,6 +228,25 @@ def test_multiplicities_k3_moran_frozen_values():
     assert report.total_multiplicity == 6
 
 
+def test_multiplicities_read_the_support_masses_once(monkeypatch):
+    from editwalk import recurrent_class
+    from editwalk.process import WeightedEdits
+
+    k4 = complete_graph(4)
+    dist = moran_weights(k4)
+    generators = [e for e, _ in dist.items]
+    lat = closure([supp(e) for e in generators])
+    reps = representatives_for(lat, generators)
+    states = recurrent_class(dist, k4)
+    expected = [(e.flat, e.eigenvalue) for e in multiplicities(lat, states, reps, dist).entries]
+    calls = []
+    masses = WeightedEdits.support_masses
+    monkeypatch.setattr(WeightedEdits, "support_masses", lambda self: calls.append(1) or masses(self))
+    report = multiplicities(lat, states, reps, dist)
+    assert len(calls) == 1 and len(lat.flats) > 1
+    assert [(e.flat, e.eigenvalue) for e in report.entries] == expected
+
+
 def test_uninverted_identity():
     # sum of multiplicities over flats above X equals the chamber count above X
     k4 = complete_graph(4)

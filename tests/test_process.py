@@ -33,7 +33,7 @@ from editwalk.errors import (
     ValidationError,
 )
 from editwalk.process import AliasSampler, WeightedEdits
-from oracles import moran_weights_per_edge, sample, step
+from oracles import draw_masks, moran_weights_per_edge, sample, step
 
 PATH2 = from_edge_list(3, [(0, 1), (1, 2)])
 
@@ -159,7 +159,7 @@ class TestIntersectionWeights:
         explicit = intersection_weights(n, N, mu)
         rng = make_rng(123)
         draws = 100_000
-        counts = Counter(zip(*lazy.lazy.draw(rng, draws)))
+        counts = Counter(zip(*draw_masks(lazy, rng, draws)))
         for edit, w in explicit.items:
             w = float(w)
             sigma = (draws * w * (1 - w)) ** 0.5
