@@ -7,20 +7,7 @@ closed-form eigensystems, mixing bounds, and hitting/commute times.
 
 __version__ = "0.1.0"
 
-from .edits import (
-    Edit,
-    Sign,
-    apply,
-    chamber_of,
-    compose,
-    format_edit,
-    leq,
-    parse_edit,
-    prec,
-    simple_edit,
-    state_of,
-    supp,
-)
+from .edits import Edit, Sign, compose, format_edit, parse_edit, simple_edit
 from .hostgraph import (
     EdgeSet,
     HostGraph,
@@ -38,9 +25,7 @@ from .lattice import (
     SpectrumReport,
     SupportLattice,
     closure,
-    eigenvalue,
     multiplicities,
-    representatives_for,
 )
 from .process import (
     Trajectory,

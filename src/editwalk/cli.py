@@ -249,9 +249,8 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
         edits_spec = params.get("edits")
         if not isinstance(edits_spec, list) or not edits_spec:
             raise ValidationError('model "custom" needs a non-empty "edits" list')
-        items = tuple(_custom_edit(entry, host.m, exact, f"model.edits[{i}]")
-                      for i, entry in enumerate(edits_spec))
-        weights = WeightedEdits(host.m, items)
+        weights = WeightedEdits.from_items(host.m, (_custom_edit(entry, host.m, exact, f"model.edits[{i}]")
+                                                    for i, entry in enumerate(edits_spec)))
     else:
         raise ValidationError(f"unknown model name {name!r}")
 

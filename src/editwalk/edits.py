@@ -1,4 +1,4 @@
-"""The graph edit semigroup: reduced edits, products, and chamber states.
+"""The graph edit semigroup: reduced edits, products, and their notation.
 
 An edit is a partial assignment of signs to host edges: + means the edge
 is forced present, - means forced absent. Applying an edit is idempotent
@@ -10,6 +10,8 @@ left-regular-band structure everything downstream relies on:
 Edits are stored in reduced form as a pair of disjoint bitmasks, so
 structural equality and hashing are canonical. Total edits (every edge
 signed) are the chambers and correspond bijectively to subgraph states.
+The engine itself reads edits as mask arrays (`WeightedEdits.plus` and
+`.minus`); an `Edit` is what the custom model's text parses into.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import EdgeOutOfRange, HostMismatch, NotAChamber, ValidationError
-from .hostgraph import EdgeSet
+from .errors import EdgeOutOfRange, HostMismatch, ValidationError
 
 
 class Sign(enum.Enum):
@@ -86,45 +87,6 @@ def compose(x: Edit, y: Edit) -> Edit:
         raise HostMismatch(f"edge counts differ: {x.m} != {y.m}")
     free = ~x.support_mask
     return Edit(x.m, x.plus | (y.plus & free), x.minus | (y.minus & free))
-
-
-def apply(x: Edit, state: EdgeSet) -> EdgeSet:
-    """Act on a state: force the + edges in and the - edges out."""
-    return EdgeSet(state.m, (state.mask_on(x.m) | x.plus) & ~x.minus)
-
-
-def supp(x: Edit) -> EdgeSet:
-    """Edges the edit acts on; a homomorphism onto the union semilattice."""
-    return EdgeSet(x.m, x.support_mask)
-
-
-def leq(x: Edit, y: Edit) -> bool:
-    """Sign-refinement order: y agrees with x everywhere x acts."""
-    if x.m != y.m:
-        raise HostMismatch(f"edge counts differ: {x.m} != {y.m}")
-    s = x.support_mask
-    return (y.plus & s) == x.plus and (y.minus & s) == x.minus
-
-
-def prec(x: Edit, y: Edit) -> bool:
-    """Support preorder: x acts only on edges y also acts on."""
-    if x.m != y.m:
-        raise HostMismatch(f"edge counts differ: {x.m} != {y.m}")
-    return x.support_mask & ~y.support_mask == 0
-
-
-def chamber_of(state: EdgeSet) -> Edit:
-    """Total edit fixing exactly this subgraph: + on the state, - elsewhere."""
-    full = (1 << state.m) - 1
-    return Edit(state.m, state.mask, full & ~state.mask)
-
-
-def state_of(c: Edit) -> EdgeSet:
-    """Inverse of chamber_of; rejects edits that leave any edge unsigned."""
-    if not c.is_chamber:
-        missing = EdgeSet(c.m, ((1 << c.m) - 1) & ~c.support_mask)
-        raise NotAChamber(f"no sign assigned on edges {missing.indices()}")
-    return EdgeSet(c.m, c.plus)
 
 
 def format_edit(x: Edit) -> str:

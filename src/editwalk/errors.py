@@ -41,14 +41,6 @@ class NotAChamber(ValidationError):
     """Edit does not assign a sign to every host edge."""
 
 
-class NotAFlat(ValidationError):
-    pass
-
-
-class BadRepresentative(ValidationError):
-    """Representative edit's support does not equal its flat."""
-
-
 class ProbabilityOutOfRange(ValidationError):
     """Edge probabilities must lie strictly between 0 and 1."""
 

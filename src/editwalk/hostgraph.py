@@ -39,6 +39,13 @@ def mask_dtype(m: int):
     return np.uint64 if m <= 64 else object
 
 
+def _popcount(masks: np.ndarray) -> np.ndarray:
+    """Set bits of every mask, as int64."""
+    if masks.dtype == object:
+        return np.array([int(x).bit_count() for x in masks], dtype=np.int64)
+    return np.bitwise_count(masks).astype(np.int64)
+
+
 def find_mask(masks: np.ndarray, mask: int) -> int:
     """Index of `mask` in an ascending mask array by binary search, or -1."""
     at = int(np.searchsorted(masks, mask))

@@ -7,129 +7,100 @@ whose support lies inside X. The chamber counts satisfy
 c_X = sum over flats Y >= X of m_Y, so the multiplicities m_X follow by
 back-substitution over the flat order, from the top flat down.
 
+Flats are masks, and each carries one representative: a product of
+generators whose support is the flat, kept as its + mask. Any such product
+serves, since c -> yc maps the chambers above one representative one to one
+onto those above another of the same support (Brown 2000). The closure
+builds the representatives as it goes, by the backward-product step
+F.y = (F+ | y+ & ~S_F, F- | y- & ~S_F) that the face recursion also takes.
+
 Chamber counts and multiplicities are exact integers throughout; eigenvalues
-stay exact rationals whenever the driving weights are rational.
+are exact rationals whenever the driving weights are rational, and otherwise
+the exact sum of the float weights rounded once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
 
 import numpy as np
 
-from .edits import Edit, compose
-from .errors import STATE_CAP, BadRepresentative, HostMismatch, NotAFlat, ValidationError, check_cap
-from .hostgraph import EdgeSet, mask_dtype
+from .errors import STATE_CAP, HostMismatch, ValidationError, check_cap
+from .hostgraph import EdgeSet, _popcount
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SupportLattice:
     """Union-closed family of edge sets containing the empty set.
 
-    flats are sorted by (cardinality, bitmask) for deterministic iteration.
-    witnesses maps each flat's mask to a tuple of generator indices whose
-    supports union to that flat (empty tuple for the bottom).
+    `flats` is a read-only mask array sorted by (cardinality, mask), and
+    `signs[i]` the + mask of a representative edit whose support is
+    `flats[i]`; both have the dtype of the generators' masks.
     """
 
     m: int
-    flats: tuple[EdgeSet, ...]
-    generator_supports: tuple[EdgeSet, ...]
-    witnesses: dict[int, tuple[int, ...]]
-    _index: dict[int, int] = field(repr=False, default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self._index.update({x.mask: i for i, x in enumerate(self.flats)})
-
-    @property
-    def top(self) -> EdgeSet:
-        return self.flats[-1]
-
-    @property
-    def bottom(self) -> EdgeSet:
-        return self.flats[0]
+    flats: np.ndarray
+    signs: np.ndarray
 
     def __len__(self) -> int:
         return len(self.flats)
 
-    def __contains__(self, x: EdgeSet) -> bool:
-        return x.m == self.m and x.mask in self._index
 
-    def index_of(self, x: EdgeSet) -> int:
-        if x.m != self.m or x.mask not in self._index:
-            raise NotAFlat(f"{x!r} is not a flat of this lattice")
-        return self._index[x.mask]
+def _backward_step(plus, minus, y_plus, y_minus):
+    """The product F.y of faces F with edits y (arrays that broadcast): F
+    keeps its signs and y adds its own outside F's support."""
+    free = ~(plus | minus)
+    return plus | y_plus & free, minus | y_minus & free
 
 
-def closure(supports: Sequence[EdgeSet], cap: int = STATE_CAP) -> SupportLattice:
-    """Union-closure of the given supports, seeded with the empty set.
+def closure(dist, cap: int = STATE_CAP) -> SupportLattice:
+    """Union-closure of the supports of `dist`'s edits, seeded with the
+    empty set, with one representative per flat.
 
-    Raises CapExceeded when the closure would exceed `cap` flats.
+    Level by level: every flat found in the last level is multiplied by one
+    edit of each distinct support, and binary search in the sorted known
+    flats drops the products whose support is already a flat. Raises
+    CapExceeded when the closure would exceed `cap` flats, checked per level.
     """
-    if not supports:
+    supports = dist.supports
+    if not len(supports):
         raise ValidationError("need at least one generator support")
-    m = supports[0].m
-    for s in supports:
-        if s.m != m:
-            raise ValidationError("generator supports disagree on host edge count")
-
-    witnesses: dict[int, tuple[int, ...]] = {0: ()}
-    frontier = [0]
-    for i, s in enumerate(supports):
-        if s.mask not in witnesses:
-            witnesses[s.mask] = (i,)
-            frontier.append(s.mask)
-
-    # Saturate: union every known flat with every generator support until no
-    # new masks appear. Generator-wise closure suffices because every union
-    # of flats is a union of generator supports.
-    while frontier:
-        x = frontier.pop()
-        for i, s in enumerate(supports):
-            u = x | s.mask
-            if u not in witnesses:
-                check_cap(len(witnesses) + 1, cap, "support-closure flats")
-                witnesses[u] = witnesses[x] + (i,)
-                frontier.append(u)
-
-    flats = tuple(
-        EdgeSet(m, mask)
-        for mask in sorted(witnesses, key=lambda v: (v.bit_count(), v))
-    )
-    return SupportLattice(
-        m=m,
-        flats=flats,
-        generator_supports=tuple(supports),
-        witnesses=witnesses,
-    )
+    _, first = np.unique(supports, return_index=True)
+    y_plus, y_minus = dist.plus[first], dist.minus[first]
+    seen = plus = minus = np.zeros(1, supports.dtype)
+    flats, signs = [seen], [plus]
+    while len(plus):
+        plus, minus = (a.ravel() for a in _backward_step(plus[:, None], minus[:, None], y_plus, y_minus))
+        reach = plus | minus
+        at = np.minimum(np.searchsorted(seen, reach), len(seen) - 1)
+        new = np.flatnonzero(seen[at] != reach)
+        reach, keep = np.unique(reach[new], return_index=True)
+        plus, minus = plus[new[keep]], minus[new[keep]]
+        check_cap(len(seen) + len(reach), cap, "support-closure flats")
+        seen = np.insert(seen, np.searchsorted(seen, reach), reach)
+        flats.append(reach)
+        signs.append(plus)
+    flats, signs = np.concatenate(flats), np.concatenate(signs)
+    order = np.lexsort((flats, _popcount(flats)))
+    flats, signs = flats[order], signs[order]
+    flats.flags.writeable = signs.flags.writeable = False
+    return SupportLattice(dist.m, flats, signs)
 
 
-def _support_masses(dist) -> Mapping[int, object]:
-    """Accept a WeightedEdits or a plain {support mask: weight} mapping."""
-    masses = getattr(dist, "support_masses", None)
-    if callable(masses):
-        return masses()
-    if isinstance(dist, Mapping):
-        return dist
-    raise ValidationError(f"cannot read support masses from {type(dist).__name__}")
-
-
-def eigenvalue(lat: SupportLattice, x: EdgeSet, dist):
-    """Total weight of generators whose support lies inside the flat X.
-
-    The bottom flat collects only weight carried by identity-support edits;
-    the top flat always evaluates to the full mass 1.
-    """
-    lat.index_of(x)  # raises NotAFlat
-    exact = True
-    acc = 0
-    for mask, w in _support_masses(dist).items():
-        if mask & ~x.mask == 0:
-            acc += w
-            if not isinstance(w, (Fraction, int)):
-                exact = False
-    return Fraction(acc) if exact else float(acc)
+def _eigenvalues(dist, flats: np.ndarray) -> list:
+    """Total weight of the edits whose support lies inside each flat. The
+    sum is exact: a Fraction when every weight is rational, else the exact
+    sum of the weights rounded once to a float, so a flat holding every
+    edit reads exactly 1 whenever the weights sum to 1 exactly."""
+    exact = [Fraction(w) for w in dist.weights]
+    den = math.lcm(*(w.denominator for w in exact))
+    supports, where = np.unique(dist.supports, return_inverse=True)
+    mass = np.zeros(len(supports), dtype=object)
+    np.add.at(mass, where.ravel(), [w.numerator * (den // w.denominator) for w in exact])
+    inside = ((supports & ~flats[:, None]) == 0).astype(object)
+    return [Fraction(t, den) if dist.is_exact else t / den for t in (inside @ mass).tolist()]
 
 
 @dataclass(frozen=True)
@@ -187,60 +158,24 @@ class SpectrumReport:
         return [dict(zip(keys, row)) for row in self.to_csv_rows()]
 
 
-def representatives_for(
-    lat: SupportLattice, generators: Sequence[Edit]
-) -> dict[EdgeSet, Edit]:
-    """One edit per flat with support equal to that flat, built by composing
-    the closure witnesses. The bottom flat maps to the identity edit."""
-    if len(generators) != len(lat.generator_supports):
-        raise ValidationError(
-            "generator list does not match the lattice's support list"
-        )
-    reps: dict[EdgeSet, Edit] = {}
-    for flat in lat.flats:
-        edit = Edit.identity(lat.m)
-        for i in lat.witnesses[flat.mask]:
-            edit = compose(edit, generators[i])
-        if edit.support_mask != flat.mask:
-            raise BadRepresentative(
-                f"witness composition has support {edit.support_mask:#x}, "
-                f"expected {flat.mask:#x}"
-            )
-        reps[flat] = edit
-    return reps
-
-
-def multiplicities(
-    lat: SupportLattice,
-    masks: np.ndarray,
-    representatives: Mapping[EdgeSet, Edit],
-    dist=None,
-) -> SpectrumReport:
+def multiplicities(lat: SupportLattice, masks: np.ndarray, dist=None) -> SpectrumReport:
     """Eigenvalue multiplicities by back-substitution over the flat order.
 
     `masks` is the recurrent class, as the mask array of dtype
     `mask_dtype(lat.m)` that `recurrent_class` returns; a mask with bits
     outside the host raises HostMismatch. Each state is a chamber: the total
     edit with + on the state's edges and - elsewhere. For each flat X, c_X
-    counts chambers whose signs extend a representative edit with support
-    X. Since c_X = sum over flats Y >= X of m_Y, and flats are sorted by
-    size, one pass from the top gives every multiplicity:
+    counts chambers whose signs extend the flat's representative. Since
+    c_X = sum over flats Y >= X of m_Y, and flats are sorted by size, one
+    pass from the top gives every multiplicity:
     m_X = c_X - sum over flats Y > X of m_Y. The multiplicities sum back to
     the chamber count (the walk's dimension). When `dist` is given, each
     entry also carries its eigenvalue.
     """
-    for flat in lat.flats:
-        rep = representatives[flat]
-        if rep.support_mask != flat.mask:
-            raise BadRepresentative(
-                f"representative support {rep.support_mask:#x} != flat {flat.mask:#x}"
-            )
     if len(masks) and (masks.min() < 0 or int(masks.max()) >> lat.m):
         raise HostMismatch(f"state masks must lie on the lattice's host of {lat.m} edges")
 
-    dtype = mask_dtype(lat.m)
-    flats = np.array([x.mask for x in lat.flats], dtype=dtype)
-    signs = np.array([representatives[x].plus for x in lat.flats], dtype=dtype)
+    flats, signs = lat.flats, lat.signs
     mults = np.zeros(len(flats), dtype=np.int64)
     for i in reversed(range(len(flats))):
         x = flats[i]
@@ -250,14 +185,14 @@ def multiplicities(
         mults[i] = count - mults[i + 1 :][(flats[i + 1 :] & x) == x].sum()
         if mults[i] < 0:
             raise ValidationError(
-                f"negative multiplicity {mults[i]} at flat {lat.flats[i].hex()}; "
+                f"negative multiplicity {mults[i]} at flat {int(x):#x}; "
                 "mask array is not the full recurrent class"
             )
 
-    masses = None if dist is None else _support_masses(dist)  # built once for every flat
+    values = [None] * len(flats) if dist is None else _eigenvalues(dist, flats)
     report = SpectrumReport(tuple(
-        SpectrumEntry(flat, None if masses is None else eigenvalue(lat, flat, masses), int(mult))
-        for flat, mult in zip(lat.flats, mults)
+        SpectrumEntry(EdgeSet(lat.m, x), value, int(mult))
+        for x, value, mult in zip(flats.tolist(), values, mults)
     ))
     if report.total_multiplicity != len(masks):
         raise ValidationError(

@@ -11,9 +11,11 @@ Built-in models:
   size from mu then a uniform subset of that size.
 
 Weights stay exact Fractions when the inputs are rational. A distribution
-keeps its edits as two mask arrays, `plus` and `minus` (uint64 up to 64
-edges, Python ints above), built once when it is validated; the sampler
-and every enumeration read those arrays. Edits do not depend on the state,
+is its edits as two mask arrays, `plus` and `minus` (uint64 up to 64
+edges, Python ints above), and their `weights`: the builders write the
+arrays directly, validation reads them in numpy, and the sampler and every
+enumeration read them; an `Edit` is built only for the `items` view and
+read only by `from_items`. Edits do not depend on the state,
 so one kernel (`_walk`, behind `simulate` and `empirical_distribution`)
 draws them ahead in numpy blocks, from a Vose alias table or the lazy
 closed form, and applies them to raw bitmasks. Block sizes depend only on
@@ -34,18 +36,20 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
 
-from .edits import Edit, Sign, simple_edit
+from .edits import Edit
 from .errors import (
     STATE_CAP,
     BadDistribution,
+    EdgeOutOfRange,
     EmptyEdgeSet,
+    LengthMismatch,
     ProbabilityOutOfRange,
     ValidationError,
     check_cap,
@@ -214,51 +218,73 @@ class _EditTable:
         return ints[0::2], ints[1::2]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedEdits:
     """Finite probability distribution over edits driving the walk.
 
-    `items` lists the (edit, weight) pairs. Validation also builds the one
-    representation the engine reads: the mask arrays `plus` and `minus`
-    (edit k forces plus[k] in and minus[k] out) and the `weights` in item
-    order. A lazy distribution has no items and empty arrays."""
+    Edit k forces plus[k] in and minus[k] out and has weight weights[k]; the
+    mask arrays have dtype `mask_dtype(m)`. A lazy distribution has empty
+    arrays and draws its edits from `lazy`. `from_items` builds one from
+    (Edit, weight) pairs, and `items` lists them back."""
 
     m: int
-    items: tuple[tuple[Edit, object], ...]
+    plus: np.ndarray
+    minus: np.ndarray
+    weights: tuple
     lazy: LazySpec | None = None
-    plus: np.ndarray = field(init=False, repr=False, compare=False)
-    minus: np.ndarray = field(init=False, repr=False, compare=False)
-    weights: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.lazy is None and not self.items:
+        try:
+            plus, minus = (np.array(a, mask_dtype(self.m)) for a in (self.plus, self.minus))
+        except OverflowError:  # a negative mask, or one past 64 bits in uint64
+            raise EdgeOutOfRange(f"edit touches edges outside the {self.m} host edges") from None
+        object.__setattr__(self, "plus", plus)
+        object.__setattr__(self, "minus", minus)
+        object.__setattr__(self, "weights", tuple(self.weights))
+        if not len(plus) == len(minus) == len(self.weights):
+            raise LengthMismatch("plus, minus and weights differ in length")
+        if self.lazy is None and not self.weights:
             raise BadDistribution("explicit distribution needs at least one edit")
-        plus, minus, weights = [], [], []
-        for edit, w in self.items:
-            if edit.m != self.m:
-                raise ValidationError("edit host size disagrees with distribution")
-            if w <= 0:
-                raise BadDistribution(f"weight {w} is not strictly positive")
-            plus.append(edit.plus)
-            minus.append(edit.minus)
-            weights.append(w)
-        for name, masks in (("plus", plus), ("minus", minus)):
-            object.__setattr__(self, name, np.array(masks, mask_dtype(self.m)))
-        object.__setattr__(self, "weights", tuple(weights))
+        overlap = plus & minus
+        if overlap.any():
+            raise ValidationError(f"plus and minus masks overlap on {int(overlap[overlap != 0][0]):#x}")
+        if len(plus) and any(a.min() < 0 or int(a.max()) >> self.m for a in (plus, minus)):
+            raise EdgeOutOfRange(f"edit touches edges outside the {self.m} host edges")
         if self.lazy is not None:
             return
-        total = sum(self.weights)
-        if self.is_exact:
-            if total != 1:
-                raise BadDistribution(f"weights sum to {total}, expected exactly 1")
-        elif abs(float(total) - 1.0) > WEIGHT_SUM_TOL:
+        if self.is_exact:  # as integers over the common denominator, far faster than Fractions
+            den = math.lcm(*(w.denominator for w in self.weights))
+            nums = [w.numerator * (den // w.denominator) for w in self.weights]
+        else:
+            den, nums = 1, self.weights
+        if not min(nums) > 0:
+            bad = next(w for w in self.weights if not w > 0)
+            raise BadDistribution(f"weight {bad} is not strictly positive")
+        total = sum(nums)
+        if self.is_exact and total != den:
+            raise BadDistribution(f"weights sum to {Fraction(total, den)}, expected exactly 1")
+        if not self.is_exact and not abs(float(total) - 1.0) <= WEIGHT_SUM_TOL:
             raise BadDistribution(f"weights sum to {float(total)!r}, expected 1")
+
+    @classmethod
+    def from_items(cls, m: int, items: Iterable[tuple[Edit, object]]) -> WeightedEdits:
+        """The distribution over (Edit, weight) pairs, in their order."""
+        items = tuple(items)
+        if any(edit.m != m for edit, _ in items):
+            raise ValidationError("edit host size disagrees with distribution")
+        return cls(m, [e.plus for e, _ in items], [e.minus for e, _ in items], [w for _, w in items])
+
+    @cached_property
+    def items(self) -> tuple[tuple[Edit, object], ...]:
+        """The (Edit, weight) pairs, built when first read."""
+        return tuple((Edit(self.m, plus, minus), w) for plus, minus, w
+                     in zip(self.plus.tolist(), self.minus.tolist(), self.weights))
 
     @property
     def is_lazy(self) -> bool:
         return self.lazy is not None
 
-    @property
+    @cached_property
     def is_exact(self) -> bool:
         return not self.is_lazy and all(map(_is_exact, self.weights))
 
@@ -284,14 +310,16 @@ class WeightedEdits:
 
 def simple_edit_weights(g: HostGraph, p) -> WeightedEdits:
     """Per-edge distribution: force edge e present with weight p_e/m and
-    absent with weight (1-p_e)/m, so each edge is examined uniformly."""
+    absent with weight (1-p_e)/m, so each edge is examined uniformly.
+    Edit 2e forces edge e in, edit 2e + 1 forces it out."""
     probs = _per_edge_probabilities(g, p)
     m = g.m
-    items: list[tuple[Edit, object]] = []
-    for e, pe in enumerate(probs):
-        items.append((simple_edit(e, Sign.PLUS, m), pe / m))
-        items.append((simple_edit(e, Sign.MINUS, m), (1 - pe) / m))
-    return WeightedEdits(m, tuple(items))
+    bits = np.array([1 << e for e in range(m)], mask_dtype(m))
+    plus, minus = np.zeros(2 * m, bits.dtype), np.zeros(2 * m, bits.dtype)
+    plus[0::2] = minus[1::2] = bits
+    weights = [None] * (2 * m)
+    weights[0::2], weights[1::2] = [pe / m for pe in probs], [(1 - pe) / m for pe in probs]
+    return WeightedEdits(m, plus, minus, weights)
 
 
 def _per_edge_probabilities(g: HostGraph, p) -> list:
@@ -311,10 +339,12 @@ def moran_weights(g: HostGraph) -> WeightedEdits:
     clearing every edge at u and then restoring {u, v}, with weight 1/(2m)."""
     if g.m == 0:
         raise EmptyEdgeSet("host graph has no edges")
-    w = Fraction(1, 2 * g.m)
-    stars = [sum(1 << e for e, edge in enumerate(g.edges) if v in edge) for v in range(g.n)]
-    return WeightedEdits(g.m, tuple((Edit(g.m, 1 << e, stars[src] & ~(1 << e)), w)
-                                    for e, edge in enumerate(g.edges) for src in edge))
+    m = g.m
+    plus = np.repeat(np.array([1 << e for e in range(m)], mask_dtype(m)), 2)
+    source = np.array(g.edges).ravel()  # edit 2e has source u, edit 2e + 1 source v
+    stars = np.zeros(g.n, plus.dtype)
+    np.bitwise_or.at(stars, source, plus)
+    return WeightedEdits(m, plus, stars[source] & ~plus, [Fraction(1, 2 * m)] * (2 * m))
 
 
 def intersection_weights(
@@ -367,23 +397,21 @@ def intersection_weights(
             np.put_along_axis(bits, order, np.arange(N) < k[:, None], axis=1)
             return star, bits
 
-        return WeightedEdits(m, (), LazySpec(draw, n, N, masses, max(1, LAZY_BLOCK_CELLS // N)))
+        return WeightedEdits(m, (), (), (), LazySpec(draw, n, N, masses, max(1, LAZY_BLOCK_CELLS // N)))
 
     if mode != "explicit":
         raise ValidationError(f"mode must be 'explicit' or 'lazy', got {mode!r}")
     check_cap(n << N, cap, f"{n}*2^{N} explicit intersection edits")
-    items: list[tuple[Edit, object]] = []
     by_size = [Fraction(x, n * math.comb(N, k)) if _is_exact(x) else float(x) / (n * math.comb(N, k))
                for k, x in enumerate(mu)]
-    for v in range(n):
-        star = star_masks[v]
-        for a in range(1 << N):
-            plus = a << (v * N)  # right vertex u is edge v*N + u
-            w = by_size[a.bit_count()]
-            if w == 0:
-                continue
-            items.append((Edit(m, plus, star & ~plus), w))
-    return WeightedEdits(m, tuple(items))
+    # edit (v, A) rewires left vertex v to the right set A: right vertex u is
+    # edge v*N + u, so the edit is A and its complement in block v
+    local = np.arange(1 << N, dtype=np.int64)
+    weight = np.array(by_size, dtype=object)[np.bitwise_count(local)]
+    local = local[weight != 0].astype(mask_dtype(m))
+    plus = np.concatenate([local << v * N for v in range(n)])
+    minus = np.concatenate([(((1 << N) - 1) ^ local) << v * N for v in range(n)])
+    return WeightedEdits(m, plus, minus, weight[weight != 0].tolist() * n)
 
 
 def intersection_host(n: int, N: int) -> HostGraph:

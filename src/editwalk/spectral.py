@@ -43,15 +43,8 @@ from .errors import (
     ValidationError,
     check_cap,
 )
-from .hostgraph import EdgeSet, HostGraph, find_mask, mask_dtype
-from .lattice import (
-    SpectrumEntry,
-    SpectrumReport,
-    SupportLattice,
-    closure,
-    multiplicities,
-    representatives_for,
-)
+from .hostgraph import EdgeSet, HostGraph, _popcount, find_mask, mask_dtype
+from .lattice import SpectrumEntry, SpectrumReport, _backward_step, closure, multiplicities
 from .process import WeightedEdits, _is_exact, _kron, _per_edge_probabilities
 
 REVERSIBILITY_TOL = 1e-10
@@ -357,12 +350,9 @@ def stationary_faces(
 def _face_moves(plus, minus, mass, dist, w):
     """Each face's moves to F.y over the edits y leaving its support,
     grouped by the support size they reach: (size, (plus, minus, mass))."""
-    plus_y, minus_y = dist.plus, dist.minus
-    support = plus | minus
-    f, y = np.nonzero(dist.supports & ~support[:, None])
+    f, y = np.nonzero(dist.supports & ~(plus | minus)[:, None])
     out = _sum_at(f, w[y], len(mass))
-    free = ~support[f]
-    moved = (plus[f] | plus_y[y] & free, minus[f] | minus_y[y] & free,
+    moved = (*_backward_step(plus[f], minus[f], dist.plus[y], dist.minus[y]),
              mass[f] * w[y] / out[f])  # an exact mass is a Fraction, so Fraction * int / int
     reach = _popcount(moved[0] | moved[1])
     order = np.argsort(reach, kind="stable")
@@ -393,12 +383,6 @@ def _sum_at(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     return total
 
 
-def _popcount(masks: np.ndarray) -> np.ndarray:
-    if masks.dtype == object:
-        return np.array([int(x).bit_count() for x in masks], dtype=np.int64)
-    return np.bitwise_count(masks).astype(np.int64)
-
-
 # ---------------------------------------------------------------------------
 # spectra
 # ---------------------------------------------------------------------------
@@ -422,7 +406,6 @@ def eigenvalues_simple(m: int, cap: int = STATE_CAP) -> SpectrumReport:
 def spectrum(
     dist: WeightedEdits,
     g: HostGraph,
-    lat: SupportLattice | None = None,
     initial: EdgeSet | None = None,
     cap: int = STATE_CAP,
     masks: np.ndarray | None = None,
@@ -433,12 +416,10 @@ def spectrum(
     `masks` is the recurrent class when the caller already has it, such as
     a chain's masks; otherwise it is enumerated."""
     _explicit(dist, g)
-    if lat is None:
-        lat = closure([EdgeSet(g.m, mask) for mask in dist.supports.tolist()], cap=cap)
+    lat = closure(dist, cap=cap)
     if masks is None:
         masks = recurrent_class(dist, g, initial, cap)
-    reps = representatives_for(lat, [e for e, _ in dist.items])
-    return multiplicities(lat, masks, reps, dist)
+    return multiplicities(lat, masks, dist)
 
 
 def numeric_eigenvalues(tm: TransitionMatrix, imag_tol: float = 1e-8) -> np.ndarray:

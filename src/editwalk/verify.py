@@ -145,9 +145,7 @@ def check_commute_backends(
 def check_closure_idempotent(dist: WeightedEdits, cap: int = STATE_CAP) -> CheckResult:
     """The flats are closed: the empty set, every generator support and the
     join flat | support of every flat with every support are flats."""
-    supports = dist.supports
-    lat = closure([EdgeSet(dist.m, mask) for mask in supports.tolist()], cap)
-    flats = np.array([x.mask for x in lat.flats], dtype=supports.dtype)
+    supports, flats = dist.supports, closure(dist, cap).flats
     joins = np.concatenate([np.zeros(1, supports.dtype), supports, (flats[:, None] | supports).ravel()])
     closed = bool(np.isin(joins, flats).all())
     return CheckResult("closure_idempotent", 0.0 if closed else 1.0, 0.0, closed)

@@ -33,10 +33,17 @@ time:
   edits in numpy;
 * the lazy intersection draw with each row's ranks from two argsorts and
   each edit built as a Python int, where the library scatters one sort
-  order back and hands the walk kernel star indices and bit rows.
+  order back and hands the walk kernel star indices and bit rows;
+* the weight builders one validated `Edit` at a time, where the library
+  writes the mask and weight arrays directly;
+* the support closure by a depth-first search over single flats, with each
+  flat's representative composed from the generators that reached it,
+  where the library closes a whole level of flats at once and carries the
+  representatives as mask arrays.
 
-It also keeps the helpers that only the tests use: the sign-table state
-order and permutations into it, a chain from a dense matrix, one walk step,
+It also keeps the helpers that only the tests use: the action of an edit
+on a state, its support, the two edit orders, chambers and their states,
+the sign-table state order and permutations into it, a chain from a dense matrix, one walk step,
 drawn edits as masks, and the weight of one edit of the lazy intersection
 model.
 
@@ -45,14 +52,31 @@ The tests compare the two.
 
 import json
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from editwalk.edits import Edit, apply, compose, leq
-from editwalk.errors import STATE_CAP, EditWalkError, NotIrreducible, ValidationError, check_cap
+from editwalk.edits import Edit, Sign, compose, simple_edit
+from editwalk.errors import (
+    STATE_CAP,
+    EditWalkError,
+    HostMismatch,
+    NotAChamber,
+    NotIrreducible,
+    ValidationError,
+    check_cap,
+)
 from editwalk.hostgraph import EdgeSet, mask_dtype, neighborhood_edges
-from editwalk.process import SAMPLER_VERSION, WeightedEdits, _walk, simulate
+from editwalk.lattice import SupportLattice
+from editwalk.process import (
+    SAMPLER_VERSION,
+    WeightedEdits,
+    _is_exact,
+    _per_edge_probabilities,
+    _walk,
+    simulate,
+)
 from editwalk.serialize import artifact_meta
 from editwalk.spectral import (
     TransitionMatrix,
@@ -64,8 +88,44 @@ from editwalk.spectral import (
 )
 
 
-def _is_exact(value) -> bool:
-    return isinstance(value, (Fraction, int))
+def apply(x: Edit, state: EdgeSet) -> EdgeSet:
+    """Act on a state: force the + edges in and the - edges out."""
+    return EdgeSet(state.m, (state.mask_on(x.m) | x.plus) & ~x.minus)
+
+
+def supp(x: Edit) -> EdgeSet:
+    """Edges the edit acts on; a homomorphism onto the union semilattice."""
+    return EdgeSet(x.m, x.support_mask)
+
+
+def leq(x: Edit, y: Edit) -> bool:
+    """Sign-refinement order: y agrees with x everywhere x acts."""
+    if x.m != y.m:
+        raise HostMismatch(f"edge counts differ: {x.m} != {y.m}")
+    s = x.support_mask
+    return (y.plus & s) == x.plus and (y.minus & s) == x.minus
+
+
+def prec(x: Edit, y: Edit) -> bool:
+    """Support preorder: x acts only on edges y also acts on."""
+    if x.m != y.m:
+        raise HostMismatch(f"edge counts differ: {x.m} != {y.m}")
+    return x.support_mask & ~y.support_mask == 0
+
+
+def chamber_of(state: EdgeSet) -> Edit:
+    """Total edit fixing exactly this subgraph: + on the state, - elsewhere."""
+    full = (1 << state.m) - 1
+    return Edit(state.m, state.mask, full & ~state.mask)
+
+
+def state_of(c: Edit) -> EdgeSet:
+    """Inverse of chamber_of; rejects edits that leave any edge unsigned."""
+    if not c.is_chamber:
+        missing = EdgeSet(c.m, ((1 << c.m) - 1) & ~c.support_mask)
+        raise NotAChamber(f"no sign assigned on edges {missing.indices()}")
+    return EdgeSet(c.m, c.plus)
+
 
 
 def _probabilities(g, p) -> list:
@@ -347,7 +407,7 @@ def moran_weights_per_edge(g) -> WeightedEdits:
             star = neighborhood_edges(g, src).mask
             keep = 1 << g.index_of(src, dst)
             items.append((Edit(g.m, keep, star & ~keep), w))
-    return WeightedEdits(g.m, tuple(items))
+    return WeightedEdits.from_items(g.m, items)
 
 
 def sign_lex_order(m: int) -> list[int]:
@@ -456,3 +516,109 @@ def lazy_intersection_weight(n: int, N: int, mu, edit: Edit) -> float:
     """Weight of one edit of the intersection model: mu(|A|) / (n C(N, |A|))."""
     k = edit.plus.bit_count()
     return float(mu[k]) / (n * math.comb(N, k))
+
+
+def simple_edit_weights_by_edit(g, p) -> WeightedEdits:
+    """The per-edge distribution built one `simple_edit` at a time: + then -
+    on each edge, with weights p_e/m and (1-p_e)/m."""
+    probs = _per_edge_probabilities(g, p)
+    items = []
+    for e, pe in enumerate(probs):
+        items.append((simple_edit(e, Sign.PLUS, g.m), pe / g.m))
+        items.append((simple_edit(e, Sign.MINUS, g.m), (1 - pe) / g.m))
+    return WeightedEdits.from_items(g.m, items)
+
+
+def intersection_weights_by_edit(n: int, N: int, mu) -> WeightedEdits:
+    """The explicit intersection distribution one `Edit` per (left vertex,
+    right subset) pair, zero-weight subsets left out."""
+    m = n * N
+    by_size = [Fraction(x, n * math.comb(N, k)) if _is_exact(x) else float(x) / (n * math.comb(N, k))
+               for k, x in enumerate(mu)]
+    items = []
+    for v in range(n):
+        star = ((1 << N) - 1) << (v * N)
+        for a in range(1 << N):
+            plus = a << (v * N)
+            if by_size[a.bit_count()] != 0:
+                items.append((Edit(m, plus, star & ~plus), by_size[a.bit_count()]))
+    return WeightedEdits.from_items(m, items)
+
+
+@dataclass(frozen=True)
+class WitnessLattice:
+    """Flats as `EdgeSet`s sorted by (size, mask); `witnesses` maps each
+    flat's mask to the indices of generators whose supports union to it."""
+
+    m: int
+    flats: tuple
+    witnesses: dict
+    _index: dict = field(repr=False, default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self._index.update({x.mask: i for i, x in enumerate(self.flats)})
+
+    @property
+    def top(self) -> EdgeSet:
+        return self.flats[-1]
+
+    @property
+    def bottom(self) -> EdgeSet:
+        return self.flats[0]
+
+    def __len__(self) -> int:
+        return len(self.flats)
+
+    def index_of(self, x: EdgeSet) -> int:
+        return self._index[x.mask]
+
+
+def closure_by_witness(supports, cap: int = STATE_CAP) -> WitnessLattice:
+    """Union-closure of the given supports (EdgeSets) by a depth-first
+    search: every known flat is joined with every support until no new mask
+    appears. The supports themselves are seeded without a cap check."""
+    if not supports:
+        raise ValidationError("need at least one generator support")
+    m = supports[0].m
+    witnesses = {0: ()}
+    frontier = [0]
+    for i, s in enumerate(supports):
+        if s.mask not in witnesses:
+            witnesses[s.mask] = (i,)
+            frontier.append(s.mask)
+    while frontier:
+        x = frontier.pop()
+        for i, s in enumerate(supports):
+            u = x | s.mask
+            if u not in witnesses:
+                check_cap(len(witnesses) + 1, cap, "support-closure flats")
+                witnesses[u] = witnesses[x] + (i,)
+                frontier.append(u)
+    flats = tuple(EdgeSet(m, mask) for mask in sorted(witnesses, key=lambda v: (v.bit_count(), v)))
+    return WitnessLattice(m, flats, witnesses)
+
+
+def representatives_for(lat: WitnessLattice, generators, reverse: bool = False) -> dict:
+    """One edit per flat with support equal to that flat, composed from its
+    witnesses (in reverse order when `reverse`); the bottom flat maps to
+    the identity."""
+    reps = {}
+    for flat in lat.flats:
+        edit = Edit.identity(lat.m)
+        witnesses = lat.witnesses[flat.mask]
+        for i in reversed(witnesses) if reverse else witnesses:
+            edit = compose(edit, generators[i])
+        assert edit.support_mask == flat.mask
+        reps[flat] = edit
+    return reps
+
+
+def lattice_by_witness(dist, cap: int = STATE_CAP, reverse: bool = False):
+    """The oracle closure of `dist`'s supports, with its representatives, as
+    a `SupportLattice` the library's `multiplicities` reads."""
+    generators = [e for e, _ in dist.items]
+    lat = closure_by_witness([supp(e) for e in generators], cap)
+    reps = representatives_for(lat, generators, reverse)
+    dtype = mask_dtype(dist.m)
+    return SupportLattice(dist.m, np.array([x.mask for x in lat.flats], dtype),
+                          np.array([reps[x].plus for x in lat.flats], dtype))

@@ -92,7 +92,7 @@ def cycle_family(m, exact):
     items = tuple(
         (parse_edit(text, m), Fraction(w, total) if exact else w / total) for text, w in raw
     )
-    return g, ew.WeightedEdits(m, items)
+    return g, ew.WeightedEdits.from_items(m, items)
 
 
 def _path(m):
@@ -316,7 +316,7 @@ def test_hosts_beyond_64_edges(exact):
     m = 70
     g = ew.from_edge_list(m, [(i, (i + 1) % m) for i in range(m)])
     half = Fraction(1, 2) if exact else 0.5
-    dist = ew.WeightedEdits(m, ((parse_edit("+0 -69", m), half), (parse_edit("-0 +69", m), half)))
+    dist = ew.WeightedEdits.from_items(m, ((parse_edit("+0 -69", m), half), (parse_edit("-0 +69", m), half)))
     with pytest.warns(SupportNotCovering):
         tm = ew.build_chain(dist, g, restrict="recurrent", initial=ew.EdgeSet(m, 0b110))
     assert tm.masks.tolist() == [0b111, (1 << 69) | 0b110]

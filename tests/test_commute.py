@@ -148,7 +148,7 @@ def test_not_irreducible():
     # away from it do not exist
     m = 2
     x = Edit(m, 0, 0b11)
-    dist = WeightedEdits(m, ((x, Fraction(1)),))
+    dist = WeightedEdits.from_items(m, ((x, Fraction(1)),))
     tm = build_chain(dist, PATH2)
     assert hitting_time(tm, 0b11, 0b00) == pytest.approx(1.0)
     with pytest.raises(NotIrreducible):

@@ -1,7 +1,8 @@
 """One edit representation: the mask arrays of `WeightedEdits`.
 
-A distribution builds `plus`, `minus` and `weights` once, while it
-validates its items; the sampler and every enumeration read them. The
+A distribution is its `plus`, `minus` and `weights` arrays, and its
+`items` view lists the same edits; the sampler and every enumeration read
+the arrays. The
 recurrent class is a level-by-level search over those arrays, checked
 here against the one-state-at-a-time search kept in `oracles`. The
 closure check of `verify` tests joins of flats with supports, and fails
@@ -42,7 +43,7 @@ def wide_family(m=70):
     rest = ((1 << m) - 1) & ~sum(3 << i for i in pairs)
     edits = [parse_edit(t, m) for t in texts] + [ew.Edit(m, rest, 0)]
     w = Fraction(1, len(edits))
-    return g, ew.WeightedEdits(m, tuple((e, w) for e in edits))
+    return g, ew.WeightedEdits.from_items(m, tuple((e, w) for e in edits))
 
 
 def test_arrays_are_built_from_the_items():
@@ -124,7 +125,7 @@ def test_uncovered_edges_stay_frozen():
     # edits act on edges 0-2 of a 5-edge path; edges 3 and 4 keep the start's values
     g = ew.from_edge_list(6, [(i, i + 1) for i in range(5)])
     texts = ["+0 -1", "-0 +1", "+2", "-2 +1"]
-    dist = ew.WeightedEdits(5, tuple((parse_edit(t, 5), Fraction(1, 4)) for t in texts))
+    dist = ew.WeightedEdits.from_items(5, tuple((parse_edit(t, 5), Fraction(1, 4)) for t in texts))
     start = ew.EdgeSet(5, 0b01000)
     with pytest.warns(SupportNotCovering):
         ew.recurrent_class(dist, g, initial=start)
@@ -132,7 +133,7 @@ def test_uncovered_edges_stay_frozen():
     assert {mask >> 3 for mask in states.tolist()} == {0b01}
     # the same frozen edges on a host past one machine word
     g, wide = wide_family()
-    free = ew.WeightedEdits(70, wide.items[:-1] + ((ew.Edit(70, 1 << 2, 0), wide.items[-1][1]),))
+    free = ew.WeightedEdits.from_items(70, wide.items[:-1] + ((ew.Edit(70, 1 << 2, 0), wide.items[-1][1]),))
     start = ew.EdgeSet(70, (1 << 69) | (1 << 65))
     states = same_class(free, g, initial=start)
     assert {mask >> 64 for mask in states.tolist()} == {0b100010}
@@ -161,12 +162,11 @@ def test_closure_check_passes_on_every_model():
 def test_closure_check_fails_when_a_flat_is_missing(monkeypatch, drop):
     real = verify.closure
 
-    def lossy(supports, cap):
-        lat = real(supports, cap)
-        lost = {"a union": 0b011, "a support": 0b001, "the empty set": 0}[drop]
-        flats = tuple(x for x in lat.flats if x.mask != lost)
-        assert len(flats) == len(lat) - 1
-        return SupportLattice(lat.m, flats, lat.generator_supports, lat.witnesses)
+    def lossy(dist, cap):
+        lat = real(dist, cap)
+        keep = lat.flats != {"a union": 0b011, "a support": 0b001, "the empty set": 0}[drop]
+        assert keep.sum() == len(lat) - 1
+        return SupportLattice(lat.m, lat.flats[keep], lat.signs[keep])
 
     monkeypatch.setattr(verify, "closure", lossy)
     g = ew.from_edge_list(4, [(0, 1), (1, 2), (2, 3)])

@@ -3,21 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from editwalk import (
-    EdgeSet,
-    Edit,
-    Sign,
-    apply,
-    chamber_of,
-    compose,
-    format_edit,
-    leq,
-    parse_edit,
-    prec,
-    simple_edit,
-    state_of,
-    supp,
-)
+from oracles import apply, chamber_of, leq, prec, state_of, supp
+
+from editwalk import EdgeSet, Edit, Sign, compose, format_edit, parse_edit, simple_edit
 from editwalk.errors import EdgeOutOfRange, HostMismatch, NotAChamber
 
 M = 4

@@ -72,7 +72,7 @@ def flipped_cycle_family(rng, m):
             raw.append((" ".join(tokens), int(rng.integers(1, 10))))
     total = sum(w for _, w in raw)
     g = ew.from_edge_list(m, [(i, (i + 1) % m) for i in range(m)])
-    return g, ew.WeightedEdits(m, tuple((parse_edit(t, m), w / total) for t, w in raw))
+    return g, ew.WeightedEdits.from_items(m, tuple((parse_edit(t, m), w / total) for t, w in raw))
 
 
 MODELS = {
@@ -128,7 +128,7 @@ def test_hosts_beyond_64_edges(exact):
     a, b = (1 << 35) - 1, ((1 << 35) - 1) << 35
     w = [Fraction(k, 10) for k in (2, 3, 1, 4)]
     edits = [ew.Edit(m, a, 0), ew.Edit(m, 0, a), ew.Edit(m, b, 0), ew.Edit(m, 0, b)]
-    dist = ew.WeightedEdits(m, tuple(zip(edits, w if exact else map(float, w))))
+    dist = ew.WeightedEdits.from_items(m, tuple(zip(edits, w if exact else map(float, w))))
     states, pi = ew.stationary_faces(dist, g, exact=exact)
     assert states.tolist() == [0, a, b, a | b]
     want = [Fraction(3, 5) * Fraction(4, 5), Fraction(2, 5) * Fraction(4, 5),

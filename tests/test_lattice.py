@@ -4,16 +4,23 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import chamber_count_leq, mobius_enumerated, multiplicities_by_mobius
+from oracles import (
+    chamber_count_leq,
+    chamber_of,
+    closure_by_witness,
+    lattice_by_witness,
+    mobius_enumerated,
+    multiplicities_by_mobius,
+    representatives_for,
+    supp,
+)
 
 from editwalk import (
     EdgeSet,
     Edit,
     WeightedEdits,
-    chamber_of,
     closure,
     complete_graph,
-    eigenvalue,
     from_edge_list,
     intersection_host,
     intersection_weights,
@@ -22,53 +29,58 @@ from editwalk import (
     neighborhood_edges,
     parse_edit,
     recurrent_class,
-    representatives_for,
     simple_edit_weights,
     spectrum,
-    supp,
 )
-from editwalk.errors import (
-    BadRepresentative,
-    ClosureTooLarge,
-    HostMismatch,
-    NotAFlat,
-    ValidationError,
-)
+from editwalk import lattice
+from editwalk.errors import ClosureTooLarge, HostMismatch, ValidationError
+from editwalk.lattice import _eigenvalues
+
+
+def family(m, supports):
+    """Edits forcing each support present, with equal weights."""
+    supports = list(supports)
+    return WeightedEdits(m, supports, [0] * len(supports), [Fraction(1, len(supports))] * len(supports))
 
 
 def singleton_supports(m):
-    return [EdgeSet.from_indices(m, [e]) for e in range(m)]
+    return family(m, [1 << e for e in range(m)])
+
+
+def representative(lat, i):
+    """The edit whose + mask is the flat's representative sign."""
+    flat, plus = int(lat.flats[i]), int(lat.signs[i])
+    return Edit(lat.m, plus, flat & ~plus)
 
 
 def test_closure_of_singletons_is_boolean_lattice():
     for m in (1, 2, 4):
         lat = closure(singleton_supports(m))
         assert len(lat) == 1 << m
-        assert lat.bottom.mask == 0
-        assert lat.top.mask == (1 << m) - 1
+        assert lat.flats[0] == 0
+        assert lat.flats[-1] == (1 << m) - 1
 
 
 def test_closure_single_support():
     s = EdgeSet.from_indices(5, [1, 3])
-    lat = closure([s])
-    assert [f.mask for f in lat.flats] == [0, s.mask]
+    lat = closure(family(5, [s.mask]))
+    assert lat.flats.tolist() == [0, s.mask]
 
 
 def test_closure_k4_moran_supports():
     k4 = complete_graph(4)
-    supports = [neighborhood_edges(k4, v) for v in range(4)]
-    lat = closure(supports)
-    sizes = sorted(len(f) for f in lat.flats)
+    lat = closure(moran_weights(k4))
+    sizes = sorted(int(f).bit_count() for f in lat.flats)
     assert len(lat) == 12
     assert sizes == [0, 3, 3, 3, 3, 5, 5, 5, 5, 5, 5, 6]
-    assert lat.top == k4.full_set()
+    assert lat.flats[-1] == k4.full_set().mask
 
 
 def test_closure_is_idempotent():
     k4 = complete_graph(4)
-    lat = closure([neighborhood_edges(k4, v) for v in range(4)])
-    again = closure(list(lat.flats))
-    assert [f.mask for f in again.flats] == [f.mask for f in lat.flats]
+    lat = closure(moran_weights(k4))
+    again = closure(family(k4.m, lat.flats))
+    assert again.flats.tolist() == lat.flats.tolist()
 
 
 def test_closure_cap():
@@ -78,12 +90,12 @@ def test_closure_cap():
 
 def test_closure_needs_supports():
     with pytest.raises(ValidationError):
-        closure([])
+        closure(intersection_weights(2, 3, [0.25] * 4, mode="lazy"))
 
 
 def test_mobius_diagonal_and_chain():
     s = EdgeSet.from_indices(3, [0, 2])
-    lat = closure([s])
+    lat = closure_by_witness([s])
     assert mobius_enumerated(lat, lat.bottom, lat.bottom) == 1
     assert mobius_enumerated(lat, s, s) == 1
     assert mobius_enumerated(lat, lat.bottom, s) == -1
@@ -92,7 +104,7 @@ def test_mobius_diagonal_and_chain():
 def test_mobius_boolean_closed_form():
     # recursion must reproduce (-1)^(|Y| - |X|) on a full Boolean lattice
     for m in (2, 3, 5):
-        lat = closure(singleton_supports(m))
+        lat = closure_by_witness([EdgeSet.from_indices(m, [e]) for e in range(m)])
         for x in lat.flats:
             for y in lat.flats:
                 if x.issubset(y):
@@ -100,43 +112,32 @@ def test_mobius_boolean_closed_form():
                     assert mobius_enumerated(lat, x, y) == (-1) ** k
 
 
-def test_index_of_rejects_non_flats():
-    lat = closure([EdgeSet.from_indices(3, [0, 1])])
-    assert lat.index_of(EdgeSet(3, 0b011)) == 1
-    with pytest.raises(NotAFlat):
-        lat.index_of(EdgeSet(4, 0b011))  # host size differs
-    with pytest.raises(NotAFlat):
-        lat.index_of(EdgeSet(3, 0b001))
-
-
 def test_eigenvalue_simple_distribution():
-    from editwalk import from_edge_list
-
     host = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     dist = simple_edit_weights(host, [Fraction(1, 3)] * 4)
-    lat = closure(singleton_supports(4))
-    for flat in lat.flats:
-        assert eigenvalue(lat, flat, dist) == Fraction(len(flat), 4)
-    assert eigenvalue(lat, lat.top, dist) == 1
+    lat = closure(dist)
+    values = _eigenvalues(dist, lat.flats)
+    assert values == [Fraction(int(flat).bit_count(), 4) for flat in lat.flats]
+    assert values[-1] == 1
 
 
 def test_eigenvalue_k4_moran():
     k4 = complete_graph(4)
     dist = moran_weights(k4)
-    lat = closure([neighborhood_edges(k4, v) for v in range(4)])
+    lat = closure(dist)
+    values = dict(zip(lat.flats.tolist(), _eigenvalues(dist, lat.flats)))
     for v in range(4):
-        assert eigenvalue(lat, neighborhood_edges(k4, v), dist) == Fraction(1, 4)
-    assert eigenvalue(lat, lat.top, dist) == 1
-    assert eigenvalue(lat, lat.bottom, dist) == 0
+        assert values[neighborhood_edges(k4, v).mask] == Fraction(1, 4)
+    assert values[k4.full_set().mask] == 1
+    assert values[0] == 0
 
 
 def test_eigenvalue_counts_identity_mass_at_bottom():
     m = 2
-    ident = Edit.identity(m)
-    x = Edit(m, 0b11, 0)
-    dist_like = {0: Fraction(1, 4), 0b11: Fraction(3, 4)}  # support mass map
-    lat = closure([supp(ident), supp(x)])
-    assert eigenvalue(lat, lat.bottom, dist_like) == Fraction(1, 4)
+    dist = WeightedEdits.from_items(m, ((Edit.identity(m), Fraction(1, 4)), (Edit(m, 0b11, 0), Fraction(3, 4))))
+    lat = closure(dist)
+    assert lat.flats.tolist() == [0, 0b11]
+    assert _eigenvalues(dist, lat.flats) == [Fraction(1, 4), 1]
 
 
 def all_masks(m):
@@ -149,17 +150,13 @@ def chambers_of(masks, m):
 
 def test_multiplicities_simple_semigroup():
     m = 4
-    from editwalk import from_edge_list
-
     host = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     dist = simple_edit_weights(host, [Fraction(1, 2)] * m)
-    generators = [e for e, _ in dist.items]
-    lat = closure([supp(e) for e in generators])
-    reps = representatives_for(lat, generators)
+    lat = closure(dist)
     chambers = chambers_of(all_masks(m), m)
-    for flat in lat.flats:
-        assert chamber_count_leq(reps[flat], chambers) == 2 ** (m - len(flat))
-    report = multiplicities(lat, all_masks(m), reps, dist)
+    for i, flat in enumerate(lat.flats.tolist()):
+        assert chamber_count_leq(representative(lat, i), chambers) == 2 ** (m - flat.bit_count())
+    report = multiplicities(lat, all_masks(m), dist)
     assert all(e.multiplicity == 1 for e in report.entries)
     assert report.total_multiplicity == 1 << m
     # aggregated view: eigenvalue k/m appears C(m, k) times
@@ -171,39 +168,31 @@ def test_multiplicities_simple_semigroup():
 def test_multiplicities_single_full_support_generator():
     m = 3
     x = Edit(m, 0b101, 0b010)
-    lat = closure([supp(x)])
-    reps = representatives_for(lat, [x])
+    dist = WeightedEdits.from_items(m, ((x, Fraction(1)),))
+    lat = closure(dist)
     states = np.array([0b101], np.uint64)  # the one reachable state
-    report = multiplicities(lat, states, reps, {supp(x).mask: Fraction(1)})
+    report = multiplicities(lat, states, dist)
     by_flat = {e.flat.mask: e.multiplicity for e in report.entries}
     assert by_flat[(1 << m) - 1] == 1
     assert by_flat[0] == 0
 
 
 def test_multiplicities_representative_independence_k3_moran():
+    # the witness oracle composes each flat's generators in either order;
+    # both, and the closure's own representatives, give the same counts
     k3 = complete_graph(3)
     dist = moran_weights(k3)
-    generators = [e for e, _ in dist.items]
-    lat = closure([supp(e) for e in generators])
-    reps_a = representatives_for(lat, generators)
-    # second representative family: compose witness generators in reverse
-    from editwalk import compose
-
-    reps_b = {}
-    for flat in lat.flats:
-        edit = Edit.identity(lat.m)
-        for i in reversed(lat.witnesses[flat.mask]):
-            edit = compose(edit, generators[i])
-        reps_b[flat] = edit
-    from editwalk import recurrent_class
-
+    lat = closure(dist)
+    lats = [lat, lattice_by_witness(dist), lattice_by_witness(dist, reverse=True)]
+    assert all(other.flats.tolist() == lat.flats.tolist() for other in lats)
+    assert lats[1].signs.tolist() != lats[2].signs.tolist()
     states = recurrent_class(dist, k3)
     chambers = chambers_of(states, lat.m)
-    for flat in lat.flats:
-        assert chamber_count_leq(reps_a[flat], chambers) == chamber_count_leq(
-            reps_b[flat], chambers
-        )
-    assert multiplicities(lat, states, reps_a) == multiplicities(lat, states, reps_b)
+    for i in range(len(lat)):
+        counts = {chamber_count_leq(representative(other, i), chambers) for other in lats}
+        assert len(counts) == 1
+    reports = [multiplicities(other, states, dist) for other in lats]
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_multiplicities_k3_moran_frozen_values():
@@ -211,38 +200,29 @@ def test_multiplicities_k3_moran_frozen_values():
     # multiplicity 1 at the top, 1 at each vertex neighborhood, 2 at the bottom
     k3 = complete_graph(3)
     dist = moran_weights(k3)
-    generators = [e for e, _ in dist.items]
-    lat = closure([supp(e) for e in generators])
-    reps = representatives_for(lat, generators)
-    from editwalk import recurrent_class
-
+    lat = closure(dist)
     states = recurrent_class(dist, k3)
-    chambers = chambers_of(states, lat.m)
-    assert len(chambers) == 6
-    report = multiplicities(lat, states, reps, dist)
+    assert len(states) == 6
+    report = multiplicities(lat, states, dist)
     by_flat = {e.flat.mask: e.multiplicity for e in report.entries}
     assert by_flat[0] == 2
-    assert by_flat[lat.top.mask] == 1
+    assert by_flat[k3.full_set().mask] == 1
     for v in range(3):
         assert by_flat[neighborhood_edges(k3, v).mask] == 1
     assert report.total_multiplicity == 6
 
 
 def test_multiplicities_read_the_support_masses_once(monkeypatch):
-    from editwalk import recurrent_class
-    from editwalk.process import WeightedEdits
-
+    # every flat's eigenvalue comes from one pass over the weights
     k4 = complete_graph(4)
     dist = moran_weights(k4)
-    generators = [e for e, _ in dist.items]
-    lat = closure([supp(e) for e in generators])
-    reps = representatives_for(lat, generators)
+    lat = closure(dist)
     states = recurrent_class(dist, k4)
-    expected = [(e.flat, e.eigenvalue) for e in multiplicities(lat, states, reps, dist).entries]
+    expected = [(e.flat, e.eigenvalue) for e in multiplicities(lat, states, dist).entries]
     calls = []
-    masses = WeightedEdits.support_masses
-    monkeypatch.setattr(WeightedEdits, "support_masses", lambda self: calls.append(1) or masses(self))
-    report = multiplicities(lat, states, reps, dist)
+    real = lattice._eigenvalues
+    monkeypatch.setattr(lattice, "_eigenvalues", lambda *a: calls.append(1) or real(*a))
+    report = multiplicities(lat, states, dist)
     assert len(calls) == 1 and len(lat.flats) > 1
     assert [(e.flat, e.eigenvalue) for e in report.entries] == expected
 
@@ -251,49 +231,33 @@ def test_uninverted_identity():
     # sum of multiplicities over flats above X equals the chamber count above X
     k4 = complete_graph(4)
     dist = moran_weights(k4)
-    generators = [e for e, _ in dist.items]
-    lat = closure([supp(e) for e in generators])
-    reps = representatives_for(lat, generators)
-    from editwalk import recurrent_class
-
+    lat = closure(dist)
     states = recurrent_class(dist, k4)
     chambers = chambers_of(states, lat.m)
-    report = multiplicities(lat, states, reps, dist)
+    report = multiplicities(lat, states, dist)
     mult = {e.flat.mask: e.multiplicity for e in report.entries}
-    for flat in lat.flats:
-        above = sum(
-            mult[other.mask] for other in lat.flats if flat.issubset(other)
-        )
-        assert above == chamber_count_leq(reps[flat], chambers)
-
-
-def test_bad_representative():
-    lat = closure(singleton_supports(2))
-    reps = {flat: Edit(2, flat.mask, 0) for flat in lat.flats}
-    reps[EdgeSet(2, 0b01)] = Edit.identity(2)
-    with pytest.raises(BadRepresentative):
-        multiplicities(lat, all_masks(2), reps)
+    for i, flat in enumerate(lat.flats.tolist()):
+        above = sum(count for other, count in mult.items() if other & flat == flat)
+        assert above == chamber_count_leq(representative(lat, i), chambers)
 
 
 def test_multiplicities_need_chambers():
     # a state is a chamber of the lattice's host: a mask with bits at or
     # above m is refused, in either mask dtype
     lat = closure(singleton_supports(2))
-    reps = {flat: Edit(2, flat.mask, 0) for flat in lat.flats}
     with pytest.raises(HostMismatch):
-        multiplicities(lat, np.array([0, 1, 2, 0b100], np.uint64), reps)
+        multiplicities(lat, np.array([0, 1, 2, 0b100], np.uint64))
     with pytest.raises(HostMismatch):
-        multiplicities(lat, np.array([1 << 63], np.uint64), reps)
+        multiplicities(lat, np.array([1 << 63], np.uint64))
     with pytest.raises(HostMismatch):
-        multiplicities(lat, np.array([0, 1 << 70], object), reps)
-    wide = closure([EdgeSet(70, 1), EdgeSet(70, (1 << 70) - 2)])
-    wide_reps = {flat: Edit(70, flat.mask, 0) for flat in wide.flats}
+        multiplicities(lat, np.array([0, 1 << 70], object))
+    wide = closure(family(70, [1, (1 << 70) - 2]))
     with pytest.raises(HostMismatch):
-        multiplicities(wide, np.array([1, 1 << 70], object), wide_reps)
+        multiplicities(wide, np.array([1, 1 << 70], object))
     with pytest.raises(HostMismatch):
-        multiplicities(wide, np.array([-1, 1], object), wide_reps)
+        multiplicities(wide, np.array([-1, 1], object))
     # in range, the same wide lattice is counted
-    report = multiplicities(wide, np.array([(1 << 70) - 1], object), wide_reps)
+    report = multiplicities(wide, np.array([(1 << 70) - 1], object))
     assert report.total_multiplicity == 1
 
 
@@ -310,7 +274,7 @@ def cycle_family(m, rng):
             ]
             raw.append((parse_edit(" ".join(tokens), m), rng.randint(1, 9)))
     total = sum(w for _, w in raw)
-    return WeightedEdits(m, tuple((e, Fraction(w, total)) for e, w in raw))
+    return WeightedEdits.from_items(m, tuple((e, Fraction(w, total)) for e, w in raw))
 
 
 def _compound_cases():
@@ -329,15 +293,15 @@ def _compound_cases():
 @pytest.mark.parametrize("g, dist", list(_compound_cases()))
 def test_multiplicities_match_mobius_oracle(g, dist):
     generators = [e for e, _ in dist.items]
-    lat = closure([supp(e) for e in generators])
-    reps = representatives_for(lat, generators)
+    oracle = closure_by_witness([supp(e) for e in generators])
+    reps = representatives_for(oracle, generators)
     states = recurrent_class(dist, g)
-    chambers = chambers_of(states, lat.m)
-    report = multiplicities(lat, states, reps, dist)
+    chambers = chambers_of(states, g.m)
+    report = multiplicities(closure(dist), states, dist)
     assert [e.multiplicity for e in report.entries] == multiplicities_by_mobius(
-        lat, chambers, reps
+        oracle, chambers, reps
     )
-    assert [e.flat for e in report.entries] == list(lat.flats)
+    assert [e.flat for e in report.entries] == list(oracle.flats)
 
 
 @pytest.mark.parametrize("m", [63, 64, 65, 70])
@@ -345,16 +309,15 @@ def test_spectrum_on_hosts_beyond_one_word(m):
     # masks of more than 64 edges leave the uint64 path; the results must not wrap
     path = from_edge_list(m + 1, [(i, i + 1) for i in range(m)])
     texts = ["+0 -1", "-0 +1", " ".join(f"+{e}" for e in range(2, m))]
-    dist = WeightedEdits(m, tuple((parse_edit(t, m), Fraction(1, 3)) for t in texts))
+    dist = WeightedEdits.from_items(m, tuple((parse_edit(t, m), Fraction(1, 3)) for t in texts))
     report = spectrum(dist, path)
     assert [e.multiplicity for e in report.entries] == [0, 0, 1, 1]
     assert [len(e.flat) for e in report.entries] == [0, 2, m - 2, m]
     generators = [e for e, _ in dist.items]
-    lat = closure([supp(e) for e in generators])
-    states = recurrent_class(dist, path)
-    chambers = chambers_of(states, lat.m)
-    reps = representatives_for(lat, generators)
-    assert multiplicities_by_mobius(lat, chambers, reps) == [0, 0, 1, 1]
+    oracle = closure_by_witness([supp(e) for e in generators])
+    chambers = chambers_of(recurrent_class(dist, path), m)
+    reps = representatives_for(oracle, generators)
+    assert multiplicities_by_mobius(oracle, chambers, reps) == [0, 0, 1, 1]
 
 
 def test_spectrum_report_serialization():

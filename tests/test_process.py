@@ -7,7 +7,6 @@ import pytest
 from editwalk import (
     EdgeSet,
     Edit,
-    apply,
     block_probabilities,
     chung_lu_probabilities,
     complete_graph,
@@ -23,7 +22,6 @@ from editwalk import (
     neighborhood_edges,
     simple_edit_weights,
     simulate,
-    supp,
 )
 from editwalk.errors import (
     BadDistribution,
@@ -33,7 +31,7 @@ from editwalk.errors import (
     ValidationError,
 )
 from editwalk.process import AliasSampler, WeightedEdits
-from oracles import draw_masks, moran_weights_per_edge, sample, step
+from oracles import apply, draw_masks, moran_weights_per_edge, sample, step, supp
 
 PATH2 = from_edge_list(3, [(0, 1), (1, 2)])
 
@@ -179,17 +177,17 @@ class TestWeightedEdits:
     def test_rejects_bad_weights(self):
         e = Edit(2, 1, 0)
         with pytest.raises(BadDistribution):
-            WeightedEdits(2, ((e, Fraction(1, 2)),))
+            WeightedEdits.from_items(2, ((e, Fraction(1, 2)),))
         with pytest.raises(BadDistribution):
-            WeightedEdits(2, ((e, 0),))
+            WeightedEdits.from_items(2, ((e, 0),))
         with pytest.raises(BadDistribution):
-            WeightedEdits(2, ())
+            WeightedEdits.from_items(2, ())
 
     def test_float_tolerance(self):
         e1, e2 = Edit(2, 1, 0), Edit(2, 0, 1)
-        WeightedEdits(2, ((e1, 0.5), (e2, 0.5 + 1e-13)))
+        WeightedEdits.from_items(2, ((e1, 0.5), (e2, 0.5 + 1e-13)))
         with pytest.raises(BadDistribution):
-            WeightedEdits(2, ((e1, 0.5), (e2, 0.6)))
+            WeightedEdits.from_items(2, ((e1, 0.5), (e2, 0.6)))
 
     def test_support_masses_aggregate(self):
         dist = simple_edit_weights(PATH2, [Fraction(1, 4), Fraction(3, 4)])

@@ -13,7 +13,15 @@ import warnings
 from fractions import Fraction
 
 import numpy as np
-from oracles import chamber_count_leq, multiplicities_by_mobius
+from oracles import (
+    chamber_count_leq,
+    chamber_of,
+    closure_by_witness,
+    lattice_by_witness,
+    multiplicities_by_mobius,
+    representatives_for,
+    supp,
+)
 
 import editwalk as ew
 from editwalk.errors import SupportNotCovering
@@ -33,7 +41,7 @@ def random_family(rng, m, count):
     if total != 1:  # merge rounding into the first weight
         edit, w = items[0]
         items[0] = (edit, w + (1 - total))
-    return ew.WeightedEdits(m, tuple(items))
+    return ew.WeightedEdits.from_items(m, tuple(items))
 
 
 def hosts_with_m_edges(rng, m):
@@ -75,43 +83,34 @@ def test_random_compound_families_spectra():
 def test_random_families_multiplicities_match_mobius_oracle():
     for g, dist in [*seeded_families(424242, 20), *seeded_families(777, 10)]:
         generators = [e for e, _ in dist.items]
-        lat = ew.closure([ew.supp(e) for e in generators])
+        oracle = closure_by_witness([supp(e) for e in generators])
         states = recurrent_states(dist, g)
-        chambers = [ew.chamber_of(ew.EdgeSet(g.m, mask)) for mask in states.tolist()]
-        reps = ew.representatives_for(lat, generators)
-        report = ew.multiplicities(lat, states, reps, dist)
+        chambers = [chamber_of(ew.EdgeSet(g.m, mask)) for mask in states.tolist()]
+        reps = representatives_for(oracle, generators)
+        report = ew.multiplicities(ew.closure(dist), states, dist)
         assert [e.multiplicity for e in report.entries] == multiplicities_by_mobius(
-            lat, chambers, reps
+            oracle, chambers, reps
         )
 
 
 def test_random_families_uninverted_identity_and_representatives():
     for g, dist in seeded_families(777, 10):
-        generators = [e for e, _ in dist.items]
-        lat = ew.closure([ew.supp(e) for e in generators])
+        lat = ew.closure(dist)
         states = recurrent_states(dist, g)
-        chambers = [ew.chamber_of(ew.EdgeSet(g.m, mask)) for mask in states.tolist()]
-        reps = ew.representatives_for(lat, generators)
-        report = ew.multiplicities(lat, states, reps, dist)
+        chambers = [chamber_of(ew.EdgeSet(g.m, mask)) for mask in states.tolist()]
+        report = ew.multiplicities(lat, states, dist)
         mult = {e.flat.mask: e.multiplicity for e in report.entries}
-        for flat in lat.flats:
-            above = sum(
-                mult[o.mask] for o in lat.flats if flat.issubset(o)
-            )
-            assert above == chamber_count_leq(reps[flat], chambers)
-        # a second representative family (reversed witness order) must give
-        # identical chamber counts
-        reps_b = {}
-        for flat in lat.flats:
-            edit = ew.Edit.identity(lat.m)
-            for i in reversed(lat.witnesses[flat.mask]):
-                edit = ew.compose(edit, generators[i])
-            reps_b[flat] = edit
-        for flat in lat.flats:
-            assert chamber_count_leq(reps[flat], chambers) == chamber_count_leq(
-                reps_b[flat], chambers
-            )
-        assert ew.multiplicities(lat, states, reps_b, dist) == report
+        # the oracle's representatives, composed from the witnesses in
+        # either order, must give identical chamber counts and spectra
+        others = [lattice_by_witness(dist), lattice_by_witness(dist, reverse=True)]
+        for i, flat in enumerate(lat.flats.tolist()):
+            above = sum(count for other, count in mult.items() if other & flat == flat)
+            counts = {chamber_count_leq(ew.Edit(g.m, int(x.signs[i]), flat & ~int(x.signs[i])), chambers)
+                      for x in (lat, *others)}
+            assert counts == {above}
+        for other in others:
+            assert other.flats.tolist() == lat.flats.tolist()
+            assert ew.multiplicities(other, states, dist) == report
 
 
 def test_chamber_counts_ignore_representative_signs():
@@ -119,8 +118,8 @@ def test_chamber_counts_ignore_representative_signs():
     # valid representative; counts must not depend on the signs chosen
     rng = np.random.default_rng(99)
     m = 4
-    chambers = [ew.chamber_of(ew.EdgeSet(m, mask)) for mask in range(1 << m)]
-    lat = ew.closure([ew.EdgeSet.from_indices(m, [e]) for e in range(m)])
+    chambers = [chamber_of(ew.EdgeSet(m, mask)) for mask in range(1 << m)]
+    lat = closure_by_witness([ew.EdgeSet.from_indices(m, [e]) for e in range(m)])
     for flat in lat.flats:
         plus_a = int(rng.integers(0, 1 << m)) & flat.mask
         plus_b = int(rng.integers(0, 1 << m)) & flat.mask

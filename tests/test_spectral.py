@@ -164,14 +164,14 @@ class TestRecurrentClass:
     def test_single_all_minus_generator(self):
         m = 3
         x = Edit(m, 0, (1 << m) - 1)
-        dist = WeightedEdits(m, ((x, Fraction(1)),))
+        dist = WeightedEdits.from_items(m, ((x, Fraction(1)),))
         g = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
         states = recurrent_class(dist, g)
         assert states.tolist() == [0]
 
     def test_support_not_covering_warns_and_freezes(self):
         g = from_edge_list(3, [(0, 1), (1, 2)])
-        dist = WeightedEdits(
+        dist = WeightedEdits.from_items(
             2,
             (
                 (Edit(2, 0b01, 0), Fraction(1, 2)),
@@ -269,7 +269,7 @@ class TestSpectra:
 
     def test_spectrum_with_frozen_edges(self):
         g = from_edge_list(3, [(0, 1), (1, 2)])
-        dist = WeightedEdits(
+        dist = WeightedEdits.from_items(
             2,
             (
                 (Edit(2, 0b01, 0), Fraction(1, 2)),

@@ -78,14 +78,13 @@ def test_cli_exits_1_on_a_start_from_another_host(tmp_path, monkeypatch, capsys,
 @pytest.mark.parametrize("command", ["spectrum", "stationary", "mixing", "verify"])
 def test_commands_build_no_edge_set_per_recurrent_state(tmp_path, monkeypatch, command):
     """On Moran K6 (2,931 recurrent states) a command builds EdgeSets only
-    for its config (the start and one star per edit), and for each support
-    lattice it closes: one per generator support and one per flat. `verify`
-    closes the lattice twice, `stationary` not at all."""
+    for its config (the start) and for the flats of the spectrum it reports,
+    one per flat. `stationary` reports no spectrum, and the closure check of
+    `verify` builds none."""
     g, dist = moran(6)
-    flats = len(ew.closure([ew.supp(e) for e, _ in dist.items]))
-    assert (flats, len(dist.items), len(ew.recurrent_class(dist, g))) == (58, 30, 2931)
-    lattices = {"spectrum": 1, "stationary": 0, "mixing": 1, "verify": 2}[command]
-    bound = lattices * (flats + len(dist.items)) + len(dist.items) + 8
+    flats = len(ew.closure(dist))
+    assert (flats, len(dist.plus), len(ew.recurrent_class(dist, g))) == (58, 30, 2931)
+    bound = {"spectrum": 1, "stationary": 0, "mixing": 1, "verify": 1}[command] * flats + 8
 
     path = tmp_path / "moran.json"
     path.write_text(json.dumps({"host": {"preset": "complete", "params": [6]},

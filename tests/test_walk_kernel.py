@@ -21,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from editwalk import (
-    apply,
     complete_graph,
     empirical_distribution,
     from_edge_list,
@@ -35,7 +34,7 @@ from editwalk import process
 from editwalk.edits import Edit
 from editwalk.hostgraph import EdgeSet
 from editwalk.process import BLOCK, WeightedEdits, _walk
-from oracles import draw_masks, lazy_draw_by_ranks, step, walk_by_step
+from oracles import apply, draw_masks, lazy_draw_by_ranks, step, walk_by_step
 
 K4 = complete_graph(4)
 LAWS = {
@@ -122,7 +121,7 @@ def _custom(m, supports, seed):
             plus = support & int.from_bytes(rng.bytes(m // 8 + 1), "little")
             masks.append((plus, support & ~plus))
     weights = [Fraction(int(w), 1) for w in rng.integers(1, 9, len(masks))]
-    return WeightedEdits(m, tuple((Edit(m, p, q), w / sum(weights)) for (p, q), w in zip(masks, weights)))
+    return WeightedEdits.from_items(m, ((Edit(m, p, q), w / sum(weights)) for (p, q), w in zip(masks, weights)))
 
 
 def _overlapping(m, count, seed):
@@ -158,7 +157,7 @@ def _built(name):
 
 def _family(name, lazy_block):
     dist = _built(name)
-    return WeightedEdits(dist.m, (), replace(dist.lazy, block=lazy_block)) if dist.is_lazy else dist
+    return WeightedEdits(dist.m, (), (), (), replace(dist.lazy, block=lazy_block)) if dist.is_lazy else dist
 
 
 @st.composite
