@@ -5,7 +5,8 @@ seeded with the empty set, form a join semilattice of "flats". Each flat X
 indexes one eigenvalue of the chamber walk: the total weight of generators
 whose support lies inside X. The chamber counts satisfy
 c_X = sum over flats Y >= X of m_Y, so the multiplicities m_X follow by
-back-substitution over the flat order, from the top flat down.
+back-substitution over the flat order, from the top flat down. The closure
+and the eigenvalues read the edits' grouping `WeightedEdits.support_groups`.
 
 Flats are masks, and each carries one representative: a product of
 generators whose support is the flat, kept as its + mask. Any such product
@@ -21,7 +22,6 @@ the exact sum of the float weights rounded once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,17 +59,16 @@ def closure(dist, cap: int = STATE_CAP) -> SupportLattice:
     """Union-closure of the supports of `dist`'s edits, seeded with the
     empty set, with one representative per flat.
 
-    Level by level: every flat found in the last level is multiplied by one
-    edit of each distinct support, and binary search in the sorted known
+    Level by level: every flat found in the last level is multiplied by the
+    first edit of each distinct support, and binary search in the sorted known
     flats drops the products whose support is already a flat. Raises
     CapExceeded when the closure would exceed `cap` flats, checked per level.
     """
-    supports = dist.supports
-    if not len(supports):
+    if not len(dist.plus):
         raise ValidationError("need at least one generator support")
-    _, first = np.unique(supports, return_index=True)
+    _, first, _ = dist.support_groups
     y_plus, y_minus = dist.plus[first], dist.minus[first]
-    seen = plus = minus = np.zeros(1, supports.dtype)
+    seen = plus = minus = np.zeros(1, y_plus.dtype)
     flats, signs = [seen], [plus]
     while len(plus):
         plus, minus = (a.ravel() for a in _backward_step(plus[:, None], minus[:, None], y_plus, y_minus))
@@ -94,11 +93,10 @@ def _eigenvalues(dist, flats: np.ndarray) -> list:
     sum is exact: a Fraction when every weight is rational, else the exact
     sum of the weights rounded once to a float, so a flat holding every
     edit reads exactly 1 whenever the weights sum to 1 exactly."""
-    exact = [Fraction(w) for w in dist.weights]
-    den = math.lcm(*(w.denominator for w in exact))
-    supports, where = np.unique(dist.supports, return_inverse=True)
+    nums, den = dist.integer_weights
+    supports, _, index = dist.support_groups
     mass = np.zeros(len(supports), dtype=object)
-    np.add.at(mass, where.ravel(), [w.numerator * (den // w.denominator) for w in exact])
+    np.add.at(mass, index, nums)
     inside = ((supports & ~flats[:, None]) == 0).astype(object)
     return [Fraction(t, den) if dist.is_exact else t / den for t in (inside @ mass).tolist()]
 

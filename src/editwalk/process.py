@@ -15,17 +15,20 @@ is its edits as two mask arrays, `plus` and `minus` (uint64 up to 64
 edges, Python ints above), and their `weights`: the builders write the
 arrays directly, validation reads them in numpy, and the sampler and every
 enumeration read them; an `Edit` is built only for the `items` view and
-read only by `from_items`. Edits do not depend on the state,
-so one kernel (`_walk`, behind `simulate` and `empirical_distribution`)
-draws them ahead in numpy blocks, from a Vose alias table or the lazy
-closed form, and applies them to raw bitmasks. Block sizes depend only on
-the distribution, so a trajectory is reproducible from (seed, stream,
-sampler) via numpy's PCG64; SAMPLER_VERSION names the draws.
+read only by `from_items`. Its grouping by support and its integer
+weights are built once and shared (`support_groups`, `integer_weights`).
+Edits do not depend on the state, so one kernel (`_walk`, behind
+`simulate` and `empirical_distribution`) draws them ahead in numpy
+blocks, from a Vose alias table or the lazy closed form, and applies them
+to raw bitmasks. Block sizes depend only on the distribution, so a
+trajectory is reproducible from (seed, stream, sampler) via numpy's
+PCG64; SAMPLER_VERSION names the draws.
 
 Between two recorded states the kernel applies only the reduced word: edits
 form a left regular band, x y = x whenever supp(y) is inside supp(x), so an
 edit is wiped out by any later edit on the same support, and only the last
-edit on each distinct support acts. When the supports are pairwise disjoint
+edit on each distinct support acts; an edit's support id is its support's
+rank in `support_groups`. When the supports are pairwise disjoint
 (simple, intersection) those edits commute, and a reduced word of at least
 COMPOSE_MIN_WRITERS of them is applied as one composite (plus, minus) pair
 packed in numpy; shorter words and overlapping supports (Moran) act in step
@@ -54,7 +57,7 @@ from .errors import (
     ValidationError,
     check_cap,
 )
-from .hostgraph import EdgeSet, HostGraph, complete_bipartite, mask_dtype
+from .hostgraph import EdgeSet, HostGraph, _popcount, complete_bipartite, mask_dtype
 
 WEIGHT_SUM_TOL = 1e-12
 SAMPLER_VERSION = 2  # block-drawn edits; version 1 drew one edit per step
@@ -79,6 +82,14 @@ def _kron(factors: Sequence[np.ndarray]) -> np.ndarray:
     for f in factors[1:]:
         out = np.kron(f, out)
     return out
+
+
+def _common_denominator(values) -> tuple[np.ndarray, int]:
+    """Values as Python-int numerators over their least common denominator;
+    a float is read as the exact ratio it stores."""
+    ratios = [v if _is_exact(v) else Fraction(v) for v in values]
+    den = math.lcm(*(r.denominator for r in ratios))
+    return np.array([r.numerator * (den // r.denominator) for r in ratios], dtype=object), den
 
 
 class AliasSampler:
@@ -132,7 +143,6 @@ class LazySpec:
     draw: Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]
     blocks: int
     width: int
-    support_masses: dict[int, object]
     block: int = BLOCK
     disjoint: ClassVar[bool] = True
 
@@ -165,31 +175,30 @@ class LazySpec:
 
 class _EditTable:
     """What the walk kernel reads of an explicit distribution: a Vose alias
-    table over its edits, each edit's support edges with a plus flag on each
-    (O(sum of support sizes) in all), and its support id, equal exactly when
-    two edits have the same support edges."""
+    table over its edits, each edit's support id (its rank in
+    `support_groups`), and whether no edge lies in two supports. Only then,
+    when `composites` can run, does it keep each edit's support `edges`
+    (from `starts`, `lengths`) with a plus flag on each."""
 
     def __init__(self, dist: WeightedEdits):
         self.sampler = AliasSampler(dist.weights)
         self.m, self.plus, self.minus = dist.m, dist.plus, dist.minus
+        supports, _, self.sid = dist.support_groups
         # one step per set bit, so wide masks with small supports cost little
-        edits, edges, flags = array("q"), array("q"), array("b")
-        for k, (plus, minus) in enumerate(zip(dist.plus.tolist(), dist.minus.tolist())):
-            support = plus | minus
+        edges = array("q")
+        for support in supports.tolist():
             while support:
                 low = support & -support
-                edits.append(k)
                 edges.append(low.bit_length() - 1)
-                flags.append((plus & low) != 0)
                 support ^= low
-        self.edges, self.flags = np.frombuffer(edges, np.int64), np.frombuffer(flags, bool)
-        self.lengths = np.bincount(np.frombuffer(edits, np.int64), minlength=len(dist.plus))
-        self.starts = np.cumsum(self.lengths) - self.lengths
-        data, ids = self.edges.tobytes(), {}
-        self.sid = np.array([ids.setdefault(data[8 * a:8 * (a + n)], len(ids))
-                             for a, n in zip(self.starts.tolist(), self.lengths.tolist())], np.int64)
-        used = np.sort(np.frombuffer(b"".join(ids), np.int64))
-        self.disjoint = not (used[1:] == used[:-1]).any()
+        edges, sizes = np.frombuffer(edges, np.int64), _popcount(supports)
+        self.disjoint = bool(np.bincount(edges, minlength=1).max() <= 1)
+        if self.disjoint:
+            self.lengths = sizes[self.sid]
+            self.starts = np.cumsum(self.lengths) - self.lengths
+            offset = (np.cumsum(sizes) - sizes)[self.sid] - self.starts
+            self.edges = edges[np.repeat(offset, self.lengths) + np.arange(self.lengths.sum())]
+            self.flags = (np.repeat(self.plus, self.lengths) >> self.edges.astype(self.plus.dtype) & 1).astype(bool)
 
     def take(self, rng: np.random.Generator, left: int) -> tuple[np.ndarray, np.ndarray]:
         """The next block of a walk with `left` steps to go: the support ids
@@ -252,11 +261,7 @@ class WeightedEdits:
             raise EdgeOutOfRange(f"edit touches edges outside the {self.m} host edges")
         if self.lazy is not None:
             return
-        if self.is_exact:  # as integers over the common denominator, far faster than Fractions
-            den = math.lcm(*(w.denominator for w in self.weights))
-            nums = [w.numerator * (den // w.denominator) for w in self.weights]
-        else:
-            den, nums = 1, self.weights
+        nums, den = self.integer_weights if self.is_exact else (self.weights, 1)
         if not min(nums) > 0:
             bad = next(w for w in self.weights if not w > 0)
             raise BadDistribution(f"weight {bad} is not strictly positive")
@@ -290,17 +295,25 @@ class WeightedEdits:
 
     @property
     def supports(self) -> np.ndarray:
-        """Support mask of every edit, in item order."""
-        return self.plus | self.minus
+        """Support mask of every edit, in item order; an edit with an empty
+        sign shares its Python-int mask rather than copying it."""
+        if self.plus.dtype != object:
+            return self.plus | self.minus
+        return np.frompyfunc(lambda p, q: p | q if p and q else p or q, 2, 1)(self.plus, self.minus)
 
-    def support_masses(self) -> dict[int, object]:
-        """Total weight per distinct generator support mask."""
-        if self.lazy is not None:
-            return dict(self.lazy.support_masses)
-        masses: dict[int, object] = {}
-        for key, w in zip(self.supports.tolist(), self.weights):
-            masses[key] = masses.get(key, 0) + w
-        return masses
+    @cached_property
+    def support_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The edits grouped by support, read-only: the distinct supports in
+        ascending order, the first edit on each, and each edit's support rank."""
+        groups = np.unique(self.supports, return_index=True, return_inverse=True)
+        for a in groups:
+            a.flags.writeable = False
+        return groups
+
+    @cached_property
+    def integer_weights(self) -> tuple[np.ndarray, int]:
+        """The weights as Python-int numerators over one denominator."""
+        return _common_denominator(self.weights)
 
     @cached_property
     def _table(self) -> LazySpec | _EditTable:
@@ -325,13 +338,14 @@ def simple_edit_weights(g: HostGraph, p) -> WeightedEdits:
 def _per_edge_probabilities(g: HostGraph, p) -> list:
     if g.m == 0:
         raise EmptyEdgeSet("host graph has no edges")
-    probs = [p] * g.m if not isinstance(p, (Sequence, np.ndarray)) else list(p)
-    if len(probs) != g.m:
+    scalar = not isinstance(p, (Sequence, np.ndarray))
+    probs = [p] if scalar else list(p)
+    if not scalar and len(probs) != g.m:
         raise ValidationError(f"expected {g.m} edge probabilities, got {len(probs)}")
-    for e, pe in enumerate(probs):
+    for e, pe in enumerate(probs):  # a broadcast scalar is checked once
         if not 0 < pe < 1:
             raise ProbabilityOutOfRange(f"p[{e}] = {pe} is outside (0, 1)")
-    return probs
+    return probs * g.m if scalar else probs
 
 
 def moran_weights(g: HostGraph) -> WeightedEdits:
@@ -379,9 +393,6 @@ def intersection_weights(
         raise BadDistribution(f"mu sums to {float(total)!r}, expected 1")
 
     m = n * N
-    star_masks = [((1 << N) - 1) << (v * N) for v in range(n)]
-    masses = {star_masks[v]: (Fraction(1, n) if all(map(_is_exact, mu)) else 1.0 / n) for v in range(n)}
-
     if mode == "lazy":
         size_probs = np.array([float(x) for x in mu])
         sizes = np.flatnonzero(size_probs)  # a zero-mass size is never drawn
@@ -397,7 +408,7 @@ def intersection_weights(
             np.put_along_axis(bits, order, np.arange(N) < k[:, None], axis=1)
             return star, bits
 
-        return WeightedEdits(m, (), (), (), LazySpec(draw, n, N, masses, max(1, LAZY_BLOCK_CELLS // N)))
+        return WeightedEdits(m, (), (), (), LazySpec(draw, n, N, max(1, LAZY_BLOCK_CELLS // N)))
 
     if mode != "explicit":
         raise ValidationError(f"mode must be 'explicit' or 'lazy', got {mode!r}")

@@ -45,7 +45,7 @@ from .errors import (
 )
 from .hostgraph import EdgeSet, HostGraph, _popcount, find_mask, mask_dtype
 from .lattice import SpectrumEntry, SpectrumReport, _backward_step, closure, multiplicities
-from .process import WeightedEdits, _is_exact, _kron, _per_edge_probabilities
+from .process import WeightedEdits, _common_denominator, _is_exact, _kron, _per_edge_probabilities
 
 REVERSIBILITY_TOL = 1e-10
 SOLVE_RESIDUAL_TOL = 1e-8
@@ -139,11 +139,12 @@ class TransitionMatrix:
         pi.flags.writeable = False
         return pi
 
-    def _back_cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """For each cell (i, j): the index of cell (j, i), and whether it exists."""
+    def _transpose_gap(self, values: np.ndarray) -> tuple[object, bool]:
+        """max |v_ij - v_ji| over the cells (a missing v_ji reads 0), and whether every cell is paired."""
         keys, back_keys = self.rows * self.size + self.cols, self.cols * self.size + self.rows
         at = np.minimum(np.searchsorted(keys, back_keys), len(keys) - 1)
-        return at, keys[at] == back_keys
+        paired = keys[at] == back_keys
+        return np.abs(values - np.where(paired, values[at], 0)).max(), bool(paired.all())
 
     def row_sum_residual(self):
         if self.exact:
@@ -159,12 +160,6 @@ class TransitionMatrix:
         out = np.zeros(terms.shape[:-1] + (self.size,), dtype=terms.dtype)
         np.add.at(out.T, self.cols, terms.T)
         return out
-
-
-def _common_denominator(values) -> tuple[np.ndarray, int]:
-    """Exact values as Python-int numerators over their least common denominator."""
-    den = math.lcm(*(Fraction(v).denominator for v in values))
-    return np.array([int(v * den) for v in values], dtype=object), den
 
 
 def _explicit(dist: WeightedEdits, g: HostGraph) -> None:
@@ -212,7 +207,7 @@ def build_chain(
     if not np.array_equal(masks[np.minimum(cols, n - 1)], dest):
         raise ValidationError("an edit leaves the state set")
     cells, where = np.unique(np.tile(np.arange(n), len(dist.weights)) * n + cols, return_inverse=True)
-    nums, den = _common_denominator(dist.weights) if dist.is_exact else (np.array(dist.weights, float), 1)
+    nums, den = dist.integer_weights if dist.is_exact else (np.array(dist.weights, float), 1)
     sums = np.zeros(len(cells), dtype=nums.dtype)
     np.add.at(sums, where, np.repeat(nums, n))  # each cell sums in edit order
     return TransitionMatrix(g.m, masks, cells // n, cells % n, sums, den)
@@ -222,7 +217,7 @@ def _covered(dist: WeightedEdits, g: HostGraph) -> int:
     """Union of the generator supports. Warns when it misses host edges,
     which then stay frozen at the initial state's values."""
     _explicit(dist, g)
-    covered = int(np.bitwise_or.reduce(dist.supports))
+    covered = int(np.bitwise_or.reduce(dist.support_groups[0]))
     full = (1 << g.m) - 1
     if covered != full:
         warnings.warn(
@@ -265,7 +260,8 @@ def recurrent_class(
             dest = (frontier | plus) & keep
             at = np.minimum(np.searchsorted(seen, dest), len(seen) - 1)
             new.append(dest[seen[at] != dest])
-        frontier = np.unique(np.concatenate(new))
+        frontier = np.sort(np.concatenate(new))  # not np.unique, which imports numpy.ma
+        frontier = frontier[np.append(True, frontier[1:] != frontier[:-1])[:len(frontier)]]
         check_cap(len(seen) + len(frontier), cap, "recurrent-class states")
         seen = np.insert(seen, np.searchsorted(seen, frontier), frontier)
     seen.flags.writeable = False
@@ -318,8 +314,8 @@ def stationary_faces(
     covered = _covered(dist, g)
     frozen = (initial.mask_on(g.m) if initial is not None else 0) & ~covered
     exact = dist.is_exact if exact is None else exact
-    dtype, weights = mask_dtype(g.m), dist.weights
-    w = _common_denominator(weights)[0] if exact else np.array([float(x) for x in weights])
+    dtype, supports = mask_dtype(g.m), dist.supports
+    w = dist.integer_weights[0] if exact else np.array([float(x) for x in dist.weights])
     one = np.array([Fraction(1)] if exact else [1.0], dtype=w.dtype)
     pending = {0: [(np.zeros(1, dtype), np.zeros(1, dtype), one)]}
     top, faces = covered.bit_count(), 0
@@ -333,7 +329,7 @@ def stationary_faces(
             break
         for start in range(0, len(mass), FACE_BLOCK):
             block = slice(start, start + FACE_BLOCK)
-            for level, chunk in _face_moves(plus[block], minus[block], mass[block], dist, w):
+            for level, chunk in _face_moves(plus[block], minus[block], mass[block], dist, supports, w):
                 chunks = pending.setdefault(level, [])
                 chunks.append(chunk)
                 if sum(len(c[2]) for c in chunks[1:]) > max(FACE_MERGE_ROWS, len(chunks[0][2])):
@@ -347,10 +343,10 @@ def stationary_faces(
     return masks, list(mass[order]) if exact else mass[order]
 
 
-def _face_moves(plus, minus, mass, dist, w):
+def _face_moves(plus, minus, mass, dist, supports, w):
     """Each face's moves to F.y over the edits y leaving its support,
     grouped by the support size they reach: (size, (plus, minus, mass))."""
-    f, y = np.nonzero(dist.supports & ~(plus | minus)[:, None])
+    f, y = np.nonzero(supports & ~(plus | minus)[:, None])
     out = _sum_at(f, w[y], len(mass))
     moved = (*_backward_step(plus[f], minus[f], dist.plus[y], dist.minus[y]),
              mass[f] * w[y] / out[f])  # an exact mass is a Fraction, so Fraction * int / int
@@ -556,9 +552,8 @@ def detailed_balance_residual(tm: TransitionMatrix, pi):
         nums, den = _common_denominator(pi)
         flow = nums[tm.rows] * tm.numerators
     else:
-        flow = np.asarray([float(x) for x in pi])[tm.rows] * tm.to_float()[tm.rows, tm.cols]
-    at, paired = tm._back_cells()
-    residual = np.abs(flow - np.where(paired, flow[at], 0)).max()
+        flow = np.asarray([float(x) for x in pi])[tm.rows] * tm.float_values
+    residual, _ = tm._transpose_gap(flow)
     return Fraction(residual, den * tm.denominator) if exact else float(residual)
 
 
@@ -571,8 +566,8 @@ def _symmetrized(tm: TransitionMatrix, pi: np.ndarray) -> np.ndarray | None:
         return None
     root = np.sqrt(pi)
     q = tm.float_values * root[tm.rows] / root[tm.cols]
-    at, paired = tm._back_cells()
-    if not paired.all() or np.abs(q - q[at]).max() > REVERSIBILITY_TOL:
+    gap, paired = tm._transpose_gap(q)
+    if not paired or gap > REVERSIBILITY_TOL:
         return None
     Q = np.zeros((tm.size, tm.size))
     Q[tm.rows, tm.cols] += q / 2  # (Q + Q^T) / 2, cell by cell

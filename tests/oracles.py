@@ -31,6 +31,10 @@ time:
 * the walk one drawn edit at a time, where the library applies only the
   last edit on each support between two records and composes commuting
   edits in numpy;
+* the walk table's support edges by a scan of every set bit of every
+  edit's support, with support ids keyed by the bytes of each edge list,
+  where the library lists the edges of each distinct support once and
+  takes the support ids from the distribution's grouping;
 * the lazy intersection draw with each row's ranks from two argsorts and
   each edit built as a Python int, where the library scatters one sort
   order back and hands the walk kernel star indices and bit rows;
@@ -72,6 +76,7 @@ from editwalk.lattice import SupportLattice
 from editwalk.process import (
     SAMPLER_VERSION,
     WeightedEdits,
+    _common_denominator,
     _is_exact,
     _per_edge_probabilities,
     _walk,
@@ -80,7 +85,6 @@ from editwalk.process import (
 from editwalk.serialize import artifact_meta
 from editwalk.spectral import (
     TransitionMatrix,
-    _common_denominator,
     _covered,
     _symmetrized,
     commute_terms,
@@ -471,6 +475,42 @@ def draw_masks(dist, rng, size: int) -> tuple[list[int], list[int]]:
         plus += p
         minus += q
     return plus, minus
+
+
+@dataclass(frozen=True)
+class ScannedTable:
+    """The walk table's support arrays as a scan of every set bit of every
+    edit's support builds them: each edit's support `edges` from `starts`
+    for `lengths`, a plus flag on each, support ids in first-seen order
+    keyed by the bytes of each edit's edge list, and whether no edge lies
+    in two distinct supports."""
+
+    edges: np.ndarray
+    flags: np.ndarray
+    lengths: np.ndarray
+    starts: np.ndarray
+    sid: np.ndarray
+    disjoint: bool
+
+
+def edit_table_by_scan(dist) -> ScannedTable:
+    edits, edges, flags = [], [], []
+    for k, (plus, minus) in enumerate(zip(dist.plus.tolist(), dist.minus.tolist())):
+        support = plus | minus
+        while support:
+            low = support & -support
+            edits.append(k)
+            edges.append(low.bit_length() - 1)
+            flags.append((plus & low) != 0)
+            support ^= low
+    edges, flags = np.array(edges, np.int64), np.array(flags, bool)
+    lengths = np.bincount(np.array(edits, np.int64), minlength=len(dist.plus))
+    starts = np.cumsum(lengths) - lengths
+    data, ids = edges.tobytes(), {}
+    sid = np.array([ids.setdefault(data[8 * a:8 * (a + n)], len(ids))
+                    for a, n in zip(starts.tolist(), lengths.tolist())], np.int64)
+    used = np.sort(np.frombuffer(b"".join(ids), np.int64))
+    return ScannedTable(edges, flags, lengths, starts, sid, not (used[1:] == used[:-1]).any())
 
 
 def walk_by_step(dist, initial: EdgeSet, times, rng) -> list[int]:

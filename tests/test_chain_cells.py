@@ -24,6 +24,7 @@ from oracles import chain_from_dense, reorder, sign_lex_order
 from editwalk.verify import (
     check_detailed_balance,
     check_eigenvector_residuals,
+    check_q_symmetry,
     check_stationary_fixed_point,
     run_verification,
 )
@@ -224,6 +225,26 @@ def test_exact_verify_residuals_match_dense_formulas(m, right):
     ]
     for result, old in zip(results, (fixed, balance, eigen)):
         assert result.detail == "exact" and result.residual == float(old)
+
+
+def test_reversibility_residuals_match_the_dense_transpose():
+    # the laws are for other edge probabilities, so the residuals are not 0;
+    # the cells give the dense max |A - A^T| bit for bit
+    rng = np.random.default_rng(40)
+    for _ in range(20):
+        m = int(rng.integers(1, 6))
+        g = _path(m)
+        p, other = ([Fraction(int(rng.integers(1, 12)), 13) for _ in range(m)] for _ in range(2))
+        for exact in (True, False):
+            tm = ew.build_chain(ew.simple_edit_weights(g, p if exact else [float(x) for x in p]), g)
+            pi = ew.stationary_closed_form(g, other if exact else [float(x) for x in other])
+            root = np.asarray([float(x) for x in pi])
+            Q = ew.q_matrix(tm, root)
+            assert check_q_symmetry(tm, pi).residual == float(np.abs(Q - Q.T).max())
+            flow = root[:, None] * tm.to_float() if not exact else np.asarray(pi)[:, None] * tm.entries
+            balance = spectral.detailed_balance_residual(tm, pi)
+            assert type(balance) is (Fraction if exact else float)
+            assert balance == np.abs(flow - flow.T).max()
 
 
 @pytest.mark.parametrize("block", [3, 64])

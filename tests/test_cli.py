@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import editwalk as ew
 from editwalk import EdgeSet, build_chain, complete_graph, moran_weights, simple_edit_weights
 from editwalk.cli import main
 from editwalk.process import SAMPLER_VERSION
@@ -558,3 +563,20 @@ def test_write_json_lays_out_values_as_json_indent2(tmp_path_factory, value, dep
     items = list(value) if isinstance(value, (list, tuple)) else [value]
     write_json(path, meta, iter(items))
     assert path.read_text() == json.dumps({"meta": meta, "data": items}, indent=2) + "\n"
+
+
+def test_compound_commands_do_not_import_numpy_ma(tmp_path):
+    # a plain np.unique imports numpy.ma on NumPy >= 2.3, about 20 ms a process
+    cfg = write_config(tmp_path, host={"preset": "complete", "params": [4]}, model={"name": "moran"})
+    code = (
+        "import sys\n"
+        "from editwalk.cli import main\n"
+        "for command in ('spectrum', 'export-dot', 'verify', 'simulate'):\n"
+        f"    assert main([command, '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(ew.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    assert done.stdout.split()[-1] == "False"

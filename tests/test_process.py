@@ -22,6 +22,7 @@ from editwalk import (
     neighborhood_edges,
     simple_edit_weights,
     simulate,
+    spectrum,
 )
 from editwalk.errors import (
     BadDistribution,
@@ -57,6 +58,15 @@ class TestSimpleWeights:
             simple_edit_weights(PATH2, [1, Fraction(1, 2)])
         with pytest.raises(ProbabilityOutOfRange):
             simple_edit_weights(PATH2, 0.0)
+
+    def test_probability_errors_name_the_entry(self):
+        # a broadcast scalar is checked once, and reported as entry 0
+        with pytest.raises(ProbabilityOutOfRange, match=r"^p\[0\] = 1\.5 is outside \(0, 1\)$"):
+            simple_edit_weights(complete_graph(5), 1.5)
+        with pytest.raises(ProbabilityOutOfRange, match=r"^p\[2\] = 0 is outside \(0, 1\)$"):
+            simple_edit_weights(complete_graph(3), [0.5, Fraction(1, 3), 0])
+        with pytest.raises(ValidationError, match=r"^expected 3 edge probabilities, got 2$"):
+            simple_edit_weights(complete_graph(3), [0.5, 0.5])
 
     def test_total_mass_exactly_one_random(self):
         rng = np.random.default_rng(3)
@@ -162,9 +172,12 @@ class TestIntersectionWeights:
             w = float(w)
             sigma = (draws * w * (1 - w)) ** 0.5
             assert abs(counts[edit.plus, edit.minus] - draws * w) <= 3 * sigma
-        assert lazy.support_masses() == {
-            k: pytest.approx(0.5) for k in lazy.support_masses()
-        }
+        # each left vertex's block is drawn with mass 1/n
+        blocks = Counter()
+        for (plus, minus), count in counts.items():
+            blocks[plus | minus] += count
+        assert sorted(blocks) == [0b111, 0b111000]
+        assert all(abs(count - draws / n) <= 3 * (draws / 4) ** 0.5 for count in blocks.values())
 
     def test_stationary_product_construction(self):
         pi = intersection_stationary(2, 2, [0.25, 0.5, 0.25])
@@ -190,9 +203,16 @@ class TestWeightedEdits:
             WeightedEdits.from_items(2, ((e1, 0.5), (e2, 0.6)))
 
     def test_support_masses_aggregate(self):
+        # each flat's eigenvalue is the exact sum of the weights of the
+        # edits whose support lies inside it
         dist = simple_edit_weights(PATH2, [Fraction(1, 4), Fraction(3, 4)])
-        masses = dist.support_masses()
-        assert masses == {0b01: Fraction(1, 2), 0b10: Fraction(1, 2)}
+        assert {e.flat.mask: e.eigenvalue for e in spectrum(dist, PATH2).entries} == {
+            0: 0, 0b01: Fraction(1, 2), 0b10: Fraction(1, 2), 0b11: 1}
+        k4 = complete_graph(4)
+        dist = moran_weights(k4)
+        for entry in spectrum(dist, k4).entries:
+            inside = [w for edit, w in dist.items if edit.support_mask & ~entry.flat.mask == 0]
+            assert entry.eigenvalue == sum(inside, Fraction(0))
 
 
 class TestAliasSampler:

@@ -126,7 +126,10 @@ def test_lazy_weight_of_matches_explicit():
     mu = [Fraction(1, 10), Fraction(2, 10), Fraction(3, 10), Fraction(4, 10)]
     lazy = ew.intersection_weights(n, N, mu, mode="lazy")
     explicit = ew.intersection_weights(n, N, mu)
-    assert lazy.support_masses() == explicit.support_masses()
+    # the explicit edits fall into the lazy sampler's n blocks, each of mass 1/n
+    supports, _, index = explicit.support_groups
+    assert supports.tolist() == [((1 << N) - 1) << v * N for v in range(lazy.lazy.blocks)]
+    assert [sum(w for w, j in zip(explicit.weights, index) if j == v) for v in range(n)] == [Fraction(1, n)] * n
     for edit, w in explicit.items:
         assert lazy_intersection_weight(n, N, mu, edit) == pytest.approx(float(w))
 
