@@ -24,7 +24,7 @@ from .errors import STATE_CAP, CapExceeded, EditWalkError, ValidationError, chec
 from .hostgraph import (
     EdgeSet,
     HostGraph,
-    find_mask,
+    find_masks,
     forest_flags,
     host_from_json,
     is_integer,
@@ -46,7 +46,9 @@ from .process import (
 )
 from .serialize import artifact_meta, write_csv, write_json, write_jsonl
 from .spectral import (
+    _check_c,
     _hitting_columns,
+    _is_recurrent,
     _spectral_sum,
     _sum_terms,
     build_chain,
@@ -277,15 +279,9 @@ def _warn_if_transient(cfg: RunConfig) -> None:
     """Compound-model mixing statements start from the recurrent class."""
     if cfg.model == "simple" or cfg.weights.is_lazy:
         return
-    if (1 << cfg.host.m) > cfg.caps["states"]:
-        return  # a walk on a host past enumeration scale is never held up by this check
-    masks = recurrent_class(cfg.weights, cfg.host, initial=cfg.initial, cap=cfg.caps["states"])
-    if find_mask(masks, cfg.initial.mask) < 0:
-        print(
-            "warning: initial state is outside the recurrent class; "
-            "mixing-time guarantees apply after the first covering update",
-            file=sys.stderr,
-        )
+    if not _is_recurrent(cfg.weights, cfg.host, cfg.initial.mask):
+        print("warning: initial state is outside the recurrent class; "
+              "mixing-time guarantees apply after the first covering update", file=sys.stderr)
 
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -329,31 +325,36 @@ def _trajectory_lines(traj: Trajectory, g: HostGraph, edges: bool) -> Iterator[s
             start = end
 
 
+def _recurrent_class(cfg: RunConfig) -> np.ndarray:
+    return recurrent_class(cfg.weights, cfg.host, initial=cfg.initial, cap=cfg.caps["states"])
+
+
 def _spectrum_report(cfg: RunConfig, masks=None):
     if cfg.model == "simple":
         return eigenvalues_simple(cfg.host.m, cfg.caps["states"])
-    return spectrum(
-        cfg.weights, cfg.host, initial=cfg.initial, cap=cfg.caps["states"], masks=masks
-    )
+    return spectrum(cfg.weights, cfg.host, cap=cfg.caps["states"],
+                    masks=_recurrent_class(cfg) if masks is None else masks)
+
+
+def _write_table(cfg: RunConfig, fmt: str, name: str, meta: dict, header, rows) -> int:
+    """`rows` as <name>.csv, or as <name>.json with one object per row keyed
+    by `header` when `fmt` is "json"."""
+    cfg.out.mkdir(parents=True, exist_ok=True)
+    path = cfg.out / f"{name}.{fmt}"
+    if fmt == "json":
+        write_json(path, meta, (dict(zip(header, row)) for row in rows))
+    else:
+        write_csv(path, meta, header, rows)
+    print(f"wrote {path}")
+    return 0
 
 
 def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> int:
     report = _spectrum_report(cfg)
     by_value = "; ".join(f"{v:g}x{mult}" for v, mult in report.by_value())
     meta = artifact_meta(cfg.host, cfg.seed, model=cfg.model, by_value=by_value)
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    if args.format == "json":
-        write_json(cfg.out / "spectrum.json", meta, report.to_json_obj())
-        print(f"wrote {cfg.out / 'spectrum.json'}")
-    else:
-        write_csv(
-            cfg.out / "spectrum.csv",
-            meta,
-            ["flat", "size", "eigenvalue", "multiplicity"],
-            report.to_csv_rows(),
-        )
-        print(f"wrote {cfg.out / 'spectrum.csv'}")
-    return 0
+    header = ["flat", "size", "eigenvalue", "multiplicity"]
+    return _write_table(cfg, args.format, "spectrum", meta, header, report.to_csv_rows())
 
 
 def _stationary_rows(cfg: RunConfig) -> Iterator[tuple[str, str]]:
@@ -370,20 +371,15 @@ def _stationary_rows(cfg: RunConfig) -> Iterator[tuple[str, str]]:
 
 
 def cmd_stationary(cfg: RunConfig, args: argparse.Namespace) -> int:
-    rows = _stationary_rows(cfg)
     meta = artifact_meta(cfg.host, cfg.seed, model=cfg.model, mode=cfg.mode)
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    if args.format == "json":
-        write_json(cfg.out / "stationary.json", meta, ({"state": s, "pi": v} for s, v in rows))
-        print(f"wrote {cfg.out / 'stationary.json'}")
-    else:
-        write_csv(cfg.out / "stationary.csv", meta, ["state", "pi"], rows)
-        print(f"wrote {cfg.out / 'stationary.csv'}")
-    return 0
+    return _write_table(cfg, args.format, "stationary", meta, ["state", "pi"], _stationary_rows(cfg))
 
 
 def cmd_mixing(cfg: RunConfig, args: argparse.Namespace) -> int:
     c = args.c
+    _check_c(c)
+    if args.t_max is not None and args.t_max < 0:
+        raise ValidationError(f"t_max must be >= 0, got {args.t_max}")
     m = cfg.host.m
     meta = artifact_meta(cfg.host, cfg.seed, model=cfg.model, c=c)
     simple = cfg.model == "simple"
@@ -416,7 +412,7 @@ def cmd_mixing(cfg: RunConfig, args: argparse.Namespace) -> int:
     cfg.out.mkdir(parents=True, exist_ok=True)
     if tm is not None:
         start = cfg.initial.mask
-        if find_mask(tm.masks, start) < 0:
+        if find_masks(tm.masks, start) < 0:
             start = int(tm.masks[0])  # fall back to a recurrent start
             meta["start"] = format(start, "#x")
             meta["start_fallback"] = cfg.initial.hex()
@@ -445,10 +441,7 @@ def cmd_commute(cfg: RunConfig, args: argparse.Namespace) -> int:
             for j in range(i, len(masks)):
                 matrix[i][j] = matrix[j][i] = str(_spectral_sum(i, j, terms, commute=True))
     else:
-        tm = build_chain(
-            cfg.weights, cfg.host, restrict="recurrent", initial=cfg.initial,
-            cap=cfg.caps["states"],
-        )
+        tm = build_chain(cfg.weights, cfg.host, _recurrent_class(cfg), cfg.caps["states"])
         check_cap(tm.size, cap, f"{tm.size} commute-matrix states (caps.commute_states)")
         masks = tm.masks.tolist()
         hit = _hitting_columns(tm, range(tm.size))
@@ -461,11 +454,8 @@ def cmd_commute(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_export_dot(cfg: RunConfig, args: argparse.Namespace) -> int:
-    restrict = "all" if cfg.model == "simple" else "recurrent"
-    tm = build_chain(
-        cfg.weights, cfg.host, restrict=restrict, initial=cfg.initial,
-        cap=cfg.caps["states"],
-    )
+    masks = None if cfg.model == "simple" else _recurrent_class(cfg)
+    tm = build_chain(cfg.weights, cfg.host, masks, cfg.caps["states"])
     text = to_dot(tm, cfg.host, labels=args.labels)
     meta = artifact_meta(cfg.host, cfg.seed, model=cfg.model)
     header = "".join(f"// {k}: {v}\n" for k, v in meta.items())

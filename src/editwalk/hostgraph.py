@@ -4,7 +4,7 @@ The host graph fixes a canonical edge indexing (edges sorted by
 (min endpoint, max endpoint)); every other module speaks edge indices.
 An EdgeSet is a bitmask over those indices: a single chain state, a flat
 of the support lattice, or an edit support. Collections of states are
-sorted mask arrays (dtype `mask_dtype(m)`), searched with `find_mask`.
+sorted mask arrays (dtype `mask_dtype(m)`), searched with `find_masks`.
 Sequences of masks, such as a trajectory's recorded states, are decoded
 together: `set_bits` lists their set bits and `forest_flags` tests each
 for a cycle, both in numpy, block by block.
@@ -46,10 +46,12 @@ def _popcount(masks: np.ndarray) -> np.ndarray:
     return np.bitwise_count(masks).astype(np.int64)
 
 
-def find_mask(masks: np.ndarray, mask: int) -> int:
-    """Index of `mask` in an ascending mask array by binary search, or -1."""
-    at = int(np.searchsorted(masks, mask))
-    return at if at < len(masks) and masks[at] == mask else -1
+def find_masks(masks: np.ndarray, values):
+    """Index of each value in the ascending array `masks` by binary search,
+    or -1 where it is absent; a scalar value gives an int."""
+    at = np.minimum(np.searchsorted(masks, values), max(len(masks) - 1, 0))
+    at = np.where(masks[at] == values, at, -1) if len(masks) else np.full_like(at, -1)
+    return int(at) if np.ndim(at) == 0 else at
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import STATE_CAP, HostMismatch, ValidationError, check_cap
-from .hostgraph import EdgeSet, _popcount
+from .hostgraph import EdgeSet, _popcount, find_masks
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,8 +73,7 @@ def closure(dist, cap: int = STATE_CAP) -> SupportLattice:
     while len(plus):
         plus, minus = (a.ravel() for a in _backward_step(plus[:, None], minus[:, None], y_plus, y_minus))
         reach = plus | minus
-        at = np.minimum(np.searchsorted(seen, reach), len(seen) - 1)
-        new = np.flatnonzero(seen[at] != reach)
+        new = np.flatnonzero(find_masks(seen, reach) < 0)
         reach, keep = np.unique(reach[new], return_index=True)
         plus, minus = plus[new[keep]], minus[new[keep]]
         check_cap(len(seen) + len(reach), cap, "support-closure flats")

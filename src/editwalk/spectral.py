@@ -43,7 +43,7 @@ from .errors import (
     ValidationError,
     check_cap,
 )
-from .hostgraph import EdgeSet, HostGraph, _popcount, find_mask, mask_dtype
+from .hostgraph import EdgeSet, HostGraph, _popcount, find_masks, mask_dtype
 from .lattice import SpectrumEntry, SpectrumReport, _backward_step, closure, multiplicities
 from .process import WeightedEdits, _common_denominator, _is_exact, _kron, _per_edge_probabilities
 
@@ -87,7 +87,7 @@ class TransitionMatrix:
 
     def index_of(self, state: EdgeSet | int) -> int:
         mask = state.mask_on(self.m) if isinstance(state, EdgeSet) else int(state)
-        at = -1 if mask >> self.m else find_mask(self.masks, mask)
+        at = -1 if mask >> self.m else find_masks(self.masks, mask)
         if at < 0:
             raise ValidationError(f"state {mask:#x} is not in this chain")
         return at
@@ -141,9 +141,8 @@ class TransitionMatrix:
 
     def _transpose_gap(self, values: np.ndarray) -> tuple[object, bool]:
         """max |v_ij - v_ji| over the cells (a missing v_ji reads 0), and whether every cell is paired."""
-        keys, back_keys = self.rows * self.size + self.cols, self.cols * self.size + self.rows
-        at = np.minimum(np.searchsorted(keys, back_keys), len(keys) - 1)
-        paired = keys[at] == back_keys
+        at = find_masks(self.rows * self.size + self.cols, self.cols * self.size + self.rows)
+        paired = at >= 0
         return np.abs(values - np.where(paired, values[at], 0)).max(), bool(paired.all())
 
     def row_sum_residual(self):
@@ -173,38 +172,28 @@ def _explicit(dist: WeightedEdits, g: HostGraph) -> None:
 def build_chain(
     dist: WeightedEdits,
     g: HostGraph,
-    restrict: str = "all",
-    initial: EdgeSet | None = None,
-    cap: int = STATE_CAP,
     masks: np.ndarray | None = None,
+    cap: int = STATE_CAP,
 ) -> TransitionMatrix:
-    """Transition matrix of the walk driven by `dist`.
-
-    restrict="all" enumerates every subset of host edges in ascending mask
-    order; restrict="recurrent" first computes the closed communicating
-    class and builds the matrix on it. `masks`, when the caller already
-    has the states (such as the recurrent chambers `stationary_faces`
-    returns), replace that enumeration: a strictly ascending mask array,
-    closed under every edit. Each cell sums its edits' weights: exactly
-    when every weight is rational, else in float64 in edit order.
+    """Transition matrix of the walk driven by `dist` on the states `masks`:
+    a strictly ascending mask array closed under every edit, such as the
+    recurrent class `recurrent_class` enumerates or the chambers
+    `stationary_faces` returns. None means all 2^m subsets of host edges,
+    counted against `cap`. Each cell sums its edits' weights: exactly when
+    every weight is rational, else in float64 in edit order.
     """
     _explicit(dist, g)
-    if restrict not in ("all", "recurrent"):
-        raise ValidationError(f"restrict must be 'all' or 'recurrent', got {restrict!r}")
-    if masks is None and restrict == "all":
+    if masks is None:
         check_cap(1 << g.m, cap, f"2^{g.m} states")
         masks = np.arange(1 << g.m, dtype=mask_dtype(g.m))
         masks.flags.writeable = False
-    elif masks is None:
-        masks = recurrent_class(dist, g, initial=initial, cap=cap)
 
     n = len(masks)
     if not (masks[1:] > masks[:-1]).all():
         raise ValidationError("chain states must be in ascending mask order")
     # edit-major: edit k, state i at k * n + i
-    dest = ((masks | dist.plus[:, None]) & ~dist.minus[:, None]).ravel()
-    cols = np.searchsorted(masks, dest)
-    if not np.array_equal(masks[np.minimum(cols, n - 1)], dest):
+    cols = find_masks(masks, ((masks | dist.plus[:, None]) & ~dist.minus[:, None]).ravel())
+    if (cols < 0).any():
         raise ValidationError("an edit leaves the state set")
     cells, where = np.unique(np.tile(np.arange(n), len(dist.weights)) * n + cols, return_inverse=True)
     nums, den = dist.integer_weights if dist.is_exact else (np.array(dist.weights, float), 1)
@@ -258,14 +247,31 @@ def recurrent_class(
         new = []
         for plus, keep in zip(dist.plus, ~dist.minus):
             dest = (frontier | plus) & keep
-            at = np.minimum(np.searchsorted(seen, dest), len(seen) - 1)
-            new.append(dest[seen[at] != dest])
+            new.append(dest[find_masks(seen, dest) < 0])
         frontier = np.sort(np.concatenate(new))  # not np.unique, which imports numpy.ma
         frontier = frontier[np.append(True, frontier[1:] != frontier[:-1])[:len(frontier)]]
         check_cap(len(seen) + len(frontier), cap, "recurrent-class states")
         seen = np.insert(seen, np.searchsorted(seen, frontier), frontier)
     seen.flags.writeable = False
     return seen
+
+
+def _is_recurrent(dist: WeightedEdits, g: HostGraph, state: int) -> bool:
+    """Whether a walk started from `state` is in its recurrent class, i.e.
+    some product of edits covering the covered edges agrees with it (Brown
+    2000), found without enumeration: S grows from the empty set by the
+    supports of the edits whose conflicts with the state lie inside S.
+    Exact: in an agreeing product, the first factor to leave S agrees with
+    the state outside S, so it grows S too; recurrent iff S covers."""
+    covered = _covered(dist, g)
+    supports, _, rank = dist.support_groups
+    s, reached = dist.plus.dtype.type(state), dist.plus.dtype.type(0)
+    conflict, support = dist.plus & ~s | dist.minus & s, supports[rank]
+    while True:
+        grown = np.bitwise_or.reduce(support[(conflict & ~reached) == 0], initial=reached)
+        if grown == reached:
+            return int(reached) == covered
+        reached = grown
 
 
 # ---------------------------------------------------------------------------
@@ -402,19 +408,18 @@ def eigenvalues_simple(m: int, cap: int = STATE_CAP) -> SpectrumReport:
 def spectrum(
     dist: WeightedEdits,
     g: HostGraph,
-    initial: EdgeSet | None = None,
     cap: int = STATE_CAP,
     masks: np.ndarray | None = None,
 ) -> SpectrumReport:
     """Spectrum of a compound chain: one eigenvalue per flat of the support
     lattice (the weight mass inside the flat), with multiplicities obtained
     from the chamber counts by back-substitution over the flat order.
-    `masks` is the recurrent class when the caller already has it, such as
-    a chain's masks; otherwise it is enumerated."""
+    `masks` is the recurrent class, such as a chain's masks; None means
+    `recurrent_class(dist, g, cap=cap)`."""
     _explicit(dist, g)
     lat = closure(dist, cap=cap)
     if masks is None:
-        masks = recurrent_class(dist, g, initial, cap)
+        masks = recurrent_class(dist, g, cap=cap)
     return multiplicities(lat, masks, dist)
 
 
@@ -628,11 +633,16 @@ def simple_tv_bound(m: int, t: int) -> float:
     return 2.0 * m * (1.0 - 1.0 / m) ** t
 
 
+def _check_c(c: float) -> None:
+    """The e^(-c) target of a mixing bound needs a finite c > 0."""
+    if not (c > 0 and math.isfinite(c)):
+        raise ValidationError(f"c must be positive and finite, got {c}")
+
+
 def mixing_bound_simple(m: int, c: float) -> int:
     """Steps guaranteeing distance <= e^(-c) for the per-edge update chain:
     ceil(m(c + 2 ln m)). Natural logarithm."""
-    if c <= 0:
-        raise ValidationError(f"c must be positive, got {c}")
+    _check_c(c)
     if m < 1:
         raise ValidationError("need at least one edge")
     return math.ceil(m * (c + 2.0 * math.log(m)))
@@ -644,8 +654,7 @@ def mixing_bound_compound(
     """Steps guaranteeing distance <= e^(-c) for a compound chain started
     from a chamber: ceil((m ln 2 + c) / (1 - lambda_star)), sharpened to
     ceil((ln M + c) / (1 - lambda_star)) when the chamber count M is known."""
-    if c <= 0:
-        raise ValidationError(f"c must be positive, got {c}")
+    _check_c(c)
     if not 0 <= lambda_star < 1:
         if lambda_star >= 1:
             raise DegenerateGap(f"second eigenvalue {lambda_star} leaves no gap")
@@ -665,8 +674,7 @@ def moran_complete_mixing_bound(n: int, c: float) -> int:
     ceil((n^2 ln n + c n) / 2)."""
     if n < 2:
         raise ValidationError("need at least two vertices")
-    if c <= 0:
-        raise ValidationError(f"c must be positive, got {c}")
+    _check_c(c)
     return math.ceil((n * n * math.log(n) + c * n) / 2.0)
 
 
@@ -675,8 +683,7 @@ def intersection_mixing_bound(n: int, N: int, c: float) -> int:
     ceil(N n^2 ln 2 + c n)."""
     if n < 1 or N < 1:
         raise ValidationError("need n, N >= 1")
-    if c <= 0:
-        raise ValidationError(f"c must be positive, got {c}")
+    _check_c(c)
     return math.ceil(N * n * n * math.log(2.0) + c * n)
 
 

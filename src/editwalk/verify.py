@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import STATE_CAP
-from .hostgraph import EdgeSet, HostGraph
+from .hostgraph import EdgeSet, HostGraph, find_masks
 from .lattice import closure
 from .process import WeightedEdits, _common_denominator, _is_exact, _per_edge_probabilities
 from .spectral import (
@@ -147,7 +147,7 @@ def check_closure_idempotent(dist: WeightedEdits, cap: int = STATE_CAP) -> Check
     join flat | support of every flat with every support are flats."""
     supports, flats = dist.support_groups[0], np.sort(closure(dist, cap).flats)
     joins = np.concatenate([np.zeros(1, supports.dtype), supports, (flats[:, None] | supports).ravel()])
-    closed = bool((flats[np.minimum(np.searchsorted(flats, joins), len(flats) - 1)] == joins).all())
+    closed = bool((find_masks(flats, joins) >= 0).all())
     return CheckResult("closure_idempotent", 0.0 if closed else 1.0, 0.0, closed)
 
 

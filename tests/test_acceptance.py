@@ -234,7 +234,7 @@ def test_criterion_06_moran_spectra(host):
     assert report.total_multiplicity == len(states)
     for entry in report.entries:
         assert entry.eigenvalue == moran_flat_eigenvalue(host, entry.flat)
-    tm = ew.build_chain(dist, host, restrict="recurrent")
+    tm = ew.build_chain(dist, host, ew.recurrent_class(dist, host))
     numeric = ew.numeric_eigenvalues(tm)
     gap = ew.eigenvalue_multiset_residual(report.eigenvalue_multiset(), numeric)
     assert gap < 1e-8
@@ -312,7 +312,7 @@ def test_criterion_09_compound_mixing_bound():
     report = ew.spectrum(dist, k4)
     lam_star = report.second_largest()
     chambers = len(states)
-    tm = ew.build_chain(dist, k4, restrict="recurrent")
+    tm = ew.build_chain(dist, k4, ew.recurrent_class(dist, k4))
     pi = ew.stationary_numeric(tm)
     for c in (1.0, 3.0):
         t_c = ew.mixing_bound_compound(lam_star, k4.m, c, chamber_count=chambers)

@@ -30,6 +30,11 @@ from editwalk.verify import (
 )
 
 
+def chain_states(dist, g, restrict):
+    """The states `build_chain` takes: None for all 2^m, else the recurrent class."""
+    return None if restrict == "all" else ew.recurrent_class(dist, g)
+
+
 def dense_chain(dist, g, restrict="all"):
     """The former twin-loop construction: (states, entries, exact)."""
     if restrict == "all":
@@ -130,7 +135,7 @@ FAMILIES = {
 @pytest.mark.parametrize("name", FAMILIES)
 def test_cells_reproduce_dense_construction(name):
     g, dist, restrict = FAMILIES[name]()
-    tm = ew.build_chain(dist, g, restrict=restrict)
+    tm = ew.build_chain(dist, g, chain_states(dist, g, restrict))
     states, entries, exact = dense_chain(dist, g, restrict)
     assert tm.masks.tolist() == [s.mask for s in states] and tm.exact == exact
     assert np.array_equal(tm.to_float(), dense_to_float(entries, exact))
@@ -143,22 +148,21 @@ def test_cells_reproduce_dense_construction(name):
 
 def test_cycle_family_shares_cells():
     g, dist = cycle_family(6, True)
-    tm = ew.build_chain(dist, g, restrict="recurrent")
+    tm = ew.build_chain(dist, g, ew.recurrent_class(dist, g))
     assert len(tm.rows) < len(dist.items) * tm.size
 
 
-def test_edit_leaving_the_states_is_named(monkeypatch):
+def test_edit_leaving_the_states_is_named():
     g = _path(2)
     dist = ew.simple_edit_weights(g, Fraction(1, 2))
-    monkeypatch.setattr(spectral, "recurrent_class", lambda *a, **k: np.array([0b01], np.uint64))
     with pytest.raises(ValidationError, match="leaves the state set"):
-        ew.build_chain(dist, g, restrict="recurrent")
+        ew.build_chain(dist, g, np.array([0b01], np.uint64))
 
 
 @pytest.mark.parametrize("exact", [True, False])
 def test_from_dense_round_trip(exact):
     g, dist = cycle_family(6, exact)
-    tm = ew.build_chain(dist, g, restrict="recurrent")
+    tm = ew.build_chain(dist, g, ew.recurrent_class(dist, g))
     again = chain_from_dense(tm.m, tm.masks, tm.entries, exact)
     assert np.array_equal(again.entries, tm.entries)
     assert np.array_equal(again.to_float(), tm.to_float())
@@ -180,7 +184,7 @@ def test_reorder_matches_double_loop(exact):
 @pytest.mark.parametrize("exact", [True, False])
 def test_to_dot_matches_dense_walk(exact):
     for g, dist, restrict in (FAMILIES["moran K4"](), (*cycle_family(6, exact), "recurrent")):
-        tm = ew.build_chain(dist, g, restrict=restrict)
+        tm = ew.build_chain(dist, g, chain_states(dist, g, restrict))
         states, entries, is_exact = dense_chain(dist, g, restrict)
         assert ew.to_dot(tm) == dense_dot(states, entries, is_exact, ew.EdgeSet.hex)
         by_edges = dense_dot(states, entries, is_exact, lambda s: "{" + ",".join(
@@ -287,7 +291,7 @@ def test_rational_verification_builds_no_fraction_views(monkeypatch):
 
 def test_left_apply_matches_dense_product():
     g, dist = cycle_family(6, False)
-    tm = ew.build_chain(dist, g, restrict="recurrent")
+    tm = ew.build_chain(dist, g, ew.recurrent_class(dist, g))
     vectors = np.random.default_rng(0).random((3, tm.size))
     assert np.allclose(tm.left_apply(vectors), vectors @ tm.to_float(), rtol=0, atol=1e-15)
     assert np.allclose(tm.left_apply(vectors[0]), vectors[0] @ tm.to_float(), rtol=0, atol=1e-15)
@@ -324,7 +328,8 @@ def test_moran_float_solve_builds_no_square_object_array(monkeypatch):
     dense_chain(ew.moran_weights(k5), k5, "recurrent")  # positive control
     assert square_objects == ["empty"]
     square_objects.clear()
-    tm = ew.build_chain(ew.moran_weights(k5), k5, restrict="recurrent")
+    dist = ew.moran_weights(k5)
+    tm = ew.build_chain(dist, k5, ew.recurrent_class(dist, k5))
     pi = ew.stationary_numeric(tm)
     assert tm.exact and abs(pi.sum() - 1) < 1e-12
     assert square_objects == []
@@ -339,7 +344,7 @@ def test_hosts_beyond_64_edges(exact):
     half = Fraction(1, 2) if exact else 0.5
     dist = ew.WeightedEdits.from_items(m, ((parse_edit("+0 -69", m), half), (parse_edit("-0 +69", m), half)))
     with pytest.warns(SupportNotCovering):
-        tm = ew.build_chain(dist, g, restrict="recurrent", initial=ew.EdgeSet(m, 0b110))
+        tm = ew.build_chain(dist, g, ew.recurrent_class(dist, g, initial=ew.EdgeSet(m, 0b110)))
     assert tm.masks.tolist() == [0b111, (1 << 69) | 0b110]
     assert np.array_equal(tm.to_float(), np.full((2, 2), 0.5))
     assert tm.exact == exact and np.array_equal(tm.entries, np.full((2, 2), half))

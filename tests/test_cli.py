@@ -11,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import editwalk as ew
-from editwalk import EdgeSet, build_chain, complete_graph, moran_weights, simple_edit_weights
+from editwalk import (
+    EdgeSet,
+    build_chain,
+    complete_graph,
+    moran_weights,
+    recurrent_class,
+    simple_edit_weights,
+)
 from editwalk.cli import main
 from editwalk.process import SAMPLER_VERSION
 from editwalk.serialize import read_csv, read_json, read_jsonl
@@ -305,6 +312,28 @@ def test_mixing_curve_stays_under_bound(tmp_path):
     assert float(final_tv) <= np.exp(-1.0)
 
 
+@pytest.mark.parametrize(
+    "host, model, flags, message",
+    [
+        (None, None, ["--c", "nan"], "c must be positive and finite, got nan"),
+        (None, None, ["--c", "inf"], "c must be positive and finite, got inf"),
+        ({"preset": "complete", "params": [4]}, {"name": "moran"}, ["--c", "nan"],
+         "c must be positive and finite, got nan"),
+        # past the cap the curve is skipped, but a negative t_max is still refused
+        ({"preset": "complete", "params": [7]}, None, ["--t-max", "-5"],
+         "t_max must be >= 0, got -5"),
+    ],
+    ids=["c-nan", "c-inf", "moran-c-nan", "t-max-negative-K7"],
+)
+def test_bad_mixing_flags_are_named(tmp_path, capsys, host, model, flags, message):
+    overrides = {key: value for key, value in (("host", host), ("model", model)) if value}
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["mixing", "--config", str(cfg), "--out", str(tmp_path), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.strip() == f"error: {message}" and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]  # nothing written
+
+
 def test_mixing_compound_uses_chamber_sharpening(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -326,7 +355,7 @@ def test_mixing_records_a_moved_start(tmp_path):
     assert main(["mixing", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     meta, _, rows = read_csv(tmp_path / "mixing.csv")
     k4 = complete_graph(4)
-    first = hex(build_chain(moran_weights(k4), k4, restrict="recurrent").masks[0])
+    first = hex(recurrent_class(moran_weights(k4), k4)[0])
     assert meta["start_fallback"] == k4.full_set().hex() == "0x3f"
     assert meta["start"] == first
     assert float(rows[0][1]) < 1.0  # the curve starts inside the class

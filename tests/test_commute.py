@@ -16,6 +16,7 @@ from editwalk import (
     hitting_time,
     hitting_time_closed,
     moran_weights,
+    recurrent_class,
     simple_edit_weights,
 )
 from editwalk.errors import NotIrreducible
@@ -158,7 +159,7 @@ def test_not_irreducible():
 def test_not_reversible():
     k4 = complete_graph(4)
     dist = moran_weights(k4)
-    tm = build_chain(dist, k4, restrict="recurrent")
+    tm = build_chain(dist, k4, recurrent_class(dist, k4))
     with pytest.raises(NotReversible):
         hitting_time_spectral(tm, 0, 1)
     # the fundamental-matrix solve still works

@@ -196,7 +196,8 @@ def test_compound_commute_factorizes_once(tmp_path, monkeypatch):
 
     _, header, rows = read_csv(tmp_path / "commute.csv")
     k4 = ew.complete_graph(4)
-    tm = ew.build_chain(ew.moran_weights(k4), k4, restrict="recurrent")
+    dist = ew.moran_weights(k4)
+    tm = ew.build_chain(dist, k4, ew.recurrent_class(dist, k4))
     assert header[1:] == [format(mask, "#x") for mask in tm.masks.tolist()]
     hit = np.column_stack([hitting_times_first_step(tm, j) for j in range(tm.size)])
     expected = hit + hit.T

@@ -58,7 +58,7 @@ def test_commute_backends_agree_at_extreme_probabilities():
 def test_compound_decay_dominated_by_spectral_bound():
     k4 = ew.complete_graph(4)
     dist = ew.moran_weights(k4)
-    tm = ew.build_chain(dist, k4, restrict="recurrent")
+    tm = ew.build_chain(dist, k4, ew.recurrent_class(dist, k4))
     report = ew.spectrum(dist, k4)
     pi = ew.stationary_numeric(tm)
     rng = np.random.default_rng(5)
@@ -74,7 +74,7 @@ def test_moran_empirical_matches_stationary():
     # recurrent chain
     k3 = ew.complete_graph(3)
     dist = ew.moran_weights(k3)
-    tm = ew.build_chain(dist, k3, restrict="recurrent")
+    tm = ew.build_chain(dist, k3, ew.recurrent_class(dist, k3))
     pi = ew.stationary_numeric(tm)
     hist = ew.empirical_distribution(
         dist, k3.full_set(), burn_in=100, samples=120_000, seed=77

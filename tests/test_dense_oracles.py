@@ -33,7 +33,7 @@ def simple_chain(m):
 
 
 def recurrent_chain(g, dist):
-    return ew.build_chain(dist, g, restrict="recurrent")
+    return ew.build_chain(dist, g, ew.recurrent_class(dist, g))
 
 
 CHAINS = {
@@ -132,7 +132,7 @@ def test_build_chain_needs_ascending_states():
     dist = ew.moran_weights(g)
     states = ew.recurrent_class(dist, g)
     with pytest.raises(ValidationError):
-        ew.build_chain(dist, g, restrict="recurrent", masks=states[::-1])
+        ew.build_chain(dist, g, states[::-1])
 
 
 @pytest.mark.parametrize("mode", ["double", "rational"])

@@ -112,7 +112,7 @@ def test_every_state_collection_is_one_sorted_mask_array(name):
         g, dist = wide_family()
     dtype = np.dtype(object) if g.m > 64 else np.dtype(np.uint64)
     arrays = [ew.recurrent_class(dist, g), ew.stationary_faces(dist, g, exact=False)[0],
-              ew.build_chain(dist, g, restrict="recurrent").masks]
+              ew.build_chain(dist, g, ew.recurrent_class(dist, g)).masks]
     for masks in arrays:
         assert isinstance(masks, np.ndarray) and masks.dtype == dtype
         assert not masks.flags.writeable

@@ -38,7 +38,7 @@ def face_law_and_solve(dist, g, initial=None):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SupportNotCovering)
         states, pi = ew.stationary_faces(dist, g, initial=initial, exact=False)
-        tm = ew.build_chain(dist, g, restrict="recurrent", initial=initial)
+        tm = ew.build_chain(dist, g, ew.recurrent_class(dist, g, initial=initial))
     assert states.tolist() == tm.masks.tolist()
     assert isinstance(pi, np.ndarray) and pi.dtype == float
     return pi, ew.stationary_numeric(tm)
@@ -93,8 +93,8 @@ def test_face_chambers_are_the_recurrent_class(name):
         g, dist = MODELS[name]()
     states, _ = ew.stationary_faces(dist, g, exact=False)
     assert states.tolist() == ew.recurrent_class(dist, g).tolist()
-    given = ew.build_chain(dist, g, restrict="recurrent", masks=states)
-    enumerated = ew.build_chain(dist, g, restrict="recurrent")
+    given = ew.build_chain(dist, g, states)
+    enumerated = ew.build_chain(dist, g, ew.recurrent_class(dist, g))
     assert given.masks.tolist() == enumerated.masks.tolist()
     for cells in ("rows", "cols", "numerators"):
         assert np.array_equal(getattr(given, cells), getattr(enumerated, cells))
@@ -112,7 +112,7 @@ def test_rational_law_is_an_exact_fixed_point():
     dist = ew.moran_weights(k4)
     states, pi = ew.stationary_faces(dist, k4)
     assert all(type(x) is Fraction for x in pi) and sum(pi) == 1
-    tm = ew.build_chain(dist, k4, restrict="recurrent")
+    tm = ew.build_chain(dist, k4, ew.recurrent_class(dist, k4))
     assert states.tolist() == tm.masks.tolist()
     # left_apply sums the chain's numerators, so pi P = pi reads over its denominator
     assert list(tm.left_apply(np.array(pi, dtype=object))) == [x * tm.denominator for x in pi]
@@ -264,10 +264,11 @@ def decay_cases():
         tm = ew.build_chain(ew.simple_edit_weights(g, p), g)
         yield tm, ew.stationary_closed_form(g, p), range(16), 42
     k4 = ew.complete_graph(4)
-    tm = ew.build_chain(ew.moran_weights(k4), k4, restrict="recurrent")
+    dist = ew.moran_weights(k4)
+    tm = ew.build_chain(dist, k4, ew.recurrent_class(dist, k4))
     yield tm, ew.stationary_numeric(tm), tm.masks, 20
     g, dist = cycle_family(6, exact=True)
-    tm = ew.build_chain(dist, g, restrict="recurrent")
+    tm = ew.build_chain(dist, g, ew.recurrent_class(dist, g))
     yield tm, ew.stationary_faces(dist, g)[1], tm.masks[:8], 30
 
 

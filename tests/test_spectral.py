@@ -98,7 +98,8 @@ class TestBuildChain:
         tm = build_chain(dist, g)
         assert tm.row_sum_residual() < 1e-12
         k4 = complete_graph(4)
-        tm2 = build_chain(moran_weights(k4), k4, restrict="recurrent")
+        moran = moran_weights(k4)
+        tm2 = build_chain(moran, k4, recurrent_class(moran, k4))
         assert tm2.row_sum_residual() == 0  # exact Fractions
 
     def test_matches_direct_simulation_m3(self):
@@ -240,7 +241,7 @@ class TestSpectra:
         k4 = complete_graph(4)
         dist = moran_weights(k4)
         report = spectrum(dist, k4)
-        tm = build_chain(dist, k4, restrict="recurrent")
+        tm = build_chain(dist, k4, recurrent_class(dist, k4))
         assert report.total_multiplicity == tm.size
         residual = eigenvalue_multiset_residual(
             report.eigenvalue_multiset(), numeric_eigenvalues(tm)
@@ -280,7 +281,7 @@ class TestSpectra:
             report = spectrum(dist, g)
         assert sorted(float(e.eigenvalue) for e in report.entries) == [0.0, 1.0]
         with pytest.warns(SupportNotCovering):
-            tm = build_chain(dist, g, restrict="recurrent")
+            tm = build_chain(dist, g, recurrent_class(dist, g))
         assert (
             eigenvalue_multiset_residual(
                 report.eigenvalue_multiset(), numeric_eigenvalues(tm)
@@ -416,6 +417,14 @@ class TestMixingBounds:
             3 * 4 * math.log(2) + 2
         )
 
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_every_bound_needs_a_finite_positive_c(self, c):
+        for bound in (lambda: mixing_bound_simple(4, c), lambda: mixing_bound_compound(0.5, 4, c),
+                      lambda: moran_complete_mixing_bound(4, c),
+                      lambda: intersection_mixing_bound(2, 3, c)):
+            with pytest.raises(ValidationError, match="c must be positive"):
+                bound()
+
 
 class TestOrderingAndDot:
     def test_sign_lex_order_m2(self):
@@ -443,7 +452,7 @@ class TestOrderingAndDot:
     def test_dot_moran_restricted_and_no_self_loops(self):
         k4 = complete_graph(4)
         dist = moran_weights(k4)
-        tm = build_chain(dist, k4, restrict="recurrent")
+        tm = build_chain(dist, k4, recurrent_class(dist, k4))
         text = to_dot(tm, k4, labels="edges")
         node_lines = [l for l in text.splitlines() if l.endswith('";')]
         assert len(node_lines) == tm.size

@@ -34,7 +34,7 @@ def test_recurrent_class_refuses_a_start_from_another_host():
 def test_build_chain_refuses_a_start_from_another_host():
     g, dist = moran(4)
     with pytest.raises(HostMismatch):
-        ew.build_chain(dist, g, restrict="recurrent", initial=ew.EdgeSet(2, 3))
+        ew.build_chain(dist, g, ew.recurrent_class(dist, g, initial=ew.EdgeSet(2, 3)))
 
 
 def test_stationary_faces_refuses_a_start_from_another_host():
@@ -46,7 +46,7 @@ def test_stationary_faces_refuses_a_start_from_another_host():
 
 def test_tv_decay_refuses_a_start_from_another_host():
     g, dist = moran(4)
-    tm = ew.build_chain(dist, g, restrict="recurrent")
+    tm = ew.build_chain(dist, g, ew.recurrent_class(dist, g))
     pi = ew.stationary_numeric(tm)
     mask = int(tm.masks[0])
     assert ew.tv_decay(tm, ew.EdgeSet(g.m, mask), pi, 3)[0] > 0
@@ -56,7 +56,7 @@ def test_tv_decay_refuses_a_start_from_another_host():
 
 def test_index_of_searches_the_masks():
     g, dist = moran(4)
-    tm = ew.build_chain(dist, g, restrict="recurrent")
+    tm = ew.build_chain(dist, g, ew.recurrent_class(dist, g))
     for i, mask in enumerate(tm.masks.tolist()):
         assert tm.index_of(mask) == tm.index_of(ew.EdgeSet(g.m, mask)) == i
     absent = sorted(set(range(1 << g.m)) - set(tm.masks.tolist()))

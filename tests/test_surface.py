@@ -156,12 +156,6 @@ def test_tv_decay_rejects_negative_horizon():
         ew.tv_decay(tm, 0, [0.25] * 4, -1)
 
 
-def test_build_chain_rejects_unknown_restriction():
-    g = ew.from_edge_list(3, [(0, 1), (1, 2)])
-    with pytest.raises(ValidationError):
-        ew.build_chain(ew.simple_edit_weights(g, 0.5), g, restrict="some")
-
-
 def test_to_dot_label_validation():
     g = ew.from_edge_list(3, [(0, 1), (1, 2)])
     tm = ew.build_chain(ew.simple_edit_weights(g, 0.5), g)
