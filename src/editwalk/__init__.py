@@ -21,7 +21,6 @@ from .hostgraph import (
     neighborhood_edges,
 )
 from .lattice import (
-    SpectrumEntry,
     SpectrumReport,
     SupportLattice,
     closure,

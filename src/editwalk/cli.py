@@ -210,8 +210,11 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
     caps_spec = raw.get("caps", {})
     if not isinstance(caps_spec, dict):
         raise ValidationError(f"caps: expected an object, got {caps_spec!r}")
-    caps = {key: _cap(caps_spec.get(key, default), f"caps.{key}")
-            for key, default in (("states", STATE_CAP), ("commute_states", 256))}
+    defaults = {"states": STATE_CAP, "commute_states": 256}
+    for key in caps_spec:
+        if key not in defaults:
+            raise ValidationError(f"caps.{key}: unknown cap, expected states or commute_states")
+    caps = {key: _cap(caps_spec.get(key, default), f"caps.{key}") for key, default in defaults.items()}
     if overrides.cap_states is not None:
         caps["states"] = _cap(overrides.cap_states, "--cap-states")
     elif caps["states"] > STATE_CAP:
@@ -277,7 +280,7 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
 
 def _warn_if_transient(cfg: RunConfig) -> None:
     """Compound-model mixing statements start from the recurrent class."""
-    if cfg.model == "simple" or cfg.weights.is_lazy:
+    if cfg.model == "simple":
         return
     if not _is_recurrent(cfg.weights, cfg.host, cfg.initial.mask):
         print("warning: initial state is outside the recurrent class; "

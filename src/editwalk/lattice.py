@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import STATE_CAP, HostMismatch, ValidationError, check_cap
-from .hostgraph import EdgeSet, _popcount, find_masks
+from .hostgraph import _popcount, find_masks
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,75 +87,69 @@ def closure(dist, cap: int = STATE_CAP) -> SupportLattice:
     return SupportLattice(dist.m, flats, signs)
 
 
-def _eigenvalues(dist, flats: np.ndarray) -> list:
+def _eigenvalues(dist, flats: np.ndarray) -> np.ndarray:
     """Total weight of the edits whose support lies inside each flat. The
-    sum is exact: a Fraction when every weight is rational, else the exact
-    sum of the weights rounded once to a float, so a flat holding every
-    edit reads exactly 1 whenever the weights sum to 1 exactly."""
+    sum is exact: Fractions (an object array) when every weight is rational,
+    else the exact sum of the weights rounded once to a float, so a flat
+    holding every edit reads exactly 1 whenever the weights sum to 1 exactly."""
     nums, den = dist.integer_weights
     supports, _, index = dist.support_groups
     mass = np.zeros(len(supports), dtype=object)
     np.add.at(mass, index, nums)
-    inside = ((supports & ~flats[:, None]) == 0).astype(object)
-    return [Fraction(t, den) if dist.is_exact else t / den for t in (inside @ mass).tolist()]
+    totals = (((supports & ~flats[:, None]) == 0).astype(object) @ mass).tolist()
+    if dist.is_exact:
+        return np.array([Fraction(t, den) for t in totals], dtype=object)
+    return np.array([t / den for t in totals])
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
-    flat: EdgeSet
-    eigenvalue: object  # Fraction in exact mode, float otherwise
-    multiplicity: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumReport:
-    """Per-flat eigenvalues and multiplicities of a chamber walk."""
+    """Per-flat eigenvalues and multiplicities of a chamber walk, as three
+    aligned arrays: `flats` a read-only mask array sorted by (size, mask),
+    so the top flat comes last; `eigenvalues` Fractions in an object array
+    when exact, else float64; `multiplicities` int64."""
 
-    entries: tuple[SpectrumEntry, ...]
+    flats: np.ndarray
+    eigenvalues: np.ndarray
+    multiplicities: np.ndarray
 
     @property
     def total_multiplicity(self) -> int:
-        return sum(e.multiplicity for e in self.entries)
+        return int(self.multiplicities.sum())
 
-    @property
-    def top(self) -> EdgeSet:
-        return max(self.entries, key=lambda e: len(e.flat)).flat
+    def _floats(self) -> np.ndarray:
+        return self.eigenvalues.astype(float)
 
     def eigenvalue_multiset(self) -> list[float]:
         """All eigenvalues expanded by multiplicity, descending."""
-        values: list[float] = []
-        for e in self.entries:
-            values.extend([float(e.eigenvalue)] * e.multiplicity)
-        values.sort(reverse=True)
-        return values
+        return np.sort(np.repeat(self._floats(), self.multiplicities))[::-1].tolist()
 
     def by_value(self) -> list[tuple[float, int]]:
         """Aggregated (eigenvalue, total multiplicity), descending by value."""
-        agg: dict[float, int] = {}
-        for e in self.entries:
-            agg[float(e.eigenvalue)] = agg.get(float(e.eigenvalue), 0) + e.multiplicity
-        return sorted(agg.items(), key=lambda kv: -kv[0])
+        values = self._floats()
+        order = np.argsort(-values)
+        values = values[order]
+        # runs of equal values, found without np.unique (it imports numpy.ma)
+        starts = np.flatnonzero(np.append(True, values[1:] != values[:-1]))
+        totals = np.add.reduceat(self.multiplicities[order], starts)
+        return list(zip(values[starts].tolist(), totals.tolist()))
 
     def second_largest(self) -> float:
         """Largest eigenvalue over flats other than the top."""
-        top_mask = self.top.mask
-        rest = [float(e.eigenvalue) for e in self.entries if e.flat.mask != top_mask]
-        if not rest:
+        if len(self.flats) < 2:
             raise ValidationError("spectrum has no flat below the top")
-        return max(rest)
+        return float(self._floats()[:-1].max())
 
     def to_csv_rows(self) -> list[tuple[str, int, str, int]]:
-        return [
-            (e.flat.hex(), len(e.flat), str(e.eigenvalue), e.multiplicity)
-            for e in self.entries
-        ]
-
-    def to_json_obj(self) -> list[dict]:
-        keys = ("flat", "size", "eigenvalue", "multiplicity")
-        return [dict(zip(keys, row)) for row in self.to_csv_rows()]
+        return list(zip(
+            map(hex, self.flats.tolist()),
+            _popcount(self.flats).tolist(),
+            map(str, self.eigenvalues.tolist()),
+            self.multiplicities.tolist(),
+        ))
 
 
-def multiplicities(lat: SupportLattice, masks: np.ndarray, dist=None) -> SpectrumReport:
+def multiplicities(lat: SupportLattice, masks: np.ndarray, dist) -> SpectrumReport:
     """Eigenvalue multiplicities by back-substitution over the flat order.
 
     `masks` is the recurrent class, as the mask array of dtype
@@ -166,8 +160,8 @@ def multiplicities(lat: SupportLattice, masks: np.ndarray, dist=None) -> Spectru
     c_X = sum over flats Y >= X of m_Y, and flats are sorted by size, one
     pass from the top gives every multiplicity:
     m_X = c_X - sum over flats Y > X of m_Y. The multiplicities sum back to
-    the chamber count (the walk's dimension). When `dist` is given, each
-    entry also carries its eigenvalue.
+    the chamber count (the walk's dimension). The report holds `lat.flats`
+    themselves, each with its eigenvalue under `dist`.
     """
     if len(masks) and (masks.min() < 0 or int(masks.max()) >> lat.m):
         raise HostMismatch(f"state masks must lie on the lattice's host of {lat.m} edges")
@@ -186,11 +180,7 @@ def multiplicities(lat: SupportLattice, masks: np.ndarray, dist=None) -> Spectru
                 "mask array is not the full recurrent class"
             )
 
-    values = [None] * len(flats) if dist is None else _eigenvalues(dist, flats)
-    report = SpectrumReport(tuple(
-        SpectrumEntry(EdgeSet(lat.m, x), value, int(mult))
-        for x, value, mult in zip(flats.tolist(), values, mults)
-    ))
+    report = SpectrumReport(flats, _eigenvalues(dist, flats), mults)
     if report.total_multiplicity != len(masks):
         raise ValidationError(
             f"multiplicities sum to {report.total_multiplicity}, "

@@ -138,11 +138,14 @@ class LazySpec:
     `draw(rng, size)` returns `size` edits (at most `block`) as the block
     index v of each and a (size, width) bool array of the block edges each
     forces present; each forces the rest of its block absent. The block
-    index is the edit's support id for the walk kernel."""
+    index is the edit's support id for the walk kernel. `sizes` lists the
+    numbers of present edges an edit can leave in its block (those with
+    positive mass); every subset of such a size can be drawn."""
 
     draw: Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]
     blocks: int
     width: int
+    sizes: np.ndarray
     block: int = BLOCK
     disjoint: ClassVar[bool] = True
 
@@ -408,7 +411,7 @@ def intersection_weights(
             np.put_along_axis(bits, order, np.arange(N) < k[:, None], axis=1)
             return star, bits
 
-        return WeightedEdits(m, (), (), (), LazySpec(draw, n, N, max(1, LAZY_BLOCK_CELLS // N)))
+        return WeightedEdits(m, (), (), (), LazySpec(draw, n, N, sizes, max(1, LAZY_BLOCK_CELLS // N)))
 
     if mode != "explicit":
         raise ValidationError(f"mode must be 'explicit' or 'lazy', got {mode!r}")

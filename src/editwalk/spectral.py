@@ -44,7 +44,7 @@ from .errors import (
     check_cap,
 )
 from .hostgraph import EdgeSet, HostGraph, _popcount, find_masks, mask_dtype
-from .lattice import SpectrumEntry, SpectrumReport, _backward_step, closure, multiplicities
+from .lattice import SpectrumReport, _backward_step, closure, multiplicities
 from .process import WeightedEdits, _common_denominator, _is_exact, _kron, _per_edge_probabilities
 
 REVERSIBILITY_TOL = 1e-10
@@ -262,7 +262,12 @@ def _is_recurrent(dist: WeightedEdits, g: HostGraph, state: int) -> bool:
     2000), found without enumeration: S grows from the empty set by the
     supports of the edits whose conflicts with the state lie inside S.
     Exact: in an agreeing product, the first factor to leave S agrees with
-    the state outside S, so it grows S too; recurrent iff S covers."""
+    the state outside S, so it grows S too; recurrent iff S covers. A lazy
+    distribution's edits rewrite whole blocks, so its state is recurrent iff
+    every block holds a number of edges that some edit leaves there."""
+    if dist.is_lazy:
+        lazy, block, sizes = dist.lazy, (1 << dist.lazy.width) - 1, set(dist.lazy.sizes.tolist())
+        return all((state >> v * lazy.width & block).bit_count() in sizes for v in range(lazy.blocks))
     covered = _covered(dist, g)
     supports, _, rank = dist.support_groups
     s, reached = dist.plus.dtype.type(state), dist.plus.dtype.type(0)
@@ -398,11 +403,11 @@ def eigenvalues_simple(m: int, cap: int = STATE_CAP) -> SpectrumReport:
     if m < 1:
         raise ValidationError("need at least one edge")
     check_cap(1 << m, cap, f"2^{m} states")
-    entries = tuple(
-        SpectrumEntry(EdgeSet(m, mask), Fraction(mask.bit_count(), m), 1)
-        for mask in sorted(range(1 << m), key=lambda v: (v.bit_count(), v))
-    )
-    return SpectrumReport(entries)
+    masks = np.arange(1 << m, dtype=mask_dtype(m))
+    flats = masks[np.lexsort((masks, _popcount(masks)))]
+    flats.flags.writeable = False
+    levels = np.array([Fraction(k, m) for k in range(m + 1)], dtype=object)
+    return SpectrumReport(flats, levels[_popcount(flats)], np.ones(1 << m, dtype=np.int64))
 
 
 def spectrum(
@@ -465,14 +470,15 @@ def eigenvalue_multiset_residual(a: Sequence[float], b: Sequence[float]) -> floa
 
 def _phi_factors(g: HostGraph, p, cap: int) -> tuple[list[np.ndarray], int]:
     """The per-edge 2x2 factors of phi (row: is e in T, column: is e in E) and
-    their denominator: [[-d_e, d_e], [d_e - a_e, a_e]] in Python ints over
-    prod d_e when each p_e = a_e/d_e, else [[-1, 1], [1-p_e, p_e]] over 1."""
+    their denominator: [[-d_e, d_e], [d_e - a_e, a_e]] over prod d_e, with
+    (a_e, d_e) the Python ints of p_e = a_e/d_e when every p_e is rational,
+    else (p_e, 1) as floats, which gives [[-1, 1], [1-p_e, p_e]] over 1."""
     probs = _per_edge_probabilities(g, p)
     check_cap(1 << g.m, cap, f"2^{g.m} states")
-    if not all(_is_exact(pe) for pe in probs):
-        return [np.array([[-1.0, 1.0], [1.0 - pe, pe]]) for pe in map(float, probs)], 1
-    ratios = [(pe.numerator, pe.denominator) for pe in probs]
-    return [np.array([[-d, d], [d - a, a]], object) for a, d in ratios], math.prod(d for _, d in ratios)
+    exact = all(_is_exact(pe) for pe in probs)
+    ratios = [(pe.numerator, pe.denominator) if exact else (float(pe), 1) for pe in probs]
+    factors = [np.array([[-d, d], [d - a, a]], object if exact else float) for a, d in ratios]
+    return factors, math.prod(d for _, d in ratios)
 
 
 def _psi_scale(probs) -> np.ndarray:
@@ -617,15 +623,10 @@ def tv_decay(
 
 def brown_tv_bound(report: SpectrumReport, t: int) -> float:
     """Spectral upper bound on distance to stationarity from any chamber:
-    sum of m_X * lambda_X^t over all flats X below the top."""
-    top_mask = report.top.mask
-    total = 0.0
-    for e in report.entries:
-        if e.flat.mask == top_mask:
-            continue
-        lam = float(e.eigenvalue)
-        total += e.multiplicity * (lam**t if (lam or t) else 1.0)
-    return total
+    sum of m_X * lambda_X^t over all flats X below the top (the last flat),
+    with 0^0 = 1."""
+    lam = report.eigenvalues[:-1].astype(float)
+    return float((report.multiplicities[:-1] * lam**t).sum())
 
 
 def simple_tv_bound(m: int, t: int) -> float:

@@ -43,7 +43,11 @@ time:
 * the support closure by a depth-first search over single flats, with each
   flat's representative composed from the generators that reached it,
   where the library closes a whole level of flats at once and carries the
-  representatives as mask arrays.
+  representatives as mask arrays;
+* the spectrum report as one `SpectrumEntry(EdgeSet, eigenvalue,
+  multiplicity)` per flat, with its rows, aggregates and bounds summed
+  entry by entry, and the per-edge spectrum built one edge subset at a
+  time, where the library keeps three aligned arrays.
 
 It also keeps the helpers that only the tests use: the action of an edit
 on a state, its support, the two edit orders, chambers and their states,
@@ -334,6 +338,76 @@ def multiplicities_by_mobius(lat, chambers, representatives) -> list[int]:
         sum(mu * counts[j] for j, mu in _mobius_row(lat, i).items())
         for i in range(len(lat.flats))
     ]
+
+
+@dataclass(frozen=True)
+class SpectrumEntry:
+    flat: EdgeSet
+    eigenvalue: object  # Fraction in exact mode, float otherwise
+    multiplicity: int
+
+
+@dataclass(frozen=True)
+class EntryReport:
+    """Per-flat eigenvalues and multiplicities, one entry per flat."""
+
+    entries: tuple[SpectrumEntry, ...]
+
+    @classmethod
+    def of(cls, m: int, report) -> "EntryReport":
+        """The entries of an array report, one flat at a time."""
+        rows = zip(report.flats.tolist(), report.eigenvalues.tolist(), report.multiplicities.tolist())
+        return cls(tuple(SpectrumEntry(EdgeSet(m, x), value, int(mult)) for x, value, mult in rows))
+
+    @property
+    def total_multiplicity(self) -> int:
+        return sum(e.multiplicity for e in self.entries)
+
+    @property
+    def top(self) -> EdgeSet:
+        return max(self.entries, key=lambda e: len(e.flat)).flat
+
+    def eigenvalue_multiset(self) -> list[float]:
+        values: list[float] = []
+        for e in self.entries:
+            values.extend([float(e.eigenvalue)] * e.multiplicity)
+        values.sort(reverse=True)
+        return values
+
+    def by_value(self) -> list[tuple[float, int]]:
+        agg: dict[float, int] = {}
+        for e in self.entries:
+            agg[float(e.eigenvalue)] = agg.get(float(e.eigenvalue), 0) + e.multiplicity
+        return sorted(agg.items(), key=lambda kv: -kv[0])
+
+    def second_largest(self) -> float:
+        top_mask = self.top.mask
+        rest = [float(e.eigenvalue) for e in self.entries if e.flat.mask != top_mask]
+        if not rest:
+            raise ValidationError("spectrum has no flat below the top")
+        return max(rest)
+
+    def to_csv_rows(self) -> list[tuple[str, int, str, int]]:
+        return [(e.flat.hex(), len(e.flat), str(e.eigenvalue), e.multiplicity) for e in self.entries]
+
+    def brown_tv_bound(self, t: int) -> float:
+        top_mask = self.top.mask
+        total = 0.0
+        for e in self.entries:
+            if e.flat.mask == top_mask:
+                continue
+            lam = float(e.eigenvalue)
+            total += e.multiplicity * (lam**t if (lam or t) else 1.0)
+        return total
+
+
+def eigenvalues_simple_by_subset(m: int) -> EntryReport:
+    """One entry |T|/m of multiplicity one per edge subset T, sorted by
+    (size, mask)."""
+    return EntryReport(tuple(
+        SpectrumEntry(EdgeSet(m, mask), Fraction(mask.bit_count(), m), 1)
+        for mask in sorted(range(1 << m), key=lambda v: (v.bit_count(), v))
+    ))
 
 
 def tv_decay_dense(tm, initial, pi, t_max: int) -> np.ndarray:

@@ -187,6 +187,7 @@ def test_simulate_records_the_sampler_version(tmp_path):
             {"caps": {"states": (1 << 63) + 1}},
             "caps.states: expected a cap in [1, 2^63], got 9223372036854775809",
         ),
+        ({"caps": {"state": 10}}, "caps.state: unknown cap, expected states or commute_states"),
     ],
     ids=["T-word", "T-fraction", "thin-word", "seed-negative", "intersection-without-mu",
          "p-word", "p-list-zero-denominator", "mu-word", "custom-weight-null", "initial-hex",
@@ -194,7 +195,7 @@ def test_simulate_records_the_sampler_version(tmp_path):
          "p-preset-string", "p-preset-number", "host-params-word",
          "host-n-word", "custom-edit-number", "block-without-block", "custom-without-edit",
          "caps-word", "host-edge-word", "custom-edit-superscript", "block-number", "caps-list",
-         "caps-zero", "commute-caps-zero", "caps-above-2^63"],
+         "caps-zero", "commute-caps-zero", "caps-above-2^63", "caps-unknown-key"],
 )
 def test_bad_simulate_scalars_are_named(tmp_path, capsys, overrides, message):
     cfg = write_config(tmp_path, **overrides)
@@ -597,11 +598,14 @@ def test_write_json_lays_out_values_as_json_indent2(tmp_path_factory, value, dep
 def test_compound_commands_do_not_import_numpy_ma(tmp_path):
     # a plain np.unique imports numpy.ma on NumPy >= 2.3, about 20 ms a process
     cfg = write_config(tmp_path, host={"preset": "complete", "params": [4]}, model={"name": "moran"})
+    simple = write_config(tmp_path, "simple.json", host={"preset": "complete", "params": [3]})
     code = (
         "import sys\n"
         "from editwalk.cli import main\n"
         "for command in ('spectrum', 'export-dot', 'verify', 'simulate'):\n"
         f"    assert main([command, '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+        "for command in ('spectrum', 'verify'):\n"
+        f"    assert main([command, '--config', {str(simple)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     src = str(Path(ew.__file__).resolve().parents[1])

@@ -1,26 +1,32 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from oracles import (
+    EntryReport,
     chamber_count_leq,
     chamber_of,
     closure_by_witness,
+    eigenvalues_simple_by_subset,
     lattice_by_witness,
     mobius_enumerated,
     multiplicities_by_mobius,
     representatives_for,
     supp,
 )
+from test_random_families import seeded_families
 
 from editwalk import (
     EdgeSet,
     Edit,
     WeightedEdits,
+    brown_tv_bound,
     closure,
     complete_graph,
+    eigenvalues_simple,
     from_edge_list,
     intersection_host,
     intersection_weights,
@@ -33,7 +39,7 @@ from editwalk import (
     spectrum,
 )
 from editwalk import lattice
-from editwalk.errors import ClosureTooLarge, HostMismatch, ValidationError
+from editwalk.errors import ClosureTooLarge, HostMismatch, SupportNotCovering, ValidationError
 from editwalk.lattice import _eigenvalues
 
 
@@ -116,7 +122,7 @@ def test_eigenvalue_simple_distribution():
     host = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     dist = simple_edit_weights(host, [Fraction(1, 3)] * 4)
     lat = closure(dist)
-    values = _eigenvalues(dist, lat.flats)
+    values = _eigenvalues(dist, lat.flats).tolist()
     assert values == [Fraction(int(flat).bit_count(), 4) for flat in lat.flats]
     assert values[-1] == 1
 
@@ -137,7 +143,7 @@ def test_eigenvalue_counts_identity_mass_at_bottom():
     dist = WeightedEdits.from_items(m, ((Edit.identity(m), Fraction(1, 4)), (Edit(m, 0b11, 0), Fraction(3, 4))))
     lat = closure(dist)
     assert lat.flats.tolist() == [0, 0b11]
-    assert _eigenvalues(dist, lat.flats) == [Fraction(1, 4), 1]
+    assert _eigenvalues(dist, lat.flats).tolist() == [Fraction(1, 4), 1]
 
 
 def all_masks(m):
@@ -157,7 +163,7 @@ def test_multiplicities_simple_semigroup():
     for i, flat in enumerate(lat.flats.tolist()):
         assert chamber_count_leq(representative(lat, i), chambers) == 2 ** (m - flat.bit_count())
     report = multiplicities(lat, all_masks(m), dist)
-    assert all(e.multiplicity == 1 for e in report.entries)
+    assert report.multiplicities.tolist() == [1] * (1 << m)
     assert report.total_multiplicity == 1 << m
     # aggregated view: eigenvalue k/m appears C(m, k) times
     assert report.by_value() == [
@@ -172,7 +178,7 @@ def test_multiplicities_single_full_support_generator():
     lat = closure(dist)
     states = np.array([0b101], np.uint64)  # the one reachable state
     report = multiplicities(lat, states, dist)
-    by_flat = {e.flat.mask: e.multiplicity for e in report.entries}
+    by_flat = dict(zip(report.flats.tolist(), report.multiplicities.tolist()))
     assert by_flat[(1 << m) - 1] == 1
     assert by_flat[0] == 0
 
@@ -191,7 +197,7 @@ def test_multiplicities_representative_independence_k3_moran():
     for i in range(len(lat)):
         counts = {chamber_count_leq(representative(other, i), chambers) for other in lats}
         assert len(counts) == 1
-    reports = [multiplicities(other, states, dist) for other in lats]
+    reports = [multiplicities(other, states, dist).to_csv_rows() for other in lats]
     assert reports[0] == reports[1] == reports[2]
 
 
@@ -204,7 +210,7 @@ def test_multiplicities_k3_moran_frozen_values():
     states = recurrent_class(dist, k3)
     assert len(states) == 6
     report = multiplicities(lat, states, dist)
-    by_flat = {e.flat.mask: e.multiplicity for e in report.entries}
+    by_flat = dict(zip(report.flats.tolist(), report.multiplicities.tolist()))
     assert by_flat[0] == 2
     assert by_flat[k3.full_set().mask] == 1
     for v in range(3):
@@ -218,13 +224,13 @@ def test_multiplicities_read_the_support_masses_once(monkeypatch):
     dist = moran_weights(k4)
     lat = closure(dist)
     states = recurrent_class(dist, k4)
-    expected = [(e.flat, e.eigenvalue) for e in multiplicities(lat, states, dist).entries]
+    expected = multiplicities(lat, states, dist).to_csv_rows()
     calls = []
     real = lattice._eigenvalues
     monkeypatch.setattr(lattice, "_eigenvalues", lambda *a: calls.append(1) or real(*a))
     report = multiplicities(lat, states, dist)
     assert len(calls) == 1 and len(lat.flats) > 1
-    assert [(e.flat, e.eigenvalue) for e in report.entries] == expected
+    assert report.to_csv_rows() == expected
 
 
 def test_uninverted_identity():
@@ -235,7 +241,7 @@ def test_uninverted_identity():
     states = recurrent_class(dist, k4)
     chambers = chambers_of(states, lat.m)
     report = multiplicities(lat, states, dist)
-    mult = {e.flat.mask: e.multiplicity for e in report.entries}
+    mult = dict(zip(report.flats.tolist(), report.multiplicities.tolist()))
     for i, flat in enumerate(lat.flats.tolist()):
         above = sum(count for other, count in mult.items() if other & flat == flat)
         assert above == chamber_count_leq(representative(lat, i), chambers)
@@ -244,20 +250,22 @@ def test_uninverted_identity():
 def test_multiplicities_need_chambers():
     # a state is a chamber of the lattice's host: a mask with bits at or
     # above m is refused, in either mask dtype
-    lat = closure(singleton_supports(2))
+    dist = singleton_supports(2)
+    lat = closure(dist)
     with pytest.raises(HostMismatch):
-        multiplicities(lat, np.array([0, 1, 2, 0b100], np.uint64))
+        multiplicities(lat, np.array([0, 1, 2, 0b100], np.uint64), dist)
     with pytest.raises(HostMismatch):
-        multiplicities(lat, np.array([1 << 63], np.uint64))
+        multiplicities(lat, np.array([1 << 63], np.uint64), dist)
     with pytest.raises(HostMismatch):
-        multiplicities(lat, np.array([0, 1 << 70], object))
-    wide = closure(family(70, [1, (1 << 70) - 2]))
+        multiplicities(lat, np.array([0, 1 << 70], object), dist)
+    wide_dist = family(70, [1, (1 << 70) - 2])
+    wide = closure(wide_dist)
     with pytest.raises(HostMismatch):
-        multiplicities(wide, np.array([1, 1 << 70], object))
+        multiplicities(wide, np.array([1, 1 << 70], object), wide_dist)
     with pytest.raises(HostMismatch):
-        multiplicities(wide, np.array([-1, 1], object))
+        multiplicities(wide, np.array([-1, 1], object), wide_dist)
     # in range, the same wide lattice is counted
-    report = multiplicities(wide, np.array([(1 << 70) - 1], object))
+    report = multiplicities(wide, np.array([(1 << 70) - 1], object), wide_dist)
     assert report.total_multiplicity == 1
 
 
@@ -298,10 +306,8 @@ def test_multiplicities_match_mobius_oracle(g, dist):
     states = recurrent_class(dist, g)
     chambers = chambers_of(states, g.m)
     report = multiplicities(closure(dist), states, dist)
-    assert [e.multiplicity for e in report.entries] == multiplicities_by_mobius(
-        oracle, chambers, reps
-    )
-    assert [e.flat for e in report.entries] == list(oracle.flats)
+    assert report.multiplicities.tolist() == multiplicities_by_mobius(oracle, chambers, reps)
+    assert report.flats.tolist() == [flat.mask for flat in oracle.flats]
 
 
 @pytest.mark.parametrize("m", [63, 64, 65, 70])
@@ -311,8 +317,8 @@ def test_spectrum_on_hosts_beyond_one_word(m):
     texts = ["+0 -1", "-0 +1", " ".join(f"+{e}" for e in range(2, m))]
     dist = WeightedEdits.from_items(m, tuple((parse_edit(t, m), Fraction(1, 3)) for t in texts))
     report = spectrum(dist, path)
-    assert [e.multiplicity for e in report.entries] == [0, 0, 1, 1]
-    assert [len(e.flat) for e in report.entries] == [0, 2, m - 2, m]
+    assert report.multiplicities.tolist() == [0, 0, 1, 1]
+    assert [int(flat).bit_count() for flat in report.flats] == [0, 2, m - 2, m]
     generators = [e for e, _ in dist.items]
     oracle = closure_by_witness([supp(e) for e in generators])
     chambers = chambers_of(recurrent_class(dist, path), m)
@@ -321,13 +327,48 @@ def test_spectrum_on_hosts_beyond_one_word(m):
 
 
 def test_spectrum_report_serialization():
-    from editwalk import eigenvalues_simple
-
     report = eigenvalues_simple(3)
     rows = report.to_csv_rows()
     assert rows[0] == ("0x0", 0, "0", 1)
     assert rows[-1] == ("0x7", 3, "1", 1)
-    obj = report.to_json_obj()
-    assert obj[0]["flat"] == "0x0"
-    assert {entry["multiplicity"] for entry in obj} == {1}
+    assert {row[3] for row in rows} == {1}
     assert report.second_largest() == pytest.approx(2 / 3)
+
+
+def assert_matches_entries(report, oracle):
+    rows = report.to_csv_rows()
+    assert rows == oracle.to_csv_rows()
+    assert {tuple(map(type, row)) for row in rows} == {(str, int, str, int)}  # JSON-encodable
+    assert report.by_value() == oracle.by_value()
+    assert {(type(v), type(k)) for v, k in report.by_value()} == {(float, int)}
+    assert report.eigenvalue_multiset() == oracle.eigenvalue_multiset()
+    assert report.second_largest() == oracle.second_largest()
+    assert report.total_multiplicity == oracle.total_multiplicity
+    for t in (0, 1, 7):  # summed in another order
+        assert brown_tv_bound(report, t) == pytest.approx(oracle.brown_tv_bound(t), rel=1e-12)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_simple_report_matches_the_entry_oracle(m):
+    assert_matches_entries(eigenvalues_simple(m), eigenvalues_simple_by_subset(m))
+
+
+def _report_cases():
+    for n in (3, 4, 5):
+        yield f"moran-K{n}", complete_graph(n), moran_weights(complete_graph(n))
+    mu = [Fraction(k, 10) for k in range(1, 5)]
+    yield "intersection-2x3", intersection_host(2, 3), intersection_weights(2, 3, mu)
+    for i, (g, dist) in enumerate([*seeded_families(424242, 20), *seeded_families(777, 10)]):
+        yield f"random-{i}", g, dist
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["rational", "double"])
+def test_spectrum_report_matches_the_entry_oracle(exact):
+    for name, g, dist in _report_cases():
+        if not exact:
+            dist = WeightedEdits(dist.m, dist.plus, dist.minus, [float(w) for w in dist.weights])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SupportNotCovering)
+            report = spectrum(dist, g)
+        assert report.eigenvalues.dtype == (object if exact else np.float64), name
+        assert_matches_entries(report, EntryReport.of(g.m, report))

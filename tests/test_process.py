@@ -206,13 +206,15 @@ class TestWeightedEdits:
         # each flat's eigenvalue is the exact sum of the weights of the
         # edits whose support lies inside it
         dist = simple_edit_weights(PATH2, [Fraction(1, 4), Fraction(3, 4)])
-        assert {e.flat.mask: e.eigenvalue for e in spectrum(dist, PATH2).entries} == {
+        report = spectrum(dist, PATH2)
+        assert dict(zip(report.flats.tolist(), report.eigenvalues.tolist())) == {
             0: 0, 0b01: Fraction(1, 2), 0b10: Fraction(1, 2), 0b11: 1}
         k4 = complete_graph(4)
         dist = moran_weights(k4)
-        for entry in spectrum(dist, k4).entries:
-            inside = [w for edit, w in dist.items if edit.support_mask & ~entry.flat.mask == 0]
-            assert entry.eigenvalue == sum(inside, Fraction(0))
+        report = spectrum(dist, k4)
+        for flat, value in zip(report.flats.tolist(), report.eigenvalues.tolist()):
+            inside = [w for edit, w in dist.items if edit.support_mask & ~flat == 0]
+            assert value == sum(inside, Fraction(0))
 
 
 class TestAliasSampler:

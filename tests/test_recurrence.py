@@ -4,7 +4,8 @@
 class by growing the covered support of the edits that agree with it. It
 is checked against membership in the class `recurrent_class` enumerates,
 and `simulate` is checked to warn about a transient start without any
-enumeration, also on hosts past the state cap.
+enumeration, also on hosts past the state cap, and a lazy model's start
+against the class of the same model listed explicitly.
 """
 
 import json
@@ -135,6 +136,32 @@ def test_moran_k7_start_past_the_cap(tmp_path, capsys, initial, warns):
                  model={"name": "moran"}, initial=initial, T=10)
     assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 0
     assert (WARNING in capsys.readouterr().err) == warns
+
+
+@pytest.mark.parametrize("N, mu", [(2, ["0", "1/2", "1/2"]), (3, ["1/4", "1/4", "1/2", "0"]),
+                                   (3, ["0", "1/3", "0", "2/3"])])
+def test_lazy_starts_match_the_explicit_class(tmp_path, capsys, N, mu):
+    # a lazy model lists no edits; its start is recurrent iff every left
+    # vertex's neighbourhood size has mass, as in the explicit model's class
+    n = 2
+    explicit = ew.intersection_weights(n, N, [Fraction(x) for x in mu])
+    recurrent = set(ew.recurrent_class(explicit, ew.intersection_host(n, N)).tolist())
+    assert 0 < len(recurrent) < 1 << n * N
+    model = {"name": "intersection", "n": n, "N": N, "mu": mu, "mode": "lazy"}
+    for start in range(1 << n * N):
+        path = write(tmp_path, "lazy.json", model=model, initial=start, T=1)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 0
+        assert (WARNING in capsys.readouterr().err) == (start not in recurrent), start
+
+
+@pytest.mark.parametrize("n, N", [(2, 3), (50, 40)])
+def test_lazy_uniform_mu_never_warns(tmp_path, capsys, n, N):
+    model = {"name": "intersection", "n": n, "N": N, "mu": [f"1/{N + 1}"] * (N + 1), "mode": "lazy"}
+    starts = range(1 << n * N) if n * N <= 6 else ["empty", "full", random.Random(N).getrandbits(n * N)]
+    for start in starts:
+        path = write(tmp_path, "lazy.json", model=model, initial=start, T=10)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 0
+        assert WARNING not in capsys.readouterr().err
 
 
 def test_find_masks():
