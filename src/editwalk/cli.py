@@ -13,14 +13,14 @@ import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
 from .edits import parse_edit
-from .errors import STATE_CAP, CapExceeded, EditWalkError, ValidationError, check_cap
+from .errors import STATE_CAP, CapExceeded, EditWalkError, ValidationError, check_cap, check_keys
 from .hostgraph import (
     EdgeSet,
     HostGraph,
@@ -71,7 +71,7 @@ class RunConfig:
     host: HostGraph
     model: str
     weights: WeightedEdits
-    caps: dict  # "states": every enumeration; "commute_states": the commute matrix
+    cap: int  # every enumeration and every table a command builds
     p: object = None  # per-edge probabilities for the simple model
     steps: int = 0
     seed: int = 0
@@ -129,6 +129,7 @@ def _parse_initial(spec, g: HostGraph) -> EdgeSet:
     if spec == "full":
         return g.full_set()
     if isinstance(spec, dict) and "hex" in spec:
+        check_keys(spec, "initial", ("hex",))
         try:
             mask = int(spec["hex"], 16)
         except (ValueError, TypeError):
@@ -146,6 +147,7 @@ def _parse_initial(spec, g: HostGraph) -> EdgeSet:
 
 
 def _simple_probabilities(g: HostGraph, params: dict, exact: bool):
+    check_keys(params, "model", ("name", "p", "p_preset"))
     if "p" in params:
         p = params["p"]
         if isinstance(p, list):
@@ -162,11 +164,14 @@ def _simple_probabilities(g: HostGraph, params: dict, exact: bool):
         return _number(preset.get(key), exact, f"model.p_preset.{key}")
 
     if kind == "erdos_renyi":
+        check_keys(preset, "model.p_preset", ("kind", "p"))
         return erdos_renyi_probabilities(g, number("p"))
     if kind == "chung_lu":
+        check_keys(preset, "model.p_preset", ("kind", "degrees"))
         degrees = _numbers(preset.get("degrees"), exact, "model.p_preset.degrees")
         return chung_lu_probabilities(g, degrees)
     if kind == "block":
+        check_keys(preset, "model.p_preset", ("kind", "block", "p", "q"))
         block = _required(preset, "block", "model.p_preset", 'kind "block"')
         if not _vertices(block):
             raise ValidationError(f"model.p_preset.block: expected a list of vertices, got {block!r}")
@@ -177,6 +182,7 @@ def _simple_probabilities(g: HostGraph, params: dict, exact: bool):
 def _custom_edit(entry, m: int, exact: bool, key: str) -> tuple:
     if not isinstance(entry, dict):
         raise ValidationError(f'{key}: expected an object with "edit" and "weight", got {entry!r}')
+    check_keys(entry, key, ("edit", "weight"))
     text = _required(entry, "edit", key, "a custom edit")
     if not isinstance(text, str):
         raise ValidationError(f"{key}.edit: expected a string, got {text!r}")
@@ -196,34 +202,31 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
         raise ValidationError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ValidationError(f"config must be a JSON object, got {raw!r}")
+    check_keys(raw, "", ("host", "model", "mode", "caps", "seed", "initial", "T", "thin"))
 
     mode = overrides.mode or raw.get("mode", "double")
     if mode not in ("rational", "double"):
         raise ValidationError(f'config "mode" must be rational|double, got {mode!r}')
     exact = mode == "rational"
 
-    model_spec = raw.get("model")
-    if not isinstance(model_spec, dict) or "name" not in model_spec:
+    params = raw.get("model")
+    if not isinstance(params, dict) or "name" not in params:
         raise ValidationError('config needs a single "model" object with a "name"')
-    name = model_spec["name"]
-    params = {k: v for k, v in model_spec.items() if k != "name"}
-    caps_spec = raw.get("caps", {})
-    if not isinstance(caps_spec, dict):
-        raise ValidationError(f"caps: expected an object, got {caps_spec!r}")
-    defaults = {"states": STATE_CAP, "commute_states": 256}
-    for key in caps_spec:
-        if key not in defaults:
-            raise ValidationError(f"caps.{key}: unknown cap, expected states or commute_states")
-    caps = {key: _cap(caps_spec.get(key, default), f"caps.{key}") for key, default in defaults.items()}
+    name = params["name"]
+    caps = raw.get("caps", {})
+    if not isinstance(caps, dict):
+        raise ValidationError(f"caps: expected an object, got {caps!r}")
+    check_keys(caps, "caps", ("states",))
+    cap = _cap(caps.get("states", STATE_CAP), "caps.states")
     if overrides.cap_states is not None:
-        caps["states"] = _cap(overrides.cap_states, "--cap-states")
-    elif caps["states"] > STATE_CAP:
+        cap = _cap(overrides.cap_states, "--cap-states")
+    elif cap > STATE_CAP:
         raise ValidationError(
-            f'config raises caps.states to {caps["states"]}; pass --cap-states '
-            "explicitly to confirm"
+            f"config raises caps.states to {cap}; pass --cap-states explicitly to confirm"
         )
 
     if name == "intersection":
+        check_keys(params, "model", ("name", "n", "N", "mu", "mode"))
         n = _integer(_required(params, "n", "model", name), "model.n", least=1)
         N = _integer(_required(params, "N", "model", name), "model.N", least=1)
         host = intersection_host(n, N)
@@ -244,13 +247,15 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
         p = _simple_probabilities(host, params, exact)
         weights = simple_edit_weights(host, p)
     elif name == "moran":
+        check_keys(params, "model", ("name",))
         weights = moran_weights(host)
     elif name == "intersection":
         mu = _numbers(_required(params, "mu", "model", name), exact, "model.mu")
         weights = intersection_weights(
-            n, N, mu, mode=params.get("mode", "explicit"), cap=caps["states"]
+            n, N, mu, mode=params.get("mode", "explicit"), cap=cap
         )
     elif name == "custom":
+        check_keys(params, "model", ("name", "edits"))
         edits_spec = params.get("edits")
         if not isinstance(edits_spec, list) or not edits_spec:
             raise ValidationError('model "custom" needs a non-empty "edits" list')
@@ -273,7 +278,7 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
         thin=_integer(raw.get("thin", 1), "thin", least=1),
         initial=initial,
         mode=mode,
-        caps=caps,
+        cap=cap,
         out=Path(overrides.out),
     )
 
@@ -313,7 +318,7 @@ def _trajectory_lines(traj: Trajectory, g: HostGraph, edges: bool) -> Iterator[s
     {"t": t, "state": hex} (plus "edges": [[u, v], ...]). Each edge's label
     is formatted once per host; the edge lists are decoded by `set_bits` one
     block of masks at a time, so memory does not grow with the walk."""
-    times = chain(range(0, traj.steps, traj.thin), [traj.steps])  # as `simulate` records
+    times = iter(traj.times)
     if not edges:
         for t, mask in zip(times, traj.masks):
             yield f'{{"t": {t}, "state": "{mask:#x}"}}'
@@ -329,14 +334,13 @@ def _trajectory_lines(traj: Trajectory, g: HostGraph, edges: bool) -> Iterator[s
 
 
 def _recurrent_class(cfg: RunConfig) -> np.ndarray:
-    return recurrent_class(cfg.weights, cfg.host, initial=cfg.initial, cap=cfg.caps["states"])
+    return recurrent_class(cfg.weights, cfg.host, initial=cfg.initial, cap=cfg.cap)
 
 
-def _spectrum_report(cfg: RunConfig, masks=None):
+def _spectrum_report(cfg: RunConfig):
     if cfg.model == "simple":
-        return eigenvalues_simple(cfg.host.m, cfg.caps["states"])
-    return spectrum(cfg.weights, cfg.host, cap=cfg.caps["states"],
-                    masks=_recurrent_class(cfg) if masks is None else masks)
+        return eigenvalues_simple(cfg.host.m, cfg.cap)
+    return spectrum(cfg.weights, cfg.host, cap=cfg.cap, masks=_recurrent_class(cfg))
 
 
 def _write_table(cfg: RunConfig, fmt: str, name: str, meta: dict, header, rows) -> int:
@@ -364,10 +368,10 @@ def _stationary_rows(cfg: RunConfig) -> Iterator[tuple[str, str]]:
     """(hex state, str(pi)) per recurrent state, in ascending mask order,
     formatted from the masks as they are read."""
     if cfg.model == "simple":
-        masks, pi = range(1 << cfg.host.m), stationary_closed_form(cfg.host, cfg.p, cfg.caps["states"])
+        masks, pi = range(1 << cfg.host.m), stationary_closed_form(cfg.host, cfg.p, cfg.cap)
     else:
         masks, pi = stationary_faces(
-            cfg.weights, cfg.host, initial=cfg.initial, cap=cfg.caps["states"],
+            cfg.weights, cfg.host, initial=cfg.initial, cap=cfg.cap,
             exact=cfg.mode == "rational",
         )
     return ((format(mask, "#x"), str(v)) for mask, v in zip(masks, pi))
@@ -386,23 +390,11 @@ def cmd_mixing(cfg: RunConfig, args: argparse.Namespace) -> int:
     m = cfg.host.m
     meta = artifact_meta(cfg.host, cfg.seed, model=cfg.model, c=c)
     simple = cfg.model == "simple"
-    cap = cfg.caps["states"]
-    try:  # the curve's own enumerations; beyond the cap only the bound is written
-        if simple:
-            masks, pi = None, stationary_closed_form(cfg.host, cfg.p, cap)
-        else:
-            masks, pi = stationary_faces(
-                cfg.weights, cfg.host, initial=cfg.initial, cap=cap, exact=False
-            )
-        tm = build_chain(cfg.weights, cfg.host, cap=cap, masks=masks)
-    except CapExceeded as exc:
-        tm, skipped = None, str(exc)
-
     if simple:
         bound_steps = mixing_bound_simple(m, c)
         bound_at = lambda t: simple_tv_bound(m, t)
     else:
-        report = _spectrum_report(cfg, None if tm is None else tm.masks)
+        report = _spectrum_report(cfg)
         lam = report.second_largest()
         chambers = report.total_multiplicity
         bound_steps = mixing_bound_compound(lam, m, c, chamber_count=chambers)
@@ -413,44 +405,55 @@ def cmd_mixing(cfg: RunConfig, args: argparse.Namespace) -> int:
 
     t_max = args.t_max if args.t_max is not None else bound_steps
     cfg.out.mkdir(parents=True, exist_ok=True)
-    if tm is not None:
-        start = cfg.initial.mask
-        if find_masks(tm.masks, start) < 0:
-            start = int(tm.masks[0])  # fall back to a recurrent start
-            meta["start"] = format(start, "#x")
-            meta["start_fallback"] = cfg.initial.hex()
-        curve = tv_decay(tm, start, pi, t_max)
-        rows = [(t, f"{curve[t]:.12e}", f"{bound_at(t):.12e}") for t in range(t_max + 1)]
-        write_csv(cfg.out / "mixing.csv", meta, ["t", "tv", "bound"], rows)
-        print(f"wrote {cfg.out / 'mixing.csv'} (bound_steps={bound_steps})")
-    else:
-        meta["curve_skipped"] = skipped
+    try:  # the curve's enumerations and rows; beyond the cap only the bound is written
+        if simple:
+            masks, pi = None, stationary_closed_form(cfg.host, cfg.p, cfg.cap)
+        else:
+            masks, pi = stationary_faces(
+                cfg.weights, cfg.host, initial=cfg.initial, cap=cfg.cap, exact=False
+            )
+        check_cap(t_max + 1, cfg.cap, f"{t_max + 1} mixing-curve rows")
+        tm = build_chain(cfg.weights, cfg.host, cap=cfg.cap, masks=masks)
+    except CapExceeded as exc:
+        meta["curve_skipped"] = str(exc)
         write_json(cfg.out / "mixing.json", meta, {"bound_steps": bound_steps})
         print(f"wrote {cfg.out / 'mixing.json'} (bound_steps={bound_steps}; curve skipped)")
+        return 0
+
+    start = cfg.initial.mask
+    if find_masks(tm.masks, start) < 0:
+        start = int(tm.masks[0])  # fall back to a recurrent start
+        meta["start"] = format(start, "#x")
+        meta["start_fallback"] = cfg.initial.hex()
+    curve = tv_decay(tm, start, pi, t_max)
+    rows = [(t, f"{curve[t]:.12e}", f"{bound_at(t):.12e}") for t in range(t_max + 1)]
+    write_csv(cfg.out / "mixing.csv", meta, ["t", "tv", "bound"], rows)
+    print(f"wrote {cfg.out / 'mixing.csv'} (bound_steps={bound_steps})")
     return 0
 
 
 def cmd_commute(cfg: RunConfig, args: argparse.Namespace) -> int:
-    cap = cfg.caps["commute_states"]
+    """The N x N commute-time matrix, its N^2 cells counted against the cap."""
     meta = artifact_meta(cfg.host, cfg.seed, model=cfg.model, mode=cfg.mode)
-    cfg.out.mkdir(parents=True, exist_ok=True)
     if cfg.model == "simple":
         m = cfg.host.m
-        check_cap(1 << m, cfg.caps["states"], f"2^{m} states")
-        check_cap(1 << m, cap, f"2^{m} commute-matrix states (caps.commute_states)")
+        check_cap(1 << m, cfg.cap, f"2^{m} states")
+        check_cap(1 << 2 * m, cfg.cap, f"2^{2 * m} commute-matrix cells")
         masks, terms = range(1 << m), _sum_terms(cfg.host, cfg.p)  # one per-edge table for all pairs
         matrix = [[""] * len(masks) for _ in masks]
         for i in masks:  # commute times are symmetric
             for j in range(i, len(masks)):
                 matrix[i][j] = matrix[j][i] = str(_spectral_sum(i, j, terms, commute=True))
     else:
-        tm = build_chain(cfg.weights, cfg.host, _recurrent_class(cfg), cfg.caps["states"])
-        check_cap(tm.size, cap, f"{tm.size} commute-matrix states (caps.commute_states)")
+        masks = _recurrent_class(cfg)
+        check_cap(len(masks) ** 2, cfg.cap, f"{len(masks)}^2 commute-matrix cells")
+        tm = build_chain(cfg.weights, cfg.host, masks, cfg.cap)
         masks = tm.masks.tolist()
         hit = _hitting_columns(tm, range(tm.size))
         matrix = [[str(hit[i, j] + hit[j, i]) for j in range(tm.size)] for i in range(tm.size)]
     names = [format(mask, "#x") for mask in masks]
     rows = [[name] + row for name, row in zip(names, matrix)]
+    cfg.out.mkdir(parents=True, exist_ok=True)
     write_csv(cfg.out / "commute.csv", meta, ["state"] + names, rows)
     print(f"wrote {cfg.out / 'commute.csv'} ({len(names)} states)")
     return 0
@@ -458,7 +461,7 @@ def cmd_commute(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_export_dot(cfg: RunConfig, args: argparse.Namespace) -> int:
     masks = None if cfg.model == "simple" else _recurrent_class(cfg)
-    tm = build_chain(cfg.weights, cfg.host, masks, cfg.caps["states"])
+    tm = build_chain(cfg.weights, cfg.host, masks, cfg.cap)
     text = to_dot(tm, cfg.host, labels=args.labels)
     meta = artifact_meta(cfg.host, cfg.seed, model=cfg.model)
     header = "".join(f"// {k}: {v}\n" for k, v in meta.items())
@@ -476,7 +479,7 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
         p=cfg.p if cfg.model == "simple" else None,
         rng=np.random.default_rng(cfg.seed),
         exact=cfg.mode == "rational",
-        cap=cfg.caps["states"],
+        cap=cfg.cap,
     )
     for result in results:
         print(result.line())

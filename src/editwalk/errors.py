@@ -3,7 +3,8 @@
 Validation errors (bad inputs, contract violations) subclass both
 EditWalkError and ValueError so callers may catch either. Cap errors are
 kept separate because the CLI maps them to a distinct exit code.
-Every enumeration counts its items against a cap through `check_cap`.
+Every enumeration counts its items against a cap through `check_cap`, and
+`check_keys` refuses a config key the loader does not read.
 """
 
 STATE_CAP = 1 << 20
@@ -73,6 +74,15 @@ def check_cap(count: int, cap: int, what: str) -> None:
     names the items, with their count when it is known ("2^21 states")."""
     if count > cap:
         raise CapExceeded(f"{what} exceed the cap of {cap}")
+
+
+def check_keys(obj: dict, path: str, accepted) -> None:
+    """Raise ValidationError naming the first key of the config object at
+    `path` ("" at the top level) that is not in `accepted`."""
+    for key in obj:
+        if key not in accepted:
+            name = f"{path}.{key}" if path else key
+            raise ValidationError(f"{name}: unknown key, expected {', '.join(accepted)}")
 
 
 class NotIrreducible(EditWalkError):

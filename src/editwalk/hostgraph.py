@@ -29,6 +29,7 @@ from .errors import (
     SelfLoop,
     ValidationError,
     VertexOutOfRange,
+    check_keys,
 )
 
 DECODE_BITS = 1 << 16  # mask bits unpacked per numpy step of `set_bits`
@@ -293,6 +294,7 @@ def host_from_json(obj: dict) -> HostGraph:
     if not isinstance(obj, dict):
         raise ValidationError("host spec must be a JSON object")
     if "preset" in obj:
+        check_keys(obj, "host", ("preset", "params"))
         preset = obj["preset"]
         params = obj.get("params", [])
         if not isinstance(params, list) or not all(map(is_integer, params)):
@@ -309,6 +311,7 @@ def host_from_json(obj: dict) -> HostGraph:
         raise ValidationError(f"unknown host preset {preset!r}")
     if "n" not in obj or "edges" not in obj:
         raise ValidationError('host spec needs "n" and "edges" (or a "preset")')
+    check_keys(obj, "host", ("n", "edges"))
     n, edges = obj["n"], obj["edges"]
     if not is_integer(n):
         raise ValidationError(f"host.n: expected an integer, got {n!r}")

@@ -460,8 +460,19 @@ class Trajectory:
     def states(self) -> tuple[EdgeSet, ...]:
         return tuple(EdgeSet(self.initial.m, mask) for mask in self.masks)
 
+    @property
+    def times(self) -> list[int]:
+        """The step count of each recorded state, 0 for the initial one."""
+        return [0, *_record_times(self.steps, self.thin)]
+
     def edge_counts(self) -> list[int]:
         return [mask.bit_count() for mask in self.masks]
+
+
+def _record_times(steps: int, thin: int) -> list[int]:
+    """The step counts after which `simulate` records a state: every
+    `thin`-th, and the last."""
+    return [*range(thin, steps, thin), steps] if steps else []
 
 
 def make_rng(seed: int, stream: int | None = None) -> np.random.Generator:
@@ -551,8 +562,7 @@ def simulate(
         raise ValidationError(f"step count must be >= 0, got {steps}")
     if thin < 1:
         raise ValidationError(f"thin must be >= 1, got {thin}")
-    times = [*range(thin, steps, thin), steps] if steps else []
-    masks = _walk(dist, initial, times, make_rng(seed, stream))
+    masks = _walk(dist, initial, _record_times(steps, thin), make_rng(seed, stream))
     return Trajectory(initial, (initial.mask, *masks), seed, steps, thin)
 
 

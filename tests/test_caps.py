@@ -1,6 +1,7 @@
-"""One cap policy: `caps.states` bounds every enumeration a command runs,
-so the same cap gives the same outcome in every command, and a mixing
-curve beyond it is skipped with its reason in the artifact."""
+"""One cap policy: `caps.states` bounds every enumeration a command runs
+and every table it builds, so the same cap gives the same outcome in every
+command, and a mixing curve beyond it is skipped with its reason in the
+artifact."""
 
 import json
 
@@ -71,3 +72,44 @@ def test_raised_cap_reaches_past_twenty_edges():
         ew.stationary_closed_form(path, 0.5)
     pi = ew.stationary_closed_form(path, 0.5, cap=1 << 21)
     assert len(pi) == 1 << 21 and pi[0] == 0.5**21
+
+
+def test_moran_k5_commute_fits_the_default_cap(tmp_path):
+    # 290 recurrent states: 84,100 matrix cells, under 2^20
+    cfg = {"host": {"preset": "complete", "params": [5]}, "model": {"name": "moran"}}
+    assert run(tmp_path, "commute", cfg) == 0
+    _, header, rows = read_csv(tmp_path / "out" / "commute.csv")
+    assert len(header) == 291 and len(rows) == 290
+    assert all(len(row) == 291 and row[i + 1] == "0.0" for i, row in enumerate(rows))
+
+
+def test_compound_commute_counts_its_cells(tmp_path, capsys):
+    # 37 recurrent states fit under 1,000; their 1,369 cells do not
+    assert run(tmp_path, "commute", K4_MORAN, "--cap-states", "1000") == 2
+    assert capsys.readouterr().err.strip() == (
+        "error (cap): 37^2 commute-matrix cells exceed the cap of 1000"
+    )
+    assert run(tmp_path, "commute", K4_MORAN, "--cap-states", "1369") == 0
+
+
+@pytest.mark.parametrize("cfg, cap", [(K4_SIMPLE, 100), (K4_MORAN, 1000)], ids=["simple", "moran"])
+def test_mixing_curve_rows_count_against_the_cap(tmp_path, cfg, cap):
+    # K4 simple: 64 states; K4 Moran: its faces fit under 1,000, not under 100
+    assert run(tmp_path, "mixing", cfg, "--cap-states", str(cap), "--t-max", str(cap - 1)) == 0
+    _, header, rows = read_csv(tmp_path / "out" / "mixing.csv")
+    assert [int(r[0]) for r in rows] == list(range(cap))
+
+    assert run(tmp_path, "mixing", cfg, "--cap-states", str(cap), "--t-max", str(cap)) == 0
+    meta, payload = read_json(tmp_path / "out" / "mixing.json")
+    assert meta["curve_skipped"] == f"{cap + 1} mixing-curve rows exceed the cap of {cap}"
+    assert payload["bound_steps"] == meta["bound_steps"]
+
+
+@pytest.mark.parametrize("flags", [["--c", "1e300"], ["--t-max", str(10**20)]],
+                         ids=["huge-c", "huge-t-max"])
+def test_huge_mixing_curve_writes_only_the_bound(tmp_path, capsys, flags):
+    assert run(tmp_path, "mixing", K4_SIMPLE, *flags) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    meta, payload = read_json(tmp_path / "out" / "mixing.json")
+    assert meta["curve_skipped"].endswith("mixing-curve rows exceed the cap of 1048576")
+    assert payload["bound_steps"] == meta["bound_steps"] > 0

@@ -180,14 +180,62 @@ def test_simulate_records_the_sampler_version(tmp_path):
         ({"caps": [1]}, "caps: expected an object, got [1]"),
         ({"caps": {"states": 0}}, "caps.states: expected a cap in [1, 2^63], got 0"),
         (
-            {"caps": {"commute_states": 0}},
-            "caps.commute_states: expected a cap in [1, 2^63], got 0",
-        ),
-        (
             {"caps": {"states": (1 << 63) + 1}},
             "caps.states: expected a cap in [1, 2^63], got 9223372036854775809",
         ),
-        ({"caps": {"state": 10}}, "caps.state: unknown cap, expected states or commute_states"),
+        ({"caps": {"state": 10}}, "caps.state: unknown key, expected states"),
+        ({"caps": {"commute_states": 64}}, "caps.commute_states: unknown key, expected states"),
+        ({"steps": 100}, "steps: unknown key, expected host, model, mode, caps, seed, initial, T, thin"),
+        (
+            {"model": {"name": "intersection", "n": 2, "N": 2, "mu": [0.25, 0.5, 0.25],
+                       "Mode": "lazy"}},
+            "model.Mode: unknown key, expected name, n, N, mu, mode",
+        ),
+        (
+            {"model": {"name": "simple", "p": 0.5, "q": 0.5}},
+            "model.q: unknown key, expected name, p, p_preset",
+        ),
+        ({"model": {"name": "moran", "p": 0.5}}, "model.p: unknown key, expected name"),
+        (
+            {"model": {"name": "custom", "edits": [{"edit": "+0", "weight": 1}], "weights": [1]}},
+            "model.weights: unknown key, expected name, edits",
+        ),
+        (
+            {"model": {"name": "simple", "p_preset": {"kind": "erdos_renyi", "p": 0.5, "q": 0.2}}},
+            "model.p_preset.q: unknown key, expected kind, p",
+        ),
+        (
+            {"model": {"name": "simple", "p_preset": {"kind": "chung_lu", "degrees": [1, 1, 1],
+                                                      "p": 0.5}}},
+            "model.p_preset.p: unknown key, expected kind, degrees",
+        ),
+        (
+            {"model": {"name": "simple", "p_preset": {"kind": "block", "block": [0], "p": 0.5,
+                                                      "q": 0.2, "r": 0.1}}},
+            "model.p_preset.r: unknown key, expected kind, block, p, q",
+        ),
+        (
+            {"model": {"name": "custom", "edits": [{"edit": "+0", "weight": 1, "wieght": 2}]}},
+            "model.edits[0].wieght: unknown key, expected edit, weight",
+        ),
+        (
+            {"host": {"n": 3, "edges": [[0, 1], [1, 2]], "preset_params": [3]}},
+            "host.preset_params: unknown key, expected n, edges",
+        ),
+        (
+            {"host": {"preset": "complete", "params": [3], "n": 4}},
+            "host.n: unknown key, expected preset, params",
+        ),
+        ({"initial": {"hex": "0x1", "mask": 1}}, "initial.mask: unknown key, expected hex"),
+        (
+            {"host": {"n": 2, "edges": [[0, 1]]},
+             "model": {"name": "intersection", "n": 1, "N": 1, "mu": 0.5}},
+            "model.mu: expected a list of numbers, got 0.5",
+        ),
+        (
+            {"model": {"name": "custom", "edits": ["+0"]}},
+            'model.edits[0]: expected an object with "edit" and "weight", got \'+0\'',
+        ),
     ],
     ids=["T-word", "T-fraction", "thin-word", "seed-negative", "intersection-without-mu",
          "p-word", "p-list-zero-denominator", "mu-word", "custom-weight-null", "initial-hex",
@@ -195,7 +243,10 @@ def test_simulate_records_the_sampler_version(tmp_path):
          "p-preset-string", "p-preset-number", "host-params-word",
          "host-n-word", "custom-edit-number", "block-without-block", "custom-without-edit",
          "caps-word", "host-edge-word", "custom-edit-superscript", "block-number", "caps-list",
-         "caps-zero", "commute-caps-zero", "caps-above-2^63", "caps-unknown-key"],
+         "caps-zero", "caps-above-2^63", "caps-unknown-key", "caps-commute-states",
+         "top-level-steps", "intersection-Mode", "simple-extra", "moran-extra", "custom-extra",
+         "erdos-renyi-extra", "chung-lu-extra", "block-extra", "edit-extra", "host-edges-extra",
+         "host-preset-extra", "initial-extra", "mu-number", "custom-edit-string"],
 )
 def test_bad_simulate_scalars_are_named(tmp_path, capsys, overrides, message):
     cfg = write_config(tmp_path, **overrides)
@@ -220,6 +271,12 @@ def test_bad_cap_flag_is_named(tmp_path, capsys, command, value, message):
     assert main(argv) == 1
     assert capsys.readouterr().err.strip() == f"error: {message}"
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]  # nothing written
+
+
+def test_missing_config_file_is_named(tmp_path, capsys):
+    path = tmp_path / "absent.json"
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.strip() == f"error: config file not found: {path}"
 
 
 def test_config_that_is_not_an_object_is_named(tmp_path, capsys):
@@ -385,14 +442,17 @@ def test_commute_matrix_matches_library(tmp_path):
             assert Fraction(cell) == commute_time(a, EdgeSet(2, j), g, p)
 
 
-def test_commute_cap(tmp_path):
+def test_commute_cap(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
-        host={"preset": "complete", "params": [6]},  # m = 15
+        host={"preset": "complete", "params": [6]},  # m = 15: 2^15 states fit, their 2^30 cells do not
         model={"name": "simple", "p": 0.5},
-        caps={"commute_states": 64},
     )
     assert main(["commute", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "error (cap): 2^30 commute-matrix cells exceed the cap of 1048576"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]  # nothing written
 
 
 def test_export_dot_cycle5(tmp_path):

@@ -26,7 +26,7 @@ BASES = [
     {"host": {"preset": "complete", "params": [3]}, "T": 10,
      "model": {"name": "simple", "p_preset": {"kind": "chung_lu", "degrees": [1, 1, 1]}}},
     {"host": {"preset": "complete", "params": [4]}, "model": {"name": "moran"},
-     "T": 30, "thin": 4, "initial": "full", "caps": {"commute_states": 16}},
+     "T": 30, "thin": 4, "initial": "full", "caps": {"states": 16}},
     {"model": {"name": "intersection", "n": 2, "N": 2, "mu": [0.25, 0.5, 0.25], "mode": "lazy"},
      "host": {"preset": "bipartite", "params": [2, 2]}, "T": 15, "seed": 3},
     {"model": {"name": "intersection", "n": 2, "N": 3, "mu": ["1/8", "3/8", "3/8", "1/8"]},

@@ -40,7 +40,7 @@ from editwalk import (
 )
 from editwalk import lattice
 from editwalk.errors import ClosureTooLarge, HostMismatch, SupportNotCovering, ValidationError
-from editwalk.lattice import _eigenvalues
+from editwalk.lattice import SpectrumReport, _eigenvalues
 
 
 def family(m, supports):
@@ -333,6 +333,13 @@ def test_spectrum_report_serialization():
     assert rows[-1] == ("0x7", 3, "1", 1)
     assert {row[3] for row in rows} == {1}
     assert report.second_largest() == pytest.approx(2 / 3)
+
+
+def test_second_largest_needs_a_flat_below_the_top():
+    report = SpectrumReport(np.array([3], np.uint64), np.array([1.0]), np.array([1]))
+    with pytest.raises(ValidationError) as exc:
+        report.second_largest()
+    assert exc.type is ValidationError and str(exc.value) == "spectrum has no flat below the top"
 
 
 def assert_matches_entries(report, oracle):

@@ -159,6 +159,22 @@ class TestIntersectionWeights:
         with pytest.raises(CapExceeded):
             intersection_weights(4, 10, [1.0 / 11] * 11, cap=100)
 
+    @pytest.mark.parametrize(
+        "mu, mode, error, message",
+        [
+            ([Fraction(-1, 4), Fraction(3, 4), Fraction(1, 2)], "explicit", BadDistribution,
+             "mu has negative entries"),
+            ([0.25, 0.5, 0.5], "explicit", BadDistribution, "mu sums to 1.25, expected 1"),
+            ([0.25, 0.5, 0.25], "eager", ValidationError,
+             "mode must be 'explicit' or 'lazy', got 'eager'"),
+        ],
+        ids=["negative", "float-sum", "mode"],
+    )
+    def test_bad_arguments_are_named(self, mu, mode, error, message):
+        with pytest.raises(ValidationError) as exc:
+            intersection_weights(2, 2, mu, mode=mode)
+        assert exc.type is error and str(exc.value) == message
+
     def test_lazy_matches_explicit_frequencies(self):
         # 1e5 draws from the lazy sampler against the explicit weights, 3 sigma
         n, N = 2, 3
@@ -291,6 +307,22 @@ class TestSimulation:
         with pytest.raises(ValidationError):
             simulate(dist, PATH2.empty_set(), -1)
 
+    def test_zero_thin(self):
+        dist = simple_edit_weights(PATH2, 0.5)
+        with pytest.raises(ValidationError) as exc:
+            simulate(dist, PATH2.empty_set(), 10, thin=0)
+        assert exc.type is ValidationError and str(exc.value) == "thin must be >= 1, got 0"
+
+    @pytest.mark.parametrize("steps, thin", [(0, 1), (10, 3), (9, 3), (10, 1), (4, 7)])
+    def test_times_name_the_recorded_states(self, steps, thin):
+        dist = simple_edit_weights(PATH2, 0.5)
+        every = simulate(dist, PATH2.empty_set(), steps, seed=3)
+        thinned = simulate(dist, PATH2.empty_set(), steps, seed=3, thin=thin)
+        assert every.times == list(range(steps + 1))
+        assert thinned.times[0] == 0 and thinned.times[-1] == steps
+        assert len(thinned.times) == len(thinned.masks)
+        assert thinned.masks == tuple(every.masks[t] for t in thinned.times)
+
 
 class TestEmpirical:
     def test_product_law_m2(self):
@@ -336,6 +368,16 @@ class TestProbabilityPresets:
         with pytest.raises(ProbabilityOutOfRange):
             chung_lu_probabilities(g, [1, 1, 10])
 
+    @pytest.mark.parametrize(
+        "degrees, message",
+        [([1, 1], "expected 3 degrees, got 2"), ([1, 0, 1], "expected degrees must be positive")],
+        ids=["length", "zero-degree"],
+    )
+    def test_chung_lu_bad_degrees(self, degrees, message):
+        with pytest.raises(ValidationError) as exc:
+            chung_lu_probabilities(complete_graph(3), degrees)
+        assert exc.type is ValidationError and str(exc.value) == message
+
     def test_block(self):
         g = complete_graph(4)
         probs = block_probabilities(g, {0, 1}, 0.6, 0.1)
@@ -346,3 +388,16 @@ class TestProbabilityPresets:
         assert probs == [expected[e] for e in g.edges]
         with pytest.raises(ValidationError):
             block_probabilities(g, set(), 0.5, 0.5)
+
+    @pytest.mark.parametrize(
+        "block, p_in, error, message",
+        [
+            ({0, 7}, 0.5, ValidationError, "block contains vertices outside the host"),
+            ({0, 1}, 1.5, ProbabilityOutOfRange, "probability 1.5 is outside (0, 1)"),
+        ],
+        ids=["outside-host", "p-above-one"],
+    )
+    def test_block_bad_arguments(self, block, p_in, error, message):
+        with pytest.raises(ValidationError) as exc:
+            block_probabilities(complete_graph(4), block, p_in, 0.1)
+        assert exc.type is error and str(exc.value) == message

@@ -402,6 +402,9 @@ class TestMixingBounds:
         )
         with pytest.raises(DegenerateGap):
             mixing_bound_compound(1.0, 4, 1.0)
+        with pytest.raises(ValidationError) as exc:
+            mixing_bound_compound(-0.25, 4, 1.0)
+        assert exc.type is ValidationError and str(exc.value) == "lambda_star -0.25 is outside [0, 1)"
         with pytest.raises(ValidationError):
             mixing_bound_compound(0.5, 4, -1.0)
 
