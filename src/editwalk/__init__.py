@@ -7,7 +7,6 @@ closed-form eigensystems, mixing bounds, and hitting/commute times.
 
 __version__ = "0.1.0"
 
-from .edits import Edit, Sign, compose, format_edit, parse_edit, simple_edit
 from .hostgraph import (
     EdgeSet,
     HostGraph,
@@ -17,8 +16,6 @@ from .hostgraph import (
     from_edge_list,
     host_from_json,
     host_to_json,
-    is_acyclic,
-    neighborhood_edges,
 )
 from .lattice import (
     SpectrumReport,
@@ -46,7 +43,6 @@ from .spectral import (
     TransitionMatrix,
     brown_tv_bound,
     build_chain,
-    commute_terms,
     commute_time,
     commute_time_chain,
     eigensystem_simple,

@@ -19,8 +19,15 @@ from typing import Iterator
 
 import numpy as np
 
-from .edits import parse_edit
-from .errors import STATE_CAP, CapExceeded, EditWalkError, ValidationError, check_cap, check_keys
+from .errors import (
+    STATE_CAP,
+    CapExceeded,
+    EdgeOutOfRange,
+    EditWalkError,
+    ValidationError,
+    check_cap,
+    check_keys,
+)
 from .hostgraph import (
     EdgeSet,
     HostGraph,
@@ -179,7 +186,30 @@ def _simple_probabilities(g: HostGraph, params: dict, exact: bool):
     raise ValidationError(f"unknown p_preset kind {preset!r}")
 
 
+def _parse_edit(text: str, m: int) -> tuple[int, int]:
+    """Parse '+0 -3 +5' into the (plus, minus) masks of an edit.
+
+    Tokens form a product read left to right with the rightmost factor
+    applied first, so on a repeated edge the leftmost token wins.
+    """
+    plus = minus = 0
+    for token in text.split():
+        sign, digits = token[0], token[1:]
+        if sign not in "+-" or not (digits.isascii() and digits.isdigit()):
+            raise ValidationError(f"bad edit token {token!r}, expected e.g. '+3' or '-0'")
+        e = int(digits)
+        if e >= m:
+            raise EdgeOutOfRange(f"edge index {e} not in [0, {m})")
+        if not (plus | minus) >> e & 1:
+            if sign == "+":
+                plus |= 1 << e
+            else:
+                minus |= 1 << e
+    return plus, minus
+
+
 def _custom_edit(entry, m: int, exact: bool, key: str) -> tuple:
+    """One entry of a custom model's "edits" as (plus, minus, weight)."""
     if not isinstance(entry, dict):
         raise ValidationError(f'{key}: expected an object with "edit" and "weight", got {entry!r}')
     check_keys(entry, key, ("edit", "weight"))
@@ -187,10 +217,10 @@ def _custom_edit(entry, m: int, exact: bool, key: str) -> tuple:
     if not isinstance(text, str):
         raise ValidationError(f"{key}.edit: expected a string, got {text!r}")
     try:
-        edit = parse_edit(text, m)
+        plus, minus = _parse_edit(text, m)
     except ValidationError as exc:
         raise ValidationError(f"{key}.edit: {exc}") from None
-    return edit, _number(_required(entry, "weight", key, "a custom edit"), exact, f"{key}.weight")
+    return plus, minus, _number(_required(entry, "weight", key, "a custom edit"), exact, f"{key}.weight")
 
 
 def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
@@ -259,8 +289,9 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
         edits_spec = params.get("edits")
         if not isinstance(edits_spec, list) or not edits_spec:
             raise ValidationError('model "custom" needs a non-empty "edits" list')
-        weights = WeightedEdits.from_items(host.m, (_custom_edit(entry, host.m, exact, f"model.edits[{i}]")
-                                                    for i, entry in enumerate(edits_spec)))
+        plus, minus, w = zip(*(_custom_edit(entry, host.m, exact, f"model.edits[{i}]")
+                               for i, entry in enumerate(edits_spec)))
+        weights = WeightedEdits(host.m, plus, minus, w)
     else:
         raise ValidationError(f"unknown model name {name!r}")
 

@@ -2,12 +2,15 @@
 
 The host graph fixes a canonical edge indexing (edges sorted by
 (min endpoint, max endpoint)); every other module speaks edge indices.
-An EdgeSet is a bitmask over those indices: a single chain state, a flat
-of the support lattice, or an edit support. Collections of states are
+An EdgeSet is one state as the public functions take it (a walk's start,
+the states of `commute_time` or `phi`): a bitmask over those indices that
+knows its edge count. It carries no set algebra, since the engine reads
+only its mask; masks combine with |, & and ~. Collections of states are
 sorted mask arrays (dtype `mask_dtype(m)`), searched with `find_masks`.
 Sequences of masks, such as a trajectory's recorded states, are decoded
 together: `set_bits` lists their set bits and `forest_flags` tests each
-for a cycle, both in numpy, block by block.
+for a cycle (a list of one mask tests one state), both in numpy, block
+by block.
 
 Enumeration APIs elsewhere count the 2^m states against a cap
 (`errors.check_cap`); EdgeSet itself places no limit on m (Python ints are
@@ -92,42 +95,6 @@ class EdgeSet:
         if self.m != m:
             raise HostMismatch(f"edge counts differ: {self.m} != {m}")
         return self.mask
-
-    def union(self, other: "EdgeSet") -> "EdgeSet":
-        return EdgeSet(self.m, self.mask | other.mask_on(self.m))
-
-    def intersection(self, other: "EdgeSet") -> "EdgeSet":
-        return EdgeSet(self.m, self.mask & other.mask_on(self.m))
-
-    def difference(self, other: "EdgeSet") -> "EdgeSet":
-        return EdgeSet(self.m, self.mask & ~other.mask_on(self.m))
-
-    def symmetric_difference(self, other: "EdgeSet") -> "EdgeSet":
-        return EdgeSet(self.m, self.mask ^ other.mask_on(self.m))
-
-    def complement(self) -> "EdgeSet":
-        return EdgeSet(self.m, ((1 << self.m) - 1) & ~self.mask)
-
-    __or__ = union
-    __and__ = intersection
-    __sub__ = difference
-    __xor__ = symmetric_difference
-    __invert__ = complement
-
-    def issubset(self, other: "EdgeSet") -> bool:
-        return self.mask & ~other.mask_on(self.m) == 0
-
-    def __contains__(self, e: int) -> bool:
-        return 0 <= e < self.m and bool(self.mask >> e & 1)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.indices())
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __bool__(self) -> bool:
-        return self.mask != 0
 
     def indices(self) -> tuple[int, ...]:
         """Set edge indices in increasing order, one step per set bit."""
@@ -219,13 +186,6 @@ def complete_bipartite(a: int, b: int) -> HostGraph:
     return HostGraph(a + b, tuple((u, a + v) for u in range(a) for v in range(b)))
 
 
-def neighborhood_edges(g: HostGraph, v: int) -> EdgeSet:
-    """All host edges incident to v; its size is the degree of v."""
-    if not 0 <= v < g.n:
-        raise VertexOutOfRange(f"vertex {v} not in [0, {g.n})")
-    return EdgeSet.from_indices(g.m, (i for i, e in enumerate(g.edges) if v in e))
-
-
 def set_bits(masks: Sequence[int], m: int) -> tuple[np.ndarray, np.ndarray]:
     """Every set bit of the int masks on m edges, as (rows, cols) in row-major
     order: bit cols[i] of masks[rows[i]] is set. The masks are packed into
@@ -278,11 +238,6 @@ def forest_flags(g: HostGraph, masks: Sequence[int]) -> np.ndarray:
         counts = np.bincount(rows, minlength=len(block)) + np.bincount(roots, minlength=len(block))
         flags.append(counts == g.n)
     return np.concatenate(flags)
-
-
-def is_acyclic(g: HostGraph, state: EdgeSet) -> bool:
-    """True when the subgraph selected by `state` contains no cycle."""
-    return bool(forest_flags(g, [state.mask_on(g.m)])[0])
 
 
 def host_from_json(obj: dict) -> HostGraph:

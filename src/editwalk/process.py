@@ -12,11 +12,12 @@ Built-in models:
 
 Weights stay exact Fractions when the inputs are rational. A distribution
 is its edits as two mask arrays, `plus` and `minus` (uint64 up to 64
-edges, Python ints above), and their `weights`: the builders write the
-arrays directly, validation reads them in numpy, and the sampler and every
-enumeration read them; an `Edit` is built only for the `items` view and
-read only by `from_items`. Its grouping by support and its integer
-weights are built once and shared (`support_groups`, `integer_weights`).
+edges, Python ints above), and their `weights`: the builders, and the
+CLI's parser of custom edit text, write the arrays directly, validation
+reads them in numpy, and the sampler and every enumeration read them;
+the `items` view lists them as (plus, minus, weight) triples. Its
+grouping by support and its integer weights are built once and shared
+(`support_groups`, `integer_weights`).
 Edits do not depend on the state, so one kernel (`_walk`, behind
 `simulate` and `empirical_distribution`) draws them ahead in numpy
 blocks, from a Vose alias table or the lazy closed form, and applies them
@@ -46,7 +47,6 @@ from typing import Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
 
-from .edits import Edit
 from .errors import (
     STATE_CAP,
     BadDistribution,
@@ -236,8 +236,7 @@ class WeightedEdits:
 
     Edit k forces plus[k] in and minus[k] out and has weight weights[k]; the
     mask arrays have dtype `mask_dtype(m)`. A lazy distribution has empty
-    arrays and draws its edits from `lazy`. `from_items` builds one from
-    (Edit, weight) pairs, and `items` lists them back."""
+    arrays and draws its edits from `lazy`."""
 
     m: int
     plus: np.ndarray
@@ -274,19 +273,10 @@ class WeightedEdits:
         if not self.is_exact and not abs(float(total) - 1.0) <= WEIGHT_SUM_TOL:
             raise BadDistribution(f"weights sum to {float(total)!r}, expected 1")
 
-    @classmethod
-    def from_items(cls, m: int, items: Iterable[tuple[Edit, object]]) -> WeightedEdits:
-        """The distribution over (Edit, weight) pairs, in their order."""
-        items = tuple(items)
-        if any(edit.m != m for edit, _ in items):
-            raise ValidationError("edit host size disagrees with distribution")
-        return cls(m, [e.plus for e, _ in items], [e.minus for e, _ in items], [w for _, w in items])
-
     @cached_property
-    def items(self) -> tuple[tuple[Edit, object], ...]:
-        """The (Edit, weight) pairs, built when first read."""
-        return tuple((Edit(self.m, plus, minus), w) for plus, minus, w
-                     in zip(self.plus.tolist(), self.minus.tolist(), self.weights))
+    def items(self) -> tuple[tuple[int, int, object], ...]:
+        """The (plus, minus, weight) triples as Python ints, built when first read."""
+        return tuple(zip(self.plus.tolist(), self.minus.tolist(), self.weights))
 
     @property
     def is_lazy(self) -> bool:
@@ -455,10 +445,6 @@ class Trajectory:
     seed: int
     steps: int
     thin: int = 1
-
-    @property
-    def states(self) -> tuple[EdgeSet, ...]:
-        return tuple(EdgeSet(self.initial.m, mask) for mask in self.masks)
 
     @property
     def times(self) -> list[int]:

@@ -634,6 +634,14 @@ def simple_tv_bound(m: int, t: int) -> float:
     return 2.0 * m * (1.0 - 1.0 / m) ** t
 
 
+def _steps(bound: float) -> int:
+    """A mixing bound as a whole step count; one past the float range
+    (a huge c) is refused rather than rounded from infinity."""
+    if not math.isfinite(bound):
+        raise ValidationError(f"mixing bound of {bound} steps is not finite; choose a smaller c")
+    return math.ceil(bound)
+
+
 def _check_c(c: float) -> None:
     """The e^(-c) target of a mixing bound needs a finite c > 0."""
     if not (c > 0 and math.isfinite(c)):
@@ -646,7 +654,7 @@ def mixing_bound_simple(m: int, c: float) -> int:
     _check_c(c)
     if m < 1:
         raise ValidationError("need at least one edge")
-    return math.ceil(m * (c + 2.0 * math.log(m)))
+    return _steps(m * (c + 2.0 * math.log(m)))
 
 
 def mixing_bound_compound(
@@ -664,10 +672,10 @@ def mixing_bound_compound(
     if chamber_count is not None:
         if chamber_count < 1:
             raise ValidationError("chamber count must be positive")
-        return math.ceil((math.log(chamber_count) + c) / gap)
+        return _steps((math.log(chamber_count) + c) / gap)
     if m < 1:
         raise ValidationError("need at least one edge")
-    return math.ceil((m * math.log(2.0) + c) / gap)
+    return _steps((m * math.log(2.0) + c) / gap)
 
 
 def moran_complete_mixing_bound(n: int, c: float) -> int:
@@ -676,7 +684,7 @@ def moran_complete_mixing_bound(n: int, c: float) -> int:
     if n < 2:
         raise ValidationError("need at least two vertices")
     _check_c(c)
-    return math.ceil((n * n * math.log(n) + c * n) / 2.0)
+    return _steps((n * n * math.log(n) + c * n) / 2.0)
 
 
 def intersection_mixing_bound(n: int, N: int, c: float) -> int:
@@ -685,7 +693,7 @@ def intersection_mixing_bound(n: int, N: int, c: float) -> int:
     if n < 1 or N < 1:
         raise ValidationError("need n, N >= 1")
     _check_c(c)
-    return math.ceil(N * n * n * math.log(2.0) + c * n)
+    return _steps(N * n * n * math.log(2.0) + c * n)
 
 
 # ---------------------------------------------------------------------------
@@ -757,38 +765,16 @@ def _spectral_sum(E: int, F: int, terms: _SumTerms, commute: bool):
     return total
 
 
-def commute_terms(E: EdgeSet, F: EdgeSet, g: HostGraph, p) -> list[tuple[EdgeSet, object]]:
-    """The spectral commute time term by term, for every proper subset T of
-    the host edges in mask order:
-
-        m/(m-|T|) * prod(p_e(1-p_e), e not in T) * (phi_T(E)/pi(E) - phi_T(F)/pi(F))^2
-
-    where phi_T/pi multiplies 1/p_e (edge present) or 1/(p_e - 1) (edge
-    absent) over the edges outside T; exact when p is rational. Both
-    products are Kronecker products of [factor, 1] pairs, so terms whose
-    T contains E xor F are exactly 0. Covers all 2^m - 1 subsets, so it is
-    capped like a state space; `commute_time` sums them in O(m^2)."""
-    probs = _per_edge_probabilities(g, p)
-    check_cap(1 << g.m, STATE_CAP, f"2^{g.m} states")
-    m, exact = g.m, all(_is_exact(pe) for pe in probs)
-    one, dtype = (Fraction(1), object) if exact else (1.0, float)
-    scale = _kron([np.array([pe * (1 - pe), one], dtype) for pe in probs])
-    r_e, r_f = (_kron([np.array([1 / (pe - 1) if not s >> e & 1 else 1 / pe, one], dtype)
-                       for e, pe in enumerate(probs)]) for s in (E.mask_on(m), F.mask_on(m)))
-    levels = np.array([Fraction(m, m - k) if exact else m / (m - k) for k in range(m)], dtype)
-    size = (1 << m) - 1  # all T except the full edge set
-    coeff = levels[np.bitwise_count(np.arange(size))]
-    diff = (r_e - r_f)[:size]
-    terms = coeff * scale[:size] * diff * diff
-    return list(zip((EdgeSet(m, mask) for mask in range(size)), terms.tolist()))
-
-
 def commute_time(E: EdgeSet, F: EdgeSet, g: HostGraph, p):
     """Expected round-trip time between two states of the per-edge update
-    chain: the sum of `commute_terms`, computed in O(m^2) from products of
-    per-edge linear polynomials, with no cap on m. Exact and symmetric in E
-    and F; a Fraction when p is rational. A float result that overflows
-    (it grows like 1/pi) raises CapExceeded."""
+    chain: the sum over the proper edge subsets T of
+
+        m/(m-|T|) * prod(p_e(1-p_e), e not in T) * (phi_T(E)/pi(E) - phi_T(F)/pi(F))^2,
+
+    computed in O(m^2) from products of per-edge linear polynomials, with
+    no cap on m. Exact and symmetric in E and F; a Fraction when p is
+    rational. A float result that overflows (it grows like 1/pi) raises
+    CapExceeded."""
     return _spectral_sum(E.mask_on(g.m), F.mask_on(g.m), _sum_terms(g, p), commute=True)
 
 

@@ -1,14 +1,23 @@
 """Enumeration oracles for the per-edge closed forms.
 
-These are the former library implementations, one Fraction or float at a
-time:
+The left regular band of edits is kept here as objects: an `Edit` is a
+reduced pair of disjoint sign masks, `compose` its product and
+`parse_edit` / `format_edit` its notation, with the `Sign` and chamber
+helpers. The library reads edits only as the mask arrays of
+`WeightedEdits` and parses the custom model's text straight to masks;
+`from_items` and `edit_items` convert between the two.
+
+The rest are the former library implementations, one Fraction or float
+at a time:
 
 * explicit sums over all 2^m - 1 proper edge subsets T for the commute and
   hitting times, which `commute_time` and `hitting_time_closed` now
   evaluate as polynomial coefficients;
-* per-edge and per-state loops for phi, the psi scaling, `commute_terms`
-  and `intersection_stationary`, which the library now builds as
-  Kronecker products of per-edge (or per-vertex) factors;
+* per-edge and per-state loops for phi, the psi scaling and
+  `intersection_stationary`, which the library now builds as Kronecker
+  products of per-edge (or per-vertex) factors, and the commute time term
+  by term (`commute_terms_enumerated`), which `commute_time` sums in
+  O(m^2);
 * the `simulate` record path as one dict per state encoded by `json.dumps`,
   with edge indices found by testing every host edge and acyclicity by one
   union-find per state, where the library decodes the set bits of a block
@@ -51,13 +60,15 @@ time:
 
 It also keeps the helpers that only the tests use: the action of an edit
 on a state, its support, the two edit orders, chambers and their states,
-the sign-table state order and permutations into it, a chain from a dense matrix, one walk step,
-drawn edits as masks, and the weight of one edit of the lazy intersection
+the star of edges at a vertex, the sign-table state order and
+permutations into it, a chain from a dense matrix, one walk step, drawn
+edits as masks, and the weight of one edit of the lazy intersection
 model.
 
 The tests compare the two.
 """
 
+import enum
 import json
 import math
 from dataclasses import dataclass, field
@@ -65,17 +76,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from editwalk.edits import Edit, Sign, compose, simple_edit
 from editwalk.errors import (
     STATE_CAP,
+    EdgeOutOfRange,
     EditWalkError,
     HostMismatch,
     NotAChamber,
     NotIrreducible,
     ValidationError,
+    VertexOutOfRange,
     check_cap,
 )
-from editwalk.hostgraph import EdgeSet, mask_dtype, neighborhood_edges
+from editwalk.hostgraph import EdgeSet, mask_dtype
 from editwalk.lattice import SupportLattice
 from editwalk.process import (
     SAMPLER_VERSION,
@@ -91,9 +103,122 @@ from editwalk.spectral import (
     TransitionMatrix,
     _covered,
     _symmetrized,
-    commute_terms,
     stationary_numeric,
 )
+
+
+class Sign(enum.Enum):
+    PLUS = "+"
+    MINUS = "-"
+
+    def __str__(self) -> str:
+        return self.value
+
+
+@dataclass(frozen=True)
+class Edit:
+    """Reduced edit: disjoint bitmasks of forced-present / forced-absent
+    edges. Total edits (every edge signed) are the chambers."""
+
+    m: int
+    plus: int = 0
+    minus: int = 0
+
+    def __post_init__(self) -> None:
+        if self.plus & self.minus:
+            raise ValidationError(
+                f"plus and minus masks overlap on {self.plus & self.minus:#x}"
+            )
+        if self.plus < 0 or self.minus < 0 or (self.plus | self.minus) >> self.m:
+            raise EdgeOutOfRange(
+                f"edit touches edges outside the {self.m} host edges"
+            )
+
+    @classmethod
+    def identity(cls, m: int) -> "Edit":
+        return cls(m, 0, 0)
+
+    @property
+    def support_mask(self) -> int:
+        return self.plus | self.minus
+
+    @property
+    def is_chamber(self) -> bool:
+        return self.support_mask == (1 << self.m) - 1
+
+    def sign_of(self, e: int) -> Sign | None:
+        if not 0 <= e < self.m:
+            raise EdgeOutOfRange(f"edge index {e} not in [0, {self.m})")
+        if self.plus >> e & 1:
+            return Sign.PLUS
+        if self.minus >> e & 1:
+            return Sign.MINUS
+        return None
+
+    def __repr__(self) -> str:
+        return f"Edit({format_edit(self)!r}, m={self.m})" if self.support_mask else f"Edit(identity, m={self.m})"
+
+
+def simple_edit(e: int, sign: Sign, m: int) -> Edit:
+    """The edit forcing a single edge present (+) or absent (-)."""
+    if not 0 <= e < m:
+        raise EdgeOutOfRange(f"edge index {e} not in [0, {m})")
+    bit = 1 << e
+    return Edit(m, bit, 0) if sign is Sign.PLUS else Edit(m, 0, bit)
+
+
+def compose(x: Edit, y: Edit) -> Edit:
+    """Product xy: y acts first, x acts last, so x wins where both act."""
+    if x.m != y.m:
+        raise HostMismatch(f"edge counts differ: {x.m} != {y.m}")
+    free = ~x.support_mask
+    return Edit(x.m, x.plus | (y.plus & free), x.minus | (y.minus & free))
+
+
+def format_edit(x: Edit) -> str:
+    """Canonical textual form, e.g. '+0 -3 +5' (identity prints as '').
+    Tokens are emitted in edge-index order."""
+    parts = []
+    for e in range(x.m):
+        if x.plus >> e & 1:
+            parts.append(f"+{e}")
+        elif x.minus >> e & 1:
+            parts.append(f"-{e}")
+    return " ".join(parts)
+
+
+def parse_edit(text: str, m: int) -> Edit:
+    """Parse '+0 -3 +5' as a product of single-edge edits read left to
+    right, the rightmost applied first, so on a repeated edge the leftmost
+    token wins."""
+    result = Edit.identity(m)
+    for token in text.split():
+        sign = token[0]
+        if sign not in "+-" or not (token[1:].isascii() and token[1:].isdigit()):
+            raise ValidationError(f"bad edit token {token!r}, expected e.g. '+3' or '-0'")
+        e = int(token[1:])
+        result = compose(result, simple_edit(e, Sign.PLUS if sign == "+" else Sign.MINUS, m))
+    return result
+
+
+def from_items(m: int, items) -> WeightedEdits:
+    """The distribution over (Edit, weight) pairs, in their order."""
+    items = tuple(items)
+    if any(edit.m != m for edit, _ in items):
+        raise ValidationError("edit host size disagrees with distribution")
+    return WeightedEdits(m, [e.plus for e, _ in items], [e.minus for e, _ in items], [w for _, w in items])
+
+
+def edit_items(dist) -> list[tuple[Edit, object]]:
+    """The (Edit, weight) pairs of a distribution's (plus, minus, weight) items."""
+    return [(Edit(dist.m, plus, minus), w) for plus, minus, w in dist.items]
+
+
+def neighborhood_edges(g, v: int) -> EdgeSet:
+    """All host edges incident to v; its size is the degree of v."""
+    if not 0 <= v < g.n:
+        raise VertexOutOfRange(f"vertex {v} not in [0, {g.n})")
+    return EdgeSet.from_indices(g.m, (i for i, e in enumerate(g.edges) if v in e))
 
 
 def apply(x: Edit, state: EdgeSet) -> EdgeSet:
@@ -189,11 +314,11 @@ def hitting_time_enumerated(E, F, g, p):
 
 
 def largest_dropped_term(E, F, g, p) -> float:
-    """Largest |term| of `commute_terms` over the subsets that contain
-    E xor F, which the spectral sum leaves out because they vanish."""
+    """Largest |term| of `commute_terms_enumerated` over the subsets that
+    contain E xor F, which the spectral sum leaves out because they vanish."""
     delta = E.mask ^ F.mask
     return max(
-        (abs(float(term)) for flat, term in commute_terms(E, F, g, p) if delta & ~flat.mask == 0),
+        (abs(float(term)) for flat, term in commute_terms_enumerated(E, F, g, p) if delta & ~flat.mask == 0),
         default=0.0,
     )
 
@@ -227,7 +352,14 @@ def psi_rows_enumerated(g, p, t_masks: np.ndarray) -> np.ndarray:
 
 
 def commute_terms_enumerated(E, F, g, p) -> list:
-    """`commute_terms` one subset at a time, products over the edges outside T."""
+    """The spectral commute time term by term, for every proper subset T of
+    the host edges in mask order, one subset at a time:
+
+        m/(m-|T|) * prod(p_e(1-p_e), e not in T) * (phi_T(E)/pi(E) - phi_T(F)/pi(F))^2
+
+    where phi_T/pi multiplies 1/p_e (edge present) or 1/(p_e - 1) (edge
+    absent) over the edges outside T; exact when p is rational. Terms whose
+    T contains E xor F are exactly 0."""
     probs = _probabilities(g, p)
     m, exact = g.m, all(_is_exact(pe) for pe in probs)
     one = Fraction(1) if exact else 1.0
@@ -284,14 +416,15 @@ def write_simulate_artifacts(cfg, state_format: str) -> None:
         cfg.host, cfg.seed, model=cfg.model, T=cfg.steps, thin=cfg.thin, sampler=SAMPLER_VERSION
     )
     cfg.out.mkdir(parents=True, exist_ok=True)
-    summary = {"final_state": traj.states[-1].hex(), "edge_counts": traj.edge_counts()}
+    states = [EdgeSet(cfg.host.m, mask) for mask in traj.masks]
+    summary = {"final_state": states[-1].hex(), "edge_counts": traj.edge_counts()}
     if cfg.model == "moran":
-        summary["acyclic"] = [_acyclic_by_shift(cfg.host, s) for s in traj.states]
+        summary["acyclic"] = [_acyclic_by_shift(cfg.host, s) for s in states]
     (cfg.out / "summary.json").write_text(json.dumps({"meta": meta, "data": summary}, indent=2) + "\n")
     if cfg.steps == 0:
         return
     records = []
-    for k, state in enumerate(traj.states):
+    for k, state in enumerate(states):
         record = {"t": min(k * cfg.thin, cfg.steps), "state": state.hex()}
         if state_format == "edges":
             record["edges"] = [list(cfg.host.edges[e]) for e in indices_by_shift(state)]
@@ -365,7 +498,7 @@ class EntryReport:
 
     @property
     def top(self) -> EdgeSet:
-        return max(self.entries, key=lambda e: len(e.flat)).flat
+        return max(self.entries, key=lambda e: e.flat.mask.bit_count()).flat
 
     def eigenvalue_multiset(self) -> list[float]:
         values: list[float] = []
@@ -388,7 +521,8 @@ class EntryReport:
         return max(rest)
 
     def to_csv_rows(self) -> list[tuple[str, int, str, int]]:
-        return [(e.flat.hex(), len(e.flat), str(e.eigenvalue), e.multiplicity) for e in self.entries]
+        return [(e.flat.hex(), e.flat.mask.bit_count(), str(e.eigenvalue), e.multiplicity)
+                for e in self.entries]
 
     def brown_tv_bound(self, t: int) -> float:
         top_mask = self.top.mask
@@ -457,7 +591,7 @@ def recurrent_class_by_state(dist, g, initial=None, cap: int = STATE_CAP) -> np.
     saturating product of all edits applied to the start, then every edit
     applied to each newly found state. Returns the ascending mask array."""
     _covered(dist, g)
-    edits = [e for e, _ in dist.items]
+    edits = [e for e, _ in edit_items(dist)]
     saturate = Edit.identity(g.m)
     for e in edits:
         saturate = compose(saturate, e)
@@ -485,7 +619,7 @@ def moran_weights_per_edge(g) -> WeightedEdits:
             star = neighborhood_edges(g, src).mask
             keep = 1 << g.index_of(src, dst)
             items.append((Edit(g.m, keep, star & ~keep), w))
-    return WeightedEdits.from_items(g.m, items)
+    return from_items(g.m, items)
 
 
 def sign_lex_order(m: int) -> list[int]:
@@ -640,7 +774,7 @@ def simple_edit_weights_by_edit(g, p) -> WeightedEdits:
     for e, pe in enumerate(probs):
         items.append((simple_edit(e, Sign.PLUS, g.m), pe / g.m))
         items.append((simple_edit(e, Sign.MINUS, g.m), (1 - pe) / g.m))
-    return WeightedEdits.from_items(g.m, items)
+    return from_items(g.m, items)
 
 
 def intersection_weights_by_edit(n: int, N: int, mu) -> WeightedEdits:
@@ -656,7 +790,7 @@ def intersection_weights_by_edit(n: int, N: int, mu) -> WeightedEdits:
             plus = a << (v * N)
             if by_size[a.bit_count()] != 0:
                 items.append((Edit(m, plus, star & ~plus), by_size[a.bit_count()]))
-    return WeightedEdits.from_items(m, items)
+    return from_items(m, items)
 
 
 @dataclass(frozen=True)
@@ -730,7 +864,7 @@ def representatives_for(lat: WitnessLattice, generators, reverse: bool = False) 
 def lattice_by_witness(dist, cap: int = STATE_CAP, reverse: bool = False):
     """The oracle closure of `dist`'s supports, with its representatives, as
     a `SupportLattice` the library's `multiplicities` reads."""
-    generators = [e for e, _ in dist.items]
+    generators = [e for e, _ in edit_items(dist)]
     lat = closure_by_witness([supp(e) for e in generators], cap)
     reps = representatives_for(lat, generators, reverse)
     dtype = mask_dtype(dist.m)

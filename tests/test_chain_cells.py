@@ -17,10 +17,9 @@ import pytest
 
 import editwalk as ew
 from editwalk import spectral, verify
-from editwalk.edits import parse_edit
 from editwalk.errors import SupportNotCovering, ValidationError
 from editwalk.spectral import TransitionMatrix
-from oracles import chain_from_dense, reorder, sign_lex_order
+from oracles import chain_from_dense, from_items, parse_edit, reorder, sign_lex_order
 from editwalk.verify import (
     check_detailed_balance,
     check_eigenvector_residuals,
@@ -46,15 +45,15 @@ def dense_chain(dist, g, restrict="all"):
     if dist.is_exact:
         entries = np.empty((n, n), dtype=object)
         entries[:, :] = Fraction(0)
-        for edit, w in dist.items:
+        for plus, minus, w in dist.items:
             for i, s in enumerate(states):
-                entries[i, index[(s.mask | edit.plus) & ~edit.minus]] += w
+                entries[i, index[(s.mask | plus) & ~minus]] += w
         return states, entries, True
     masks = np.array([s.mask for s in states], dtype=np.int64)
     entries = np.zeros((n, n))
     rows = np.arange(n)
-    for edit, w in dist.items:
-        cols = np.array([index[int(d)] for d in (masks | edit.plus) & ~edit.minus])
+    for plus, minus, w in dist.items:
+        cols = np.array([index[int(d)] for d in (masks | plus) & ~minus])
         np.add.at(entries, (rows, cols), float(w))
     return states, entries, False
 
@@ -98,7 +97,7 @@ def cycle_family(m, exact):
     items = tuple(
         (parse_edit(text, m), Fraction(w, total) if exact else w / total) for text, w in raw
     )
-    return g, ew.WeightedEdits.from_items(m, items)
+    return g, from_items(m, items)
 
 
 def _path(m):
@@ -342,7 +341,7 @@ def test_hosts_beyond_64_edges(exact):
     m = 70
     g = ew.from_edge_list(m, [(i, (i + 1) % m) for i in range(m)])
     half = Fraction(1, 2) if exact else 0.5
-    dist = ew.WeightedEdits.from_items(m, ((parse_edit("+0 -69", m), half), (parse_edit("-0 +69", m), half)))
+    dist = from_items(m, ((parse_edit("+0 -69", m), half), (parse_edit("-0 +69", m), half)))
     with pytest.warns(SupportNotCovering):
         tm = ew.build_chain(dist, g, ew.recurrent_class(dist, g, initial=ew.EdgeSet(m, 0b110)))
     assert tm.masks.tolist() == [0b111, (1 << 69) | 0b110]

@@ -13,7 +13,12 @@ from editwalk import spectral
 from editwalk.cli import main
 from editwalk.errors import CapExceeded
 from editwalk.serialize import read_csv
-from oracles import commute_time_enumerated, hitting_time_enumerated, hitting_times_first_step
+from oracles import (
+    commute_terms_enumerated,
+    commute_time_enumerated,
+    hitting_time_enumerated,
+    hitting_times_first_step,
+)
 
 
 def path_host(m):
@@ -90,7 +95,7 @@ def test_exact_times_with_large_coprime_denominators(case):
     g, p, E, F = case
     kappa = ew.commute_time(E, F, g, p)
     assert type(kappa) is Fraction
-    assert kappa == sum(term for _, term in ew.commute_terms(E, F, g, p))
+    assert kappa == sum(term for _, term in commute_terms_enumerated(E, F, g, p))
     assert ew.hitting_time_closed(E, F, g, p) == hitting_time_enumerated(E, F, g, p)
     assert ew.hitting_time_closed(F, E, g, p) == hitting_time_enumerated(F, E, g, p)
 
@@ -179,9 +184,12 @@ def test_commute_terms_tests_exactness_once_per_edge(monkeypatch):
     monkeypatch.setattr(spectral, "_is_exact", lambda x: calls.append(x) or real(x))
     m = 6
     g = path_host(m)
-    terms = ew.commute_terms(ew.EdgeSet(m, 5), ew.EdgeSet(m, 40), g, [Fraction(1, 3)] * m)
-    assert len(terms) == (1 << m) - 1
+    E, F, p = ew.EdgeSet(m, 5), ew.EdgeSet(m, 40), [Fraction(1, 3)] * m
+    kappa = ew.commute_time(E, F, g, p)
     assert len(calls) == m
+    terms = commute_terms_enumerated(E, F, g, p)
+    assert len(terms) == (1 << m) - 1
+    assert kappa == sum(term for _, term in terms)
 
 
 def test_compound_commute_factorizes_once(tmp_path, monkeypatch):

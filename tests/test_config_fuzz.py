@@ -1,6 +1,7 @@
 """Fuzz of `load_config` and `main`: a small valid config with one value
-replaced by random JSON, or one key dropped, must end in a documented exit
-code (0 ok, 1 validation error, 2 cap exceeded) and never in a traceback."""
+replaced by random JSON, or one key dropped, and a valid config run with
+random command-line flags, must end in a documented exit code (0 ok, 1
+validation error, 2 cap exceeded) and never in a traceback."""
 
 import contextlib
 import copy
@@ -92,11 +93,70 @@ def test_mutated_configs_exit_with_a_named_error(config):
         assert err.startswith("error"), err
 
 
-def _run(config) -> tuple[int, str]:
+# Command-line flags, fuzzed on small hosts. Flags are passed as --flag=value
+# so that negative and non-finite values reach the parser as values. Runs
+# stay small: every c below 1e2 gives a bound of at most a few hundred steps,
+# and every larger c a bound past any cap the fuzz sets (at most 2^12), or
+# no finite bound at all.
+FLAG_CONFIGS = [
+    {"host": {"preset": "complete", "params": [4]}, "model": {"name": "moran"}, "T": 20},
+    {"host": {"preset": "complete", "params": [4]}, "model": {"name": "simple", "p": 0.3}, "T": 20},
+    {"host": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}, "mode": "rational", "T": 20,
+     "model": {"name": "custom", "edits": [{"edit": "+0 -1", "weight": "1/2"},
+                                          {"edit": "-0 +1 +2", "weight": "1/2"}]}},
+]
+HUGE_C = [1e300, 1.7e308, math.inf, -math.inf, math.nan]
+FLAG_VALUES = {
+    "--c": st.sampled_from([0.0, -0.0, -1.0, 5e-324, 1e-300, *HUGE_C]) | st.floats(-100, 100),
+    "--t-max": st.integers(-3, 200) | st.sampled_from([10**30, -(10**30)]),
+    "--cap-states": st.integers(-2, 1 << 12) | st.sampled_from([0, 2**63 + 1, 10**30]),
+    "--seed": st.integers(-3, 50) | st.sampled_from([2**32, 2**64, 2**70, -(2**70)]),
+}
+COMMAND_FLAGS = {
+    "mixing": ("--c", "--t-max", "--cap-states", "--seed"),
+    "simulate": ("--cap-states", "--seed"),
+    "spectrum": ("--cap-states", "--seed"),
+    "stationary": ("--cap-states",),
+    "commute": ("--cap-states",),
+}
+
+
+@st.composite
+def flag_runs(draw):
+    config = draw(st.sampled_from(FLAG_CONFIGS))
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    chosen = draw(st.lists(st.sampled_from(COMMAND_FLAGS[command]), unique=True, min_size=1))
+    if command == "mixing" and "--cap-states" not in chosen:
+        chosen.append("--cap-states")  # the default cap admits a 2^20-row curve
+    flags = [f"{flag}={draw(FLAG_VALUES[flag])!r}" for flag in chosen]
+    return config, [command, *flags]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(flag_runs())
+def test_fuzzed_flags_exit_with_a_named_error(run):
+    config, argv = run
+    rc, err = _run(config, argv)
+    assert rc in (0, 1, 2), argv
+    assert "Traceback" not in err
+    if rc:
+        assert err.startswith("error"), (argv, err)
+
+
+def test_huge_c_is_a_named_error():
+    # a finite c whose bound is past the float range: no step count exists
+    for config in FLAG_CONFIGS[:2]:
+        rc, err = _run(config, ["mixing", "--c=1.7e308"])
+        assert (rc, err) == (1, "error: mixing bound of inf steps is not finite; choose a smaller c\n")
+    rc, _ = _run(FLAG_CONFIGS[0], ["mixing", "--c=1e300"])  # finite: the curve is skipped
+    assert rc == 0
+
+
+def _run(config, argv=("simulate",)) -> tuple[int, str]:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            rc = main(["simulate", "--config", str(path), "--out", tmp])
+            rc = main([argv[0], "--config", str(path), "--out", tmp, *argv[1:]])
     return rc, err.getvalue()

@@ -108,4 +108,4 @@ def test_simulate_thin_larger_than_steps():
     g = ew.from_edge_list(3, [(0, 1), (1, 2)])
     dist = ew.simple_edit_weights(g, 0.5)
     traj = ew.simulate(dist, g.empty_set(), 5, seed=1, thin=10)
-    assert len(traj.states) == 2  # initial and final
+    assert len(traj.masks) == 2  # initial and final

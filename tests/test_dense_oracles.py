@@ -62,7 +62,7 @@ def test_fundamental_matrix_matches_first_step_solves(name):
 
 def test_transient_target_raises_and_recurrent_target_is_hit():
     # every state falls to the empty set: it is the closed class
-    dist = ew.WeightedEdits.from_items(2, ((ew.Edit(2, 0, 0b11), 1.0),))
+    dist = ew.WeightedEdits(2, [0], [0b11], [1.0])
     tm = ew.build_chain(dist, ew.from_edge_list(3, [(0, 1), (1, 2)]))
     assert spectral._hitting_columns(tm, [0])[:, 0].tolist() == pytest.approx([0, 1, 1, 1])
     with pytest.raises(NotIrreducible):

@@ -14,12 +14,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import draw_masks, recurrent_class_by_state
+from oracles import Edit, draw_masks, from_items, parse_edit, recurrent_class_by_state
 from test_random_families import seeded_families
 
 import editwalk as ew
 from editwalk import spectral, verify
-from editwalk.edits import parse_edit
 from editwalk.errors import CapExceeded, SupportNotCovering
 from editwalk.lattice import SupportLattice
 
@@ -41,21 +40,21 @@ def wide_family(m=70):
     pairs = range(0, m, 10)
     texts = [f"{a}{i} {b}{i + 1}" for i in pairs for a, b in (("+", "-"), ("-", "+"))]
     rest = ((1 << m) - 1) & ~sum(3 << i for i in pairs)
-    edits = [parse_edit(t, m) for t in texts] + [ew.Edit(m, rest, 0)]
+    edits = [parse_edit(t, m) for t in texts] + [Edit(m, rest, 0)]
     w = Fraction(1, len(edits))
-    return g, ew.WeightedEdits.from_items(m, tuple((e, w) for e in edits))
+    return g, from_items(m, tuple((e, w) for e in edits))
 
 
 def test_arrays_are_built_from_the_items():
     g = ew.complete_graph(4)
     dist = ew.moran_weights(g)
     assert dist.plus.dtype == dist.minus.dtype == np.uint64
-    assert dist.plus.tolist() == [e.plus for e, _ in dist.items]
-    assert dist.minus.tolist() == [e.minus for e, _ in dist.items]
-    assert dist.weights == tuple(w for _, w in dist.items)
-    assert dist.supports.tolist() == [e.support_mask for e, _ in dist.items]
+    assert dist.plus.tolist() == [plus for plus, _, _ in dist.items]
+    assert dist.minus.tolist() == [minus for _, minus, _ in dist.items]
+    assert dist.weights == tuple(w for _, _, w in dist.items)
+    assert dist.supports.tolist() == [plus | minus for plus, minus, _ in dist.items]
     _, wide = wide_family()
-    assert wide.plus.dtype == object and wide.plus.tolist() == [e.plus for e, _ in wide.items]
+    assert wide.plus.dtype == object and wide.plus.tolist() == [plus for plus, _, _ in wide.items]
     lazy = ew.intersection_weights(2, 3, [0.25] * 4, mode="lazy")
     assert len(lazy.plus) == len(lazy.minus) == len(lazy.weights) == 0
 
@@ -66,7 +65,7 @@ def test_draws_are_python_ints(m):
     dist = ew.simple_edit_weights(g, 0.5)
     draws = list(zip(*draw_masks(dist, ew.make_rng(3), 50)))
     assert all(type(plus) is int and type(minus) is int for plus, minus in draws)
-    edits = {(e.plus, e.minus) for e, _ in dist.items}
+    edits = {(plus, minus) for plus, minus, _ in dist.items}
     assert set(draws) <= edits
 
 
@@ -125,7 +124,7 @@ def test_uncovered_edges_stay_frozen():
     # edits act on edges 0-2 of a 5-edge path; edges 3 and 4 keep the start's values
     g = ew.from_edge_list(6, [(i, i + 1) for i in range(5)])
     texts = ["+0 -1", "-0 +1", "+2", "-2 +1"]
-    dist = ew.WeightedEdits.from_items(5, tuple((parse_edit(t, 5), Fraction(1, 4)) for t in texts))
+    dist = from_items(5, tuple((parse_edit(t, 5), Fraction(1, 4)) for t in texts))
     start = ew.EdgeSet(5, 0b01000)
     with pytest.warns(SupportNotCovering):
         ew.recurrent_class(dist, g, initial=start)
@@ -133,7 +132,7 @@ def test_uncovered_edges_stay_frozen():
     assert {mask >> 3 for mask in states.tolist()} == {0b01}
     # the same frozen edges on a host past one machine word
     g, wide = wide_family()
-    free = ew.WeightedEdits.from_items(70, wide.items[:-1] + ((ew.Edit(70, 1 << 2, 0), wide.items[-1][1]),))
+    free = ew.WeightedEdits(70, *zip(*wide.items[:-1], (1 << 2, 0, wide.items[-1][2])))
     start = ew.EdgeSet(70, (1 << 69) | (1 << 65))
     states = same_class(free, g, initial=start)
     assert {mask >> 64 for mask in states.tolist()} == {0b100010}

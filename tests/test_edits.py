@@ -1,18 +1,45 @@
+"""The left regular band of edits, kept as the `Edit` oracle in `oracles`,
+and the mask product the library computes with, `lattice._backward_step`:
+F.y = (F+ | y+ & ~S_F, F- | y- & ~S_F)."""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import apply, chamber_of, leq, prec, state_of, supp
+from oracles import (
+    Edit,
+    Sign,
+    apply,
+    chamber_of,
+    compose,
+    format_edit,
+    leq,
+    parse_edit,
+    prec,
+    simple_edit,
+    state_of,
+    supp,
+)
 
-from editwalk import EdgeSet, Edit, Sign, compose, format_edit, parse_edit, simple_edit
+from editwalk import EdgeSet
 from editwalk.errors import EdgeOutOfRange, HostMismatch, NotAChamber
+from editwalk.lattice import _backward_step
 
 M = 4
 
 
 def edit_from_signs(m, plus=(), minus=()):
     return Edit(m, sum(1 << e for e in plus), sum(1 << e for e in minus))
+
+
+def masks(x):
+    return x.plus, x.minus
+
+
+def product(x, y):
+    """The mask product x.y as the library computes it."""
+    return _backward_step(x.plus, x.minus, y.plus, y.minus)
 
 
 @st.composite
@@ -39,6 +66,7 @@ def test_compose_left_factor_wins():
     minus0 = simple_edit(0, Sign.MINUS, 2)
     assert compose(plus0, minus0) == plus0
     assert compose(minus0, plus0) == minus0
+    assert product(plus0, minus0) == (1, 0) and product(minus0, plus0) == (0, 1)
 
 
 def test_compose_identity():
@@ -52,6 +80,7 @@ def test_compose_example_and_functional_equality():
     y = edit_from_signs(3, plus=[1], minus=[2])
     z = compose(x, y)
     assert z == edit_from_signs(3, plus=[0], minus=[1, 2])
+    assert product(x, y) == (0b001, 0b110)
     # oracle: composed edit acts exactly like applying y then x, on all states
     for mask in range(8):
         state = EdgeSet(3, mask)
@@ -103,12 +132,18 @@ def test_leq_and_prec_definitional_oracles():
 def test_idempotence_and_lrb_law(x, y):
     assert compose(x, x) == x
     assert compose(compose(x, y), x) == compose(x, y)
+    # the library's mask product is the oracle's, and obeys the same laws
+    assert product(x, y) == masks(compose(x, y))
+    assert product(x, x) == masks(x)
+    assert _backward_step(*product(x, y), x.plus, x.minus) == product(x, y)
 
 
 @settings(max_examples=150)
 @given(edits(), edits())
 def test_support_homomorphism(x, y):
-    assert supp(compose(x, y)) == supp(x) | supp(y)
+    assert supp(compose(x, y)).mask == supp(x).mask | supp(y).mask
+    plus, minus = product(x, y)
+    assert plus | minus == x.support_mask | y.support_mask
 
 
 @settings(max_examples=150)
@@ -116,6 +151,10 @@ def test_support_homomorphism(x, y):
 def test_action_compatibility(x, y, mask):
     state = EdgeSet(M, mask)
     assert apply(compose(x, y), state) == apply(x, apply(y, state))
+    # a state is its chamber's + mask: x.y.c acts on it as x after y
+    full = (1 << M) - 1
+    plus, _ = _backward_step(*product(x, y), mask, full & ~mask)
+    assert plus == apply(x, apply(y, state)).mask
 
 
 @settings(max_examples=100)
@@ -123,6 +162,7 @@ def test_action_compatibility(x, y, mask):
 def test_chamber_absorption(mask, x):
     c = chamber_of(EdgeSet(M, mask))
     assert compose(c, x) == c
+    assert product(c, x) == masks(c)
 
 
 @settings(max_examples=100)

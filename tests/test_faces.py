@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import tv_decay_dense
+from oracles import from_items, parse_edit, tv_decay_dense
 from test_chain_cells import cycle_family
 from test_random_families import seeded_families
 from test_spectral import random_host, random_probs
@@ -28,7 +28,6 @@ from test_spectral import random_host, random_probs
 import editwalk as ew
 from editwalk import cli, spectral, verify
 from editwalk.cli import main
-from editwalk.edits import parse_edit
 from editwalk.errors import CapExceeded, SupportNotCovering
 from editwalk.serialize import read_csv
 from editwalk.spectral import TransitionMatrix
@@ -50,8 +49,8 @@ def test_random_families_match_linear_solve():
     uncovered = 0
     for g, dist in families:
         covered = 0
-        for edit, _ in dist.items:
-            covered |= edit.support_mask
+        for plus, minus, _ in dist.items:
+            covered |= plus | minus
         uncovered += covered != (1 << g.m) - 1
         initial = ew.EdgeSet(g.m, int(rng.integers(1, 1 << g.m)))
         for start in (None, initial):
@@ -72,7 +71,7 @@ def flipped_cycle_family(rng, m):
             raw.append((" ".join(tokens), int(rng.integers(1, 10))))
     total = sum(w for _, w in raw)
     g = ew.from_edge_list(m, [(i, (i + 1) % m) for i in range(m)])
-    return g, ew.WeightedEdits.from_items(m, tuple((parse_edit(t, m), w / total) for t, w in raw))
+    return g, from_items(m, tuple((parse_edit(t, m), w / total) for t, w in raw))
 
 
 MODELS = {
@@ -127,8 +126,7 @@ def test_hosts_beyond_64_edges(exact):
     g = ew.from_edge_list(m, [(i, (i + 1) % m) for i in range(m)])
     a, b = (1 << 35) - 1, ((1 << 35) - 1) << 35
     w = [Fraction(k, 10) for k in (2, 3, 1, 4)]
-    edits = [ew.Edit(m, a, 0), ew.Edit(m, 0, a), ew.Edit(m, b, 0), ew.Edit(m, 0, b)]
-    dist = ew.WeightedEdits.from_items(m, tuple(zip(edits, w if exact else map(float, w))))
+    dist = ew.WeightedEdits(m, [a, 0, b, 0], [0, a, 0, b], w if exact else list(map(float, w)))
     states, pi = ew.stationary_faces(dist, g, exact=exact)
     assert states.tolist() == [0, a, b, a | b]
     want = [Fraction(3, 5) * Fraction(4, 5), Fraction(2, 5) * Fraction(4, 5),

@@ -6,20 +6,18 @@ import pytest
 
 from editwalk import (
     EdgeSet,
-    Edit,
     block_probabilities,
     chung_lu_probabilities,
     complete_graph,
     empirical_distribution,
     erdos_renyi_probabilities,
+    forest_flags,
     from_edge_list,
     intersection_host,
     intersection_stationary,
     intersection_weights,
-    is_acyclic,
     make_rng,
     moran_weights,
-    neighborhood_edges,
     simple_edit_weights,
     simulate,
     spectrum,
@@ -32,7 +30,7 @@ from editwalk.errors import (
     ValidationError,
 )
 from editwalk.process import AliasSampler, WeightedEdits
-from oracles import apply, draw_masks, moran_weights_per_edge, sample, step, supp
+from oracles import apply, draw_masks, moran_weights_per_edge, neighborhood_edges, sample, step
 
 PATH2 = from_edge_list(3, [(0, 1), (1, 2)])
 
@@ -40,7 +38,7 @@ PATH2 = from_edge_list(3, [(0, 1), (1, 2)])
 class TestSimpleWeights:
     def test_weights_m2(self):
         dist = simple_edit_weights(PATH2, [Fraction(1, 4), Fraction(1, 4)])
-        weights = [w for _, w in dist.items]
+        weights = [w for _, _, w in dist.items]
         assert weights == [
             Fraction(1, 8),
             Fraction(3, 8),
@@ -51,7 +49,7 @@ class TestSimpleWeights:
 
     def test_scalar_probability_broadcasts(self):
         dist = simple_edit_weights(PATH2, Fraction(1, 3))
-        assert sum(w for _, w in dist.items) == 1
+        assert sum(w for _, _, w in dist.items) == 1
 
     def test_probability_out_of_range(self):
         with pytest.raises(ProbabilityOutOfRange):
@@ -75,7 +73,7 @@ class TestSimpleWeights:
             g = complete_graph(n)
             p = [Fraction(int(rng.integers(1, 9)), 9) for _ in range(g.m)]
             dist = simple_edit_weights(g, p)
-            assert sum(w for _, w in dist.items) == 1
+            assert sum(w for _, _, w in dist.items) == 1
             assert len(dist.items) == 2 * g.m
 
 
@@ -85,26 +83,24 @@ class TestMoranWeights:
         dist = moran_weights(k4)
         # oriented edge (0, 1): clear all edges at 0, then restore {0, 1}
         e01 = k4.index_of(0, 1)
-        expected = Edit(
-            k4.m, 1 << e01, neighborhood_edges(k4, 0).mask & ~(1 << e01)
-        )
-        assert (expected, Fraction(1, 12)) in dist.items
+        expected = (1 << e01, neighborhood_edges(k4, 0).mask & ~(1 << e01), Fraction(1, 12))
+        assert expected in dist.items
 
     def test_item_count_and_uniform_weights(self):
         k4 = complete_graph(4)
         dist = moran_weights(k4)
         assert len(dist.items) == 2 * k4.m
-        assert {w for _, w in dist.items} == {Fraction(1, 12)}
+        assert {w for _, _, w in dist.items} == {Fraction(1, 12)}
 
     def test_path_oriented_edge(self):
         dist = moran_weights(PATH2)
-        expected = Edit(2, 0b01, 0b10)  # clear vertex 1's edges, keep {0,1}
-        assert (expected, Fraction(1, 4)) in dist.items
+        expected = (0b01, 0b10, Fraction(1, 4))  # clear vertex 1's edges, keep {0,1}
+        assert expected in dist.items
 
     def test_supports_are_neighborhoods(self):
         g = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
         dist = moran_weights(g)
-        seen = {supp(e).mask for e, _ in dist.items}
+        seen = {plus | minus for plus, minus, _ in dist.items}
         expected = {neighborhood_edges(g, v).mask for v in range(g.n)}
         assert seen == expected
 
@@ -126,16 +122,16 @@ class TestIntersectionWeights:
         mu = [Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)]
         dist = intersection_weights(2, 2, mu)
         by_size = {}
-        for edit, w in dist.items:
-            by_size.setdefault(edit.plus.bit_count(), set()).add(w)
+        for plus, _, w in dist.items:
+            by_size.setdefault(plus.bit_count(), set()).add(w)
         # |A| = 1: (1/2) * (1/2) / 2 = 1/8
         assert by_size[1] == {Fraction(1, 8)}
-        assert sum(w for _, w in dist.items) == 1
+        assert sum(w for _, _, w in dist.items) == 1
         assert len(dist.items) == 2 * 4
 
     def test_point_mass_at_zero(self):
         dist = intersection_weights(2, 2, [1, 0, 0])
-        assert all(e.plus == 0 for e, _ in dist.items)
+        assert all(plus == 0 for plus, _, _ in dist.items)
         # the walk collapses to the empty graph in one sweep
         rng = make_rng(5)
         state = EdgeSet.full(4)
@@ -147,7 +143,7 @@ class TestIntersectionWeights:
         dist = intersection_weights(3, 2, [Fraction(1, 3)] * 3)
         host = intersection_host(3, 2)
         stars = {neighborhood_edges(host, v).mask for v in range(3)}
-        assert {supp(e).mask for e, _ in dist.items} == stars
+        assert {plus | minus for plus, minus, _ in dist.items} == stars
 
     def test_bad_mu(self):
         with pytest.raises(BadDistribution):
@@ -184,10 +180,10 @@ class TestIntersectionWeights:
         rng = make_rng(123)
         draws = 100_000
         counts = Counter(zip(*draw_masks(lazy, rng, draws)))
-        for edit, w in explicit.items:
+        for plus, minus, w in explicit.items:
             w = float(w)
             sigma = (draws * w * (1 - w)) ** 0.5
-            assert abs(counts[edit.plus, edit.minus] - draws * w) <= 3 * sigma
+            assert abs(counts[plus, minus] - draws * w) <= 3 * sigma
         # each left vertex's block is drawn with mass 1/n
         blocks = Counter()
         for (plus, minus), count in counts.items():
@@ -204,19 +200,17 @@ class TestIntersectionWeights:
 
 class TestWeightedEdits:
     def test_rejects_bad_weights(self):
-        e = Edit(2, 1, 0)
         with pytest.raises(BadDistribution):
-            WeightedEdits.from_items(2, ((e, Fraction(1, 2)),))
+            WeightedEdits(2, [1], [0], [Fraction(1, 2)])
         with pytest.raises(BadDistribution):
-            WeightedEdits.from_items(2, ((e, 0),))
+            WeightedEdits(2, [1], [0], [0])
         with pytest.raises(BadDistribution):
-            WeightedEdits.from_items(2, ())
+            WeightedEdits(2, [], [], [])
 
     def test_float_tolerance(self):
-        e1, e2 = Edit(2, 1, 0), Edit(2, 0, 1)
-        WeightedEdits.from_items(2, ((e1, 0.5), (e2, 0.5 + 1e-13)))
+        WeightedEdits(2, [1, 0], [0, 1], [0.5, 0.5 + 1e-13])
         with pytest.raises(BadDistribution):
-            WeightedEdits.from_items(2, ((e1, 0.5), (e2, 0.6)))
+            WeightedEdits(2, [1, 0], [0, 1], [0.5, 0.6])
 
     def test_support_masses_aggregate(self):
         # each flat's eigenvalue is the exact sum of the weights of the
@@ -229,7 +223,7 @@ class TestWeightedEdits:
         dist = moran_weights(k4)
         report = spectrum(dist, k4)
         for flat, value in zip(report.flats.tolist(), report.eigenvalues.tolist()):
-            inside = [w for edit, w in dist.items if edit.support_mask & ~flat == 0]
+            inside = [w for plus, minus, w in dist.items if (plus | minus) & ~flat == 0]
             assert value == sum(inside, Fraction(0))
 
 
@@ -249,27 +243,27 @@ class TestSimulation:
     def test_zero_steps(self):
         dist = simple_edit_weights(PATH2, 0.5)
         traj = simulate(dist, PATH2.empty_set(), 0, seed=1)
-        assert traj.states == (PATH2.empty_set(),)
+        assert traj.masks == (PATH2.empty_set().mask,)
 
     def test_reproducible(self):
         dist = simple_edit_weights(PATH2, 0.3)
         a = simulate(dist, PATH2.empty_set(), 500, seed=42)
         b = simulate(dist, PATH2.empty_set(), 500, seed=42)
-        assert a.states == b.states
+        assert a.masks == b.masks
         c = simulate(dist, PATH2.empty_set(), 500, seed=43)
-        assert a.states != c.states
+        assert a.masks != c.masks
 
     def test_streams_are_independent(self):
         dist = simple_edit_weights(PATH2, 0.3)
         a = simulate(dist, PATH2.empty_set(), 200, seed=42, stream=0)
         b = simulate(dist, PATH2.empty_set(), 200, seed=42, stream=1)
-        assert a.states != b.states
+        assert a.masks != b.masks
 
     def test_thinning(self):
         dist = simple_edit_weights(PATH2, 0.5)
         traj = simulate(dist, PATH2.empty_set(), 10, seed=0, thin=3)
         # snapshots at t = 0, 3, 6, 9 and the final state at t = 10
-        assert len(traj.states) == 5
+        assert len(traj.masks) == 5
 
     def test_state_idempotence(self):
         dist = moran_weights(complete_graph(4))
@@ -297,7 +291,7 @@ class TestSimulation:
         k4 = complete_graph(4)
         dist = moran_weights(k4)
         traj = simulate(dist, k4.full_set(), 300, seed=17)
-        flags = [is_acyclic(k4, s) for s in traj.states]
+        flags = forest_flags(k4, traj.masks).tolist()
         assert True in flags[1:]
         first = flags.index(True)
         assert all(flags[first:])

@@ -14,9 +14,11 @@ from fractions import Fraction
 
 import numpy as np
 from oracles import (
+    Edit,
     chamber_count_leq,
     chamber_of,
     closure_by_witness,
+    edit_items,
     lattice_by_witness,
     multiplicities_by_mobius,
     representatives_for,
@@ -28,20 +30,16 @@ from editwalk.errors import SupportNotCovering
 
 
 def random_family(rng, m, count):
-    items = []
     cuts = sorted(rng.integers(1, 20, size=count - 1).tolist())
     bounds = [0] + cuts + [20]
     weights = [Fraction(bounds[i + 1] - bounds[i], 20) for i in range(count)]
     weights = [w for w in weights if w > 0]
-    for w in weights:
-        plus = int(rng.integers(0, 1 << m))
-        minus = int(rng.integers(0, 1 << m)) & ~plus
-        items.append((ew.Edit(m, plus, minus), w))
-    total = sum(w for _, w in items)
-    if total != 1:  # merge rounding into the first weight
-        edit, w = items[0]
-        items[0] = (edit, w + (1 - total))
-    return ew.WeightedEdits.from_items(m, tuple(items))
+    plus, minus = [], []
+    for _ in weights:
+        plus.append(int(rng.integers(0, 1 << m)))
+        minus.append(int(rng.integers(0, 1 << m)) & ~plus[-1])
+    weights[0] += 1 - sum(weights)  # merge rounding into the first weight
+    return ew.WeightedEdits(m, plus, minus, weights)
 
 
 def hosts_with_m_edges(rng, m):
@@ -82,7 +80,7 @@ def test_random_compound_families_spectra():
 
 def test_random_families_multiplicities_match_mobius_oracle():
     for g, dist in [*seeded_families(424242, 20), *seeded_families(777, 10)]:
-        generators = [e for e, _ in dist.items]
+        generators = [e for e, _ in edit_items(dist)]
         oracle = closure_by_witness([supp(e) for e in generators])
         states = recurrent_states(dist, g)
         chambers = [chamber_of(ew.EdgeSet(g.m, mask)) for mask in states.tolist()]
@@ -103,7 +101,7 @@ def test_random_families_uninverted_identity_and_representatives():
         others = [lattice_by_witness(dist), lattice_by_witness(dist, reverse=True)]
         for i, flat in enumerate(lat.flats.tolist()):
             above = sum(count for other, count in mult.items() if other & flat == flat)
-            counts = {chamber_count_leq(ew.Edit(g.m, int(x.signs[i]), flat & ~int(x.signs[i])), chambers)
+            counts = {chamber_count_leq(Edit(g.m, int(x.signs[i]), flat & ~int(x.signs[i])), chambers)
                       for x in (lat, *others)}
             assert counts == {above}
         for other in others:
@@ -121,11 +119,11 @@ def test_chamber_counts_ignore_representative_signs():
     for flat in lat.flats:
         plus_a = int(rng.integers(0, 1 << m)) & flat.mask
         plus_b = int(rng.integers(0, 1 << m)) & flat.mask
-        rep_a = ew.Edit(m, plus_a, flat.mask & ~plus_a)
-        rep_b = ew.Edit(m, plus_b, flat.mask & ~plus_b)
+        rep_a = Edit(m, plus_a, flat.mask & ~plus_a)
+        rep_b = Edit(m, plus_b, flat.mask & ~plus_b)
         count_a = chamber_count_leq(rep_a, chambers)
         count_b = chamber_count_leq(rep_b, chambers)
-        assert count_a == count_b == 2 ** (m - len(flat))
+        assert count_a == count_b == 2 ** (m - flat.mask.bit_count())
 
 
 def test_exact_and_float_chains_agree():

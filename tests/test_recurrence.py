@@ -64,12 +64,12 @@ def test_random_families_match_enumeration():
 
 def sparse_family(rng, m, count):
     """`count` equally weighted edits, each signing about a quarter of m edges."""
-    items = []
+    plus, minus = [], []
     for _ in range(count):
         support = rng.getrandbits(m) & rng.getrandbits(m)
-        plus = support & rng.getrandbits(m)
-        items.append((ew.Edit(m, plus, support & ~plus), Fraction(1, count)))
-    return ew.WeightedEdits.from_items(m, items)
+        plus.append(support & rng.getrandbits(m))
+        minus.append(support & ~plus[-1])
+    return ew.WeightedEdits(m, plus, minus, [Fraction(1, count)] * count)
 
 
 def test_wide_object_mask_families_match_enumeration():
@@ -91,7 +91,7 @@ def test_wide_object_mask_families_match_enumeration():
 
 def test_uncovered_edges_warn():
     g = ew.from_edge_list(3, [(0, 1), (1, 2)])
-    dist = ew.WeightedEdits.from_items(2, ((ew.Edit(2, 0b01, 0), 0.5), (ew.Edit(2, 0, 0b01), 0.5)))
+    dist = ew.WeightedEdits(2, [0b01, 0], [0, 0b01], [0.5, 0.5])
     with pytest.warns(SupportNotCovering):
         assert _is_recurrent(dist, g, 0b10)
 

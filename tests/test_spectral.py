@@ -6,7 +6,6 @@ import pytest
 
 from editwalk import (
     EdgeSet,
-    Edit,
     WeightedEdits,
     brown_tv_bound,
     build_chain,
@@ -14,11 +13,11 @@ from editwalk import (
     eigensystem_simple,
     eigenvalue_multiset_residual,
     eigenvalues_simple,
+    forest_flags,
     from_edge_list,
     intersection_host,
     intersection_mixing_bound,
     intersection_weights,
-    is_acyclic,
     mixing_bound_compound,
     mixing_bound_simple,
     moran_complete_mixing_bound,
@@ -157,28 +156,21 @@ class TestRecurrentClass:
         dist = moran_weights(k4)
         states = recurrent_class(dist, k4)
         masks = set(states.tolist())
+        assert forest_flags(k4, states.tolist()).all()
         for s in (EdgeSet(k4.m, mask) for mask in states.tolist()):
-            assert is_acyclic(k4, s)
-            for e, _ in dist.items:
-                assert (s.mask | e.plus) & ~e.minus in masks
+            for plus, minus, _ in dist.items:
+                assert (s.mask | plus) & ~minus in masks
 
     def test_single_all_minus_generator(self):
         m = 3
-        x = Edit(m, 0, (1 << m) - 1)
-        dist = WeightedEdits.from_items(m, ((x, Fraction(1)),))
+        dist = WeightedEdits(m, [0], [(1 << m) - 1], [Fraction(1)])
         g = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
         states = recurrent_class(dist, g)
         assert states.tolist() == [0]
 
     def test_support_not_covering_warns_and_freezes(self):
         g = from_edge_list(3, [(0, 1), (1, 2)])
-        dist = WeightedEdits.from_items(
-            2,
-            (
-                (Edit(2, 0b01, 0), Fraction(1, 2)),
-                (Edit(2, 0, 0b01), Fraction(1, 2)),
-            ),
-        )
+        dist = WeightedEdits(2, [0b01, 0], [0, 0b01], [Fraction(1, 2)] * 2)
         with pytest.warns(SupportNotCovering):
             states = recurrent_class(dist, g)
         assert states.tolist() == [0b00, 0b01]
@@ -267,13 +259,7 @@ class TestSpectra:
 
     def test_spectrum_with_frozen_edges(self):
         g = from_edge_list(3, [(0, 1), (1, 2)])
-        dist = WeightedEdits.from_items(
-            2,
-            (
-                (Edit(2, 0b01, 0), Fraction(1, 2)),
-                (Edit(2, 0, 0b01), Fraction(1, 2)),
-            ),
-        )
+        dist = WeightedEdits(2, [0b01, 0], [0, 0b01], [Fraction(1, 2)] * 2)
         with pytest.warns(SupportNotCovering):
             report = spectrum(dist, g)
         assert sorted(report.eigenvalues.astype(float).tolist()) == [0.0, 1.0]

@@ -29,8 +29,7 @@ def _custom(m, supports, seed, identity=False):
             plus = support & int.from_bytes(rng.bytes(m // 8 + 1), "little")
             masks.append((plus, support & ~plus))
     weights = [int(w) for w in rng.integers(1, 9, len(masks))]
-    items = [(ew.Edit(m, p, q), Fraction(w, sum(weights))) for (p, q), w in zip(masks, weights)]
-    return ew.WeightedEdits.from_items(m, items)
+    return ew.WeightedEdits(m, *zip(*masks), [Fraction(w, sum(weights)) for w in weights])
 
 
 MU4 = [Fraction(1, 5)] * 5

@@ -9,7 +9,7 @@ import editwalk as ew
 from editwalk.cli import main
 from editwalk.errors import ValidationError, VertexOutOfRange
 from editwalk.serialize import read_csv, read_json
-from oracles import lazy_intersection_weight
+from oracles import Edit, Sign, edit_items, lazy_intersection_weight
 
 
 def config_file(tmp_path, cfg, name="cfg.json"):
@@ -130,14 +130,14 @@ def test_lazy_weight_of_matches_explicit():
     supports, _, index = explicit.support_groups
     assert supports.tolist() == [((1 << N) - 1) << v * N for v in range(lazy.lazy.blocks)]
     assert [sum(w for w, j in zip(explicit.weights, index) if j == v) for v in range(n)] == [Fraction(1, n)] * n
-    for edit, w in explicit.items:
+    for edit, w in edit_items(explicit):
         assert lazy_intersection_weight(n, N, mu, edit) == pytest.approx(float(w))
 
 
 def test_sign_of():
-    e = ew.Edit(3, 0b001, 0b100)
-    assert e.sign_of(0) is ew.Sign.PLUS
-    assert e.sign_of(2) is ew.Sign.MINUS
+    e = Edit(3, 0b001, 0b100)
+    assert e.sign_of(0) is Sign.PLUS
+    assert e.sign_of(2) is Sign.MINUS
     assert e.sign_of(1) is None
     with pytest.raises(Exception):
         e.sign_of(5)

@@ -31,10 +31,9 @@ from editwalk import (
     simulate,
 )
 from editwalk import process
-from editwalk.edits import Edit
 from editwalk.hostgraph import EdgeSet
 from editwalk.process import BLOCK, WeightedEdits, _walk
-from oracles import apply, draw_masks, lazy_draw_by_ranks, step, walk_by_step
+from oracles import apply, draw_masks, edit_items, lazy_draw_by_ranks, step, walk_by_step
 
 K4 = complete_graph(4)
 LAWS = {
@@ -48,11 +47,12 @@ LAWS = {
 def test_each_move_is_an_edit_of_the_law(law):
     dist = LAWS[law]()
     start = K4.full_set() if law != "intersection 2x3" else K4.empty_set()
-    states = simulate(dist, start, BLOCK + 300, seed=11, thin=1).states
-    assert len(states) == BLOCK + 301
+    masks = simulate(dist, start, BLOCK + 300, seed=11, thin=1).masks
+    assert len(masks) == BLOCK + 301
+    states = [EdgeSet(K4.m, mask) for mask in masks]
     used = set()
     for a, b in zip(states, states[1:]):
-        moves = [edit for edit, _ in dist.items if apply(edit, a) == b]
+        moves = [edit for edit, _ in edit_items(dist) if apply(edit, a) == b]
         assert moves, f"{a.hex()} -> {b.hex()} is no move of the law"
         used.update(moves)
     assert len(used) > len(dist.items) // 2  # the draws reach across the law
@@ -86,24 +86,24 @@ def test_lazy_block_draws_rewire_one_star():
 def test_thinned_walk_records_a_subsequence_across_blocks(dist, steps, thin):
     start = K4.empty_set()  # the 2x3 host has six edges too
     assert steps > 2 * (dist.lazy.block if dist.lazy else BLOCK)
-    every = simulate(dist, start, steps, seed=3, thin=1).states
+    every = simulate(dist, start, steps, seed=3, thin=1).masks
     thinned = simulate(dist, start, steps, seed=3, thin=thin)
     times = list(range(0, steps + 1, thin))
     if times[-1] != steps:
         times.append(steps)
-    assert thinned.states == tuple(every[t] for t in times)
+    assert thinned.masks == tuple(every[t] for t in times)
 
 
 def test_step_and_empirical_distribution_share_the_kernel():
     dist = moran_weights(K4)
     start = K4.full_set()
-    walk = simulate(dist, start, 5 * BLOCK, seed=9).states
-    assert step(dist, start, make_rng(9)) == walk[1]
+    walk = simulate(dist, start, 5 * BLOCK, seed=9).masks
+    assert step(dist, start, make_rng(9)).mask == walk[1]
     burn_in, samples, stride = 100, 2 * BLOCK, 2
     hist = empirical_distribution(dist, start, burn_in, samples, stride=stride, seed=9)
     expected = np.zeros(1 << K4.m)
     for t in range(burn_in + stride, burn_in + stride * samples + 1, stride):
-        expected[walk[t].mask] += 1
+        expected[walk[t]] += 1
     assert np.array_equal(hist, expected / samples)
 
 
@@ -121,7 +121,7 @@ def _custom(m, supports, seed):
             plus = support & int.from_bytes(rng.bytes(m // 8 + 1), "little")
             masks.append((plus, support & ~plus))
     weights = [Fraction(int(w), 1) for w in rng.integers(1, 9, len(masks))]
-    return WeightedEdits.from_items(m, ((Edit(m, p, q), w / sum(weights)) for (p, q), w in zip(masks, weights)))
+    return WeightedEdits(m, *zip(*masks), [w / sum(weights) for w in weights])
 
 
 def _overlapping(m, count, seed):
