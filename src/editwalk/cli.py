@@ -436,7 +436,7 @@ def cmd_mixing(cfg: RunConfig, args: argparse.Namespace) -> int:
 
     t_max = args.t_max if args.t_max is not None else bound_steps
     cfg.out.mkdir(parents=True, exist_ok=True)
-    try:  # the curve's enumerations and rows; beyond the cap only the bound is written
+    try:  # the curve's enumerations and rows; beyond the cap (or memory) only the bound is written
         if simple:
             masks, pi = None, stationary_closed_form(cfg.host, cfg.p, cfg.cap)
         else:
@@ -445,18 +445,18 @@ def cmd_mixing(cfg: RunConfig, args: argparse.Namespace) -> int:
             )
         check_cap(t_max + 1, cfg.cap, f"{t_max + 1} mixing-curve rows")
         tm = build_chain(cfg.weights, cfg.host, cap=cfg.cap, masks=masks)
+        start = cfg.initial.mask
+        if find_masks(tm.masks, start) < 0:
+            start = int(tm.masks[0])  # fall back to a recurrent start
+            meta["start"] = format(start, "#x")
+            meta["start_fallback"] = cfg.initial.hex()
+        curve = tv_decay(tm, start, pi, t_max)
     except CapExceeded as exc:
         meta["curve_skipped"] = str(exc)
         write_json(cfg.out / "mixing.json", meta, {"bound_steps": bound_steps})
         print(f"wrote {cfg.out / 'mixing.json'} (bound_steps={bound_steps}; curve skipped)")
         return 0
 
-    start = cfg.initial.mask
-    if find_masks(tm.masks, start) < 0:
-        start = int(tm.masks[0])  # fall back to a recurrent start
-        meta["start"] = format(start, "#x")
-        meta["start_fallback"] = cfg.initial.hex()
-    curve = tv_decay(tm, start, pi, t_max)
     rows = [(t, f"{curve[t]:.12e}", f"{bound_at(t):.12e}") for t in range(t_max + 1)]
     write_csv(cfg.out / "mixing.csv", meta, ["t", "tv", "bound"], rows)
     print(f"wrote {cfg.out / 'mixing.csv'} (bound_steps={bound_steps})")

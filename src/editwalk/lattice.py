@@ -135,10 +135,11 @@ class SpectrumReport:
         return list(zip(values[starts].tolist(), totals.tolist()))
 
     def second_largest(self) -> float:
-        """Largest eigenvalue over flats other than the top."""
+        """Largest eigenvalue over the flats below the top of positive
+        multiplicity (0.0 if none): a flat of multiplicity 0 is no eigenvalue."""
         if len(self.flats) < 2:
             raise ValidationError("spectrum has no flat below the top")
-        return float(self._floats()[:-1].max())
+        return float(self._floats()[:-1][self.multiplicities[:-1] > 0].max(initial=0.0))
 
     def to_csv_rows(self) -> list[tuple[str, int, str, int]]:
         return list(zip(

@@ -48,6 +48,7 @@ from .lattice import SpectrumReport, _backward_step, closure, multiplicities
 from .process import WeightedEdits, _common_denominator, _is_exact, _kron, _per_edge_probabilities
 
 REVERSIBILITY_TOL = 1e-10
+IMAG_TOL = 1e-8  # largest imaginary residue a general eigensolve may leave
 SOLVE_RESIDUAL_TOL = 1e-8
 FACE_BLOCK = 1 << 12  # faces per vectorized step of the face recursion
 FACE_MERGE_ROWS = 1 << 18  # unmerged moves a support level holds before a merge
@@ -66,9 +67,9 @@ class TransitionMatrix:
     numerators[k] / denominator. Exact chains hold Python-int numerators
     over a common denominator, float chains float64 values over 1.
 
-    Derived on first use and cached: `values` (Fractions when exact),
-    `to_float()` (the dense float64 matrix) and `entries` (the dense matrix
-    in the chain's own arithmetic). The dense views are read-only."""
+    Derived on first use and cached: `to_float()` (the dense float64
+    matrix) and `entries` (the dense matrix in the chain's own arithmetic,
+    Fractions when exact). The dense views are read-only."""
 
     m: int
     masks: np.ndarray
@@ -92,12 +93,6 @@ class TransitionMatrix:
             raise ValidationError(f"state {mask:#x} is not in this chain")
         return at
 
-    @cached_property
-    def values(self) -> np.ndarray:
-        if not self.exact:
-            return self.numerators
-        return np.array([Fraction(v, self.denominator) for v in self.numerators], dtype=object)
-
     def _dense(self, zero, values: np.ndarray) -> np.ndarray:
         dense = np.full((self.size, self.size), zero, dtype=values.dtype)
         dense[self.rows, self.cols] = values
@@ -119,7 +114,10 @@ class TransitionMatrix:
 
     @cached_property
     def entries(self) -> np.ndarray:
-        return self._dense(Fraction(0), self.values) if self.exact else self._dense_float
+        if not self.exact:
+            return self._dense_float
+        cells = np.array([Fraction(v, self.denominator) for v in self.numerators], dtype=object)
+        return self._dense(Fraction(0), cells)
 
     @cached_property
     def _stationary(self) -> np.ndarray:
@@ -428,15 +426,15 @@ def spectrum(
     return multiplicities(lat, masks, dist)
 
 
-def numeric_eigenvalues(tm: TransitionMatrix, imag_tol: float = 1e-8) -> np.ndarray:
+def numeric_eigenvalues(tm: TransitionMatrix) -> np.ndarray:
     """Eigenvalue multiset of the dense matrix, sorted descending.
 
     A reversible chain with a positive stationary law is similar to the
     symmetric D^(1/2) P D^(-1/2), so `eigvalsh` takes its spectrum. Any
     other chain (Moran, or one whose stationary solve fails) gets the
     general `eigvals`; the chamber-walk matrices are diagonalizable with
-    real spectrum, so any significant imaginary residue is reported as an
-    error.
+    real spectrum, so an imaginary residue above IMAG_TOL is reported as
+    an error.
     """
     try:
         Q = _symmetrized(tm, stationary_numeric(tm))
@@ -445,7 +443,7 @@ def numeric_eigenvalues(tm: TransitionMatrix, imag_tol: float = 1e-8) -> np.ndar
     if Q is not None:
         return np.linalg.eigvalsh(Q)[::-1]
     values = np.linalg.eigvals(tm.to_float())
-    if np.abs(values.imag).max() > imag_tol:
+    if np.abs(values.imag).max() > IMAG_TOL:
         raise ValidationError(
             f"eigenvalues have imaginary parts up to {np.abs(values.imag).max()}"
         )
@@ -516,8 +514,7 @@ class EigenSystem:
     """Full left eigensystem of a per-edge update chain: row i belongs to the
     edge subset with mask i, column j to the state with mask j. As in
     `TransitionMatrix`, phi is held as Python-int numerators over one
-    denominator (float64 over 1 in float mode); `phi`, Fractions when exact,
-    is derived on first use and cached. `psi` is float mode only."""
+    denominator (float64 over 1 in float mode). `psi` is float mode only."""
 
     eigenvalues: tuple
     numerators: np.ndarray
@@ -527,11 +524,6 @@ class EigenSystem:
     @property
     def exact(self) -> bool:
         return self.numerators.dtype == object
-
-    @cached_property
-    def phi(self) -> np.ndarray:
-        as_fraction = np.frompyfunc(lambda v: Fraction(v, self.denominator), 1, 1)
-        return as_fraction(self.numerators) if self.exact else self.numerators
 
 
 def eigensystem_simple(g: HostGraph, p, cap: int = STATE_CAP) -> EigenSystem:
@@ -554,18 +546,30 @@ def q_matrix(tm: TransitionMatrix, pi: np.ndarray) -> np.ndarray:
     return tm.to_float() * root[:, None] / root[None, :]
 
 
+def _exact_law(tm: TransitionMatrix, pi) -> tuple[np.ndarray, int] | None:
+    """pi as Python-int numerators over one denominator if pi and the chain are exact, else None."""
+    return _common_denominator(pi) if tm.exact and all(_is_exact(x) for x in pi) else None
+
+
 def detailed_balance_residual(tm: TransitionMatrix, pi):
     """max |pi_i P_ij - pi_j P_ji| over all state pairs, taken over the
-    nonzero cells (a pair with both cells zero balances). Exact when pi and
-    the chain are, else float."""
-    exact = tm.exact and all(_is_exact(x) for x in pi)
-    if exact:  # flows over one denominator; one Fraction for the residual
-        nums, den = _common_denominator(pi)
-        flow = nums[tm.rows] * tm.numerators
-    else:
-        flow = np.asarray([float(x) for x in pi])[tm.rows] * tm.float_values
-    residual, _ = tm._transpose_gap(flow)
-    return Fraction(residual, den * tm.denominator) if exact else float(residual)
+    nonzero cells (a pair with both cells zero balances). A Fraction when pi
+    and the chain are exact, else a float."""
+    law = _exact_law(tm, pi)
+    if law is not None:  # flows over one denominator; one Fraction for the residual
+        nums, den = law
+        residual, _ = tm._transpose_gap(nums[tm.rows] * tm.numerators)
+        return Fraction(residual, den * tm.denominator)
+    residual, _ = tm._transpose_gap(np.asarray([float(x) for x in pi])[tm.rows] * tm.float_values)
+    return float(residual)
+
+
+def _q_cells(tm: TransitionMatrix, pi) -> tuple[np.ndarray, float, bool]:
+    """The nonzero cells of Q = D^(1/2) P D^(-1/2) in float64, max |Q - Q^T|
+    over them and whether every cell has its transpose."""
+    root = np.sqrt(np.asarray(pi, dtype=float))
+    q = tm.float_values * root[tm.rows] / root[tm.cols]
+    return (q, *tm._transpose_gap(q))
 
 
 def _symmetrized(tm: TransitionMatrix, pi: np.ndarray) -> np.ndarray | None:
@@ -575,9 +579,7 @@ def _symmetrized(tm: TransitionMatrix, pi: np.ndarray) -> np.ndarray | None:
     over the nonzero cells, every one of which needs its transpose."""
     if pi.min() <= 0:
         return None
-    root = np.sqrt(pi)
-    q = tm.float_values * root[tm.rows] / root[tm.cols]
-    gap, paired = tm._transpose_gap(q)
+    q, gap, paired = _q_cells(tm, pi)
     if not paired or gap > REVERSIBILITY_TOL:
         return None
     Q = np.zeros((tm.size, tm.size))
@@ -604,7 +606,8 @@ def tv_decay(
     tm: TransitionMatrix, initial: EdgeSet | int, pi, t_max: int
 ) -> np.ndarray:
     """Exact distance-to-stationarity curve for t = 0..t_max, starting from
-    a point mass and iterating row-vector products over the nonzero cells."""
+    a point mass and iterating row-vector products over the nonzero cells.
+    A curve too long to allocate raises CapExceeded."""
     if t_max < 0:
         raise ValidationError(f"t_max must be >= 0, got {t_max}")
     values = tm.float_values
@@ -613,7 +616,10 @@ def tv_decay(
         raise LengthMismatch(f"pi has {target.shape[0]} entries, chain has {tm.size}")
     dist = np.zeros(tm.size)
     dist[tm.index_of(initial)] = 1.0
-    curve = np.empty(t_max + 1)
+    try:
+        curve = np.empty(t_max + 1)
+    except (ValueError, MemoryError) as exc:
+        raise CapExceeded(f"a mixing curve of {t_max + 1} rows cannot be allocated") from exc
     for t in range(t_max + 1):
         curve[t] = 0.5 * np.abs(dist - target).sum()
         if t < t_max:

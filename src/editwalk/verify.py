@@ -2,25 +2,30 @@
 
 Each check recomputes a quantity two independent ways (closed form vs
 dense float numerics, or vs exact sums over the chain's nonzero cells) and
-reports the residual. Checks return results rather than raising, so the
-CLI can print a full table and exit nonzero only at the end. In rational
-mode the residuals of the identity checks are exact zeros.
+reports the residual against the check's one fixed tolerance: 1e-12 for
+the identities, 1e-10 for orthonormality, 1e-8 for the eigenvalue multiset
+and the commute backends, 0 for the counts. Checks return results rather
+than raising, so the CLI can print a full table and exit nonzero only at
+the end. In rational mode the identity residuals are exact zeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import STATE_CAP
 from .hostgraph import EdgeSet, HostGraph, find_masks
-from .lattice import closure
-from .process import WeightedEdits, _common_denominator, _is_exact, _per_edge_probabilities
+from .lattice import SupportLattice, closure, multiplicities
+from .process import WeightedEdits, _common_denominator, _per_edge_probabilities
 from .spectral import (
     EigenSystem,
     TransitionMatrix,
+    _exact_law,
     _hitting_columns,
+    _q_cells,
     build_chain,
     commute_time,
     detailed_balance_residual,
@@ -28,7 +33,6 @@ from .spectral import (
     eigenvalue_multiset_residual,
     eigenvalues_simple,
     numeric_eigenvalues,
-    spectrum,
     stationary_closed_form,
     stationary_faces,
     stationary_numeric,
@@ -56,43 +60,40 @@ def _result(name: str, residual, tol: float, detail: str = "") -> CheckResult:
     return CheckResult(name, r, tol, r <= tol, detail)
 
 
-def check_row_stochastic(tm: TransitionMatrix, tol: float = 1e-12) -> CheckResult:
-    return _result("row_stochastic", tm.row_sum_residual(), tol)
+def check_row_stochastic(tm: TransitionMatrix) -> CheckResult:
+    return _result("row_stochastic", tm.row_sum_residual(), 1e-12)
 
 
-def check_stationary_fixed_point(
-    tm: TransitionMatrix, pi, tol: float = 1e-12
-) -> CheckResult:
-    exact = tm.exact and all(_is_exact(x) for x in pi)
-    if exact:  # pi_num P_num = den pi_num over integers
-        nums, den = _common_denominator(pi)  # int / int rounds as float(Fraction) does
+def check_stationary_fixed_point(tm: TransitionMatrix, pi) -> CheckResult:
+    law = _exact_law(tm, pi)
+    if law is not None:  # pi_num P_num = den pi_num over integers
+        nums, den = law  # int / int rounds as float(Fraction) does
         residual = np.abs(tm.left_apply(nums) - tm.denominator * nums).max() / (den * tm.denominator)
     else:
         v = np.asarray([float(x) for x in pi])
         residual = np.abs(v @ tm.to_float() - v).max()
-    return _result("stationary_fixed_point", residual, tol, "exact" if exact else "")
+    return _result("stationary_fixed_point", residual, 1e-12, "" if law is None else "exact")
 
 
-def check_stationary_vs_solve(tm: TransitionMatrix, pi, tol: float = 1e-12) -> CheckResult:
+def check_stationary_vs_solve(tm: TransitionMatrix, pi) -> CheckResult:
     solved = stationary_numeric(tm)
     residual = np.abs(np.asarray([float(x) for x in pi]) - solved).max()
-    return _result("stationary_vs_linear_solve", residual, tol)
+    return _result("stationary_vs_linear_solve", residual, 1e-12)
 
 
-def check_detailed_balance(tm: TransitionMatrix, pi, tol: float = 1e-12) -> CheckResult:
-    detail = "exact" if tm.exact and all(_is_exact(x) for x in pi) else ""
-    return _result("detailed_balance", detailed_balance_residual(tm, pi), tol, detail)
+def check_detailed_balance(tm: TransitionMatrix, pi) -> CheckResult:
+    residual = detailed_balance_residual(tm, pi)
+    return _result("detailed_balance", residual, 1e-12, "exact" if type(residual) is Fraction else "")
 
 
-def check_eigenvector_residuals(
-    system: EigenSystem, tm: TransitionMatrix, tol: float = 1e-12
-) -> CheckResult:
+def check_eigenvector_residuals(system: EigenSystem, tm: TransitionMatrix) -> CheckResult:
     """phi P = lambda phi. Exact: L (phi_num P_num) = lambda_num den phi_num
     over integers, for eigenvalues lambda_num / L, ROW_BLOCK rows at a time."""
     if not (system.exact and tm.exact):
-        rows, lam = system.phi.astype(float), np.array(system.eigenvalues, dtype=float)
+        rows = (system.numerators / system.denominator).astype(float, copy=False)
+        lam = np.array(system.eigenvalues, dtype=float)
         residual = np.abs(rows @ tm.to_float() - lam[:, None] * rows).max()
-        return _result("eigenvector_residual", residual, tol)
+        return _result("eigenvector_residual", residual, 1e-12)
     lam, scale = _common_denominator(system.eigenvalues)
     worst = 0
     for start in range(0, len(lam), ROW_BLOCK):
@@ -100,35 +101,28 @@ def check_eigenvector_residuals(
         moved = scale * tm.left_apply(rows) - (block * tm.denominator)[:, None] * rows
         worst = max(worst, np.abs(moved).max())
     residual = worst / (scale * tm.denominator * system.denominator)
-    return _result("eigenvector_residual", residual, tol, "exact")
+    return _result("eigenvector_residual", residual, 1e-12, "exact")
 
 
-def check_orthonormality(system: EigenSystem, tol: float = 1e-10) -> CheckResult:
+def check_orthonormality(system: EigenSystem) -> CheckResult:
     """Gram matrix of the psi rows of a float eigensystem."""
     gram = system.psi @ system.psi.T
     residual = np.abs(gram - np.eye(gram.shape[0])).max()
-    return _result("orthonormality", residual, tol)
+    return _result("orthonormality", residual, 1e-10)
 
 
-def check_q_symmetry(tm: TransitionMatrix, pi, tol: float = 1e-12) -> CheckResult:
+def check_q_symmetry(tm: TransitionMatrix, pi) -> CheckResult:
     """max |Q - Q^T| for Q = D^(1/2) P D^(-1/2), over the nonzero cells."""
-    root = np.sqrt(np.asarray([float(x) for x in pi]))
-    gap, _ = tm._transpose_gap(tm.float_values * root[tm.rows] / root[tm.cols])
-    return _result("q_symmetry", gap, tol)
+    _, gap, _ = _q_cells(tm, pi)
+    return _result("q_symmetry", gap, 1e-12)
 
 
-def check_spectrum_multiset(
-    report, tm: TransitionMatrix, tol: float = 1e-8
-) -> CheckResult:
-    closed = report.eigenvalue_multiset()
-    numeric = numeric_eigenvalues(tm)
-    residual = eigenvalue_multiset_residual(closed, numeric)
-    return _result("spectrum_multiset", residual, tol)
+def check_spectrum_multiset(report, tm: TransitionMatrix) -> CheckResult:
+    residual = eigenvalue_multiset_residual(report.eigenvalue_multiset(), numeric_eigenvalues(tm))
+    return _result("spectrum_multiset", residual, 1e-8)
 
 
-def check_commute_backends(
-    g: HostGraph, p, tm: TransitionMatrix, pairs, tol: float = 1e-8
-) -> CheckResult:
+def check_commute_backends(g: HostGraph, p, tm: TransitionMatrix, pairs) -> CheckResult:
     """Closed-form commute times against the fundamental matrix, whose
     columns for every pair endpoint come from one solve."""
     pairs = list(pairs)
@@ -139,13 +133,13 @@ def check_commute_backends(
         spectral_value = float(commute_time(E, F, g, p))
         solved = hit[index[2 * k], 2 * k + 1] + hit[index[2 * k + 1], 2 * k]
         worst = max(worst, abs(spectral_value - solved) / max(1.0, abs(solved)))
-    return _result("commute_backends", worst, tol, f"{len(pairs)} pairs")
+    return _result("commute_backends", worst, 1e-8, f"{len(pairs)} pairs")
 
 
-def check_closure_idempotent(dist: WeightedEdits, cap: int = STATE_CAP) -> CheckResult:
-    """The flats are closed: the empty set, every generator support and the
-    join flat | support of every flat with every support are flats."""
-    supports, flats = dist.support_groups[0], np.sort(closure(dist, cap).flats)
+def check_closure_idempotent(dist: WeightedEdits, lat: SupportLattice) -> CheckResult:
+    """The flats of `lat` are closed: the empty set, every generator support
+    and the join flat | support of every flat with every support are flats."""
+    supports, flats = dist.support_groups[0], np.sort(lat.flats)
     joins = np.concatenate([np.zeros(1, supports.dtype), supports, (flats[:, None] | supports).ravel()])
     closed = bool((find_masks(flats, joins) >= 0).all())
     return CheckResult("closure_idempotent", 0.0 if closed else 1.0, 0.0, closed)
@@ -155,7 +149,6 @@ def run_verification(
     g: HostGraph,
     dist: WeightedEdits,
     p=None,
-    tm: TransitionMatrix | None = None,
     rng: np.random.Generator | None = None,
     exact: bool | None = None,
     cap: int = STATE_CAP,
@@ -165,16 +158,15 @@ def run_verification(
     (default: exact when the weights are rational). Every enumeration
     (states, faces, flats) counts against `cap`."""
     rng = rng or np.random.default_rng(0)
-    results = []
     simple_model = p is not None
 
     if simple_model:
         masks, pi = None, stationary_closed_form(g, p, cap)
     else:  # the face recursion's chambers are the recurrent class
         masks, pi = stationary_faces(dist, g, cap=cap, exact=exact)
-    if tm is None:
-        tm = build_chain(dist, g, cap=cap, masks=masks)
-    results.append(check_row_stochastic(tm))
+    tm = build_chain(dist, g, cap=cap, masks=masks)
+    lat = closure(dist, cap)  # one lattice for the spectrum and the closure check
+    results = [check_row_stochastic(tm)]
 
     if simple_model:
         system = eigensystem_simple(g, p, cap)
@@ -195,9 +187,9 @@ def run_verification(
     else:
         results.append(check_stationary_fixed_point(tm, pi))
         results.append(check_stationary_vs_solve(tm, pi))
-        report = spectrum(dist, g, cap=cap, masks=tm.masks)
+        report = multiplicities(lat, tm.masks, dist)
         results.append(check_spectrum_multiset(report, tm))
         mismatch = report.total_multiplicity - tm.size
         results.append(_result("multiplicity_sum", mismatch, 0.0, f"{tm.size} chambers"))
-    results.append(check_closure_idempotent(dist, cap))
+    results.append(check_closure_idempotent(dist, lat))
     return results

@@ -514,11 +514,12 @@ class EntryReport:
         return sorted(agg.items(), key=lambda kv: -kv[0])
 
     def second_largest(self) -> float:
+        """Largest eigenvalue of positive multiplicity below the top flat."""
         top_mask = self.top.mask
-        rest = [float(e.eigenvalue) for e in self.entries if e.flat.mask != top_mask]
+        rest = [e for e in self.entries if e.flat.mask != top_mask]
         if not rest:
             raise ValidationError("spectrum has no flat below the top")
-        return max(rest)
+        return max((float(e.eigenvalue) for e in rest if e.multiplicity > 0), default=0.0)
 
     def to_csv_rows(self) -> list[tuple[str, int, str, int]]:
         return [(e.flat.hex(), e.flat.mask.bit_count(), str(e.eigenvalue), e.multiplicity)

@@ -4,11 +4,14 @@
 JSON), `commute` and `export-dot` in rational mode, run on four small
 fixed configs. Float artifacts are left out: their last bits may differ
 between NumPy versions. A digest that moves means an artifact changed
-byte for byte; a deliberate change re-pins it and says so.
+byte for byte; a deliberate change re-pins it and says so. `verify` is
+pinned line by line on two of the configs, its float residual digits
+(which vary with the BLAS in use) stripped.
 """
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -109,3 +112,38 @@ def artifact_digests(name, tmp_path):
 @pytest.mark.parametrize("name", CONFIGS)
 def test_artifacts_are_byte_identical(name, tmp_path, capsys):
     assert artifact_digests(name, tmp_path) == EXPECTED[name]
+
+
+VERIFY_LINES = {
+    "simple m=4": [
+        "PASS  row_stochastic: residual * (tol 1.0e-12)",
+        "PASS  stationary_fixed_point: residual * (tol 1.0e-12)  (exact)",
+        "PASS  stationary_vs_linear_solve: residual * (tol 1.0e-12)",
+        "PASS  detailed_balance: residual * (tol 1.0e-12)  (exact)",
+        "PASS  eigenvector_residual: residual * (tol 1.0e-12)  (exact)",
+        "PASS  orthonormality: residual * (tol 1.0e-10)",
+        "PASS  q_symmetry: residual * (tol 1.0e-12)",
+        "PASS  spectrum_multiset: residual * (tol 1.0e-08)",
+        "PASS  commute_backends: residual * (tol 1.0e-08)  (10 pairs)",
+        "PASS  closure_idempotent: residual * (tol 0.0e+00)",
+        "10/10 checks passed",
+    ],
+    "moran K4": [
+        "PASS  row_stochastic: residual * (tol 1.0e-12)",
+        "PASS  stationary_fixed_point: residual * (tol 1.0e-12)  (exact)",
+        "PASS  stationary_vs_linear_solve: residual * (tol 1.0e-12)",
+        "PASS  spectrum_multiset: residual * (tol 1.0e-08)",
+        "PASS  multiplicity_sum: residual * (tol 0.0e+00)  (37 chambers)",
+        "PASS  closure_idempotent: residual * (tol 0.0e+00)",
+        "6/6 checks passed",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", VERIFY_LINES)
+def test_verify_prints_the_same_checks_in_the_same_order(name, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**CONFIGS[name], "mode": "rational", "seed": 5}))
+    assert main(["verify", "--config", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [re.sub(r"residual \S+", "residual *", line) for line in out] == VERIFY_LINES[name]

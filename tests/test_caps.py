@@ -113,3 +113,15 @@ def test_huge_mixing_curve_writes_only_the_bound(tmp_path, capsys, flags):
     meta, payload = read_json(tmp_path / "out" / "mixing.json")
     assert meta["curve_skipped"].endswith("mixing-curve rows exceed the cap of 1048576")
     assert payload["bound_steps"] == meta["bound_steps"] > 0
+
+
+def test_unallocatable_mixing_curve_writes_only_the_bound(tmp_path, capsys):
+    # a cap of 2^63 admits the 2^63 - 807 curve rows; NumPy refuses that many
+    # float64 rows before allocating anything
+    flags = ["--cap-states", "9223372036854775808", "--t-max", "9223372036854775000"]
+    assert run(tmp_path, "mixing", K4_MORAN, *flags) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    meta, payload = read_json(tmp_path / "out" / "mixing.json")
+    assert meta["curve_skipped"] == "a mixing curve of 9223372036854775001 rows cannot be allocated"
+    assert payload["bound_steps"] == meta["bound_steps"]
+    assert not (tmp_path / "out" / "mixing.csv").exists()

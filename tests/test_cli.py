@@ -407,6 +407,18 @@ def test_mixing_compound_uses_chamber_sharpening(tmp_path):
     assert float(rows[-1][1]) <= np.exp(-1.0)
 
 
+def test_mixing_lambda_star_skips_flats_of_multiplicity_zero(tmp_path):
+    # flat 0x3 weighs 3/4 but carries no eigenvalue: the chain's are 1, 1/2, 1/6 and 1/6
+    edits = [("+2", "2/12"), ("-0 -1", "5/12"), ("+1 +2", "1/12"), ("-1", "3/12"), ("+0 -1", "1/12")]
+    cfg = write_config(
+        tmp_path, host={"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}, mode="rational",
+        model={"name": "custom", "edits": [{"edit": e, "weight": w} for e, w in edits]},
+    )
+    assert main(["mixing", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    meta, _, rows = read_csv(tmp_path / "mixing.csv")
+    assert (meta["lambda_star"], meta["bound_steps"], len(rows)) == ("0.5", "5", 6)
+
+
 def test_mixing_records_a_moved_start(tmp_path):
     # the Moran walk's default start, the full edge set, is transient
     cfg = write_config(tmp_path, host={"preset": "complete", "params": [4]}, model={"name": "moran"})

@@ -153,23 +153,18 @@ def test_closure_check_passes_on_every_model():
                 wide_family()[1],
                 *(dist for _, dist in seeded_families(777, 10))]
     for dist in families:
-        result = verify.check_closure_idempotent(dist)
+        result = verify.check_closure_idempotent(dist, ew.closure(dist))
         assert (result.name, result.tolerance, result.passed) == ("closure_idempotent", 0.0, True)
 
 
 @pytest.mark.parametrize("drop", ["a union", "a support", "the empty set"])
-def test_closure_check_fails_when_a_flat_is_missing(monkeypatch, drop):
-    real = verify.closure
-
-    def lossy(dist, cap):
-        lat = real(dist, cap)
-        keep = lat.flats != {"a union": 0b011, "a support": 0b001, "the empty set": 0}[drop]
-        assert keep.sum() == len(lat) - 1
-        return SupportLattice(lat.m, lat.flats[keep], lat.signs[keep])
-
-    monkeypatch.setattr(verify, "closure", lossy)
+def test_closure_check_fails_when_a_flat_is_missing(drop):
     g = ew.from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
-    result = verify.check_closure_idempotent(ew.simple_edit_weights(g, 0.5))
+    dist = ew.simple_edit_weights(g, 0.5)
+    lat = ew.closure(dist)
+    keep = lat.flats != {"a union": 0b011, "a support": 0b001, "the empty set": 0}[drop]
+    assert keep.sum() == len(lat) - 1
+    result = verify.check_closure_idempotent(dist, SupportLattice(lat.m, lat.flats[keep], lat.signs[keep]))
     assert (result.name, result.residual, result.passed) == ("closure_idempotent", 1.0, False)
 
 
@@ -177,3 +172,23 @@ def test_verify_keeps_the_closure_check_last():
     k3 = ew.complete_graph(3)
     names = [r.name for r in verify.run_verification(k3, ew.moran_weights(k3))]
     assert names[-1] == "closure_idempotent"
+
+
+def test_verify_builds_one_lattice_per_run(monkeypatch):
+    calls = []
+
+    def counted(dist, cap):
+        calls.append(cap)
+        return ew.closure(dist, cap)
+
+    monkeypatch.setattr(verify, "closure", counted)
+    monkeypatch.setattr(spectral, "closure", counted)
+    k4 = ew.complete_graph(4)
+    runs = [(k4, ew.moran_weights(k4), None),
+            (ew.intersection_host(2, 3), ew.intersection_weights(2, 3, [Fraction(1, 4)] * 4), None),
+            (*wide_family(), None),
+            (k4, ew.simple_edit_weights(k4, 0.3), 0.3)]
+    for g, dist, p in runs:
+        calls.clear()
+        results = verify.run_verification(g, dist, p=p)
+        assert all(r.passed for r in results) and len(calls) == 1

@@ -36,11 +36,12 @@ from editwalk import (
     intersection_weights,
     moran_weights,
     multiplicities,
+    numeric_eigenvalues,
     recurrent_class,
     simple_edit_weights,
     spectrum,
 )
-from editwalk import lattice
+from editwalk import build_chain, lattice
 from editwalk.errors import ClosureTooLarge, HostMismatch, SupportNotCovering, ValidationError
 from editwalk.lattice import SpectrumReport, _eigenvalues
 
@@ -342,6 +343,45 @@ def test_second_largest_needs_a_flat_below_the_top():
     with pytest.raises(ValidationError) as exc:
         report.second_largest()
     assert exc.type is ValidationError and str(exc.value) == "spectrum has no flat below the top"
+
+
+def zero_flat_family():
+    """Path 0-1-2-3 driven by +2, -0 -1, +1 +2, -1 and +0 -1 (weights 2, 5,
+    1, 3 and 1 twelfths): its eigenvalues are 1, 1/2, 1/6 and 1/6, while
+    the flats 0x2 and 0x3 carry multiplicity 0 and weights 1/4 and 3/4."""
+    plus, minus = [0b100, 0, 0b110, 0, 0b001], [0, 0b011, 0, 0b010, 0b010]
+    dist = WeightedEdits(3, plus, minus, [Fraction(w, 12) for w in (2, 5, 1, 3, 1)])
+    return from_edge_list(4, [(0, 1), (1, 2), (2, 3)]), dist
+
+
+LAMBDA_STAR_FAMILIES = {
+    "zero flats": zero_flat_family,
+    "moran K4": lambda: (complete_graph(4), moran_weights(complete_graph(4))),
+    "moran K5": lambda: (complete_graph(5), moran_weights(complete_graph(5))),
+    "intersection 2x3": lambda: (intersection_host(2, 3), intersection_weights(2, 3, [Fraction(1, 4)] * 4)),
+}
+
+
+@pytest.mark.parametrize("name", LAMBDA_STAR_FAMILIES)
+def test_second_largest_is_the_largest_eigenvalue_below_one(name):
+    g, dist = LAMBDA_STAR_FAMILIES[name]()
+    report = spectrum(dist, g)
+    numeric = numeric_eigenvalues(build_chain(dist, g, recurrent_class(dist, g)))
+    assert numeric[0] == pytest.approx(1.0, abs=1e-12) and numeric[1] < 1.0 - 1e-9
+    assert report.second_largest() == pytest.approx(numeric[1], abs=1e-12)
+
+
+def test_second_largest_skips_flats_of_multiplicity_zero():
+    g, dist = zero_flat_family()
+    report = spectrum(dist, g)
+    zero = report.multiplicities[:-1] == 0
+    assert report.flats[:-1][zero].tolist() == [0, 0b010, 0b011]
+    assert report.eigenvalues[:-1][zero].tolist() == [0, Fraction(1, 4), Fraction(3, 4)]
+    assert report.second_largest() == 0.5
+    # one chamber: +0 +1 then +0 leaves only the full graph, so only the top flat counts
+    one = WeightedEdits(2, [0b11, 0b01], [0, 0], [Fraction(1, 2)] * 2)
+    report = spectrum(one, from_edge_list(3, [(0, 1), (1, 2)]))
+    assert report.multiplicities.tolist() == [0, 0, 1] and report.second_largest() == 0.0
 
 
 def assert_matches_entries(report, oracle):

@@ -56,12 +56,14 @@ def test_phi_psi_and_eigensystem_match_loops(m, exact):
     system = ew.eigensystem_simple(g, p)
     assert system.exact == exact
     if exact:
-        assert system.phi.dtype == object and [list(r) for r in system.phi] == rows
-        assert all(type(x) is Fraction for x in system.phi.ravel())
+        assert system.numerators.dtype == object
+        assert all(type(x) is int for x in system.numerators.ravel())
+        assert [[Fraction(v, system.denominator) for v in r] for r in system.numerators] == rows
         assert system.psi is None
         assert system.eigenvalues == tuple(Fraction(t.bit_count(), m) for t in range(1 << m))
     else:
-        assert system.phi.dtype == float and np.array_equal(system.phi, np.array(rows))
+        assert system.numerators.dtype == float and system.denominator == 1
+        assert np.array_equal(system.numerators, np.array(rows))
         assert system.eigenvalues == tuple(t.bit_count() / m for t in range(1 << m))
         assert all(type(x) is float for x in system.eigenvalues)
 

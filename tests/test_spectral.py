@@ -298,7 +298,8 @@ class TestEigenvectors:
             system = eigensystem_simple(g, p)
             P = build_chain(simple_edit_weights(g, p), g).to_float()
             lam = np.array([float(v) for v in system.eigenvalues])
-            residual = np.abs(system.phi @ P - lam[:, None] * system.phi).max()
+            rows = (system.numerators / system.denominator).astype(float)
+            residual = np.abs(rows @ P - lam[:, None] * rows).max()
             assert residual < 1e-12
 
     def test_psi_normalization_and_orthogonality(self):
