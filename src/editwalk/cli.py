@@ -54,10 +54,11 @@ from .process import (
 from .serialize import artifact_meta, write_csv, write_json, write_jsonl
 from .spectral import (
     _check_c,
+    _commute_table,
+    _CommuteTable,
     _hitting_columns,
     _is_recurrent,
-    _spectral_sum,
-    _sum_terms,
+    _stationary_floats,
     build_chain,
     eigenvalues_simple,
     mixing_bound_compound,
@@ -71,6 +72,8 @@ from .spectral import (
     tv_decay,
 )
 from .verify import run_verification
+
+COMMUTE_BLOCK = 1 << 12  # commute-matrix cells computed and formatted at a time
 
 
 @dataclass
@@ -438,7 +441,7 @@ def cmd_mixing(cfg: RunConfig, args: argparse.Namespace) -> int:
     cfg.out.mkdir(parents=True, exist_ok=True)
     try:  # the curve's enumerations and rows; beyond the cap (or memory) only the bound is written
         if simple:
-            masks, pi = None, stationary_closed_form(cfg.host, cfg.p, cfg.cap)
+            masks, pi = None, _stationary_floats(cfg.host, cfg.p, cfg.cap)
         else:
             masks, pi = stationary_faces(
                 cfg.weights, cfg.host, initial=cfg.initial, cap=cfg.cap, exact=False
@@ -463,6 +466,24 @@ def cmd_mixing(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
+def _commute_text(table: _CommuteTable) -> Iterator[list[str]]:
+    """The table's rows as text, computed and formatted COMMUTE_BLOCK cells
+    at a time: `str` of each float, and in rational mode the text of
+    `str(Fraction)` from each cell's numerator and denominator reduced by
+    their gcd."""
+    n, den = len(table.singles), table.denominator
+    step = max(1, COMMUTE_BLOCK // n)
+    for start in range(0, n, step):
+        cells = table.rows(np.arange(start, min(start + step, n))).ravel()
+        if den is None:
+            text = list(map(str, cells.tolist()))
+        else:
+            g = np.gcd(cells, den)
+            text = [f"{a}/{b}" if b != 1 else str(a)
+                    for a, b in zip((cells // g).tolist(), (den // g).tolist())]
+        yield from (text[i : i + n] for i in range(0, len(text), n))
+
+
 def cmd_commute(cfg: RunConfig, args: argparse.Namespace) -> int:
     """The N x N commute-time matrix, its N^2 cells counted against the cap."""
     meta = artifact_meta(cfg.host, cfg.seed, model=cfg.model, mode=cfg.mode)
@@ -470,11 +491,7 @@ def cmd_commute(cfg: RunConfig, args: argparse.Namespace) -> int:
         m = cfg.host.m
         check_cap(1 << m, cfg.cap, f"2^{m} states")
         check_cap(1 << 2 * m, cfg.cap, f"2^{2 * m} commute-matrix cells")
-        masks, terms = range(1 << m), _sum_terms(cfg.host, cfg.p)  # one per-edge table for all pairs
-        matrix = [[""] * len(masks) for _ in masks]
-        for i in masks:  # commute times are symmetric
-            for j in range(i, len(masks)):
-                matrix[i][j] = matrix[j][i] = str(_spectral_sum(i, j, terms, commute=True))
+        masks, matrix = range(1 << m), _commute_text(_commute_table(cfg.host, cfg.p))
     else:
         masks = _recurrent_class(cfg)
         check_cap(len(masks) ** 2, cfg.cap, f"{len(masks)}^2 commute-matrix cells")
@@ -483,7 +500,7 @@ def cmd_commute(cfg: RunConfig, args: argparse.Namespace) -> int:
         hit = _hitting_columns(tm, range(tm.size))
         matrix = [[str(hit[i, j] + hit[j, i]) for j in range(tm.size)] for i in range(tm.size)]
     names = [format(mask, "#x") for mask in masks]
-    rows = [[name] + row for name, row in zip(names, matrix)]
+    rows = ([name] + row for name, row in zip(names, matrix))
     cfg.out.mkdir(parents=True, exist_ok=True)
     write_csv(cfg.out / "commute.csv", meta, ["state"] + names, rows)
     print(f"wrote {cfg.out / 'commute.csv'} ({len(names)} states)")

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -97,8 +98,9 @@ def _eigenvalues(dist, flats: np.ndarray) -> np.ndarray:
     mass = np.zeros(len(supports), dtype=object)
     np.add.at(mass, index, nums)
     totals = (((supports & ~flats[:, None]) == 0).astype(object) @ mass).tolist()
-    if dist.is_exact:
-        return np.array([Fraction(t, den) for t in totals], dtype=object)
+    if dist.is_exact:  # one Fraction per distinct value, shared by its flats
+        fractions = {t: Fraction(t, den) for t in set(totals)}
+        return np.array([fractions[t] for t in totals], dtype=object)
     return np.array([t / den for t in totals])
 
 
@@ -117,16 +119,35 @@ class SpectrumReport:
     def total_multiplicity(self) -> int:
         return int(self.multiplicities.sum())
 
+    @cached_property
+    def _distinct(self) -> tuple[list, np.ndarray]:
+        """The distinct eigenvalues and each flat's index into them, so each
+        is converted and formatted once. Flats of one exact value share one
+        Fraction, told apart by identity (hashing a Fraction costs about as
+        much as converting it); floats by their bits."""
+        values = self.eigenvalues
+        if values.dtype == object:
+            keys = np.fromiter(map(id, values), np.int64, len(values))
+        else:
+            keys = values.astype(float).view(np.int64)
+        order = np.argsort(keys, kind="stable")
+        first = np.append(True, keys[order][1:] != keys[order][:-1])
+        index = np.empty(len(values), np.intp)
+        index[order] = np.cumsum(first) - 1
+        return values[order[first]].tolist(), index
+
+    @cached_property
     def _floats(self) -> np.ndarray:
-        return self.eigenvalues.astype(float)
+        distinct, index = self._distinct
+        return np.array(distinct, dtype=float)[index]
 
     def eigenvalue_multiset(self) -> list[float]:
         """All eigenvalues expanded by multiplicity, descending."""
-        return np.sort(np.repeat(self._floats(), self.multiplicities))[::-1].tolist()
+        return np.sort(np.repeat(self._floats, self.multiplicities))[::-1].tolist()
 
     def by_value(self) -> list[tuple[float, int]]:
         """Aggregated (eigenvalue, total multiplicity), descending by value."""
-        values = self._floats()
+        values = self._floats
         order = np.argsort(-values)
         values = values[order]
         # runs of equal values, found without np.unique (it imports numpy.ma)
@@ -139,13 +160,14 @@ class SpectrumReport:
         multiplicity (0.0 if none): a flat of multiplicity 0 is no eigenvalue."""
         if len(self.flats) < 2:
             raise ValidationError("spectrum has no flat below the top")
-        return float(self._floats()[:-1][self.multiplicities[:-1] > 0].max(initial=0.0))
+        return float(self._floats[:-1][self.multiplicities[:-1] > 0].max(initial=0.0))
 
     def to_csv_rows(self) -> list[tuple[str, int, str, int]]:
+        distinct, index = self._distinct
         return list(zip(
             map(hex, self.flats.tolist()),
             _popcount(self.flats).tolist(),
-            map(str, self.eigenvalues.tolist()),
+            np.array(list(map(str, distinct)), dtype=object)[index].tolist(),
             self.multiplicities.tolist(),
         ))
 

@@ -292,6 +292,14 @@ def stationary_closed_form(g: HostGraph, p, cap: int = STATE_CAP):
     return phi(g.full_set(), g, p, cap)
 
 
+def _stationary_floats(g: HostGraph, p, cap: int = STATE_CAP) -> np.ndarray:
+    """`stationary_closed_form` as float64, with no Fraction built: the
+    integer numerators over their denominator, an int / int division that
+    rounds as float(Fraction) does."""
+    factors, den = _phi_factors(g, p, cap)
+    return (_kron([f[1] for f in factors]) / den).astype(float)
+
+
 def stationary_numeric(tm: TransitionMatrix) -> np.ndarray:
     """Left fixed vector by linear solve; independent of any closed form.
     Solved once per chain: the read-only result is cached on `tm`, so the
@@ -611,7 +619,7 @@ def tv_decay(
     if t_max < 0:
         raise ValidationError(f"t_max must be >= 0, got {t_max}")
     values = tm.float_values
-    target = np.asarray([float(x) for x in pi], dtype=float)
+    target = np.asarray(pi, dtype=float)
     if target.shape[0] != tm.size:
         raise LengthMismatch(f"pi has {target.shape[0]} entries, chain has {tm.size}")
     dist = np.zeros(tm.size)
@@ -769,6 +777,66 @@ def _spectral_sum(E: int, F: int, terms: _SumTerms, commute: bool):
         kind = "commute" if commute else "hitting"
         raise CapExceeded(f"float {kind} time overflows at m = {m} edges; use rational mode")
     return total
+
+
+def _basis_sums(choices: list, terms: _SumTerms) -> np.ndarray:
+    """The basis-weighted coefficient sum of `_spectral_sum` (k >= 1) of
+    every product that takes one linear factor (q, n) per edge from that
+    edge's list of choices. With c choices per edge, entry sum_e i_e c^e
+    takes choice i_e of edge e. One edge-by-edge recursion, in the operation
+    order of `_times_linear`, builds the coefficient rows of all but the
+    last edge. The sum is linear, so the last factor q(1-t) + n t gives
+    q * sum(rows (1-t)) + n * sum(rows t): times 1-t a row keeps its
+    coefficient k, times t it moves to k + 1."""
+    dtype = float if terms.denominator is None else object
+    rows = np.ones((1, 1), dtype)
+    for options in choices[:-1]:
+        zero = np.zeros((len(rows), 1), dtype)
+        low, high = np.hstack([rows, zero]), np.hstack([zero, rows])
+        rows = np.concatenate([q * low + n * high for q, n in options])
+    w = terms.weights
+    by_q = sum(rows[:, k] * w[k - 1] for k in range(1, len(w)))
+    by_n = sum(rows[:, k] * w[k] for k in range(len(w)))
+    return np.concatenate([q * by_q + n * by_n for q, n in choices[-1]])
+
+
+@dataclass(frozen=True)
+class _CommuteTable:
+    """Every commute time of the per-edge update chain, from the linearity
+    of `_spectral_sum`: C X multiplies each edge's factor for its bit in E
+    over all edges, C Y the same for F, and C (1-t)^|D| takes q_e(1-t) on
+    the edges of D = E xor F. So commute(E, F) = S(E) + S(F) - 2 T(key),
+    with S one sum per state and T one per key = sum_e 3^e code_e, code 0
+    for an edge in neither state, 1 in both, 2 in one. The cells are exact
+    integers over `denominator` when p is rational, else floats."""
+
+    singles: np.ndarray
+    shared: np.ndarray
+    ternary: np.ndarray  # sum_e 3^e bit_e per mask
+    denominator: int | None
+
+    def rows(self, states: np.ndarray) -> np.ndarray:
+        """Cells from each mask in `states` (rows) to every state (columns)."""
+        E, F = states[:, None], np.arange(len(self.singles))
+        key = self.ternary[E & F] + 2 * self.ternary[E ^ F]
+        return self.singles[E] + self.singles - 2 * self.shared[key]
+
+
+def _commute_table(g: HostGraph, p) -> _CommuteTable:
+    """2^m + 3^m coefficient sums in place of one spectral sum per pair; in
+    float mode, a cell that would overflow raises CapExceeded as
+    `_spectral_sum` does (T(key) <= min(S(E), S(F)), so every cell is finite
+    when twice every S is)."""
+    terms = _sum_terms(g, p)
+    with np.errstate(over="ignore"):
+        singles = _basis_sums(terms.factors, terms)
+    if terms.denominator is None and not np.isfinite(2 * singles).all():
+        raise CapExceeded(f"float commute time overflows at m = {g.m} edges; use rational mode")
+    shared = _basis_sums([(lack, held, (lack[0], 0)) for lack, held in terms.factors], terms)
+    ternary = np.zeros(1, np.int64)
+    for e in range(g.m):
+        ternary = np.concatenate([ternary, ternary + 3**e])
+    return _CommuteTable(singles, shared, ternary, terms.denominator)
 
 
 def commute_time(E: EdgeSet, F: EdgeSet, g: HostGraph, p):
