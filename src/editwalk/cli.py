@@ -129,6 +129,17 @@ def _required(obj: dict, key: str, path: str, what: str):
     return obj[key]
 
 
+def _keyed(key: str, build, *args, **kwargs):
+    """build(*args, **kwargs), naming `key` in a validation error the library
+    raises below the loader, unless the message already names it or a key under it."""
+    try:
+        return build(*args, **kwargs)
+    except ValidationError as exc:
+        if str(exc).startswith((f"{key}.", f"{key}:", f"{key}[")):
+            raise
+        raise type(exc)(f"{key}: {exc}") from None
+
+
 def _vertices(values) -> bool:
     return isinstance(values, list) and all(map(is_integer, values))
 
@@ -175,17 +186,17 @@ def _simple_probabilities(g: HostGraph, params: dict, exact: bool):
 
     if kind == "erdos_renyi":
         check_keys(preset, "model.p_preset", ("kind", "p"))
-        return erdos_renyi_probabilities(g, number("p"))
+        return _keyed("model.p_preset.p", erdos_renyi_probabilities, g, number("p"))
     if kind == "chung_lu":
         check_keys(preset, "model.p_preset", ("kind", "degrees"))
         degrees = _numbers(preset.get("degrees"), exact, "model.p_preset.degrees")
-        return chung_lu_probabilities(g, degrees)
+        return _keyed("model.p_preset.degrees", chung_lu_probabilities, g, degrees)
     if kind == "block":
         check_keys(preset, "model.p_preset", ("kind", "block", "p", "q"))
         block = _required(preset, "block", "model.p_preset", 'kind "block"')
         if not _vertices(block):
             raise ValidationError(f"model.p_preset.block: expected a list of vertices, got {block!r}")
-        return block_probabilities(g, block, number("p"), number("q"))
+        return _keyed("model.p_preset", block_probabilities, g, block, number("p"), number("q"))
     raise ValidationError(f"unknown p_preset kind {preset!r}")
 
 
@@ -264,7 +275,7 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
         N = _integer(_required(params, "N", "model", name), "model.N", least=1)
         host = intersection_host(n, N)
         if "host" in raw:
-            declared = host_from_json(raw["host"])
+            declared = _keyed("host", host_from_json, raw["host"])
             if declared != host:
                 raise ValidationError(
                     'config "host" disagrees with the intersection model host '
@@ -273,20 +284,21 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
     else:
         if "host" not in raw:
             raise ValidationError('config needs a "host" object')
-        host = host_from_json(raw["host"])
+        host = _keyed("host", host_from_json, raw["host"])
 
     p = None
     if name == "simple":
         p = _simple_probabilities(host, params, exact)
-        weights = simple_edit_weights(host, p)
+        weights = _keyed("model.p" if host.m else "host", simple_edit_weights, host, p)
     elif name == "moran":
         check_keys(params, "model", ("name",))
-        weights = moran_weights(host)
+        weights = _keyed("host", moran_weights, host)
     elif name == "intersection":
         mu = _numbers(_required(params, "mu", "model", name), exact, "model.mu")
-        weights = intersection_weights(
-            n, N, mu, mode=params.get("mode", "explicit"), cap=cap
-        )
+        layout = params.get("mode", "explicit")
+        if layout not in ("explicit", "lazy"):
+            raise ValidationError(f"model.mode: expected explicit|lazy, got {layout!r}")
+        weights = _keyed("model.mu", intersection_weights, n, N, mu, mode=layout, cap=cap)
     elif name == "custom":
         check_keys(params, "model", ("name", "edits"))
         edits_spec = params.get("edits")
@@ -294,13 +306,13 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
             raise ValidationError('model "custom" needs a non-empty "edits" list')
         plus, minus, w = zip(*(_custom_edit(entry, host.m, exact, f"model.edits[{i}]")
                                for i, entry in enumerate(edits_spec)))
-        weights = WeightedEdits(host.m, plus, minus, w)
+        weights = _keyed("model.edits", WeightedEdits, host.m, plus, minus, w)
     else:
         raise ValidationError(f"unknown model name {name!r}")
 
     seed = _integer(overrides.seed if overrides.seed is not None else raw.get("seed", 0), "seed")
     default_initial = "full" if name == "moran" else "empty"
-    initial = _parse_initial(raw.get("initial", default_initial), host)
+    initial = _keyed("initial", _parse_initial, raw.get("initial", default_initial), host)
 
     return RunConfig(
         host=host,

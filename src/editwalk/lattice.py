@@ -88,58 +88,46 @@ def closure(dist, cap: int = STATE_CAP) -> SupportLattice:
     return SupportLattice(dist.m, flats, signs)
 
 
-def _eigenvalues(dist, flats: np.ndarray) -> np.ndarray:
-    """Total weight of the edits whose support lies inside each flat. The
-    sum is exact: Fractions (an object array) when every weight is rational,
-    else the exact sum of the weights rounded once to a float, so a flat
-    holding every edit reads exactly 1 whenever the weights sum to 1 exactly."""
+def _eigenvalues(dist, flats: np.ndarray) -> tuple[list, np.ndarray]:
+    """Total weight of the edits whose support lies inside each flat, as the
+    distinct totals in ascending order and each flat's index into them. The
+    sum is exact: a Fraction per total when every weight is rational, else
+    the exact sum of the weights rounded once to a float, so a flat holding
+    every edit reads exactly 1 whenever the weights sum to 1 exactly."""
     nums, den = dist.integer_weights
-    supports, _, index = dist.support_groups
+    supports, _, group = dist.support_groups
     mass = np.zeros(len(supports), dtype=object)
-    np.add.at(mass, index, nums)
-    totals = (((supports & ~flats[:, None]) == 0).astype(object) @ mass).tolist()
-    if dist.is_exact:  # one Fraction per distinct value, shared by its flats
-        fractions = {t: Fraction(t, den) for t in set(totals)}
-        return np.array([fractions[t] for t in totals], dtype=object)
-    return np.array([t / den for t in totals])
+    np.add.at(mass, group, nums)
+    totals, index = np.unique(((supports & ~flats[:, None]) == 0).astype(object) @ mass, return_inverse=True)
+    return [Fraction(t, den) if dist.is_exact else t / den for t in totals.tolist()], index
 
 
 @dataclass(frozen=True, eq=False)
 class SpectrumReport:
-    """Per-flat eigenvalues and multiplicities of a chamber walk, as three
-    aligned arrays: `flats` a read-only mask array sorted by (size, mask),
-    so the top flat comes last; `eigenvalues` Fractions in an object array
-    when exact, else float64; `multiplicities` int64."""
+    """Per-flat eigenvalues and multiplicities of a chamber walk: `flats` a
+    read-only mask array sorted by (size, mask), so the top flat comes last;
+    `levels` the distinct eigenvalues, Fractions when exact, else floats;
+    `index` each flat's position in `levels`; `multiplicities` int64. Each
+    level is converted and formatted once, whatever the number of flats."""
 
     flats: np.ndarray
-    eigenvalues: np.ndarray
+    levels: list
+    index: np.ndarray
     multiplicities: np.ndarray
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """One eigenvalue per flat: shared Fractions in an object array when
+        exact, else float64."""
+        return np.array(self.levels)[self.index]
 
     @property
     def total_multiplicity(self) -> int:
         return int(self.multiplicities.sum())
 
     @cached_property
-    def _distinct(self) -> tuple[list, np.ndarray]:
-        """The distinct eigenvalues and each flat's index into them, so each
-        is converted and formatted once. Flats of one exact value share one
-        Fraction, told apart by identity (hashing a Fraction costs about as
-        much as converting it); floats by their bits."""
-        values = self.eigenvalues
-        if values.dtype == object:
-            keys = np.fromiter(map(id, values), np.int64, len(values))
-        else:
-            keys = values.astype(float).view(np.int64)
-        order = np.argsort(keys, kind="stable")
-        first = np.append(True, keys[order][1:] != keys[order][:-1])
-        index = np.empty(len(values), np.intp)
-        index[order] = np.cumsum(first) - 1
-        return values[order[first]].tolist(), index
-
-    @cached_property
     def _floats(self) -> np.ndarray:
-        distinct, index = self._distinct
-        return np.array(distinct, dtype=float)[index]
+        return np.array(self.levels, dtype=float)[self.index]
 
     def eigenvalue_multiset(self) -> list[float]:
         """All eigenvalues expanded by multiplicity, descending."""
@@ -163,11 +151,10 @@ class SpectrumReport:
         return float(self._floats[:-1][self.multiplicities[:-1] > 0].max(initial=0.0))
 
     def to_csv_rows(self) -> list[tuple[str, int, str, int]]:
-        distinct, index = self._distinct
         return list(zip(
             map(hex, self.flats.tolist()),
             _popcount(self.flats).tolist(),
-            np.array(list(map(str, distinct)), dtype=object)[index].tolist(),
+            np.array(list(map(str, self.levels)), dtype=object)[self.index].tolist(),
             self.multiplicities.tolist(),
         ))
 
@@ -203,7 +190,7 @@ def multiplicities(lat: SupportLattice, masks: np.ndarray, dist) -> SpectrumRepo
                 "mask array is not the full recurrent class"
             )
 
-    report = SpectrumReport(flats, _eigenvalues(dist, flats), mults)
+    report = SpectrumReport(flats, *_eigenvalues(dist, flats), mults)
     if report.total_multiplicity != len(masks):
         raise ValidationError(
             f"multiplicities sum to {report.total_multiplicity}, "

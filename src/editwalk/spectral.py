@@ -412,8 +412,8 @@ def eigenvalues_simple(m: int, cap: int = STATE_CAP) -> SpectrumReport:
     masks = np.arange(1 << m, dtype=mask_dtype(m))
     flats = masks[np.lexsort((masks, _popcount(masks)))]
     flats.flags.writeable = False
-    levels = np.array([Fraction(k, m) for k in range(m + 1)], dtype=object)
-    return SpectrumReport(flats, levels[_popcount(flats)], np.ones(1 << m, dtype=np.int64))
+    levels = [Fraction(k, m) for k in range(m + 1)]
+    return SpectrumReport(flats, levels, _popcount(flats), np.ones(1 << m, dtype=np.int64))
 
 
 def spectrum(
@@ -554,22 +554,23 @@ def q_matrix(tm: TransitionMatrix, pi: np.ndarray) -> np.ndarray:
     return tm.to_float() * root[:, None] / root[None, :]
 
 
-def _exact_law(tm: TransitionMatrix, pi) -> tuple[np.ndarray, int] | None:
-    """pi as Python-int numerators over one denominator if pi and the chain are exact, else None."""
-    return _common_denominator(pi) if tm.exact and all(_is_exact(x) for x in pi) else None
+def _law(tm: TransitionMatrix, pi) -> tuple[TransitionMatrix, np.ndarray, int]:
+    """The chain and pi in one arithmetic, as (chain, numerators, denominator):
+    `tm` itself and pi as Python-int numerators over one denominator when both
+    are exact, else the chain's float cells and pi as float64, both over 1."""
+    if tm.exact and all(_is_exact(x) for x in pi):
+        return (tm, *_common_denominator(pi))
+    chain = TransitionMatrix(tm.m, tm.masks, tm.rows, tm.cols, tm.float_values)
+    return chain, np.asarray([float(x) for x in pi]), 1
 
 
 def detailed_balance_residual(tm: TransitionMatrix, pi):
     """max |pi_i P_ij - pi_j P_ji| over all state pairs, taken over the
     nonzero cells (a pair with both cells zero balances). A Fraction when pi
     and the chain are exact, else a float."""
-    law = _exact_law(tm, pi)
-    if law is not None:  # flows over one denominator; one Fraction for the residual
-        nums, den = law
-        residual, _ = tm._transpose_gap(nums[tm.rows] * tm.numerators)
-        return Fraction(residual, den * tm.denominator)
-    residual, _ = tm._transpose_gap(np.asarray([float(x) for x in pi])[tm.rows] * tm.float_values)
-    return float(residual)
+    chain, nums, den = _law(tm, pi)
+    residual, _ = chain._transpose_gap(nums[chain.rows] * chain.numerators)
+    return Fraction(residual, den * chain.denominator) if chain.exact else float(residual)
 
 
 def _q_cells(tm: TransitionMatrix, pi) -> tuple[np.ndarray, float, bool]:
@@ -639,8 +640,7 @@ def brown_tv_bound(report: SpectrumReport, t: int) -> float:
     """Spectral upper bound on distance to stationarity from any chamber:
     sum of m_X * lambda_X^t over all flats X below the top (the last flat),
     with 0^0 = 1."""
-    lam = report.eigenvalues[:-1].astype(float)
-    return float((report.multiplicities[:-1] * lam**t).sum())
+    return float((report.multiplicities[:-1] * report._floats[:-1] ** t).sum())
 
 
 def simple_tv_bound(m: int, t: int) -> float:

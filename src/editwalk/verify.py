@@ -23,8 +23,8 @@ from .process import WeightedEdits, _common_denominator, _per_edge_probabilities
 from .spectral import (
     EigenSystem,
     TransitionMatrix,
-    _exact_law,
     _hitting_columns,
+    _law,
     _q_cells,
     build_chain,
     commute_time,
@@ -65,14 +65,11 @@ def check_row_stochastic(tm: TransitionMatrix) -> CheckResult:
 
 
 def check_stationary_fixed_point(tm: TransitionMatrix, pi) -> CheckResult:
-    law = _exact_law(tm, pi)
-    if law is not None:  # pi_num P_num = den pi_num over integers
-        nums, den = law  # int / int rounds as float(Fraction) does
-        residual = np.abs(tm.left_apply(nums) - tm.denominator * nums).max() / (den * tm.denominator)
-    else:
-        v = np.asarray([float(x) for x in pi])
-        residual = np.abs(v @ tm.to_float() - v).max()
-    return _result("stationary_fixed_point", residual, 1e-12, "" if law is None else "exact")
+    """pi P = pi as pi_num P_num = den pi_num over the nonzero cells: integers
+    when the chain and pi are exact, else float64."""
+    chain, nums, den = _law(tm, pi)  # int / int rounds as float(Fraction) does
+    residual = np.abs(chain.left_apply(nums) - chain.denominator * nums).max() / (den * chain.denominator)
+    return _result("stationary_fixed_point", residual, 1e-12, "exact" if chain.exact else "")
 
 
 def check_stationary_vs_solve(tm: TransitionMatrix, pi) -> CheckResult:

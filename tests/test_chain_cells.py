@@ -237,14 +237,15 @@ def test_exact_verify_residuals_match_dense_formulas(m, right):
 
 def test_reversibility_residuals_match_the_dense_transpose():
     # the laws are for other edge probabilities, so the residuals are not 0;
-    # the cells give the dense max |A - A^T| bit for bit
+    # the cells give the dense max |A - A^T| bit for bit. An exact chain with
+    # a float law is read in float, as Moran's double mode pairs them.
     rng = np.random.default_rng(40)
     for _ in range(20):
         m = int(rng.integers(1, 6))
         g = _path(m)
         p, other = ([Fraction(int(rng.integers(1, 12)), 13) for _ in range(m)] for _ in range(2))
-        for exact in (True, False):
-            tm = ew.build_chain(ew.simple_edit_weights(g, p if exact else [float(x) for x in p]), g)
+        for exact_chain, exact in ((True, True), (False, False), (True, False)):
+            tm = ew.build_chain(ew.simple_edit_weights(g, p if exact_chain else [float(x) for x in p]), g)
             pi = ew.stationary_closed_form(g, other if exact else [float(x) for x in other])
             root = np.asarray([float(x) for x in pi])
             Q = ew.q_matrix(tm, root)
@@ -253,6 +254,16 @@ def test_reversibility_residuals_match_the_dense_transpose():
             balance = spectral.detailed_balance_residual(tm, pi)
             assert type(balance) is (Fraction if exact else float)
             assert balance == np.abs(flow - flow.T).max()
+    k4 = ew.complete_graph(4)
+    dist = ew.moran_weights(k4)
+    masks, pi = ew.stationary_faces(dist, k4, exact=False)
+    tm = ew.build_chain(dist, k4, masks)
+    assert tm.exact and pi.dtype == float
+    flow = pi[:, None] * tm.to_float()
+    assert spectral.detailed_balance_residual(tm, pi) == np.abs(flow - flow.T).max() > 0
+    fixed = check_stationary_fixed_point(tm, pi)
+    assert fixed.passed and fixed.detail == ""
+    assert fixed.residual == pytest.approx(np.abs(pi @ tm.to_float() - pi).max(), abs=1e-16)
 
 
 @pytest.mark.parametrize("block", [3, 64])

@@ -256,6 +256,64 @@ def test_bad_simulate_scalars_are_named(tmp_path, capsys, overrides, message):
 
 
 @pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"initial": 99}, "initial: mask 0x63 sets bits outside the 2 host edges"),
+        ({"initial": [[0, 2]]}, "initial: {0, 2} is not a host edge"),
+        ({"host": {"n": 3, "edges": [[1, 5]]}}, "host: edge {1, 5} has endpoint outside [0, 3)"),
+        ({"host": {"n": 3, "edges": []}}, "host: host graph has no edges"),
+        ({"host": {"n": 3, "edges": []}, "model": {"name": "moran"}}, "host: host graph has no edges"),
+        ({"model": {"name": "simple", "p": [0.5]}}, "model.p: expected 2 edge probabilities, got 1"),
+        ({"model": {"name": "simple", "p": [0.5, 1.5]}}, "model.p: p[1] = 1.5 is outside (0, 1)"),
+        (
+            {"model": {"name": "simple", "p_preset": {"kind": "erdos_renyi", "p": 1.5}}},
+            "model.p_preset.p: p = 1.5 is outside (0, 1)",
+        ),
+        (
+            {"model": {"name": "simple", "p_preset": {"kind": "chung_lu", "degrees": [1, 1]}}},
+            "model.p_preset.degrees: expected 3 degrees, got 2",
+        ),
+        (
+            {"model": {"name": "simple", "p_preset": {"kind": "block", "block": [0, 7], "p": 0.5,
+                                                      "q": 0.2}}},
+            "model.p_preset: block contains vertices outside the host",
+        ),
+        (
+            {"host": None, "model": {"name": "intersection", "n": 2, "N": 2, "mu": [0.5, 0.5]}},
+            "model.mu: mu must have 3 entries, got 2",
+        ),
+        (
+            {"host": None, "model": {"name": "intersection", "n": 2, "N": 2, "mu": [-0.5, 1, 0.5]}},
+            "model.mu: mu has negative entries",
+        ),
+        (
+            {"host": None, "model": {"name": "intersection", "n": 2, "N": 2, "mu": [0.5, 0, 0.5],
+                                     "mode": "eager"}},
+            "model.mode: expected explicit|lazy, got 'eager'",
+        ),
+        (
+            {"model": {"name": "custom", "edits": [{"edit": "+0", "weight": 0.5}]}},
+            "model.edits: weights sum to 0.5, expected 1",
+        ),
+    ],
+    ids=["initial-mask", "initial-non-edge", "host-endpoint", "simple-no-edges", "moran-no-edges",
+         "p-length", "p-range", "erdos-renyi-range", "chung-lu-length", "block-outside", "mu-length",
+         "mu-negative", "intersection-mode", "custom-sum"],
+)
+def test_library_faults_name_their_config_key(tmp_path, capsys, config, message):
+    # the builders below the loader keep their own texts; the loader adds the key
+    cfg = {"host": {"n": 3, "edges": [[0, 1], [1, 2]]}, "model": {"name": "simple", "p": 0.25},
+           "T": 5, **config}
+    if cfg["host"] is None:
+        del cfg["host"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "command, value, message",
     [
         ("spectrum", "-1", "--cap-states: expected a non-negative integer, got -1"),

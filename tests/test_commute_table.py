@@ -146,8 +146,10 @@ def test_report_converts_and_formats_each_distinct_value_once(monkeypatch):
 def test_exact_flats_of_one_value_share_one_fraction():
     k4 = ew.complete_graph(4)
     dist = ew.moran_weights(k4)
-    values = ew.spectrum(dist, k4).eigenvalues.tolist()
+    report = ew.spectrum(dist, k4)
+    values = report.eigenvalues.tolist()
     assert len({id(v) for v in values}) == len(set(values)) < len(values)
+    assert all(v is report.levels[i] for v, i in zip(values, report.index.tolist()))
     floats = ew.WeightedEdits(dist.m, dist.plus, dist.minus, [float(w) for w in dist.weights])
     float_report = ew.spectrum(floats, k4)
     assert float_report.to_csv_rows() == [
@@ -155,6 +157,17 @@ def test_exact_flats_of_one_value_share_one_fraction():
         for f, v, k in zip(float_report.flats.tolist(), float_report.eigenvalues.tolist(),
                            float_report.multiplicities.tolist())
     ]
+
+
+def test_float_levels_that_round_alike_print_and_merge_as_one():
+    # 0.1 + 0.2 and 0.30000000000000004 are distinct exact totals, one float
+    g = ew.from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    weights = [0.1, 0.2, 0.30000000000000004, 0.39999999999999997]
+    report = ew.spectrum(ew.WeightedEdits(4, [1, 2, 4, 8], [0] * 4, weights), g)
+    assert report.levels.count(0.30000000000000004) == 2
+    text = {flat: value for flat, _, value, _ in report.to_csv_rows()}
+    assert text["0x3"] == text["0x4"] == "0.30000000000000004"
+    assert [v for v, _ in report.by_value()].count(0.30000000000000004) == 1
 
 
 def test_float_law_from_numerators_rounds_as_fractions_do():
