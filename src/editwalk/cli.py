@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -55,7 +55,6 @@ from .serialize import artifact_meta, write_csv, write_json, write_jsonl
 from .spectral import (
     _check_c,
     _commute_table,
-    _CommuteTable,
     _hitting_columns,
     _is_recurrent,
     _stationary_floats,
@@ -176,7 +175,7 @@ def _simple_probabilities(g: HostGraph, params: dict, exact: bool):
         return _number(p, exact, "model.p")
     preset = params.get("p_preset")
     if not preset:
-        raise ValidationError('model "simple" needs "p" or "p_preset" in model params')
+        raise ValidationError('model.p: model "simple" needs "p" or "p_preset" in model params')
     if not isinstance(preset, dict):
         raise ValidationError(f'model.p_preset: expected an object with a "kind", got {preset!r}')
     kind = preset.get("kind")
@@ -197,7 +196,7 @@ def _simple_probabilities(g: HostGraph, params: dict, exact: bool):
         if not _vertices(block):
             raise ValidationError(f"model.p_preset.block: expected a list of vertices, got {block!r}")
         return _keyed("model.p_preset", block_probabilities, g, block, number("p"), number("q"))
-    raise ValidationError(f"unknown p_preset kind {preset!r}")
+    raise ValidationError(f"model.p_preset.kind: unknown p_preset kind {kind!r}")
 
 
 def _parse_edit(text: str, m: int) -> tuple[int, int]:
@@ -250,12 +249,12 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
 
     mode = overrides.mode or raw.get("mode", "double")
     if mode not in ("rational", "double"):
-        raise ValidationError(f'config "mode" must be rational|double, got {mode!r}')
+        raise ValidationError(f"mode: expected rational|double, got {mode!r}")
     exact = mode == "rational"
 
     params = raw.get("model")
     if not isinstance(params, dict) or "name" not in params:
-        raise ValidationError('config needs a single "model" object with a "name"')
+        raise ValidationError('model: config needs a single "model" object with a "name"')
     name = params["name"]
     caps = raw.get("caps", {})
     if not isinstance(caps, dict):
@@ -283,7 +282,7 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
                 )
     else:
         if "host" not in raw:
-            raise ValidationError('config needs a "host" object')
+            raise ValidationError('host: config needs a "host" object')
         host = _keyed("host", host_from_json, raw["host"])
 
     p = None
@@ -303,12 +302,12 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
         check_keys(params, "model", ("name", "edits"))
         edits_spec = params.get("edits")
         if not isinstance(edits_spec, list) or not edits_spec:
-            raise ValidationError('model "custom" needs a non-empty "edits" list')
+            raise ValidationError('model.edits: model "custom" needs a non-empty "edits" list')
         plus, minus, w = zip(*(_custom_edit(entry, host.m, exact, f"model.edits[{i}]")
                                for i, entry in enumerate(edits_spec)))
         weights = _keyed("model.edits", WeightedEdits, host.m, plus, minus, w)
     else:
-        raise ValidationError(f"unknown model name {name!r}")
+        raise ValidationError(f"model.name: unknown model name {name!r}")
 
     seed = _integer(overrides.seed if overrides.seed is not None else raw.get("seed", 0), "seed")
     default_initial = "full" if name == "moran" else "empty"
@@ -478,15 +477,15 @@ def cmd_mixing(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _commute_text(table: _CommuteTable) -> Iterator[list[str]]:
-    """The table's rows as text, computed and formatted COMMUTE_BLOCK cells
-    at a time: `str` of each float, and in rational mode the text of
-    `str(Fraction)` from each cell's numerator and denominator reduced by
+def _commute_text(rows: Callable[[np.ndarray], np.ndarray], n: int, den: int | None) -> Iterator[list[str]]:
+    """The n x n matrix whose rows `rows(states)` gives for an index array
+    of states, as text, computed and formatted COMMUTE_BLOCK cells at a
+    time: `str` of each float, or with an integer denominator `den` the
+    text of `str(Fraction)` from each cell's numerator and `den` reduced by
     their gcd."""
-    n, den = len(table.singles), table.denominator
     step = max(1, COMMUTE_BLOCK // n)
     for start in range(0, n, step):
-        cells = table.rows(np.arange(start, min(start + step, n))).ravel()
+        cells = rows(np.arange(start, min(start + step, n))).ravel()
         if den is None:
             text = list(map(str, cells.tolist()))
         else:
@@ -503,14 +502,15 @@ def cmd_commute(cfg: RunConfig, args: argparse.Namespace) -> int:
         m = cfg.host.m
         check_cap(1 << m, cfg.cap, f"2^{m} states")
         check_cap(1 << 2 * m, cfg.cap, f"2^{2 * m} commute-matrix cells")
-        masks, matrix = range(1 << m), _commute_text(_commute_table(cfg.host, cfg.p))
+        table = _commute_table(cfg.host, cfg.p)
+        masks, matrix = range(1 << m), _commute_text(table.rows, 1 << m, table.denominator)
     else:
         masks = _recurrent_class(cfg)
         check_cap(len(masks) ** 2, cfg.cap, f"{len(masks)}^2 commute-matrix cells")
         tm = build_chain(cfg.weights, cfg.host, masks, cfg.cap)
         masks = tm.masks.tolist()
         hit = _hitting_columns(tm, range(tm.size))
-        matrix = [[str(hit[i, j] + hit[j, i]) for j in range(tm.size)] for i in range(tm.size)]
+        matrix = _commute_text(lambda s: hit[s] + hit[:, s].T, tm.size, None)
     names = [format(mask, "#x") for mask in masks]
     rows = ([name] + row for name, row in zip(names, matrix))
     cfg.out.mkdir(parents=True, exist_ok=True)
@@ -588,18 +588,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; library warnings are recorded and each distinct
+    message is printed once, as `warning: <text>`, when the command ends."""
     args = build_parser().parse_args(argv)
-    try:
-        cfg = load_config(args.config, args)
-        with warnings.catch_warnings():
-            warnings.simplefilter("always")
-            return COMMANDS[args.command](cfg, args)
-    except CapExceeded as exc:
-        print(f"error (cap): {exc}", file=sys.stderr)
-        return 2
-    except EditWalkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return COMMANDS[args.command](load_config(args.config, args), args)
+        except CapExceeded as exc:
+            print(f"error (cap): {exc}", file=sys.stderr)
+            return 2
+        except EditWalkError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        finally:
+            for text in dict.fromkeys(str(w.message) for w in caught):
+                print(f"warning: {text}", file=sys.stderr)
 
 
 if __name__ == "__main__":

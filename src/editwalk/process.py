@@ -29,17 +29,17 @@ Between two recorded states the kernel applies only the reduced word: edits
 form a left regular band, x y = x whenever supp(y) is inside supp(x), so an
 edit is wiped out by any later edit on the same support, and only the last
 edit on each distinct support acts; an edit's support id is its support's
-rank in `support_groups`. When the supports are pairwise disjoint
-(simple, intersection) those edits commute, and a reduced word of at least
-COMPOSE_MIN_WRITERS of them is applied as one composite (plus, minus) pair
-packed in numpy; shorter words and overlapping supports (Moran) act in step
-order on the state.
+rank in `support_groups`. When the supports are aligned blocks (support k
+is edges [k*width, (k+1)*width), as in the simple and intersection models)
+those edits commute, and a reduced word of at least COMPOSE_MIN_WRITERS of
+them is laid down block by block as one composite (plus, minus) pair
+(`_block_composites`); shorter words and other families act in step order
+on the state.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -57,7 +57,7 @@ from .errors import (
     ValidationError,
     check_cap,
 )
-from .hostgraph import EdgeSet, HostGraph, _popcount, complete_bipartite, mask_dtype
+from .hostgraph import EdgeSet, HostGraph, complete_bipartite, mask_dtype, set_bits
 
 WEIGHT_SUM_TOL = 1e-12
 SAMPLER_VERSION = 2  # block-drawn edits; version 1 drew one edit per step
@@ -165,43 +165,42 @@ class LazySpec:
 
     def composites(self, star: np.ndarray, bits: np.ndarray, rows: np.ndarray, group: np.ndarray,
                    count: int) -> tuple[list[int], list[int]]:
-        """(plus, minus) ints of `count` composite edits, the draw at rows[i]
-        joining composite group[i]; the draws of one composite write
-        distinct blocks, so each is laid down whole as one bool row."""
-        plus = np.zeros((count, self.blocks, self.width), bool)
-        written = np.zeros((count, self.blocks, 1), bool)
-        plus[group, star[rows]] = bits[rows]
-        written[group, star[rows]] = True
-        return tuple(_row_ints(np.packbits(a.reshape(count, -1), axis=1, bitorder="little"))
-                     for a in (plus, written & ~plus))
+        """`_block_composites` of the draws at `rows`, rows[i] joining composite group[i]."""
+        return _block_composites(self.blocks, self.width, star[rows], bits[rows], group, count)
+
+
+def _block_composites(blocks: int, width: int, star: np.ndarray, bits: np.ndarray, group: np.ndarray,
+                      count: int) -> tuple[list[int], list[int]]:
+    """(plus, minus) ints of `count` composite edits on `blocks` blocks of
+    `width` edges: draw i writes block star[i] of composite group[i] whole, as
+    bits[i] present and the rest absent; a composite's draws write distinct blocks."""
+    packed = np.zeros((2, count, blocks, width), bool)  # plus, then minus, of each composite
+    packed[0, group, star] = bits
+    packed[1, group, star] = ~bits
+    ints = _row_ints(np.packbits(packed.reshape(2 * count, -1), axis=1, bitorder="little"))
+    return ints[:count], ints[count:]
 
 
 class _EditTable:
     """What the walk kernel reads of an explicit distribution: a Vose alias
-    table over its edits, each edit's support id (its rank in
-    `support_groups`), and whether no edge lies in two supports. Only then,
-    when `composites` can run, does it keep each edit's support `edges`
-    (from `starts`, `lengths`) with a plus flag on each."""
+    table over its edits and each edit's support id (its rank in
+    `support_groups`). When the supports are aligned blocks, support k being
+    edges [k*width, (k+1)*width), `disjoint` is set and it keeps each edit's
+    in-block plus as an (edits, width) bool array `bits` for `composites`."""
 
     def __init__(self, dist: WeightedEdits):
         self.sampler = AliasSampler(dist.weights)
-        self.m, self.plus, self.minus = dist.m, dist.plus, dist.minus
+        self.plus, self.minus = dist.plus, dist.minus
         supports, _, self.sid = dist.support_groups
-        # one step per set bit, so wide masks with small supports cost little
-        edges = array("q")
-        for support in supports.tolist():
-            while support:
-                low = support & -support
-                edges.append(low.bit_length() - 1)
-                support ^= low
-        edges, sizes = np.frombuffer(edges, np.int64), _popcount(supports)
-        self.disjoint = bool(np.bincount(edges, minlength=1).max() <= 1)
+        supports = supports.tolist()
+        self.blocks, self.width = len(supports), supports[0].bit_length()
+        full = (1 << self.width) - 1
+        self.disjoint = self.width > 0 and supports == [full << k * self.width for k in range(self.blocks)]
         if self.disjoint:
-            self.lengths = sizes[self.sid]
-            self.starts = np.cumsum(self.lengths) - self.lengths
-            offset = (np.cumsum(sizes) - sizes)[self.sid] - self.starts
-            self.edges = edges[np.repeat(offset, self.lengths) + np.arange(self.lengths.sum())]
-            self.flags = (np.repeat(self.plus, self.lengths) >> self.edges.astype(self.plus.dtype) & 1).astype(bool)
+            shift = (self.sid * self.width).astype(self.plus.dtype)
+            rows, cols = set_bits((self.plus >> shift & full).tolist(), self.width)
+            self.bits = np.zeros((len(self.sid), self.width), bool)
+            self.bits[rows, cols] = True
 
     def take(self, rng: np.random.Generator, left: int) -> tuple[np.ndarray, np.ndarray]:
         """The next block of a walk with `left` steps to go: the support ids
@@ -215,19 +214,8 @@ class _EditTable:
 
     def composites(self, sid: np.ndarray, index: np.ndarray, rows: np.ndarray, group: np.ndarray,
                    count: int) -> tuple[list[int], list[int]]:
-        """(plus, minus) ints of `count` composite edits, the draw at rows[i]
-        joining composite group[i]. The draws of one composite have disjoint
-        supports, so no bit of it is set twice and adding bits ORs them."""
-        edit = index[rows]
-        lengths = self.lengths[edit]
-        owner = np.repeat(np.arange(len(edit)), lengths)  # the draw of each support edge
-        at = (self.starts[edit] - np.cumsum(lengths) + lengths)[owner] + np.arange(len(owner))
-        edges, nbytes = self.edges[at], self.m // 8 + 1
-        packed = np.zeros((count, 2, nbytes), np.uint8)  # plus, then minus, of each composite
-        at = (2 * group[owner] + ~self.flags[at]) * nbytes + (edges >> 3)
-        np.add.at(packed.reshape(-1), at, np.left_shift(np.uint8(1), (edges & 7).astype(np.uint8)))
-        ints = _row_ints(packed.reshape(2 * count, nbytes))
-        return ints[0::2], ints[1::2]
+        """`_block_composites` of the draws at `rows`, rows[i] joining composite group[i]."""
+        return _block_composites(self.blocks, self.width, sid[rows], self.bits[index[rows]], group, count)
 
 
 @dataclass(frozen=True, eq=False)
@@ -471,8 +459,8 @@ def _reduced_ops(table, sid: np.ndarray, draws, ends: np.ndarray) -> tuple[Seque
     after each is recorded. The record times `ends` (as draw counts) cut the
     pass into segments; each segment keeps its reduced word, the last draw
     on each support id, found by one sort of (segment, support, step) keys.
-    A reduced word of at least COMPOSE_MIN_WRITERS draws on pairwise
-    disjoint supports becomes one composite edit."""
+    A reduced word of at least COMPOSE_MIN_WRITERS draws on aligned block
+    supports becomes one composite edit."""
     size = len(sid)
     segment = np.cumsum(np.bincount(ends, minlength=size)[:size])
     shift = size.bit_length()

@@ -522,12 +522,12 @@ class EigenSystem:
     """Full left eigensystem of a per-edge update chain: row i belongs to the
     edge subset with mask i, column j to the state with mask j. As in
     `TransitionMatrix`, phi is held as Python-int numerators over one
-    denominator (float64 over 1 in float mode). `psi` is float mode only."""
+    denominator (float64 over 1 in float mode). `psi` is float in both modes."""
 
     eigenvalues: tuple
     numerators: np.ndarray
     denominator: int
-    psi: np.ndarray | None
+    psi: np.ndarray
 
     @property
     def exact(self) -> bool:
@@ -536,14 +536,17 @@ class EigenSystem:
 
 def eigensystem_simple(g: HostGraph, p, cap: int = STATE_CAP) -> EigenSystem:
     """All 2^m closed-form eigenvectors at once: phi is the Kronecker product
-    of the whole per-edge factors. In float mode the psi rows are the phi
-    rows rescaled, with one stationary law (the last phi row) for all."""
+    of the whole per-edge factors. The psi rows are the phi rows as floats
+    rescaled, with one stationary law (the last phi row) for all and p_e
+    read from each factor as f[1, 1] / f[0, 1]."""
     factors, den = _phi_factors(g, p, cap)
     m, rows = g.m, _kron(factors)
     exact = rows.dtype == object
     levels = np.array([Fraction(k, m) if exact else k / m for k in range(m + 1)], dtype=object)
     values = tuple(levels[np.bitwise_count(np.arange(1 << m))].tolist())
-    psi = None if exact else rows * _psi_scale(f[1, 1] for f in factors)[:, None] / np.sqrt(rows[-1])
+    psi = (rows / den).astype(float, copy=False)  # int / int rounds as float(Fraction) does
+    psi *= _psi_scale(f[1, 1] / f[0, 1] for f in factors)[:, None]
+    psi /= np.sqrt(psi[-1])
     return EigenSystem(values, rows, den, psi)
 
 

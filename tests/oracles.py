@@ -40,10 +40,10 @@ at a time:
 * the walk one drawn edit at a time, where the library applies only the
   last edit on each support between two records and composes commuting
   edits in numpy;
-* the walk table's support edges by a scan of every set bit of every
-  edit's support, with support ids keyed by the bytes of each edge list,
-  where the library lists the edges of each distinct support once and
-  takes the support ids from the distribution's grouping;
+* the walk table's block layout by a scan of every set bit of every
+  edit's support, with support ids keyed by each edge list, where the
+  library compares the sorted distinct supports with the aligned blocks
+  once and takes the support ids from the distribution's grouping;
 * the lazy intersection draw with each row's ranks from two argsorts and
   each edit built as a Python int, where the library scatters one sort
   order back and hands the walk kernel star indices and bit rows;
@@ -688,38 +688,36 @@ def draw_masks(dist, rng, size: int) -> tuple[list[int], list[int]]:
 
 @dataclass(frozen=True)
 class ScannedTable:
-    """The walk table's support arrays as a scan of every set bit of every
-    edit's support builds them: each edit's support `edges` from `starts`
-    for `lengths`, a plus flag on each, support ids in first-seen order
-    keyed by the bytes of each edit's edge list, and whether no edge lies
-    in two distinct supports."""
+    """The walk table as a scan of every set bit of every edit's support
+    builds it: support ids in first-seen order keyed by each edit's edge
+    list, whether the distinct supports are the aligned blocks
+    [k*width, (k+1)*width) for k < blocks, and only then each edit's plus
+    within its block as a (edits, width) bool array."""
 
-    edges: np.ndarray
-    flags: np.ndarray
-    lengths: np.ndarray
-    starts: np.ndarray
     sid: np.ndarray
     disjoint: bool
+    blocks: int | None = None
+    width: int | None = None
+    bits: np.ndarray | None = None
 
 
 def edit_table_by_scan(dist) -> ScannedTable:
-    edits, edges, flags = [], [], []
-    for k, (plus, minus) in enumerate(zip(dist.plus.tolist(), dist.minus.tolist())):
-        support = plus | minus
+    lists = []
+    for plus, minus in zip(dist.plus.tolist(), dist.minus.tolist()):
+        support, edges = plus | minus, []
         while support:
             low = support & -support
-            edits.append(k)
             edges.append(low.bit_length() - 1)
-            flags.append((plus & low) != 0)
             support ^= low
-    edges, flags = np.array(edges, np.int64), np.array(flags, bool)
-    lengths = np.bincount(np.array(edits, np.int64), minlength=len(dist.plus))
-    starts = np.cumsum(lengths) - lengths
-    data, ids = edges.tobytes(), {}
-    sid = np.array([ids.setdefault(data[8 * a:8 * (a + n)], len(ids))
-                    for a, n in zip(starts.tolist(), lengths.tolist())], np.int64)
-    used = np.sort(np.frombuffer(b"".join(ids), np.int64))
-    return ScannedTable(edges, flags, lengths, starts, sid, not (used[1:] == used[:-1]).any())
+        lists.append(tuple(edges))
+    ids = {}
+    sid = np.array([ids.setdefault(edges, len(ids)) for edges in lists], np.int64)
+    distinct = sorted(ids)  # an empty support first, blocks by their first edge
+    width = len(distinct[0])
+    if not width or any(edges != tuple(range(k * width, (k + 1) * width)) for k, edges in enumerate(distinct)):
+        return ScannedTable(sid, False)
+    bits = np.array([[plus >> e & 1 for e in edges] for plus, edges in zip(dist.plus.tolist(), lists)], bool)
+    return ScannedTable(sid, True, len(distinct), width, bits)
 
 
 def walk_by_step(dist, initial: EdgeSet, times, rng) -> list[int]:

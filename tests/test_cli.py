@@ -358,6 +358,49 @@ def test_format_is_only_for_spectrum_and_stationary(tmp_path, argv):
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]  # nothing written
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"model": {"name": "simpel"}}, "model.name: unknown model name 'simpel'"),
+        ({"model": {"name": "simple", "p_preset": {"kind": "er"}}},
+         "model.p_preset.kind: unknown p_preset kind 'er'"),
+        ({"mode": "exact"}, "mode: expected rational|double, got 'exact'"),
+        ({"model": {"p": 0.5}}, 'model: config needs a single "model" object with a "name"'),
+        ({"host": None}, 'host: config needs a "host" object'),
+        ({"model": {"name": "simple"}}, 'model.p: model "simple" needs "p" or "p_preset" in model params'),
+        ({"model": {"name": "custom", "edits": []}},
+         'model.edits: model "custom" needs a non-empty "edits" list'),
+    ],
+    ids=["model-name", "p-preset-kind", "mode", "model-without-name", "no-host", "simple-without-p",
+         "custom-without-edits"],
+)
+def test_loader_faults_name_their_key(tmp_path, capsys, config, message):
+    cfg = {"host": {"n": 3, "edges": [[0, 1], [1, 2]]}, "model": {"name": "simple", "p": 0.25},
+           "T": 5, **config}
+    if cfg["host"] is None:
+        del cfg["host"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_library_warnings_print_once(tmp_path, capsys):
+    # the supports miss edge 2, which recurrent_class and stationary_faces both warn of
+    cfg = write_config(
+        tmp_path,
+        host={"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]},
+        model={"name": "custom", "edits": [{"edit": "+0 -1", "weight": "1/2"},
+                                           {"edit": "-0 +1", "weight": "1/2"}]},
+    )
+    assert main(["mixing", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == (
+        "warning: generator supports cover only 0x3 of 0x7; uncovered edges are frozen at the initial state\n"
+    )
+    assert (tmp_path / "mixing.csv").exists()
+
+
 def test_missing_host_is_validation_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"model": {"name": "simple", "p": 0.5}}))

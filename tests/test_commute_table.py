@@ -181,3 +181,21 @@ def test_float_law_from_numerators_rounds_as_fractions_do():
         assert np.array_equal(law, [float(x) for x in ew.stationary_closed_form(g, p)])
         floats = [float(x) for x in p]
         assert np.array_equal(spectral._stationary_floats(g, floats), ew.stationary_closed_form(g, floats))
+
+
+@pytest.mark.parametrize("block", [cli.COMMUTE_BLOCK, 1000])
+def test_compound_commute_text_is_the_per_cell_str(tmp_path, monkeypatch, block):
+    """Moran K5 (290 states): the streamed rows, several per block, hold the
+    text `str(hit[i, j] + hit[j, i])` of every cell."""
+    monkeypatch.setattr(cli, "COMMUTE_BLOCK", block)
+    cfg = tmp_path / "moran5.json"
+    cfg.write_text(json.dumps({"host": {"preset": "complete", "params": [5]}, "model": {"name": "moran"}}))
+    assert main(["commute", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+    g, dist = ew.complete_graph(5), ew.moran_weights(ew.complete_graph(5))
+    tm = ew.build_chain(dist, g, ew.recurrent_class(dist, g, initial=g.full_set()))
+    hit = spectral._hitting_columns(tm, range(tm.size))
+    names = [format(mask, "#x") for mask in tm.masks.tolist()]
+    want = [[names[i]] + [str(hit[i, j] + hit[j, i]) for j in range(tm.size)] for i in range(tm.size)]
+    _, header, rows = read_csv(tmp_path / "commute.csv")
+    assert tm.size == 290 and header == ["state"] + names and rows == want

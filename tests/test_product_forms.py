@@ -59,7 +59,6 @@ def test_phi_psi_and_eigensystem_match_loops(m, exact):
         assert system.numerators.dtype == object
         assert all(type(x) is int for x in system.numerators.ravel())
         assert [[Fraction(v, system.denominator) for v in r] for r in system.numerators] == rows
-        assert system.psi is None
         assert system.eigenvalues == tuple(Fraction(t.bit_count(), m) for t in range(1 << m))
     else:
         assert system.numerators.dtype == float and system.denominator == 1
@@ -68,7 +67,9 @@ def test_phi_psi_and_eigensystem_match_loops(m, exact):
         assert all(type(x) is float for x in system.eigenvalues)
 
     psi_rows = psi_rows_enumerated(g, p, np.arange(1 << m))
-    if not exact:
+    if exact:  # the float rows of the exact phi, rounded once per cell
+        assert system.psi.dtype == float and np.allclose(system.psi, psi_rows, rtol=1e-12, atol=1e-14)
+    else:
         assert np.array_equal(system.psi, psi_rows)
     for t in range(1 << m):
         assert np.array_equal(ew.psi(ew.EdgeSet(m, t), g, p), psi_rows[t])

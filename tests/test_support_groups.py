@@ -1,11 +1,12 @@
 """A distribution groups its edits by support once (`support_groups`), and
 the walk table takes its support ids from that grouping.
 
-The table is compared with the former scan over every set bit of every
-edit's support (`oracles.edit_table_by_scan`): the same per-edit edge
-arrays whenever the supports are disjoint, the same `disjoint`, and
-support ids that induce the same partition of the edits. The grouping is
-compared with a dict keyed by support mask.
+The table is compared with a scan over every set bit of every edit's
+support (`oracles.edit_table_by_scan`): the same `disjoint` (the supports
+are aligned blocks), the same `blocks`, `width` and in-block `bits` when
+they are, and support ids that induce the same partition of the edits.
+Disjoint supports off the blocks act in step order, as the step-by-step
+walk does. The grouping is compared with a dict keyed by support mask.
 """
 
 import math
@@ -13,11 +14,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import edit_table_by_scan
+from oracles import edit_table_by_scan, walk_by_step
 from test_random_families import seeded_families
 
 import editwalk as ew
-from editwalk.process import _common_denominator, _EditTable
+from editwalk import process
+from editwalk.process import _common_denominator, _EditTable, _walk, make_rng
 
 
 def _custom(m, supports, seed, identity=False):
@@ -38,8 +40,11 @@ FAMILIES = {
     "simple K12 (m=66)": lambda: ew.simple_edit_weights(ew.complete_graph(12), 0.3),
     "intersection 2x3": lambda: ew.intersection_weights(2, 3, [0.1, 0.2, 0.3, 0.4]),
     "intersection 20x4 (m=80)": lambda: ew.intersection_weights(20, 4, MU4),
-    "disjoint custom m=70": lambda: _custom(70, [0b111 << e for e in range(0, 69, 3)], 1),
+    "disjoint custom m=70": lambda: _custom(70, [0b111 << e for e in range(0, 69, 3)], 1),  # edge 69 uncovered
+}
+OFF_BLOCKS = {
     "disjoint with identity m=9": lambda: _custom(9, [0b11, 0b1100, 0b111 << 5], 2, identity=True),
+    "interleaved {0,2} {1,3}": lambda: _custom(4, [0b101, 0b1010], 4),
 }
 
 
@@ -49,14 +54,27 @@ def same_partition(a, b) -> bool:
 
 
 @pytest.mark.parametrize("name", FAMILIES)
-def test_disjoint_table_matches_the_scan(name):
+def test_block_table_matches_the_scan(name):
     dist = FAMILIES[name]()
     table, scanned = _EditTable(dist), edit_table_by_scan(dist)
     assert table.disjoint and scanned.disjoint
-    for field in ("edges", "flags", "lengths", "starts"):
-        got, expected = getattr(table, field), getattr(scanned, field)
-        assert got.dtype == expected.dtype and np.array_equal(got, expected), field
+    assert (table.blocks, table.width) == (scanned.blocks, scanned.width)
+    assert table.bits.dtype == bool and np.array_equal(table.bits, scanned.bits)
     assert same_partition(table.sid, scanned.sid)
+
+
+@pytest.mark.parametrize("name", OFF_BLOCKS)
+def test_disjoint_families_off_the_blocks_act_in_step_order(name):
+    dist = OFF_BLOCKS[name]()
+    table, scanned = _EditTable(dist), edit_table_by_scan(dist)
+    assert not table.disjoint and not scanned.disjoint and not hasattr(table, "bits")
+    assert same_partition(table.sid, scanned.sid)
+    start = ew.EdgeSet(dist.m, 0b1010)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(process, "COMPOSE_MIN_WRITERS", 1)  # every pass reduces its words
+        for thin in (1, 3, 50):
+            times = list(range(thin, 2000, thin))
+            assert _walk(dist, start, times, make_rng(thin)) == walk_by_step(dist, start, times, make_rng(thin))
 
 
 @pytest.mark.parametrize("n", [5, 30])
@@ -64,7 +82,7 @@ def test_moran_table_keeps_no_per_edit_edges(n):
     dist = ew.moran_weights(ew.complete_graph(n))
     table, scanned = _EditTable(dist), edit_table_by_scan(dist)
     assert not table.disjoint and not scanned.disjoint
-    assert not any(hasattr(table, field) for field in ("edges", "flags", "lengths", "starts"))
+    assert not hasattr(table, "bits")
     assert same_partition(table.sid, scanned.sid) and table.sid.max() == n - 1
 
 
@@ -86,7 +104,7 @@ def grouping_by_dict(dist):
 
 def test_support_groups_match_a_dict_grouping():
     families = [dist for _, dist in [*seeded_families(424242, 20), *seeded_families(777, 10)]]
-    families += [make() for make in FAMILIES.values()]
+    families += [make() for make in (*FAMILIES.values(), *OFF_BLOCKS.values())]
     families += [ew.moran_weights(ew.complete_graph(n)) for n in (4, 12)]
     for dist in families:
         supports, first, index = dist.support_groups

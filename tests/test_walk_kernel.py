@@ -6,9 +6,9 @@ validated per step. These tests check what that validation guarded: every
 recorded move is a move of the law, lazy draws rewire exactly one star, and
 the recorded times do not depend on where the blocks end. Between two
 records the kernel applies only the last draw on each support, composed
-into one edit when the supports are disjoint; a hypothesis test compares
-it with the step-by-step walk in `oracles` on every kind of family, with
-the block size and the composition cutoff patched small.
+into one edit when the supports are aligned blocks; a hypothesis test
+compares it with the step-by-step walk in `oracles` on every kind of
+family, with the block size and the composition cutoff patched small.
 """
 
 from dataclasses import replace
@@ -111,11 +111,11 @@ def _cycle(m):
     return from_edge_list(m, [(i, (i + 1) % m) for i in range(m)])
 
 
-def _custom(m, supports, seed):
+def _custom(m, supports, seed, identity=True):
     """A family with one or two edits on each support (random signs, random
-    weights) and the identity edit."""
+    weights) and, unless told not to, the identity edit."""
     rng = np.random.default_rng(seed)
-    masks = [(0, 0)]
+    masks = [(0, 0)] if identity else []
     for support in supports:
         for _ in range(int(rng.integers(1, 3))):
             plus = support & int.from_bytes(rng.bytes(m // 8 + 1), "little")
@@ -147,6 +147,7 @@ FAMILIES = {
     "overlapping m=70": lambda: _overlapping(70, 9, 2),
     "disjoint pairs m=12": lambda: _pairs(12),
     "disjoint pairs m=80": lambda: _pairs(80),
+    "aligned triples m=70": lambda: _custom(70, [0b111 << e for e in range(0, 69, 3)], 70, identity=False),
 }
 
 
