@@ -509,6 +509,7 @@ def cmd_commute(cfg: RunConfig, args: argparse.Namespace) -> int:
         check_cap(len(masks) ** 2, cfg.cap, f"{len(masks)}^2 commute-matrix cells")
         tm = build_chain(cfg.weights, cfg.host, masks, cfg.cap)
         masks = tm.masks.tolist()
+        meta["cells"] = "float64"  # one float solve, whatever the mode
         hit = _hitting_columns(tm, range(tm.size))
         matrix = _commute_text(lambda s: hit[s] + hit[:, s].T, tm.size, None)
     names = [format(mask, "#x") for mask in masks]

@@ -6,11 +6,14 @@ reports the residual against the check's one fixed tolerance: 1e-12 for
 the identities, 1e-10 for orthonormality, 1e-8 for the eigenvalue multiset
 and the commute backends, 0 for the counts. Checks return results rather
 than raising, so the CLI can print a full table and exit nonzero only at
-the end. In rational mode the identity residuals are exact zeros.
+the end. In rational mode the identity residuals are exact zeros, and an
+exact chain's eigenvalue multiset is proved rather than compared with an
+eigensolve (`_spectrum_certificate`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,6 +42,9 @@ from .spectral import (
 )
 
 ROW_BLOCK = 1 << 6  # eigenvector rows per exact residual product
+# Power sums run mod a prime below PRIME_BOUND: N residue products of
+# (p - 1)^2 < 2^34 each sum below 2^53, exact in float64, for N < p.
+PRIME_BOUND = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -115,8 +121,82 @@ def check_q_symmetry(tm: TransitionMatrix, pi) -> CheckResult:
 
 
 def check_spectrum_multiset(report, tm: TransitionMatrix) -> CheckResult:
-    residual = eigenvalue_multiset_residual(report.eigenvalue_multiset(), numeric_eigenvalues(tm))
-    return _result("spectrum_multiset", residual, 1e-8)
+    """The report's eigenvalue multiset against the chain's. A float chain's
+    is the sorted gap to a dense eigensolve; an exact chain's is proved by
+    `_spectrum_certificate` (residual 0, or 1 and what failed)."""
+    if not tm.exact:
+        residual = eigenvalue_multiset_residual(report.eigenvalue_multiset(), numeric_eigenvalues(tm))
+        return _result("spectrum_multiset", residual, 1e-8)
+    fault = _spectrum_certificate(report, tm)
+    return CheckResult("spectrum_multiset", float(fault is not None), 1e-8, fault is None,
+                       "exact" if fault is None else f"exact: {fault}")
+
+
+def _candidate_primes(n: int):
+    """Primes p with n < p < PRIME_BOUND, largest first."""
+    for p in range(PRIME_BOUND - 1, n, -1):
+        if p % 2 and all(p % d for d in range(3, math.isqrt(p) + 1, 2)):
+            yield p
+
+
+def _trace_product(a: np.ndarray, b: np.ndarray, p: int) -> int:
+    """tr(a b) mod p for float64 residue matrices: each row's inner product
+    stays below 2^53, so it is exact before it is reduced."""
+    return int(np.fmod(np.einsum("ij,ji->i", a, b), p).sum()) % p
+
+
+def _spectrum_certificate(report, tm: TransitionMatrix) -> str | None:
+    """None when the exact chain's eigenvalue multiset is the report's, else
+    what failed. The report's D distinct levels are a_j / L, with totals t_j
+    (the multiplicities of each level's flats summed); the chain is the
+    integer cells N over `den`. Two tests prove the claim:
+
+    - Annihilator: v prod_j (L N - a_j den I) = 0 exactly, for two random
+      integer vectors v from a generator of its own, so verify's other
+      draws stay as they were (a nonzero product survives each with
+      probability at most 2^-31). A zero product means every eigenvalue is
+      a level and P is diagonalizable.
+    - Power sums: tr(N^k) L^k = den^k sum_j t_j a_j^k mod a prime p for
+      k < D, with N < p < PRIME_BOUND, p dividing neither den nor L, and the
+      a_j distinct mod p. The true multiplicities satisfy the same D
+      equations, whose Vandermonde matrix is invertible mod p, so each t_j
+      equals its multiplicity mod p, and as both lie in [0, N], exactly.
+
+    The traces come from float64 residue matrices: powers of N mod p up to
+    ceil((D - 1) / 2), tr(N^(i + j)) = tr(N^i N^j) by row-wise inner
+    products, at most three N x N arrays held at once."""
+    nums, L = _common_denominator(report.levels)
+    a = nums.tolist()
+    totals = np.zeros(len(a), np.int64)
+    np.add.at(totals, report.index, report.multiplicities)
+    n, den = tm.size, tm.denominator
+    if totals.min() < 0 or totals.max() > n:
+        return f"a multiplicity total lies outside [0, {n}]"
+
+    v = np.random.default_rng(0).integers(0, 1 << 31, size=(2, n)).astype(object)
+    for level in a:
+        v = L * tm.left_apply(v) - (level * den) * v
+    if (v != 0).any():
+        return "the levels do not annihilate the chain"
+
+    for p in _candidate_primes(n):
+        if den % p and L % p and len({x % p for x in a}) == len(a):
+            break
+    else:
+        return f"no prime in ({n}, {PRIME_BOUND}) suits the denominators and levels"
+    R = tm._dense(0.0, (tm.numerators % p).astype(float))
+    traces = [n % p, int(R.trace()) % p, _trace_product(R, R, p)]
+    power = R  # R^j, whose traces through 2j are known
+    while len(traces) < len(a):
+        step = power @ R
+        np.fmod(step, p, out=step)
+        traces += [_trace_product(power, step, p), _trace_product(step, step, p)]
+        power = step
+    for k, trace in enumerate(traces[:len(a)]):
+        claimed = sum(t * pow(x, k, p) for t, x in zip(totals.tolist(), a))
+        if (trace * pow(L, k, p) - pow(den, k, p) * claimed) % p:
+            return f"power sum {k} differs mod {p}"
+    return None
 
 
 def check_commute_backends(g: HostGraph, p, tm: TransitionMatrix, pairs) -> CheckResult:

@@ -320,7 +320,7 @@ def test_rational_verification_at_seven_edges_is_exact():
     assert all(r.passed for r in results), [r.line() for r in results]
     exact = {r.name: r.residual for r in results if r.detail == "exact"}
     assert set(exact) == {
-        "stationary_fixed_point", "detailed_balance", "eigenvector_residual"
+        "stationary_fixed_point", "detailed_balance", "eigenvector_residual", "spectrum_multiset"
     }
     assert all(v == 0.0 for v in exact.values())
     assert next(r for r in results if r.name == "row_stochastic").residual == 0.0

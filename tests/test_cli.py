@@ -545,6 +545,7 @@ def test_commute_matrix_matches_library(tmp_path):
     assert main(["commute", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     meta, header, rows = read_csv(tmp_path / "commute.csv")
     assert header == ["state", "0x0", "0x1", "0x2", "0x3"]
+    assert "cells" not in meta  # exact cells, from the S/T table
     from editwalk import commute_time, from_edge_list
 
     g = from_edge_list(3, [(0, 1), (1, 2)])
@@ -553,6 +554,17 @@ def test_commute_matrix_matches_library(tmp_path):
         a = EdgeSet(2, int(row[0], 16))
         for j, cell in enumerate(row[1:]):
             assert Fraction(cell) == commute_time(a, EdgeSet(2, j), g, p)
+
+
+@pytest.mark.parametrize("mode", ["rational", "double"])
+def test_compound_commute_says_its_cells_are_float(tmp_path, mode):
+    """A compound matrix comes from one float64 solve in either mode, and
+    its header says so under the mode."""
+    cfg = write_config(tmp_path, host={"preset": "complete", "params": [4]},
+                       model={"name": "moran"}, mode=mode)
+    assert main(["commute", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    meta, _, rows = read_csv(tmp_path / "commute.csv")
+    assert (meta["mode"], meta["cells"], len(rows)) == (mode, "float64", 37)
 
 
 def test_commute_cap(tmp_path, capsys):
