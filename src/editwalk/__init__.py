@@ -31,7 +31,6 @@ from .process import (
     empirical_distribution,
     erdos_renyi_probabilities,
     intersection_host,
-    intersection_stationary,
     intersection_weights,
     make_rng,
     moran_weights,
@@ -44,7 +43,6 @@ from .spectral import (
     brown_tv_bound,
     build_chain,
     commute_time,
-    commute_time_chain,
     eigensystem_simple,
     eigenvalue_multiset_residual,
     eigenvalues_simple,
@@ -56,8 +54,6 @@ from .spectral import (
     moran_complete_mixing_bound,
     numeric_eigenvalues,
     phi,
-    psi,
-    q_matrix,
     recurrent_class,
     simple_tv_bound,
     spectrum,
@@ -66,7 +62,6 @@ from .spectral import (
     stationary_numeric,
     to_dot,
     tv_decay,
-    tv_distance,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -38,10 +38,6 @@ class HostMismatch(ValidationError):
     """Operands refer to hosts with different edge counts."""
 
 
-class NotAChamber(ValidationError):
-    """Edit does not assign a sign to every host edge."""
-
-
 class ProbabilityOutOfRange(ValidationError):
     """Edge probabilities must lie strictly between 0 and 1."""
 
@@ -64,9 +60,6 @@ class DegenerateGap(ValidationError):
 
 class CapExceeded(EditWalkError):
     """An enumeration would exceed the configured state/flat cap."""
-
-
-ClosureTooLarge = CapExceeded  # every cap raises the one type; the old name stays importable
 
 
 def check_cap(count: int, cap: int, what: str) -> None:

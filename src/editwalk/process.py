@@ -411,18 +411,6 @@ def intersection_host(n: int, N: int) -> HostGraph:
     return complete_bipartite(n, N)
 
 
-def intersection_stationary(n: int, N: int, mu: Sequence) -> np.ndarray:
-    """Closed-form stationary law of the neighborhood-reassignment chain,
-    as a vector over all 2^(nN) states in ascending mask order.
-
-    Each left vertex's neighborhood is independent with P(A) = mu(|A|)/C(N,|A|),
-    so the law is the Kronecker product of n copies of that block.
-    """
-    check_cap(1 << n * N, STATE_CAP, f"2^{n * N} states")
-    by_size = np.array([float(mu[k]) / math.comb(N, k) for k in range(N + 1)])
-    return _kron([by_size[np.bitwise_count(np.arange(1 << N))]] * n)
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Thinned record of a simulated walk, reproducible from its seed. The

@@ -1,9 +1,9 @@
-"""CSV / JSON / JSONL artifact writers and readers.
+"""CSV / JSON / JSONL artifact writers.
 
 Every emitted file starts with a provenance header (version, seed, host
 hash). CSV headers are '#'-prefixed key: value lines before the column
 row; JSON payloads carry a "meta" object; JSONL streams start with a meta
-record. Readers invert the writers so artifacts round-trip.
+record. The matching readers live with the tests, in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -43,21 +43,6 @@ def write_csv(path: Path | str, meta: dict, columns: Sequence[str], rows: Iterab
         writer.writerows(rows)
 
 
-def read_csv(path: Path | str) -> tuple[dict, list[str], list[list[str]]]:
-    meta: dict = {}
-    lines = Path(path).read_text().splitlines()
-    body_start = 0
-    for i, line in enumerate(lines):
-        if not line.startswith("#"):
-            body_start = i
-            break
-        key, _, value = line[1:].partition(":")
-        meta[key.strip()] = value.strip()
-    reader = csv.reader(lines[body_start:])
-    table = [row for row in reader if row]
-    return meta, table[0], table[1:]
-
-
 _SCALARS = {str, int, float, bool, type(None)}
 
 
@@ -95,11 +80,6 @@ def write_json(path: Path | str, meta: dict, payload) -> None:
         fh.write("[]\n}\n" if sep == "[\n    " else "\n  ]\n}\n")
 
 
-def read_json(path: Path | str) -> tuple[dict, object]:
-    obj = json.loads(Path(path).read_text())
-    return obj["meta"], obj["data"]
-
-
 def write_jsonl(path: Path | str, meta: dict, records: Iterable[dict | str]) -> None:
     """One JSON value per line after the meta record. Records are consumed
     as they come; a dict is encoded with `json.dumps`, a str is taken as an
@@ -108,10 +88,3 @@ def write_jsonl(path: Path | str, meta: dict, records: Iterable[dict | str]) -> 
         fh.write(json.dumps({"meta": meta}) + "\n")
         for record in records:
             fh.write((record if isinstance(record, str) else json.dumps(record)) + "\n")
-
-
-def read_jsonl(path: Path | str) -> tuple[dict, list[dict]]:
-    with open(path) as fh:
-        first = json.loads(fh.readline())
-        records = [json.loads(line) for line in fh if line.strip()]
-    return first["meta"], records

@@ -508,21 +508,14 @@ def phi(T: EdgeSet, g: HostGraph, p, cap: int = STATE_CAP):
     return [Fraction(v, den) for v in row] if row.dtype == object else row
 
 
-def psi(T: EdgeSet, g: HostGraph, p) -> np.ndarray:
-    """Orthonormal version of phi: scaled by prod(sqrt(p_e(1-p_e)), e not
-    in T) and divided by sqrt of the stationary law entrywise. These are
-    left eigenvectors of the symmetrized matrix Q and form an orthonormal
-    system. Always float (square roots)."""
-    probs = [float(pe) for pe in _per_edge_probabilities(g, p)]
-    return phi(T, g, probs) * _psi_scale(probs)[T.mask] / np.sqrt(stationary_closed_form(g, probs))
-
-
 @dataclass(frozen=True)
 class EigenSystem:
     """Full left eigensystem of a per-edge update chain: row i belongs to the
     edge subset with mask i, column j to the state with mask j. As in
     `TransitionMatrix`, phi is held as Python-int numerators over one
-    denominator (float64 over 1 in float mode). `psi` is float in both modes."""
+    denominator (float64 over 1 in float mode). `psi`, float in both modes,
+    holds phi's rows made orthonormal: the left eigenvectors of the
+    symmetrized chain D^(1/2) P D^(-1/2)."""
 
     eigenvalues: tuple
     numerators: np.ndarray
@@ -548,13 +541,6 @@ def eigensystem_simple(g: HostGraph, p, cap: int = STATE_CAP) -> EigenSystem:
     psi *= _psi_scale(f[1, 1] / f[0, 1] for f in factors)[:, None]
     psi /= np.sqrt(psi[-1])
     return EigenSystem(values, rows, den, psi)
-
-
-def q_matrix(tm: TransitionMatrix, pi: np.ndarray) -> np.ndarray:
-    """Similarity transform D^(1/2) P D^(-1/2); symmetric iff the chain is
-    reversible with respect to pi."""
-    root = np.sqrt(np.asarray(pi, dtype=float))
-    return tm.to_float() * root[:, None] / root[None, :]
 
 
 def _law(tm: TransitionMatrix, pi) -> tuple[TransitionMatrix, np.ndarray, int]:
@@ -603,15 +589,6 @@ def _symmetrized(tm: TransitionMatrix, pi: np.ndarray) -> np.ndarray | None:
 # ---------------------------------------------------------------------------
 # total variation and mixing bounds
 # ---------------------------------------------------------------------------
-
-
-def tv_distance(mu, nu) -> float:
-    """Half the l1 distance between two probability vectors."""
-    a = np.asarray([float(x) for x in mu], dtype=float)
-    b = np.asarray([float(x) for x in nu], dtype=float)
-    if a.shape != b.shape:
-        raise LengthMismatch(f"vector lengths differ: {a.shape} != {b.shape}")
-    return 0.5 * float(np.abs(a - b).sum())
 
 
 def tv_decay(
@@ -893,16 +870,6 @@ def _hitting_columns(tm: TransitionMatrix, targets: Sequence[int]) -> np.ndarray
     if np.abs(A @ Z - B).max(initial=0.0) > SOLVE_RESIDUAL_TOL * scale:
         raise NotIrreducible("fundamental-matrix solve left a large residual")
     return (Z[t, columns] - Z) / pi[t]
-
-
-def commute_time_chain(tm: TransitionMatrix, x: EdgeSet | int, y: EdgeSet | int) -> float:
-    """Round trip through a generic chain: hitting there plus hitting back,
-    both from one fundamental-matrix solve."""
-    i, j = tm.index_of(x), tm.index_of(y)
-    if i == j:
-        return 0.0
-    hit = _hitting_columns(tm, [j, i])
-    return float(hit[i, 0] + hit[j, 1])
 
 
 # ---------------------------------------------------------------------------

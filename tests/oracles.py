@@ -13,11 +13,12 @@ at a time:
 * explicit sums over all 2^m - 1 proper edge subsets T for the commute and
   hitting times, which `commute_time` and `hitting_time_closed` now
   evaluate as polynomial coefficients;
-* per-edge and per-state loops for phi, the psi scaling and
-  `intersection_stationary`, which the library now builds as Kronecker
-  products of per-edge (or per-vertex) factors, and the commute time term
-  by term (`commute_terms_enumerated`), which `commute_time` sums in
-  O(m^2);
+* per-edge and per-state loops for phi and the psi scaling, which the
+  library now builds as Kronecker products of per-edge factors, the
+  product-form law of the intersection model (one per-vertex law per left
+  vertex), which the library reaches through `stationary_faces`, and the
+  commute time term by term (`commute_terms_enumerated`), which
+  `commute_time` sums in O(m^2);
 * the `simulate` record path as one dict per state encoded by `json.dumps`,
   with edge indices found by testing every host edge and acyclicity by one
   union-find per state, where the library decodes the set bits of a block
@@ -61,18 +62,21 @@ at a time:
 It also keeps the helpers that only the tests use: the action of an edit
 on a state, its support, the two edit orders, chambers and their states,
 the star of edges at a vertex, the sign-table state order and
-permutations into it, a chain from a dense matrix, one walk step, drawn
-edits as masks, and the weight of one edit of the lazy intersection
-model.
+permutations into it, a chain from a dense matrix, its dense symmetrized
+matrix and a commute time through its fundamental matrix, one walk step,
+drawn edits as masks, the weight of one edit of the lazy intersection
+model, and the readers of the CSV, JSON and JSONL artifacts.
 
 The tests compare the two.
 """
 
+import csv
 import enum
 import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -81,7 +85,6 @@ from editwalk.errors import (
     EdgeOutOfRange,
     EditWalkError,
     HostMismatch,
-    NotAChamber,
     NotIrreducible,
     ValidationError,
     VertexOutOfRange,
@@ -102,6 +105,7 @@ from editwalk.serialize import artifact_meta
 from editwalk.spectral import (
     TransitionMatrix,
     _covered,
+    _hitting_columns,
     _symmetrized,
     stationary_numeric,
 )
@@ -244,6 +248,10 @@ def prec(x: Edit, y: Edit) -> bool:
     if x.m != y.m:
         raise HostMismatch(f"edge counts differ: {x.m} != {y.m}")
     return x.support_mask & ~y.support_mask == 0
+
+
+class NotAChamber(ValidationError):
+    """Edit does not assign a sign to every host edge."""
 
 
 def chamber_of(state: EdgeSet) -> Edit:
@@ -435,6 +443,34 @@ def write_simulate_artifacts(cfg, state_format: str) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
+def read_csv(path) -> tuple[dict, list[str], list[list[str]]]:
+    """The '#'-prefixed `key: value` header lines of a CSV artifact, its
+    column row and its data rows."""
+    meta: dict = {}
+    lines = Path(path).read_text().splitlines()
+    body_start = 0
+    for i, line in enumerate(lines):
+        if not line.startswith("#"):
+            body_start = i
+            break
+        key, _, value = line[1:].partition(":")
+        meta[key.strip()] = value.strip()
+    table = [row for row in csv.reader(lines[body_start:]) if row]
+    return meta, table[0], table[1:]
+
+
+def read_json(path) -> tuple[dict, object]:
+    obj = json.loads(Path(path).read_text())
+    return obj["meta"], obj["data"]
+
+
+def read_jsonl(path) -> tuple[dict, list[dict]]:
+    with open(path) as fh:
+        first = json.loads(fh.readline())
+        records = [json.loads(line) for line in fh if line.strip()]
+    return first["meta"], records
+
+
 def _mobius_row(lat, i: int) -> dict[int, int]:
     """mu(X, Y) for flat X = lat.flats[i] and every flat Y >= X, keyed by
     the index of Y. Filled in lattice order, so every strictly intermediate
@@ -565,6 +601,23 @@ def hitting_times_first_step(tm, target: int) -> np.ndarray:
     keep = [k for k in range(tm.size) if k != target]
     h = np.linalg.solve(np.eye(len(keep)) - P[np.ix_(keep, keep)], np.ones(len(keep)))
     return np.insert(h, target, 0.0)
+
+
+def q_matrix(tm, pi) -> np.ndarray:
+    """The dense similarity transform D^(1/2) P D^(-1/2); symmetric iff the
+    chain is reversible with respect to pi."""
+    root = np.sqrt(np.asarray(pi, dtype=float))
+    return tm.to_float() * root[:, None] / root[None, :]
+
+
+def commute_time_chain(tm, x, y) -> float:
+    """Round trip through a generic chain: hitting there plus hitting back,
+    both from one fundamental-matrix solve."""
+    i, j = tm.index_of(x), tm.index_of(y)
+    if i == j:
+        return 0.0
+    hit = _hitting_columns(tm, [j, i])
+    return float(hit[i, 0] + hit[j, 1])
 
 
 class NotReversible(EditWalkError):

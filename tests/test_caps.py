@@ -10,7 +10,7 @@ import pytest
 import editwalk as ew
 from editwalk.cli import main
 from editwalk.errors import CapExceeded
-from editwalk.serialize import read_csv, read_json
+from oracles import read_csv, read_json
 
 K4_SIMPLE = {"host": {"preset": "complete", "params": [4]}, "model": {"name": "simple", "p": 0.5}}
 K4_MORAN = {"host": {"preset": "complete", "params": [4]}, "model": {"name": "moran"}}

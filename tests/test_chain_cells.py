@@ -19,7 +19,7 @@ import editwalk as ew
 from editwalk import spectral, verify
 from editwalk.errors import SupportNotCovering, ValidationError
 from editwalk.spectral import TransitionMatrix
-from oracles import chain_from_dense, from_items, parse_edit, reorder, sign_lex_order
+from oracles import chain_from_dense, from_items, parse_edit, q_matrix, reorder, sign_lex_order
 from editwalk.verify import (
     check_detailed_balance,
     check_eigenvector_residuals,
@@ -248,7 +248,7 @@ def test_reversibility_residuals_match_the_dense_transpose():
             tm = ew.build_chain(ew.simple_edit_weights(g, p if exact_chain else [float(x) for x in p]), g)
             pi = ew.stationary_closed_form(g, other if exact else [float(x) for x in other])
             root = np.asarray([float(x) for x in pi])
-            Q = ew.q_matrix(tm, root)
+            Q = q_matrix(tm, root)
             assert check_q_symmetry(tm, pi).residual == float(np.abs(Q - Q.T).max())
             flow = root[:, None] * tm.to_float() if not exact else np.asarray(pi)[:, None] * tm.entries
             balance = spectral.detailed_balance_residual(tm, pi)

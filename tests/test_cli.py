@@ -21,14 +21,13 @@ from editwalk import (
 )
 from editwalk.cli import main
 from editwalk.process import SAMPLER_VERSION
-from editwalk.serialize import read_csv, read_json, read_jsonl
 from editwalk.verify import (
     check_row_stochastic,
     check_spectrum_multiset,
     run_verification,
 )
 from editwalk.spectral import eigenvalues_simple
-from oracles import chain_from_dense
+from oracles import chain_from_dense, read_csv, read_json, read_jsonl
 
 
 def write_config(tmp_path, name="config.json", **overrides):

@@ -8,7 +8,6 @@ from editwalk import (
     WeightedEdits,
     build_chain,
     commute_time,
-    commute_time_chain,
     complete_graph,
     from_edge_list,
     hitting_time,
@@ -21,6 +20,7 @@ from editwalk.errors import NotIrreducible
 from oracles import (
     NotReversible,
     commute_terms_enumerated,
+    commute_time_chain,
     hitting_time_spectral,
     largest_dropped_term,
     sign_lex_order,

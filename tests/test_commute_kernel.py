@@ -12,12 +12,12 @@ import editwalk as ew
 from editwalk import spectral
 from editwalk.cli import main
 from editwalk.errors import CapExceeded
-from editwalk.serialize import read_csv
 from oracles import (
     commute_terms_enumerated,
     commute_time_enumerated,
     hitting_time_enumerated,
     hitting_times_first_step,
+    read_csv,
 )
 
 

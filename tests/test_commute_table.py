@@ -11,7 +11,7 @@ import editwalk as ew
 from editwalk import cli, spectral
 from editwalk.cli import main
 from editwalk.errors import CapExceeded
-from editwalk.serialize import read_csv
+from oracles import read_csv
 
 
 def path_host(m):

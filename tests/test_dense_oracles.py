@@ -16,7 +16,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import NotReversible, chain_from_dense, hitting_time_spectral, hitting_times_first_step
+from oracles import (
+    NotReversible,
+    chain_from_dense,
+    commute_time_chain,
+    hitting_time_spectral,
+    hitting_times_first_step,
+)
 from test_chain_cells import cycle_family
 
 import editwalk as ew
@@ -57,7 +63,7 @@ def test_fundamental_matrix_matches_first_step_solves(name):
     i, j = 1, tm.size - 2
     E, F = (ew.EdgeSet(tm.m, int(tm.masks[k])) for k in (i, j))
     assert ew.hitting_time(tm, E, F) == pytest.approx(hit[i, j], rel=1e-12)
-    assert ew.commute_time_chain(tm, E, F) == pytest.approx(hit[i, j] + hit[j, i], rel=1e-12)
+    assert commute_time_chain(tm, E, F) == pytest.approx(hit[i, j] + hit[j, i], rel=1e-12)
 
 
 def test_transient_target_raises_and_recurrent_target_is_hit():

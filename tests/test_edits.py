@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     Edit,
+    NotAChamber,
     Sign,
     apply,
     chamber_of,
@@ -23,7 +24,7 @@ from oracles import (
 )
 
 from editwalk import EdgeSet
-from editwalk.errors import EdgeOutOfRange, HostMismatch, NotAChamber
+from editwalk.errors import EdgeOutOfRange, HostMismatch
 from editwalk.lattice import _backward_step
 
 M = 4

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import from_items, parse_edit, tv_decay_dense
+from oracles import from_items, parse_edit, read_csv, tv_decay_dense
 from test_chain_cells import cycle_family
 from test_random_families import seeded_families
 from test_spectral import random_host, random_probs
@@ -29,7 +29,6 @@ import editwalk as ew
 from editwalk import cli, spectral, verify
 from editwalk.cli import main
 from editwalk.errors import CapExceeded, SupportNotCovering
-from editwalk.serialize import read_csv
 from editwalk.spectral import TransitionMatrix
 
 

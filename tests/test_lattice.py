@@ -42,7 +42,7 @@ from editwalk import (
     spectrum,
 )
 from editwalk import build_chain, lattice
-from editwalk.errors import ClosureTooLarge, HostMismatch, SupportNotCovering, ValidationError
+from editwalk.errors import CapExceeded, HostMismatch, SupportNotCovering, ValidationError
 from editwalk.lattice import SpectrumReport, _eigenvalues
 
 
@@ -93,7 +93,7 @@ def test_closure_is_idempotent():
 
 
 def test_closure_cap():
-    with pytest.raises(ClosureTooLarge):
+    with pytest.raises(CapExceeded):
         closure(singleton_supports(8), cap=10)
 
 

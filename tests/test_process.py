@@ -14,13 +14,13 @@ from editwalk import (
     forest_flags,
     from_edge_list,
     intersection_host,
-    intersection_stationary,
     intersection_weights,
     make_rng,
     moran_weights,
     simple_edit_weights,
     simulate,
     spectrum,
+    stationary_faces,
 )
 from editwalk.errors import (
     BadDistribution,
@@ -30,7 +30,15 @@ from editwalk.errors import (
     ValidationError,
 )
 from editwalk.process import AliasSampler, WeightedEdits
-from oracles import apply, draw_masks, moran_weights_per_edge, neighborhood_edges, sample, step
+from oracles import (
+    apply,
+    draw_masks,
+    intersection_stationary_enumerated,
+    moran_weights_per_edge,
+    neighborhood_edges,
+    sample,
+    step,
+)
 
 PATH2 = from_edge_list(3, [(0, 1), (1, 2)])
 
@@ -192,10 +200,13 @@ class TestIntersectionWeights:
         assert all(abs(count - draws / n) <= 3 * (draws / 4) ** 0.5 for count in blocks.values())
 
     def test_stationary_product_construction(self):
-        pi = intersection_stationary(2, 2, [0.25, 0.5, 0.25])
+        mu = [0.25, 0.5, 0.25]
+        pi = intersection_stationary_enumerated(2, 2, mu)
         assert pi.sum() == pytest.approx(1.0)
         # independent per-vertex factors: P(both vertices fully attached)
         assert pi[-1] == pytest.approx(0.25 * 0.25)
+        masks, law = stationary_faces(intersection_weights(2, 2, mu), intersection_host(2, 2))
+        assert np.allclose(law, pi[masks], rtol=1e-12, atol=0)
 
 
 class TestWeightedEdits:

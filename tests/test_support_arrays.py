@@ -235,7 +235,8 @@ def test_lattice_reads_no_edit_objects():
     for name in ("Edit", "compose", "representatives_for", "eigenvalue"):
         assert not hasattr(lattice, name)
     for name in ("leq", "prec", "state_of", "chamber_of", "apply", "supp", "representatives_for",
-                 "Edit", "Sign", "compose", "simple_edit", "format_edit", "parse_edit"):
+                 "Edit", "Sign", "compose", "simple_edit", "format_edit", "parse_edit",
+                 "psi", "q_matrix", "tv_distance", "commute_time_chain", "intersection_stationary"):
         assert name not in ew.__all__
 
 

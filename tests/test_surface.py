@@ -8,8 +8,7 @@ import pytest
 import editwalk as ew
 from editwalk.cli import main
 from editwalk.errors import ValidationError, VertexOutOfRange
-from editwalk.serialize import read_csv, read_json
-from oracles import Edit, Sign, edit_items, lazy_intersection_weight
+from oracles import Edit, Sign, edit_items, lazy_intersection_weight, read_csv, read_json
 
 
 def config_file(tmp_path, cfg, name="cfg.json"):
