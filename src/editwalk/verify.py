@@ -6,15 +6,22 @@ reports the residual against the check's one fixed tolerance: 1e-12 for
 the identities, 1e-10 for orthonormality, 1e-8 for the eigenvalue multiset
 and the commute backends, 0 for the counts. Checks return results rather
 than raising, so the CLI can print a full table and exit nonzero only at
-the end. In rational mode the identity residuals are exact zeros, and an
-exact chain's eigenvalue multiset is proved rather than compared with an
-eigensolve (`_spectrum_certificate`).
+the end. In rational mode the identity residuals are exact zeros.
+
+No eigensolve runs on the per-edge chain: the eigenvector and
+orthonormality checks each leave a witness (a bound on the residual in
+psi space, a bound on the Gram's distance from I), and the spectrum check
+reads them as a proof of the chain's eigenvalue multiset (Bauer-Fike,
+`_eigenbasis_radius`). An exact chain whose multiset no eigenbasis
+proves is proved by `_spectrum_certificate`; only a float compound chain,
+or a witness that proves nothing, takes a dense eigensolve.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -45,15 +52,29 @@ ROW_BLOCK = 1 << 6  # eigenvector rows per exact residual product
 # Power sums run mod a prime below PRIME_BOUND: N residue products of
 # (p - 1)^2 < 2^34 each sum below 2^53, exact in float64, for N < p.
 PRIME_BOUND = 1 << 17
+U = np.finfo(float).eps / 2  # unit roundoff of float64
+ETA = 2.0 ** -1074  # the least subnormal: absolute error an underflow may add
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), the relative error bound of a float64 sum
+    of k terms or an inner product of length k (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, section 3.1)."""
+    return k * U / (1 - k * U)
 
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's outcome. `witness` is a bound a later check reads, not
+    printed: the eigenvector check's on the psi-space residual, the
+    orthonormality check's on the Gram's distance from I."""
+
     name: str
     residual: float
     tolerance: float
     passed: bool
     detail: str = ""
+    witness: float = field(default=math.inf, compare=False, repr=False)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -61,9 +82,9 @@ class CheckResult:
         return f"{status}  {self.name}: residual {self.residual:.3e} (tol {self.tolerance:.1e}){extra}"
 
 
-def _result(name: str, residual, tol: float, detail: str = "") -> CheckResult:
+def _result(name: str, residual, tol: float, detail: str = "", witness: float = math.inf) -> CheckResult:
     r = float(abs(residual))
-    return CheckResult(name, r, tol, r <= tol, detail)
+    return CheckResult(name, r, tol, r <= tol, detail, witness)
 
 
 def check_row_stochastic(tm: TransitionMatrix) -> CheckResult:
@@ -91,12 +112,19 @@ def check_detailed_balance(tm: TransitionMatrix, pi) -> CheckResult:
 
 def check_eigenvector_residuals(system: EigenSystem, tm: TransitionMatrix) -> CheckResult:
     """phi P = lambda phi. Exact: L (phi_num P_num) = lambda_num den phi_num
-    over integers, for eigenvalues lambda_num / L, ROW_BLOCK rows at a time."""
+    over integers, for eigenvalues lambda_num / L, ROW_BLOCK rows at a time;
+    the witness is 0 when every row holds exactly, else inf. Float: the
+    witness is `_psi_residual_bound` of the one dense product's residual."""
     if not (system.exact and tm.exact):
-        rows = (system.numerators / system.denominator).astype(float, copy=False)
+        nums, den = system.numerators, system.denominator
+        rows = (nums if den == 1 else nums / den).astype(float, copy=False)
         lam = np.array(system.eigenvalues, dtype=float)
-        residual = np.abs(rows @ tm.to_float() - lam[:, None] * rows).max()
-        return _result("eigenvector_residual", residual, 1e-12)
+        moved = rows @ tm.to_float()
+        moved -= lam[:, None] * rows
+        np.abs(moved, out=moved)
+        residual = moved.max()
+        witness = _psi_residual_bound(system, tm, rows[-1], moved)
+        return _result("eigenvector_residual", residual, 1e-12, witness=witness)
     lam, scale = _common_denominator(system.eigenvalues)
     worst = 0
     for start in range(0, len(lam), ROW_BLOCK):
@@ -104,14 +132,57 @@ def check_eigenvector_residuals(system: EigenSystem, tm: TransitionMatrix) -> Ch
         moved = scale * tm.left_apply(rows) - (block * tm.denominator)[:, None] * rows
         worst = max(worst, np.abs(moved).max())
     residual = worst / (scale * tm.denominator * system.denominator)
-    return _result("eigenvector_residual", residual, 1e-12, "exact")
+    return _result("eigenvector_residual", residual, 1e-12, "exact", 0.0 if worst == 0 else math.inf)
+
+
+def _psi_residual_bound(system: EigenSystem, tm: TransitionMatrix, pi: np.ndarray, moved: np.ndarray) -> float:
+    """An upper bound on ||C R S^-1||_F for the exact residual R = phi P -
+    Lambda phi of the float rows phi, with C = diag(system.scale) and S =
+    diag(sqrt(pi)) the scalings that make psi of phi. `moved` holds |R|
+    as rounded and is squared in place: the norm is sqrt(c^2 . (R o R) @
+    (1 / pi)), with no second N x N array.
+
+    To the norm, enlarged for its own rounding, it adds the rounding of the
+    product: entrywise |R - fl(R)| <= gamma_(N+1) |phi| |P| + 3u |phi|
+    (Higham, section 3.5), which in psi space is at most (gamma_(N+1)
+    ||S |P| S^-1||_2 + 3u) ||Psi||_F, with ||S |P| S^-1||_2 bounded by the
+    largest row and column sums of its cells and ||Psi||_F <= sqrt(1.5 N)
+    while ||Psi Psi^T - I||_F < 1/2, which `_eigenbasis_radius` requires.
+    An absolute term covers underflow. The factors are generous: the bound
+    stays near N^1.5 u, far below the 1e-8 it must meet."""
+    n = tm.size
+    with np.errstate(all="ignore"):
+        root = np.sqrt(pi)  # as eigensystem_simple divides psi by it
+        c = system.scale
+        np.square(moved, out=moved)
+        norm = math.sqrt((c * c) @ (moved @ (1 / (root * root)))) * (1 + _gamma(4 * n + 16))
+        q = np.abs(tm.float_values) * root[tm.rows] / root[tm.cols]  # the cells of S |P| S^-1
+        sums = np.bincount(tm.rows, q, n).max() * np.bincount(tm.cols, q, n).max()
+        rounding = (_gamma(n + 1) * math.sqrt(sums) * (1 + _gamma(n + 4)) + 3 * U) * math.sqrt(1.5 * n)
+        underflow = n * n * math.sqrt(ETA) * (1 + c.max() / root.min())
+    return norm + rounding + float(underflow)
 
 
 def check_orthonormality(system: EigenSystem) -> CheckResult:
-    """Gram matrix of the psi rows of the eigensystem."""
+    """Gram matrix of the psi rows of the eigensystem. The witness bounds
+    ||Psi Psi^T - I||_F for Psi = C phi S^-1 in exact arithmetic (see
+    `_psi_residual_bound`): the rounded Gram's distance, plus the Gram's
+    rounding, gamma_N ||psi||_F^2, plus what psi's own roundings (at most
+    three an entry: the float phi, the scale, the root, each of which may
+    also underflow) move it, 2 ||Psi - psi||_F ||psi||_F + ||Psi - psi||_F^2."""
     gram = system.psi @ system.psi.T
-    residual = np.abs(gram - np.eye(gram.shape[0])).max()
-    return _result("orthonormality", residual, 1e-10)
+    n = len(gram)
+    trace = gram.trace()
+    gram.flat[:: n + 1] -= 1.0
+    np.abs(gram, out=gram)
+    residual = gram.max()
+    with np.errstate(all="ignore"):
+        size = math.sqrt(trace) / (1 - _gamma(n))  # >= ||psi||_F
+        # psi's last row is sqrt(pi) to within 2u, so half its least entry is below S's
+        floor = 4 * ETA * (2 + system.scale.max()) / np.abs(system.psi[-1]).min()
+        slack = 4 * U / (1 - 4 * U) * size + n * floor  # >= ||Psi - psi||_F
+        witness = np.linalg.norm(gram) * (1 + _gamma(n * n + 4)) + _gamma(n) * size**2 + (2 * size + slack) * slack
+    return _result("orthonormality", residual, 1e-10, witness=float(witness))
 
 
 def check_q_symmetry(tm: TransitionMatrix, pi) -> CheckResult:
@@ -120,16 +191,77 @@ def check_q_symmetry(tm: TransitionMatrix, pi) -> CheckResult:
     return _result("q_symmetry", gap, 1e-12)
 
 
-def check_spectrum_multiset(report, tm: TransitionMatrix) -> CheckResult:
-    """The report's eigenvalue multiset against the chain's. A float chain's
-    is the sorted gap to a dense eigensolve; an exact chain's is proved by
-    `_spectrum_certificate` (residual 0, or 1 and what failed)."""
+def check_spectrum_multiset(
+    report, tm: TransitionMatrix, eigenvalues=None, residual: float = math.inf, gram: float = math.inf
+) -> CheckResult:
+    """The report's eigenvalue multiset against the chain's.
+
+    Given the `eigenvalues` of an eigensystem and the witnesses its
+    eigenvector (`residual`) and orthonormality (`gram`) checks returned,
+    the eigenbasis proves the chain's multiset (`_eigenbasis_radius`), and
+    the report is compared with `eigenvalues`, closed form against closed
+    form: a float chain's residual is their sorted gap plus the radius
+    (detail `eigenbasis`); an exact chain's is 0, or 1 when the multisets
+    differ. Without an eigensystem, or when its witnesses prove nothing, a
+    float chain's residual is the sorted gap to a dense eigensolve and an
+    exact chain's multiset is proved by `_spectrum_certificate` (residual
+    0, or 1 and what failed); the detail then names that fallback and why."""
+    why = ""
+    if eigenvalues is not None:
+        radius, why = _eigenbasis_radius(tm, eigenvalues, residual, gram)
+        if not why and not tm.exact:
+            gap = eigenvalue_multiset_residual(report.eigenvalue_multiset(), eigenvalues)
+            return _result("spectrum_multiset", gap + radius, 1e-8, "eigenbasis")
+        if not why:
+            same = Counter(dict(zip(report.levels, _level_totals(report).tolist()))) == Counter(eigenvalues)
+            return CheckResult("spectrum_multiset", float(not same), 1e-8, same,
+                               "exact" if same else "exact: the multiplicities differ from the eigenbasis's")
     if not tm.exact:
         residual = eigenvalue_multiset_residual(report.eigenvalue_multiset(), numeric_eigenvalues(tm))
-        return _result("spectrum_multiset", residual, 1e-8)
+        return _result("spectrum_multiset", residual, 1e-8, why and f"dense eigensolve, {why}")
     fault = _spectrum_certificate(report, tm)
+    detail = f"exact by certificate, {why}" if why else "exact"
     return CheckResult("spectrum_multiset", float(fault is not None), 1e-8, fault is None,
-                       "exact" if fault is None else f"exact: {fault}")
+                       detail if fault is None else f"{detail}: {fault}")
+
+
+def _eigenbasis_radius(tm: TransitionMatrix, eigenvalues, residual: float, gram: float) -> tuple[float, str]:
+    """(rho, "") when every eigenvalue of the chain lies within rho of the
+    matching value of `eigenvalues`, else (inf, why the witnesses do not
+    show it).
+
+    With Psi = C phi S^-1 (`_psi_residual_bound`), phi P = Lambda phi + R
+    makes P similar to Lambda + R_psi Psi^-1, R_psi = C R S^-1. The
+    smallest eigenvalue of Psi Psi^T is at least 1 - gram, so by
+    Bauer-Fike (1960) every eigenvalue of P lies within rho = residual /
+    sqrt(1 - gram) of a diagonal value of Lambda. Below half the least gap
+    between distinct values the discs are disjoint, and along Lambda + t
+    R_psi Psi^-1, t from 0 to 1, each keeps as many eigenvalues as Lambda
+    puts at its centre, so the sorted multisets lie within rho. rho must
+    also be below 1e-8, the check's tolerance. On an exact chain an exact
+    zero identity with gram < 1/2 proves the multiset exactly: phi is then
+    an invertible matrix of eigenvectors."""
+    if tm.exact and residual != 0:
+        return math.inf, "no exact eigenvector identity"
+    if not (math.isfinite(residual) and math.isfinite(gram)):
+        return math.inf, "eigenbasis witness not finite"
+    if gram >= 0.5:
+        return math.inf, f"eigenbasis Gram distance {gram:.1e} not below 1/2"
+    if tm.exact:
+        return 0.0, ""
+    radius = residual / math.sqrt(1 - gram)
+    levels = sorted(set(map(float, eigenvalues)))
+    limit = min([1e-8] + [(b - a) / 2 for a, b in zip(levels, levels[1:])])
+    if not radius < limit:
+        return math.inf, f"eigenbasis radius {radius:.1e} not below {limit:.1e}"
+    return radius, ""
+
+
+def _level_totals(report) -> np.ndarray:
+    """The multiplicities of each of the report's levels summed over its flats."""
+    totals = np.zeros(len(report.levels), np.int64)
+    np.add.at(totals, report.index, report.multiplicities)
+    return totals
 
 
 def _candidate_primes(n: int):
@@ -167,8 +299,7 @@ def _spectrum_certificate(report, tm: TransitionMatrix) -> str | None:
     products, at most three N x N arrays held at once."""
     nums, L = _common_denominator(report.levels)
     a = nums.tolist()
-    totals = np.zeros(len(a), np.int64)
-    np.add.at(totals, report.index, report.multiplicities)
+    totals = _level_totals(report)
     n, den = tm.size, tm.denominator
     if totals.min() < 0 or totals.max() > n:
         return f"a multiplicity total lies outside [0, {n}]"
@@ -250,10 +381,10 @@ def run_verification(
         results.append(check_stationary_fixed_point(tm, pi))
         results.append(check_stationary_vs_solve(tm, pi))
         results.append(check_detailed_balance(tm, pi))
-        results.append(check_eigenvector_residuals(system, tm))
-        results.append(check_orthonormality(system))
-        results.append(check_q_symmetry(tm, pi))
-        results.append(check_spectrum_multiset(eigenvalues_simple(g.m, cap), tm))
+        vectors, gram = check_eigenvector_residuals(system, tm), check_orthonormality(system)
+        results += [vectors, gram, check_q_symmetry(tm, pi)]
+        results.append(check_spectrum_multiset(eigenvalues_simple(g.m, cap), tm, system.eigenvalues,
+                                               vectors.witness, gram.witness))
         draws = [rng.choice(tm.size, size=2, replace=False)
                  for _ in range(min(10, tm.size * (tm.size - 1) // 2))]
         pairs = [tuple(EdgeSet(g.m, mask) for mask in tm.masks[pair].tolist()) for pair in draws]
