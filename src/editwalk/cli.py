@@ -596,8 +596,8 @@ def main(argv: list[str] | None = None) -> int:
         warnings.simplefilter("always")
         try:
             return COMMANDS[args.command](load_config(args.config, args), args)
-        except CapExceeded as exc:
-            print(f"error (cap): {exc}", file=sys.stderr)
+        except (CapExceeded, MemoryError) as exc:  # NumPy names the array that did not fit
+            print(f"error (cap): {str(exc) or 'out of memory'}", file=sys.stderr)
             return 2
         except EditWalkError as exc:
             print(f"error: {exc}", file=sys.stderr)

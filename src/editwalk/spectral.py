@@ -515,15 +515,12 @@ class EigenSystem:
     `TransitionMatrix`, phi is held as Python-int numerators over one
     denominator (float64 over 1 in float mode). `psi`, float in both modes,
     holds phi's rows made orthonormal: the left eigenvectors of the
-    symmetrized chain D^(1/2) P D^(-1/2). Row T of psi is
-    `scale[T] * phi_T / sqrt(pi)`, with pi the last phi row as float64 and
-    `scale` the `_psi_scale` of the edge probabilities."""
+    symmetrized chain D^(1/2) P D^(-1/2)."""
 
     eigenvalues: tuple
     numerators: np.ndarray
     denominator: int
     psi: np.ndarray
-    scale: np.ndarray
 
     @property
     def exact(self) -> bool:
@@ -541,10 +538,9 @@ def eigensystem_simple(g: HostGraph, p, cap: int = STATE_CAP) -> EigenSystem:
     levels = np.array([Fraction(k, m) if exact else k / m for k in range(m + 1)], dtype=object)
     values = tuple(levels[np.bitwise_count(np.arange(1 << m))].tolist())
     psi = (rows / den).astype(float, copy=False)  # int / int rounds as float(Fraction) does
-    scale = _psi_scale(f[1, 1] / f[0, 1] for f in factors)
-    psi *= scale[:, None]
+    psi *= _psi_scale(f[1, 1] / f[0, 1] for f in factors)[:, None]
     psi /= np.sqrt(psi[-1])
-    return EigenSystem(values, rows, den, psi, scale)
+    return EigenSystem(values, rows, den, psi)
 
 
 def _law(tm: TransitionMatrix, pi) -> tuple[TransitionMatrix, np.ndarray, int]:

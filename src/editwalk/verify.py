@@ -8,25 +8,23 @@ and the commute backends, 0 for the counts. Checks return results rather
 than raising, so the CLI can print a full table and exit nonzero only at
 the end. In rational mode the identity residuals are exact zeros.
 
-No eigensolve runs on the per-edge chain: the eigenvector and
-orthonormality checks each leave a witness (a bound on the residual in
-psi space, a bound on the Gram's distance from I), and the spectrum check
-reads them as a proof of the chain's eigenvalue multiset (Bauer-Fike,
-`_eigenbasis_radius`). An exact chain whose multiset no eigenbasis
-proves is proved by `_spectrum_certificate`; only a float compound chain,
-or a witness that proves nothing, takes a dense eigensolve.
+No eigensolve runs on the per-edge chain: its cells show it is a product
+of two-state chains, whose spectrum is the subset sums of their rates
+(`_two_state_product`, with Weyl's inequality bounding what the diagonal
+adds). Any other chain's multiset is proved by `_spectrum_certificate`
+when exact and compared with a dense eigensolve when float.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import STATE_CAP
+from .errors import STATE_CAP, NotIrreducible
 from .hostgraph import EdgeSet, HostGraph, find_masks
 from .lattice import SupportLattice, closure, multiplicities
 from .process import WeightedEdits, _common_denominator
@@ -53,28 +51,15 @@ ROW_BLOCK = 1 << 6  # eigenvector rows per exact residual product
 # (p - 1)^2 < 2^34 each sum below 2^53, exact in float64, for N < p.
 PRIME_BOUND = 1 << 17
 U = np.finfo(float).eps / 2  # unit roundoff of float64
-ETA = 2.0 ** -1074  # the least subnormal: absolute error an underflow may add
-
-
-def _gamma(k: int) -> float:
-    """gamma_k = k u / (1 - k u), the relative error bound of a float64 sum
-    of k terms or an inner product of length k (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2002, section 3.1)."""
-    return k * U / (1 - k * U)
 
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One check's outcome. `witness` is a bound a later check reads, not
-    printed: the eigenvector check's on the psi-space residual, the
-    orthonormality check's on the Gram's distance from I."""
-
     name: str
     residual: float
     tolerance: float
     passed: bool
     detail: str = ""
-    witness: float = field(default=math.inf, compare=False, repr=False)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -82,9 +67,9 @@ class CheckResult:
         return f"{status}  {self.name}: residual {self.residual:.3e} (tol {self.tolerance:.1e}){extra}"
 
 
-def _result(name: str, residual, tol: float, detail: str = "", witness: float = math.inf) -> CheckResult:
+def _result(name: str, residual, tol: float, detail: str = "") -> CheckResult:
     r = float(abs(residual))
-    return CheckResult(name, r, tol, r <= tol, detail, witness)
+    return CheckResult(name, r, tol, r <= tol, detail)
 
 
 def check_row_stochastic(tm: TransitionMatrix) -> CheckResult:
@@ -112,19 +97,15 @@ def check_detailed_balance(tm: TransitionMatrix, pi) -> CheckResult:
 
 def check_eigenvector_residuals(system: EigenSystem, tm: TransitionMatrix) -> CheckResult:
     """phi P = lambda phi. Exact: L (phi_num P_num) = lambda_num den phi_num
-    over integers, for eigenvalues lambda_num / L, ROW_BLOCK rows at a time;
-    the witness is 0 when every row holds exactly, else inf. Float: the
-    witness is `_psi_residual_bound` of the one dense product's residual."""
+    over integers, for eigenvalues lambda_num / L, ROW_BLOCK rows at a time.
+    Float: one dense product, its residual taken in place."""
     if not (system.exact and tm.exact):
         nums, den = system.numerators, system.denominator
         rows = (nums if den == 1 else nums / den).astype(float, copy=False)
         lam = np.array(system.eigenvalues, dtype=float)
         moved = rows @ tm.to_float()
         moved -= lam[:, None] * rows
-        np.abs(moved, out=moved)
-        residual = moved.max()
-        witness = _psi_residual_bound(system, tm, rows[-1], moved)
-        return _result("eigenvector_residual", residual, 1e-12, witness=witness)
+        return _result("eigenvector_residual", np.abs(moved, out=moved).max(), 1e-12)
     lam, scale = _common_denominator(system.eigenvalues)
     worst = 0
     for start in range(0, len(lam), ROW_BLOCK):
@@ -132,57 +113,14 @@ def check_eigenvector_residuals(system: EigenSystem, tm: TransitionMatrix) -> Ch
         moved = scale * tm.left_apply(rows) - (block * tm.denominator)[:, None] * rows
         worst = max(worst, np.abs(moved).max())
     residual = worst / (scale * tm.denominator * system.denominator)
-    return _result("eigenvector_residual", residual, 1e-12, "exact", 0.0 if worst == 0 else math.inf)
-
-
-def _psi_residual_bound(system: EigenSystem, tm: TransitionMatrix, pi: np.ndarray, moved: np.ndarray) -> float:
-    """An upper bound on ||C R S^-1||_F for the exact residual R = phi P -
-    Lambda phi of the float rows phi, with C = diag(system.scale) and S =
-    diag(sqrt(pi)) the scalings that make psi of phi. `moved` holds |R|
-    as rounded and is squared in place: the norm is sqrt(c^2 . (R o R) @
-    (1 / pi)), with no second N x N array.
-
-    To the norm, enlarged for its own rounding, it adds the rounding of the
-    product: entrywise |R - fl(R)| <= gamma_(N+1) |phi| |P| + 3u |phi|
-    (Higham, section 3.5), which in psi space is at most (gamma_(N+1)
-    ||S |P| S^-1||_2 + 3u) ||Psi||_F, with ||S |P| S^-1||_2 bounded by the
-    largest row and column sums of its cells and ||Psi||_F <= sqrt(1.5 N)
-    while ||Psi Psi^T - I||_F < 1/2, which `_eigenbasis_radius` requires.
-    An absolute term covers underflow. The factors are generous: the bound
-    stays near N^1.5 u, far below the 1e-8 it must meet."""
-    n = tm.size
-    with np.errstate(all="ignore"):
-        root = np.sqrt(pi)  # as eigensystem_simple divides psi by it
-        c = system.scale
-        np.square(moved, out=moved)
-        norm = math.sqrt((c * c) @ (moved @ (1 / (root * root)))) * (1 + _gamma(4 * n + 16))
-        q = np.abs(tm.float_values) * root[tm.rows] / root[tm.cols]  # the cells of S |P| S^-1
-        sums = np.bincount(tm.rows, q, n).max() * np.bincount(tm.cols, q, n).max()
-        rounding = (_gamma(n + 1) * math.sqrt(sums) * (1 + _gamma(n + 4)) + 3 * U) * math.sqrt(1.5 * n)
-        underflow = n * n * math.sqrt(ETA) * (1 + c.max() / root.min())
-    return norm + rounding + float(underflow)
+    return _result("eigenvector_residual", residual, 1e-12, "exact")
 
 
 def check_orthonormality(system: EigenSystem) -> CheckResult:
-    """Gram matrix of the psi rows of the eigensystem. The witness bounds
-    ||Psi Psi^T - I||_F for Psi = C phi S^-1 in exact arithmetic (see
-    `_psi_residual_bound`): the rounded Gram's distance, plus the Gram's
-    rounding, gamma_N ||psi||_F^2, plus what psi's own roundings (at most
-    three an entry: the float phi, the scale, the root, each of which may
-    also underflow) move it, 2 ||Psi - psi||_F ||psi||_F + ||Psi - psi||_F^2."""
+    """Gram matrix of the psi rows of the eigensystem, less I in place."""
     gram = system.psi @ system.psi.T
-    n = len(gram)
-    trace = gram.trace()
-    gram.flat[:: n + 1] -= 1.0
-    np.abs(gram, out=gram)
-    residual = gram.max()
-    with np.errstate(all="ignore"):
-        size = math.sqrt(trace) / (1 - _gamma(n))  # >= ||psi||_F
-        # psi's last row is sqrt(pi) to within 2u, so half its least entry is below S's
-        floor = 4 * ETA * (2 + system.scale.max()) / np.abs(system.psi[-1]).min()
-        slack = 4 * U / (1 - 4 * U) * size + n * floor  # >= ||Psi - psi||_F
-        witness = np.linalg.norm(gram) * (1 + _gamma(n * n + 4)) + _gamma(n) * size**2 + (2 * size + slack) * slack
-    return _result("orthonormality", residual, 1e-10, witness=float(witness))
+    gram.flat[:: len(gram) + 1] -= 1.0
+    return _result("orthonormality", np.abs(gram, out=gram).max(), 1e-10)
 
 
 def check_q_symmetry(tm: TransitionMatrix, pi) -> CheckResult:
@@ -191,70 +129,79 @@ def check_q_symmetry(tm: TransitionMatrix, pi) -> CheckResult:
     return _result("q_symmetry", gap, 1e-12)
 
 
-def check_spectrum_multiset(
-    report, tm: TransitionMatrix, eigenvalues=None, residual: float = math.inf, gram: float = math.inf
-) -> CheckResult:
-    """The report's eigenvalue multiset against the chain's.
-
-    Given the `eigenvalues` of an eigensystem and the witnesses its
-    eigenvector (`residual`) and orthonormality (`gram`) checks returned,
-    the eigenbasis proves the chain's multiset (`_eigenbasis_radius`), and
-    the report is compared with `eigenvalues`, closed form against closed
-    form: a float chain's residual is their sorted gap plus the radius
-    (detail `eigenbasis`); an exact chain's is 0, or 1 when the multisets
-    differ. Without an eigensystem, or when its witnesses prove nothing, a
-    float chain's residual is the sorted gap to a dense eigensolve and an
-    exact chain's multiset is proved by `_spectrum_certificate` (residual
-    0, or 1 and what failed); the detail then names that fallback and why."""
-    why = ""
-    if eigenvalues is not None:
-        radius, why = _eigenbasis_radius(tm, eigenvalues, residual, gram)
-        if not why and not tm.exact:
-            gap = eigenvalue_multiset_residual(report.eigenvalue_multiset(), eigenvalues)
-            return _result("spectrum_multiset", gap + radius, 1e-8, "eigenbasis")
-        if not why:
-            same = Counter(dict(zip(report.levels, _level_totals(report).tolist()))) == Counter(eigenvalues)
-            return CheckResult("spectrum_multiset", float(not same), 1e-8, same,
-                               "exact" if same else "exact: the multiplicities differ from the eigenbasis's")
+def check_spectrum_multiset(report, tm: TransitionMatrix) -> CheckResult:
+    """The report's eigenvalue multiset against the chain's. A two-state
+    product (`_two_state_product`) needs no eigensolve: on a float chain the
+    residual is the sorted gap to its levels, plus its radius, plus
+    2u max(1, |level|) for rounding (detail `product`); an exact one with
+    radius 0 is compared exactly (residual 0, or 1). Any other exact chain
+    is proved by `_spectrum_certificate` (residual 0, or 1 and what failed),
+    any other float chain compared with a dense eigensolve."""
+    product = _two_state_product(tm)
+    if product is not None and not tm.exact:
+        levels, radius, den = product
+        values = (levels / den).astype(float)  # int / int rounds correctly
+        gap = eigenvalue_multiset_residual(report.eigenvalue_multiset(), values)
+        rounding = 2 * U * max(1.0, np.abs(values).max())
+        return _result("spectrum_multiset", gap + radius / den + rounding, 1e-8, "product")
+    if product is not None and product[1] == 0:
+        levels, _, den = product
+        claimed = Counter(dict(zip(report.levels, _level_totals(report).tolist())))
+        same = claimed == Counter({Fraction(v, den): k for v, k in Counter(levels.tolist()).items()})
+        return CheckResult("spectrum_multiset", float(not same), 1e-8, same,
+                           "exact" if same else "exact: the multiplicities differ from the product's")
     if not tm.exact:
         residual = eigenvalue_multiset_residual(report.eigenvalue_multiset(), numeric_eigenvalues(tm))
-        return _result("spectrum_multiset", residual, 1e-8, why and f"dense eigensolve, {why}")
+        return _result("spectrum_multiset", residual, 1e-8)
     fault = _spectrum_certificate(report, tm)
-    detail = f"exact by certificate, {why}" if why else "exact"
     return CheckResult("spectrum_multiset", float(fault is not None), 1e-8, fault is None,
-                       detail if fault is None else f"{detail}: {fault}")
+                       "exact" if fault is None else f"exact: {fault}")
 
 
-def _eigenbasis_radius(tm: TransitionMatrix, eigenvalues, residual: float, gram: float) -> tuple[float, str]:
-    """(rho, "") when every eigenvalue of the chain lies within rho of the
-    matching value of `eigenvalues`, else (inf, why the witnesses do not
-    show it).
+def _two_state_product(tm: TransitionMatrix) -> tuple[np.ndarray, int, int] | None:
+    """(levels, radius, den) when the chain's cells make it a product of m
+    two-state chains, else None: every sorted eigenvalue of the chain lies
+    within radius / den of the sorted levels / den, levels[S] in mask order.
 
-    With Psi = C phi S^-1 (`_psi_residual_bound`), phi P = Lambda phi + R
-    makes P similar to Lambda + R_psi Psi^-1, R_psi = C R S^-1. The
-    smallest eigenvalue of Psi Psi^T is at least 1 - gram, so by
-    Bauer-Fike (1960) every eigenvalue of P lies within rho = residual /
-    sqrt(1 - gram) of a diagonal value of Lambda. Below half the least gap
-    between distinct values the discs are disjoint, and along Lambda + t
-    R_psi Psi^-1, t from 0 to 1, each keeps as many eigenvalues as Lambda
-    puts at its centre, so the sorted multisets lie within rho. rho must
-    also be below 1e-8, the check's tolerance. On an exact chain an exact
-    zero identity with gram < 1/2 proves the multiset exactly: phi is then
-    an invertible matrix of eigenvectors."""
-    if tm.exact and residual != 0:
-        return math.inf, "no exact eigenvector identity"
-    if not (math.isfinite(residual) and math.isfinite(gram)):
-        return math.inf, "eigenbasis witness not finite"
-    if gram >= 0.5:
-        return math.inf, f"eigenbasis Gram distance {gram:.1e} not below 1/2"
-    if tm.exact:
-        return 0.0, ""
-    radius = residual / math.sqrt(1 - gram)
-    levels = sorted(set(map(float, eigenvalues)))
-    limit = min([1e-8] + [(b - a) / 2 for a, b in zip(levels, levels[1:])])
-    if not radius < limit:
-        return math.inf, f"eigenbasis radius {radius:.1e} not below {limit:.1e}"
-    return radius, ""
+    The cells must hold all 2^m masks in order, and every state must move
+    across each edge e to the one neighbour that differs there, upward
+    (setting e) with one value a_e > 0 and downward with one b_e > 0. The
+    off-diagonal cells are then those of K, the Kronecker sum of the
+    two-state chains [[b_e, a_e], [b_e, a_e]], so P = K + E with E
+    diagonal. Each two-state chain is reversible with the positive law
+    (b_e, a_e) / (a_e + b_e), so the product law D makes D^(1/2) K
+    D^(-1/2) symmetric, with the eigenvalues 0 and a_e + b_e of each
+    factor summed: s_S = sum over e in S of (a_e + b_e). For c the
+    midpoint of E's range, P = (K + c I) + (E - c I) is similar to a
+    symmetric matrix plus a diagonal one, and by Weyl's inequality its
+    sorted eigenvalues lie within max |E_ii - c| of the sorted s_S + c.
+    Every value is a Python int over one denominator, float cells read as
+    the ratios they store: an exact chain of single-edge set and clear
+    edits, with or without the empty edit, has radius 0."""
+    n, m = tm.size, tm.m
+    if n != 1 << m or (tm.masks != np.arange(n)).any():
+        return None
+    flip = tm.rows ^ tm.cols  # the masks are the indices
+    off = flip != 0
+    if (flip & (flip - 1)).any() or (np.bincount(tm.rows[off], minlength=n) != m).any():
+        return None  # the m off-diagonal cells of a row then flip its m edges
+    edge = np.bitwise_count(flip[off] - 1).astype(np.intp)
+    key = 2 * edge + (tm.rows[off] >> edge & 1)  # 2e: a_e, 2e + 1: b_e
+    values = tm.numerators[off]
+    rates = np.zeros(2 * m, values.dtype)
+    rates[key] = values
+    if not ((values == rates[key]).all() and (rates > 0).all()):
+        return None
+    diagonal = np.zeros(n, values.dtype)
+    diagonal[tm.rows[~off]] = tm.numerators[~off]
+    cells, den = _common_denominator(rates.tolist() + diagonal.tolist())
+    rates, diagonal, den = cells[:2 * m], cells[2 * m:], den * tm.denominator
+    sums, kron = np.zeros(1, object), np.zeros(1, object)  # s_S and K's diagonal, edge by edge
+    for a, b in zip(rates[0::2].tolist(), rates[1::2].tolist()):
+        sums, kron = np.concatenate([sums, sums + (a + b)]), np.concatenate([kron + b, kron + a])
+    shift = diagonal - kron  # E
+    low, high = shift.min(), shift.max()
+    return 2 * sums + (low + high), high - low, 2 * den
 
 
 def _level_totals(report) -> np.ndarray:
@@ -335,7 +282,10 @@ def check_commute_backends(g: HostGraph, p, tm: TransitionMatrix, pairs) -> Chec
     columns for every pair endpoint come from one solve."""
     pairs = list(pairs)
     index = [tm.index_of(s) for pair in pairs for s in pair]
-    hit = _hitting_columns(tm, index)  # column 2k: times to E_k; 2k + 1: to F_k
+    try:
+        hit = _hitting_columns(tm, index)  # column 2k: times to E_k; 2k + 1: to F_k
+    except NotIrreducible as exc:
+        return _result("commute_backends", math.inf, 1e-8, f"{len(pairs)} pairs, fundamental-matrix oracle: {exc}")
     worst = 0.0
     for k, (E, F) in enumerate(pairs):
         spectral_value = float(commute_time(E, F, g, p))
@@ -381,10 +331,10 @@ def run_verification(
         results.append(check_stationary_fixed_point(tm, pi))
         results.append(check_stationary_vs_solve(tm, pi))
         results.append(check_detailed_balance(tm, pi))
-        vectors, gram = check_eigenvector_residuals(system, tm), check_orthonormality(system)
-        results += [vectors, gram, check_q_symmetry(tm, pi)]
-        results.append(check_spectrum_multiset(eigenvalues_simple(g.m, cap), tm, system.eigenvalues,
-                                               vectors.witness, gram.witness))
+        results.append(check_eigenvector_residuals(system, tm))
+        results.append(check_orthonormality(system))
+        results.append(check_q_symmetry(tm, pi))
+        results.append(check_spectrum_multiset(eigenvalues_simple(g.m, cap), tm))
         draws = [rng.choice(tm.size, size=2, replace=False)
                  for _ in range(min(10, tm.size * (tm.size - 1) // 2))]
         pairs = [tuple(EdgeSet(g.m, mask) for mask in tm.masks[pair].tolist()) for pair in draws]

@@ -26,7 +26,7 @@ from editwalk.verify import (
     check_spectrum_multiset,
     run_verification,
 )
-from editwalk.spectral import eigenvalues_simple
+from editwalk.spectral import TransitionMatrix, eigenvalues_simple
 from oracles import chain_from_dense, read_csv, read_json, read_jsonl
 
 
@@ -668,6 +668,32 @@ class TestVerify:
         assert main(["verify", "--config", str(cfg)]) == 0
         out = capsys.readouterr().out
         assert "multiplicity_sum" in out and "FAIL" not in out
+
+    @pytest.mark.parametrize("mode", ["double", "rational"])
+    def test_a_failing_commute_oracle_still_prints_the_table(self, tmp_path, capsys, mode):
+        """With p down to 1e-9 the dense stationary solve leaves some pi_t at
+        0, so the fundamental-matrix oracle turns a drawn target away; that
+        check fails naming the oracle, and every other line still prints."""
+        p = [1e-9, 1e-9, 1e-9, 0.3, 1e-3, 0.5, 0.5, 0.9, 0.1, 0.2]
+        cfg = write_config(tmp_path, host={"preset": "complete", "params": [5]},
+                           model={"name": "simple", "p": p}, mode=mode)
+        assert main(["verify", "--config", str(cfg)]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 11 and lines[-1] == "9/10 checks passed"
+        assert any(line.startswith("PASS  spectrum_multiset") for line in lines)
+        assert "FAIL  commute_backends: residual inf (tol 1.0e-08)  (10 pairs, fundamental-matrix oracle: " \
+               "a hitting target lies outside the closed class)" in lines
+
+    def test_a_dense_array_that_does_not_fit_exits_two(self, tmp_path, capsys, monkeypatch):
+        def refuse(self, zero, values):
+            raise MemoryError(f"Unable to allocate an array with shape ({self.size}, {self.size})")
+
+        monkeypatch.setattr(TransitionMatrix, "_dense", refuse)
+        cfg = write_config(tmp_path, host={"preset": "complete", "params": [4]}, model={"name": "moran"})
+        assert main(["verify", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error (cap): Unable to allocate an array with shape (37, 37)\n"
 
     def test_perturbed_matrix_fails_named_check(self):
         # negative control: a deliberately broken matrix must fail loudly

@@ -1,8 +1,10 @@
 """The exact spectrum certificate of `verify`, against the dense eigensolve.
 
-On an exact chain `check_spectrum_multiset` proves the reported
-eigenvalue multiset with an annihilating polynomial and power sums mod a
-prime, and calls no eigensolver. Where `numeric_eigenvalues` runs in
+On an exact chain that is no two-state product, `check_spectrum_multiset`
+proves the reported eigenvalue multiset with an annihilating polynomial
+and power sums mod a prime, and calls no eigensolver; the simple chains
+below are such products, so their cases call the certificate directly
+(`certified`). Where `numeric_eigenvalues` runs in
 seconds it must agree with it, and the certificate must fail when the
 claim or the chain is altered, or choose another prime when the first
 candidate divides a denominator or merges two levels.
@@ -61,6 +63,13 @@ def proved(report, tm):
     return result.passed, result.detail
 
 
+def certified(report, tm):
+    """The certificate alone, as `proved` reads it: `check_spectrum_multiset`
+    proves a simple chain by its two-state product instead."""
+    fault = verify._spectrum_certificate(report, tm)
+    return fault is None, "exact" if fault is None else f"exact: {fault}"
+
+
 def oracle_gap(report, tm):
     return ew.eigenvalue_multiset_residual(report.eigenvalue_multiset(), ew.numeric_eigenvalues(tm))
 
@@ -70,7 +79,7 @@ def test_certificate_agrees_with_the_eigensolve(name):
     build, *args = CASES[name]
     report, tm = build(*args)
     assert tm.exact
-    assert proved(report, tm) == (True, "exact")
+    assert certified(report, tm) == (True, "exact")
     assert oracle_gap(report, tm) < 1e-8
 
 
@@ -127,7 +136,7 @@ NEGATIVE = ("moran K4", "intersection 2x2", "simple m=4")
 def test_a_moved_multiplicity_fails_the_power_sums(name):
     build, *args = CASES[name]
     report, tm = build(*args)
-    passed, detail = proved(moved_multiplicity(report), tm)
+    passed, detail = certified(moved_multiplicity(report), tm)
     assert not passed and "power sum" in detail
 
 
@@ -135,7 +144,7 @@ def test_a_moved_multiplicity_fails_the_power_sums(name):
 def test_a_dropped_level_fails_the_annihilator(name):
     build, *args = CASES[name]
     report, tm = build(*args)
-    passed, detail = proved(dropped_level(report), tm)
+    passed, detail = certified(dropped_level(report), tm)
     assert not passed and "annihilate" in detail
 
 
@@ -155,7 +164,7 @@ def test_a_claim_off_only_in_the_last_power_sum_fails():
     1, -4, 6, -4, 1 keep every power sum k < 4; only k = D - 1 = 4 differs."""
     report, tm = simple(4)
     mults = np.array([2, 0, 2, 0, 2])[report.index]  # totals 2, 0, 12, 0, 2
-    passed, detail = proved(dataclasses.replace(report, multiplicities=mults), tm)
+    passed, detail = certified(dataclasses.replace(report, multiplicities=mults), tm)
     assert not passed and detail.startswith("exact: power sum 4 differs")
 
 
@@ -184,7 +193,7 @@ def test_a_total_outside_zero_to_n_fails(name, monkeypatch):
     dst = np.flatnonzero(report.index != report.index[src])[0]
     mults[src] += p
     mults[dst] -= p
-    passed, detail = proved(dataclasses.replace(report, multiplicities=mults), tm)
+    passed, detail = certified(dataclasses.replace(report, multiplicities=mults), tm)
     assert not passed and f"outside [0, {tm.size}]" in detail
 
 
@@ -194,7 +203,7 @@ def test_a_prime_dividing_the_denominator_is_passed_over(monkeypatch):
     assert tm.denominator % 101 == 0 and tm.size < 101
     generate, tried = candidates(101, 131071)
     monkeypatch.setattr(verify, "_candidate_primes", generate)
-    assert proved(ew.eigenvalues_simple(2), tm) == (True, "exact")
+    assert certified(ew.eigenvalues_simple(2), tm) == (True, "exact")
     assert tried == [101, 131071]
 
 
@@ -206,7 +215,7 @@ def test_a_prime_merging_two_levels_is_passed_over(monkeypatch):
     assert report.levels == [0, Fraction(5, 18), Fraction(13, 18), 1] and tm.denominator == 18
     generate, tried = candidates(13, 131071)
     monkeypatch.setattr(verify, "_candidate_primes", generate)
-    assert proved(report, tm) == (True, "exact")
+    assert certified(report, tm) == (True, "exact")
     assert tried == [13, 131071]
 
 
