@@ -13,7 +13,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import groupby, islice
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -328,17 +328,18 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
     )
 
 
-def _warn_if_transient(cfg: RunConfig) -> None:
-    """Compound-model mixing statements start from the recurrent class."""
-    if cfg.model == "simple":
-        return
-    if not _is_recurrent(cfg.weights, cfg.host, cfg.initial.mask):
-        print("warning: initial state is outside the recurrent class; "
-              "mixing-time guarantees apply after the first covering update", file=sys.stderr)
+def _warn_if_transient(cfg: RunConfig) -> bool:
+    """Compound-model mixing statements start from the recurrent class;
+    whether the start lies outside it (and a warning was printed)."""
+    if cfg.model == "simple" or _is_recurrent(cfg.weights, cfg.host, cfg.initial.mask):
+        return False
+    print("warning: initial state is outside the recurrent class; "
+          "mixing-time guarantees apply after the first covering update", file=sys.stderr)
+    return True
 
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
-    _warn_if_transient(cfg)
+    transient = _warn_if_transient(cfg)
     traj = simulate(cfg.weights, cfg.initial, cfg.steps, seed=cfg.seed, thin=cfg.thin)
     meta = artifact_meta(
         cfg.host, cfg.seed, model=cfg.model, T=cfg.steps, thin=cfg.thin, sampler=SAMPLER_VERSION
@@ -347,7 +348,8 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     summary = {"final_state": format(traj.masks[-1], "#x"), "edge_counts": traj.edge_counts()}
     if cfg.model == "moran":
         summary["acyclic"] = forest_flags(cfg.host, traj.masks).tolist()
-    write_json(cfg.out / "summary.json", meta, summary)
+    summary_meta = {**meta, "transient_start": cfg.initial.hex()} if transient else meta
+    write_json(cfg.out / "summary.json", summary_meta, summary)
     if cfg.steps == 0:
         print(f"wrote {cfg.out / 'summary.json'} (no steps requested)")
         return 0
@@ -362,20 +364,26 @@ def _trajectory_lines(traj: Trajectory, g: HostGraph, edges: bool) -> Iterator[s
     """One JSON record per recorded state, formatted as `json.dumps` writes
     {"t": t, "state": hex} (plus "edges": [[u, v], ...]). Each edge's label
     is formatted once per host; the edge lists are decoded by `set_bits` one
-    block of masks at a time, so memory does not grow with the walk."""
+    block of masks at a time, so memory does not grow with the walk. A
+    simple walk mostly holds (with probability at least 1/2 at
+    stationarity), so each run of equal consecutive masks in a block is
+    decoded and formatted once, from its head."""
     times = iter(traj.times)
-    if not edges:
+    if not edges:  # per record: Moran states hardly repeat, so finding runs costs more than it saves
         for t, mask in zip(times, traj.masks):
             yield f'{{"t": {t}, "state": "{mask:#x}"}}'
         return
     labels = np.array([f"[{u}, {v}]" for u, v in g.edges], dtype=object)
     for block in mask_blocks(traj.masks, g.m):
-        rows, cols = set_bits(block, g.m)
-        listed, ends = labels[cols].tolist(), np.bincount(rows, minlength=len(block)).cumsum().tolist()
+        heads, lengths = zip(*((mask, sum(1 for _ in run)) for mask, run in groupby(block)))
+        rows, cols = set_bits(heads, g.m)
+        listed, ends = labels[cols].tolist(), np.bincount(rows, minlength=len(heads)).cumsum().tolist()
         start = 0
-        for t, mask, end in zip(islice(times, len(block)), block, ends):
-            yield f'{{"t": {t}, "state": "{mask:#x}", "edges": [{", ".join(listed[start:end])}]}}'
+        for mask, length, end in zip(heads, lengths, ends):
+            text = f'"state": "{mask:#x}", "edges": [{", ".join(listed[start:end])}]}}'
             start = end
+            for t in islice(times, length):
+                yield f'{{"t": {t}, {text}'
 
 
 def _recurrent_class(cfg: RunConfig) -> np.ndarray:

@@ -487,9 +487,10 @@ def _phi_factors(g: HostGraph, p, cap: int) -> tuple[list[np.ndarray], int]:
     return factors, math.prod(d for _, d in ratios)
 
 
-def _psi_scale(probs) -> np.ndarray:
-    """prod(sqrt(p_e(1-p_e)), e not in T) for every edge subset T, in mask order."""
-    return _kron([np.array([math.sqrt(pe * (1.0 - pe)), 1.0]) for pe in map(float, probs)])
+def _psi_scale(variances) -> np.ndarray:
+    """prod(sqrt(p_e(1-p_e)), e not in T) for every edge subset T, in mask
+    order, from the values p_e(1-p_e)."""
+    return _kron([np.array([math.sqrt(v), 1.0]) for v in map(float, variances)])
 
 
 def phi(T: EdgeSet, g: HostGraph, p, cap: int = STATE_CAP):
@@ -530,15 +531,16 @@ class EigenSystem:
 def eigensystem_simple(g: HostGraph, p, cap: int = STATE_CAP) -> EigenSystem:
     """All 2^m closed-form eigenvectors at once: phi is the Kronecker product
     of the whole per-edge factors. The psi rows are the phi rows as floats
-    rescaled, with one stationary law (the last phi row) for all and p_e
-    read from each factor as f[1, 1] / f[0, 1]."""
+    rescaled, with one stationary law (the last phi row) for all and
+    p_e(1-p_e) read from each factor as f[1, 1] f[1, 0] / f[0, 1]^2, one
+    rounding when the factors are exact."""
     factors, den = _phi_factors(g, p, cap)
     m, rows = g.m, _kron(factors)
     exact = rows.dtype == object
     levels = np.array([Fraction(k, m) if exact else k / m for k in range(m + 1)], dtype=object)
     values = tuple(levels[np.bitwise_count(np.arange(1 << m))].tolist())
     psi = (rows / den).astype(float, copy=False)  # int / int rounds as float(Fraction) does
-    psi *= _psi_scale(f[1, 1] / f[0, 1] for f in factors)[:, None]
+    psi *= _psi_scale(f[1, 1] * f[1, 0] / f[0, 1] ** 2 for f in factors)[:, None]
     psi /= np.sqrt(psi[-1])
     return EigenSystem(values, rows, den, psi)
 

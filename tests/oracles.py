@@ -107,6 +107,7 @@ from editwalk.spectral import (
     _covered,
     _hitting_columns,
     _symmetrized,
+    recurrent_class,
     stationary_numeric,
 )
 
@@ -416,9 +417,21 @@ def _acyclic_by_shift(g, state: EdgeSet) -> bool:
     return True
 
 
+def _recurrent_start(dist, g, mask: int) -> bool:
+    """Whether `mask` lies in the enumerated recurrent class; for a lazy
+    model, whether every block's edge count is one an edit can leave."""
+    lazy = dist.lazy
+    if lazy is None:
+        return mask in recurrent_class(dist, g).tolist()
+    full = (1 << lazy.width) - 1
+    return all((mask >> v * lazy.width & full).bit_count() in lazy.sizes.tolist()
+               for v in range(lazy.blocks))
+
+
 def write_simulate_artifacts(cfg, state_format: str) -> None:
     """`summary.json` and `trajectory.jsonl` of `editwalk simulate`, one
-    record dict per state encoded with `json.dumps`."""
+    record dict per state encoded with `json.dumps`; a compound model's
+    start outside its enumerated recurrent class is named in the summary."""
     traj = simulate(cfg.weights, cfg.initial, cfg.steps, seed=cfg.seed, thin=cfg.thin)
     meta = artifact_meta(
         cfg.host, cfg.seed, model=cfg.model, T=cfg.steps, thin=cfg.thin, sampler=SAMPLER_VERSION
@@ -428,7 +441,10 @@ def write_simulate_artifacts(cfg, state_format: str) -> None:
     summary = {"final_state": states[-1].hex(), "edge_counts": traj.edge_counts()}
     if cfg.model == "moran":
         summary["acyclic"] = [_acyclic_by_shift(cfg.host, s) for s in states]
-    (cfg.out / "summary.json").write_text(json.dumps({"meta": meta, "data": summary}, indent=2) + "\n")
+    summary_meta = dict(meta)
+    if cfg.model != "simple" and not _recurrent_start(cfg.weights, cfg.host, cfg.initial.mask):
+        summary_meta["transient_start"] = cfg.initial.hex()
+    (cfg.out / "summary.json").write_text(json.dumps({"meta": summary_meta, "data": summary}, indent=2) + "\n")
     if cfg.steps == 0:
         return
     records = []

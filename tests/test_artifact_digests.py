@@ -70,7 +70,7 @@ EXPECTED = {'simple m=4': {'simulate : summary.json': '3ce564e2928d317bf4e6fee9c
                 'commute : commute.csv': 'a6bc9b5ac584cff31c6e58cebd92c277d4b934477cb338ad55875eb233e2f65f',
                 'export-dot : states.dot': 'b61539a581eaf3235a0b6637fb7569fdfca61dccf577433cf29a9c068ac3fa0a',
                 'export-dot --labels edges : states.dot': '47b2d2d890771059bd26415a2e162d37629648ca2b8957a5ed7fa8d62585ae93'},
- 'moran K4': {'simulate : summary.json': '02e8c6906cf4d9bb751dab5c77bcccbf270fa1f6440a378abfb36cc3aa2ae084',
+ 'moran K4': {'simulate : summary.json': '75e21269b7b2c04b2ceb14c394bf98dcffe11daf16a3dc439ea7601b9365e238',
               'simulate : trajectory.jsonl': '9c7e5012d66a79f3023487b59738ac9332ecc4d6fbc1988da47ca911eb61fe12',
               'simulate --state-format edges : trajectory.jsonl': '18d0c690401ea5f227fbb61d2ccacccc55bc4cb7a5537fef80996f775f87a16c',
               'spectrum : spectrum.csv': 'd585757b22dc938754e8b851331307d9e8bc0a041aa2c06d87ce34b9ffe8dc15',
@@ -90,7 +90,7 @@ EXPECTED = {'simple m=4': {'simulate : summary.json': '3ce564e2928d317bf4e6fee9c
                       'commute : commute.csv': '84486d717e461293da3ded5a03fef22c01186b981ed730cde7ef422d5ae87757',
                       'export-dot : states.dot': '12f499fc6c2a3e8fdc8a99ec800b20f3e9083dd7fd98adf3e62ec6cf8aeb9441',
                       'export-dot --labels edges : states.dot': '4b2878e75309a731f78d802643a3217499f5440e85ef00c6e5e4e6593078549b'},
- 'custom cycle 6': {'simulate : summary.json': 'b57d3e36e1a9c9814ae354383b206f99b6c9f62ed30710182d620f7e684c8bd5',
+ 'custom cycle 6': {'simulate : summary.json': '8e52150cb25c75d912e9381a132235439d4e360cbd591dcd823189d3ed1db2c5',
                     'simulate : trajectory.jsonl': '1869609003f007fd2daeeecd043bb9fbb19866cde90d7edd05189b17f05586c2',
                     'simulate --state-format edges : trajectory.jsonl': 'fcfcf8090b6761732b42a750685b01c6f7302e0363b217ed2011bc54b40cba39',
                     'spectrum : spectrum.csv': 'e534252df65a2f29d89e9efee1e78146051532fcd5948196fa704b459d53b036',

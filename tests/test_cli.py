@@ -757,10 +757,23 @@ def test_transient_initial_state_warns(tmp_path, capsys):
     )
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     assert "recurrent class" in capsys.readouterr().err
+    # the summary records the start it warned about; the trajectory does not
+    meta, _ = read_json(tmp_path / "summary.json")
+    assert meta["transient_start"] == "0x3f"
+    traj_meta, _ = read_jsonl(tmp_path / "trajectory.jsonl")
+    assert "transient_start" not in traj_meta
 
     simple_cfg = write_config(tmp_path, name="simple.json", T=5)
     assert main(["simulate", "--config", str(simple_cfg), "--out", str(tmp_path)]) == 0
     assert "recurrent class" not in capsys.readouterr().err
+    assert "transient_start" not in read_json(tmp_path / "summary.json")[0]
+
+    # one edge, the least state of the class
+    forest = write_config(tmp_path, name="forest.json", host={"preset": "complete", "params": [4]},
+                          model={"name": "moran"}, initial={"hex": "0x1"}, T=5)
+    assert main(["simulate", "--config", str(forest), "--out", str(tmp_path)]) == 0
+    assert "recurrent class" not in capsys.readouterr().err
+    assert "transient_start" not in read_json(tmp_path / "summary.json")[0]
 
 
 def test_serialize_round_trips(tmp_path):

@@ -234,19 +234,27 @@ def test_moran_k7_stationary_in_bounded_memory(tmp_path):
     resource = pytest.importorskip("resource")
     cfg = write_config(tmp_path, host={"preset": "complete", "params": [7]},
                        model={"name": "moran"}, mode="double")
+    # The child's own peak is VmHWM: on Linux ru_maxrss survives fork and
+    # exec, so it would also count this process's peak so far. ru_maxrss
+    # is the fallback where /proc is missing (KiB, bytes on macOS).
     code = (
         "import resource, sys\n"
         "from editwalk.cli import main\n"
         f"rc = main(['stationary', '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}])\n"
-        "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "try:\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        kib = next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))\n"
+        "except (OSError, StopIteration):\n"
+        "    kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "    kib //= 1024 if sys.platform == 'darwin' else 1\n"
+        "print(rc, kib)\n"
     )
     src = str(Path(ew.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=300, check=True)
-    rc, peak = map(int, done.stdout.split()[-2:])
-    peak_mb = peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)  # ru_maxrss units
-    assert rc == 0 and peak_mb < 300
+    rc, peak_kib = map(int, done.stdout.split()[-2:])
+    assert rc == 0 and peak_kib / 1024 < 300
     _, _, rows = read_csv(tmp_path / "stationary.csv")
     assert len(rows) == 36_960
     assert math.isclose(sum(float(v) for _, v in rows), 1.0, abs_tol=1e-12)

@@ -8,6 +8,7 @@ per edge subset, are kept in `oracles` only; their sum is `commute_time`.
 """
 
 import importlib.util
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +17,8 @@ import pytest
 
 import editwalk as ew
 from editwalk import spectral
+from editwalk.process import _kron
+from editwalk.verify import check_orthonormality
 from oracles import (
     commute_terms_enumerated,
     commute_time_enumerated,
@@ -70,6 +73,28 @@ def test_phi_psi_and_eigensystem_match_loops(m, exact):
         assert system.psi.dtype == float and np.allclose(system.psi, psi_rows, rtol=1e-12, atol=1e-14)
     else:
         assert np.array_equal(system.psi, psi_rows)
+
+
+@pytest.mark.parametrize("p", ["0.999999999", "0.999999", "0.000000001"])
+def test_rational_psi_near_the_ends_stays_orthonormal(p):
+    """p_e(1-p_e) is one rounding of the exact factors' a(d-a)/d^2; rounding
+    p_e first and forming 1 - p_e in floats cost 1.131e-07 at 0.999999999."""
+    g = path_host(4)
+    result = check_orthonormality(ew.eigensystem_simple(g, [Fraction(p)] * g.m))
+    assert result.passed and result.residual < 1e-14
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_float_psi_keeps_the_bits_of_p_times_one_minus_p(seed):
+    """In float mode the factors' f[1, 1] f[1, 0] / f[0, 1]^2 is p_e (1.0 - p_e)
+    bit for bit, so double-mode psi is the scale formed from p_e directly."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 9))
+    p = [float(x) for x in rng.choice([rng.uniform(0, 1), 1e-9, 1 - 1e-9, 0.999999999], size=m)]
+    system = ew.eigensystem_simple(path_host(m), p)
+    scale = _kron([np.array([math.sqrt(pe * (1.0 - pe)), 1.0]) for pe in p])
+    psi = system.numerators * scale[:, None]
+    assert np.array_equal(system.psi, psi / np.sqrt(psi[-1]))
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])

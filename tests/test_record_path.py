@@ -1,9 +1,12 @@
 """The `simulate` record path against its per-record oracle: artifacts
 byte-equal to one `json.dumps` per state dict, also when the states span
-many decode blocks; `EdgeSet.indices` and `set_bits` equal to a test of
-every host edge; and `forest_flags` equal to one union-find per state."""
+many decode blocks and when runs of equal states (decoded and formatted
+once) straddle blocks, return to an earlier state or end the walk;
+`EdgeSet.indices` and `set_bits` equal to a test of every host edge; and
+`forest_flags` equal to one union-find per state."""
 
 import json
+from itertools import groupby
 from operator import and_
 
 import pytest
@@ -11,15 +14,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from editwalk import hostgraph
-from editwalk.cli import build_parser, load_config, main
+from editwalk.cli import _trajectory_lines, build_parser, load_config, main
 from editwalk.hostgraph import EdgeSet, complete_graph, forest_flags, from_edge_list, set_bits
-from oracles import _acyclic_by_shift, indices_by_shift, write_simulate_artifacts
+from editwalk.process import Trajectory
+from oracles import _acyclic_by_shift, indices_by_shift, read_jsonl, write_simulate_artifacts
 
 MU = [0.125, 0.375, 0.375, 0.125]
 CASES = {
     # m = 780: every mask spans many 64-bit words
     "simple K40": {"host": {"preset": "complete", "params": [40]},
                    "model": {"name": "simple", "p": 0.05}, "initial": "full"},
+    # m = 6 from the empty start: the walk holds with probability about 0.95
+    "simple K4 holding": {"host": {"preset": "complete", "params": [4]},
+                          "model": {"name": "simple", "p": 0.05}},
     "moran K6": {"host": {"preset": "complete", "params": [6]}, "model": {"name": "moran"}},
     "intersection 2x3 explicit": {"model": {"name": "intersection", "n": 2, "N": 3, "mu": MU}},
     "intersection 2x3 lazy": {"model": {"name": "intersection", "n": 2, "N": 3, "mu": MU,
@@ -73,6 +80,47 @@ def test_artifacts_spanning_decode_blocks_match_the_oracle(tmp_path, monkeypatch
     # so states straddle the unpacking steps; one state per block on K40
     monkeypatch.setattr(hostgraph, "DECODE_BITS", 60)
     test_artifacts_match_the_per_record_oracle(tmp_path, case, state_format, 300, thin)
+
+
+@pytest.mark.parametrize("state_format", ["hex", "edges"])
+@pytest.mark.parametrize("thin", [1, 3])
+def test_runs_straddling_decode_blocks_match_the_oracle(tmp_path, monkeypatch, state_format, thin):
+    # 60 bits: blocks of 10 states on K4 (m = 6)
+    monkeypatch.setattr(hostgraph, "DECODE_BITS", 60)
+    test_artifacts_match_the_per_record_oracle(tmp_path, "simple K4 holding", state_format, 300, thin)
+    _, records = read_jsonl(tmp_path / "cli" / "trajectory.jsonl")
+    states = [record["state"] for record in records]
+    heads = [state for state, _ in groupby(states)]
+    assert len(heads) < len(states) / 3  # long runs
+    assert any(states[k - 1] == states[k] for k in range(10, len(states), 10))  # across a block
+    assert any(a == c for a, c in zip(heads, heads[2:]))  # an A-B-A return
+    assert states[-2] == states[-1]  # a run covers the last record
+
+
+RUNS = {  # masks on K4 (m = 6); 0b000011 -> 0b000101 keeps the edge count
+    "one record": (0b000011,),
+    "one run": (0b000011,) * 5,
+    "A-B-A": (0b000011, 0b000101, 0b000011),
+    "runs": (0, 0, 0b000011, 0b000011, 0b000101, 0b000101, 0b000101, 0, 0b111111, 0b111111),
+    "last record alone": (0b100000,) * 7 + (0b010000,),
+}
+
+
+@pytest.mark.parametrize("masks", RUNS.values(), ids=RUNS)
+@pytest.mark.parametrize("decode_bits", [6, 12, 18, hostgraph.DECODE_BITS])  # 1, 2, 3 or all per block
+@pytest.mark.parametrize("thin", [1, 4])
+@pytest.mark.parametrize("edges", [False, True], ids=["hex", "edges"])
+def test_lines_of_given_runs_match_one_dump_per_record(monkeypatch, masks, decode_bits, thin, edges):
+    monkeypatch.setattr(hostgraph, "DECODE_BITS", decode_bits)
+    g = complete_graph(4)
+    traj = Trajectory(g.empty_set(), masks, seed=0, steps=thin * (len(masks) - 1), thin=thin)
+    expected = []
+    for t, mask in zip(traj.times, masks):
+        record = {"t": t, "state": hex(mask)}
+        if edges:
+            record["edges"] = [list(g.edges[e]) for e in indices_by_shift(EdgeSet(g.m, mask))]
+        expected.append(json.dumps(record))
+    assert list(_trajectory_lines(traj, g, edges)) == expected
 
 
 @st.composite
