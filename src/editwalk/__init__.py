@@ -2,7 +2,7 @@
 
 Simulation of per-edge and compound-edit update processes, plus an exact
 desk-scale spectral engine: transition matrices, stationary laws,
-closed-form eigensystems, mixing bounds, and hitting/commute times.
+closed-form eigenvectors, spectra, mixing bounds, and hitting/commute times.
 """
 
 __version__ = "0.1.0"
@@ -28,7 +28,6 @@ from .process import (
     WeightedEdits,
     block_probabilities,
     chung_lu_probabilities,
-    empirical_distribution,
     erdos_renyi_probabilities,
     intersection_host,
     intersection_weights,
@@ -38,15 +37,12 @@ from .process import (
     simulate,
 )
 from .spectral import (
-    EigenSystem,
     TransitionMatrix,
     brown_tv_bound,
     build_chain,
     commute_time,
-    eigensystem_simple,
     eigenvalue_multiset_residual,
     eigenvalues_simple,
-    hitting_time,
     hitting_time_closed,
     intersection_mixing_bound,
     mixing_bound_compound,

@@ -19,11 +19,10 @@ the `items` view lists them as (plus, minus, weight) triples. Its
 grouping by support and its integer weights are built once and shared
 (`support_groups`, `integer_weights`).
 Edits do not depend on the state, so one kernel (`_walk`, behind
-`simulate` and `empirical_distribution`) draws them ahead in numpy
-blocks, from a Vose alias table or the lazy closed form, and applies them
-to raw bitmasks. Block sizes depend only on the distribution, so a
-trajectory is reproducible from (seed, stream, sampler) via numpy's
-PCG64; SAMPLER_VERSION names the draws.
+`simulate`) draws them ahead in numpy blocks, from a Vose alias table or
+the lazy closed form, and applies them to raw bitmasks. Block sizes
+depend only on the distribution, so a trajectory is reproducible from
+(seed, stream, sampler) via numpy's PCG64; SAMPLER_VERSION names the draws.
 
 Between two recorded states the kernel applies only the reduced word: edits
 form a left regular band, x y = x whenever supp(y) is inside supp(x), so an
@@ -526,26 +525,6 @@ def simulate(
         raise ValidationError(f"thin must be >= 1, got {thin}")
     masks = _walk(dist, initial, _record_times(steps, thin), make_rng(seed, stream))
     return Trajectory(initial, (initial.mask, *masks), seed, steps, thin)
-
-
-def empirical_distribution(
-    dist: WeightedEdits,
-    initial: EdgeSet,
-    burn_in: int,
-    samples: int,
-    stride: int = 1,
-    seed: int = 0,
-) -> np.ndarray:
-    """Normalized histogram over all 2^m states from a thinned sample run."""
-    m = dist.m
-    check_cap(1 << m, STATE_CAP, f"2^{m} histogram bins")
-    if samples <= 0:
-        raise ValidationError(f"need at least one sample, got {samples}")
-    if burn_in < 0 or stride < 1:
-        raise ValidationError("burn_in must be >= 0 and stride >= 1")
-    times = range(burn_in + stride, burn_in + stride * samples + 1, stride)
-    masks = _walk(dist, initial, times, make_rng(seed))
-    return np.bincount(masks, minlength=1 << m) / samples
 
 
 def erdos_renyi_probabilities(g: HostGraph, p) -> list:

@@ -487,12 +487,6 @@ def _phi_factors(g: HostGraph, p, cap: int) -> tuple[list[np.ndarray], int]:
     return factors, math.prod(d for _, d in ratios)
 
 
-def _psi_scale(variances) -> np.ndarray:
-    """prod(sqrt(p_e(1-p_e)), e not in T) for every edge subset T, in mask
-    order, from the values p_e(1-p_e)."""
-    return _kron([np.array([math.sqrt(v), 1.0]) for v in map(float, variances)])
-
-
 def phi(T: EdgeSet, g: HostGraph, p, cap: int = STATE_CAP):
     """Left eigenvector indexed by an edge subset T, over all 2^m states in
     ascending mask order. Entry at state E is
@@ -507,42 +501,6 @@ def phi(T: EdgeSet, g: HostGraph, p, cap: int = STATE_CAP):
     mask = T.mask_on(g.m)
     row = _kron([f[mask >> e & 1] for e, f in enumerate(factors)])
     return [Fraction(v, den) for v in row] if row.dtype == object else row
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Full left eigensystem of a per-edge update chain: row i belongs to the
-    edge subset with mask i, column j to the state with mask j. As in
-    `TransitionMatrix`, phi is held as Python-int numerators over one
-    denominator (float64 over 1 in float mode). `psi`, float in both modes,
-    holds phi's rows made orthonormal: the left eigenvectors of the
-    symmetrized chain D^(1/2) P D^(-1/2)."""
-
-    eigenvalues: tuple
-    numerators: np.ndarray
-    denominator: int
-    psi: np.ndarray
-
-    @property
-    def exact(self) -> bool:
-        return self.numerators.dtype == object
-
-
-def eigensystem_simple(g: HostGraph, p, cap: int = STATE_CAP) -> EigenSystem:
-    """All 2^m closed-form eigenvectors at once: phi is the Kronecker product
-    of the whole per-edge factors. The psi rows are the phi rows as floats
-    rescaled, with one stationary law (the last phi row) for all and
-    p_e(1-p_e) read from each factor as f[1, 1] f[1, 0] / f[0, 1]^2, one
-    rounding when the factors are exact."""
-    factors, den = _phi_factors(g, p, cap)
-    m, rows = g.m, _kron(factors)
-    exact = rows.dtype == object
-    levels = np.array([Fraction(k, m) if exact else k / m for k in range(m + 1)], dtype=object)
-    values = tuple(levels[np.bitwise_count(np.arange(1 << m))].tolist())
-    psi = (rows / den).astype(float, copy=False)  # int / int rounds as float(Fraction) does
-    psi *= _psi_scale(f[1, 1] * f[1, 0] / f[0, 1] ** 2 for f in factors)[:, None]
-    psi /= np.sqrt(psi[-1])
-    return EigenSystem(values, rows, den, psi)
 
 
 def _law(tm: TransitionMatrix, pi) -> tuple[TransitionMatrix, np.ndarray, int]:
@@ -839,14 +797,6 @@ def hitting_time_closed(E: EdgeSet, F: EdgeSet, g: HostGraph, p):
     by the closed-form spectral sum computed as in `commute_time`: O(m^2),
     no cap on m, exact for rational p, CapExceeded on float overflow."""
     return _spectral_sum(E.mask_on(g.m), F.mask_on(g.m), _sum_terms(g, p), commute=False)
-
-
-def hitting_time(tm: TransitionMatrix, source: EdgeSet | int, target: EdgeSet | int) -> float:
-    """Expected steps from source until first visiting target, read off one
-    column of the fundamental matrix Z = (I - P + 1 pi)^-1; a target with
-    pi = 0 raises NotIrreducible."""
-    i, j = tm.index_of(source), tm.index_of(target)
-    return 0.0 if i == j else float(_hitting_columns(tm, [j])[i, 0])
 
 
 def _hitting_columns(tm: TransitionMatrix, targets: Sequence[int]) -> np.ndarray:

@@ -2,17 +2,26 @@
 
 Each check recomputes a quantity two independent ways (closed form vs
 dense float numerics, or vs exact sums over the chain's nonzero cells) and
-reports the residual against the check's one fixed tolerance: 1e-12 for
-the identities, 1e-10 for orthonormality, 1e-8 for the eigenvalue multiset
-and the commute backends, 0 for the counts. Checks return results rather
-than raising, so the CLI can print a full table and exit nonzero only at
-the end. In rational mode the identity residuals are exact zeros.
+reports the residual against the check's one fixed tolerance:
 
-No eigensolve runs on the per-edge chain: its cells show it is a product
-of two-state chains, whose spectrum is the subset sums of their rates
-(`_two_state_product`, with Weyl's inequality bounding what the diagonal
-adds). Any other chain's multiset is proved by `_spectrum_certificate`
-when exact and compared with a dense eigensolve when float.
+- 1e-12 for the identities: row sums, the stationary fixed point and
+  linear solve, detailed balance, Q's symmetry, and the bound on
+  phi_T P - lambda_T phi_T;
+- 1e-10 for the bound on the psi rows' Gram matrix less I;
+- 1e-8 for the eigenvalue multiset and the commute backends;
+- 0 for the counts.
+
+Checks return results rather than raising, so the CLI can print a full
+table and exit nonzero only at the end. In rational mode the identity
+residuals are exact zeros.
+
+No eigensolve and no 2^m x 2^m array runs on the per-edge chain: its cells
+show it is a product of two-state chains (`_two_state_product`), whose
+spectrum is the subset sums of their rates (with Weyl's inequality
+bounding what the diagonal adds), and the closed form's eigenvectors and
+their Gram matrix are checked factor by factor against those chains. Any
+other chain's multiset is proved by `_spectrum_certificate` when exact and
+compared with a dense eigensolve when float.
 """
 
 from __future__ import annotations
@@ -21,23 +30,23 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import STATE_CAP, NotIrreducible
 from .hostgraph import EdgeSet, HostGraph, find_masks
 from .lattice import SupportLattice, closure, multiplicities
-from .process import WeightedEdits, _common_denominator
+from .process import WeightedEdits, _common_denominator, _kron
 from .spectral import (
-    EigenSystem,
     TransitionMatrix,
     _hitting_columns,
     _law,
+    _phi_factors,
     _q_cells,
     build_chain,
     commute_time,
     detailed_balance_residual,
-    eigensystem_simple,
     eigenvalue_multiset_residual,
     eigenvalues_simple,
     numeric_eigenvalues,
@@ -46,7 +55,6 @@ from .spectral import (
     stationary_numeric,
 )
 
-ROW_BLOCK = 1 << 6  # eigenvector rows per exact residual product
 # Power sums run mod a prime below PRIME_BOUND: N residue products of
 # (p - 1)^2 < 2^34 each sum below 2^53, exact in float64, for N < p.
 PRIME_BOUND = 1 << 17
@@ -95,32 +103,73 @@ def check_detailed_balance(tm: TransitionMatrix, pi) -> CheckResult:
     return _result("detailed_balance", residual, 1e-12, "exact" if type(residual) is Fraction else "")
 
 
-def check_eigenvector_residuals(system: EigenSystem, tm: TransitionMatrix) -> CheckResult:
-    """phi P = lambda phi. Exact: L (phi_num P_num) = lambda_num den phi_num
-    over integers, for eigenvalues lambda_num / L, ROW_BLOCK rows at a time.
-    Float: one dense product, its residual taken in place."""
-    if not (system.exact and tm.exact):
-        nums, den = system.numerators, system.denominator
-        rows = (nums if den == 1 else nums / den).astype(float, copy=False)
-        lam = np.array(system.eigenvalues, dtype=float)
-        moved = rows @ tm.to_float()
-        moved -= lam[:, None] * rows
-        return _result("eigenvector_residual", np.abs(moved, out=moved).max(), 1e-12)
-    lam, scale = _common_denominator(system.eigenvalues)
-    worst = 0
-    for start in range(0, len(lam), ROW_BLOCK):
-        rows, block = system.numerators[start:start + ROW_BLOCK], lam[start:start + ROW_BLOCK]
-        moved = scale * tm.left_apply(rows) - (block * tm.denominator)[:, None] * rows
-        worst = max(worst, np.abs(moved).max())
-    residual = worst / (scale * tm.denominator * system.denominator)
-    return _result("eigenvector_residual", residual, 1e-12, "exact")
+def check_eigenvector_residuals(factors, report, product: TwoStateProduct | None) -> CheckResult:
+    """phi_T P = lambda_T phi_T for every edge subset T, read off the m
+    per-edge factors `factors = _phi_factors(g, p, cap)` (phi_T the
+    Kronecker product of rows f_e[T_e]), the report's eigenvalues and the
+    chain's two-state product P = K + E, with no 2^m x 2^m array. K is the
+    Kronecker sum of M_e = [[b_e, a_e], [b_e, a_e]], whose left
+    eigenvectors f_e[0] and f_e[1] belong to 0 and a_e + b_e, so for c the
+    midpoint of E's range and s_T = sum(a_e + b_e, e in T) + c,
+
+        phi_T P - lambda_T phi_T = (s_T - lambda_T) phi_T + phi_T (E - c I)
+            + sum_e (phi_T with f_e[T_e] replaced by its residual under M_e).
+
+    The residual is the sup-norm bound max_T |s_T - lambda_T| ||phi_T||
+    + sum_e r_e prod_(e' != e) ||f_e'|| + radius ||phi||, r_e the larger
+    factor residual of edge e. Python ints over one denominator when p and
+    the chain are exact (detail `exact`), else float64 plus 4 m u ||phi||:
+    phi's float entries carry m - 1 roundings, which P (column sums at most
+    2) and lambda <= 1 move by at most 3 (m - 1) u ||phi||; the rest covers
+    the factor residuals' own rounding."""
+    if product is None:
+        return CheckResult("eigenvector_residual", math.inf, 1e-12, False, "the chain is no two-state product")
+    rows, den = factors
+    rates, levels, radius, scale, exact = product  # over scale
+    exact = exact and rows[0].dtype == object
+    if exact:
+        lam, L = _common_denominator(report.levels)
+    else:  # float64, each factor over its d_e = f_e[0, 1]
+        rates, levels = ((x / scale).astype(float) for x in (rates, levels))
+        radius, scale, lam, L = radius / scale, 1, np.array(report.levels, dtype=float), 1
+        rows, den = [(f / f[0, 1]).astype(float) for f in rows], 1
+    claimed = np.empty(len(levels), lam.dtype)
+    claimed[report.flats] = lam[report.index]  # lambda_T in mask order, over L
+    norms = [np.abs(f).max(axis=1) for f in rows]  # ||f_e[0]||, ||f_e[1]||
+    widest = [n.max() for n in norms]
+    worst = []
+    for f, (a, b) in zip(rows, rates.tolist()):
+        moved = f @ np.array([[b, a], [b, a]], f.dtype)
+        moved[1] -= (a + b) * f[1]
+        worst.append(np.abs(moved).max())
+    eigen = (np.abs(levels * L - claimed * scale) * _kron(norms)).max()
+    factor = sum(r * math.prod(widest[:e] + widest[e + 1:]) for e, r in enumerate(worst))
+    bound = eigen + L * (factor + radius * math.prod(widest))
+    if exact:
+        return _result("eigenvector_residual", Fraction(bound, scale * L * den), 1e-12, "exact")
+    return _result("eigenvector_residual", bound + 4 * len(rows) * U * math.prod(widest), 1e-12)
 
 
-def check_orthonormality(system: EigenSystem) -> CheckResult:
-    """Gram matrix of the psi rows of the eigensystem, less I in place."""
-    gram = system.psi @ system.psi.T
-    gram.flat[:: len(gram) + 1] -= 1.0
-    return _result("orthonormality", np.abs(gram, out=gram).max(), 1e-10)
+def check_orthonormality(factors) -> CheckResult:
+    """max |Gram - I| of the psi rows, from the factors: psi_T is phi_T
+    scaled by prod(sqrt(p_e (1 - p_e)), e not in T) in l2(1/pi), pi the
+    Kronecker product of the rows f_e[1], so the Gram matrix is the
+    Kronecker product of the 2x2 Grams G_e = S_e F_e diag(1/pi_e) F_e^T S_e,
+    F_e = f_e / d_e with d_e = f_e[0, 1], S_e = diag(sqrt(v_e), 1) and
+    v_e = f_e[1, 0] f_e[1, 1] / d_e^2. Each entry of (kron G_e) - I is at
+    most prod(1 + delta_e) - 1, delta_e = max |G_e - I|, which reads
+    v_e H_00 - 1, H_11 - 1 and sqrt(v_e H_01^2) off H = F_e diag(1/pi_e) F_e^T:
+    rational p gives Fractions, and a square root only when H_01 is not 0."""
+    rows, _ = factors
+    exact = rows[0].dtype == object
+    bound = 1
+    for f in rows:
+        (x0, x1), (y0, y1) = f.tolist()
+        d = Fraction(x1) if exact else x1
+        corner = (y1 * x0 * x0 + y0 * x1 * x1) / d ** 3  # v_e H_00
+        cross = y0 * y1 * (x0 + x1) ** 2 / d ** 4  # v_e H_01^2
+        bound *= 1 + max(abs(corner - 1), abs((y0 + y1) / d - 1), math.sqrt(cross) if cross else 0)
+    return _result("orthonormality", bound - 1, 1e-10, "exact" if exact else "")
 
 
 def check_q_symmetry(tm: TransitionMatrix, pi) -> CheckResult:
@@ -129,23 +178,22 @@ def check_q_symmetry(tm: TransitionMatrix, pi) -> CheckResult:
     return _result("q_symmetry", gap, 1e-12)
 
 
-def check_spectrum_multiset(report, tm: TransitionMatrix) -> CheckResult:
+def check_spectrum_multiset(report, tm: TransitionMatrix, product: TwoStateProduct | None) -> CheckResult:
     """The report's eigenvalue multiset against the chain's. A two-state
-    product (`_two_state_product`) needs no eigensolve: on a float chain the
+    product (`_two_state_product(tm)`) needs no eigensolve: on a float chain the
     residual is the sorted gap to its levels, plus its radius, plus
     2u max(1, |level|) for rounding (detail `product`); an exact one with
     radius 0 is compared exactly (residual 0, or 1). Any other exact chain
     is proved by `_spectrum_certificate` (residual 0, or 1 and what failed),
     any other float chain compared with a dense eigensolve."""
-    product = _two_state_product(tm)
     if product is not None and not tm.exact:
-        levels, radius, den = product
+        levels, radius, den = product.levels, product.radius, product.den
         values = (levels / den).astype(float)  # int / int rounds correctly
         gap = eigenvalue_multiset_residual(report.eigenvalue_multiset(), values)
         rounding = 2 * U * max(1.0, np.abs(values).max())
         return _result("spectrum_multiset", gap + radius / den + rounding, 1e-8, "product")
-    if product is not None and product[1] == 0:
-        levels, _, den = product
+    if product is not None and product.radius == 0:
+        levels, den = product.levels, product.den
         claimed = Counter(dict(zip(report.levels, _level_totals(report).tolist())))
         same = claimed == Counter({Fraction(v, den): k for v, k in Counter(levels.tolist()).items()})
         return CheckResult("spectrum_multiset", float(not same), 1e-8, same,
@@ -158,8 +206,22 @@ def check_spectrum_multiset(report, tm: TransitionMatrix) -> CheckResult:
                        "exact" if fault is None else f"exact: {fault}")
 
 
-def _two_state_product(tm: TransitionMatrix) -> tuple[np.ndarray, int, int] | None:
-    """(levels, radius, den) when the chain's cells make it a product of m
+class TwoStateProduct(NamedTuple):
+    """A chain P = K + E read off its cells by `_two_state_product`, every
+    value a Python int over `den`: `rates` row e holds (a_e, b_e), `levels`
+    holds s_S + c for each mask S, with c the midpoint of the diagonal E's
+    range and `radius` its half-width; `exact` says whether the chain's
+    cells were exact."""
+
+    rates: np.ndarray
+    levels: np.ndarray
+    radius: int
+    den: int
+    exact: bool
+
+
+def _two_state_product(tm: TransitionMatrix) -> TwoStateProduct | None:
+    """The chain's two-state product when its cells make it a product of m
     two-state chains, else None: every sorted eigenvalue of the chain lies
     within radius / den of the sorted levels / den, levels[S] in mask order.
 
@@ -201,7 +263,7 @@ def _two_state_product(tm: TransitionMatrix) -> tuple[np.ndarray, int, int] | No
         sums, kron = np.concatenate([sums, sums + (a + b)]), np.concatenate([kron + b, kron + a])
     shift = diagonal - kron  # E
     low, high = shift.min(), shift.max()
-    return 2 * sums + (low + high), high - low, 2 * den
+    return TwoStateProduct(2 * rates.reshape(m, 2), 2 * sums + (low + high), high - low, 2 * den, tm.exact)
 
 
 def _level_totals(report) -> np.ndarray:
@@ -324,17 +386,18 @@ def run_verification(
         masks, pi = stationary_faces(dist, g, cap=cap, exact=exact)
     tm = build_chain(dist, g, cap=cap, masks=masks)
     lat = closure(dist, cap)  # one lattice for the spectrum and the closure check
+    product = _two_state_product(tm)  # one pass for the spectrum and the eigenvectors
     results = [check_row_stochastic(tm)]
 
     if simple_model:
-        system = eigensystem_simple(g, p, cap)
+        factors, report = _phi_factors(g, p, cap), eigenvalues_simple(g.m, cap)
         results.append(check_stationary_fixed_point(tm, pi))
         results.append(check_stationary_vs_solve(tm, pi))
         results.append(check_detailed_balance(tm, pi))
-        results.append(check_eigenvector_residuals(system, tm))
-        results.append(check_orthonormality(system))
+        results.append(check_eigenvector_residuals(factors, report, product))
+        results.append(check_orthonormality(factors))
         results.append(check_q_symmetry(tm, pi))
-        results.append(check_spectrum_multiset(eigenvalues_simple(g.m, cap), tm))
+        results.append(check_spectrum_multiset(report, tm, product))
         draws = [rng.choice(tm.size, size=2, replace=False)
                  for _ in range(min(10, tm.size * (tm.size - 1) // 2))]
         pairs = [tuple(EdgeSet(g.m, mask) for mask in tm.masks[pair].tolist()) for pair in draws]
@@ -343,7 +406,7 @@ def run_verification(
         results.append(check_stationary_fixed_point(tm, pi))
         results.append(check_stationary_vs_solve(tm, pi))
         report = multiplicities(lat, tm.masks, dist)
-        results.append(check_spectrum_multiset(report, tm))
+        results.append(check_spectrum_multiset(report, tm, product))
         mismatch = report.total_multiplicity - tm.size
         results.append(_result("multiplicity_sum", mismatch, 0.0, f"{tm.size} chambers"))
     results.append(check_closure_idempotent(dist, lat))

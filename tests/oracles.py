@@ -63,9 +63,10 @@ It also keeps the helpers that only the tests use: the action of an edit
 on a state, its support, the two edit orders, chambers and their states,
 the star of edges at a vertex, the sign-table state order and
 permutations into it, a chain from a dense matrix, its dense symmetrized
-matrix and a commute time through its fundamental matrix, one walk step,
-drawn edits as masks, the weight of one edit of the lazy intersection
-model, and the readers of the CSV, JSON and JSONL artifacts.
+matrix, a hitting and a commute time through its fundamental matrix, the
+normalized histogram of a thinned walk, one walk step, drawn edits as
+masks, the weight of one edit of the lazy intersection model, and the
+readers of the CSV, JSON and JSONL artifacts.
 
 The tests compare the two.
 """
@@ -99,6 +100,7 @@ from editwalk.process import (
     _is_exact,
     _per_edge_probabilities,
     _walk,
+    make_rng,
     simulate,
 )
 from editwalk.serialize import artifact_meta
@@ -626,6 +628,14 @@ def q_matrix(tm, pi) -> np.ndarray:
     return tm.to_float() * root[:, None] / root[None, :]
 
 
+def hitting_time(tm, source, target) -> float:
+    """Expected steps from source until first visiting target, read off one
+    column of the fundamental matrix Z = (I - P + 1 pi)^-1; a target with
+    pi = 0 raises NotIrreducible."""
+    i, j = tm.index_of(source), tm.index_of(target)
+    return 0.0 if i == j else float(_hitting_columns(tm, [j])[i, 0])
+
+
 def commute_time_chain(tm, x, y) -> float:
     """Round trip through a generic chain: hitting there plus hitting back,
     both from one fundamental-matrix solve."""
@@ -741,6 +751,20 @@ def reorder(tm, masks) -> TransitionMatrix:
 def step(dist, state: EdgeSet, rng) -> EdgeSet:
     """Draw one edit by its weight and apply it."""
     return EdgeSet(state.m, _walk(dist, state, [1], rng)[0])
+
+
+def empirical_distribution(dist, initial, burn_in: int, samples: int, stride: int = 1, seed: int = 0) -> np.ndarray:
+    """Normalized histogram over all 2^m states of a thinned sample run of
+    the library's walk kernel."""
+    m = dist.m
+    check_cap(1 << m, STATE_CAP, f"2^{m} histogram bins")
+    if samples <= 0:
+        raise ValidationError(f"need at least one sample, got {samples}")
+    if burn_in < 0 or stride < 1:
+        raise ValidationError("burn_in must be >= 0 and stride >= 1")
+    times = range(burn_in + stride, burn_in + stride * samples + 1, stride)
+    masks = _walk(dist, initial, times, make_rng(seed))
+    return np.bincount(masks, minlength=1 << m) / samples
 
 
 def draw_masks(dist, rng, size: int) -> tuple[list[int], list[int]]:

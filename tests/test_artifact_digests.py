@@ -159,7 +159,7 @@ VERIFY_LINES = {
         "PASS  stationary_vs_linear_solve: residual * (tol 1.0e-12)",
         "PASS  detailed_balance: residual * (tol 1.0e-12)  (exact)",
         "PASS  eigenvector_residual: residual * (tol 1.0e-12)  (exact)",
-        "PASS  orthonormality: residual * (tol 1.0e-10)",
+        "PASS  orthonormality: residual * (tol 1.0e-10)  (exact)",
         "PASS  q_symmetry: residual * (tol 1.0e-12)",
         "PASS  spectrum_multiset: residual * (tol 1.0e-08)  (exact)",
         "PASS  commute_backends: residual * (tol 1.0e-08)  (10 pairs)",

@@ -5,7 +5,8 @@ The oracles below are the former dense implementations: one exact and one
 float loop over the edits writing into an N x N matrix, the double-loop
 reorder, the O(N^2) and O(N^3) exact verify residuals, and the N^2 DOT
 walk. Cells must reproduce them bit for bit, including the Fraction type
-of every exact entry.
+of every exact entry; the eigenvector check, which reads phi's factors,
+must bound the dense residual.
 """
 
 import dataclasses
@@ -21,6 +22,7 @@ from editwalk.errors import SupportNotCovering, ValidationError
 from editwalk.spectral import TransitionMatrix
 from oracles import chain_from_dense, from_items, parse_edit, q_matrix, reorder, sign_lex_order
 from editwalk.verify import (
+    _two_state_product,
     check_detailed_balance,
     check_eigenvector_residuals,
     check_q_symmetry,
@@ -191,9 +193,10 @@ def test_to_dot_matches_dense_walk(exact):
         assert ew.to_dot(tm, g, labels="edges") == by_edges
 
 
-def _fraction_rows(system):
-    """The phi rows of an exact eigensystem as lists of Fractions."""
-    return [[Fraction(v, system.denominator) for v in row] for row in system.numerators]
+def _phi_rows(g, p):
+    """The phi rows in mask order, and their eigenvalues |T|/m."""
+    masks = range(1 << g.m)
+    return [ew.phi(ew.EdgeSet(g.m, t), g, p) for t in masks], [Fraction(t.bit_count(), g.m) for t in masks]
 
 
 def _old_residuals(entries, pi, phi_rows, lams):
@@ -211,28 +214,53 @@ def _old_residuals(entries, pi, phi_rows, lams):
     return fixed, balance, eigen
 
 
+def _eigenvector_check(g, p, tm, report=None):
+    """verify's eigenvector check of the closed form for p against tm."""
+    report = report or ew.eigenvalues_simple(g.m)
+    return check_eigenvector_residuals(spectral._phi_factors(g, p, 1 << g.m), report, _two_state_product(tm))
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("right", [True, False])
 def test_exact_verify_residuals_match_dense_formulas(m, right):
     # right=False feeds a law and eigenvectors for other edge probabilities,
-    # so the residuals are nonzero and their values are compared too
+    # so the residuals are nonzero: the law's are compared by value, and the
+    # eigenvector check's bound must hold the dense residual
     g = _path(m)
     p = [Fraction(e + 1, m + 2) for e in range(m)]
     tm = ew.build_chain(ew.simple_edit_weights(g, p), g)
     other = p if right else [Fraction(1, 2)] * (m - 1) + [Fraction(1, 7)]
     pi = ew.stationary_closed_form(g, other)
-    system = ew.eigensystem_simple(g, other)
-    fixed, balance, eigen = _old_residuals(
-        dense_chain(ew.simple_edit_weights(g, p), g)[1], pi, _fraction_rows(system), system.eigenvalues
-    )
+    fixed, balance, eigen = _old_residuals(dense_chain(ew.simple_edit_weights(g, p), g)[1], pi, *_phi_rows(g, other))
     assert (fixed == 0 and balance == 0 and eigen == 0) == right
-    results = [
-        check_stationary_fixed_point(tm, pi),
-        check_detailed_balance(tm, pi),
-        check_eigenvector_residuals(system, tm),
-    ]
-    for result, old in zip(results, (fixed, balance, eigen)):
+    results = [check_stationary_fixed_point(tm, pi), check_detailed_balance(tm, pi)]
+    for result, old in zip(results, (fixed, balance)):
         assert result.detail == "exact" and result.residual == float(old)
+    bound = _eigenvector_check(g, other, tm)
+    assert bound.detail == "exact"
+    assert bound.residual == 0.0 if right else bound.residual >= float(eigen) > 0
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["rational", "double"])
+def test_eigenvector_bound_holds_the_dense_residual_of_other_factors(exact):
+    """The factors of other edge probabilities against the chain: the bound
+    is at least the residual of the stacked phi rows times the dense chain."""
+    rng = np.random.default_rng(41 + exact)
+    for _ in range(8):
+        m = int(rng.integers(1, 9))
+        g = _path(m)
+        p, other = ([Fraction(int(k), 13) for k in rng.integers(1, 13, size=m)] for _ in range(2))
+        if not exact:
+            p, other = [float(x) for x in p], [float(x) for x in other]
+        if p == other:
+            continue
+        tm = ew.build_chain(ew.simple_edit_weights(g, p), g)
+        rows, lams = _phi_rows(g, other)
+        rows, lams = np.array(rows, dtype=float), np.array(lams, dtype=float)
+        dense = np.abs(rows @ tm.to_float() - lams[:, None] * rows).max()
+        bound = _eigenvector_check(g, other, tm)
+        assert bound.detail == ("exact" if exact else "")
+        assert bound.residual >= dense * (1 - 1e-9) and bound.residual > 0
 
 
 def test_reversibility_residuals_match_the_dense_transpose():
@@ -266,22 +294,24 @@ def test_reversibility_residuals_match_the_dense_transpose():
     assert fixed.residual == pytest.approx(np.abs(pi @ tm.to_float() - pi).max(), abs=1e-16)
 
 
-@pytest.mark.parametrize("block", [3, 64])
-def test_exact_eigenvector_residual_of_a_perturbed_eigenvalue(monkeypatch, block):
-    # the integer identity must report the residual the Fraction formula gives,
-    # whichever block of rows holds the wrong eigenvalue
-    monkeypatch.setattr(verify, "ROW_BLOCK", block)
+@pytest.mark.parametrize("shift", [3, 64])
+def test_exact_eigenvector_residual_of_a_perturbed_eigenvalue(shift):
+    # one report level moved off the closed form by 1/shift: the bound must be
+    # the residual the Fraction formula gives, |dlambda| ||phi_T||, whether or
+    # not the shift is a power of two
     g = _path(4)
     p = [Fraction(e + 1, 6) for e in range(4)]
     tm = ew.build_chain(ew.simple_edit_weights(g, p), g)
-    system = ew.eigensystem_simple(g, p)
-    values = list(system.eigenvalues)
-    values[7] += Fraction(1, 97)
-    wrong = dataclasses.replace(system, eigenvalues=tuple(values))
+    report = ew.eigenvalues_simple(4)
+    rows, values = _phi_rows(g, p)
+    values[7] += Fraction(1, shift)
+    index = report.index.copy()
+    index[np.flatnonzero(report.flats == 7)] = len(report.levels)
+    wrong = dataclasses.replace(report, levels=report.levels + [values[7]], index=index)
     pi = ew.stationary_closed_form(g, p)
     dense = dense_chain(ew.simple_edit_weights(g, p), g)[1]
-    eigen = _old_residuals(dense, pi, _fraction_rows(system), values)[2]
-    result = check_eigenvector_residuals(wrong, tm)
+    eigen = _old_residuals(dense, pi, rows, values)[2]
+    result = _eigenvector_check(g, p, tm, wrong)
     assert eigen > 0 and result.detail == "exact" and result.residual == float(eigen)
 
 
@@ -290,18 +320,18 @@ def test_rational_verification_builds_no_fraction_views(monkeypatch):
     p = [Fraction(k, 13) for k in (1, 2, 5, 7, 11, 12)]
     dist = ew.simple_edit_weights(g, p)
     tm = ew.build_chain(dist, g)
-    systems = []
+    factors = []
 
     def capture(*args, **kwargs):
-        systems.append(ew.eigensystem_simple(*args, **kwargs))
-        return systems[-1]
+        factors.append(spectral._phi_factors(*args, **kwargs))
+        return factors[-1]
 
-    monkeypatch.setattr(verify, "eigensystem_simple", capture)
+    monkeypatch.setattr(verify, "_phi_factors", capture)
     monkeypatch.setattr(verify, "build_chain", lambda *args, **kwargs: tm)
     results = run_verification(g, dist, p=p)
     assert all(r.passed for r in results), [r.line() for r in results]
     ew.to_dot(tm)
-    assert len([s for s in systems if s.exact]) == 1
+    assert len(factors) == 1 and all(f.dtype == object for f in factors[0][0])
     assert "entries" not in vars(tm)
 
 
@@ -320,7 +350,7 @@ def test_rational_verification_at_seven_edges_is_exact():
     assert all(r.passed for r in results), [r.line() for r in results]
     exact = {r.name: r.residual for r in results if r.detail == "exact"}
     assert set(exact) == {
-        "stationary_fixed_point", "detailed_balance", "eigenvector_residual", "spectrum_multiset"
+        "stationary_fixed_point", "detailed_balance", "eigenvector_residual", "orthonormality", "spectrum_multiset"
     }
     assert all(v == 0.0 for v in exact.values())
     assert next(r for r in results if r.name == "row_stochastic").residual == 0.0

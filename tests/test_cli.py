@@ -22,11 +22,13 @@ from editwalk import (
 from editwalk.cli import main
 from editwalk.process import SAMPLER_VERSION
 from editwalk.verify import (
+    _two_state_product,
+    check_eigenvector_residuals,
     check_row_stochastic,
     check_spectrum_multiset,
     run_verification,
 )
-from editwalk.spectral import TransitionMatrix, eigenvalues_simple
+from editwalk.spectral import TransitionMatrix, _phi_factors, eigenvalues_simple
 from oracles import chain_from_dense, read_csv, read_json, read_jsonl
 
 
@@ -705,8 +707,11 @@ class TestVerify:
         result = check_row_stochastic(bad)
         assert not result.passed and result.name == "row_stochastic"
         report = eigenvalues_simple(g.m)
-        result2 = check_spectrum_multiset(report, bad)
+        product = _two_state_product(bad)
+        result2 = check_spectrum_multiset(report, bad, product)
         assert not result2.passed and result2.name == "spectrum_multiset"
+        result3 = check_eigenvector_residuals(_phi_factors(g, 0.4, 1 << g.m), report, product)
+        assert not result3.passed and result3.name == "eigenvector_residual"
 
     def test_run_verification_collects_all_checks(self):
         g = complete_graph(3)

@@ -10,7 +10,6 @@ from editwalk import (
     commute_time,
     complete_graph,
     from_edge_list,
-    hitting_time,
     hitting_time_closed,
     moran_weights,
     recurrent_class,
@@ -21,6 +20,7 @@ from oracles import (
     NotReversible,
     commute_terms_enumerated,
     commute_time_chain,
+    hitting_time,
     hitting_time_spectral,
     largest_dropped_term,
     sign_lex_order,

@@ -8,7 +8,13 @@ import pytest
 
 import editwalk as ew
 from editwalk.errors import ValidationError
-from oracles import commute_time_chain, intersection_stationary_enumerated, largest_dropped_term, reorder
+from oracles import (
+    commute_time_chain,
+    empirical_distribution,
+    intersection_stationary_enumerated,
+    largest_dropped_term,
+    reorder,
+)
 
 
 def test_one_edge_host_end_to_end():
@@ -76,7 +82,7 @@ def test_moran_empirical_matches_stationary():
     dist = ew.moran_weights(k3)
     tm = ew.build_chain(dist, k3, ew.recurrent_class(dist, k3))
     pi = ew.stationary_numeric(tm)
-    hist = ew.empirical_distribution(
+    hist = empirical_distribution(
         dist, k3.full_set(), burn_in=100, samples=120_000, seed=77
     )
     sampled = np.array([hist[mask] for mask in tm.masks.tolist()])
@@ -89,7 +95,7 @@ def test_intersection_empirical_matches_product_law():
     mu = [0.25, 0.5, 0.25]
     dist = ew.intersection_weights(n, N, mu)
     pi = intersection_stationary_enumerated(n, N, mu)
-    hist = ew.empirical_distribution(
+    hist = empirical_distribution(
         dist, ew.EdgeSet(n * N, 0), burn_in=50, samples=120_000, seed=13
     )
     assert 0.5 * np.abs(hist - pi).sum() < 0.01

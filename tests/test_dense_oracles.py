@@ -20,6 +20,7 @@ from oracles import (
     NotReversible,
     chain_from_dense,
     commute_time_chain,
+    hitting_time,
     hitting_time_spectral,
     hitting_times_first_step,
 )
@@ -62,7 +63,7 @@ def test_fundamental_matrix_matches_first_step_solves(name):
     assert np.allclose(spectral._hitting_columns(tm, targets), hit[:, targets], rtol=1e-12)
     i, j = 1, tm.size - 2
     E, F = (ew.EdgeSet(tm.m, int(tm.masks[k])) for k in (i, j))
-    assert ew.hitting_time(tm, E, F) == pytest.approx(hit[i, j], rel=1e-12)
+    assert hitting_time(tm, E, F) == pytest.approx(hit[i, j], rel=1e-12)
     assert commute_time_chain(tm, E, F) == pytest.approx(hit[i, j] + hit[j, i], rel=1e-12)
 
 

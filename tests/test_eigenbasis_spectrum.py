@@ -1,12 +1,13 @@
-"""The per-edge chain's eigenvalue multiset, proved from its two-state product.
+"""The per-edge chain's spectrum and eigenvectors, proved from its two-state product.
 
 On the simple model `verify` takes no eigensolve: the chain's cells show
 it is the Kronecker sum of m two-state chains plus a diagonal, so Weyl's
 inequality puts its sorted eigenvalues within the diagonal's spread of the
-subset sums of the rates (`verify._two_state_product`). The dense
+subset sums of the rates (`verify._two_state_product`), and the same pass
+checks phi's 2x2 factors against each two-state chain. The dense
 eigensolve stays here as the oracle, and the exact certificate as a second
 proof. The product must be declined when the cells are not one, and the
-check must fail when the chain or the report is altered.
+checks must fail when the chain or the report is altered.
 """
 
 import dataclasses
@@ -20,7 +21,13 @@ from hypothesis import strategies as st
 import editwalk as ew
 from editwalk import verify
 from editwalk.spectral import TransitionMatrix, eigenvalue_multiset_residual, numeric_eigenvalues
-from editwalk.verify import U, _two_state_product, check_spectrum_multiset, run_verification
+from editwalk.verify import (
+    U,
+    _two_state_product,
+    check_eigenvector_residuals,
+    check_spectrum_multiset,
+    run_verification,
+)
 
 EXTREME_P = [1e-6, 0.5, 0.999999, 0.3, 1e-3, 0.5, 0.5, 0.9, 0.1, 0.2]
 TINY_P = [1e-9, 1e-9, 1e-9, 0.3, 1e-3, 0.5, 0.5, 0.9, 0.1, 0.2]
@@ -61,7 +68,7 @@ def test_the_printed_residual_bounds_the_gap_to_the_dense_eigensolve(p):
     g = path(len(p))
     tm = chain(g, p)
     report = ew.eigenvalues_simple(g.m)
-    result = check_spectrum_multiset(report, tm)
+    result = check_spectrum_multiset(report, tm, _two_state_product(tm))
     gap = eigenvalue_multiset_residual(report.eigenvalue_multiset(), numeric_eigenvalues(tm))
     assert result.passed and result.detail == "product" and result.residual <= 1e-14
     assert gap <= result.residual + eigvalsh_error(tm.size)
@@ -71,9 +78,10 @@ def test_the_printed_residual_bounds_the_gap_to_the_dense_eigensolve(p):
 def test_the_product_and_the_certificate_both_prove_rational_chains(m):
     g, report = path(m), ew.eigenvalues_simple(m)
     tm = chain(g, mixed_p(m, True))
-    levels, radius, den = _two_state_product(tm)
-    assert radius == 0 and sorted(Fraction(v, den) for v in levels.tolist()) == sorted(report.eigenvalues)
-    result = check_spectrum_multiset(report, tm)
+    product = _two_state_product(tm)
+    assert product.radius == 0 and product.exact
+    assert sorted(Fraction(v, product.den) for v in product.levels.tolist()) == sorted(report.eigenvalues)
+    result = check_spectrum_multiset(report, tm, product)
     assert (result.passed, result.residual, result.detail) == (True, 0.0, "exact")
     assert verify._spectrum_certificate(report, tm) is None
 
@@ -84,25 +92,37 @@ def moved(tm, cell, by):
     return dataclasses.replace(tm, numerators=nums)
 
 
+def eigenvector_check(g, p, tm):
+    factors = ew.spectral._phi_factors(g, p, 1 << g.m)
+    return check_eigenvector_residuals(factors, ew.eigenvalues_simple(g.m), _two_state_product(tm))
+
+
 def test_a_moved_chain_cell_fails():
-    """An off-diagonal cell off its edge's shared rate: no product, and the
-    dense eigensolve finds the spectrum moved."""
+    """An off-diagonal cell off its edge's shared rate: no product, so the
+    eigenvector check fails by name, and the dense eigensolve finds the
+    spectrum moved."""
     g, p = path(4), mixed_p(4, False)
     tm = chain(g, p)
     cell = np.flatnonzero((tm.rows == 0) & (tm.cols == 1))[0]
     broken = moved(tm, cell, 1e-6)
     assert _two_state_product(broken) is None
-    result = check_spectrum_multiset(ew.eigenvalues_simple(4), broken)
+    result = check_spectrum_multiset(ew.eigenvalues_simple(4), broken, None)
     assert not result.passed and result.detail == ""
+    eigen = eigenvector_check(g, p, broken)
+    assert not eigen.passed and eigen.detail == "the chain is no two-state product"
 
 
 def test_a_moved_diagonal_cell_fails():
-    """A product still, with the moved cell's 1e-6 as the diagonal's spread."""
+    """A product still, with the moved cell's 1e-6 as the diagonal's spread,
+    which moves phi_0 at that state by 1e-6: both checks see it."""
     g, p = path(4), mixed_p(4, False)
     tm = chain(g, p)
     cell = np.flatnonzero((tm.rows == 5) & (tm.cols == 5))[0]
-    result = check_spectrum_multiset(ew.eigenvalues_simple(4), moved(tm, cell, 1e-6))
+    broken = moved(tm, cell, 1e-6)
+    result = check_spectrum_multiset(ew.eigenvalues_simple(4), broken, _two_state_product(broken))
     assert not result.passed and result.detail == "product" and result.residual >= 1e-6
+    eigen = eigenvector_check(g, p, broken)
+    assert not eigen.passed and eigen.detail == "" and eigen.residual >= 0.999e-6
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["double", "rational"])
@@ -112,7 +132,8 @@ def test_a_moved_unit_of_multiplicity_fails(exact):
     mults = report.multiplicities.copy()
     mults[np.flatnonzero(report.index == 1)[0]] -= 1  # one eigenvalue 1/5 becomes 2/5
     mults[np.flatnonzero(report.index == 2)[0]] += 1
-    result = check_spectrum_multiset(dataclasses.replace(report, multiplicities=mults), chain(path(m), mixed_p(m, exact)))
+    tm = chain(path(m), mixed_p(m, exact))
+    result = check_spectrum_multiset(dataclasses.replace(report, multiplicities=mults), tm, _two_state_product(tm))
     assert not result.passed
     if exact:
         assert result.residual == 1.0 and result.detail == "exact: the multiplicities differ from the product's"
@@ -143,8 +164,9 @@ def test_an_exact_chain_off_its_product_goes_to_the_certificate():
     tm = chain(path(4), mixed_p(4, True))
     cell = np.flatnonzero((tm.rows == 5) & (tm.cols == 5))[0]
     broken = moved(tm, cell, 1)
-    assert _two_state_product(broken)[1] != 0
-    result = check_spectrum_multiset(ew.eigenvalues_simple(4), broken)
+    product = _two_state_product(broken)
+    assert product.radius != 0
+    result = check_spectrum_multiset(ew.eigenvalues_simple(4), broken, product)
     assert not result.passed and result.detail == "exact: the levels do not annihilate the chain"
 
 
@@ -166,8 +188,8 @@ def test_a_custom_single_edge_family_takes_the_product_proof(exact, empty):
     g = path(4)
     dist = single_edge_family(4, exact, empty)
     tm = ew.build_chain(dist, g)
-    _, radius, den = _two_state_product(tm)
-    assert radius == 0 if exact else radius / den < 1e-15
+    product = _two_state_product(tm)
+    assert product.radius == 0 if exact else product.radius / product.den < 1e-15
     results = run_verification(g, dist, exact=exact)
     spectrum = next(r for r in results if r.name == "spectrum_multiset")
     assert all(r.passed for r in results)
@@ -185,25 +207,12 @@ def test_moran_and_intersection_chains_never_take_the_product_proof(exact):
         assert _two_state_product(tm) is None
 
 
-class _Rows(np.ndarray):
-    """phi's numerators, counting the matrix products that read them."""
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if ufunc is np.matmul:
-            PRODUCTS.append(type(self).__name__)
-        inputs = tuple(x.view(np.ndarray) if isinstance(x, _Rows) else x for x in inputs)
-        return getattr(ufunc, method)(*inputs, **kwargs)
-
-
-class _Psi(_Rows):
-    """psi, counted apart from phi."""
-
-
-PRODUCTS = []
-
-
 @pytest.mark.parametrize("n, exact", [(5, False), (4, True)], ids=["double m=10", "rational m=6"])
 def test_verify_takes_no_eigensolve_and_one_product_and_gram(monkeypatch, n, exact):
+    """One two-state product pass serves the spectrum and the eigenvectors,
+    and the eigenvectors and their Gram matrix are checked from the 2x2
+    factors: no eigensolve, no Kronecker product past a vector, and no
+    product of the chain with a stack of rows."""
     g = ew.complete_graph(n)
     p = mixed_p(g.m, exact)
 
@@ -213,29 +222,37 @@ def test_verify_takes_no_eigensolve_and_one_product_and_gram(monkeypatch, n, exa
     for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigvals"), (verify, "_spectrum_certificate")):
         monkeypatch.setattr(module, name, refuse)
 
-    def counted(*args, **kwargs):
-        system = ew.eigensystem_simple(*args, **kwargs)
-        return dataclasses.replace(system, numerators=system.numerators.view(_Rows), psi=system.psi.view(_Psi))
+    def spy(name, original, seen):
+        def wrapped(*args, **kwargs):
+            seen.append(original(*args, **kwargs))
+            return seen[-1]
+        monkeypatch.setattr(verify, name, wrapped)
 
-    applied = []
+    products, krons = [], []
+    spy("_two_state_product", _two_state_product, products)
+    spy("_kron", verify._kron, krons)
+    stacks = []
     left_apply = TransitionMatrix.left_apply
 
-    def spy(self, vectors):
-        if np.ndim(vectors) == 2:
-            applied.append(len(vectors))
+    def counted(self, vectors):
+        stacks.append(np.ndim(vectors))
         return left_apply(self, vectors)
 
-    monkeypatch.setattr(verify, "eigensystem_simple", counted)
-    monkeypatch.setattr(TransitionMatrix, "left_apply", spy)
-    PRODUCTS.clear()
+    monkeypatch.setattr(TransitionMatrix, "left_apply", counted)
     results = run_verification(g, ew.simple_edit_weights(g, p), p=p)
     assert all(r.passed for r in results)
-    spectrum = next(r for r in results if r.name == "spectrum_multiset")
+    assert not any(hasattr(module, "eigensystem_simple") for module in (ew, verify, ew.spectral))
+    assert len(products) == 1 and products[0] is not None
+    assert krons and all(k.ndim == 1 for k in krons)
+    assert 2 not in stacks
+    spectrum, eigen, gram = (next(r for r in results if r.name == name)
+                             for name in ("spectrum_multiset", "eigenvector_residual", "orthonormality"))
     assert spectrum.detail == ("exact" if exact else "product")
     assert spectrum.residual == 0.0 if exact else spectrum.residual <= 1e-14
-    # the exact product runs over the cells, ROW_BLOCK rows a call; the float one is one dense product
-    assert PRODUCTS == (["_Psi"] if exact else ["_Rows", "_Psi"])
-    assert sum(applied) == (1 << g.m if exact else 0)
+    if exact:
+        assert (eigen.residual, eigen.detail, gram.residual, gram.detail) == (0.0, "exact", 0.0, "exact")
+    else:
+        assert eigen.residual <= 8 * g.m * U and gram.residual <= g.m * U
 
 
 def test_extreme_probabilities_on_k5_pass_the_spectrum_check():
@@ -243,6 +260,10 @@ def test_extreme_probabilities_on_k5_pass_the_spectrum_check():
     g, report = ew.complete_graph(5), ew.eigenvalues_simple(10)
     for p in (EXTREME_P, TINY_P):
         for exact in (False, True):
-            result = check_spectrum_multiset(report, chain(g, [Fraction(x) for x in p] if exact else p))
+            probs = [Fraction(x) for x in p] if exact else p
+            tm = chain(g, probs)
+            result = check_spectrum_multiset(report, tm, _two_state_product(tm))
             assert result.passed and result.residual <= 1e-14
             assert result.detail == ("exact" if exact else "product")
+            eigen = eigenvector_check(g, probs, tm)
+            assert eigen.passed and eigen.residual <= (0 if exact else 5e-15)

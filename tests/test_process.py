@@ -9,7 +9,6 @@ from editwalk import (
     block_probabilities,
     chung_lu_probabilities,
     complete_graph,
-    empirical_distribution,
     erdos_renyi_probabilities,
     forest_flags,
     from_edge_list,
@@ -33,6 +32,7 @@ from editwalk.process import AliasSampler, WeightedEdits
 from oracles import (
     apply,
     draw_masks,
+    empirical_distribution,
     intersection_stationary_enumerated,
     moran_weights_per_edge,
     neighborhood_edges,

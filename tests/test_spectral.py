@@ -10,7 +10,6 @@ from editwalk import (
     brown_tv_bound,
     build_chain,
     complete_graph,
-    eigensystem_simple,
     eigenvalue_multiset_residual,
     eigenvalues_simple,
     forest_flags,
@@ -33,7 +32,7 @@ from editwalk import (
     to_dot,
     tv_decay,
 )
-from oracles import permute_vector, q_matrix, reorder, sign_lex_order
+from oracles import permute_vector, psi_rows_enumerated, q_matrix, reorder, sign_lex_order
 from editwalk.errors import (
     CapExceeded,
     DegenerateGap,
@@ -292,10 +291,9 @@ class TestEigenvectors:
         for m in (3, 6, 8):
             g = random_host(rng, m)
             p = random_probs(rng, m)
-            system = eigensystem_simple(g, p)
             P = build_chain(simple_edit_weights(g, p), g).to_float()
-            lam = np.array([float(v) for v in system.eigenvalues])
-            rows = (system.numerators / system.denominator).astype(float)
+            lam = np.bitwise_count(np.arange(1 << m)) / m
+            rows = np.array([np.asarray(phi(EdgeSet(m, t), g, p), dtype=float) for t in range(1 << m)])
             residual = np.abs(rows @ P - lam[:, None] * rows).max()
             assert residual < 1e-12
 
@@ -305,7 +303,7 @@ class TestEigenvectors:
         p = random_probs(rng, 5)
         # same-size subsets share an eigenvalue, where symmetry alone would
         # not force orthogonality
-        a, b = eigensystem_simple(g, p).psi[[0b00011, 0b01100]]
+        a, b = psi_rows_enumerated(g, p, np.array([0b00011, 0b01100]))
         assert a @ a == pytest.approx(1.0, abs=1e-10)
         assert b @ b == pytest.approx(1.0, abs=1e-10)
         assert a @ b == pytest.approx(0.0, abs=1e-10)
@@ -315,14 +313,15 @@ class TestEigenvectors:
         g = random_host(rng, 4)
         p = random_probs(rng, 4)
         pi = stationary_closed_form(g, p)
-        assert np.abs(eigensystem_simple(g, p).psi[-1] - np.sqrt(pi)).max() < 1e-12
+        psi = psi_rows_enumerated(g, p, np.array([g.full_set().mask]))[0]
+        assert np.abs(psi - np.sqrt(np.asarray(pi, dtype=float))).max() < 1e-12
 
     def test_gram_identity(self):
         rng = np.random.default_rng(15)
         g = random_host(rng, 6)
         p = random_probs(rng, 6)
-        system = eigensystem_simple(g, p)
-        gram = system.psi @ system.psi.T
+        psi = psi_rows_enumerated(g, p, np.arange(1 << 6))
+        gram = psi @ psi.T
         assert np.abs(gram - np.eye(1 << 6)).max() < 1e-10
 
     def test_q_symmetry(self):

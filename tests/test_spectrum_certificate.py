@@ -21,7 +21,7 @@ from test_random_families import seeded_families
 import editwalk as ew
 from editwalk import verify
 from editwalk.errors import SupportNotCovering
-from editwalk.verify import CheckResult, check_spectrum_multiset, run_verification
+from editwalk.verify import CheckResult, _two_state_product, check_spectrum_multiset, run_verification
 
 
 def path(m):
@@ -59,7 +59,7 @@ CASES = {
 
 
 def proved(report, tm):
-    result = check_spectrum_multiset(report, tm)
+    result = check_spectrum_multiset(report, tm, _two_state_product(tm))
     return result.passed, result.detail
 
 
@@ -154,7 +154,7 @@ def test_a_moved_cell_fails(name):
     report, tm = build(*args)
     moved = moved_cell(tm)
     assert moved.row_sum_residual() == 0 and oracle_gap(report, moved) > 1e-8
-    result = check_spectrum_multiset(report, moved)
+    result = check_spectrum_multiset(report, moved, _two_state_product(moved))
     assert not result.passed and result.residual == 1.0
     assert result.line().startswith("FAIL  spectrum_multiset")
 

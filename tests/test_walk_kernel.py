@@ -1,5 +1,5 @@
-"""Laws of the block-drawn walk kernel behind simulate and
-empirical_distribution.
+"""Laws of the block-drawn walk kernel behind simulate and the
+`empirical_distribution` oracle.
 
 Edits are drawn in blocks and applied to raw masks, so no Edit is built or
 validated per step. These tests check what that validation guarded: every
@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from editwalk import (
     complete_graph,
-    empirical_distribution,
     from_edge_list,
     intersection_weights,
     make_rng,
@@ -33,7 +32,7 @@ from editwalk import (
 from editwalk import process
 from editwalk.hostgraph import EdgeSet
 from editwalk.process import BLOCK, WeightedEdits, _walk
-from oracles import apply, draw_masks, edit_items, lazy_draw_by_ranks, step, walk_by_step
+from oracles import apply, draw_masks, edit_items, empirical_distribution, lazy_draw_by_ranks, step, walk_by_step
 
 K4 = complete_graph(4)
 LAWS = {
