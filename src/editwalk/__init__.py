@@ -55,7 +55,6 @@ from .spectral import (
     spectrum,
     stationary_closed_form,
     stationary_faces,
-    stationary_numeric,
     to_dot,
     tv_decay,
 )

@@ -3,17 +3,16 @@
 Builds transition matrices over subgraph states, evaluates the closed-form
 stationary law and eigenvectors of the per-edge update chain, computes
 spectra of compound chains through the support lattice, and derives mixing
-bounds, total-variation decay, and hitting/commute times. Every
-closed-form path is paired with an independent numeric oracle (dense
-eigensolve or fundamental-matrix solve).
+bounds, total-variation decay, and hitting/commute times.
 
 Every enumeration reads a distribution's mask arrays (`WeightedEdits.plus`,
 `.minus`), and collections of states are sorted mask arrays: the recurrent
 class, the chambers of a stationary law, the states of a chain. A chain is
 kept as its nonzero cells: one step applies one weighted edit, so N states
 have at most (edits * N) cells, all found in one vectorized pass over the
-edits. The dense float64 matrix for the solvers is derived on first
-request; the dense exact matrix only when something reads it. The
+edits. The dense float64 matrix, for the compound `commute` solves and
+float eigensolves, is derived on first request; the dense exact matrix
+only when something reads it. The
 stationary law of a compound chain needs no chain at all: it is the law of
 the backward product of drawn edits, carried face by face (`stationary_faces`).
 
@@ -119,24 +118,6 @@ class TransitionMatrix:
         cells = np.array([Fraction(v, self.denominator) for v in self.numerators], dtype=object)
         return self._dense(Fraction(0), cells)
 
-    @cached_property
-    def _stationary(self) -> np.ndarray:
-        """The float stationary law by one dense solve; see `stationary_numeric`."""
-        A = self.to_float().T.copy()
-        A.flat[:: self.size + 1] -= 1.0  # P^T - I
-        A[-1, :] = 1.0
-        b = np.zeros(self.size)
-        b[-1] = 1.0
-        try:
-            pi = np.linalg.solve(A, b)
-        except np.linalg.LinAlgError as exc:
-            raise NotIrreducible("stationary system is singular") from exc
-        if np.abs(A @ pi - b).max() > SOLVE_RESIDUAL_TOL or pi.min() < -SOLVE_RESIDUAL_TOL:
-            raise NotIrreducible("stationary solve left a large residual")
-        pi = np.clip(pi, 0.0, None) / pi.sum()
-        pi.flags.writeable = False
-        return pi
-
     def _transpose_gap(self, values: np.ndarray) -> tuple[object, bool]:
         """max |v_ij - v_ji| over the cells (a missing v_ji reads 0), and whether every cell is paired."""
         at = find_masks(self.rows * self.size + self.cols, self.cols * self.size + self.rows)
@@ -148,7 +129,7 @@ class TransitionMatrix:
             sums = np.zeros(self.size, dtype=object)
             np.add.at(sums, self.rows, self.numerators)
             return Fraction(max(abs(s - self.denominator) for s in sums), self.denominator)
-        return float(np.abs(self.to_float().sum(axis=1) - 1.0).max())
+        return float(np.abs(np.bincount(self.rows, self.float_values, self.size) - 1.0).max())
 
     def left_apply(self, vectors) -> np.ndarray:
         """vectors @ P for one row vector or a stack of them, summed over the
@@ -156,6 +137,13 @@ class TransitionMatrix:
         terms = np.asarray(vectors)[..., self.rows] * self.numerators
         out = np.zeros(terms.shape[:-1] + (self.size,), dtype=terms.dtype)
         np.add.at(out.T, self.cols, terms.T)
+        return out
+
+    def right_apply(self, vectors) -> np.ndarray:
+        """P @ v for each vector v, over the cells as `left_apply` takes v @ P."""
+        terms = np.asarray(vectors)[..., self.cols] * self.numerators
+        out = np.zeros(terms.shape[:-1] + (self.size,), dtype=terms.dtype)
+        np.add.at(out.T, self.rows, terms.T)
         return out
 
 
@@ -300,13 +288,6 @@ def _stationary_floats(g: HostGraph, p, cap: int = STATE_CAP) -> np.ndarray:
     return (_kron([f[1] for f in factors]) / den).astype(float)
 
 
-def stationary_numeric(tm: TransitionMatrix) -> np.ndarray:
-    """Left fixed vector by linear solve; independent of any closed form.
-    Solved once per chain: the read-only result is cached on `tm`, so the
-    checks, the hitting times and the eigensolve of one chain share it."""
-    return tm._stationary
-
-
 def stationary_faces(
     dist: WeightedEdits,
     g: HostGraph,
@@ -434,27 +415,18 @@ def spectrum(
     return multiplicities(lat, masks, dist)
 
 
-def numeric_eigenvalues(tm: TransitionMatrix) -> np.ndarray:
-    """Eigenvalue multiset of the dense matrix, sorted descending.
-
-    A reversible chain with a positive stationary law is similar to the
-    symmetric D^(1/2) P D^(-1/2), so `eigvalsh` takes its spectrum. Any
-    other chain (Moran, or one whose stationary solve fails) gets the
-    general `eigvals`; the chamber-walk matrices are diagonalizable with
-    real spectrum, so an imaginary residue above IMAG_TOL is reported as
-    an error.
-    """
-    try:
-        Q = _symmetrized(tm, stationary_numeric(tm))
-    except NotIrreducible:
-        Q = None
+def numeric_eigenvalues(tm: TransitionMatrix, pi=None) -> np.ndarray:
+    """Eigenvalue multiset of the dense matrix, sorted descending: `eigvalsh`
+    of the symmetric D^(1/2) P D^(-1/2) for a reversible chain with a positive
+    law `pi`, else (Moran, a law with zeros, no law) the general `eigvals`,
+    whose imaginary residue above IMAG_TOL is an error: the chamber-walk
+    matrices are diagonalizable with real spectrum."""
+    Q = None if pi is None else _symmetrized(tm, np.asarray(pi, dtype=float))
     if Q is not None:
         return np.linalg.eigvalsh(Q)[::-1]
     values = np.linalg.eigvals(tm.to_float())
     if np.abs(values.imag).max() > IMAG_TOL:
-        raise ValidationError(
-            f"eigenvalues have imaginary parts up to {np.abs(values.imag).max()}"
-        )
+        raise ValidationError(f"eigenvalues have imaginary parts up to {np.abs(values.imag).max()}")
     return np.sort(values.real)[::-1]
 
 
@@ -801,27 +773,30 @@ def hitting_time_closed(E: EdgeSet, F: EdgeSet, g: HostGraph, p):
 
 def _hitting_columns(tm: TransitionMatrix, targets: Sequence[int]) -> np.ndarray:
     """Expected steps from every state (rows) to each target index (columns),
-    from one solve for the target columns of the fundamental matrix
-    Z = (I - P + 1 pi)^-1: H(i -> t) = (Z_tt - Z_it) / pi_t (Kemeny & Snell,
-    Finite Markov Chains, ch. 4). A target outside the closed class
+    from dense solves for pi and for the target columns of the fundamental
+    matrix Z = (I - P + 1 pi)^-1: H(i -> t) = (Z_tt - Z_it) / pi_t (Kemeny &
+    Snell, Finite Markov Chains, ch. 4). A target outside the closed class
     (pi_t = 0) is never reached from it and raises NotIrreducible."""
-    pi = stationary_numeric(tm)
-    t = np.asarray(targets, dtype=np.intp)
-    if (pi[t] <= 0).any():
-        raise NotIrreducible("a hitting target lies outside the closed class")
-    A = pi - tm.to_float()  # every row of 1 pi is pi
-    A.flat[:: tm.size + 1] += 1.0
-    columns = np.arange(len(t))
-    B = np.zeros((tm.size, len(t)))
-    B[t, columns] = 1.0
+    n, t = tm.size, np.asarray(targets, dtype=np.intp)
+    A, b = tm.to_float().T.copy(), np.zeros(n)
+    A.flat[:: n + 1] -= 1.0
+    A[-1, :] = b[-1] = 1.0
     try:
+        pi = np.linalg.solve(A, b)
+        if np.abs(A @ pi - b).max() > SOLVE_RESIDUAL_TOL or pi.min() < -SOLVE_RESIDUAL_TOL:
+            raise NotIrreducible("stationary solve left a large residual")
+        pi = np.clip(pi, 0.0, None) / pi.sum()
+        if (pi[t] <= 0).any():
+            raise NotIrreducible("a hitting target lies outside the closed class")
+        A = pi - tm.to_float()  # every row of 1 pi is pi
+        A.flat[:: n + 1] += 1.0
+        B = (np.arange(n)[:, None] == t).astype(float)
         Z = np.linalg.solve(A, B)
     except np.linalg.LinAlgError as exc:
-        raise NotIrreducible("fundamental-matrix system is singular") from exc
-    scale = max(1.0, np.abs(Z).max(initial=0.0))
-    if np.abs(A @ Z - B).max(initial=0.0) > SOLVE_RESIDUAL_TOL * scale:
+        raise NotIrreducible("stationary or fundamental-matrix system is singular") from exc
+    if np.abs(A @ Z - B).max(initial=0.0) > SOLVE_RESIDUAL_TOL * max(1.0, np.abs(Z).max(initial=0.0)):
         raise NotIrreducible("fundamental-matrix solve left a large residual")
-    return (Z[t, columns] - Z) / pi[t]
+    return (Z[t, np.arange(len(t))] - Z) / pi[t]
 
 
 # ---------------------------------------------------------------------------

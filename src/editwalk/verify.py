@@ -1,31 +1,20 @@
 """Self-checking oracle suite behind the CLI's verify command.
 
-Each check recomputes a quantity two independent ways (closed form vs
-dense float numerics, or vs exact sums over the chain's nonzero cells) and
-reports the residual against the check's one fixed tolerance:
-
-- 1e-12 for the identities: row sums, the stationary fixed point and
-  linear solve, detailed balance, Q's symmetry, and the bound on
-  phi_T P - lambda_T phi_T;
-- 1e-10 for the bound on the psi rows' Gram matrix less I;
-- 1e-8 for the eigenvalue multiset and the commute backends;
-- 0 for the counts.
-
-Checks return results rather than raising, so the CLI can print a full
-table and exit nonzero only at the end. In rational mode the identity
-residuals are exact zeros.
-
-No eigensolve and no 2^m x 2^m array runs on the per-edge chain: its cells
-show it is a product of two-state chains (`_two_state_product`), whose
-spectrum is the subset sums of their rates (with Weyl's inequality
-bounding what the diagonal adds), and the closed form's eigenvectors and
-their Gram matrix are checked factor by factor against those chains. Any
-other chain's multiset is proved by `_spectrum_certificate` when exact and
-compared with a dense eigensolve when float.
+Each check tests a closed form or the given law against the chain's
+nonzero cells, with no linear solve, and reports its residual against one
+fixed tolerance: 1e-12 for the identities (row sums, the stationary fixed
+point and the coupling bound on its error, detailed balance, Q's symmetry,
+the bound on phi_T P - lambda_T phi_T); 1e-10 for the bound on the psi
+rows' Gram matrix less I; 1e-8 for the eigenvalue multiset and the hitting
+and commute times; 0 for the counts. Checks return results rather than
+raise, so the CLI prints a full table; rational mode gives exact zeros. No
+eigensolve and no dense matrix runs on the per-edge chain: its cells show
+it is a product of two-state chains (`_two_state_product`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -34,25 +23,26 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import STATE_CAP, NotIrreducible
-from .hostgraph import EdgeSet, HostGraph, find_masks
+from .errors import STATE_CAP, CapExceeded
+from .hostgraph import HostGraph, find_masks
 from .lattice import SupportLattice, closure, multiplicities
-from .process import WeightedEdits, _common_denominator, _kron
+from .process import WeightedEdits, _common_denominator, _kron, _per_edge_probabilities
 from .spectral import (
     TransitionMatrix,
-    _hitting_columns,
+    _basis_sums,
     _law,
     _phi_factors,
     _q_cells,
+    _spectral_sum,
+    _sum_at,
+    _sum_terms,
     build_chain,
-    commute_time,
     detailed_balance_residual,
     eigenvalue_multiset_residual,
     eigenvalues_simple,
     numeric_eigenvalues,
     stationary_closed_form,
     stationary_faces,
-    stationary_numeric,
 )
 
 # Power sums run mod a prime below PRIME_BOUND: N residue products of
@@ -84,18 +74,37 @@ def check_row_stochastic(tm: TransitionMatrix) -> CheckResult:
     return _result("row_stochastic", tm.row_sum_residual(), 1e-12)
 
 
-def check_stationary_fixed_point(tm: TransitionMatrix, pi) -> CheckResult:
-    """pi P = pi as pi_num P_num = den pi_num over the nonzero cells: integers
-    when the chain and pi are exact, else float64."""
+def _fixed_point(tm: TransitionMatrix, pi) -> tuple:
+    """(pi P - pi, pi, their denominator, the chain), over the cells of `_law`."""
     chain, nums, den = _law(tm, pi)  # int / int rounds as float(Fraction) does
-    residual = np.abs(chain.left_apply(nums) - chain.denominator * nums).max() / (den * chain.denominator)
-    return _result("stationary_fixed_point", residual, 1e-12, "exact" if chain.exact else "")
+    law = chain.denominator * nums
+    return chain.left_apply(nums) - law, law, den * chain.denominator, chain
 
 
-def check_stationary_vs_solve(tm: TransitionMatrix, pi) -> CheckResult:
-    solved = stationary_numeric(tm)
-    residual = np.abs(np.asarray([float(x) for x in pi]) - solved).max()
-    return _result("stationary_vs_linear_solve", residual, 1e-12)
+def check_stationary_fixed_point(tm: TransitionMatrix, pi, fixed: tuple | None = None) -> CheckResult:
+    """pi P = pi over the nonzero cells in `_law`'s arithmetic; `fixed` is `_fixed_point(tm, pi)`."""
+    gap, _, den, chain = _fixed_point(tm, pi) if fixed is None else fixed
+    return _result("stationary_fixed_point", np.abs(gap).max() / den, 1e-12, "exact" if chain.exact else "")
+
+
+def _coupling_time(dist: WeightedEdits):
+    """H_k / w_min >= E[T], T the first step at which the drawn supports cover
+    the covered edges: k supports drawn with the least weight w_min each come later."""
+    supports, _, rank = dist.support_groups
+    nums, den = dist.integer_weights if dist.is_exact else (np.array(dist.weights, float), 1)
+    mass = _sum_at(rank, nums, len(supports))[supports != 0]
+    return sum(Fraction(1, j) for j in range(1, len(mass) + 1)) * den / min(mass, default=1)
+
+
+def check_stationary_vs_solve(dist: WeightedEdits, fixed: tuple) -> CheckResult:
+    """||pi - pi*||_1 <= ||r||_1 E[T] + |1 - sum pi| for the chain's law pi* and
+    r = pi P - pi (`fixed = _fixed_point(tm, pi)`): walks driven by the same
+    edits meet once the drawn supports cover the covered edges, so P^s contracts
+    by P(T > s) (Brown & Diaconis 1998; Seneta, ch. 3), E[T] <= `_coupling_time`.
+    A float ||r||_1 gains (c + 1) u sum pi, c the most cells in one column."""
+    gap, law, den, chain = fixed
+    norm = np.abs(gap).sum() + (0 if chain.exact else (np.bincount(chain.cols).max() + 1) * U * law.sum())
+    return _result("stationary_vs_linear_solve", (norm * _coupling_time(dist) + abs(den - law.sum())) / den, 1e-12)
 
 
 def check_detailed_balance(tm: TransitionMatrix, pi) -> CheckResult:
@@ -178,14 +187,14 @@ def check_q_symmetry(tm: TransitionMatrix, pi) -> CheckResult:
     return _result("q_symmetry", gap, 1e-12)
 
 
-def check_spectrum_multiset(report, tm: TransitionMatrix, product: TwoStateProduct | None) -> CheckResult:
+def check_spectrum_multiset(report, tm: TransitionMatrix, product: TwoStateProduct | None, pi=None) -> CheckResult:
     """The report's eigenvalue multiset against the chain's. A two-state
     product (`_two_state_product(tm)`) needs no eigensolve: on a float chain the
     residual is the sorted gap to its levels, plus its radius, plus
     2u max(1, |level|) for rounding (detail `product`); an exact one with
     radius 0 is compared exactly (residual 0, or 1). Any other exact chain
     is proved by `_spectrum_certificate` (residual 0, or 1 and what failed),
-    any other float chain compared with a dense eigensolve."""
+    any other float chain compared with a dense eigensolve (`pi` symmetrizes)."""
     if product is not None and not tm.exact:
         levels, radius, den = product.levels, product.radius, product.den
         values = (levels / den).astype(float)  # int / int rounds correctly
@@ -199,7 +208,7 @@ def check_spectrum_multiset(report, tm: TransitionMatrix, product: TwoStateProdu
         return CheckResult("spectrum_multiset", float(not same), 1e-8, same,
                            "exact" if same else "exact: the multiplicities differ from the product's")
     if not tm.exact:
-        residual = eigenvalue_multiset_residual(report.eigenvalue_multiset(), numeric_eigenvalues(tm))
+        residual = eigenvalue_multiset_residual(report.eigenvalue_multiset(), numeric_eigenvalues(tm, pi))
         return _result("spectrum_multiset", residual, 1e-8)
     fault = _spectrum_certificate(report, tm)
     return CheckResult("spectrum_multiset", float(fault is not None), 1e-8, fault is None,
@@ -339,21 +348,42 @@ def _spectrum_certificate(report, tm: TransitionMatrix) -> str | None:
     return None
 
 
-def check_commute_backends(g: HostGraph, p, tm: TransitionMatrix, pairs) -> CheckResult:
-    """Closed-form commute times against the fundamental matrix, whose
-    columns for every pair endpoint come from one solve."""
-    pairs = list(pairs)
-    index = [tm.index_of(s) for pair in pairs for s in pair]
+def _hitting_column(F: int, terms) -> np.ndarray:
+    """h(E, F) at every state mask E, S(F) - T(key(E, F)) of `_CommuteTable`:
+    per edge its factor for F's bit where E agrees with F, else q_e (1 - t)."""
+    choices = [[lack, (lack[0], 0)] if not F >> e & 1 else [(lack[0], 0), held]
+               for e, (lack, held) in enumerate(terms.factors)]
+    sums = _basis_sums(choices, terms)
+    return sums[F] - sums
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def check_commute_backends(g: HostGraph, p, tm: TransitionMatrix, states) -> CheckResult:
+    """The hitting column h to each drawn state F of the per-edge chain (its
+    masks are its indices) against the first-step equations h = 1 + P h off F
+    that fix it (Kemeny & Snell, Finite Markov Chains, ch. 4), as
+    max |h - 1 - P h| / (1 + |h| + P|h|), exact when p is rational; then each
+    pair's `_spectral_sum` against h(E, F) + h(F, E). Past the float range: inf."""
+    terms = _sum_terms(g, p if tm.exact else [float(x) for x in _per_edge_probabilities(g, p)])
+    exact, detail = terms.denominator is not None, f"{len(states) * (len(states) - 1) // 2} pairs"
+    chain = tm if exact else TransitionMatrix(tm.m, tm.masks, tm.rows, tm.cols, tm.float_values)
+    one, h, worst = terms.denominator * tm.denominator if exact else 1.0, {}, 0.0
     try:
-        hit = _hitting_columns(tm, index)  # column 2k: times to E_k; 2k + 1: to F_k
-    except NotIrreducible as exc:
-        return _result("commute_backends", math.inf, 1e-8, f"{len(pairs)} pairs, fundamental-matrix oracle: {exc}")
-    worst = 0.0
-    for k, (E, F) in enumerate(pairs):
-        spectral_value = float(commute_time(E, F, g, p))
-        solved = hit[index[2 * k], 2 * k + 1] + hit[index[2 * k + 1], 2 * k]
-        worst = max(worst, abs(spectral_value - solved) / max(1.0, abs(solved)))
-    return _result("commute_backends", worst, 1e-8, f"{len(pairs)} pairs")
+        for F in states:
+            h[F] = _hitting_column(F, terms)
+            moved, size = chain.right_apply(h[F]), np.abs(h[F])
+            scale = chain.denominator * size + one + (moved if (h[F] >= 0).all() else chain.right_apply(size))
+            if not (exact or np.isfinite(scale).all()):
+                raise CapExceeded(f"float hitting time overflows at m = {g.m} edges; use rational mode")
+            gap = chain.denominator * h[F] - one - moved
+            gap[F] = 0
+            worst = max(worst, (np.abs(gap) / scale).max())
+        for E, F in itertools.combinations(states, 2):
+            via = Fraction(h[F][E] + h[E][F], terms.denominator) if exact else h[F][E] + h[E][F]
+            worst = max(worst, abs(_spectral_sum(E, F, terms, commute=True) - via) / max(1, abs(via)))
+    except CapExceeded as exc:
+        return _result("commute_backends", math.inf, 1e-8, f"{detail}, {exc}")
+    return _result("commute_backends", worst, 1e-8, detail)
 
 
 def check_closure_idempotent(dist: WeightedEdits, lat: SupportLattice) -> CheckResult:
@@ -387,26 +417,21 @@ def run_verification(
     tm = build_chain(dist, g, cap=cap, masks=masks)
     lat = closure(dist, cap)  # one lattice for the spectrum and the closure check
     product = _two_state_product(tm)  # one pass for the spectrum and the eigenvectors
-    results = [check_row_stochastic(tm)]
+    fixed = _fixed_point(tm, pi)  # one gap for the fixed point and its coupling bound
+    results = [check_row_stochastic(tm), check_stationary_fixed_point(tm, pi, fixed), check_stationary_vs_solve(dist, fixed)]
 
     if simple_model:
         factors, report = _phi_factors(g, p, cap), eigenvalues_simple(g.m, cap)
-        results.append(check_stationary_fixed_point(tm, pi))
-        results.append(check_stationary_vs_solve(tm, pi))
         results.append(check_detailed_balance(tm, pi))
         results.append(check_eigenvector_residuals(factors, report, product))
         results.append(check_orthonormality(factors))
         results.append(check_q_symmetry(tm, pi))
         results.append(check_spectrum_multiset(report, tm, product))
-        draws = [rng.choice(tm.size, size=2, replace=False)
-                 for _ in range(min(10, tm.size * (tm.size - 1) // 2))]
-        pairs = [tuple(EdgeSet(g.m, mask) for mask in tm.masks[pair].tolist()) for pair in draws]
-        results.append(check_commute_backends(g, p, tm, pairs))
+        states = rng.choice(tm.size, size=min(5, tm.size), replace=False)  # masks are indices here
+        results.append(check_commute_backends(g, p, tm, states.tolist()))
     else:
-        results.append(check_stationary_fixed_point(tm, pi))
-        results.append(check_stationary_vs_solve(tm, pi))
         report = multiplicities(lat, tm.masks, dist)
-        results.append(check_spectrum_multiset(report, tm, product))
+        results.append(check_spectrum_multiset(report, tm, product, pi))
         mismatch = report.total_multiplicity - tm.size
         results.append(_result("multiplicity_sum", mismatch, 0.0, f"{tm.size} chambers"))
     results.append(check_closure_idempotent(dist, lat))

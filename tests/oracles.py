@@ -32,6 +32,9 @@ at a time:
 * hitting times to one target by first-step analysis, one dense solve per
   target, where the library reads them off one solve for the target
   columns of the fundamental matrix;
+* the stationary law of a chain by a dense LU solve, where the library
+  takes it from the closed form or the face recursion and `verify` bounds
+  its error by the fixed-point gap;
 * hitting times of a reversible chain from the eigendecomposition of its
   symmetrized matrix;
 * the recurrent class by a search that applies every edit to one state at
@@ -105,12 +108,12 @@ from editwalk.process import (
 )
 from editwalk.serialize import artifact_meta
 from editwalk.spectral import (
+    SOLVE_RESIDUAL_TOL,
     TransitionMatrix,
     _covered,
     _hitting_columns,
     _symmetrized,
     recurrent_class,
-    stationary_numeric,
 )
 
 
@@ -610,6 +613,24 @@ def tv_decay_dense(tm, initial, pi, t_max: int) -> np.ndarray:
         if t < t_max:
             dist = dist @ P
     return curve
+
+
+def stationary_numeric(tm) -> np.ndarray:
+    """The float stationary law by one dense LU solve of P^T - I with its
+    last row set to ones, independent of any closed form or face recursion;
+    a singular system or a large residual raises NotIrreducible."""
+    A = tm.to_float().T.copy()
+    A.flat[:: tm.size + 1] -= 1.0
+    A[-1, :] = 1.0
+    b = np.zeros(tm.size)
+    b[-1] = 1.0
+    try:
+        pi = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:
+        raise NotIrreducible("stationary system is singular") from exc
+    if np.abs(A @ pi - b).max() > SOLVE_RESIDUAL_TOL or pi.min() < -SOLVE_RESIDUAL_TOL:
+        raise NotIrreducible("stationary solve left a large residual")
+    return np.clip(pi, 0.0, None) / pi.sum()
 
 
 def hitting_times_first_step(tm, target: int) -> np.ndarray:

@@ -26,6 +26,7 @@ from oracles import (
     q_matrix,
     reorder,
     sign_lex_order,
+    stationary_numeric,
 )
 from editwalk.errors import CapExceeded
 
@@ -274,7 +275,7 @@ def test_criterion_07_intersection_model(N):
         eigen_sets.append(values)
 
         tm = ew.build_chain(dist, host)
-        pi_solved = ew.stationary_numeric(tm)
+        pi_solved = stationary_numeric(tm)
         pi_product = intersection_stationary_enumerated(n, N, mu)
         assert np.abs(pi_solved - pi_product).max() < 1e-10
     assert max(
@@ -323,7 +324,7 @@ def test_criterion_09_compound_mixing_bound():
     lam_star = report.second_largest()
     chambers = len(states)
     tm = ew.build_chain(dist, k4, ew.recurrent_class(dist, k4))
-    pi = ew.stationary_numeric(tm)
+    pi = stationary_numeric(tm)
     for c in (1.0, 3.0):
         t_c = ew.mixing_bound_compound(lam_star, k4.m, c, chamber_count=chambers)
         worst = max(ew.tv_decay(tm, s, pi, t_c)[t_c] for s in states)

@@ -672,19 +672,21 @@ class TestVerify:
         assert "multiplicity_sum" in out and "FAIL" not in out
 
     @pytest.mark.parametrize("mode", ["double", "rational"])
-    def test_a_failing_commute_oracle_still_prints_the_table(self, tmp_path, capsys, mode):
-        """With p down to 1e-9 the dense stationary solve leaves some pi_t at
-        0, so the fundamental-matrix oracle turns a drawn target away; that
-        check fails naming the oracle, and every other line still prints."""
+    def test_k5_tiny_passes_every_check(self, tmp_path, capsys, mode):
+        """With p down to 1e-9, pi spans many orders of magnitude and the
+        hitting times reach about 1e27. No check solves a system: the law's
+        coupling bound and the hitting columns' first-step identity hold in
+        either mode, the identity exactly in rational mode."""
         p = [1e-9, 1e-9, 1e-9, 0.3, 1e-3, 0.5, 0.5, 0.9, 0.1, 0.2]
         cfg = write_config(tmp_path, host={"preset": "complete", "params": [5]},
                            model={"name": "simple", "p": p}, mode=mode)
-        assert main(["verify", "--config", str(cfg)]) == 3
+        assert main(["verify", "--config", str(cfg)]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 11 and lines[-1] == "9/10 checks passed"
-        assert any(line.startswith("PASS  spectrum_multiset") for line in lines)
-        assert "FAIL  commute_backends: residual inf (tol 1.0e-08)  (10 pairs, fundamental-matrix oracle: " \
-               "a hitting target lies outside the closed class)" in lines
+        assert len(lines) == 11 and lines[-1] == "10/10 checks passed"
+        commute = next(line for line in lines if "commute_backends" in line)
+        assert commute.startswith("PASS  ") and commute.endswith("(tol 1.0e-08)  (10 pairs)")
+        if mode == "rational":
+            assert "residual 0.000e+00" in commute
 
     def test_a_dense_array_that_does_not_fit_exits_two(self, tmp_path, capsys, monkeypatch):
         def refuse(self, zero, values):

@@ -14,6 +14,7 @@ from oracles import (
     intersection_stationary_enumerated,
     largest_dropped_term,
     reorder,
+    stationary_numeric,
 )
 
 
@@ -66,7 +67,7 @@ def test_compound_decay_dominated_by_spectral_bound():
     dist = ew.moran_weights(k4)
     tm = ew.build_chain(dist, k4, ew.recurrent_class(dist, k4))
     report = ew.spectrum(dist, k4)
-    pi = ew.stationary_numeric(tm)
+    pi = stationary_numeric(tm)
     rng = np.random.default_rng(5)
     starts = rng.choice(tm.size, size=5, replace=False)
     for s in starts:
@@ -81,7 +82,7 @@ def test_moran_empirical_matches_stationary():
     k3 = ew.complete_graph(3)
     dist = ew.moran_weights(k3)
     tm = ew.build_chain(dist, k3, ew.recurrent_class(dist, k3))
-    pi = ew.stationary_numeric(tm)
+    pi = stationary_numeric(tm)
     hist = empirical_distribution(
         dist, k3.full_set(), burn_in=100, samples=120_000, seed=77
     )

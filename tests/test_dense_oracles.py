@@ -3,8 +3,9 @@
 Hitting times come from one solve for the target columns of the
 fundamental matrix Z = (I - P + 1 pi)^-1, checked against the first-step
 solve per target in `oracles`. Reversible chains take their spectrum from
-`eigvalsh` of the symmetrized matrix, others from `eigvals`. The stationary
-solve is shared through a cache on the chain. The simple model's
+`eigvalsh` of the symmetrized matrix when given a positive law, others
+from `eigvals`; the tests take the law from `oracles.stationary_numeric`,
+a dense LU. The simple model's
 `stationary` artifacts are streamed and checked byte for byte against the
 list-built layout.
 """
@@ -23,6 +24,7 @@ from oracles import (
     hitting_time,
     hitting_time_spectral,
     hitting_times_first_step,
+    stationary_numeric,
 )
 from test_chain_cells import cycle_family
 
@@ -31,7 +33,6 @@ from editwalk import spectral
 from editwalk.cli import main
 from editwalk.errors import NotIrreducible, ValidationError
 from editwalk.serialize import artifact_meta, write_json
-from editwalk.verify import run_verification
 
 
 def simple_chain(m):
@@ -78,25 +79,6 @@ def test_transient_target_raises_and_recurrent_target_is_hit():
         hitting_time_spectral(tm, 3, 0)
 
 
-def test_verify_factorizes_once_per_oracle(monkeypatch):
-    m = 5
-    g = ew.from_edge_list(m + 1, [(i, i + 1) for i in range(m)])
-    solves = []
-    real = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(np.shape(b)) or real(a, b))
-    results = run_verification(g, ew.simple_edit_weights(g, 0.3), p=0.3)
-    assert all(r.passed for r in results)
-    # one stationary solve, shared, and the 20 commute endpoints in one solve
-    assert solves == [(1 << m,), (1 << m, 20)]
-
-
-def test_stationary_solve_is_cached_read_only():
-    tm = simple_chain(4)
-    pi = ew.stationary_numeric(tm)
-    assert ew.stationary_numeric(tm) is pi
-    assert not pi.flags.writeable
-
-
 def counted_eigensolvers(monkeypatch):
     calls = []
     for name in ("eigvals", "eigvalsh"):
@@ -112,8 +94,9 @@ def counted_eigensolvers(monkeypatch):
 def test_eigensolve_dispatch(monkeypatch, name, solver):
     tm = CHAINS[name]()
     expected = np.sort(np.linalg.eigvals(tm.to_float()).real)[::-1]
+    pi = stationary_numeric(tm)
     calls = counted_eigensolvers(monkeypatch)
-    values = ew.numeric_eigenvalues(tm)
+    values = ew.numeric_eigenvalues(tm, pi)
     assert calls == [solver]
     assert np.abs(values - expected).max() <= 1e-12
     assert np.all(np.diff(values) <= 0)
@@ -124,13 +107,13 @@ def test_reducible_chains_keep_the_general_eigensolve(monkeypatch):
     two_classes = chain_from_dense(
         2, range(4), np.kron(np.eye(2), block), exact=False)
     with pytest.raises(NotIrreducible):
-        ew.stationary_numeric(two_classes)
+        stationary_numeric(two_classes)
     calls = counted_eigensolvers(monkeypatch)
     assert ew.numeric_eigenvalues(two_classes).tolist() == pytest.approx([1, 1, 0, 0], abs=1e-12)
     # a transient state has pi = 0, so the chain is not symmetrized either
     falls = chain_from_dense(
         2, range(2), np.array([[1.0, 0.0], [0.7, 0.3]]), exact=False)
-    assert ew.numeric_eigenvalues(falls).tolist() == pytest.approx([1, 0.3], abs=1e-12)
+    assert ew.numeric_eigenvalues(falls, stationary_numeric(falls)).tolist() == pytest.approx([1, 0.3], abs=1e-12)
     assert calls == ["eigvals", "eigvals"]
 
 

@@ -151,8 +151,9 @@ def test_traced_spectral_names_exist():
     # zeroes no metric; `commute_terms` left the library for `oracles`, and
     # `psi(T)` for `oracles.psi_rows_enumerated`. A removed timed name reads
     # 0 because nothing calls it: verify checks the eigenvectors from the
-    # factors, and `hitting_time` moved to `oracles`.
-    removed = {"commute_terms", "psi", "eigensystem_simple", "hitting_time"}
+    # factors, `hitting_time` moved to `oracles`, and so did the dense LU
+    # `stationary_numeric`, which verify replaced by a coupling bound.
+    removed = {"commute_terms", "psi", "eigensystem_simple", "hitting_time", "stationary_numeric"}
     assert not any(hasattr(spectral, name) for name in removed)
     for name in sorted((set(tracing.SPECTRAL_TIMED) | set(tracing.INNER["editwalk.spectral"])) - removed):
         if name == "to_float":  # traced as a TransitionMatrix method

@@ -28,11 +28,10 @@ from editwalk import (
     simple_tv_bound,
     spectrum,
     stationary_closed_form,
-    stationary_numeric,
     to_dot,
     tv_decay,
 )
-from oracles import permute_vector, psi_rows_enumerated, q_matrix, reorder, sign_lex_order
+from oracles import permute_vector, psi_rows_enumerated, q_matrix, reorder, sign_lex_order, stationary_numeric
 from editwalk.errors import (
     CapExceeded,
     DegenerateGap,

@@ -220,17 +220,17 @@ def test_a_prime_merging_two_levels_is_passed_over(monkeypatch):
 
 
 def test_the_certificate_leaves_the_commute_pairs_alone(monkeypatch):
-    """verify's commute pairs are the first draws of its generator, as
-    before the certificate drew its vectors."""
+    """verify's commute states are the first draw of its generator, five
+    distinct states whose ten pairs the check takes, as before the
+    certificate drew its vectors."""
     g = path(4)
     p = [Fraction(k, 7) for k in (1, 2, 3, 4)]
     seen = []
 
-    def record(g, p, tm, pairs):
-        seen.extend(tuple(e.mask for e in pair) for pair in pairs)
+    def record(g, p, tm, states):
+        seen.extend(states)
         return CheckResult("commute_backends", 0.0, 1e-8, True)
     monkeypatch.setattr(verify, "check_commute_backends", record)
     results = run_verification(g, ew.simple_edit_weights(g, p), p=p, rng=np.random.default_rng(5))
     assert all(r.passed for r in results)
-    rng = np.random.default_rng(5)
-    assert seen == [tuple(rng.choice(16, size=2, replace=False).tolist()) for _ in range(10)]
+    assert seen == np.random.default_rng(5).choice(16, size=5, replace=False).tolist()
