@@ -41,14 +41,12 @@ from .spectral import (
     brown_tv_bound,
     build_chain,
     commute_time,
-    eigenvalue_multiset_residual,
     eigenvalues_simple,
     hitting_time_closed,
     intersection_mixing_bound,
     mixing_bound_compound,
     mixing_bound_simple,
     moran_complete_mixing_bound,
-    numeric_eigenvalues,
     phi,
     recurrent_class,
     simple_tv_bound,

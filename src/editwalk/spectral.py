@@ -10,11 +10,11 @@ Every enumeration reads a distribution's mask arrays (`WeightedEdits.plus`,
 class, the chambers of a stationary law, the states of a chain. A chain is
 kept as its nonzero cells: one step applies one weighted edit, so N states
 have at most (edits * N) cells, all found in one vectorized pass over the
-edits. The dense float64 matrix, for the compound `commute` solves and
-float eigensolves, is derived on first request; the dense exact matrix
-only when something reads it. The
-stationary law of a compound chain needs no chain at all: it is the law of
-the backward product of drawn edits, carried face by face (`stationary_faces`).
+edits. The dense float64 matrix, for the compound `commute` solves, is
+derived on first request; the dense exact matrix only when something
+reads it. The stationary law of a compound chain needs no chain at all:
+it is the law of the backward product of drawn edits, carried face by
+face (`stationary_faces`).
 
 Two numeric modes coexist: float64, and exact rationals whenever the driving
 weights and edge probabilities are Fractions, carried as Python-int numerators
@@ -28,7 +28,6 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -44,10 +43,8 @@ from .errors import (
 )
 from .hostgraph import EdgeSet, HostGraph, _popcount, find_masks, mask_dtype
 from .lattice import SpectrumReport, _backward_step, closure, multiplicities
-from .process import WeightedEdits, _common_denominator, _is_exact, _kron, _per_edge_probabilities
+from .process import WeightedEdits, _is_exact, _kron, _per_edge_probabilities
 
-REVERSIBILITY_TOL = 1e-10
-IMAG_TOL = 1e-8  # largest imaginary residue a general eigensolve may leave
 SOLVE_RESIDUAL_TOL = 1e-8
 FACE_BLOCK = 1 << 12  # faces per vectorized step of the face recursion
 FACE_MERGE_ROWS = 1 << 18  # unmerged moves a support level holds before a merge
@@ -118,11 +115,11 @@ class TransitionMatrix:
         cells = np.array([Fraction(v, self.denominator) for v in self.numerators], dtype=object)
         return self._dense(Fraction(0), cells)
 
-    def _transpose_gap(self, values: np.ndarray) -> tuple[object, bool]:
-        """max |v_ij - v_ji| over the cells (a missing v_ji reads 0), and whether every cell is paired."""
+    def _transpose_gap(self, values: np.ndarray) -> tuple[np.ndarray, bool]:
+        """|v_ij - v_ji| at each cell (a missing v_ji reads 0), and whether every cell is paired."""
         at = find_masks(self.rows * self.size + self.cols, self.cols * self.size + self.rows)
         paired = at >= 0
-        return np.abs(values - np.where(paired, values[at], 0)).max(), bool(paired.all())
+        return np.abs(values - np.where(paired, values[at], 0)), bool(paired.all())
 
     def row_sum_residual(self):
         if self.exact:
@@ -415,32 +412,6 @@ def spectrum(
     return multiplicities(lat, masks, dist)
 
 
-def numeric_eigenvalues(tm: TransitionMatrix, pi=None) -> np.ndarray:
-    """Eigenvalue multiset of the dense matrix, sorted descending: `eigvalsh`
-    of the symmetric D^(1/2) P D^(-1/2) for a reversible chain with a positive
-    law `pi`, else (Moran, a law with zeros, no law) the general `eigvals`,
-    whose imaginary residue above IMAG_TOL is an error: the chamber-walk
-    matrices are diagonalizable with real spectrum."""
-    Q = None if pi is None else _symmetrized(tm, np.asarray(pi, dtype=float))
-    if Q is not None:
-        return np.linalg.eigvalsh(Q)[::-1]
-    values = np.linalg.eigvals(tm.to_float())
-    if np.abs(values.imag).max() > IMAG_TOL:
-        raise ValidationError(f"eigenvalues have imaginary parts up to {np.abs(values.imag).max()}")
-    return np.sort(values.real)[::-1]
-
-
-def eigenvalue_multiset_residual(a: Sequence[float], b: Sequence[float]) -> float:
-    """Largest gap after sorting both multisets; lengths must agree."""
-    if len(a) != len(b):
-        raise LengthMismatch(f"multiset sizes differ: {len(a)} != {len(b)}")
-    if not len(a):
-        return 0.0
-    av = np.sort(np.asarray(a, dtype=float))
-    bv = np.sort(np.asarray(b, dtype=float))
-    return float(np.abs(av - bv).max())
-
-
 # ---------------------------------------------------------------------------
 # eigenvectors of the per-edge update chain
 # ---------------------------------------------------------------------------
@@ -473,49 +444,6 @@ def phi(T: EdgeSet, g: HostGraph, p, cap: int = STATE_CAP):
     mask = T.mask_on(g.m)
     row = _kron([f[mask >> e & 1] for e, f in enumerate(factors)])
     return [Fraction(v, den) for v in row] if row.dtype == object else row
-
-
-def _law(tm: TransitionMatrix, pi) -> tuple[TransitionMatrix, np.ndarray, int]:
-    """The chain and pi in one arithmetic, as (chain, numerators, denominator):
-    `tm` itself and pi as Python-int numerators over one denominator when both
-    are exact, else the chain's float cells and pi as float64, both over 1."""
-    if tm.exact and all(_is_exact(x) for x in pi):
-        return (tm, *_common_denominator(pi))
-    chain = TransitionMatrix(tm.m, tm.masks, tm.rows, tm.cols, tm.float_values)
-    return chain, np.asarray([float(x) for x in pi]), 1
-
-
-def detailed_balance_residual(tm: TransitionMatrix, pi):
-    """max |pi_i P_ij - pi_j P_ji| over all state pairs, taken over the
-    nonzero cells (a pair with both cells zero balances). A Fraction when pi
-    and the chain are exact, else a float."""
-    chain, nums, den = _law(tm, pi)
-    residual, _ = chain._transpose_gap(nums[chain.rows] * chain.numerators)
-    return Fraction(residual, den * chain.denominator) if chain.exact else float(residual)
-
-
-def _q_cells(tm: TransitionMatrix, pi) -> tuple[np.ndarray, float, bool]:
-    """The nonzero cells of Q = D^(1/2) P D^(-1/2) in float64, max |Q - Q^T|
-    over them and whether every cell has its transpose."""
-    root = np.sqrt(np.asarray(pi, dtype=float))
-    q = tm.float_values * root[tm.rows] / root[tm.cols]
-    return (q, *tm._transpose_gap(q))
-
-
-def _symmetrized(tm: TransitionMatrix, pi: np.ndarray) -> np.ndarray | None:
-    """The dense symmetric D^(1/2) P D^(-1/2) when pi > 0 and the chain is
-    reversible, else None. Reversibility makes Q_ij = sqrt(P_ij P_ji), so
-    the test max |Q - Q^T| <= REVERSIBILITY_TOL is scale-free; it is taken
-    over the nonzero cells, every one of which needs its transpose."""
-    if pi.min() <= 0:
-        return None
-    q, gap, paired = _q_cells(tm, pi)
-    if not paired or gap > REVERSIBILITY_TOL:
-        return None
-    Q = np.zeros((tm.size, tm.size))
-    Q[tm.rows, tm.cols] += q / 2  # (Q + Q^T) / 2, cell by cell
-    Q[tm.cols, tm.rows] += q / 2
-    return Q
 
 
 # ---------------------------------------------------------------------------

@@ -16,31 +16,25 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import STATE_CAP, CapExceeded
+from .errors import STATE_CAP, CapExceeded, ValidationError
 from .hostgraph import HostGraph, find_masks
 from .lattice import SupportLattice, closure, multiplicities
-from .process import WeightedEdits, _common_denominator, _kron, _per_edge_probabilities
+from .process import WeightedEdits, _common_denominator, _is_exact, _kron, _per_edge_probabilities
 from .spectral import (
     TransitionMatrix,
     _basis_sums,
-    _law,
     _phi_factors,
-    _q_cells,
     _spectral_sum,
     _sum_at,
     _sum_terms,
     build_chain,
-    detailed_balance_residual,
-    eigenvalue_multiset_residual,
     eigenvalues_simple,
-    numeric_eigenvalues,
     stationary_closed_form,
     stationary_faces,
 )
@@ -49,6 +43,8 @@ from .spectral import (
 # (p - 1)^2 < 2^34 each sum below 2^53, exact in float64, for N < p.
 PRIME_BOUND = 1 << 17
 U = np.finfo(float).eps / 2  # unit roundoff of float64
+REVERSIBILITY_TOL = 1e-10  # the largest max |Q - Q^T| the dense fallback symmetrizes
+IMAG_TOL = 1e-8  # the largest imaginary residue the general eigensolve may leave
 
 
 @dataclass(frozen=True)
@@ -72,6 +68,16 @@ def _result(name: str, residual, tol: float, detail: str = "") -> CheckResult:
 
 def check_row_stochastic(tm: TransitionMatrix) -> CheckResult:
     return _result("row_stochastic", tm.row_sum_residual(), 1e-12)
+
+
+def _law(tm: TransitionMatrix, pi) -> tuple[TransitionMatrix, np.ndarray, int]:
+    """The chain and pi in one arithmetic, as (chain, numerators, denominator):
+    `tm` itself and pi as Python-int numerators over one denominator when both
+    are exact, else the chain's float cells and pi as float64, both over 1."""
+    if tm.exact and all(_is_exact(x) for x in pi):
+        return (tm, *_common_denominator(pi))
+    chain = TransitionMatrix(tm.m, tm.masks, tm.rows, tm.cols, tm.float_values)
+    return chain, np.asarray([float(x) for x in pi]), 1
 
 
 def _fixed_point(tm: TransitionMatrix, pi) -> tuple:
@@ -108,8 +114,11 @@ def check_stationary_vs_solve(dist: WeightedEdits, fixed: tuple) -> CheckResult:
 
 
 def check_detailed_balance(tm: TransitionMatrix, pi) -> CheckResult:
-    residual = detailed_balance_residual(tm, pi)
-    return _result("detailed_balance", residual, 1e-12, "exact" if type(residual) is Fraction else "")
+    """max |pi_i P_ij - pi_j P_ji| over the nonzero cells (a pair with both
+    cells zero balances), in `_law`'s arithmetic."""
+    chain, nums, den = _law(tm, pi)
+    gaps, _ = chain._transpose_gap(nums[chain.rows] * chain.numerators)
+    return _result("detailed_balance", gaps.max() / (den * chain.denominator), 1e-12, "exact" if chain.exact else "")
 
 
 def check_eigenvector_residuals(factors, report, product: TwoStateProduct | None) -> CheckResult:
@@ -136,14 +145,11 @@ def check_eigenvector_residuals(factors, report, product: TwoStateProduct | None
     rows, den = factors
     rates, levels, radius, scale, exact = product  # over scale
     exact = exact and rows[0].dtype == object
-    if exact:
-        lam, L = _common_denominator(report.levels)
-    else:  # float64, each factor over its d_e = f_e[0, 1]
+    claimed, L = _mask_levels(report, len(levels))
+    if not exact:  # float64, each factor over its d_e = f_e[0, 1]
         rates, levels = ((x / scale).astype(float) for x in (rates, levels))
-        radius, scale, lam, L = radius / scale, 1, np.array(report.levels, dtype=float), 1
+        radius, scale, claimed, L = radius / scale, 1, (claimed / L).astype(float), 1
         rows, den = [(f / f[0, 1]).astype(float) for f in rows], 1
-    claimed = np.empty(len(levels), lam.dtype)
-    claimed[report.flats] = lam[report.index]  # lambda_T in mask order, over L
     norms = [np.abs(f).max(axis=1) for f in rows]  # ||f_e[0]||, ||f_e[1]||
     widest = [n.max() for n in norms]
     worst = []
@@ -182,37 +188,90 @@ def check_orthonormality(factors) -> CheckResult:
 
 
 def check_q_symmetry(tm: TransitionMatrix, pi) -> CheckResult:
-    """max |Q - Q^T| for Q = D^(1/2) P D^(-1/2), over the nonzero cells."""
-    _, gap, _ = _q_cells(tm, pi)
-    return _result("q_symmetry", gap, 1e-12)
+    """max |Q - Q^T| for Q = D^(1/2) P D^(-1/2), over the nonzero cells: the
+    gap |pi_i P_ij - pi_j P_ji| in `_law`'s arithmetic, scaled by
+    1/sqrt(pi_i pi_j) only where it is not 0, so an exact law gives an exact
+    0. A float law that underflows to 0 has no D^(-1/2): residual inf."""
+    chain, nums, den = _law(tm, pi)
+    if not (chain.exact or nums.all()):
+        detail = f"the law underflows to 0 at {np.sum(nums == 0)} of {len(nums)} states; use rational mode"
+        return _result("q_symmetry", math.inf, 1e-12, detail)
+    gaps, _ = chain._transpose_gap(nums[chain.rows] * chain.numerators)
+    hit = np.flatnonzero(gaps)
+    i, j = chain.rows[hit], chain.cols[hit]
+    if not chain.exact:  # over sqrt(pi_i) sqrt(pi_j), whose product may underflow
+        root = np.sqrt(nums)
+        return _result("q_symmetry", (gaps[hit] / root[i] / root[j]).max(initial=0.0), 1e-12)
+    # (gap / (den d))^2 / (pi_i pi_j) = gap^2 / (d^2 n_i n_j), d the chain's denominator
+    worst = max(map(Fraction, gaps[hit] ** 2, nums[i] * nums[j] * chain.denominator ** 2), default=0)
+    return _result("q_symmetry", math.sqrt(worst) if worst < 1e300 else math.inf, 1e-12)
 
 
 def check_spectrum_multiset(report, tm: TransitionMatrix, product: TwoStateProduct | None, pi=None) -> CheckResult:
-    """The report's eigenvalue multiset against the chain's. A two-state
-    product (`_two_state_product(tm)`) needs no eigensolve: on a float chain the
-    residual is the sorted gap to its levels, plus its radius, plus
-    2u max(1, |level|) for rounding (detail `product`); an exact one with
-    radius 0 is compared exactly (residual 0, or 1). Any other exact chain
-    is proved by `_spectrum_certificate` (residual 0, or 1 and what failed),
-    any other float chain compared with a dense eigensolve (`pi` symmetrizes)."""
-    if product is not None and not tm.exact:
-        levels, radius, den = product.levels, product.radius, product.den
-        values = (levels / den).astype(float)  # int / int rounds correctly
-        gap = eigenvalue_multiset_residual(report.eigenvalue_multiset(), values)
-        rounding = 2 * U * max(1.0, np.abs(values).max())
-        return _result("spectrum_multiset", gap + radius / den + rounding, 1e-8, "product")
-    if product is not None and product.radius == 0:
-        levels, den = product.levels, product.den
-        claimed = Counter(dict(zip(report.levels, _level_totals(report).tolist())))
-        same = claimed == Counter({Fraction(v, den): k for v, k in Counter(levels.tolist()).items()})
-        return CheckResult("spectrum_multiset", float(not same), 1e-8, same,
-                           "exact" if same else "exact: the multiplicities differ from the product's")
+    """The report's eigenvalue multiset against the chain's, by one of three
+    proofs. A two-state product (`_two_state_product(tm)`) on a float chain,
+    or with radius 0 on an exact one, needs no eigensolve: by Weyl its sorted
+    spectrum lies within radius / den of the levels, so the residual is
+    max_S |levels_S / den - lambda_S| + radius / den, one Fraction (detail
+    `product`), or 1 unless the report names every mask once with
+    multiplicity 1; an exact chain passes only at 0 (`exact`). Any other
+    exact chain is proved by `_spectrum_certificate` (residual 0, or 1 and
+    what failed), any other float chain compared by `_dense_fallback`."""
+    if product is not None and (not tm.exact or product.radius == 0):
+        levels, den, n = product.levels, product.den, len(product.levels)
+        residual = 1
+        if np.array_equal(np.sort(report.flats), np.arange(n)) and (report.multiplicities == 1).all():
+            claimed, L = _mask_levels(report, n)
+            residual = Fraction(np.abs(levels * L - claimed * den).max() + product.radius * L, den * L)
+        if not tm.exact:
+            return _result("spectrum_multiset", residual, 1e-8, "product")
+        return CheckResult("spectrum_multiset", float(residual), 1e-8, residual == 0,
+                           "exact" if residual == 0 else "exact: the multiplicities differ from the product's")
     if not tm.exact:
-        residual = eigenvalue_multiset_residual(report.eigenvalue_multiset(), numeric_eigenvalues(tm, pi))
-        return _result("spectrum_multiset", residual, 1e-8)
+        return _dense_fallback(report, tm, pi)
     fault = _spectrum_certificate(report, tm)
     return CheckResult("spectrum_multiset", float(fault is not None), 1e-8, fault is None,
                        "exact" if fault is None else f"exact: {fault}")
+
+
+def _mask_levels(report, n: int) -> tuple[np.ndarray, int]:
+    """The report's level at each of the n masks, in mask order, as Python
+    ints over their common denominator L (a float level read as the ratio
+    it stores)."""
+    nums, L = _common_denominator(report.levels)
+    claimed = np.empty(n, object)
+    claimed[report.flats] = nums[report.index]
+    return claimed, L
+
+
+def _dense_fallback(report, tm: TransitionMatrix, pi) -> CheckResult:
+    """The largest gap between the report's sorted multiset and the float
+    chain's, from a dense eigensolve: `eigvalsh` of the symmetric
+    D^(1/2) P D^(-1/2) when pi > 0 and the chain is reversible, else the
+    general `eigvals` (no law, a law with zeros, a non-reversible chain),
+    whose imaginary residue above IMAG_TOL fails: the chamber-walk matrices
+    are diagonalizable with real spectrum. Reversibility makes
+    Q_ij = sqrt(P_ij P_ji), so the test max |Q - Q^T| <= REVERSIBILITY_TOL
+    is scale-free; it is taken over the nonzero cells, every one of which
+    needs its transpose."""
+    claimed = np.sort(np.asarray(report.eigenvalue_multiset(), dtype=float))
+    if len(claimed) != tm.size:
+        return _result("spectrum_multiset", math.inf, 1e-8, f"{len(claimed)} eigenvalues reported, {tm.size} states")
+    law = np.asarray([] if pi is None else pi, dtype=float)
+    if law.size and law.min() > 0:
+        root = np.sqrt(law)
+        q = tm.float_values * root[tm.rows] / root[tm.cols]
+        gaps, paired = tm._transpose_gap(q)
+        if paired and gaps.max() <= REVERSIBILITY_TOL:
+            Q = np.zeros((tm.size, tm.size))
+            Q[tm.rows, tm.cols] += q / 2  # (Q + Q^T) / 2, cell by cell
+            Q[tm.cols, tm.rows] += q / 2
+            return _result("spectrum_multiset", np.abs(np.linalg.eigvalsh(Q) - claimed).max(), 1e-8)
+    values = np.linalg.eigvals(tm.to_float())
+    imag = np.abs(values.imag).max()
+    if imag > IMAG_TOL:
+        return _result("spectrum_multiset", math.inf, 1e-8, f"the eigenvalues have imaginary parts up to {imag:.3e}")
+    return _result("spectrum_multiset", np.abs(np.sort(values.real) - claimed).max(), 1e-8)
 
 
 class TwoStateProduct(NamedTuple):
@@ -275,13 +334,6 @@ def _two_state_product(tm: TransitionMatrix) -> TwoStateProduct | None:
     return TwoStateProduct(2 * rates.reshape(m, 2), 2 * sums + (low + high), high - low, 2 * den, tm.exact)
 
 
-def _level_totals(report) -> np.ndarray:
-    """The multiplicities of each of the report's levels summed over its flats."""
-    totals = np.zeros(len(report.levels), np.int64)
-    np.add.at(totals, report.index, report.multiplicities)
-    return totals
-
-
 def _candidate_primes(n: int):
     """Primes p with n < p < PRIME_BOUND, largest first."""
     for p in range(PRIME_BOUND - 1, n, -1):
@@ -317,7 +369,8 @@ def _spectrum_certificate(report, tm: TransitionMatrix) -> str | None:
     products, at most three N x N arrays held at once."""
     nums, L = _common_denominator(report.levels)
     a = nums.tolist()
-    totals = _level_totals(report)
+    totals = np.zeros(len(a), np.int64)  # each level's multiplicities summed over its flats
+    np.add.at(totals, report.index, report.multiplicities)
     n, den = tm.size, tm.denominator
     if totals.min() < 0 or totals.max() > n:
         return f"a multiplicity total lies outside [0, {n}]"
@@ -364,9 +417,10 @@ def check_commute_backends(g: HostGraph, p, tm: TransitionMatrix, states) -> Che
     that fix it (Kemeny & Snell, Finite Markov Chains, ch. 4), as
     max |h - 1 - P h| / (1 + |h| + P|h|), exact when p is rational; then each
     pair's `_spectral_sum` against h(E, F) + h(F, E). Past the float range: inf."""
-    terms = _sum_terms(g, p if tm.exact else [float(x) for x in _per_edge_probabilities(g, p)])
-    exact, detail = terms.denominator is not None, f"{len(states) * (len(states) - 1) // 2} pairs"
-    chain = tm if exact else TransitionMatrix(tm.m, tm.masks, tm.rows, tm.cols, tm.float_values)
+    probs = _per_edge_probabilities(g, p)
+    chain = _law(tm, probs)[0]  # tm when it and p are exact, else its float cells
+    exact, detail = chain.exact, f"{len(states) * (len(states) - 1) // 2} pairs"
+    terms = _sum_terms(g, p if exact else [float(x) for x in probs])
     one, h, worst = terms.denominator * tm.denominator if exact else 1.0, {}, 0.0
     try:
         for F in states:
@@ -430,9 +484,14 @@ def run_verification(
         states = rng.choice(tm.size, size=min(5, tm.size), replace=False)  # masks are indices here
         results.append(check_commute_backends(g, p, tm, states.tolist()))
     else:
-        report = multiplicities(lat, tm.masks, dist)
-        results.append(check_spectrum_multiset(report, tm, product, pi))
-        mismatch = report.total_multiplicity - tm.size
-        results.append(_result("multiplicity_sum", mismatch, 0.0, f"{tm.size} chambers"))
+        try:
+            report = multiplicities(lat, tm.masks, dist)
+        except ValidationError as exc:  # no spectrum to compare; both checks name the refusal
+            results += [_result(name, math.inf, tol, str(exc))
+                        for name, tol in (("spectrum_multiset", 1e-8), ("multiplicity_sum", 0.0))]
+        else:
+            results.append(check_spectrum_multiset(report, tm, product, pi))
+            mismatch = report.total_multiplicity - tm.size
+            results.append(_result("multiplicity_sum", mismatch, 0.0, f"{tm.size} chambers"))
     results.append(check_closure_idempotent(dist, lat))
     return results

@@ -112,7 +112,6 @@ from editwalk.spectral import (
     TransitionMatrix,
     _covered,
     _hitting_columns,
-    _symmetrized,
     recurrent_class,
 )
 
@@ -649,6 +648,21 @@ def q_matrix(tm, pi) -> np.ndarray:
     return tm.to_float() * root[:, None] / root[None, :]
 
 
+def numeric_eigenvalues(tm) -> np.ndarray:
+    """The dense float matrix's eigenvalues by the general `eigvals`, sorted
+    descending: the chamber-walk matrices are diagonalizable with real
+    spectrum, so the imaginary residue must stay within 1e-8."""
+    values = np.linalg.eigvals(tm.to_float())
+    assert np.abs(values.imag).max() <= 1e-8, np.abs(values.imag).max()
+    return np.sort(values.real)[::-1]
+
+
+def eigenvalue_multiset_residual(a, b) -> float:
+    """Largest gap between two multisets of one size, both sorted."""
+    assert len(a) == len(b), (len(a), len(b))
+    return float(np.abs(np.sort(np.asarray(a, dtype=float)) - np.sort(np.asarray(b, dtype=float))).max(initial=0.0))
+
+
 def hitting_time(tm, source, target) -> float:
     """Expected steps from source until first visiting target, read off one
     column of the fundamental matrix Z = (I - P + 1 pi)^-1; a target with
@@ -676,10 +690,12 @@ def hitting_time_spectral(tm, i: int, j: int) -> float:
     over the eigendecomposition of the symmetrized matrix; the per-term
     products are insensitive to eigenvector sign choices."""
     pi = stationary_numeric(tm)
-    Q = _symmetrized(tm, pi)
-    if Q is None:
+    if pi.min() <= 0:
+        raise NotReversible("pi has zeros: the chain is not symmetrized")
+    Q = q_matrix(tm, pi)
+    if np.abs(Q - Q.T).max() > 1e-10:
         raise NotReversible("chain is not reversible")
-    values, vectors = np.linalg.eigh(Q)
+    values, vectors = np.linalg.eigh((Q + Q.T) / 2)
     values, vectors = values[::-1], vectors[:, ::-1]
     if tm.size > 1 and values[1] > 1.0 - 1e-12:
         raise NotIrreducible("unit eigenvalue is not simple")

@@ -271,8 +271,10 @@ def test_eigenvector_bound_holds_the_dense_residual_of_other_factors(exact):
 
 def test_reversibility_residuals_match_the_dense_transpose():
     # the laws are for other edge probabilities, so the residuals are not 0;
-    # the cells give the dense max |A - A^T| bit for bit. An exact chain with
-    # a float law is read in float, as Moran's double mode pairs them.
+    # the cells give the dense max |A - A^T| of the flows bit for bit, and
+    # Q's within the dense matrix's rounding, as they scale each flow gap by
+    # 1/sqrt(pi_i pi_j) instead. An exact chain with a float law is read in
+    # float, as Moran's double mode pairs them.
     rng = np.random.default_rng(40)
     for _ in range(20):
         m = int(rng.integers(1, 6))
@@ -283,18 +285,18 @@ def test_reversibility_residuals_match_the_dense_transpose():
             pi = ew.stationary_closed_form(g, other if exact else [float(x) for x in other])
             root = np.asarray([float(x) for x in pi])
             Q = q_matrix(tm, root)
-            assert check_q_symmetry(tm, pi).residual == float(np.abs(Q - Q.T).max())
+            assert check_q_symmetry(tm, pi).residual == pytest.approx(np.abs(Q - Q.T).max(), rel=1e-9, abs=1e-15)
             flow = root[:, None] * tm.to_float() if not exact else np.asarray(pi)[:, None] * tm.entries
-            balance = spectral.detailed_balance_residual(tm, pi)
-            assert type(balance) is (Fraction if exact else float)
-            assert balance == np.abs(flow - flow.T).max()
+            balance = check_detailed_balance(tm, pi)
+            assert balance.detail == ("exact" if exact else "")
+            assert balance.residual == float(np.abs(flow - flow.T).max())
     k4 = ew.complete_graph(4)
     dist = ew.moran_weights(k4)
     masks, pi = ew.stationary_faces(dist, k4, exact=False)
     tm = ew.build_chain(dist, k4, masks)
     assert tm.exact and pi.dtype == float
     flow = pi[:, None] * tm.to_float()
-    assert spectral.detailed_balance_residual(tm, pi) == np.abs(flow - flow.T).max() > 0
+    assert check_detailed_balance(tm, pi).residual == np.abs(flow - flow.T).max() > 0
     fixed = check_stationary_fixed_point(tm, pi)
     assert fixed.passed and fixed.detail == ""
     assert fixed.residual == pytest.approx(np.abs(pi @ tm.to_float() - pi).max(), abs=1e-16)

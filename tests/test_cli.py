@@ -19,6 +19,7 @@ from editwalk import (
     recurrent_class,
     simple_edit_weights,
 )
+from editwalk import verify
 from editwalk.cli import main
 from editwalk.process import SAMPLER_VERSION
 from editwalk.verify import (
@@ -687,6 +688,59 @@ class TestVerify:
         assert commute.startswith("PASS  ") and commute.endswith("(tol 1.0e-08)  (10 pairs)")
         if mode == "rational":
             assert "residual 0.000e+00" in commute
+
+    @pytest.mark.parametrize("mode", ["double", "rational"])
+    def test_a_law_that_underflows(self, tmp_path, capsys, mode):
+        """At p = 1e-200 the full state's law is 1e-400: rational mode holds
+        it and balances Q exactly, double mode rounds it to 0 and names that."""
+        cfg = write_config(tmp_path, model={"name": "simple", "p": [1e-200, 1e-200]}, mode=mode)
+        assert main(["verify", "--config", str(cfg)]) == (0 if mode == "rational" else 3)
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        q = next(line for line in lines if "q_symmetry" in line)
+        assert "warning" not in captured.err
+        if mode == "rational":
+            assert q == "PASS  q_symmetry: residual 0.000e+00 (tol 1.0e-12)" and lines[-1] == "10/10 checks passed"
+        else:
+            assert q == ("FAIL  q_symmetry: residual inf (tol 1.0e-12)  "
+                         "(the law underflows to 0 at 1 of 4 states; use rational mode)")
+
+    ZERO_FLATS = {"host": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}, "mode": "double",
+                  "model": {"name": "custom", "edits": [
+                      {"edit": "+2", "weight": "2/12"}, {"edit": "-0 -1", "weight": "5/12"},
+                      {"edit": "+1 +2", "weight": "1/12"}, {"edit": "-1", "weight": "3/12"},
+                      {"edit": "+0 -1", "weight": "1/12"}]}}
+
+    def verify_table(self, tmp_path, capsys, passed: int) -> dict:
+        """Run verify on ZERO_FLATS, a float chain off the product that is not
+        reversible, expecting exit 3 and the full table; name -> line."""
+        cfg = write_config(tmp_path, **self.ZERO_FLATS)
+        assert main(["verify", "--config", str(cfg)]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == f"{passed}/6 checks passed"
+        table = {line.split(":")[0][6:]: line for line in lines[:-1]}
+        assert list(table) == ["row_stochastic", "stationary_fixed_point", "stationary_vs_linear_solve",
+                               "spectrum_multiset", "multiplicity_sum", "closure_idempotent"]
+        return table
+
+    def test_a_refused_report_fails_two_checks(self, tmp_path, capsys, monkeypatch):
+        def refuse(lat, masks, dist):
+            raise ew.errors.ValidationError("multiplicities sum to 5, expected 4 chambers")
+
+        monkeypatch.setattr(verify, "multiplicities", refuse)
+        table = self.verify_table(tmp_path, capsys, 4)
+        for name, tol in (("spectrum_multiset", "1.0e-08"), ("multiplicity_sum", "0.0e+00")):
+            assert table[name] == (f"FAIL  {name}: residual inf (tol {tol})  "
+                                   "(multiplicities sum to 5, expected 4 chambers)")
+        assert table["closure_idempotent"].startswith("PASS")
+
+    def test_a_complex_eigensolve_fails_by_name(self, tmp_path, capsys, monkeypatch):
+        real = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: real(a) + 1e-3j)
+        table = self.verify_table(tmp_path, capsys, 5)
+        assert table["spectrum_multiset"] == ("FAIL  spectrum_multiset: residual inf (tol 1.0e-08)  "
+                                              "(the eigenvalues have imaginary parts up to 1.000e-03)")
+        assert table["multiplicity_sum"].startswith("PASS")
 
     def test_a_dense_array_that_does_not_fit_exits_two(self, tmp_path, capsys, monkeypatch):
         def refuse(self, zero, values):

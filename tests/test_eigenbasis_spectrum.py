@@ -17,10 +17,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import eigenvalue_multiset_residual, numeric_eigenvalues
 
 import editwalk as ew
 from editwalk import verify
-from editwalk.spectral import TransitionMatrix, eigenvalue_multiset_residual, numeric_eigenvalues
+from editwalk.spectral import TransitionMatrix
 from editwalk.verify import (
     U,
     _two_state_product,
@@ -113,14 +114,18 @@ def test_a_moved_chain_cell_fails():
 
 
 def test_a_moved_diagonal_cell_fails():
-    """A product still, with the moved cell's 1e-6 as the diagonal's spread,
-    which moves phi_0 at that state by 1e-6: both checks see it."""
+    """A product still, with the moved cell's shift as the diagonal's spread,
+    which moves phi_0 at that state by 1e-6: both checks see it. The stored
+    shift fl(v + 1e-6) - v lies just below 1e-6, and the spectrum check,
+    exact over the cells' ratios, prints it up to the other cells' rounding."""
     g, p = path(4), mixed_p(4, False)
     tm = chain(g, p)
     cell = np.flatnonzero((tm.rows == 5) & (tm.cols == 5))[0]
     broken = moved(tm, cell, 1e-6)
+    shift = Fraction(broken.numerators[cell]) - Fraction(tm.numerators[cell])
     result = check_spectrum_multiset(ew.eigenvalues_simple(4), broken, _two_state_product(broken))
-    assert not result.passed and result.detail == "product" and result.residual >= 1e-6
+    assert not result.passed and result.detail == "product"
+    assert result.residual == pytest.approx(float(shift), rel=1e-9)
     eigen = eigenvector_check(g, p, broken)
     assert not eigen.passed and eigen.detail == "" and eigen.residual >= 0.999e-6
 

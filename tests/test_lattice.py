@@ -18,6 +18,7 @@ from oracles import (
     mobius_enumerated,
     multiplicities_by_mobius,
     neighborhood_edges,
+    numeric_eigenvalues,
     parse_edit,
     representatives_for,
     supp,
@@ -36,7 +37,6 @@ from editwalk import (
     intersection_weights,
     moran_weights,
     multiplicities,
-    numeric_eigenvalues,
     recurrent_class,
     simple_edit_weights,
     spectrum,

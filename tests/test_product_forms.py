@@ -152,8 +152,9 @@ def test_traced_spectral_names_exist():
     # `psi(T)` for `oracles.psi_rows_enumerated`. A removed timed name reads
     # 0 because nothing calls it: verify checks the eigenvectors from the
     # factors, `hitting_time` moved to `oracles`, and so did the dense LU
-    # `stationary_numeric`, which verify replaced by a coupling bound.
-    removed = {"commute_terms", "psi", "eigensystem_simple", "hitting_time", "stationary_numeric"}
+    # `stationary_numeric`, which verify replaced by a coupling bound; the
+    # float eigensolve `numeric_eigenvalues` became verify's private fallback.
+    removed = {"commute_terms", "psi", "eigensystem_simple", "hitting_time", "stationary_numeric", "numeric_eigenvalues"}
     assert not any(hasattr(spectral, name) for name in removed)
     for name in sorted((set(tracing.SPECTRAL_TIMED) | set(tracing.INNER["editwalk.spectral"])) - removed):
         if name == "to_float":  # traced as a TransitionMatrix method

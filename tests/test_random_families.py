@@ -19,8 +19,10 @@ from oracles import (
     chamber_of,
     closure_by_witness,
     edit_items,
+    eigenvalue_multiset_residual,
     lattice_by_witness,
     multiplicities_by_mobius,
+    numeric_eigenvalues,
     representatives_for,
     supp,
 )
@@ -72,8 +74,8 @@ def test_random_compound_families_spectra():
             tm = ew.build_chain(dist, g, states)
             report = ew.spectrum(dist, g)
         assert report.total_multiplicity == len(states)
-        gap = ew.eigenvalue_multiset_residual(
-            report.eigenvalue_multiset(), ew.numeric_eigenvalues(tm)
+        gap = eigenvalue_multiset_residual(
+            report.eigenvalue_multiset(), numeric_eigenvalues(tm)
         )
         assert gap < 1e-8
 

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from editwalk import (
     brown_tv_bound,
     build_chain,
     complete_graph,
-    eigenvalue_multiset_residual,
     eigenvalues_simple,
     forest_flags,
     from_edge_list,
@@ -21,7 +21,6 @@ from editwalk import (
     mixing_bound_simple,
     moran_complete_mixing_bound,
     moran_weights,
-    numeric_eigenvalues,
     phi,
     recurrent_class,
     simple_edit_weights,
@@ -31,11 +30,21 @@ from editwalk import (
     to_dot,
     tv_decay,
 )
-from oracles import permute_vector, psi_rows_enumerated, q_matrix, reorder, sign_lex_order, stationary_numeric
+from oracles import (
+    chain_from_dense,
+    eigenvalue_multiset_residual,
+    numeric_eigenvalues,
+    permute_vector,
+    psi_rows_enumerated,
+    q_matrix,
+    reorder,
+    sign_lex_order,
+    stationary_numeric,
+)
+from editwalk import verify
 from editwalk.errors import (
     CapExceeded,
     DegenerateGap,
-    LengthMismatch,
     SupportNotCovering,
     ValidationError,
 )
@@ -437,8 +446,16 @@ class TestOrderingAndDot:
                 assert src.strip() != dst.strip()
 
 
-def test_eigenvalue_multiset_residual_basics():
-    assert eigenvalue_multiset_residual([1.0, 0.5], [0.5, 1.0]) == 0
-    assert eigenvalue_multiset_residual([1.0], [0.9]) == pytest.approx(0.1)
-    with pytest.raises(LengthMismatch):
-        eigenvalue_multiset_residual([1.0], [1.0, 0.0])
+def test_the_dense_fallback_takes_the_sorted_gap():
+    """`verify`'s eigensolve on a float chain off the product compares the
+    sorted multisets, and fails a report of another size by name."""
+    tm = chain_from_dense(1, range(2), np.full((2, 2), 0.5), exact=False)  # eigenvalues 1 and 0
+
+    def gap(values):
+        return verify._dense_fallback(SimpleNamespace(eigenvalue_multiset=lambda: values), tm, None)
+
+    assert gap([0.0, 1.0]).residual == gap([1.0, 0.0]).residual <= 1e-15
+    assert gap([1.0, 0.1]).residual == pytest.approx(0.1)
+    short = gap([1.0])
+    assert not short.passed and short.residual == math.inf
+    assert short.detail == "1 eigenvalues reported, 2 states"

@@ -4,7 +4,7 @@ On an exact chain that is no two-state product, `check_spectrum_multiset`
 proves the reported eigenvalue multiset with an annihilating polynomial
 and power sums mod a prime, and calls no eigensolver; the simple chains
 below are such products, so their cases call the certificate directly
-(`certified`). Where `numeric_eigenvalues` runs in
+(`certified`). Where `oracles.numeric_eigenvalues` runs in
 seconds it must agree with it, and the certificate must fail when the
 claim or the chain is altered, or choose another prime when the first
 candidate divides a denominator or merges two levels.
@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import eigenvalue_multiset_residual, numeric_eigenvalues
 from test_random_families import seeded_families
 
 import editwalk as ew
@@ -71,7 +72,7 @@ def certified(report, tm):
 
 
 def oracle_gap(report, tm):
-    return ew.eigenvalue_multiset_residual(report.eigenvalue_multiset(), ew.numeric_eigenvalues(tm))
+    return eigenvalue_multiset_residual(report.eigenvalue_multiset(), numeric_eigenvalues(tm))
 
 
 @pytest.mark.parametrize("name", CASES)
