@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby, islice
@@ -347,7 +348,10 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     cfg.out.mkdir(parents=True, exist_ok=True)
     summary = {"final_state": format(traj.masks[-1], "#x"), "edge_counts": traj.edge_counts()}
     if cfg.model == "moran":
-        summary["acyclic"] = forest_flags(cfg.host, traj.masks).tolist()
+        # A Moran edit clears u's edges other than {u, v} and sets {u, v}, so a forest stays
+        # one: the flags switch at most once, from False to True, at the record bisection finds.
+        first = bisect_left(traj.masks, True, key=lambda mask: forest_flags(cfg.host, [mask])[0])
+        summary["acyclic"] = [False] * first + [True] * (len(traj.masks) - first)
     summary_meta = {**meta, "transient_start": cfg.initial.hex()} if transient else meta
     write_json(cfg.out / "summary.json", summary_meta, summary)
     if cfg.steps == 0:

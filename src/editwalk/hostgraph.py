@@ -8,9 +8,8 @@ knows its edge count. It carries no set algebra, since the engine reads
 only its mask; masks combine with |, & and ~. Collections of states are
 sorted mask arrays (dtype `mask_dtype(m)`), searched with `find_masks`.
 Sequences of masks, such as a trajectory's recorded states, are decoded
-together: `set_bits` lists their set bits and `forest_flags` tests each
-for a cycle (a list of one mask tests one state), both in numpy, block
-by block.
+together by `set_bits`, in numpy, block by block; `forest_flags` tests each
+mask for a cycle (a list of one mask tests one state).
 
 Enumeration APIs elsewhere count the 2^m states against a cap
 (`errors.check_cap`); EdgeSet itself places no limit on m (Python ints are
@@ -211,33 +210,24 @@ def mask_blocks(masks: Sequence[int], m: int) -> Iterator[Sequence[int]]:
 
 def forest_flags(g: HostGraph, masks: Sequence[int]) -> np.ndarray:
     """For each int mask on g's edges, whether the subgraph it selects has no
-    cycle, i.e. its edges plus its connected components number g.n.
-
-    The components come from one hook-and-jump pass (Shiloach & Vishkin
-    1982) per block of masks over the vertex ids state * n + v: each round
-    hooks the larger root of every edge whose ends have different roots to
-    the smaller one (`np.minimum.at`), then jumps pointers until every
-    vertex points at a root. Roots only decrease, so no round makes a cycle."""
-    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
-    flags = [np.zeros(0, bool)]
-    for block in mask_blocks(masks, g.m):
-        rows, cols = set_bits(block, g.m)
-        u, v = ends[cols, 0] + rows * g.n, ends[cols, 1] + rows * g.n
-        root = np.arange(len(block) * g.n)
-        while True:
-            ru, rv = root[u], root[v]
-            apart = ru != rv
-            if not apart.any():
+    cycle: a union-find over the mask's set bits, up to the first edge whose ends
+    share a root. Fewer than n unions come first, so finds need no path compression."""
+    flags = np.ones(len(masks), bool)
+    for row, mask in enumerate(masks):
+        root = list(range(g.n))
+        while mask:
+            low = mask & -mask
+            u, v = g.edges[low.bit_length() - 1]
+            while root[u] != u:
+                u = root[u]
+            while root[v] != v:
+                v = root[v]
+            if u == v:
+                flags[row] = False
                 break
-            u, v, ru, rv = u[apart], v[apart], ru[apart], rv[apart]
-            np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
-            jumped = root[root]
-            while not np.array_equal(jumped, root):
-                root, jumped = jumped, jumped[jumped]
-        roots = np.flatnonzero(root == np.arange(root.size)) // g.n
-        counts = np.bincount(rows, minlength=len(block)) + np.bincount(roots, minlength=len(block))
-        flags.append(counts == g.n)
-    return np.concatenate(flags)
+            root[u] = v
+            mask ^= low
+    return flags
 
 
 def host_from_json(obj: dict) -> HostGraph:

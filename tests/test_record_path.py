@@ -2,10 +2,13 @@
 byte-equal to one `json.dumps` per state dict, also when the states span
 many decode blocks and when runs of equal states (decoded and formatted
 once) straddle blocks, return to an earlier state or end the walk;
-`EdgeSet.indices` and `set_bits` equal to a test of every host edge; and
-`forest_flags` equal to one union-find per state."""
+`EdgeSet.indices` and `set_bits` equal to a test of every host edge;
+`forest_flags` equal to one union-find per state; and the Moran `acyclic`
+flags, which switch at most once because every Moran edit maps a forest to
+a forest, found by a bisection over single-mask `forest_flags` calls."""
 
 import json
+import math
 from itertools import groupby
 from operator import and_
 
@@ -13,10 +16,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from editwalk import hostgraph
+from editwalk import cli, hostgraph
 from editwalk.cli import _trajectory_lines, build_parser, load_config, main
-from editwalk.hostgraph import EdgeSet, complete_graph, forest_flags, from_edge_list, set_bits
-from editwalk.process import Trajectory
+from editwalk.hostgraph import (
+    EdgeSet,
+    complete_graph,
+    forest_flags,
+    from_edge_list,
+    host_from_json,
+    set_bits,
+)
+from editwalk.process import Trajectory, moran_weights
 from oracles import _acyclic_by_shift, indices_by_shift, read_jsonl, write_simulate_artifacts
 
 MU = [0.125, 0.375, 0.375, 0.125]
@@ -143,16 +153,14 @@ def _spanning_path(n: int) -> tuple:
 
 
 @settings(max_examples=300, deadline=None)
-@given(hosts_and_masks(), st.sampled_from([8, 24, 56, hostgraph.DECODE_BITS]))
-@example((from_edge_list(1, []), [0]), 8)
-@example((complete_graph(13), [0, (1 << 78) - 1]), 8)  # m = 78
-@example(_spanning_path(13), 8)
-@example((from_edge_list(6, [(0, 1), (1, 2), (0, 2), (4, 5)]), [0b0111, 0b1011, 0b1111]), 8)
-def test_forest_flags_match_the_union_find_oracle(host_masks, decode_bits):
+@given(hosts_and_masks())
+@example((from_edge_list(1, []), [0]))
+@example((complete_graph(13), [0, (1 << 78) - 1]))  # m = 78
+@example(_spanning_path(13))
+@example((from_edge_list(6, [(0, 1), (1, 2), (0, 2), (4, 5)]), [0b0111, 0b1011, 0b1111]))
+def test_forest_flags_match_the_union_find_oracle(host_masks):
     g, masks = host_masks
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(hostgraph, "DECODE_BITS", decode_bits)
-        flags = forest_flags(g, masks)
+    flags = forest_flags(g, masks)
     assert flags.dtype == bool
     assert flags.tolist() == [_acyclic_by_shift(g, EdgeSet(g.m, mask)) for mask in masks]
     # one state is tested as a list of one mask
@@ -172,3 +180,83 @@ def test_set_bits_match_the_shift_oracle(states, decode_bits):
         rows, cols = set_bits([state.mask for state in states], m)
     expected = [(row, e) for row, state in enumerate(states) for e in indices_by_shift(state)]
     assert list(zip(rows.tolist(), cols.tolist())) == expected
+
+
+@st.composite
+def hosts_and_forests(draw):
+    """A host with at least one edge and forests on it: each drawn mask less
+    every edge that closes a cycle with the edges kept below it."""
+    g, masks = draw(hosts_and_masks().filter(lambda host_masks: host_masks[0].m > 0))
+    forests = []
+    for mask in masks:
+        forest = 0
+        for e in indices_by_shift(EdgeSet(g.m, mask)):
+            if _acyclic_by_shift(g, EdgeSet(g.m, forest | 1 << e)):
+                forest |= 1 << e
+        forests.append(forest)
+    return g, forests
+
+
+@settings(max_examples=200, deadline=None)
+@given(hosts_and_forests())
+@example((complete_graph(13), [0, _spanning_path(13)[1][0]]))  # m = 78
+def test_every_moran_edit_maps_a_forest_to_a_forest(host_forests):
+    g, forests = host_forests
+    dist = moran_weights(g)
+    for forest in forests:
+        assert _acyclic_by_shift(g, EdgeSet(g.m, forest))
+        for plus, minus in zip(dist.plus.tolist(), dist.minus.tolist()):
+            assert _acyclic_by_shift(g, EdgeSet(g.m, (forest | plus) & ~minus))
+
+
+K5 = {"preset": "complete", "params": [5]}
+CHORDED_CYCLE = {"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0], [0, 2]]}
+MORAN_RUNS = {  # host, initial, T, thin
+    "K5 full": (K5, "full", 300, 1),
+    "chorded 5-cycle full": (CHORDED_CYCLE, "full", 300, 1),
+    "K5 star": (K5, [[0, 1], [0, 2], [0, 3], [0, 4]], 300, 1),
+    "K5 full thin 7": (K5, "full", 300, 7),
+    "K5 full T 0": (K5, "full", 0, 1),
+}
+
+
+def _moran_walk(tmp_path, host, initial, T, thin) -> tuple[list, list]:
+    """`editwalk simulate` on a Moran walk: the `acyclic` flags it writes and
+    the masks of its records."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"host": host, "model": {"name": "moran"}, "initial": initial,
+                                  "T": T, "thin": thin, "seed": 11}))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())["data"]
+    if T == 0:
+        return summary["acyclic"], [int(summary["final_state"], 16)]
+    _, records = read_jsonl(tmp_path / "trajectory.jsonl")
+    return summary["acyclic"], [int(record["state"], 16) for record in records]
+
+
+@pytest.mark.parametrize("run", MORAN_RUNS)
+def test_moran_acyclic_flags_match_a_test_of_each_record(tmp_path, run):
+    host, initial, T, thin = MORAN_RUNS[run]
+    flags, masks = _moran_walk(tmp_path, host, initial, T, thin)
+    g = host_from_json(host)
+    assert flags == [bool(forest_flags(g, [mask])[0]) for mask in masks]
+    assert len(flags) == T // thin + 1 + (T % thin > 0)
+    if initial == "full":
+        assert not flags[0] and flags[-1] == (T > 0)  # the walk starts on a cycle and reaches a forest
+    else:
+        assert all(flags)
+
+
+@pytest.mark.parametrize("T, thin", [(0, 1), (1, 1), (1000, 1), (1000, 7), (1024, 1)])
+def test_simulate_tests_one_mask_a_logarithmic_number_of_times(tmp_path, monkeypatch, T, thin):
+    calls = []
+
+    def spy(g, masks):
+        calls.append(len(masks))
+        return forest_flags(g, masks)
+
+    monkeypatch.setattr(cli, "forest_flags", spy)
+    flags, masks = _moran_walk(tmp_path, {"preset": "complete", "params": [6]}, "full", T, thin)
+    assert calls and set(calls) == {1}
+    assert len(calls) <= math.ceil(math.log2(len(masks))) + 1
+    assert flags == forest_flags(complete_graph(6), masks).tolist()

@@ -1,7 +1,12 @@
 """Remaining public-surface behaviors: CLI branches and small API corners."""
 
+import importlib
+import inspect
 import json
+import pkgutil
+import typing
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
@@ -162,3 +167,36 @@ def test_to_dot_label_validation():
         ew.to_dot(tm, labels="names")
     with pytest.raises(ValidationError):
         ew.to_dot(tm, labels="edges")  # needs the host graph
+
+
+def _annotated(module):
+    """(qualified name, object) of every function, class, method, property
+    and cached property that `module` defines."""
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            yield name, obj
+            for attr, member in vars(obj).items():
+                if isinstance(member, (staticmethod, classmethod)):
+                    member = member.__func__
+                elif isinstance(member, property):
+                    member = member.fget
+                elif isinstance(member, cached_property):
+                    member = member.func
+                if inspect.isfunction(member):
+                    yield f"{name}.{attr}", member
+
+
+@pytest.mark.parametrize("module", [info.name for info in pkgutil.iter_modules(ew.__path__)])
+def test_every_annotation_resolves(module):
+    module = importlib.import_module(f"editwalk.{module}")
+    unresolved = []
+    for name, obj in _annotated(module):
+        try:
+            typing.get_type_hints(obj)
+        except NameError as exc:
+            unresolved.append(f"{name}: {exc}")
+    assert unresolved == []
