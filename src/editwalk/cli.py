@@ -553,6 +553,7 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
         rng=np.random.default_rng(cfg.seed),
         exact=cfg.mode == "rational",
         cap=cfg.cap,
+        initial=cfg.initial,
     )
     for result in results:
         print(result.line())

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import STATE_CAP, CapExceeded, ValidationError
-from .hostgraph import HostGraph, find_masks
+from .hostgraph import EdgeSet, HostGraph, find_masks
 from .lattice import SupportLattice, closure, multiplicities
 from .process import WeightedEdits, _common_denominator, _is_exact, _kron, _per_edge_probabilities
 from .spectral import (
@@ -35,7 +35,6 @@ from .spectral import (
     _sum_terms,
     build_chain,
     eigenvalues_simple,
-    stationary_closed_form,
     stationary_faces,
 )
 
@@ -70,26 +69,20 @@ def check_row_stochastic(tm: TransitionMatrix) -> CheckResult:
     return _result("row_stochastic", tm.row_sum_residual(), 1e-12)
 
 
-def _law(tm: TransitionMatrix, pi) -> tuple[TransitionMatrix, np.ndarray, int]:
-    """The chain and pi in one arithmetic, as (chain, numerators, denominator):
-    `tm` itself and pi as Python-int numerators over one denominator when both
-    are exact, else the chain's float cells and pi as float64, both over 1."""
-    if tm.exact and all(_is_exact(x) for x in pi):
-        return (tm, *_common_denominator(pi))
-    chain = TransitionMatrix(tm.m, tm.masks, tm.rows, tm.cols, tm.float_values)
-    return chain, np.asarray([float(x) for x in pi]), 1
+def _law(tm: TransitionMatrix, nums: np.ndarray, den: int) -> tuple:
+    """The chain and pi = nums / den in one arithmetic, as (chain, n, D, pi P - pi),
+    with pi_i P_ij = n_i N_ij / D for the cell numerators N and the gap over D:
+    `tm` and pi's Python-int numerators when both are exact, else the chain's
+    float cells and pi as float64, D = 1."""
+    if not (tm.exact and nums.dtype == object):
+        tm = TransitionMatrix(tm.m, tm.masks, tm.rows, tm.cols, tm.float_values)
+        nums, den = np.asarray(nums / den, float), 1  # int / int rounds as float(Fraction) does
+    return tm, nums, den * tm.denominator, tm.left_apply(nums) - tm.denominator * nums
 
 
-def _fixed_point(tm: TransitionMatrix, pi) -> tuple:
-    """(pi P - pi, pi, their denominator, the chain), over the cells of `_law`."""
-    chain, nums, den = _law(tm, pi)  # int / int rounds as float(Fraction) does
-    law = chain.denominator * nums
-    return chain.left_apply(nums) - law, law, den * chain.denominator, chain
-
-
-def check_stationary_fixed_point(tm: TransitionMatrix, pi, fixed: tuple | None = None) -> CheckResult:
-    """pi P = pi over the nonzero cells in `_law`'s arithmetic; `fixed` is `_fixed_point(tm, pi)`."""
-    gap, _, den, chain = _fixed_point(tm, pi) if fixed is None else fixed
+def check_stationary_fixed_point(law: tuple) -> CheckResult:
+    """pi P = pi over the nonzero cells, from `law = _law(...)`."""
+    chain, _, den, gap = law
     return _result("stationary_fixed_point", np.abs(gap).max() / den, 1e-12, "exact" if chain.exact else "")
 
 
@@ -102,23 +95,23 @@ def _coupling_time(dist: WeightedEdits):
     return sum(Fraction(1, j) for j in range(1, len(mass) + 1)) * den / min(mass, default=1)
 
 
-def check_stationary_vs_solve(dist: WeightedEdits, fixed: tuple) -> CheckResult:
+def check_stationary_vs_solve(dist: WeightedEdits, law: tuple) -> CheckResult:
     """||pi - pi*||_1 <= ||r||_1 E[T] + |1 - sum pi| for the chain's law pi* and
-    r = pi P - pi (`fixed = _fixed_point(tm, pi)`): walks driven by the same
+    r = pi P - pi (`law = _law(...)`): walks driven by the same
     edits meet once the drawn supports cover the covered edges, so P^s contracts
     by P(T > s) (Brown & Diaconis 1998; Seneta, ch. 3), E[T] <= `_coupling_time`.
     A float ||r||_1 gains (c + 1) u sum pi, c the most cells in one column."""
-    gap, law, den, chain = fixed
-    norm = np.abs(gap).sum() + (0 if chain.exact else (np.bincount(chain.cols).max() + 1) * U * law.sum())
-    return _result("stationary_vs_linear_solve", (norm * _coupling_time(dist) + abs(den - law.sum())) / den, 1e-12)
+    chain, nums, den, gap = law
+    norm = np.abs(gap).sum() + (0 if chain.exact else (np.bincount(chain.cols).max() + 1) * U * nums.sum())
+    mass = abs(den - chain.denominator * nums.sum())  # |1 - sum pi| over den
+    return _result("stationary_vs_linear_solve", (norm * _coupling_time(dist) + mass) / den, 1e-12)
 
 
-def check_detailed_balance(tm: TransitionMatrix, pi) -> CheckResult:
+def check_detailed_balance(law: tuple, gaps: np.ndarray) -> CheckResult:
     """max |pi_i P_ij - pi_j P_ji| over the nonzero cells (a pair with both
-    cells zero balances), in `_law`'s arithmetic."""
-    chain, nums, den = _law(tm, pi)
-    gaps, _ = chain._transpose_gap(nums[chain.rows] * chain.numerators)
-    return _result("detailed_balance", gaps.max() / (den * chain.denominator), 1e-12, "exact" if chain.exact else "")
+    cells zero balances), from `law = _law(...)` and its cell gaps `gaps`."""
+    chain, _, den, _ = law
+    return _result("detailed_balance", gaps.max() / den, 1e-12, "exact" if chain.exact else "")
 
 
 def check_eigenvector_residuals(factors, report, product: TwoStateProduct | None) -> CheckResult:
@@ -187,16 +180,15 @@ def check_orthonormality(factors) -> CheckResult:
     return _result("orthonormality", bound - 1, 1e-10, "exact" if exact else "")
 
 
-def check_q_symmetry(tm: TransitionMatrix, pi) -> CheckResult:
+def check_q_symmetry(law: tuple, gaps: np.ndarray) -> CheckResult:
     """max |Q - Q^T| for Q = D^(1/2) P D^(-1/2), over the nonzero cells: the
-    gap |pi_i P_ij - pi_j P_ji| in `_law`'s arithmetic, scaled by
-    1/sqrt(pi_i pi_j) only where it is not 0, so an exact law gives an exact
-    0. A float law that underflows to 0 has no D^(-1/2): residual inf."""
-    chain, nums, den = _law(tm, pi)
+    gaps |pi_i P_ij - pi_j P_ji| of `law = _law(...)`, scaled by
+    1/sqrt(pi_i pi_j) only where they are not 0, so an exact law gives an
+    exact 0. A float law that underflows to 0 has no D^(-1/2): residual inf."""
+    chain, nums, *_ = law
     if not (chain.exact or nums.all()):
         detail = f"the law underflows to 0 at {np.sum(nums == 0)} of {len(nums)} states; use rational mode"
         return _result("q_symmetry", math.inf, 1e-12, detail)
-    gaps, _ = chain._transpose_gap(nums[chain.rows] * chain.numerators)
     hit = np.flatnonzero(gaps)
     i, j = chain.rows[hit], chain.cols[hit]
     if not chain.exact:  # over sqrt(pi_i) sqrt(pi_j), whose product may underflow
@@ -418,8 +410,8 @@ def check_commute_backends(g: HostGraph, p, tm: TransitionMatrix, states) -> Che
     max |h - 1 - P h| / (1 + |h| + P|h|), exact when p is rational; then each
     pair's `_spectral_sum` against h(E, F) + h(F, E). Past the float range: inf."""
     probs = _per_edge_probabilities(g, p)
-    chain = _law(tm, probs)[0]  # tm when it and p are exact, else its float cells
-    exact, detail = chain.exact, f"{len(states) * (len(states) - 1) // 2} pairs"
+    exact, detail = tm.exact and all(map(_is_exact, probs)), f"{len(states) * (len(states) - 1) // 2} pairs"
+    chain = tm if exact else TransitionMatrix(tm.m, tm.masks, tm.rows, tm.cols, tm.float_values)
     terms = _sum_terms(g, p if exact else [float(x) for x in probs])
     one, h, worst = terms.denominator * tm.denominator if exact else 1.0, {}, 0.0
     try:
@@ -456,30 +448,36 @@ def run_verification(
     rng: np.random.Generator | None = None,
     exact: bool | None = None,
     cap: int = STATE_CAP,
+    initial: EdgeSet | None = None,
 ) -> list[CheckResult]:
     """Full oracle suite for one model; p enables the per-edge closed forms.
-    `exact` sets the arithmetic of a compound model's stationary law
-    (default: exact when the weights are rational). Every enumeration
-    (states, faces, flats) counts against `cap`."""
+    The chain is `initial`'s recurrent class, as `stationary` reads it. One
+    law serves every check that reads pi: the Kronecker product of the
+    per-edge factors' rows f_e[1], else the face law in the arithmetic
+    `exact` sets (default: exact when the weights are rational). Every
+    enumeration (states, faces, flats) counts against `cap`."""
     rng = rng or np.random.default_rng(0)
     simple_model = p is not None
 
-    if simple_model:
-        masks, pi = None, stationary_closed_form(g, p, cap)
-    else:  # the face recursion's chambers are the recurrent class
-        masks, pi = stationary_faces(dist, g, cap=cap, exact=exact)
+    if simple_model:  # pi is phi_T at T = all edges
+        factors = _phi_factors(g, p, cap)  # Python ints over prod d_e when p is rational
+        masks, nums, den = None, _kron([f[1] for f in factors[0]]), factors[1]
+    else:  # the face recursion's chambers are the recurrent class, its law Fractions when exact
+        masks, pi = stationary_faces(dist, g, initial, cap, exact)
+        nums, den = _common_denominator(pi) if isinstance(pi, list) else (pi, 1)
     tm = build_chain(dist, g, cap=cap, masks=masks)
+    chain, nums, *_ = law = _law(tm, nums, den)  # one law and one fixed-point gap for every check that reads pi
     lat = closure(dist, cap)  # one lattice for the spectrum and the closure check
     product = _two_state_product(tm)  # one pass for the spectrum and the eigenvectors
-    fixed = _fixed_point(tm, pi)  # one gap for the fixed point and its coupling bound
-    results = [check_row_stochastic(tm), check_stationary_fixed_point(tm, pi, fixed), check_stationary_vs_solve(dist, fixed)]
+    results = [check_row_stochastic(tm), check_stationary_fixed_point(law), check_stationary_vs_solve(dist, law)]
 
     if simple_model:
-        factors, report = _phi_factors(g, p, cap), eigenvalues_simple(g.m, cap)
-        results.append(check_detailed_balance(tm, pi))
+        report = eigenvalues_simple(g.m, cap)
+        gaps, _ = chain._transpose_gap(nums[chain.rows] * chain.numerators)  # one for both balance checks
+        results.append(check_detailed_balance(law, gaps))
         results.append(check_eigenvector_residuals(factors, report, product))
         results.append(check_orthonormality(factors))
-        results.append(check_q_symmetry(tm, pi))
+        results.append(check_q_symmetry(law, gaps))
         results.append(check_spectrum_multiset(report, tm, product))
         states = rng.choice(tm.size, size=min(5, tm.size), replace=False)  # masks are indices here
         results.append(check_commute_backends(g, p, tm, states.tolist()))
@@ -490,7 +488,7 @@ def run_verification(
             results += [_result(name, math.inf, tol, str(exc))
                         for name, tol in (("spectrum_multiset", 1e-8), ("multiplicity_sum", 0.0))]
         else:
-            results.append(check_spectrum_multiset(report, tm, product, pi))
+            results.append(check_spectrum_multiset(report, tm, product, nums))
             mismatch = report.total_multiplicity - tm.size
             results.append(_result("multiplicity_sum", mismatch, 0.0, f"{tm.size} chambers"))
     results.append(check_closure_idempotent(dist, lat))

@@ -66,7 +66,8 @@ It also keeps the helpers that only the tests use: the action of an edit
 on a state, its support, the two edit orders, chambers and their states,
 the star of edges at a vertex, the sign-table state order and
 permutations into it, a chain from a dense matrix, its dense symmetrized
-matrix, a hitting and a commute time through its fundamental matrix, the
+matrix, `verify`'s law and its balance gaps for a law given as Fractions or
+floats, a hitting and a commute time through its fundamental matrix, the
 normalized histogram of a thinned walk, one walk step, drawn edits as
 masks, the weight of one edit of the lazy intersection model, and the
 readers of the CSV, JSON and JSONL artifacts.
@@ -84,6 +85,7 @@ from pathlib import Path
 
 import numpy as np
 
+from editwalk import verify
 from editwalk.errors import (
     STATE_CAP,
     EdgeOutOfRange,
@@ -646,6 +648,23 @@ def q_matrix(tm, pi) -> np.ndarray:
     chain is reversible with respect to pi."""
     root = np.sqrt(np.asarray(pi, dtype=float))
     return tm.to_float() * root[:, None] / root[None, :]
+
+
+def verify_law(tm, pi) -> tuple:
+    """`verify._law` of a law given as Fractions or floats, read as
+    `run_verification` reads its own: Python-int numerators over one
+    denominator when every entry is exact, else float64."""
+    nums_den = _common_denominator(pi) if all(map(_is_exact, pi)) else (np.asarray(pi, dtype=float), 1)
+    return verify._law(tm, *nums_den)
+
+
+def balance_gaps(law) -> np.ndarray:
+    """|pi_i P_ij - pi_j P_ji| at each cell of `law = verify._law(...)`, over
+    its denominator, from the dense flow matrix: the gaps `run_verification`
+    hands both `detailed_balance` and `q_symmetry`."""
+    chain, nums, *_ = law
+    flow = nums[:, None] * chain._dense(0, chain.numerators)
+    return np.abs(flow - flow.T)[chain.rows, chain.cols]
 
 
 def numeric_eigenvalues(tm) -> np.ndarray:

@@ -20,12 +20,21 @@ import editwalk as ew
 from editwalk import spectral, verify
 from editwalk.errors import SupportNotCovering, ValidationError
 from editwalk.spectral import TransitionMatrix
-from oracles import chain_from_dense, from_items, parse_edit, q_matrix, reorder, sign_lex_order, stationary_numeric
+from oracles import (
+    balance_gaps,
+    chain_from_dense,
+    from_items,
+    parse_edit,
+    q_matrix,
+    reorder,
+    sign_lex_order,
+    stationary_numeric,
+    verify_law,
+)
 from editwalk.verify import (
     _two_state_product,
     check_detailed_balance,
     check_eigenvector_residuals,
-    check_q_symmetry,
     check_stationary_fixed_point,
     run_verification,
 )
@@ -239,7 +248,8 @@ def test_exact_verify_residuals_match_dense_formulas(m, right):
     pi = ew.stationary_closed_form(g, other)
     fixed, balance, eigen = _old_residuals(dense_chain(ew.simple_edit_weights(g, p), g)[1], pi, *_phi_rows(g, other))
     assert (fixed == 0 and balance == 0 and eigen == 0) == right
-    results = [check_stationary_fixed_point(tm, pi), check_detailed_balance(tm, pi)]
+    law = verify_law(tm, pi)
+    results = [check_stationary_fixed_point(law), check_detailed_balance(law, balance_gaps(law))]
     for result, old in zip(results, (fixed, balance)):
         assert result.detail == "exact" and result.residual == float(old)
     bound = _eigenvector_check(g, other, tm)
@@ -269,25 +279,31 @@ def test_eigenvector_bound_holds_the_dense_residual_of_other_factors(exact):
         assert bound.residual >= dense * (1 - 1e-9) and bound.residual > 0
 
 
-def test_reversibility_residuals_match_the_dense_transpose():
-    # the laws are for other edge probabilities, so the residuals are not 0;
-    # the cells give the dense max |A - A^T| of the flows bit for bit, and
-    # Q's within the dense matrix's rounding, as they scale each flow gap by
-    # 1/sqrt(pi_i pi_j) instead. An exact chain with a float law is read in
-    # float, as Moran's double mode pairs them.
+def test_reversibility_residuals_match_the_dense_transpose(monkeypatch):
+    # verify reads the law of other edge probabilities off their factors, so
+    # the residuals are not 0; the one pass of cell gaps that both balance
+    # checks share gives the dense max |A - A^T| of the flows bit for bit, and
+    # Q's within the dense matrix's rounding, as q_symmetry scales each flow
+    # gap by 1/sqrt(pi_i pi_j) instead. An exact chain with a float law is
+    # read in float, as Moran's double mode pairs them.
     rng = np.random.default_rng(40)
     for _ in range(20):
         m = int(rng.integers(1, 6))
         g = _path(m)
         p, other = ([Fraction(int(rng.integers(1, 12)), 13) for _ in range(m)] for _ in range(2))
         for exact_chain, exact in ((True, True), (False, False), (True, False)):
-            tm = ew.build_chain(ew.simple_edit_weights(g, p if exact_chain else [float(x) for x in p]), g)
-            pi = ew.stationary_closed_form(g, other if exact else [float(x) for x in other])
+            chain_p = p if exact_chain else [float(x) for x in p]
+            law_p = other if exact else [float(x) for x in other]
+            factors = spectral._phi_factors(g, law_p, 1 << m)
+            monkeypatch.setattr(verify, "_phi_factors", lambda *args, factors=factors: factors)
+            results = {r.name: r for r in run_verification(g, ew.simple_edit_weights(g, chain_p), p=chain_p)}
+            tm = ew.build_chain(ew.simple_edit_weights(g, chain_p), g)
+            pi = ew.stationary_closed_form(g, law_p)
             root = np.asarray([float(x) for x in pi])
             Q = q_matrix(tm, root)
-            assert check_q_symmetry(tm, pi).residual == pytest.approx(np.abs(Q - Q.T).max(), rel=1e-9, abs=1e-15)
+            assert results["q_symmetry"].residual == pytest.approx(np.abs(Q - Q.T).max(), rel=1e-9, abs=1e-15)
             flow = root[:, None] * tm.to_float() if not exact else np.asarray(pi)[:, None] * tm.entries
-            balance = check_detailed_balance(tm, pi)
+            balance = results["detailed_balance"]
             assert balance.detail == ("exact" if exact else "")
             assert balance.residual == float(np.abs(flow - flow.T).max())
     k4 = ew.complete_graph(4)
@@ -296,8 +312,9 @@ def test_reversibility_residuals_match_the_dense_transpose():
     tm = ew.build_chain(dist, k4, masks)
     assert tm.exact and pi.dtype == float
     flow = pi[:, None] * tm.to_float()
-    assert check_detailed_balance(tm, pi).residual == np.abs(flow - flow.T).max() > 0
-    fixed = check_stationary_fixed_point(tm, pi)
+    law = verify_law(tm, pi)
+    assert check_detailed_balance(law, balance_gaps(law)).residual == np.abs(flow - flow.T).max() > 0
+    fixed = check_stationary_fixed_point(law)
     assert fixed.passed and fixed.detail == ""
     assert fixed.residual == pytest.approx(np.abs(pi @ tm.to_float() - pi).max(), abs=1e-16)
 

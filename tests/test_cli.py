@@ -753,6 +753,30 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == "error (cap): Unable to allocate an array with shape (37, 37)\n"
 
+    @pytest.mark.parametrize("mode", ["double", "rational"])
+    def test_verify_checks_the_class_of_the_initial_state(self, tmp_path, capsys, monkeypatch, mode):
+        """The supports cover edges 0 and 1 only, so edge 2 keeps the start's
+        value: from "full" the class is {0x4, 0x5}, the states `stationary`
+        writes, not the {0x0, 0x1} of an empty start."""
+        cfg = write_config(tmp_path, host={"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}, initial="full", mode=mode,
+                           model={"name": "custom", "edits": [{"edit": edit, "weight": "1/3"}
+                                                              for edit in ("+0", "-0", "-1")]})
+        assert main(["stationary", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        _, _, rows = read_csv(tmp_path / "stationary.csv")
+        assert [row[0] for row in rows] == ["0x4", "0x5"]
+        chains, real = [], verify.build_chain
+
+        def spy(*args, **kwargs):
+            chains.append(real(*args, **kwargs))
+            return chains[-1]
+        monkeypatch.setattr(verify, "build_chain", spy)
+        capsys.readouterr()
+        assert main(["verify", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert [hex(mask) for mask in chains[0].masks] == ["0x4", "0x5"] and len(chains) == 1
+        assert captured.out.splitlines()[-1] == "6/6 checks passed"
+        assert "warning: generator supports cover only 0x3 of 0x7" in captured.err
+
     def test_perturbed_matrix_fails_named_check(self):
         # negative control: a deliberately broken matrix must fail loudly
         g = complete_graph(3)

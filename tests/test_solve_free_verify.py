@@ -13,19 +13,20 @@ with `nan`.
 """
 
 import dataclasses
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 
 import numpy as np
 import pytest
+from oracles import verify_law
 from test_chain_cells import cycle_family
 
 import editwalk as ew
-from editwalk import verify
+from editwalk import spectral, verify
 from editwalk.spectral import TransitionMatrix, _sum_terms
 from editwalk.verify import (
     _coupling_time,
-    _fixed_point,
     _hitting_column,
     check_commute_backends,
     check_stationary_vs_solve,
@@ -47,10 +48,19 @@ def harmonic(n):
     return sum(Fraction(1, j) for j in range(1, n + 1))
 
 
-def forbid(monkeypatch, owner, name):
+def forbid(monkeypatch, owner, name, raising=True):
     def fail(*args, **kwargs):
         raise AssertionError(f"{name} called")
-    monkeypatch.setattr(owner, name, fail)
+    monkeypatch.setattr(owner, name, fail, raising=raising)
+
+
+def count_calls(monkeypatch, owner, name, calls: Counter):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
 
 
 # (host, distribution, p for the per-edge closed forms or None, exact)
@@ -69,14 +79,24 @@ SPY = {
 def test_verify_calls_no_solve(monkeypatch, name):
     """No model reaches a linear solve, and the per-edge chain builds no
     dense matrix: its row sums, law and hitting columns are read over the
-    cells."""
+    cells. Its law is the per-edge factors' row, built by one
+    `_phi_factors` call and no `stationary_closed_form` or `phi`, and one
+    `_transpose_gap` serves both balance checks."""
     g, dist, p, exact = SPY[name]()
     forbid(monkeypatch, np.linalg, "solve")
+    calls = Counter()
     if p is not None:
         forbid(monkeypatch, TransitionMatrix, "_dense")
+        forbid(monkeypatch, verify, "stationary_closed_form", raising=False)  # a binding the spectral patch misses
+        forbid(monkeypatch, spectral, "stationary_closed_form")
+        forbid(monkeypatch, spectral, "phi")
+        count_calls(monkeypatch, verify, "_phi_factors", calls)
+        count_calls(monkeypatch, TransitionMatrix, "_transpose_gap", calls)
     results = run_verification(g, dist, p=p, exact=exact)
     assert all(r.passed for r in results), [r.line() for r in results if not r.passed]
     assert len(results) == (10 if p is not None else 6)
+    if p is not None:
+        assert calls == {"_phi_factors": 1, "_transpose_gap": 1}
 
 
 def simple_law(m, p, g=None):
@@ -114,11 +134,11 @@ LAWS = {
 @pytest.mark.parametrize("name", LAWS)
 def test_coupling_bound_holds_the_true_error(name):
     dist, tm, approx, truth = LAWS[name]()
-    result = check_stationary_vs_solve(dist, _fixed_point(tm, approx))
+    result = check_stationary_vs_solve(dist, verify_law(tm, approx))
     error = sum(abs(Fraction(float(a)) - t) for a, t in zip(approx, truth))
     assert result.name == "stationary_vs_linear_solve" and result.passed
     assert result.residual >= float(error)  # 0 when the float law is exact, as on intersection 2x2
-    exact = check_stationary_vs_solve(dist, _fixed_point(tm, truth))
+    exact = check_stationary_vs_solve(dist, verify_law(tm, truth))
     if tm.exact:  # an exact chain and its exact law: exactly 0
         assert exact.residual == 0.0
 
@@ -196,7 +216,7 @@ def test_a_shifted_law_fails_the_bound(exact):
     for dist, tm, pi in laws_to_shift(exact):
         for shift in ({3: d}, {3: d, 5: -d}):  # the second keeps the sum
             moved = [x + shift.get(k, 0) for k, x in enumerate(pi)]
-            result = check_stationary_vs_solve(dist, _fixed_point(tm, moved))
+            result = check_stationary_vs_solve(dist, verify_law(tm, moved))
             assert not result.passed and result.name == "stationary_vs_linear_solve"
             law = np.array(moved, dtype=float)
             gap = np.abs(law @ tm.to_float() - law).sum()  # the dense ||pi P - pi||_1
