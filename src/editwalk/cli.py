@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from bisect import bisect_left
@@ -59,6 +60,7 @@ from .spectral import (
     _hitting_columns,
     _is_recurrent,
     _stationary_floats,
+    block_spectrum,
     build_chain,
     eigenvalues_simple,
     mixing_bound_compound,
@@ -413,7 +415,23 @@ def _write_table(cfg: RunConfig, fmt: str, name: str, meta: dict, header, rows) 
     return 0
 
 
+def _block_levels(cfg: RunConfig) -> tuple[list[tuple[Fraction, int, int]], str]:
+    """`block_spectrum` of a lazy model, and its closed form as text: each
+    of its n blocks is drawn with probability 1/n and redrawn from a law on
+    the s patterns whose sizes have mass under mu."""
+    lazy = cfg.weights.lazy
+    n, s = lazy.blocks, sum(math.comb(lazy.width, k) for k in lazy.sizes.tolist())
+    form = f"block refreshes: eigenvalue j/{n}, multiplicity C({n}, j) ({s} - 1)^({n} - j)"
+    return block_spectrum([Fraction(1, n)] * n, [s] * n), form
+
+
 def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> int:
+    if cfg.weights.is_lazy:  # enumerates nothing: one row per eigenvalue, ascending
+        levels, form = _block_levels(cfg)
+        text = str if cfg.mode == "rational" else lambda v: str(float(v))
+        meta = artifact_meta(cfg.host, cfg.seed, model=cfg.model, closed_form=form)
+        rows = [(text(v), mult, flats) for v, mult, flats in levels]
+        return _write_table(cfg, args.format, "spectrum", meta, ["eigenvalue", "multiplicity", "flats"], rows)
     report = _spectrum_report(cfg)
     by_value = "; ".join(f"{v:g}x{mult}" for v, mult in report.by_value())
     meta = artifact_meta(cfg.host, cfg.seed, model=cfg.model, by_value=by_value)
@@ -431,6 +449,8 @@ def _stationary_rows(cfg: RunConfig) -> Iterator[tuple[str, str]]:
             cfg.weights, cfg.host, initial=cfg.initial, cap=cfg.cap,
             exact=cfg.mode == "rational",
         )
+        masks = masks.tolist()
+    pi = pi.tolist() if isinstance(pi, np.ndarray) else pi  # Python floats format faster than float64s
     return ((format(mask, "#x"), str(v)) for mask, v in zip(masks, pi))
 
 
@@ -451,9 +471,13 @@ def cmd_mixing(cfg: RunConfig, args: argparse.Namespace) -> int:
         bound_steps = mixing_bound_simple(m, c)
         bound_at = lambda t: simple_tv_bound(m, t)
     else:
-        report = _spectrum_report(cfg)
-        lam = report.second_largest()
-        chambers = report.total_multiplicity
+        if cfg.weights.is_lazy:
+            levels, _ = _block_levels(cfg)
+            lam = float(max((v for v, mult, _ in levels[:-1] if mult), default=0))
+            chambers = sum(mult for _, mult, _ in levels)
+        else:
+            report = _spectrum_report(cfg)
+            lam, chambers = report.second_largest(), report.total_multiplicity
         bound_steps = mixing_bound_compound(lam, m, c, chamber_count=chambers)
         meta["lambda_star"] = lam
         meta["chambers"] = chambers
@@ -605,6 +629,8 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command; library warnings are recorded and each distinct
     message is printed once, as `warning: <text>`, when the command ends."""
     args = build_parser().parse_args(argv)
+    if hasattr(sys, "set_int_max_str_digits"):  # block multiplicities such as (2^40 - 1)^500 pass 4300 digits
+        sys.set_int_max_str_digits(0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:

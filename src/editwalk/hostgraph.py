@@ -31,6 +31,7 @@ from .errors import (
     SelfLoop,
     ValidationError,
     VertexOutOfRange,
+    check_cap,
     check_keys,
 )
 
@@ -55,6 +56,39 @@ def find_masks(masks: np.ndarray, values):
     at = np.minimum(np.searchsorted(masks, values), max(len(masks) - 1, 0))
     at = np.where(masks[at] == values, at, -1) if len(masks) else np.full_like(at, -1)
     return int(at) if np.ndim(at) == 0 else at
+
+
+def _new_masks(batches, seen: np.ndarray, cap: int, what: str) -> tuple[np.ndarray, ...]:
+    """The distinct masks not in the ascending array `seen` among the rows
+    that `batches` yields as they are made (tuples of equal-length arrays,
+    masks first), ascending, each row as its first occurrence. The rows left
+    are counted as they arrive and merged to distinct ones only when
+    len(seen) plus their count passes `cap`; later rows are then also checked
+    against the merged ones. So at most `cap` rows and one batch are held,
+    and CapExceeded names `what` once len(seen) plus the distinct rows
+    passes `cap`."""
+    held, count, merged = [], 0, None
+    for batch in batches:
+        keep = find_masks(seen, batch[0]) < 0
+        if merged is not None:
+            keep &= find_masks(merged[0], batch[0]) < 0
+        held.append(tuple(a[keep] for a in batch))
+        count += len(held[-1][0])
+        if len(seen) + count > cap:
+            merged = _first_rows(held)
+            held, count = [merged], len(merged[0])
+            check_cap(len(seen) + count, cap, what)
+    return _first_rows(held)
+
+
+def _first_rows(held: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    """The rows of `held` with distinct masks (the first column), ascending,
+    each its first occurrence; a stable sort, not np.unique, which imports numpy.ma."""
+    columns = [np.concatenate(a) for a in zip(*held)]
+    order = np.argsort(columns[0], kind="stable")
+    keys = columns[0][order]
+    first = order[np.append(True, keys[1:] != keys[:-1])[:len(keys)]]
+    return tuple(a[first] for a in columns)
 
 
 @dataclass(frozen=True)

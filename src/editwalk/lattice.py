@@ -28,8 +28,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import STATE_CAP, HostMismatch, ValidationError, check_cap
-from .hostgraph import _popcount, find_masks
+from .errors import STATE_CAP, HostMismatch, ValidationError
+from .hostgraph import _new_masks, _popcount
+
+FLAT_BLOCK = 1 << 12  # flats multiplied by the supports per vectorized step of the closure
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,23 +63,26 @@ def closure(dist, cap: int = STATE_CAP) -> SupportLattice:
     empty set, with one representative per flat.
 
     Level by level: every flat found in the last level is multiplied by the
-    first edit of each distinct support, and binary search in the sorted known
-    flats drops the products whose support is already a flat. Raises
-    CapExceeded when the closure would exceed `cap` flats, checked per level.
+    first edit of each distinct support, FLAT_BLOCK flats at a time, and
+    binary search in the sorted known flats drops the products whose support
+    is already a flat. Raises CapExceeded when the closure would exceed `cap`
+    flats, counted as each block's products arrive (`_new_masks`).
     """
     if not len(dist.plus):
         raise ValidationError("need at least one generator support")
     _, first, _ = dist.support_groups
     y_plus, y_minus = dist.plus[first], dist.minus[first]
+
+    def products(plus, minus):
+        for start in range(0, len(plus), FLAT_BLOCK):
+            block = slice(start, start + FLAT_BLOCK)
+            p, q = (a.ravel() for a in _backward_step(plus[block, None], minus[block, None], y_plus, y_minus))
+            yield p | q, p, q
+
     seen = plus = minus = np.zeros(1, y_plus.dtype)
     flats, signs = [seen], [plus]
     while len(plus):
-        plus, minus = (a.ravel() for a in _backward_step(plus[:, None], minus[:, None], y_plus, y_minus))
-        reach = plus | minus
-        new = np.flatnonzero(find_masks(seen, reach) < 0)
-        reach, keep = np.unique(reach[new], return_index=True)
-        plus, minus = plus[new[keep]], minus[new[keep]]
-        check_cap(len(seen) + len(reach), cap, "support-closure flats")
+        reach, plus, minus = _new_masks(products(plus, minus), seen, cap, "support-closure flats")
         seen = np.insert(seen, np.searchsorted(seen, reach), reach)
         flats.append(reach)
         signs.append(plus)

@@ -91,6 +91,20 @@ def _common_denominator(values) -> tuple[np.ndarray, int]:
     return np.array([r.numerator * (den // r.denominator) for r in ratios], dtype=object), den
 
 
+def _ratios(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Float64 values as the exact ratios they store, integer numerators
+    over one power of two, with no Fraction: frexp makes each an integer
+    mantissa times 2^(e - 53), shifted up by e's lead over the least e. The
+    numerators are int64 while they stay within 62 bits, else Python ints."""
+    mantissa, exponent = np.frexp(values)
+    nums = (mantissa * 2.0 ** 53).astype(np.int64)
+    least = int(exponent[nums != 0].min(initial=1))
+    lead = np.where(nums != 0, exponent - least, 0)
+    if lead.max(initial=0) > 9:
+        nums, lead = nums.astype(object), lead.astype(object)
+    return nums << lead, 1 << (53 - least)
+
+
 class AliasSampler:
     """Vose alias method: O(n) setup, O(1) per draw, deterministic given rng.
 
@@ -132,7 +146,7 @@ def _row_ints(packed: np.ndarray) -> list[int]:
 class LazySpec:
     """Closed-form sampler for distributions too large to enumerate, whose
     edits each rewrite one of `blocks` disjoint edge blocks, block v being
-    edges [v*width, (v+1)*width).
+    edges [v*width, (v+1)*width), drawn with probability 1/blocks.
 
     `draw(rng, size)` returns `size` edits (at most `block`) as the block
     index v of each and a (size, width) bool array of the block edges each

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -42,7 +43,7 @@ from .errors import (
     ValidationError,
     check_cap,
 )
-from .hostgraph import EdgeSet, HostGraph, _popcount, find_masks, mask_dtype
+from .hostgraph import EdgeSet, HostGraph, _new_masks, _popcount, find_masks, mask_dtype
 from .lattice import SpectrumReport, _backward_step, closure, multiplicities
 from .process import WeightedEdits, _is_exact, _kron, _per_edge_probabilities
 
@@ -216,7 +217,8 @@ def recurrent_class(
     The start is the product of all edits applied to `initial`, which lies
     in the class. A breadth-first search then applies each edit to a whole
     level; binary search in the sorted seen states drops the known ones,
-    so only new states are sorted and merged in. The cap is checked per level.
+    so only new states are sorted and merged in. The new states are counted
+    against the cap as each edit's destinations arrive (`_new_masks`).
 
     If the generator supports do not cover the host edges, a warning is
     issued and the uncovered edges stay frozen at the initial state's values.
@@ -228,13 +230,8 @@ def recurrent_class(
         start = (start | plus) & ~minus
     seen = frontier = np.array([start], dtype=mask_dtype(g.m))
     while len(frontier):
-        new = []
-        for plus, keep in zip(dist.plus, ~dist.minus):
-            dest = (frontier | plus) & keep
-            new.append(dest[find_masks(seen, dest) < 0])
-        frontier = np.sort(np.concatenate(new))  # not np.unique, which imports numpy.ma
-        frontier = frontier[np.append(True, frontier[1:] != frontier[:-1])[:len(frontier)]]
-        check_cap(len(seen) + len(frontier), cap, "recurrent-class states")
+        level = (((frontier | plus) & keep,) for plus, keep in zip(dist.plus, ~dist.minus))
+        frontier, = _new_masks(level, seen, cap, "recurrent-class states")
         seen = np.insert(seen, np.searchsorted(seen, frontier), frontier)
     seen.flags.writeable = False
     return seen
@@ -354,15 +351,25 @@ def _face_moves(plus, minus, mass, dist, supports, w):
 
 
 def _merge_faces(chunks, m: int):
-    """One row per distinct face, its masses summed in row order."""
+    """One row per distinct face, its masses summed in row order. The faces
+    come out in the byte order of their little-endian (plus, minus) masks,
+    the order every later float sum follows: the numeric order of the
+    byteswapped masks, packed into one uint64 key up to 32 edges and
+    lexsorted as two up to 64. Object masks order by plus << m | minus."""
     plus, minus, mass = (np.concatenate(a) for a in zip(*chunks))
-    # np.unique gets 1-D keys only: its return_inverse changed shape for
-    # n-D input between NumPy 2.0 and 2.1
-    if plus.dtype == object:
-        keys = plus << m | minus
+    if plus.dtype != object and m > 32:
+        order = np.lexsort((minus.byteswap(), plus.byteswap()))  # stable, as np.unique's return_index
+        p, q = plus[order], minus[order]
+        start = np.append(True, (p[1:] != p[:-1]) | (q[1:] != q[:-1]))
+        first, inverse = order[start], np.empty(len(order), np.intp)
+        inverse[order] = np.cumsum(start) - 1
     else:
-        keys = np.stack((plus, minus), axis=1).view(np.dtype((np.void, 16))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        if plus.dtype == object:
+            keys = plus << m | minus
+        else:  # the top B = 8 ceil(m / 8) bits of each byteswapped mask hold its bytes
+            low = 64 - 8 * -(-m // 8)
+            keys = plus.byteswap() >> low << (64 - low) | minus.byteswap() >> low
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     return plus[first], minus[first], _sum_at(inverse, mass, len(first))
 
 
@@ -411,6 +418,26 @@ def spectrum(
     if masks is None:
         masks = recurrent_class(dist, g, cap=cap)
     return multiplicities(lat, masks, dist)
+
+
+def block_spectrum(rates: Sequence, sizes: Sequence[int]) -> list[tuple[object, int, int]]:
+    """Spectrum of a product of independent block refreshes: block b is
+    drawn with total rate c_b = rates[b] and redrawn from a positive law on
+    s_b = sizes[b] patterns, so the eigenvalues are sum(c_b, b in S) over the
+    block subsets S, with multiplicity prod(s_b - 1, b not in S) (Levin,
+    Peres & Wilmer, section 12.4). Returns (eigenvalue, multiplicity, subsets)
+    per distinct value, ascending, the counts Python ints; blocks with equal
+    (c_b, s_b) enter together, as binomial terms."""
+    levels = {0: (1, 1)}
+    for (c, s), k in Counter(zip(rates, sizes)).items():
+        terms = [(j * c, math.comb(k, j) * (s - 1) ** (k - j), math.comb(k, j)) for j in range(k + 1)]
+        grown = {}
+        for level, (mult, count) in levels.items():
+            for step, times, ways in terms:
+                old_mult, old_count = grown.get(level + step, (0, 0))
+                grown[level + step] = (old_mult + mult * times, old_count + count * ways)
+        levels = grown
+    return sorted((level, mult, count) for level, (mult, count) in levels.items())
 
 
 # ---------------------------------------------------------------------------
@@ -747,9 +774,11 @@ def to_dot(tm: TransitionMatrix, g: HostGraph | None = None, labels: str = "hex"
         edge_names = list(enumerate(f"{u}-{v}" for u, v in g.edges))
         names = ["{" + ",".join(name for e, name in edge_names if mask >> e & 1) + "}"
                  for mask in tm.masks.tolist()]
+    keep = (tm.rows != tm.cols) & (tm.numerators > 0)
+    values, which = np.unique(tm.numerators[keep], return_inverse=True)  # each distinct label formatted once
+    text = [str(Fraction(v, tm.denominator)) if tm.exact else f"{v:.6g}" for v in values.tolist()]
     lines = ["digraph states {"] + [f'  "{name}";' for name in names]
-    for k in np.flatnonzero((tm.rows != tm.cols) & (tm.numerators > 0)):
-        w = Fraction(tm.numerators[k], tm.denominator) if tm.exact else f"{tm.numerators[k]:.6g}"
-        lines.append(f'  "{names[tm.rows[k]]}" -> "{names[tm.cols[k]]}" [label="{w}"];')
+    lines += [f'  "{names[i]}" -> "{names[j]}" [label="{text[k]}"];'
+              for i, j, k in zip(tm.rows[keep].tolist(), tm.cols[keep].tolist(), which.tolist())]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -8,8 +8,8 @@ the bound on phi_T P - lambda_T phi_T); 1e-10 for the bound on the psi
 rows' Gram matrix less I; 1e-8 for the eigenvalue multiset and the hitting
 and commute times; 0 for the counts. Checks return results rather than
 raise, so the CLI prints a full table; rational mode gives exact zeros. No
-eigensolve and no dense matrix runs on the per-edge chain: its cells show
-it is a product of two-state chains (`_two_state_product`).
+eigensolve and no dense matrix runs on the simple and intersection chains:
+their cells show they are products of block refreshes (`_block_product`).
 """
 
 from __future__ import annotations
@@ -18,14 +18,16 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import STATE_CAP, CapExceeded, ValidationError
-from .hostgraph import EdgeSet, HostGraph, find_masks
+from .hostgraph import EdgeSet, HostGraph, _first_rows, find_masks
 from .lattice import SupportLattice, closure, multiplicities
-from .process import WeightedEdits, _common_denominator, _is_exact, _kron, _per_edge_probabilities
+from .process import WeightedEdits, _common_denominator, _is_exact, _kron, _per_edge_probabilities, _ratios
 from .spectral import (
     TransitionMatrix,
     _basis_sums,
@@ -33,6 +35,7 @@ from .spectral import (
     _spectral_sum,
     _sum_at,
     _sum_terms,
+    block_spectrum,
     build_chain,
     eigenvalues_simple,
     stationary_faces,
@@ -42,7 +45,6 @@ from .spectral import (
 # (p - 1)^2 < 2^34 each sum below 2^53, exact in float64, for N < p.
 PRIME_BOUND = 1 << 17
 U = np.finfo(float).eps / 2  # unit roundoff of float64
-REVERSIBILITY_TOL = 1e-10  # the largest max |Q - Q^T| the dense fallback symmetrizes
 IMAG_TOL = 1e-8  # the largest imaginary residue the general eigensolve may leave
 
 
@@ -114,14 +116,15 @@ def check_detailed_balance(law: tuple, gaps: np.ndarray) -> CheckResult:
     return _result("detailed_balance", gaps.max() / den, 1e-12, "exact" if chain.exact else "")
 
 
-def check_eigenvector_residuals(factors, report, product: TwoStateProduct | None) -> CheckResult:
+def check_eigenvector_residuals(factors, report, product: BlockProduct | None) -> CheckResult:
     """phi_T P = lambda_T phi_T for every edge subset T, read off the m
     per-edge factors `factors = _phi_factors(g, p, cap)` (phi_T the
     Kronecker product of rows f_e[T_e]), the report's eigenvalues and the
-    chain's two-state product P = K + E, with no 2^m x 2^m array. K is the
-    Kronecker sum of M_e = [[b_e, a_e], [b_e, a_e]], whose left
-    eigenvectors f_e[0] and f_e[1] belong to 0 and a_e + b_e, so for c the
-    midpoint of E's range and s_T = sum(a_e + b_e, e in T) + c,
+    chain's block product P = K + E, whose blocks must be the m single
+    edges, with no 2^m x 2^m array. K is then the Kronecker sum of
+    M_e = [[b_e, a_e], [b_e, a_e]], whose left eigenvectors f_e[0] and
+    f_e[1] belong to 0 and a_e + b_e, so for c the midpoint of E's range and
+    s_T = sum(a_e + b_e, e in T) + c,
 
         phi_T P - lambda_T phi_T = (s_T - lambda_T) phi_T + phi_T (E - c I)
             + sum_e (phi_T with f_e[T_e] replaced by its residual under M_e).
@@ -133,12 +136,16 @@ def check_eigenvector_residuals(factors, report, product: TwoStateProduct | None
     phi's float entries carry m - 1 roundings, which P (column sums at most
     2) and lambda <= 1 move by at most 3 (m - 1) u ||phi||; the rest covers
     the factor residuals' own rounding."""
-    if product is None:
-        return CheckResult("eigenvector_residual", math.inf, 1e-12, False, "the chain is no two-state product")
     rows, den = factors
-    rates, levels, radius, scale, exact = product  # over scale
+    if product is None or product.blocks != [1 << e for e in range(len(rows))]:
+        return CheckResult("eigenvector_residual", math.inf, 1e-12, False, "the chain is no two-state product")
+    rates = np.array([v[::-1] for v in product.values], object)  # (a_e, b_e) over scale
+    levels = reduce(lambda s, c: np.concatenate([s, s + c]), rates.sum(axis=1), np.zeros(1, object))  # s_T
+    levels, radius, scale, exact = levels + product.shift, product.radius, product.den, product.exact
     exact = exact and rows[0].dtype == object
-    claimed, L = _mask_levels(report, len(levels))
+    nums, L = _common_denominator(report.levels)  # the report's level at each mask, over L
+    claimed = np.empty(len(levels), object)
+    claimed[report.flats] = nums[report.index]
     if not exact:  # float64, each factor over its d_e = f_e[0, 1]
         rates, levels = ((x / scale).astype(float) for x in (rates, levels))
         radius, scale, claimed, L = radius / scale, 1, (claimed / L).astype(float), 1
@@ -199,66 +206,45 @@ def check_q_symmetry(law: tuple, gaps: np.ndarray) -> CheckResult:
     return _result("q_symmetry", math.sqrt(worst) if worst < 1e300 else math.inf, 1e-12)
 
 
-def check_spectrum_multiset(report, tm: TransitionMatrix, product: TwoStateProduct | None, pi=None) -> CheckResult:
+def check_spectrum_multiset(report, tm: TransitionMatrix, product: BlockProduct | None) -> CheckResult:
     """The report's eigenvalue multiset against the chain's, by one of three
-    proofs. A two-state product (`_two_state_product(tm)`) on a float chain,
-    or with radius 0 on an exact one, needs no eigensolve: by Weyl its sorted
-    spectrum lies within radius / den of the levels, so the residual is
-    max_S |levels_S / den - lambda_S| + radius / den, one Fraction (detail
-    `product`), or 1 unless the report names every mask once with
-    multiplicity 1; an exact chain passes only at 0 (`exact`). Any other
-    exact chain is proved by `_spectrum_certificate` (residual 0, or 1 and
-    what failed), any other float chain compared by `_dense_fallback`."""
+    proofs. A block product (`_block_product(tm)`) on a float chain, or with
+    radius 0 on an exact one, needs no eigensolve: by Weyl the chain's
+    sorted spectrum lies within radius / den of the product's sorted levels
+    (`block_spectrum`), so the residual is the largest gap between the two
+    sorted multisets plus radius / den, one Fraction (detail `product`), or
+    1 when the report counts another number of eigenvalues; an exact chain
+    passes only at 0 and prints 1 otherwise. Any other exact chain is proved
+    by `_spectrum_certificate` (residual 0, or 1 and what failed), any other
+    float chain compared by `_dense_fallback`."""
     if product is not None and (not tm.exact or product.radius == 0):
-        levels, den, n = product.levels, product.den, len(product.levels)
-        residual = 1
-        if np.array_equal(np.sort(report.flats), np.arange(n)) and (report.multiplicities == 1).all():
-            claimed, L = _mask_levels(report, n)
-            residual = Fraction(np.abs(levels * L - claimed * den).max() + product.radius * L, den * L)
+        nums, L = _common_denominator(report.levels)
+        claimed = np.array(sorted(np.repeat(nums[report.index] * product.den, report.multiplicities)), object)
+        levels = block_spectrum([sum(v) for v in product.values], [len(v) for v in product.values])
+        proved = np.repeat(np.array([(level + product.shift) * L for level, _, _ in levels], object),
+                           [k for _, k, _ in levels])
+        residual = 1 if len(claimed) != len(proved) else Fraction(
+            np.abs(claimed - proved).max(initial=0) + product.radius * L, product.den * L)
         if not tm.exact:
             return _result("spectrum_multiset", residual, 1e-8, "product")
-        return CheckResult("spectrum_multiset", float(residual), 1e-8, residual == 0,
-                           "exact" if residual == 0 else "exact: the multiplicities differ from the product's")
-    if not tm.exact:
-        return _dense_fallback(report, tm, pi)
-    fault = _spectrum_certificate(report, tm)
+        fault = None if residual == 0 else "the multiplicities differ from the product's"
+    elif not tm.exact:
+        return _dense_fallback(report, tm)
+    else:
+        fault = _spectrum_certificate(report, tm)
     return CheckResult("spectrum_multiset", float(fault is not None), 1e-8, fault is None,
                        "exact" if fault is None else f"exact: {fault}")
 
 
-def _mask_levels(report, n: int) -> tuple[np.ndarray, int]:
-    """The report's level at each of the n masks, in mask order, as Python
-    ints over their common denominator L (a float level read as the ratio
-    it stores)."""
-    nums, L = _common_denominator(report.levels)
-    claimed = np.empty(n, object)
-    claimed[report.flats] = nums[report.index]
-    return claimed, L
-
-
-def _dense_fallback(report, tm: TransitionMatrix, pi) -> CheckResult:
+def _dense_fallback(report, tm: TransitionMatrix) -> CheckResult:
     """The largest gap between the report's sorted multiset and the float
-    chain's, from a dense eigensolve: `eigvalsh` of the symmetric
-    D^(1/2) P D^(-1/2) when pi > 0 and the chain is reversible, else the
-    general `eigvals` (no law, a law with zeros, a non-reversible chain),
-    whose imaginary residue above IMAG_TOL fails: the chamber-walk matrices
-    are diagonalizable with real spectrum. Reversibility makes
-    Q_ij = sqrt(P_ij P_ji), so the test max |Q - Q^T| <= REVERSIBILITY_TOL
-    is scale-free; it is taken over the nonzero cells, every one of which
-    needs its transpose."""
+    chain's, from the general dense eigensolve `eigvals`, whose imaginary
+    residue above IMAG_TOL fails: the chamber-walk matrices are
+    diagonalizable with real spectrum. The reversible chains (the simple
+    and intersection models) are block products, which need no eigensolve."""
     claimed = np.sort(np.asarray(report.eigenvalue_multiset(), dtype=float))
     if len(claimed) != tm.size:
         return _result("spectrum_multiset", math.inf, 1e-8, f"{len(claimed)} eigenvalues reported, {tm.size} states")
-    law = np.asarray([] if pi is None else pi, dtype=float)
-    if law.size and law.min() > 0:
-        root = np.sqrt(law)
-        q = tm.float_values * root[tm.rows] / root[tm.cols]
-        gaps, paired = tm._transpose_gap(q)
-        if paired and gaps.max() <= REVERSIBILITY_TOL:
-            Q = np.zeros((tm.size, tm.size))
-            Q[tm.rows, tm.cols] += q / 2  # (Q + Q^T) / 2, cell by cell
-            Q[tm.cols, tm.rows] += q / 2
-            return _result("spectrum_multiset", np.abs(np.linalg.eigvalsh(Q) - claimed).max(), 1e-8)
     values = np.linalg.eigvals(tm.to_float())
     imag = np.abs(values.imag).max()
     if imag > IMAG_TOL:
@@ -266,64 +252,78 @@ def _dense_fallback(report, tm: TransitionMatrix, pi) -> CheckResult:
     return _result("spectrum_multiset", np.abs(np.sort(values.real) - claimed).max(), 1e-8)
 
 
-class TwoStateProduct(NamedTuple):
-    """A chain P = K + E read off its cells by `_two_state_product`, every
-    value a Python int over `den`: `rates` row e holds (a_e, b_e), `levels`
-    holds s_S + c for each mask S, with c the midpoint of the diagonal E's
-    range and `radius` its half-width; `exact` says whether the chain's
-    cells were exact."""
+class BlockProduct(NamedTuple):
+    """A chain P = K + E read off its cells by `_block_product`, every value
+    a Python int over `den`: `blocks` holds the blocks' edge masks, and
+    `values[b]` holds c_b nu_b(y) at each pattern y of block b in ascending
+    order; E's diagonal spans [shift - radius, shift + radius] / 2."""
 
-    rates: np.ndarray
-    levels: np.ndarray
+    blocks: list
+    values: list
+    shift: int
     radius: int
     den: int
     exact: bool
 
 
-def _two_state_product(tm: TransitionMatrix) -> TwoStateProduct | None:
-    """The chain's two-state product when its cells make it a product of m
-    two-state chains, else None: every sorted eigenvalue of the chain lies
-    within radius / den of the sorted levels / den, levels[S] in mask order.
-
-    The cells must hold all 2^m masks in order, and every state must move
-    across each edge e to the one neighbour that differs there, upward
-    (setting e) with one value a_e > 0 and downward with one b_e > 0. The
-    off-diagonal cells are then those of K, the Kronecker sum of the
-    two-state chains [[b_e, a_e], [b_e, a_e]], so P = K + E with E
-    diagonal. Each two-state chain is reversible with the positive law
-    (b_e, a_e) / (a_e + b_e), so the product law D makes D^(1/2) K
-    D^(-1/2) symmetric, with the eigenvalues 0 and a_e + b_e of each
-    factor summed: s_S = sum over e in S of (a_e + b_e). For c the
-    midpoint of E's range, P = (K + c I) + (E - c I) is similar to a
-    symmetric matrix plus a diagonal one, and by Weyl's inequality its
-    sorted eigenvalues lie within max |E_ii - c| of the sorted s_S + c.
-    Every value is a Python int over one denominator, float cells read as
-    the ratios they store: an exact chain of single-edge set and clear
-    edits, with or without the empty edit, has radius 0."""
-    n, m = tm.size, tm.m
-    if n != 1 << m or (tm.masks != np.arange(n)).any():
+def _block_product(tm: TransitionMatrix) -> BlockProduct | None:
+    """The chain as a product of block refreshes when its cells make it one,
+    else None. The blocks are the finest partition of the edges in which
+    every off-diagonal cell flips one block; the states must be all
+    combinations of the blocks' patterns, each must move to every state that
+    differs from it in one block, and each cell that sets block b to pattern
+    y must hold one value c_b nu_b(y) > 0, whatever the source. Then P = K + E,
+    E diagonal and K the sum of refreshes that redraw block b from nu_b at
+    rate c_b, which the product law symmetrizes, with eigenvalues
+    sum(c_b, b in S) (`block_spectrum`); by Weyl, P's sorted eigenvalues lie
+    within max |E_ii - c| of theirs plus c, the midpoint of E's range. The
+    two-state chain [[1 - a, a], [b, 1 - b]] is the width-1 block with
+    c = a + b, nu = (b, a) / c. Float cells are read as the ratios they store
+    (`_ratios`): an exact chain of whole-block rewrites has radius 0."""
+    n, masks, off = tm.size, tm.masks, tm.rows != tm.cols
+    flip = masks[tm.rows[off]] ^ masks[tm.cols[off]]
+    if not len(flip):
         return None
-    flip = tm.rows ^ tm.cols  # the masks are the indices
-    off = flip != 0
-    if (flip & (flip - 1)).any() or (np.bincount(tm.rows[off], minlength=n) != m).any():
-        return None  # the m off-diagonal cells of a row then flip its m edges
-    edge = np.bitwise_count(flip[off] - 1).astype(np.intp)
-    key = 2 * edge + (tm.rows[off] >> edge & 1)  # 2e: a_e, 2e + 1: b_e
-    values = tm.numerators[off]
-    rates = np.zeros(2 * m, values.dtype)
-    rates[key] = values
-    if not ((values == rates[key]).all() and (rates > 0).all()):
+    bit = flip & -flip  # the lowest edge each cell flips, as a mask
+    lowest = (np.frompyfunc(int.bit_length, 1, 1)(bit) - 1 if bit.dtype == object else np.bitwise_count(bit - 1))
+    lowest = lowest.astype(np.intp)
+    reach = np.zeros(tm.m, flip.dtype)  # the edges that flip with each lowest edge
+    np.bitwise_or.at(reach, lowest, flip)
+    blocks = []
+    for r in filter(None, reach.tolist()):
+        joined = [b for b in blocks if b & r]
+        blocks = [b for b in blocks if not b & r] + [reduce(or_, joined, r)]
+    blocks.sort(key=lambda b: b & -b)
+    first = np.append(masks[tm.cols[:np.searchsorted(tm.rows, 1)]], masks[0])  # row 0 reaches every pattern
+    kind, owner, index, sizes = masks.dtype.type, np.zeros(tm.m, np.intp), [], []
+    for b, block in enumerate(blocks):
+        owner[[e for e in range(tm.m) if block >> e & 1]] = b
+        support, = _first_rows([(first & kind(block),)])
+        local = masks & kind(block)
+        at = np.minimum(np.searchsorted(support, local), len(support) - 1)
+        if (support[at] != local).any():
+            return None
+        index.append(at.astype(np.int32))  # each state's pattern in block b, as an index into its support
+        sizes.append(len(support))
+    if n != math.prod(sizes) or (np.bincount(tm.rows[off], minlength=n) != sum(sizes) - len(sizes)).any():
+        return None  # not the product of the supports, or a state misses a neighbour
+    offset, index, which = np.cumsum([0] + sizes), np.stack(index), owner[lowest]
+    key = offset[which] + index[which, tm.cols[off]]
+    cells, values = tm.numerators[off], np.zeros(offset[-1], tm.numerators.dtype)
+    values[key] = cells
+    if not ((cells == values[key]).all() and (values > 0).all()):
         return None
     diagonal = np.zeros(n, values.dtype)
     diagonal[tm.rows[~off]] = tm.numerators[~off]
-    cells, den = _common_denominator(rates.tolist() + diagonal.tolist())
-    rates, diagonal, den = cells[:2 * m], cells[2 * m:], den * tm.denominator
-    sums, kron = np.zeros(1, object), np.zeros(1, object)  # s_S and K's diagonal, edge by edge
-    for a, b in zip(rates[0::2].tolist(), rates[1::2].tolist()):
-        sums, kron = np.concatenate([sums, sums + (a + b)]), np.concatenate([kron + b, kron + a])
-    shift = diagonal - kron  # E
-    low, high = shift.min(), shift.max()
-    return TwoStateProduct(2 * rates.reshape(m, 2), 2 * sums + (low + high), high - low, 2 * den, tm.exact)
+    both = np.concatenate([values, diagonal])
+    ints, den = (both, tm.denominator) if tm.exact else _ratios(both)
+    if sum(ints[:len(values)].tolist()) >> 62:  # K's diagonal sums up to sum(c_b)
+        ints = ints.astype(object)
+    values, diagonal = ints[:len(values)], ints[len(values):]
+    shift = diagonal - sum(values[offset[b] + index[b]] for b in range(len(blocks)))  # E
+    low, high = int(shift.min()), int(shift.max())
+    values = [[2 * v for v in values[offset[b]:offset[b + 1]].tolist()] for b in range(len(blocks))]
+    return BlockProduct(blocks, values, low + high, high - low, 2 * den, tm.exact)
 
 
 def _candidate_primes(n: int):
@@ -468,7 +468,7 @@ def run_verification(
     tm = build_chain(dist, g, cap=cap, masks=masks)
     chain, nums, *_ = law = _law(tm, nums, den)  # one law and one fixed-point gap for every check that reads pi
     lat = closure(dist, cap)  # one lattice for the spectrum and the closure check
-    product = _two_state_product(tm)  # one pass for the spectrum and the eigenvectors
+    product = _block_product(tm)  # one pass for the spectrum and the eigenvectors
     results = [check_row_stochastic(tm), check_stationary_fixed_point(law), check_stationary_vs_solve(dist, law)]
 
     if simple_model:
@@ -488,7 +488,7 @@ def run_verification(
             results += [_result(name, math.inf, tol, str(exc))
                         for name, tol in (("spectrum_multiset", 1e-8), ("multiplicity_sum", 0.0))]
         else:
-            results.append(check_spectrum_multiset(report, tm, product, nums))
+            results.append(check_spectrum_multiset(report, tm, product))
             mismatch = report.total_multiplicity - tm.size
             results.append(_result("multiplicity_sum", mismatch, 0.0, f"{tm.size} chambers"))
     results.append(check_closure_idempotent(dist, lat))

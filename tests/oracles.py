@@ -60,7 +60,10 @@ at a time:
 * the spectrum report as one `SpectrumEntry(EdgeSet, eigenvalue,
   multiplicity)` per flat, with its rows, aggregates and bounds summed
   entry by entry, and the per-edge spectrum built one edge subset at a
-  time, where the library keeps three aligned arrays.
+  time, where the library keeps three aligned arrays;
+* the face merge keyed by the raw bytes of each (plus, minus) pair, where
+  the library sorts integer keys in the same order, and the DOT export
+  with each cell's label formatted on its own.
 
 It also keeps the helpers that only the tests use: the action of an edit
 on a state, its support, the two edit orders, chambers and their states,
@@ -1018,3 +1021,33 @@ def lattice_by_witness(dist, cap: int = STATE_CAP, reverse: bool = False):
     dtype = mask_dtype(dist.m)
     return SupportLattice(dist.m, np.array([x.mask for x in lat.flats], dtype),
                           np.array([reps[x].plus for x in lat.flats], dtype))
+
+
+def merge_faces_by_void_view(chunks, m: int):
+    """One row per distinct face, its masses summed in row order, keyed as
+    uint64 masks by the 16 bytes of (plus, minus) that np.unique compares
+    as raw memory, where the library sorts the byteswapped masks as integers."""
+    plus, minus, mass = (np.concatenate(a) for a in zip(*chunks))
+    if plus.dtype == object:
+        keys = plus << m | minus
+    else:
+        keys = np.stack((plus, minus), axis=1).view(np.dtype((np.void, 16))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    total = np.zeros(len(first), mass.dtype)
+    np.add.at(total, inverse, mass)
+    return plus[first], minus[first], total
+
+
+def to_dot_by_cell(tm, g=None, labels: str = "hex") -> str:
+    """`to_dot` with each kept cell's label formatted on its own, where the
+    library formats each distinct value once."""
+    if labels == "hex":
+        names = [format(mask, "#x") for mask in tm.masks.tolist()]
+    else:
+        names = ["{" + ",".join(f"{u}-{v}" for e, (u, v) in enumerate(g.edges) if mask >> e & 1) + "}"
+                 for mask in tm.masks.tolist()]
+    lines = ["digraph states {"] + [f'  "{name}";' for name in names]
+    for k in np.flatnonzero((tm.rows != tm.cols) & (tm.numerators > 0)):
+        w = Fraction(tm.numerators[k], tm.denominator) if tm.exact else f"{tm.numerators[k]:.6g}"
+        lines.append(f'  "{names[tm.rows[k]]}" -> "{names[tm.cols[k]]}" [label="{w}"];')
+    return "\n".join(lines + ["}"]) + "\n"

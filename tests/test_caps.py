@@ -5,9 +5,11 @@ artifact."""
 
 import json
 
+import numpy as np
 import pytest
 
 import editwalk as ew
+from editwalk import hostgraph
 from editwalk.cli import main
 from editwalk.errors import CapExceeded
 from oracles import read_csv, read_json
@@ -125,3 +127,32 @@ def test_unallocatable_mixing_curve_writes_only_the_bound(tmp_path, capsys):
     assert meta["curve_skipped"] == "a mixing curve of 9223372036854775001 rows cannot be allocated"
     assert payload["bound_steps"] == meta["bound_steps"]
     assert not (tmp_path / "out" / "mixing.csv").exists()
+
+
+@pytest.mark.parametrize("build", ["recurrent_class", "closure"])
+def test_enumerations_stop_at_the_cap_within_one_batch(monkeypatch, build):
+    """A level's new states or flats are counted as each edit's destinations
+    (or each block's products) arrive, and merged only once their count
+    passes the cap: the search raises while it holds at most the cap and one
+    batch, where it used to hold the whole level."""
+    g = ew.complete_graph(5)
+    dist, cap = ew.simple_edit_weights(g, 0.5), 60  # 1,024 states and 1,024 flats
+    batches, held = [], []
+    find_masks, first_rows = hostgraph.find_masks, hostgraph._first_rows
+
+    def counted_find(masks, values):
+        if np.ndim(values):
+            batches.append(len(values))
+        return find_masks(masks, values)
+
+    def counted_merge(parts):
+        held.append(sum(len(part[0]) for part in parts))
+        return first_rows(parts)
+
+    monkeypatch.setattr(hostgraph, "find_masks", counted_find)
+    monkeypatch.setattr(hostgraph, "_first_rows", counted_merge)
+    with pytest.raises(CapExceeded):
+        ew.recurrent_class(dist, g, cap=cap) if build == "recurrent_class" else ew.closure(dist, cap)
+    assert held and max(held) <= cap + max(batches)
+    full = len(ew.recurrent_class(dist, g)) if build == "recurrent_class" else len(ew.closure(dist))
+    assert full > 10 * cap

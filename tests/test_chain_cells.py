@@ -11,6 +11,7 @@ must bound the dense residual.
 
 import dataclasses
 import itertools
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -29,10 +30,11 @@ from oracles import (
     reorder,
     sign_lex_order,
     stationary_numeric,
+    to_dot_by_cell,
     verify_law,
 )
 from editwalk.verify import (
-    _two_state_product,
+    _block_product,
     check_detailed_balance,
     check_eigenvector_residuals,
     check_stationary_fixed_point,
@@ -208,6 +210,23 @@ def test_to_dot_matches_dense_walk(exact):
         assert ew.to_dot(tm, g, labels="edges") == by_edges
 
 
+@pytest.mark.parametrize("m", [1, 8, 15, 16, 32, 33, 64, 70])
+@pytest.mark.parametrize("exact", [False, True], ids=["double", "rational"])
+def test_to_dot_formats_each_distinct_value_as_each_cell_did(m, exact):
+    """Set and clear edits on the first and last edge of an m-edge path, the
+    rest frozen: the labels repeat across cells, and past 64 edges the masks
+    are Python ints."""
+    g = ew.from_edge_list(m + 1, [(i, i + 1) for i in range(m)])
+    raw = [(f"+{e}", w) for e, w in ((0, 1), (m - 1, 2))] + [(f"-{e}", w) for e, w in ((0, 3), (m - 1, 4))]
+    total = sum(w for _, w in raw)
+    dist = from_items(m, tuple((parse_edit(t, m), Fraction(w, total) if exact else w / total) for t, w in raw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SupportNotCovering)
+        tm = ew.build_chain(dist, g, ew.recurrent_class(dist, g))
+    for labels in ("hex", "edges"):
+        assert ew.to_dot(tm, g, labels=labels) == to_dot_by_cell(tm, g, labels)
+
+
 def _phi_rows(g, p):
     """The phi rows in mask order, and their eigenvalues |T|/m."""
     masks = range(1 << g.m)
@@ -232,7 +251,7 @@ def _old_residuals(entries, pi, phi_rows, lams):
 def _eigenvector_check(g, p, tm, report=None):
     """verify's eigenvector check of the closed form for p against tm."""
     report = report or ew.eigenvalues_simple(g.m)
-    return check_eigenvector_residuals(spectral._phi_factors(g, p, 1 << g.m), report, _two_state_product(tm))
+    return check_eigenvector_residuals(spectral._phi_factors(g, p, 1 << g.m), report, _block_product(tm))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])

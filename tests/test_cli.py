@@ -23,7 +23,7 @@ from editwalk import verify
 from editwalk.cli import main
 from editwalk.process import SAMPLER_VERSION
 from editwalk.verify import (
-    _two_state_product,
+    _block_product,
     check_eigenvector_residuals,
     check_row_stochastic,
     check_spectrum_multiset,
@@ -787,7 +787,7 @@ class TestVerify:
         result = check_row_stochastic(bad)
         assert not result.passed and result.name == "row_stochastic"
         report = eigenvalues_simple(g.m)
-        product = _two_state_product(bad)
+        product = _block_product(bad)
         result2 = check_spectrum_multiset(report, bad, product)
         assert not result2.passed and result2.name == "spectrum_multiset"
         result3 = check_eigenvector_residuals(_phi_factors(g, 0.4, 1 << g.m), report, product)

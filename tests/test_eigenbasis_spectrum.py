@@ -1,16 +1,18 @@
-"""The per-edge chain's spectrum and eigenvectors, proved from its two-state product.
+"""The per-edge chain's spectrum and eigenvectors, proved from its block product.
 
 On the simple model `verify` takes no eigensolve: the chain's cells show
-it is the Kronecker sum of m two-state chains plus a diagonal, so Weyl's
-inequality puts its sorted eigenvalues within the diagonal's spread of the
-subset sums of the rates (`verify._two_state_product`), and the same pass
-checks phi's 2x2 factors against each two-state chain. The dense
+it is the Kronecker sum of m two-state chains (blocks of one edge) plus a
+diagonal, so Weyl's inequality puts its sorted eigenvalues within the
+diagonal's spread of the subset sums of the rates (`verify._block_product`),
+and the same pass checks phi's 2x2 factors against each two-state chain.
+The intersection model's blocks are whole neighbourhoods. The dense
 eigensolve stays here as the oracle, and the exact certificate as a second
 proof. The product must be declined when the cells are not one, and the
 checks must fail when the chain or the report is altered.
 """
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -18,13 +20,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import eigenvalue_multiset_residual, numeric_eigenvalues
+from test_chain_cells import cycle_family
 
 import editwalk as ew
 from editwalk import verify
-from editwalk.spectral import TransitionMatrix
+from editwalk.spectral import TransitionMatrix, block_spectrum
 from editwalk.verify import (
     U,
-    _two_state_product,
+    _block_product,
     check_eigenvector_residuals,
     check_spectrum_multiset,
     run_verification,
@@ -69,7 +72,7 @@ def test_the_printed_residual_bounds_the_gap_to_the_dense_eigensolve(p):
     g = path(len(p))
     tm = chain(g, p)
     report = ew.eigenvalues_simple(g.m)
-    result = check_spectrum_multiset(report, tm, _two_state_product(tm))
+    result = check_spectrum_multiset(report, tm, _block_product(tm))
     gap = eigenvalue_multiset_residual(report.eigenvalue_multiset(), numeric_eigenvalues(tm))
     assert result.passed and result.detail == "product" and result.residual <= 1e-14
     assert gap <= result.residual + eigvalsh_error(tm.size)
@@ -79,9 +82,11 @@ def test_the_printed_residual_bounds_the_gap_to_the_dense_eigensolve(p):
 def test_the_product_and_the_certificate_both_prove_rational_chains(m):
     g, report = path(m), ew.eigenvalues_simple(m)
     tm = chain(g, mixed_p(m, True))
-    product = _two_state_product(tm)
+    product = _block_product(tm)
     assert product.radius == 0 and product.exact
-    assert sorted(Fraction(v, product.den) for v in product.levels.tolist()) == sorted(report.eigenvalues)
+    levels = block_spectrum([sum(v) for v in product.values], [len(v) for v in product.values])
+    assert [(Fraction(level + product.shift, product.den), mult) for level, mult, _ in levels] == [
+        (Fraction(k, m), math.comb(m, k)) for k in range(m + 1)]
     result = check_spectrum_multiset(report, tm, product)
     assert (result.passed, result.residual, result.detail) == (True, 0.0, "exact")
     assert verify._spectrum_certificate(report, tm) is None
@@ -95,7 +100,7 @@ def moved(tm, cell, by):
 
 def eigenvector_check(g, p, tm):
     factors = ew.spectral._phi_factors(g, p, 1 << g.m)
-    return check_eigenvector_residuals(factors, ew.eigenvalues_simple(g.m), _two_state_product(tm))
+    return check_eigenvector_residuals(factors, ew.eigenvalues_simple(g.m), _block_product(tm))
 
 
 def test_a_moved_chain_cell_fails():
@@ -106,7 +111,7 @@ def test_a_moved_chain_cell_fails():
     tm = chain(g, p)
     cell = np.flatnonzero((tm.rows == 0) & (tm.cols == 1))[0]
     broken = moved(tm, cell, 1e-6)
-    assert _two_state_product(broken) is None
+    assert _block_product(broken) is None
     result = check_spectrum_multiset(ew.eigenvalues_simple(4), broken, None)
     assert not result.passed and result.detail == ""
     eigen = eigenvector_check(g, p, broken)
@@ -123,7 +128,7 @@ def test_a_moved_diagonal_cell_fails():
     cell = np.flatnonzero((tm.rows == 5) & (tm.cols == 5))[0]
     broken = moved(tm, cell, 1e-6)
     shift = Fraction(broken.numerators[cell]) - Fraction(tm.numerators[cell])
-    result = check_spectrum_multiset(ew.eigenvalues_simple(4), broken, _two_state_product(broken))
+    result = check_spectrum_multiset(ew.eigenvalues_simple(4), broken, _block_product(broken))
     assert not result.passed and result.detail == "product"
     assert result.residual == pytest.approx(float(shift), rel=1e-9)
     eigen = eigenvector_check(g, p, broken)
@@ -138,7 +143,7 @@ def test_a_moved_unit_of_multiplicity_fails(exact):
     mults[np.flatnonzero(report.index == 1)[0]] -= 1  # one eigenvalue 1/5 becomes 2/5
     mults[np.flatnonzero(report.index == 2)[0]] += 1
     tm = chain(path(m), mixed_p(m, exact))
-    result = check_spectrum_multiset(dataclasses.replace(report, multiplicities=mults), tm, _two_state_product(tm))
+    result = check_spectrum_multiset(dataclasses.replace(report, multiplicities=mults), tm, _block_product(tm))
     assert not result.passed
     if exact:
         assert result.residual == 1.0 and result.detail == "exact: the multiplicities differ from the product's"
@@ -152,7 +157,7 @@ def test_a_flip_value_at_most_zero_declines(value):
     tm = chain(path(3), mixed_p(3, False))
     nums = tm.numerators.copy()
     nums[(tm.cols == tm.rows | 1) & (tm.rows & 1 == 0)] = value
-    assert _two_state_product(dataclasses.replace(tm, numerators=nums)) is None
+    assert _block_product(dataclasses.replace(tm, numerators=nums)) is None
 
 
 def test_a_missing_flip_declines():
@@ -160,7 +165,7 @@ def test_a_missing_flip_declines():
     tm = chain(path(3), mixed_p(3, False))
     keep = ~((tm.rows == 0) & (tm.cols == 1))
     cut = dataclasses.replace(tm, rows=tm.rows[keep], cols=tm.cols[keep], numerators=tm.numerators[keep])
-    assert _two_state_product(cut) is None
+    assert _block_product(cut) is None
 
 
 def test_an_exact_chain_off_its_product_goes_to_the_certificate():
@@ -169,7 +174,7 @@ def test_an_exact_chain_off_its_product_goes_to_the_certificate():
     tm = chain(path(4), mixed_p(4, True))
     cell = np.flatnonzero((tm.rows == 5) & (tm.cols == 5))[0]
     broken = moved(tm, cell, 1)
-    product = _two_state_product(broken)
+    product = _block_product(broken)
     assert product.radius != 0
     result = check_spectrum_multiset(ew.eigenvalues_simple(4), broken, product)
     assert not result.passed and result.detail == "exact: the levels do not annihilate the chain"
@@ -193,7 +198,7 @@ def test_a_custom_single_edge_family_takes_the_product_proof(exact, empty):
     g = path(4)
     dist = single_edge_family(4, exact, empty)
     tm = ew.build_chain(dist, g)
-    product = _two_state_product(tm)
+    product = _block_product(tm)
     assert product.radius == 0 if exact else product.radius / product.den < 1e-15
     results = run_verification(g, dist, exact=exact)
     spectrum = next(r for r in results if r.name == "spectrum_multiset")
@@ -202,14 +207,20 @@ def test_a_custom_single_edge_family_takes_the_product_proof(exact, empty):
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["double", "rational"])
-def test_moran_and_intersection_chains_never_take_the_product_proof(exact):
-    mu = [Fraction(1, 4)] * 4 if exact else [0.25] * 4
-    for dist, g in (
-        (ew.moran_weights(ew.complete_graph(4)), ew.complete_graph(4)),
-        (ew.intersection_weights(2, 3, mu), ew.intersection_host(2, 3)),
-    ):
+def test_moran_and_the_custom_cycle_are_no_block_product(exact):
+    """Their supports overlap, so the flips join every edge into one block,
+    and no column of those chains holds one value from every other state."""
+    for g, dist in ((ew.complete_graph(4), ew.moran_weights(ew.complete_graph(4))), cycle_family(6, exact)):
         tm = ew.build_chain(dist, g, ew.recurrent_class(dist, g))
-        assert _two_state_product(tm) is None
+        assert _block_product(tm) is None
+
+
+def refuse_eigensolves(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify took a dense eigensolve or the certificate")
+
+    for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigvals"), (verify, "_spectrum_certificate")):
+        monkeypatch.setattr(module, name, refuse)
 
 
 @pytest.mark.parametrize("n, exact", [(5, False), (4, True)], ids=["double m=10", "rational m=6"])
@@ -220,12 +231,7 @@ def test_verify_takes_no_eigensolve_and_one_product_and_gram(monkeypatch, n, exa
     product of the chain with a stack of rows."""
     g = ew.complete_graph(n)
     p = mixed_p(g.m, exact)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("verify took a dense eigensolve or the certificate")
-
-    for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigvals"), (verify, "_spectrum_certificate")):
-        monkeypatch.setattr(module, name, refuse)
+    refuse_eigensolves(monkeypatch)
 
     def spy(name, original, seen):
         def wrapped(*args, **kwargs):
@@ -234,7 +240,7 @@ def test_verify_takes_no_eigensolve_and_one_product_and_gram(monkeypatch, n, exa
         monkeypatch.setattr(verify, name, wrapped)
 
     products, krons = [], []
-    spy("_two_state_product", _two_state_product, products)
+    spy("_block_product", _block_product, products)
     spy("_kron", verify._kron, krons)
     stacks = []
     left_apply = TransitionMatrix.left_apply
@@ -260,6 +266,20 @@ def test_verify_takes_no_eigensolve_and_one_product_and_gram(monkeypatch, n, exa
         assert eigen.residual <= 8 * g.m * U and gram.residual <= g.m * U
 
 
+@pytest.mark.parametrize("exact", [False, True], ids=["double", "rational"])
+def test_verify_reads_the_intersection_spectrum_off_its_blocks(monkeypatch, exact):
+    """Intersection 3x3 (512 states) is a product of three block refreshes,
+    so `verify` proves its spectrum from the cells in either mode."""
+    refuse_eigensolves(monkeypatch)
+    mu = [Fraction(k + 1, 10) if exact else (k + 1) / 10 for k in range(4)]
+    g, dist = ew.intersection_host(3, 3), ew.intersection_weights(3, 3, mu)
+    results = run_verification(g, dist, exact=exact)
+    spectrum = next(r for r in results if r.name == "spectrum_multiset")
+    assert all(r.passed for r in results) and len(results) == 6
+    assert spectrum.detail == ("exact" if exact else "product")
+    assert spectrum.residual == 0.0 if exact else spectrum.residual <= 1e-15
+
+
 def test_extreme_probabilities_on_k5_pass_the_spectrum_check():
     """The check reads only the chain's cells, so no eigensystem is built."""
     g, report = ew.complete_graph(5), ew.eigenvalues_simple(10)
@@ -267,7 +287,7 @@ def test_extreme_probabilities_on_k5_pass_the_spectrum_check():
         for exact in (False, True):
             probs = [Fraction(x) for x in p] if exact else p
             tm = chain(g, probs)
-            result = check_spectrum_multiset(report, tm, _two_state_product(tm))
+            result = check_spectrum_multiset(report, tm, _block_product(tm))
             assert result.passed and result.residual <= 1e-14
             assert result.detail == ("exact" if exact else "product")
             eigen = eigenvector_check(g, probs, tm)

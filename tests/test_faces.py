@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import from_items, parse_edit, read_csv, stationary_numeric, tv_decay_dense
+from oracles import from_items, merge_faces_by_void_view, parse_edit, read_csv, stationary_numeric, tv_decay_dense
 from test_chain_cells import cycle_family
 from test_random_families import seeded_families
 from test_spectral import random_host, random_probs
@@ -29,6 +29,7 @@ import editwalk as ew
 from editwalk import cli, spectral, verify
 from editwalk.cli import main
 from editwalk.errors import CapExceeded, SupportNotCovering
+from editwalk.hostgraph import mask_dtype
 from editwalk.spectral import TransitionMatrix
 
 
@@ -291,3 +292,24 @@ def test_double_mode_does_no_fraction_arithmetic(monkeypatch):
         forbid(monkeypatch, Fraction, name)
     _, pi = ew.stationary_faces(dist, k5, exact=False)
     assert pi.dtype == float and len(pi) == 290
+
+
+@pytest.mark.parametrize("m", [1, 8, 15, 16, 32, 33, 64, 70])
+@pytest.mark.parametrize("exact", [False, True], ids=["double", "rational"])
+def test_merged_faces_keep_the_byte_order_of_their_masks(m, exact):
+    """Integer keys give the faces, and so every later float sum, the order
+    of the 16-byte view of (plus, minus): masks set in every byte, repeats
+    across chunks, and masses summed in row order."""
+    rng = np.random.default_rng(m)
+    top = (1 << m) - 1
+    faces = [(p & top, q & top & ~p) for p, q in (map(int, rng.integers(0, 1 << 62, 2)) for _ in range(40))]
+    faces += [(p << (m - 1) & top, q) for p, q in faces[:5]] + [(0, top), (top, 0), (0, 0)]
+    chunks = []
+    for size in (30, 200, 1):
+        pick = rng.integers(len(faces), size=size)
+        plus, minus = (np.array([faces[i][k] for i in pick.tolist()], mask_dtype(m)) for k in (0, 1))
+        mass = rng.random(size)
+        chunks.append((plus, minus, np.array([Fraction(x) for x in mass], object) if exact else mass))
+    got, want = spectral._merge_faces(chunks, m), merge_faces_by_void_view(chunks, m)
+    assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
+    assert got[2].tolist() == want[2].tolist()

@@ -18,7 +18,7 @@ import pytest
 import editwalk as ew
 from editwalk import spectral
 from editwalk.process import _kron
-from editwalk.verify import U, _two_state_product, check_eigenvector_residuals, check_orthonormality
+from editwalk.verify import U, _block_product, check_eigenvector_residuals, check_orthonormality
 from oracles import (
     commute_terms_enumerated,
     commute_time_enumerated,
@@ -58,7 +58,7 @@ def test_phi_psi_and_eigensystem_match_loops(m, exact):
     # the whole eigensystem: verify's factor checks against the dense rows
     factors = spectral._phi_factors(g, p, 1 << m)
     tm = ew.build_chain(ew.simple_edit_weights(g, p), g)
-    eigen = check_eigenvector_residuals(factors, ew.eigenvalues_simple(m), _two_state_product(tm))
+    eigen = check_eigenvector_residuals(factors, ew.eigenvalues_simple(m), _block_product(tm))
     gram = check_orthonormality(factors)
     psi = psi_rows_enumerated(g, p, np.arange(1 << m))
     dense = np.array(rows, dtype=float)

@@ -452,7 +452,7 @@ def test_the_dense_fallback_takes_the_sorted_gap():
     tm = chain_from_dense(1, range(2), np.full((2, 2), 0.5), exact=False)  # eigenvalues 1 and 0
 
     def gap(values):
-        return verify._dense_fallback(SimpleNamespace(eigenvalue_multiset=lambda: values), tm, None)
+        return verify._dense_fallback(SimpleNamespace(eigenvalue_multiset=lambda: values), tm)
 
     assert gap([0.0, 1.0]).residual == gap([1.0, 0.0]).residual <= 1e-15
     assert gap([1.0, 0.1]).residual == pytest.approx(0.1)
